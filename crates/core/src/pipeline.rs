@@ -76,7 +76,14 @@ pub struct Choice {
     pub index: usize,
     /// Predicted class per catalog configuration.
     pub predictions: Vec<SpeedupClass>,
-    /// Features extracted for the prediction.
+    /// Features extracted for the prediction. Only slots that were
+    /// computed carry values; every other slot holds 0.0:
+    /// - full-pipeline choices ([`Wise::select`] without the cascade or
+    ///   on a stage-2 fallthrough) carry all 70 features;
+    /// - cascade stage-1 choices carry the probe-known slots;
+    /// - amortized choices ([`Wise::select_for_iterations`]) carry the
+    ///   slots some tree reads ([`ModelRegistry::read_set`]);
+    /// - `*_from_features` choices carry the caller's vector.
     pub features: FeatureVector,
     /// Per-stage timing breakdown of this selection.
     pub timing: ChoiceTiming,
@@ -292,8 +299,12 @@ impl Wise {
         self.select_full(m)
     }
 
-    /// The full (non-cascaded) selection: extract all 70 features,
-    /// predict, pick. This is the exact pre-cascade `select` body.
+    /// The full (non-cascaded) selection: extract every feature group,
+    /// predict, pick. This is the exact pre-cascade `select` body. It
+    /// does not narrow extraction to the registry's read set: on
+    /// registries whose trees read only probe features, the lean
+    /// extraction would cost less than the stage-1 probe meant to skip
+    /// it (see `DESIGN.md` §9).
     fn select_full(&self, m: &Csr) -> Choice {
         let t0 = Instant::now();
         let features = FeatureVector::extract(m, &self.feature_config);
@@ -404,6 +415,12 @@ impl Wise {
     /// "including the preprocessing cost", made quantitative). Callers
     /// running few iterations get CSR back; iterative solvers get the
     /// fastest format.
+    ///
+    /// Extraction computes only the feature groups covering
+    /// [`ModelRegistry::read_set`], so the returned
+    /// [`Choice::features`] holds 0.0 in every slot no tree reads.
+    /// Index, predictions and decision paths equal
+    /// [`Wise::select_for_iterations_from_features`] on the full vector.
     pub fn select_for_iterations(
         &self,
         m: &Csr,
@@ -413,7 +430,8 @@ impl Wise {
         let _span = wise_trace::span_pmu("pipeline.select");
         let flight = FlightRequest::begin();
         let t0 = Instant::now();
-        let features = FeatureVector::extract(m, &self.feature_config);
+        let features =
+            FeatureVector::extract_subset(m, &self.feature_config, self.registry.read_set());
         let feature_extraction_s = t0.elapsed().as_secs_f64();
         let mut choice =
             self.select_for_iterations_from_features(m, features, estimator, n_iterations);
@@ -425,9 +443,11 @@ impl Wise {
     /// [`Wise::select_for_iterations`] from pre-extracted features —
     /// callers that already ran [`Wise::select`] (or labeled the
     /// matrix) reuse the vector instead of paying extraction twice.
-    /// A full-pipeline `choice.features` can be moved straight in;
-    /// cascade *stage-1* choices carry only the probe subset (zeros
-    /// elsewhere) and must not be reused here — check
+    /// Only the slots in [`ModelRegistry::read_set`] are read; the rest
+    /// may hold anything (0.0 by convention, see [`Choice::features`]).
+    /// A full-pipeline or amortized `choice.features` can be moved
+    /// straight in; a cascade *stage-1* choice carries only the probe
+    /// slots, which need not cover the read set — check
     /// [`Choice::cascade`] first.
     pub fn select_for_iterations_from_features(
         &self,

@@ -5,11 +5,11 @@ use crate::classes::{SpeedupClass, N_CLASSES};
 use crate::labels::CorpusLabels;
 use std::path::Path;
 use std::sync::Arc;
-use wise_features::{FeatureVector, N_FEATURES};
+use wise_features::{FeatureSet, FeatureVector, N_FEATURES};
 use wise_kernels::method::{Method, MethodConfig};
 use wise_kernels::sched::par_map;
 use wise_ml::{Dataset, DecisionTree, FeatureMatrix, Presort, TreeParams};
-use wise_trace::export::json::{FromJson, JsonError, ToJson};
+use wise_trace::export::json::{self, FromJson, JsonError, ToJson, Value};
 
 /// The trained per-configuration performance models.
 #[derive(Debug, Clone)]
@@ -18,11 +18,38 @@ pub struct ModelRegistry {
     /// One tree per catalog entry, same order.
     trees: Vec<DecisionTree>,
     params: TreeParams,
+    /// Feature slots some tree splits on. Derived from `trees` whenever
+    /// a registry is built (trained or decoded), never serialized.
+    read_set: FeatureSet,
 }
 
-wise_trace::json_struct!(ModelRegistry { catalog, trees, params } check ModelRegistry::check);
+impl ToJson for ModelRegistry {
+    fn write_json(&self, out: &mut String) {
+        let mut sep = '{';
+        json::write_member(out, &mut sep, "catalog", &self.catalog);
+        json::write_member(out, &mut sep, "trees", &self.trees);
+        json::write_member(out, &mut sep, "params", &self.params);
+        out.push('}');
+    }
+}
+
+impl FromJson for ModelRegistry {
+    fn from_json(v: &Value) -> Result<Self, JsonError> {
+        let obj = json::object(v)?;
+        let catalog: Vec<MethodConfig> = json::member(obj, "catalog", None)?;
+        let trees: Vec<DecisionTree> = json::member(obj, "trees", None)?;
+        Self::check(&catalog, &trees)?;
+        Ok(Self::new(catalog, trees, json::member(obj, "params", None)?))
+    }
+}
 
 impl ModelRegistry {
+    /// Assembles a registry and derives its read set.
+    fn new(catalog: Vec<MethodConfig>, trees: Vec<DecisionTree>, params: TreeParams) -> Self {
+        let read_set = FeatureSet::from_slots(trees.iter().flat_map(|t| t.split_features()));
+        ModelRegistry { catalog, trees, params, read_set }
+    }
+
     /// Trains every model on the labeled corpus. All 29 datasets are
     /// label views over one shared [`FeatureMatrix`], and the columnar
     /// presort layer is built once and reused by every fit (the sort
@@ -40,7 +67,7 @@ impl ModelRegistry {
             let ds = Dataset::from_matrix(Arc::clone(&matrix), y, N_CLASSES);
             DecisionTree::fit_with(&ds, &presort, params)
         });
-        ModelRegistry { catalog: labels.catalog.clone(), trees, params }
+        ModelRegistry::new(labels.catalog.clone(), trees, params)
     }
 
     /// The corpus' feature matrix (one row per labeled matrix), built
@@ -82,6 +109,13 @@ impl ModelRegistry {
 
     pub fn tree(&self, cfg_idx: usize) -> &DecisionTree {
         &self.trees[cfg_idx]
+    }
+
+    /// The feature slots some tree splits on — the only slots a
+    /// prediction can read, and so the only ones amortized selection
+    /// extracts (see [`wise_features::FeatureVector::extract_subset`]).
+    pub fn read_set(&self) -> FeatureSet {
+        self.read_set
     }
 
     /// Predicts the speedup class of every configuration for a feature
@@ -143,11 +177,11 @@ impl ModelRegistry {
 
     /// Rejects decoded registries selection could not serve: it needs a
     /// CSR baseline and one full-feature, 7-class tree per config.
-    fn check(&self) -> Result<(), JsonError> {
+    fn check(catalog: &[MethodConfig], trees: &[DecisionTree]) -> Result<(), JsonError> {
         let fits = |t: &DecisionTree| t.n_features() == N_FEATURES && t.n_classes() == N_CLASSES;
-        if !self.catalog.iter().any(|c| c.method == Method::Csr)
-            || self.trees.len() != self.catalog.len()
-            || !self.trees.iter().all(fits)
+        if !catalog.iter().any(|c| c.method == Method::Csr)
+            || trees.len() != catalog.len()
+            || !trees.iter().all(fits)
         {
             return Err(JsonError::Invalid("registry does not match its catalog".into()));
         }
@@ -267,6 +301,30 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         for m in &labels.matrices {
             assert_eq!(reg.predict(&m.features), back.predict(&m.features));
+        }
+        assert_eq!(back.read_set(), reg.read_set());
+        assert_eq!(back.to_json(), reg.to_json());
+        assert!(!reg.to_json().contains("read_set"), "the read set is derived, not stored");
+    }
+
+    #[test]
+    fn read_set_is_the_union_of_split_features() {
+        let labels = labeled();
+        let reg = ModelRegistry::train(&labels, TreeParams::default());
+        let want: std::collections::BTreeSet<usize> =
+            (0..reg.catalog().len()).flat_map(|i| reg.tree(i).split_features()).collect();
+        assert_eq!(
+            reg.read_set().slots().collect::<Vec<_>>(),
+            want.into_iter().collect::<Vec<_>>()
+        );
+        assert!(!reg.read_set().is_empty());
+        // Masking every unread slot leaves every prediction unchanged.
+        for m in &labels.matrices {
+            let masked: Vec<f64> = (0..N_FEATURES)
+                .map(|i| if reg.read_set().contains(i) { m.features.values()[i] } else { 0.0 })
+                .collect();
+            let masked = FeatureVector::from_values(masked);
+            assert_eq!(reg.predict_explained(&masked), reg.predict_explained(&m.features));
         }
     }
 

@@ -15,7 +15,13 @@
 //!
 //! The mirrored sweep over the values-free pattern transpose (built by
 //! [`wise_matrix::Csr::transpose_pattern_into`]) yields the column-side
-//! incidence levels and the C distribution.
+//! incidence levels. Either half of the row sweep (tiles, incidence)
+//! can be switched off when its feature group is not wanted (see
+//! [`crate::groups`]).
+//!
+//! The R and C distributions come from [`row_col_stats`], the one
+//! counting path shared with the stage-1 probe: `row_ptr` differences
+//! and an O(nnz) column histogram, no transpose.
 //!
 //! # Parallel decomposition — why merged results are exact
 //!
@@ -31,12 +37,22 @@
 //! floating-point reassociation is involved).
 
 use crate::locality::GROUP_XS;
+use crate::stats::SummaryStats;
 use crate::tiling::TileGeometry;
 use std::sync::Mutex;
 use wise_kernels::sched::{parallel_for_chunks, Schedule};
+use wise_matrix::Csr;
 
 /// Incidence levels of one sweep: individual rows, then [`GROUP_XS`].
 const LEVELS: [usize; 6] = [1, GROUP_XS[0], GROUP_XS[1], GROUP_XS[2], GROUP_XS[3], GROUP_XS[4]];
+
+/// Which halves of the row sweep to run: the tile and block
+/// distributions, the incidence levels, or both.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Parts {
+    pub tiles: bool,
+    pub incidence: bool,
+}
 
 /// Per-worker sweep state and partial outputs. Buffers persist across
 /// sweeps (inside [`FeatureScratch`]) so repeated extractions are
@@ -63,12 +79,14 @@ pub(crate) struct Worker {
 }
 
 impl Worker {
-    fn reset(&mut self, k: usize, want_tiles: bool) {
-        self.last.clear();
-        self.last.resize(LEVELS.len() * k, u64::MAX);
+    fn reset(&mut self, k: usize, parts: Parts) {
+        if parts.incidence {
+            self.last.clear();
+            self.last.resize(LEVELS.len() * k, u64::MAX);
+        }
         self.incidence = [0; 6];
         self.tile_counts.clear();
-        if want_tiles {
+        if parts.tiles {
             self.tile_last_rb.clear();
             self.tile_last_rb.resize(k, u64::MAX);
             self.tile_acc.clear();
@@ -89,7 +107,8 @@ impl Worker {
         self.touched.clear();
     }
 
-    /// Sweeps rows `r0..r1` of the pattern `(row_ptr, col_idx)`.
+    /// Sweeps rows `r0..r1` of the pattern `(row_ptr, col_idx)`,
+    /// running the requested [`Parts`].
     ///
     /// Correctness of the markers relies only on rows being scanned in
     /// ascending order within the range: for a fixed column block, the
@@ -102,10 +121,11 @@ impl Worker {
         r0: usize,
         r1: usize,
         geo: TileGeometry,
-        want_tiles: bool,
+        parts: Parts,
     ) {
         let TileGeometry { k, tile_h, tile_w } = geo;
-        self.reset(k, want_tiles);
+        self.reset(k, parts);
+        let Parts { tiles: want_tiles, incidence: want_incidence } = parts;
         let k64 = k as u64;
         let mut cur_rb = u64::MAX;
         for r in r0..r1 {
@@ -129,6 +149,9 @@ impl Worker {
                     }
                     self.tile_acc[cb] += 1;
                 }
+                if !want_incidence {
+                    continue;
+                }
                 for (li, &x) in LEVELS.iter().enumerate() {
                     let key = (r / x) as u64 * k64 + rb;
                     let slot = &mut self.last[li * k + cb];
@@ -149,7 +172,8 @@ impl Worker {
 
 /// Merged outputs of one fused sweep, borrowed from the worker pool.
 /// `tile_counts`/`row_block_counts`/`col_block_counts` are only
-/// meaningful when the sweep ran with `want_tiles`.
+/// meaningful when the sweep ran with `parts.tiles`, `incidence` only
+/// with `parts.incidence`.
 pub(crate) struct SideCounts<'a> {
     pub incidence: [usize; 6],
     pub tile_counts: &'a [usize],
@@ -187,7 +211,7 @@ pub(crate) fn fused_sweep<'w>(
     col_idx: &[u32],
     nrows: usize,
     geo: TileGeometry,
-    want_tiles: bool,
+    parts: Parts,
     threads: usize,
 ) -> SideCounts<'w> {
     debug_assert_eq!(row_ptr.len(), nrows + 1);
@@ -198,7 +222,7 @@ pub(crate) fn fused_sweep<'w>(
     }
     if n_chunks <= 1 {
         let _chunk = wise_trace::span("features.chunk_sweep");
-        workers[0].sweep(row_ptr, col_idx, 0, nrows, geo, want_tiles);
+        workers[0].sweep(row_ptr, col_idx, 0, nrows, geo, parts);
     } else {
         // Chunk `t` locks worker `t` once, to get its `&mut`.
         let active: Vec<Mutex<&mut Worker>> =
@@ -207,7 +231,7 @@ pub(crate) fn fused_sweep<'w>(
             let (lo, hi) = (t * chunk_rows, ((t + 1) * chunk_rows).min(nrows));
             let _chunk = wise_trace::span("features.chunk_sweep");
             let mut w = active[t].lock().expect("each worker is locked by its one chunk");
-            w.sweep(row_ptr, col_idx, lo, hi, geo, want_tiles)
+            w.sweep(row_ptr, col_idx, lo, hi, geo, parts)
         });
         drop(active);
         let _merge = wise_trace::span("features.chunk_merge");
@@ -218,7 +242,7 @@ pub(crate) fn fused_sweep<'w>(
                 *a += *b;
             }
             w0.tile_counts.extend_from_slice(&w.tile_counts);
-            if want_tiles {
+            if parts.tiles {
                 for (a, b) in w0.row_block_counts.iter_mut().zip(&w.row_block_counts) {
                     *a += *b;
                 }
@@ -235,6 +259,55 @@ pub(crate) fn fused_sweep<'w>(
         row_block_counts: &w.row_block_counts,
         col_block_counts: &w.col_block_counts,
     }
+}
+
+/// R and C statistics from [`row_col_stats`], each `None` unless asked
+/// for, plus the bandwidth-proxy sum when `BAND`.
+pub(crate) struct RowColStats {
+    pub r: Option<SummaryStats>,
+    pub c: Option<SummaryStats>,
+    /// `Σ |c - r * ncols/nrows|` over the nonzeros, in row-major order
+    /// (0 unless `BAND` and the C statistics were asked for).
+    pub band_sum: f64,
+}
+
+/// The one R/C counting path, shared by the grouped extractor and the
+/// stage-1 probe: the R distribution straight from `row_ptr`
+/// differences, the C distribution from an O(nnz) column histogram (no
+/// pattern transpose). `SummaryStats::from_counts_with` sorts its
+/// input, so these statistics equal the reference extractor's bit for
+/// bit. With `BAND` (the probe) the C histogram loop also sums each
+/// nonzero's distance from the scaled diagonal, in row-major order.
+pub(crate) fn row_col_stats<const BAND: bool>(
+    m: &Csr,
+    scratch: &mut FeatureScratch,
+    want_r: bool,
+    want_c: bool,
+) -> RowColStats {
+    let (nrows, ncols) = (m.nrows(), m.ncols());
+    let r = want_r.then(|| {
+        scratch.counts_buf.clear();
+        scratch.counts_buf.extend(m.row_ptr().windows(2).map(|w| w[1] - w[0]));
+        SummaryStats::from_counts_with(&scratch.counts_buf, &mut scratch.stat_buf)
+    });
+    let mut band_sum = 0.0f64;
+    let c = want_c.then(|| {
+        scratch.col_counts.clear();
+        scratch.col_counts.resize(ncols, 0usize);
+        let scale = if nrows > 0 { ncols as f64 / nrows as f64 } else { 0.0 };
+        for r in 0..nrows {
+            let cols = &m.col_idx()[m.row_ptr()[r]..m.row_ptr()[r + 1]];
+            let diag = r as f64 * scale;
+            for &c in cols {
+                scratch.col_counts[c as usize] += 1;
+                if BAND {
+                    band_sum += (c as f64 - diag).abs();
+                }
+            }
+        }
+        SummaryStats::from_counts_with(&scratch.col_counts, &mut scratch.stat_buf)
+    });
+    RowColStats { r, c, band_sum }
 }
 
 /// Reusable workspace for
@@ -254,9 +327,9 @@ pub struct FeatureScratch {
     pub(crate) workers: Vec<Worker>,
     /// Sort buffer for [`SummaryStats`](crate::SummaryStats).
     pub(crate) stat_buf: Vec<usize>,
-    /// Dense R/C count buffer built from row-pointer differences.
+    /// Dense R count buffer built from row-pointer differences.
     pub(crate) counts_buf: Vec<usize>,
-    /// Column histogram for the stage-1 probe (no transpose needed).
+    /// Column histogram behind the C distribution (no transpose needed).
     pub(crate) col_counts: Vec<usize>,
 }
 
@@ -278,7 +351,8 @@ mod tests {
         // Leak a worker pool per call; fine for tests.
         let workers = Box::leak(Box::new(Vec::new()));
         let geo = TileGeometry::for_matrix(m.nrows(), m.ncols(), k_max);
-        let s = fused_sweep(workers, m.row_ptr(), m.col_idx(), m.nrows(), geo, true, threads);
+        let both = Parts { tiles: true, incidence: true };
+        let s = fused_sweep(workers, m.row_ptr(), m.col_idx(), m.nrows(), geo, both, threads);
         (s, geo)
     }
 
@@ -316,7 +390,8 @@ mod tests {
             let workers = Box::leak(Box::new(Vec::new()));
             let (t_rp, t_ci) = m.transpose_pattern();
             let mirrored = TileGeometry { k: geo.k, tile_h: geo.tile_w, tile_w: geo.tile_h };
-            let col = fused_sweep(workers, &t_rp, &t_ci, m.ncols(), mirrored, false, threads);
+            let inc = Parts { tiles: false, incidence: true };
+            let col = fused_sweep(workers, &t_rp, &t_ci, m.ncols(), mirrored, inc, threads);
             let got = crate::locality::LocalityMetrics::from_incidence(
                 row.incidence,
                 col.incidence,

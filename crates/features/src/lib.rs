@@ -14,6 +14,8 @@
 //! * [`locality`] — uniqR/uniqC, GrX_* grouped uniques, potReuse*;
 //! * [`engine`] — the fused, parallel single-pass extraction engine and
 //!   its reusable [`FeatureScratch`] workspace;
+//! * [`groups`] — the select-time [`FeatureGroup`]s and [`FeatureSet`]
+//!   slot masks, so selection computes only the slots its trees read;
 //! * [`probe`] — the O(nnz) stage-1 subset (sizes + full R/C
 //!   statistics, no tiling or locality) behind the selection cascade;
 //! * [`FeatureVector`] — the assembled, fixed-order feature vector fed
@@ -21,10 +23,13 @@
 //!
 //! Extraction ([`FeatureVector::extract`]) runs in O(nnz + K) with one
 //! fused sweep per orientation, parallelized over row-block-aligned
-//! chunks; [`FeatureVector::extract_reference`] keeps the naive
-//! multi-pass implementation as the parity oracle.
+//! chunks; [`FeatureVector::extract_subset`] is the same extractor
+//! restricted to the groups a slot subset needs, and
+//! [`FeatureVector::extract_reference`] keeps the naive multi-pass
+//! implementation as the parity oracle.
 
 pub mod engine;
+pub mod groups;
 pub mod locality;
 pub mod probe;
 pub mod stats;
@@ -33,6 +38,7 @@ pub mod tiling;
 mod vector;
 
 pub use engine::FeatureScratch;
+pub use groups::{FeatureGroup, FeatureSet};
 pub use probe::ProbeFeatures;
 pub use stats::SummaryStats;
 pub use tiling::{TileGeometry, TileGrid};

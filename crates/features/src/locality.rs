@@ -70,12 +70,41 @@ fn incidence_counts(m: &Csr, tile_h: usize, tile_w: usize, k: usize) -> [usize; 
     counts
 }
 
+/// One orientation's 12 locality metrics (the row or the column half
+/// of [`LocalityMetrics`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct SideLocality {
+    pub uniq: f64,
+    pub gr_uniq: [f64; 5],
+    pub pot_reuse: f64,
+    pub gr_pot_reuse: [f64; 5],
+}
+
+/// One orientation's metrics from its distinct-`(group, tile)`
+/// incidence array (index 0 = single rows/columns, indices 1.. follow
+/// [`GROUP_XS`]); `n` is the number of rows (columns) in that
+/// orientation. The single formula behind both the reference path and
+/// the fused engine, so equal counts give bit-identical features.
+pub(crate) fn side_metrics(inc: [usize; 6], n: usize, nnz: usize) -> SideLocality {
+    let nnz = nnz as f64;
+    let per_nnz = |a: usize| if nnz > 0.0 { a as f64 / nnz } else { 0.0 };
+    let mut gr_uniq = [0.0; 5];
+    let mut gr_pot_reuse = [0.0; 5];
+    for (i, &x) in GROUP_XS.iter().enumerate() {
+        gr_uniq[i] = per_nnz(inc[i + 1]);
+        gr_pot_reuse[i] = inc[i + 1] as f64 / n.div_ceil(x).max(1) as f64;
+    }
+    SideLocality {
+        uniq: per_nnz(inc[0]),
+        gr_uniq,
+        pot_reuse: inc[0] as f64 / n.max(1) as f64,
+        gr_pot_reuse,
+    }
+}
+
 impl LocalityMetrics {
     /// Assembles the 24 metrics from one distinct-`(group, tile)`
-    /// incidence array per orientation (index 0 = single rows/columns,
-    /// indices 1.. follow [`GROUP_XS`]). Shared by the reference path
-    /// ([`locality_metrics`]) and the fused extraction engine, so both
-    /// produce bit-identical features from equal counts.
+    /// incidence array per orientation (see [`side_metrics`]).
     pub fn from_incidence(
         row_side: [usize; 6],
         col_side: [usize; 6],
@@ -83,29 +112,36 @@ impl LocalityMetrics {
         ncols: usize,
         nnz: usize,
     ) -> LocalityMetrics {
-        let nnz = nnz as f64;
-        let ngroups = |n: usize, x: usize| n.div_ceil(x).max(1) as f64;
-        let safe_div = |a: usize, b: f64| if b > 0.0 { a as f64 / b } else { 0.0 };
-
-        let mut gr_uniq_r = [0.0; 5];
-        let mut gr_uniq_c = [0.0; 5];
-        let mut gr_pot_reuse_r = [0.0; 5];
-        let mut gr_pot_reuse_c = [0.0; 5];
-        for (i, &x) in GROUP_XS.iter().enumerate() {
-            gr_uniq_r[i] = safe_div(row_side[i + 1], nnz);
-            gr_uniq_c[i] = safe_div(col_side[i + 1], nnz);
-            gr_pot_reuse_r[i] = row_side[i + 1] as f64 / ngroups(nrows, x);
-            gr_pot_reuse_c[i] = col_side[i + 1] as f64 / ngroups(ncols, x);
-        }
+        let r = side_metrics(row_side, nrows, nnz);
+        let c = side_metrics(col_side, ncols, nnz);
         LocalityMetrics {
-            uniq_r: safe_div(row_side[0], nnz),
-            uniq_c: safe_div(col_side[0], nnz),
-            gr_uniq_r,
-            gr_uniq_c,
-            pot_reuse_r: row_side[0] as f64 / nrows.max(1) as f64,
-            pot_reuse_c: col_side[0] as f64 / ncols.max(1) as f64,
-            gr_pot_reuse_r,
-            gr_pot_reuse_c,
+            uniq_r: r.uniq,
+            uniq_c: c.uniq,
+            gr_uniq_r: r.gr_uniq,
+            gr_uniq_c: c.gr_uniq,
+            pot_reuse_r: r.pot_reuse,
+            pot_reuse_c: c.pot_reuse,
+            gr_pot_reuse_r: r.gr_pot_reuse,
+            gr_pot_reuse_c: c.gr_pot_reuse,
+        }
+    }
+
+    /// The row (`0`) or column (`1`) half.
+    pub(crate) fn side(&self, side: usize) -> SideLocality {
+        if side == 0 {
+            SideLocality {
+                uniq: self.uniq_r,
+                gr_uniq: self.gr_uniq_r,
+                pot_reuse: self.pot_reuse_r,
+                gr_pot_reuse: self.gr_pot_reuse_r,
+            }
+        } else {
+            SideLocality {
+                uniq: self.uniq_c,
+                gr_uniq: self.gr_uniq_c,
+                pot_reuse: self.pot_reuse_c,
+                gr_pot_reuse: self.gr_pot_reuse_c,
+            }
         }
     }
 }

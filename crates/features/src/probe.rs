@@ -8,14 +8,14 @@
 //! (density and a bandwidth proxy).
 //!
 //! The R and C statistics are **bit-identical** to the full
-//! extractor's: both paths push the same integer counts through the
-//! same [`SummaryStats::from_counts_with`]. That identity is what lets
+//! extractor's: both come from the one counting path in
+//! `engine::row_col_stats`. That identity is what lets
 //! the cascade walk the trained decision trees on probe values and
 //! trust that any comparison it *can* resolve resolves exactly as the
 //! full walk would — the parity the cascade's confidence gate is
 //! calibrated against (see `DESIGN.md` §16).
 
-use crate::engine::FeatureScratch;
+use crate::engine::{self, FeatureScratch};
 use crate::stats::SummaryStats;
 use crate::vector::{host_simd_features, FeatureVector, N_FEATURES};
 use std::sync::OnceLock;
@@ -59,32 +59,12 @@ impl ProbeFeatures {
     pub fn extract_with(m: &Csr, scratch: &mut FeatureScratch) -> ProbeFeatures {
         let _span = wise_trace::span("features.probe");
         let (nrows, ncols, nnz) = (m.nrows(), m.ncols(), m.nnz());
-
-        // R distribution straight from row-pointer differences —
-        // the exact code path of the full extractor.
-        scratch.counts_buf.clear();
-        scratch.counts_buf.extend(m.row_ptr().windows(2).map(|w| w[1] - w[0]));
-        let r_stats = SummaryStats::from_counts_with(&scratch.counts_buf, &mut scratch.stat_buf);
-
-        // C distribution from an O(nnz) column histogram — no pattern
-        // transpose. The full extractor derives the same per-column
-        // counts from its transpose row pointers; `from_counts_with`
-        // sorts either way, so order differences cannot matter.
-        scratch.col_counts.clear();
-        scratch.col_counts.resize(ncols, 0usize);
-        // Bandwidth proxy accumulated in the same sweep: distance of
-        // each nonzero's column from the scaled diagonal.
-        let scale = if nrows > 0 { ncols as f64 / nrows as f64 } else { 0.0 };
-        let mut band_sum = 0.0f64;
-        for r in 0..nrows {
-            let cols = &m.col_idx()[m.row_ptr()[r]..m.row_ptr()[r + 1]];
-            let diag = r as f64 * scale;
-            for &c in cols {
-                scratch.col_counts[c as usize] += 1;
-                band_sum += (c as f64 - diag).abs();
-            }
-        }
-        let c_stats = SummaryStats::from_counts_with(&scratch.col_counts, &mut scratch.stat_buf);
+        // R and C counts through the extractor's own code path; the
+        // bandwidth proxy (distance of each nonzero's column from the
+        // scaled diagonal) rides along in the C histogram loop.
+        let counts = engine::row_col_stats::<true>(m, scratch, true, true);
+        let (r_stats, c_stats) = (counts.r.expect("asked for R"), counts.c.expect("asked for C"));
+        let band_sum = counts.band_sum;
 
         let cells = nrows as f64 * ncols as f64;
         let density = if cells > 0.0 { nnz as f64 / cells } else { 0.0 };

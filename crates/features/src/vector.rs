@@ -2,7 +2,8 @@
 //! trees (the full Table 2).
 
 use crate::engine::{self, FeatureScratch};
-use crate::locality::{locality_metrics, LocalityMetrics, GROUP_XS};
+use crate::groups::{dist_base, FeatureGroup, FeatureSet, HOST_BASE, LOC_BASE};
+use crate::locality::{locality_metrics, side_metrics, LocalityMetrics, SideLocality, GROUP_XS};
 use crate::stats::SummaryStats;
 use crate::tiling::{TileGeometry, TileGrid};
 use std::collections::HashMap;
@@ -119,9 +120,36 @@ fn build_names() -> Vec<String> {
     names
 }
 
-/// The shared final assembly: both extraction paths push the same
-/// statistics in the same fixed order, so parity between them is purely
-/// a question of equal counts.
+/// Distribution order of the 5 × 8 statistic slots.
+const R: usize = 0;
+const C: usize = 1;
+const T: usize = 2;
+const RB: usize = 3;
+const CB: usize = 4;
+
+/// Writes the three size slots and the three host slots.
+fn put_sizes(values: &mut [f64], nrows: usize, ncols: usize, nnz: usize) {
+    values[..3].copy_from_slice(&[nrows as f64, ncols as f64, nnz as f64]);
+    values[HOST_BASE..].copy_from_slice(&host_simd_features(ncols));
+}
+
+/// Writes the 8 statistics of distribution `dist`, in Table 2 order.
+fn put_stats(values: &mut [f64], dist: usize, s: SummaryStats) {
+    let b = dist_base(dist);
+    values[b..b + 8]
+        .copy_from_slice(&[s.mean, s.std, s.var, s.gini, s.p_ratio, s.min, s.max, s.ne]);
+}
+
+/// Writes one orientation's 12 locality slots (`side` 0 = rows, 1 =
+/// columns).
+fn put_side(values: &mut [f64], side: usize, s: SideLocality) {
+    values[LOC_BASE + side] = s.uniq;
+    values[LOC_BASE + 2 + 5 * side..][..5].copy_from_slice(&s.gr_uniq);
+    values[LOC_BASE + 12 + side] = s.pot_reuse;
+    values[LOC_BASE + 14 + 5 * side..][..5].copy_from_slice(&s.gr_pot_reuse);
+}
+
+/// The reference extractor's assembly from fully computed parts.
 fn assemble(
     nrows: usize,
     ncols: usize,
@@ -129,23 +157,13 @@ fn assemble(
     dists: [SummaryStats; 5], // R, C, T, RB, CB
     loc: &LocalityMetrics,
 ) -> Vec<f64> {
-    let mut values = Vec::with_capacity(N_FEATURES);
-    values.push(nrows as f64);
-    values.push(ncols as f64);
-    values.push(nnz as f64);
-    for s in dists {
-        values.extend_from_slice(&[s.mean, s.std, s.var, s.gini, s.p_ratio, s.min, s.max, s.ne]);
+    let mut values = vec![0.0; N_FEATURES];
+    put_sizes(&mut values, nrows, ncols, nnz);
+    for (d, s) in dists.into_iter().enumerate() {
+        put_stats(&mut values, d, s);
     }
-    values.push(loc.uniq_r);
-    values.push(loc.uniq_c);
-    values.extend_from_slice(&loc.gr_uniq_r);
-    values.extend_from_slice(&loc.gr_uniq_c);
-    values.push(loc.pot_reuse_r);
-    values.push(loc.pot_reuse_c);
-    values.extend_from_slice(&loc.gr_pot_reuse_r);
-    values.extend_from_slice(&loc.gr_pot_reuse_c);
-    values.extend_from_slice(&host_simd_features(ncols));
-    debug_assert_eq!(values.len(), N_FEATURES);
+    put_side(&mut values, 0, loc.side(0));
+    put_side(&mut values, 1, loc.side(1));
     values
 }
 
@@ -173,7 +191,7 @@ impl FeatureVector {
     /// (Fig. 13c). Allocates a fresh workspace; hot loops extracting
     /// from many matrices should reuse one via [`Self::extract_with`].
     pub fn extract(m: &Csr, cfg: &FeatureConfig) -> FeatureVector {
-        Self::extract_with(m, cfg, &mut FeatureScratch::new())
+        Self::extract_subset(m, cfg, FeatureSet::ALL)
     }
 
     /// [`Self::extract`] with a caller-owned [`FeatureScratch`], making
@@ -184,75 +202,114 @@ impl FeatureVector {
         cfg: &FeatureConfig,
         scratch: &mut FeatureScratch,
     ) -> FeatureVector {
+        Self::extract_subset_with(m, cfg, FeatureSet::ALL, scratch)
+    }
+
+    /// Extracts only the slots in `subset`, computing just the
+    /// [`FeatureGroup`]s they belong to; every other slot holds 0.0.
+    /// Each computed slot equals [`Self::extract`]'s bit for bit, for
+    /// every thread count. Allocates a fresh workspace.
+    pub fn extract_subset(m: &Csr, cfg: &FeatureConfig, subset: FeatureSet) -> FeatureVector {
+        Self::extract_subset_with(m, cfg, subset, &mut FeatureScratch::new())
+    }
+
+    /// [`Self::extract_subset`] with a caller-owned [`FeatureScratch`].
+    /// This is the one extractor: [`Self::extract_with`] is its
+    /// [`FeatureSet::ALL`] case.
+    pub fn extract_subset_with(
+        m: &Csr,
+        cfg: &FeatureConfig,
+        subset: FeatureSet,
+        scratch: &mut FeatureScratch,
+    ) -> FeatureVector {
         let _span = wise_trace::span("features.extract");
         wise_trace::counter("features.nnz", m.nnz() as u64);
-        let geo = TileGeometry::for_matrix(m.nrows(), m.ncols(), cfg.k_max);
+        let (nrows, ncols, nnz) = (m.nrows(), m.ncols(), m.nnz());
+        let geo = TileGeometry::for_matrix(nrows, ncols, cfg.k_max);
         let threads = cfg.resolved_threads();
+        let want = |g| subset.touches(g);
+        let mut values = vec![0.0; N_FEATURES];
+
+        if want(FeatureGroup::Size) {
+            put_sizes(&mut values, nrows, ncols, nnz);
+        }
+
+        let (want_r, want_c) = (want(FeatureGroup::RStats), want(FeatureGroup::CStats));
+        let counts = engine::row_col_stats::<false>(m, scratch, want_r, want_c);
+        if let Some(r) = counts.r {
+            put_stats(&mut values, R, r);
+        }
+        if let Some(c) = counts.c {
+            put_stats(&mut values, C, c);
+        }
 
         // Fused row-major sweep: T, RB, CB and row-side incidence in
-        // one pass over the CSR arrays.
-        let (row_inc, t_stats, rb_stats, cb_stats) = {
+        // one pass over the CSR arrays, each half only when wanted.
+        let (want_tiles, want_rows) = (want(FeatureGroup::Tiles), want(FeatureGroup::RowIncidence));
+        if want_tiles || want_rows {
             let _sweep = wise_trace::span("features.sweep_rows");
             let side = engine::fused_sweep(
                 &mut scratch.workers,
                 m.row_ptr(),
                 m.col_idx(),
-                m.nrows(),
+                nrows,
                 geo,
-                true,
+                engine::Parts { tiles: want_tiles, incidence: want_rows },
                 threads,
             );
-            let t = SummaryStats::from_sparse_with(
-                side.tile_counts,
-                geo.k * geo.k,
-                &mut scratch.stat_buf,
+            if want_tiles {
+                let buf = &mut scratch.stat_buf;
+                let (t, rb, cb) = (
+                    SummaryStats::from_sparse_with(side.tile_counts, geo.k * geo.k, buf),
+                    SummaryStats::from_counts_with(side.row_block_counts, buf),
+                    SummaryStats::from_counts_with(side.col_block_counts, buf),
+                );
+                put_stats(&mut values, T, t);
+                put_stats(&mut values, RB, rb);
+                put_stats(&mut values, CB, cb);
+            }
+            if want_rows {
+                put_side(&mut values, 0, side_metrics(side.incidence, nrows, nnz));
+            }
+        }
+
+        // Values-free pattern transpose feeding the mirrored sweep for
+        // the column-side incidence levels.
+        if want(FeatureGroup::ColIncidence) {
+            {
+                let _t = wise_trace::span("features.transpose");
+                m.transpose_pattern_into(&mut scratch.t_row_ptr, &mut scratch.t_col_idx);
+            }
+            let _sweep = wise_trace::span("features.sweep_cols");
+            let mirrored = TileGeometry { k: geo.k, tile_h: geo.tile_w, tile_w: geo.tile_h };
+            let side = engine::fused_sweep(
+                &mut scratch.workers,
+                &scratch.t_row_ptr,
+                &scratch.t_col_idx,
+                ncols,
+                mirrored,
+                engine::Parts { tiles: false, incidence: true },
+                threads,
             );
-            let rb = SummaryStats::from_counts_with(side.row_block_counts, &mut scratch.stat_buf);
-            let cb = SummaryStats::from_counts_with(side.col_block_counts, &mut scratch.stat_buf);
-            (side.incidence, t, rb, cb)
-        };
-
-        // R distribution straight from row-pointer differences — no
-        // per-row materialization pass.
-        scratch.counts_buf.clear();
-        scratch.counts_buf.extend(m.row_ptr().windows(2).map(|w| w[1] - w[0]));
-        let r_stats = SummaryStats::from_counts_with(&scratch.counts_buf, &mut scratch.stat_buf);
-
-        // Values-free pattern transpose: the C distribution falls out of
-        // its row pointers, and the mirrored sweep yields the
-        // column-side incidence levels.
-        {
-            let _t = wise_trace::span("features.transpose");
-            m.transpose_pattern_into(&mut scratch.t_row_ptr, &mut scratch.t_col_idx);
+            put_side(&mut values, 1, side_metrics(side.incidence, ncols, nnz));
         }
-        scratch.counts_buf.clear();
-        scratch.counts_buf.extend(scratch.t_row_ptr.windows(2).map(|w| w[1] - w[0]));
-        let c_stats = SummaryStats::from_counts_with(&scratch.counts_buf, &mut scratch.stat_buf);
 
-        let mirrored = TileGeometry { k: geo.k, tile_h: geo.tile_w, tile_w: geo.tile_h };
-        let _sweep = wise_trace::span("features.sweep_cols");
-        let col_inc = engine::fused_sweep(
-            &mut scratch.workers,
-            &scratch.t_row_ptr,
-            &scratch.t_col_idx,
-            m.ncols(),
-            mirrored,
-            false,
-            threads,
-        )
-        .incidence;
-        drop(_sweep);
-
-        let loc = LocalityMetrics::from_incidence(row_inc, col_inc, m.nrows(), m.ncols(), m.nnz());
-        FeatureVector {
-            values: assemble(
-                m.nrows(),
-                m.ncols(),
-                m.nnz(),
-                [r_stats, c_stats, t_stats, rb_stats, cb_stats],
-                &loc,
-            ),
+        // The T/RB/CB means in closed form: every nonzero lies in exactly
+        // one of the K² tiles and one of the K row (column) blocks, so the
+        // sums the statistics divide are nnz, and `SummaryStats` divides
+        // by the bucket count as an f64 just like this.
+        if want(FeatureGroup::Means) {
+            values[dist_base(T)] = nnz as f64 / (geo.k * geo.k) as f64;
+            values[dist_base(RB)] = nnz as f64 / geo.k as f64;
+            values[dist_base(CB)] = nnz as f64 / geo.k as f64;
         }
+
+        for (i, v) in values.iter_mut().enumerate() {
+            if !subset.contains(i) {
+                *v = 0.0;
+            }
+        }
+        FeatureVector { values }
     }
 
     /// The naive multi-pass reference extractor: full value-carrying

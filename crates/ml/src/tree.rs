@@ -518,6 +518,25 @@ impl DecisionTree {
         importances
     }
 
+    /// Feature indices the reachable splits test, ascending and
+    /// deduplicated: the only entries of a row that [`Self::predict`]
+    /// can read.
+    pub fn split_features(&self) -> Vec<usize> {
+        let mut features = Vec::new();
+        let mut stack = vec![0usize];
+        while let Some(i) = stack.pop() {
+            let node = &self.nodes[i];
+            if !node.is_leaf() {
+                features.push(node.feature as usize);
+                stack.push(node.left as usize);
+                stack.push(node.right as usize);
+            }
+        }
+        features.sort_unstable();
+        features.dedup();
+        features
+    }
+
     /// Number of reachable nodes.
     pub fn n_nodes(&self) -> usize {
         let mut count = 0;
@@ -916,6 +935,7 @@ mod importance_tests {
         assert!(imp[1] > 0.9, "informative feature should dominate: {imp:?}");
         let total: f64 = imp.iter().sum();
         assert!((total - 1.0).abs() < 1e-9);
+        assert!(t.split_features().contains(&1));
     }
 
     #[test]
@@ -923,5 +943,17 @@ mod importance_tests {
         let d = Dataset::new(vec![vec![1.0]; 5], vec![0; 5], 2);
         let t = DecisionTree::fit(&d, TreeParams::default());
         assert_eq!(t.feature_importances(), vec![0.0]);
+        assert!(t.split_features().is_empty());
+    }
+
+    #[test]
+    fn split_features_list_exactly_the_tested_features() {
+        // XOR over features 0 and 2; feature 1 is constant and never split.
+        let rows: Vec<Vec<f64>> =
+            (0..32).map(|i| vec![(i % 2) as f64, 1.0, ((i / 2) % 2) as f64]).collect();
+        let labels: Vec<u32> = (0..32).map(|i| ((i % 2) ^ ((i / 2) % 2)) as u32).collect();
+        let d = Dataset::new(rows, labels, 2);
+        let t = DecisionTree::fit(&d, TreeParams { ccp_alpha: 0.0, ..Default::default() });
+        assert_eq!(t.split_features(), vec![0, 2]);
     }
 }

@@ -7,7 +7,6 @@
 
 use std::time::Instant;
 use wise_core::pipeline::{TrainOptions, Wise};
-use wise_features::FeatureVector;
 use wise_gen::{Corpus, CorpusScale, RmatParams};
 use wise_kernels::baseline::mkl_like_config;
 use wise_kernels::method::MethodConfig;
@@ -68,20 +67,24 @@ fn main() {
     // An iterative solver knows its iteration count up front: refine the
     // pick with the amortized tier, reusing the features the plain
     // selection already extracted instead of paying extraction twice.
-    // (A cascade stage-1 answer only carries the probe subset, so the
-    // full vector is extracted in that case.)
-    let features = match &choice.cascade {
+    // A cascade stage-1 answer carries only the probe slots, which need
+    // not cover the slots the trees read; in that case the amortized
+    // selection extracts just the feature groups those slots need.
+    let amortized = match &choice.cascade {
         Some(info) if info.stage == wise_core::CascadeStage::Stage1 => {
-            FeatureVector::extract(&m, wise.feature_config())
+            wise.select_for_iterations(&m, &opts.estimator, iters as u64)
         }
-        _ => choice.features.clone(),
+        _ => wise.select_for_iterations_from_features(
+            &m,
+            choice.features.clone(),
+            &opts.estimator,
+            iters as u64,
+        ),
     };
-    let amortized =
-        wise.select_for_iterations_from_features(&m, features, &opts.estimator, iters as u64);
     println!(
-        "amortized over {iters} iterations: {} (feature extraction reused, {:.1}us saved)",
+        "amortized over {iters} iterations: {} ({:.1}us of feature extraction)",
         amortized.config.label(),
-        choice.timing.feature_extraction_s * 1e6
+        amortized.timing.feature_extraction_s * 1e6
     );
     let (pr_mkl, t_mkl) = pagerank(&mkl_like_config(), &m, iters, threads);
     let (pr_wise, t_wise) = pagerank(&choice.config, &m, iters, threads);

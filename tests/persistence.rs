@@ -51,6 +51,32 @@ fn save_load_select_is_identical_on_the_zoo() {
     }
 }
 
+/// The read set is derived from the trees, not stored: a reload derives
+/// the same one, so its amortized choices (index, predictions, decision
+/// paths and the read-set features) are bit-identical.
+#[test]
+fn reload_derives_the_same_read_set_and_amortized_choices() {
+    let wise = trained();
+    let path = std::env::temp_dir().join(format!("wise_read_set_{}.json", std::process::id()));
+    wise.save(&path).unwrap();
+    let back = Wise::load(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    let read = wise.registry().read_set();
+    assert!(!read.is_empty());
+    assert_eq!(back.registry().read_set(), read);
+    let est = Estimator::model_for_rows(1 << 10);
+    for (tag, m) in zoo() {
+        for k in [1, 10, 200] {
+            let (a, b) =
+                (wise.select_for_iterations(&m, &est, k), back.select_for_iterations(&m, &est, k));
+            let bits =
+                |c: &Choice| c.features.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a), bits(&b), "{tag} k={k}: features");
+            assert_eq!(answer(a), answer(b), "{tag} k={k}");
+        }
+    }
+}
+
 /// A model in the shape every earlier release wrote (struct = object,
 /// unit variant = name string, `None` = `null`), written before `v`/`pf`/`il`, `FeatureConfig::threads` and
 /// the SIMD machine fields existed.
