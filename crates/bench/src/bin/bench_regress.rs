@@ -18,22 +18,15 @@
 //! `--simd-floor <x>` (minimum scalar/vector speedup of the SIMD
 //! throughput stage; default 1.0 — the vector kernel must not lose.
 //! Hosts whose probe resolves to the scalar ISA gate on parity only),
-//! `--miss-rate-ceiling <x>` (maximum `kernel.spmv` LLC load miss-rate;
-//! skipped with a notice when hardware counters are unavailable),
 //! `--cascade-speedup-floor <x>` (minimum p50 cascade-vs-full selection
-//! speedup on the stage-7 latency probe; default 1.0 — the fast path
+//! speedup on the stage-6 latency probe; default 1.0 — the fast path
 //! must not lose. Skipped with a notice when the calibrated gate never
 //! accepts a probe matrix),
 //! `--telemetry-overhead-ceiling <x>` (maximum per-span slowdown of the
-//! streaming-sketch telemetry layer measured by the stage-8 probe;
+//! streaming-sketch telemetry layer measured by the stage-7 probe;
 //! default 10.0 — observability must stay an epsilon on the workload).
 //!
-//! With PMU counters available the suite also runs a *residual* pass:
-//! every catalog config executes single-threaded under a counter
-//! read, and the measured DRAM bytes / cycles are compared against
-//! the cost model's prediction ([`wise_perf::residual`]); the permille
-//! ratios land in the trace as `model.residual.*` samples and in the
-//! ledger record's `pmu.residual` summary.
+//! Every figure is wall time: the suite reads no hardware counters.
 //!
 //! The suite must stay byte-for-byte pinned: records are only
 //! comparable across runs because the work is identical. Change the
@@ -57,7 +50,7 @@ use wise_kernels::{Executor, MethodConfig, Schedule};
 use wise_matrix::Csr;
 use wise_ml::TreeParams;
 use wise_perf::Estimator;
-use wise_trace::ledger::{self, Fnv1a};
+use wise_trace::ledger::{self, Fnv1a, MatrixRegret};
 use wise_trace::{BenchRecord, GatePolicy, HostFingerprint, ModelMetrics, Summary};
 
 /// The suite seed is part of the contract, not a knob: changing it
@@ -70,7 +63,6 @@ struct Args {
     trace_out: Option<PathBuf>,
     note: String,
     simd_floor: f64,
-    miss_rate_ceiling: Option<f64>,
     cascade_speedup_floor: f64,
     telemetry_overhead_ceiling: f64,
 }
@@ -82,7 +74,6 @@ fn parse_args() -> Args {
         trace_out: None,
         note: String::new(),
         simd_floor: 1.0,
-        miss_rate_ceiling: None,
         cascade_speedup_floor: 1.0,
         telemetry_overhead_ceiling: 10.0,
     };
@@ -101,11 +92,6 @@ fn parse_args() -> Args {
                 let raw = it.next().expect("--simd-floor needs a number");
                 args.simd_floor = raw.parse().expect("--simd-floor: not a number");
             }
-            "--miss-rate-ceiling" => {
-                let raw = it.next().expect("--miss-rate-ceiling needs a number");
-                args.miss_rate_ceiling =
-                    Some(raw.parse().expect("--miss-rate-ceiling: not a number"));
-            }
             "--cascade-speedup-floor" => {
                 let raw = it.next().expect("--cascade-speedup-floor needs a number");
                 args.cascade_speedup_floor =
@@ -121,8 +107,7 @@ fn parse_args() -> Args {
                 eprintln!(
                     "usage: bench_regress [--quick] [--ledger-dir <dir>] \
                      [--trace-out <path>] [--note <text>] [--simd-floor <x>] \
-                     [--miss-rate-ceiling <x>] [--cascade-speedup-floor <x>] \
-                     [--telemetry-overhead-ceiling <x>]"
+                     [--cascade-speedup-floor <x>] [--telemetry-overhead-ceiling <x>]"
                 );
                 std::process::exit(2);
             }
@@ -201,12 +186,12 @@ fn model_metrics(eval: &CvEvaluation) -> ModelMetrics {
     let mut p_sum = 0.0;
     for o in &eval.outcomes {
         let regret = o.wise_seconds / o.oracle_seconds.max(1e-300);
-        per_matrix_regret.push((o.name.clone(), regret));
+        per_matrix_regret.push(MatrixRegret { name: o.name.clone(), regret });
         p_sum += o.oracle_seconds / o.wise_seconds.max(1e-300);
     }
     let n = eval.outcomes.len().max(1) as f64;
-    let mean_regret = per_matrix_regret.iter().map(|(_, r)| r).sum::<f64>() / n;
-    let max_regret = per_matrix_regret.iter().map(|(_, r)| *r).fold(0.0, f64::max);
+    let mean_regret = per_matrix_regret.iter().map(|m| m.regret).sum::<f64>() / n;
+    let max_regret = per_matrix_regret.iter().map(|m| m.regret).fold(0.0, f64::max);
     ModelMetrics {
         accuracy,
         p_ratio: p_sum / n,
@@ -229,7 +214,7 @@ fn main() {
     println!("== bench_regress: pinned suite (seed {SEED}, {mode} mode) ==");
 
     // ---- 1. Feature extraction on the fixed probes ------------------
-    report::progress("stage 1/8: feature extraction probes");
+    report::progress("stage 1/7: feature extraction probes");
     let probes = probe_matrices();
     let feature_config = FeatureConfig::default();
     for (name, m) in &probes {
@@ -239,7 +224,7 @@ fn main() {
     }
 
     // ---- 2. Registry fit on the pinned tiny corpus ------------------
-    report::progress("stage 2/8: label corpus + registry fit");
+    report::progress("stage 2/7: label corpus + registry fit");
     let scale = CorpusScale::tiny();
     let corpus = Corpus::full(&scale, SEED);
     let digest = corpus_digest(&probes, &corpus);
@@ -256,7 +241,7 @@ fn main() {
     let wise = Wise::from_labels(&labels, &opts);
 
     // ---- 3. SpMV catalog through the worker pool --------------------
-    report::progress("stage 3/8: SpMV catalog sweep");
+    report::progress("stage 3/7: SpMV catalog sweep");
     let (_, spmv_matrix) = &probes[0];
     let x: Vec<f64> = (0..spmv_matrix.ncols()).map(|i| (i as f64).sin()).collect();
     let mut y = vec![0.0; spmv_matrix.nrows()];
@@ -274,7 +259,7 @@ fn main() {
     // interleave pinned off, so the span stays comparable with records
     // written before the MLP kernels existed), and the MLP kernel with
     // the auto prefetch/interleave policies engaged.
-    report::progress("stage 4/8: SIMD throughput probe (scalar / vector / mlp)");
+    report::progress("stage 4/7: SIMD throughput probe (scalar / vector / mlp)");
     let isa = wise_kernels::simd::active();
     let (_, simd_matrix) = &probes[3];
     let simd_cfg = MethodConfig::sell_c_sigma(8, 512, Schedule::StCont);
@@ -330,48 +315,8 @@ fn main() {
         probe_nnz
     ));
 
-    // ---- 5. Cost-model residuals under hardware counters ------------
-    // Each catalog config runs single-threaded (PMU groups are
-    // per-thread) between two counter reads; the measured delta is
-    // compared to the cost model's prediction for the same prepared
-    // representation. Skipped entirely — with an explicit notice — when
-    // counters are off or denied, leaving the trace bit-identical.
-    report::progress("stage 5/8: cost-model residual probe");
-    let pmu_status = wise_trace::pmu::status_label();
-    if wise_trace::pmu::read_counts().is_some() {
-        let (_, res_matrix) = &probes[3];
-        let mut machine = wise_perf::MachineModel::scaled_for_rows(res_matrix.nrows());
-        machine.threads = 1;
-        let shift = wise_perf::cost::auto_sample_shift(res_matrix.nnz());
-        let xr: Vec<f64> = (0..res_matrix.ncols()).map(|i| (i as f64).sin()).collect();
-        let mut yr = vec![0.0; res_matrix.nrows()];
-        let res_iters: u64 = if args.quick { 5 } else { 20 };
-        let mut observed = 0usize;
-        let catalog = MethodConfig::catalog();
-        let n_configs = catalog.len();
-        for cfg in catalog {
-            let prep = cfg.prepare(res_matrix);
-            let pred = wise_perf::cost::estimate_prepared(res_matrix, &cfg, &prep, &machine, shift);
-            prep.spmv(&xr, &mut yr, 1, &mut ws); // warm caches + dispatch
-            let base = wise_trace::pmu::read_counts().unwrap_or_default();
-            for _ in 0..res_iters {
-                prep.spmv(&xr, &mut yr, 1, &mut ws);
-            }
-            let end = wise_trace::pmu::read_counts().unwrap_or_default();
-            let delta = end.delta_since(&base);
-            let res = wise_perf::observe_residual(&pred, &delta, res_iters, &machine);
-            observed += usize::from(!res.is_empty());
-        }
-        black_box(&yr);
-        report::progress(format_args!(
-            "residuals observed for {observed}/{n_configs} catalog configs ({res_iters} iters each)"
-        ));
-    } else {
-        report::progress(format_args!("residual probe skipped (pmu {pmu_status})"));
-    }
-
-    // ---- 6. End-to-end selection + model quality --------------------
-    report::progress("stage 6/8: end-to-end select + CV evaluation");
+    // ---- 5. End-to-end selection + model quality --------------------
+    report::progress("stage 5/7: end-to-end select + CV evaluation");
     let choice = wise.select(spmv_matrix);
     wise.run_spmv(spmv_matrix, &choice, &x, &mut y, nthreads);
     println!("\n{}", explain_choice(wise.registry().catalog(), &choice));
@@ -387,13 +332,13 @@ fn main() {
         metrics.per_matrix_regret.len()
     );
 
-    // ---- 7. Selection-latency probe: cascade vs full ----------------
+    // ---- 6. Selection-latency probe: cascade vs full ----------------
     // The same trained instance selects every probe matrix twice — once
     // through the calibrated cascade, once with the gate stripped (the
     // exact pre-cascade pipeline) — under `bench.cascade.fast` /
     // `bench.cascade.full` latency samples. Stage-1 answers then run a
     // measured SpMV to feed the regret accumulator.
-    report::progress("stage 7/8: selection-latency probe (cascade vs full)");
+    report::progress("stage 6/7: selection-latency probe (cascade vs full)");
     wise_core::cascade::reset_regret();
     let full_wise = wise.clone().with_cascade_gate(None);
     let sel_iters = if args.quick { 3 } else { 10 };
@@ -453,15 +398,15 @@ fn main() {
         );
     }
 
-    // ---- 8. Telemetry-overhead probe --------------------------------
+    // ---- 7. Telemetry-overhead probe --------------------------------
     // Times a hot span loop with the streaming-sketch layer on and off;
     // the per-span ratio lands in the ledger and gates against
     // `--telemetry-overhead-ceiling`, so the observability layer can
     // never silently become the workload. The suite's events are
     // drained *first* so the probe's ring traffic (discarded below)
-    // cannot overflow the ring and drop stage 1-7 samples out of the
+    // cannot overflow the ring and drop stage 1-6 samples out of the
     // summary.
-    report::progress("stage 8/8: telemetry-overhead probe (streaming sketches on vs off)");
+    report::progress("stage 7/7: telemetry-overhead probe (streaming sketches on vs off)");
     let events = wise_trace::take_events();
     let overhead_iters: u32 = if args.quick { 20_000 } else { 50_000 };
     let time_spans = |iters: u32| -> f64 {
@@ -575,29 +520,6 @@ fn main() {
         );
     }
 
-    // Hardware-counter telemetry: IPC, LLC miss-rate and model
-    // residuals as recorded in the ledger (or the explicit
-    // unavailability marker when the host denied counters).
-    if let Some(pmu) = &record.pmu {
-        println!("pmu: status {}", pmu.status);
-        if let Some(st) = pmu.stages.get("kernel.spmv") {
-            let fmt = |v: Option<f64>| v.map_or("n/a".to_string(), |x| format!("{x:.3}"));
-            println!(
-                "pmu: kernel.spmv ipc {}, llc miss-rate {}, {} counted spans",
-                fmt(st.ipc()),
-                fmt(st.llc_miss_rate()),
-                st.samples
-            );
-        }
-        if let Some(res) = &pmu.residual {
-            println!(
-                "residual: measured/predicted bytes p50 {:.3} p95 {:.3}, \
-                 cycles p50 {:.3} p95 {:.3} ({} samples)",
-                res.bytes_p50, res.bytes_p95, res.cycles_p50, res.cycles_p95, res.count
-            );
-        }
-    }
-
     match ledger::write_record(dir, &record) {
         Ok(path) => report::artifact(path.display()),
         Err(e) => {
@@ -667,7 +589,7 @@ fn main() {
     }
 
     // ---- Telemetry-overhead ceiling ---------------------------------
-    // The stage-8 per-span ratio: tracing with the sketch pipeline
+    // The stage-7 per-span ratio: tracing with the sketch pipeline
     // engaged must stay within a constant factor of tracing alone.
     if telemetry_overhead > args.telemetry_overhead_ceiling {
         eprintln!(
@@ -678,26 +600,5 @@ fn main() {
         std::process::exit(1);
     }
 
-    // ---- LLC miss-rate ceiling (opt-in, needs hardware counters) -----
-    if let Some(ceiling) = args.miss_rate_ceiling {
-        let rate = record
-            .pmu
-            .as_ref()
-            .and_then(|p| p.stages.get("kernel.spmv"))
-            .and_then(|s| s.llc_miss_rate());
-        match rate {
-            Some(rate) if rate > ceiling => {
-                eprintln!(
-                    "bench_regress: LLC miss-rate ceiling violated — kernel.spmv \
-                     {rate:.4} > {ceiling:.4}"
-                );
-                std::process::exit(1);
-            }
-            Some(rate) => {
-                println!("miss-rate gate: kernel.spmv {rate:.4} <= ceiling {ceiling:.4}");
-            }
-            None => println!("miss-rate gate: skipped (pmu {pmu_status})"),
-        }
-    }
     println!("bench_regress: gate passed (BENCH_{seq}.json recorded)");
 }

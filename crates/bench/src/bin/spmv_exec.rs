@@ -34,11 +34,10 @@ fn main() {
     let isa = wise_kernels::simd::active();
     println!("== SpMV executor: persistent pool vs per-call spawn ==");
     println!(
-        "(host cores: {cores}; simd: {} x{}; pmu: {}; dispatch times are per \
+        "(host cores: {cores}; simd: {} x{}; dispatch times are per \
          parallel_for_chunks call)\n",
         isa.name(),
-        isa.lanes(),
-        wise_trace::pmu::status_label()
+        isa.lanes()
     );
 
     let mut rows: Vec<String> = Vec::new();

@@ -87,8 +87,7 @@ fn render(doc: &Value) -> Option<String> {
     use std::fmt::Write as _;
     let mut out = String::with_capacity(2048);
     let ts_s = num(doc, "ts_ns") / 1e9;
-    let pmu = doc.get("pmu_status").and_then(|v| v.as_str()).unwrap_or("?");
-    let _ = writeln!(out, "wise-top — uptime {ts_s:.1}s — pmu {pmu}");
+    let _ = writeln!(out, "wise-top — uptime {ts_s:.1}s");
 
     if let Some(d) = doc.get("drift") {
         let status = d.get("status").and_then(|v| v.as_str()).unwrap_or("?");

@@ -106,27 +106,25 @@ pub struct Choice {
 /// request: allocates the id, scopes it onto the calling thread (the
 /// worker pool forwards it to kernel workers), and on [`Self::finish`]
 /// records the completed request — latency, method, cascade stage,
-/// margin, roofline prediction and PMU deltas — into
+/// margin and roofline prediction — into
 /// [`wise_trace::telemetry`]. Nested entry points (`select_full` →
 /// `select_from_features`) see the outer id already set and record
 /// nothing, so every public selection is exactly one request.
 struct FlightRequest {
     id: u64,
     start_ns: u64,
-    pmu_base: Option<wise_trace::PmuCounts>,
     _scope: Option<telemetry::RequestScope>,
 }
 
 impl FlightRequest {
     fn begin() -> FlightRequest {
         if !telemetry::telemetry_enabled() || telemetry::current_request() != 0 {
-            return FlightRequest { id: 0, start_ns: 0, pmu_base: None, _scope: None };
+            return FlightRequest { id: 0, start_ns: 0, _scope: None };
         }
         let id = telemetry::next_request_id();
         FlightRequest {
             id,
             start_ns: telemetry::now_ns(),
-            pmu_base: wise_trace::pmu::read_counts(),
             _scope: Some(telemetry::RequestScope::enter(id)),
         }
     }
@@ -149,10 +147,6 @@ impl FlightRequest {
             ),
             None => ("full", None, None),
         };
-        let pmu = match (&self.pmu_base, wise_trace::pmu::read_counts()) {
-            (Some(base), Some(now)) => Some(now.delta_since(base)),
-            _ => None,
-        };
         telemetry::record_request(telemetry::RequestRecord {
             id: self.id,
             start_ns: self.start_ns,
@@ -162,7 +156,6 @@ impl FlightRequest {
             margin,
             predicted_s,
             measured_s: None,
-            pmu,
         })
     }
 }
@@ -249,7 +242,7 @@ impl Wise {
     /// bit-identical to the non-cascaded result modulo the
     /// [`Choice::cascade`] provenance field.
     pub fn select(&self, m: &Csr) -> Choice {
-        let _span = wise_trace::span_pmu("pipeline.select");
+        let _span = wise_trace::span("pipeline.select");
         let flight = FlightRequest::begin();
         let mut choice = self.select_cascaded(m);
         flight.finish(&mut choice);
@@ -427,7 +420,7 @@ impl Wise {
         estimator: &wise_perf::Estimator,
         n_iterations: u64,
     ) -> Choice {
-        let _span = wise_trace::span_pmu("pipeline.select");
+        let _span = wise_trace::span("pipeline.select");
         let flight = FlightRequest::begin();
         let t0 = Instant::now();
         let features =

@@ -364,7 +364,7 @@ impl MethodConfig {
     /// Converts the matrix into this configuration's executable form.
     /// For CSR this is free (the matrix is already CSR).
     pub fn prepare<'m>(&self, m: &'m Csr) -> Prepared<'m> {
-        let _span = wise_trace::span_pmu("kernel.convert");
+        let _span = wise_trace::span("kernel.convert");
         wise_trace::counter("kernel.convert.nnz", m.nnz() as u64);
         // 0 = auto in the catalog encoding; the kernels take None for
         // auto so an explicit `-p0` label (rejected by parse) never
@@ -414,7 +414,7 @@ impl Prepared<'_> {
 
     /// `y = A x`.
     pub fn spmv(&self, x: &[f64], y: &mut [f64], nthreads: usize, ws: &mut SpmvWorkspace) {
-        let _span = wise_trace::span_pmu("kernel.spmv");
+        let _span = wise_trace::span("kernel.spmv");
         // Declared after the kernel.spmv guard so it drops first and
         // the simd span nests inside its parent in the trace.
         let lanes = self.simd_lanes();

@@ -31,7 +31,6 @@ pub mod cost;
 pub mod estimator;
 pub mod lru;
 pub mod machine;
-pub mod residual;
 pub mod sched_sim;
 
 pub use calibrate::{
@@ -40,4 +39,3 @@ pub use calibrate::{
 pub use cost::{estimate_preprocessing_seconds, estimate_spmv_seconds, CostBreakdown};
 pub use estimator::{Estimator, QuickBounds};
 pub use machine::MachineModel;
-pub use residual::{observe_residual, Residual};

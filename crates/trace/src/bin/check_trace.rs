@@ -17,7 +17,7 @@
 //! written by the streaming telemetry exporter (schema version, stage
 //! sketch quantiles, drift status, flight-recorder aggregates).
 
-use wise_trace::export::json::{self, Value};
+use wise_trace::export::json::{self, FromJson, Value};
 use wise_trace::export::validate_chrome_trace;
 use wise_trace::telemetry::{DriftLevel, QuantileSketch};
 
@@ -33,10 +33,6 @@ const DEFAULT_REQUIRED: &[&str] = &[
 /// Every numeric field `perf_summary_json` writes per stage.
 const STAGE_FIELDS: &[&str] =
     &["count", "p50_ns", "p95_ns", "p99_ns", "min_ns", "max_ns", "total_ns", "self_total_ns"];
-
-/// Numeric fields of a stage's optional `pmu` block.
-const PMU_FIELDS: &[&str] =
-    &["samples", "cycles", "instructions", "llc_loads", "llc_misses", "branch_misses"];
 
 fn fail(msg: &str) -> ! {
     eprintln!("check_trace: FAIL: {msg}");
@@ -133,20 +129,16 @@ const SNAPSHOT_STAGE_FIELDS: &[&str] =
 
 /// Validates a `metrics_snapshot.json` written by
 /// `wise_trace::telemetry::snapshot_json`: schema version 1, a
-/// timestamp, the PMU status marker, per-stage sketch quantiles, a
-/// drift object with a known status label, and the flight-recorder
-/// aggregates.
+/// timestamp, per-stage sketch quantiles, a drift object with a known
+/// status label, and the flight-recorder aggregates. Members it does
+/// not know (e.g. the `pmu_status` of older snapshots) are ignored.
 fn validate_snapshot_schema(doc: &Value) -> Result<(), String> {
     match doc.get("schema_version").and_then(|v| v.as_f64()) {
-        Some(v) if v == 1.0 => {}
+        Some(1.0) => {}
         Some(v) => return Err(format!("unsupported schema_version {v}")),
         None => return Err("schema_version missing".into()),
     }
     doc.get("ts_ns").and_then(|v| v.as_f64()).ok_or("ts_ns missing or not a number")?;
-    match doc.get("pmu_status") {
-        Some(Value::String(s)) if !s.is_empty() => {}
-        _ => return Err("pmu_status missing or empty".into()),
-    }
     let stages = doc.get("stages").and_then(|v| v.as_object()).ok_or("missing stages object")?;
     for (name, st) in stages {
         for field in SNAPSHOT_STAGE_FIELDS {
@@ -191,7 +183,8 @@ fn validate_snapshot_schema(doc: &Value) -> Result<(), String> {
 /// Validates the `perf_summary.json` schema: `host` object with a
 /// positive `cpu_cores` and string-or-null env fields, `stages` mapping
 /// names to objects with every numeric field, `counters` mapping names
-/// to numbers.
+/// to numbers. Members it does not know (e.g. the `pmu_status` and
+/// per-stage `pmu` blocks of older summaries) are ignored.
 fn validate_summary_schema(doc: &Value) -> Result<(), String> {
     let host = doc.get("host").ok_or("missing host object")?;
     let cores =
@@ -206,13 +199,6 @@ fn validate_summary_schema(doc: &Value) -> Result<(), String> {
             None => return Err(format!("host.{key} missing")),
         }
     }
-    // The explicit PMU degradation marker is part of the schema: every
-    // summary must say whether counters were on, off, or denied.
-    match doc.get("pmu_status") {
-        Some(Value::String(s)) if !s.is_empty() => {}
-        Some(Value::String(_)) => return Err("pmu_status empty".into()),
-        _ => return Err("pmu_status missing or not a string".into()),
-    }
     let stages = doc.get("stages").and_then(|v| v.as_object()).ok_or("missing stages object")?;
     for (name, st) in stages {
         for field in STAGE_FIELDS {
@@ -224,22 +210,11 @@ fn validate_summary_schema(doc: &Value) -> Result<(), String> {
                 return Err(format!("stage '{name}': {field} negative"));
             }
         }
-        // pmu is optional per stage; when present it must be complete.
-        if let Some(pmu) = st.get("pmu") {
-            for field in PMU_FIELDS {
-                let v = pmu.get(field).and_then(|v| v.as_f64()).ok_or_else(|| {
-                    format!("stage '{name}': pmu.{field} missing or not a number")
-                })?;
-                if v < 0.0 {
-                    return Err(format!("stage '{name}': pmu.{field} negative"));
-                }
-            }
-        }
         // The sketch is optional (summaries from older tools); when
         // present it must load and agree with the stage's count.
         if let Some(sk) = st.get("sketch") {
             let sketch = QuantileSketch::from_json(sk)
-                .ok_or_else(|| format!("stage '{name}': sketch is malformed"))?;
+                .map_err(|e| format!("stage '{name}': sketch is malformed: {e}"))?;
             let count = st.get("count").and_then(|v| v.as_f64()).unwrap_or(0.0) as u64;
             if sketch.count() != count {
                 return Err(format!(

@@ -1,7 +1,7 @@
 //! One shared grammar for every `WISE_*` environment knob.
 //!
-//! Six knobs across three crates (`WISE_SIMD`, `WISE_PREFETCH`,
-//! `WISE_PMU`, `WISE_CASCADE`, `WISE_THREADS`, `WISE_POOL_SPIN`) grew
+//! Five knobs across two crates (`WISE_SIMD`, `WISE_PREFETCH`,
+//! `WISE_CASCADE`, `WISE_THREADS`, `WISE_POOL_SPIN`) grew
 //! the same parse-and-warn contract independently; this module is now
 //! the single implementation they all call through:
 //!

@@ -9,6 +9,7 @@
 //! typed encode/decode traits, so the `check_trace` validator (and
 //! tests) can verify emitted files.
 
+use crate::export::json::ToJson;
 use crate::ledger::HostFingerprint;
 use crate::span::{Event, Phase};
 use crate::Summary;
@@ -16,7 +17,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 /// Escapes `s` into a JSON string literal body (shared with the
-/// [`crate::ledger`] emitter).
+/// [`json`] codec and the telemetry emitters).
 pub(crate) fn write_escaped(out: &mut String, s: &str) {
     for ch in s.chars() {
         match ch {
@@ -66,16 +67,6 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
             Phase::Sample => {
                 let _ = write!(out, ",\"ph\":\"i\",\"s\":\"t\",\"args\":{{\"ns\":{}}}}}", e.value);
             }
-            Phase::Pmu(kind) => {
-                // Counter track per (span, counter): chartable next to
-                // the span's duration track in Perfetto.
-                let _ = write!(
-                    out,
-                    ",\"ph\":\"C\",\"args\":{{\"pmu.{}\":{}}}}}",
-                    kind.label(),
-                    e.value
-                );
-            }
         }
     }
     out.push_str("]}");
@@ -97,9 +88,7 @@ pub fn perf_summary_json(summary: &Summary) -> String {
 pub fn perf_summary_json_with(summary: &Summary, host: &HostFingerprint) -> String {
     let mut out = String::from("{\"host\":");
     host.write_json(&mut out);
-    out.push_str(",\"pmu_status\":\"");
-    write_escaped(&mut out, &summary.pmu_status);
-    out.push_str("\",\"stages\":{");
+    out.push_str(",\"stages\":{");
     let mut first = true;
     for (name, st) in &summary.stages {
         if !first {
@@ -114,31 +103,14 @@ pub fn perf_summary_json_with(summary: &Summary, host: &HostFingerprint) -> Stri
             st.count, st.p50_ns, st.p95_ns, st.p99_ns, st.min_ns, st.max_ns, st.total_ns,
             st.self_total_ns
         );
-        if let Some(pmu) = &st.pmu {
-            let _ = write!(
-                out,
-                ",\"pmu\":{{\"samples\":{},\"cycles\":{},\"instructions\":{},\"llc_loads\":{},\"llc_misses\":{},\"branch_misses\":{}}}",
-                pmu.samples, pmu.cycles, pmu.instructions, pmu.llc_loads, pmu.llc_misses,
-                pmu.branch_misses
-            );
-        }
         // Mergeable sketch alongside the exact percentiles, so
         // summaries from separate runs can be combined post hoc.
         let _ = write!(out, ",\"sketch\":{}", st.sketch.to_json());
         out.push('}');
     }
-    out.push_str("},\"counters\":{");
-    let mut first = true;
-    for (name, value) in &summary.counters {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push('"');
-        write_escaped(&mut out, name);
-        let _ = write!(out, "\":{value}");
-    }
-    out.push_str("}}");
+    out.push_str("},\"counters\":");
+    summary.counters.write_json(&mut out);
+    out.push('}');
     out
 }
 
@@ -190,16 +162,12 @@ fn report_order(summary: &Summary) -> Vec<(&str, usize)> {
 /// Renders the human-readable run report: one line per stage, nested
 /// under its dominant parent span and indented by depth, with both
 /// total and self (child-subtracted) time, p50/p95/p99/max, a log2
-/// spark-line, then the hardware-counter section (when any stage
-/// carried PMU deltas), the explicit `pmu:` status marker, and the
-/// counters.
+/// spark-line drawn from the stage's quantile sketch, then the live
+/// telemetry gauges and the counters.
 pub fn run_report(summary: &Summary) -> String {
     let mut out = String::from("== wise-trace run report ==\n");
     if summary.stages.is_empty() && summary.counters.is_empty() {
         out.push_str("(no events recorded)\n");
-        if !summary.pmu_status.is_empty() {
-            let _ = writeln!(out, "pmu: {}", summary.pmu_status);
-        }
         return out;
     }
     let order = report_order(summary);
@@ -224,33 +192,8 @@ pub fn run_report(summary: &Summary) -> String {
             fmt_ns(st.p95_ns),
             fmt_ns(st.p99_ns),
             fmt_ns(st.max_ns),
-            st.hist.sparkline()
+            st.sketch.sparkline()
         );
-    }
-    let pmu_stages: Vec<(&str, &crate::PmuStats)> = order
-        .iter()
-        .filter_map(|&(name, _)| summary.stages[name].pmu.as_ref().map(|p| (name, p)))
-        .collect();
-    if !pmu_stages.is_empty() {
-        out.push_str("-- hardware counters --\n");
-        let _ = writeln!(
-            out,
-            "{:<name_w$} {:>7} {:>12} {:>12} {:>6} {:>10} {:>12}",
-            "stage", "spans", "cycles", "instructions", "ipc", "llc-miss%", "branch-miss"
-        );
-        for (name, pmu) in pmu_stages {
-            let ipc = pmu.ipc().map_or("-".to_string(), |v| format!("{v:.2}"));
-            let miss =
-                pmu.llc_miss_rate().map_or("-".to_string(), |v| format!("{:.1}%", v * 100.0));
-            let _ = writeln!(
-                out,
-                "{:<name_w$} {:>7} {:>12} {:>12} {:>6} {:>10} {:>12}",
-                name, pmu.samples, pmu.cycles, pmu.instructions, ipc, miss, pmu.branch_misses
-            );
-        }
-    }
-    if !summary.pmu_status.is_empty() {
-        let _ = writeln!(out, "pmu: {}", summary.pmu_status);
     }
     // Live telemetry gauges, when the run exercised them: the drift
     // monitor's verdict and the flight recorder's aggregates.
@@ -317,7 +260,7 @@ pub fn balanced_events(events: &[Event]) -> Vec<Event> {
                     stack.pop();
                 }
             }
-            Phase::Counter | Phase::Sample | Phase::Pmu(_) => {}
+            Phase::Counter | Phase::Sample => {}
         }
         out.push(*e);
     }
@@ -381,7 +324,7 @@ pub mod folded {
                     path.push_str(e.name);
                     *lines.entry(path).or_insert(0) += self_ns;
                 }
-                Phase::Counter | Phase::Sample | Phase::Pmu(_) => {}
+                Phase::Counter | Phase::Sample => {}
             }
         }
         let mut out = String::new();
@@ -540,30 +483,8 @@ mod tests {
         let ps = stages["pipeline.select"].as_object().unwrap();
         assert_eq!(ps["total_ns"].as_f64(), Some(9_000.0));
         assert_eq!(ps["self_total_ns"].as_f64(), Some(2_000.0));
-        assert!(doc.get("pmu_status").unwrap().as_str().is_some());
         let counters = doc.get("counters").unwrap().as_object().unwrap();
         assert_eq!(counters["features.nnz"].as_f64(), Some(4096.0));
-    }
-
-    #[test]
-    fn perf_summary_emits_pmu_block_when_present() {
-        let events = [
-            ev("k", Phase::Begin, 0, 1, 0),
-            ev("k", Phase::Pmu(crate::PmuKind::Cycles), 9, 1, 500),
-            ev("k", Phase::Pmu(crate::PmuKind::Instructions), 9, 1, 1500),
-            ev("k", Phase::End, 10, 1, 10),
-        ];
-        let summary = Summary::from_events(&events);
-        let doc = json::parse(&perf_summary_json(&summary)).expect("parses");
-        let k = doc.get("stages").unwrap().get("k").unwrap();
-        let pmu = k.get("pmu").expect("pmu block").as_object().unwrap();
-        assert_eq!(pmu["samples"].as_f64(), Some(1.0));
-        assert_eq!(pmu["cycles"].as_f64(), Some(500.0));
-        assert_eq!(pmu["instructions"].as_f64(), Some(1500.0));
-        // And the Pmu events render as valid Chrome counter events.
-        let trace = chrome_trace_json(&events);
-        assert!(validate_chrome_trace(&trace).is_ok());
-        assert!(trace.contains("\"pmu.cycles\":500"), "{trace}");
     }
 
     #[test]
@@ -575,8 +496,6 @@ mod tests {
         assert!(report.contains("features.nnz"));
         assert!(report.contains("self"));
         assert!(report.contains("p99"));
-        // The explicit status marker is always present.
-        assert!(report.lines().any(|l| l.starts_with("pmu: ")), "{report}");
         assert!(run_report(&Summary::default()).contains("no events"));
     }
 

@@ -356,7 +356,7 @@ macro_rules! json_int {
     )*};
 }
 
-json_int!(u32, u64, usize);
+json_int!(i32, u32, u64, usize);
 
 impl<T: ToJson> ToJson for Option<T> {
     fn write_json(&self, out: &mut String) {
@@ -397,6 +397,43 @@ impl<T: FromJson> FromJson for Vec<T> {
     fn from_json(v: &Value) -> Result<Self, JsonError> {
         let items = v.as_array().ok_or(JsonError::Type { expected: "an array" })?;
         items.iter().map(T::from_json).collect()
+    }
+}
+
+/// A pair is a two-element array.
+impl<A: ToJson, B: ToJson> ToJson for (A, B) {
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        self.0.write_json(out);
+        out.push(',');
+        self.1.write_json(out);
+        out.push(']');
+    }
+}
+
+impl<A: FromJson, B: FromJson> FromJson for (A, B) {
+    fn from_json(v: &Value) -> Result<Self, JsonError> {
+        match v.as_array().ok_or(JsonError::Type { expected: "an array" })? {
+            [a, b] => Ok((A::from_json(a)?, B::from_json(b)?)),
+            items => Err(JsonError::Length { expected: 2, found: items.len() }),
+        }
+    }
+}
+
+/// A string-keyed map is an object, members in key order.
+impl<T: ToJson> ToJson for BTreeMap<String, T> {
+    fn write_json(&self, out: &mut String) {
+        let mut sep = '{';
+        for (name, v) in self {
+            write_member(out, &mut sep, name, v);
+        }
+        out.push_str(if sep == '{' { "{}" } else { "}" });
+    }
+}
+
+impl<T: FromJson> FromJson for BTreeMap<String, T> {
+    fn from_json(v: &Value) -> Result<Self, JsonError> {
+        object(v)?.iter().map(|(name, v)| Ok((name.clone(), T::from_json(v)?))).collect()
     }
 }
 

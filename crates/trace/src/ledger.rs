@@ -24,11 +24,14 @@
 //! observed min→p50 spread of both sides (a stage that jitters 40%
 //! between its fastest and median iteration cannot be gated at 10%).
 //!
-//! JSON is emitted by the same hand-rolled writer and validated by the
-//! same in-crate parser ([`crate::export::json`]) as every other
-//! artifact of this crate — still zero dependencies.
+//! Every record type is declared with the crate's [`json_struct!`]
+//! codec ([`crate::export::json`]): integers decode exactly, floats
+//! round-trip bit-exactly, and unknown members (such as the `pmu`
+//! section of records written while hardware counters were still
+//! recorded) are ignored.
 
-use crate::export::json::{self, ToJson, Value};
+use crate::export::json::{self, FromJson, JsonError, ToJson, Value};
+use crate::json_struct;
 use crate::telemetry::QuantileSketch;
 use crate::Summary;
 use std::collections::BTreeMap;
@@ -140,23 +143,7 @@ impl HostFingerprint {
     /// Emits the fingerprint as a JSON object (shared by the ledger and
     /// the `perf_summary.json` exporter).
     pub fn write_json(&self, out: &mut String) {
-        let _ = write!(out, "{{\"cpu_cores\":{}", self.cpu_cores);
-        for (key, v) in [
-            ("threads_env", &self.threads_env),
-            ("pool_env", &self.pool_env),
-            ("rustc", &self.rustc),
-            ("simd", &self.simd),
-            ("simd_env", &self.simd_env),
-            ("mlp", &self.mlp),
-            ("prefetch_env", &self.prefetch_env),
-        ] {
-            let _ = write!(out, ",\"{key}\":");
-            match v {
-                None => out.push_str("null"),
-                Some(s) => s.write_json(out),
-            }
-        }
-        out.push('}');
+        ToJson::write_json(self, out)
     }
 
     /// Whether two fingerprints are close enough that timing comparison
@@ -178,6 +165,17 @@ impl HostFingerprint {
             && self.prefetch_env == other.prefetch_env
     }
 }
+
+json_struct!(HostFingerprint {
+    cpu_cores,
+    threads_env,
+    pool_env,
+    rustc,
+    simd,
+    simd_env,
+    mlp,
+    prefetch_env,
+});
 
 // ---------------------------------------------------------------------
 // Record contents
@@ -209,119 +207,39 @@ impl StageRecord {
     }
 }
 
-/// Hardware-counter aggregate of one stage, lifted from
-/// [`crate::PmuStats`], plus the derived per-nonzero memory traffic.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PmuStageRecord {
-    /// Spans that contributed counter deltas.
-    pub samples: u64,
-    pub cycles: u64,
-    pub instructions: u64,
-    pub llc_loads: u64,
-    pub llc_misses: u64,
-    pub branch_misses: u64,
-    /// `llc_misses × 64B ÷ <stage>.nnz` — measured post-LLC bytes per
-    /// nonzero, when the stage recorded an nnz volume counter.
-    pub bytes_per_nnz: Option<f64>,
-}
-
-impl PmuStageRecord {
-    /// Instructions per cycle over the stage's aggregate.
-    pub fn ipc(&self) -> Option<f64> {
-        if self.cycles > 0 && self.instructions > 0 {
-            Some(self.instructions as f64 / self.cycles as f64)
-        } else {
-            None
-        }
-    }
-
-    /// Aggregate LLC load miss rate in `[0, 1]`.
-    pub fn llc_miss_rate(&self) -> Option<f64> {
-        if self.llc_loads > 0 {
-            Some((self.llc_misses as f64 / self.llc_loads as f64).min(1.0))
-        } else {
-            None
-        }
+impl ToJson for StageRecord {
+    fn write_json(&self, out: &mut String) {
+        let mut sep = '{';
+        json::write_member(out, &mut sep, "count", &self.count);
+        json::write_member(out, &mut sep, "min_ns", &self.min_ns);
+        json::write_member(out, &mut sep, "p50_ns", &self.p50_ns);
+        json::write_member(out, &mut sep, "p95_ns", &self.p95_ns);
+        json::write_member(out, &mut sep, "p99_ns", &self.p99_ns);
+        json::write_member(out, &mut sep, "total_ns", &self.total_ns);
+        out.push('}');
     }
 }
 
-/// Distribution summary of the `model.residual.*` stages: cost-model
-/// predicted ÷ hardware measured, per (matrix, method) execution (1.0
-/// means the model's bytes/cycles matched the counters exactly).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ResidualSummary {
-    /// Residual samples aggregated (max of the two stages' counts).
-    pub count: u64,
-    pub bytes_p50: f64,
-    pub bytes_p95: f64,
-    pub cycles_p50: f64,
-    pub cycles_p95: f64,
-}
-
-/// The optional hardware-counter section of a [`BenchRecord`]. Records
-/// written before the section existed (or parsed from other tools)
-/// carry `None`, which the gate and all readers tolerate.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct PmuSection {
-    /// [`crate::pmu::status_label`] at record time — the explicit
-    /// degradation marker (`off` / `available` / `unavailable (...)`).
-    pub status: String,
-    /// Stage name → counter aggregate, for stages that carried deltas.
-    pub stages: BTreeMap<String, PmuStageRecord>,
-    /// Predicted-vs-measured cost-model residuals, when the run emitted
-    /// `model.residual.*` samples.
-    pub residual: Option<ResidualSummary>,
-}
-
-impl PmuSection {
-    /// Lifts the PMU view out of a flushed trace summary: the status
-    /// marker, every stage with counter deltas (deriving bytes/nnz from
-    /// the stage's `.nnz` volume counter when present, 64-byte lines),
-    /// and the residual distribution when `model.residual.*` stages
-    /// were recorded (their samples are permille ratios; see
-    /// `wise_perf::residual`).
-    pub fn from_summary(summary: &Summary) -> PmuSection {
-        let mut stages = BTreeMap::new();
-        for (name, st) in &summary.stages {
-            let Some(pmu) = &st.pmu else { continue };
-            let nnz = summary.counters.get(&format!("{name}.nnz")).copied().unwrap_or(0);
-            let bytes_per_nnz = (nnz > 0).then(|| pmu.llc_misses as f64 * 64.0 / nnz as f64);
-            stages.insert(
-                name.clone(),
-                PmuStageRecord {
-                    samples: pmu.samples,
-                    cycles: pmu.cycles,
-                    instructions: pmu.instructions,
-                    llc_loads: pmu.llc_loads,
-                    llc_misses: pmu.llc_misses,
-                    branch_misses: pmu.branch_misses,
-                    bytes_per_nnz,
-                },
-            );
-        }
-        let bytes = summary.stages.get("model.residual.bytes");
-        let cycles = summary.stages.get("model.residual.cycles");
-        let residual = (bytes.is_some() || cycles.is_some()).then(|| {
-            let permille = |v: u64| v as f64 / 1000.0;
-            ResidualSummary {
-                count: bytes
-                    .map(|s| s.count)
-                    .unwrap_or(0)
-                    .max(cycles.map(|s| s.count).unwrap_or(0)),
-                bytes_p50: bytes.map(|s| permille(s.p50_ns)).unwrap_or(0.0),
-                bytes_p95: bytes.map(|s| permille(s.p95_ns)).unwrap_or(0.0),
-                cycles_p50: cycles.map(|s| permille(s.p50_ns)).unwrap_or(0.0),
-                cycles_p95: cycles.map(|s| permille(s.p95_ns)).unwrap_or(0.0),
-            }
-        });
-        PmuSection { status: summary.pmu_status.clone(), stages, residual }
+impl FromJson for StageRecord {
+    /// Records written before `p99_ns` existed decode with their p95.
+    fn from_json(v: &Value) -> Result<Self, JsonError> {
+        let obj = json::object(v)?;
+        let p95_ns = json::member(obj, "p95_ns", None)?;
+        Ok(StageRecord {
+            count: json::member(obj, "count", None)?,
+            min_ns: json::member(obj, "min_ns", None)?,
+            p50_ns: json::member(obj, "p50_ns", None)?,
+            p95_ns,
+            p99_ns: json::member::<Option<u64>>(obj, "p99_ns", None)?.unwrap_or(p95_ns),
+            total_ns: json::member(obj, "total_ns", None)?,
+        })
     }
 }
 
 /// The drift monitor's reading at record time, lifted from
 /// `wise_core::drift` via the [`crate::telemetry`] gauge. Records
 /// written before the monitor existed carry `None` (tolerated
-/// everywhere, like the `pmu` section).
+/// everywhere).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DriftRecord {
     /// [`crate::telemetry::DriftLevel::label`] (`stable`, `warning`, or
@@ -350,6 +268,8 @@ impl DriftRecord {
     }
 }
 
+json_struct!(DriftRecord { status, regret_permille, fallthrough_permille, observed });
+
 /// Prediction-quality metrics of the model the run trained.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ModelMetrics {
@@ -368,9 +288,28 @@ pub struct ModelMetrics {
     /// Row-major summed confusion counts (true × predicted), all
     /// classifiers combined.
     pub confusion: Vec<u64>,
-    /// Per-matrix `(name, regret)` pairs, corpus order.
-    pub per_matrix_regret: Vec<(String, f64)>,
+    /// Per-matrix regret, corpus order.
+    pub per_matrix_regret: Vec<MatrixRegret>,
 }
+
+json_struct!(ModelMetrics {
+    accuracy,
+    p_ratio,
+    mean_regret,
+    max_regret,
+    n_classes,
+    confusion,
+    per_matrix_regret,
+});
+
+/// One matrix's regret: chosen-config time ÷ oracle-best time.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct MatrixRegret {
+    pub name: String,
+    pub regret: f64,
+}
+
+json_struct!(MatrixRegret { name, regret });
 
 /// One ledger entry: everything needed to compare this run against any
 /// other run of the same pinned suite.
@@ -392,9 +331,6 @@ pub struct BenchRecord {
     pub throughput: BTreeMap<String, f64>,
     /// Model quality, when the run trained and evaluated one.
     pub model: Option<ModelMetrics>,
-    /// Hardware-counter section; `None` on records written before the
-    /// field existed (tolerated everywhere, including the gate).
-    pub pmu: Option<PmuSection>,
     /// Stage name → mergeable quantile sketch over the same durations
     /// the [`StageRecord`] percentiles summarize. Empty on records
     /// written before sketches existed (tolerated everywhere).
@@ -458,7 +394,6 @@ impl BenchRecord {
             counters: summary.counters.clone(),
             throughput,
             model: None,
-            pmu: Some(PmuSection::from_summary(summary)),
             sketches: summary
                 .stages
                 .iter()
@@ -468,365 +403,32 @@ impl BenchRecord {
         }
     }
 
-    // -- JSON ---------------------------------------------------------
-
-    /// Serializes the record with the crate's hand-rolled JSON writer.
+    /// Serializes the record (see the [`json_struct!`] declaration
+    /// below for the member layout).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024 + self.stages.len() * 128);
-        let _ = write!(
-            out,
-            "{{\"schema_version\":{},\"seq\":{},\"note\":",
-            self.schema_version, self.seq
-        );
-        self.note.write_json(&mut out);
-        out.push_str(",\"corpus_digest\":");
-        self.corpus_digest.write_json(&mut out);
-        out.push_str(",\"host\":");
-        self.host.write_json(&mut out);
-        out.push_str(",\"stages\":{");
-        let mut first = true;
-        for (name, st) in &self.stages {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            name.write_json(&mut out);
-            let _ = write!(
-                out,
-                ":{{\"count\":{},\"min_ns\":{},\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{},\"total_ns\":{}}}",
-                st.count, st.min_ns, st.p50_ns, st.p95_ns, st.p99_ns, st.total_ns
-            );
-        }
-        out.push_str("},\"counters\":{");
-        let mut first = true;
-        for (name, v) in &self.counters {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            name.write_json(&mut out);
-            let _ = write!(out, ":{v}");
-        }
-        out.push_str("},\"throughput\":{");
-        let mut first = true;
-        for (name, v) in &self.throughput {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            name.write_json(&mut out);
-            let _ = write!(out, ":{v:.3}");
-        }
-        out.push_str("},\"model\":");
-        match &self.model {
-            None => out.push_str("null"),
-            Some(m) => {
-                let _ = write!(
-                    out,
-                    "{{\"accuracy\":{:.6},\"p_ratio\":{:.6},\"mean_regret\":{:.6},\
-                     \"max_regret\":{:.6},\"n_classes\":{},\"confusion\":[",
-                    m.accuracy, m.p_ratio, m.mean_regret, m.max_regret, m.n_classes
-                );
-                for (i, c) in m.confusion.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "{c}");
-                }
-                out.push_str("],\"per_matrix_regret\":[");
-                for (i, (name, r)) in m.per_matrix_regret.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str("{\"name\":");
-                    name.write_json(&mut out);
-                    let _ = write!(out, ",\"regret\":{r:.6}}}");
-                }
-                out.push_str("]}");
-            }
-        }
-        out.push_str(",\"pmu\":");
-        match &self.pmu {
-            None => out.push_str("null"),
-            Some(p) => {
-                out.push_str("{\"status\":");
-                p.status.write_json(&mut out);
-                out.push_str(",\"stages\":{");
-                let mut first = true;
-                for (name, st) in &p.stages {
-                    if !first {
-                        out.push(',');
-                    }
-                    first = false;
-                    name.write_json(&mut out);
-                    let _ = write!(
-                        out,
-                        ":{{\"samples\":{},\"cycles\":{},\"instructions\":{},\"llc_loads\":{},\"llc_misses\":{},\"branch_misses\":{}",
-                        st.samples, st.cycles, st.instructions, st.llc_loads, st.llc_misses,
-                        st.branch_misses
-                    );
-                    // ipc / llc_miss_rate are derived; emitted for
-                    // greppability, recomputed (not parsed) on read.
-                    match st.ipc() {
-                        Some(v) => {
-                            let _ = write!(out, ",\"ipc\":{v:.4}");
-                        }
-                        None => out.push_str(",\"ipc\":null"),
-                    }
-                    match st.llc_miss_rate() {
-                        Some(v) => {
-                            let _ = write!(out, ",\"llc_miss_rate\":{v:.6}");
-                        }
-                        None => out.push_str(",\"llc_miss_rate\":null"),
-                    }
-                    match st.bytes_per_nnz {
-                        Some(v) => {
-                            let _ = write!(out, ",\"bytes_per_nnz\":{v:.6}}}");
-                        }
-                        None => out.push_str(",\"bytes_per_nnz\":null}"),
-                    }
-                }
-                out.push_str("},\"residual\":");
-                match &p.residual {
-                    None => out.push_str("null"),
-                    Some(r) => {
-                        let _ = write!(
-                            out,
-                            "{{\"count\":{},\"bytes_p50\":{:.6},\"bytes_p95\":{:.6},\"cycles_p50\":{:.6},\"cycles_p95\":{:.6}}}",
-                            r.count, r.bytes_p50, r.bytes_p95, r.cycles_p50, r.cycles_p95
-                        );
-                    }
-                }
-                out.push('}');
-            }
-        }
-        out.push_str(",\"sketches\":{");
-        let mut first = true;
-        for (name, sk) in &self.sketches {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            name.write_json(&mut out);
-            out.push(':');
-            out.push_str(&sk.to_json());
-        }
-        out.push_str("},\"drift\":");
-        match &self.drift {
-            None => out.push_str("null"),
-            Some(d) => {
-                out.push_str("{\"status\":");
-                d.status.write_json(&mut out);
-                let _ = write!(
-                    out,
-                    ",\"regret_permille\":{},\"fallthrough_permille\":{},\"observed\":{}}}",
-                    d.regret_permille, d.fallthrough_permille, d.observed
-                );
-            }
-        }
-        out.push('}');
-        out
+        ToJson::to_json(self)
     }
 
     /// Parses a record emitted by [`BenchRecord::to_json`] (or any
-    /// schema-compatible document).
+    /// schema-compatible document, including older records).
     pub fn from_json(text: &str) -> Result<BenchRecord, String> {
-        let doc = json::parse(text)?;
-        let u64_of = |v: &Value, what: &str| -> Result<u64, String> {
-            v.as_f64().map(|f| f as u64).ok_or_else(|| format!("{what}: not a number"))
-        };
-        let str_of = |v: &Value, what: &str| -> Result<String, String> {
-            v.as_str().map(str::to_string).ok_or_else(|| format!("{what}: not a string"))
-        };
-        let field = |name: &str| -> Result<&Value, String> {
-            doc.get(name).ok_or_else(|| format!("missing field '{name}'"))
-        };
-
-        let schema_version = u64_of(field("schema_version")?, "schema_version")?;
-        let seq = u64_of(field("seq")?, "seq")?;
-        let note = str_of(field("note")?, "note")?;
-        let corpus_digest = str_of(field("corpus_digest")?, "corpus_digest")?;
-
-        let host_v = field("host")?;
-        let opt_str = |key: &str| host_v.get(key).and_then(|v| v.as_str()).map(str::to_string);
-        let host = HostFingerprint {
-            cpu_cores: u64_of(host_v.get("cpu_cores").ok_or("host.cpu_cores")?, "cpu_cores")?,
-            threads_env: opt_str("threads_env"),
-            pool_env: opt_str("pool_env"),
-            rustc: opt_str("rustc"),
-            simd: opt_str("simd"),
-            simd_env: opt_str("simd_env"),
-            mlp: opt_str("mlp"),
-            prefetch_env: opt_str("prefetch_env"),
-        };
-
-        let mut stages = BTreeMap::new();
-        for (name, st) in field("stages")?.as_object().ok_or("stages: not an object")? {
-            let g = |key: &str| -> Result<u64, String> {
-                u64_of(st.get(key).ok_or_else(|| format!("stage {name}: missing {key}"))?, key)
-            };
-            let p95_ns = g("p95_ns")?;
-            stages.insert(
-                name.clone(),
-                StageRecord {
-                    count: g("count")?,
-                    min_ns: g("min_ns")?,
-                    p50_ns: g("p50_ns")?,
-                    p95_ns,
-                    // Records written before p99 existed fall back to
-                    // their p95.
-                    p99_ns: st
-                        .get("p99_ns")
-                        .and_then(|v| v.as_f64())
-                        .map(|f| f as u64)
-                        .unwrap_or(p95_ns),
-                    total_ns: g("total_ns")?,
-                },
-            );
-        }
-
-        let mut counters = BTreeMap::new();
-        for (name, v) in field("counters")?.as_object().ok_or("counters: not an object")? {
-            counters.insert(name.clone(), u64_of(v, name)?);
-        }
-        let mut throughput = BTreeMap::new();
-        for (name, v) in field("throughput")?.as_object().ok_or("throughput: not an object")? {
-            throughput.insert(name.clone(), v.as_f64().ok_or_else(|| format!("{name}: NaN"))?);
-        }
-
-        let model = match field("model")? {
-            Value::Null => None,
-            m => {
-                let f = |key: &str| -> Result<f64, String> {
-                    m.get(key)
-                        .and_then(|v| v.as_f64())
-                        .ok_or_else(|| format!("model.{key}: missing"))
-                };
-                let confusion = m
-                    .get("confusion")
-                    .and_then(|v| v.as_array())
-                    .ok_or("model.confusion: missing")?
-                    .iter()
-                    .map(|v| u64_of(v, "confusion cell"))
-                    .collect::<Result<Vec<u64>, String>>()?;
-                let per_matrix_regret = m
-                    .get("per_matrix_regret")
-                    .and_then(|v| v.as_array())
-                    .ok_or("model.per_matrix_regret: missing")?
-                    .iter()
-                    .map(|v| -> Result<(String, f64), String> {
-                        Ok((
-                            str_of(v.get("name").ok_or("regret entry name")?, "name")?,
-                            v.get("regret").and_then(|r| r.as_f64()).ok_or("regret value")?,
-                        ))
-                    })
-                    .collect::<Result<Vec<_>, String>>()?;
-                Some(ModelMetrics {
-                    accuracy: f("accuracy")?,
-                    p_ratio: f("p_ratio")?,
-                    mean_regret: f("mean_regret")?,
-                    max_regret: f("max_regret")?,
-                    n_classes: u64_of(m.get("n_classes").ok_or("model.n_classes")?, "n_classes")?,
-                    confusion,
-                    per_matrix_regret,
-                })
-            }
-        };
-
-        // Tolerated-when-missing: old records have no "pmu" field.
-        let pmu = match doc.get("pmu") {
-            None | Some(Value::Null) => None,
-            Some(p) => {
-                let status = p
-                    .get("status")
-                    .and_then(|v| v.as_str())
-                    .ok_or("pmu.status: missing")?
-                    .to_string();
-                let mut pmu_stages = BTreeMap::new();
-                if let Some(obj) = p.get("stages").and_then(|v| v.as_object()) {
-                    for (name, st) in obj {
-                        let g = |key: &str| -> Result<u64, String> {
-                            u64_of(
-                                st.get(key)
-                                    .ok_or_else(|| format!("pmu stage {name}: missing {key}"))?,
-                                key,
-                            )
-                        };
-                        pmu_stages.insert(
-                            name.clone(),
-                            PmuStageRecord {
-                                samples: g("samples")?,
-                                cycles: g("cycles")?,
-                                instructions: g("instructions")?,
-                                llc_loads: g("llc_loads")?,
-                                llc_misses: g("llc_misses")?,
-                                branch_misses: g("branch_misses")?,
-                                bytes_per_nnz: st.get("bytes_per_nnz").and_then(|v| v.as_f64()),
-                            },
-                        );
-                    }
-                }
-                let residual = match p.get("residual") {
-                    None | Some(Value::Null) => None,
-                    Some(r) => {
-                        let f = |key: &str| -> Result<f64, String> {
-                            r.get(key)
-                                .and_then(|v| v.as_f64())
-                                .ok_or_else(|| format!("pmu.residual.{key}: missing"))
-                        };
-                        Some(ResidualSummary {
-                            count: f("count")? as u64,
-                            bytes_p50: f("bytes_p50")?,
-                            bytes_p95: f("bytes_p95")?,
-                            cycles_p50: f("cycles_p50")?,
-                            cycles_p95: f("cycles_p95")?,
-                        })
-                    }
-                };
-                Some(PmuSection { status, stages: pmu_stages, residual })
-            }
-        };
-
-        // Tolerated-when-missing: old records have no sketches/drift.
-        let mut sketches = BTreeMap::new();
-        if let Some(obj) = doc.get("sketches").and_then(|v| v.as_object()) {
-            for (name, v) in obj {
-                let sk = QuantileSketch::from_json(v)
-                    .ok_or_else(|| format!("sketches.{name}: malformed sketch"))?;
-                sketches.insert(name.clone(), sk);
-            }
-        }
-        let drift = match doc.get("drift") {
-            None | Some(Value::Null) => None,
-            Some(d) => {
-                let g = |key: &str| -> Result<u64, String> {
-                    u64_of(d.get(key).ok_or_else(|| format!("drift.{key}: missing"))?, key)
-                };
-                Some(DriftRecord {
-                    status: str_of(d.get("status").ok_or("drift.status")?, "status")?,
-                    regret_permille: g("regret_permille")?,
-                    fallthrough_permille: g("fallthrough_permille")?,
-                    observed: g("observed")?,
-                })
-            }
-        };
-
-        Ok(BenchRecord {
-            schema_version,
-            seq,
-            note,
-            corpus_digest,
-            host,
-            stages,
-            counters,
-            throughput,
-            model,
-            pmu,
-            sketches,
-            drift,
-        })
+        <BenchRecord as FromJson>::from_json_str(text).map_err(|e| e.to_string())
     }
 }
+
+json_struct!(BenchRecord {
+    schema_version,
+    seq,
+    note,
+    corpus_digest,
+    host,
+    stages,
+    counters,
+    throughput,
+    model,
+    sketches = BTreeMap::new(),
+    drift,
+});
 
 // ---------------------------------------------------------------------
 // Ledger files: BENCH_<seq>.json discovery and IO
@@ -1195,13 +797,13 @@ mod tests {
 
         // Improvement.
         let faster = record(2, &[("a", stage(700, 700)), ("b", stage(1000, 1000))]);
-        let rep = gate(&[base.clone()], &faster, &p);
+        let rep = gate(std::slice::from_ref(&base), &faster, &p);
         assert!(rep.passed(), "{}", rep.render());
         assert_eq!(rep.diffs[0].verdict, Verdict::Improved);
 
         // Within the 30% floor tolerance (zero spread).
         let noisy = record(2, &[("a", stage(1200, 1200)), ("b", stage(1000, 1000))]);
-        let rep = gate(&[base.clone()], &noisy, &p);
+        let rep = gate(std::slice::from_ref(&base), &noisy, &p);
         assert!(rep.passed(), "{}", rep.render());
         assert_eq!(rep.diffs[0].verdict, Verdict::WithinNoise);
 
@@ -1221,7 +823,7 @@ mod tests {
         let base = record(1, &[("a", stage(1000, 1800))]);
         let p = policy(&["a"]);
         let ok = record(2, &[("a", stage(1800, 1800))]);
-        assert!(gate(&[base.clone()], &ok, &p).passed());
+        assert!(gate(std::slice::from_ref(&base), &ok, &p).passed());
         let bad = record(2, &[("a", stage(2950, 2950))]);
         assert!(!gate(&[base], &bad, &p).passed());
     }
@@ -1364,14 +966,14 @@ mod tests {
 
     #[test]
     fn old_records_parse_with_p99_defaulted_and_no_pmu() {
-        // A pre-p99, pre-pmu record exactly as PR 5 wrote it.
+        // A pre-p99 record exactly as the first ledger version wrote it.
         let old = r#"{"schema_version":1,"seq":3,"note":"old","corpus_digest":"fnv1a:0000000000000001",
             "host":{"cpu_cores":4,"threads_env":null,"pool_env":null,"rustc":null,"simd":null,"simd_env":null},
             "stages":{"kernel.spmv":{"count":5,"min_ns":100,"p50_ns":120,"p95_ns":150,"total_ns":600}},
             "counters":{},"throughput":{},"model":null}"#;
         let rec = BenchRecord::from_json(old).expect("old schema parses");
         assert_eq!(rec.stages["kernel.spmv"].p99_ns, 150); // defaulted to p95
-        assert_eq!(rec.pmu, None);
+
         // And it still gates cleanly against a new-schema candidate.
         let cand = record(4, &[("kernel.spmv", stage(100, 120))]);
         let rep = gate(&[rec], &cand, &policy(&["kernel.spmv"]));
@@ -1393,14 +995,14 @@ mod tests {
         assert_eq!(back.throughput["select.cascade.fallthrough_rate"], 0.25);
         // ...while records written before the cascade existed carry
         // neither field and must keep parsing and gating unchanged
-        // (tolerated-when-missing, like the pmu section).
+        // (tolerated-when-missing).
         let old = r#"{"schema_version":1,"seq":3,"note":"old","corpus_digest":"fnv1a:0000000000000001",
             "host":{"cpu_cores":4,"threads_env":null,"pool_env":null,"rustc":null,"simd":null,"simd_env":null},
             "stages":{"pipeline.select":{"count":5,"min_ns":1000,"p50_ns":1200,"p95_ns":1500,"total_ns":6000}},
             "counters":{},"throughput":{},"model":null}"#;
         let rec_old = BenchRecord::from_json(old).expect("pre-cascade record parses");
-        assert!(rec_old.throughput.get("bench.cascade.speedup").is_none());
-        assert!(rec_old.counters.get("select.cascade.stage1").is_none());
+        assert!(!rec_old.throughput.contains_key("bench.cascade.speedup"));
+        assert!(!rec_old.counters.contains_key("select.cascade.stage1"));
         let rep = gate(&[rec_old], &rec, &policy(&["pipeline.select"]));
         assert!(rep.passed(), "{}", rep.render());
         assert_eq!(rep.baselines_used, 1);
@@ -1436,76 +1038,21 @@ mod tests {
     }
 
     #[test]
-    fn pmu_section_round_trips_through_json() {
-        let mut rec = record(1, &[("kernel.spmv", stage(100, 120))]);
-        rec.pmu = Some(PmuSection {
-            status: "available".into(),
-            stages: [(
-                "kernel.spmv".to_string(),
-                PmuStageRecord {
-                    samples: 5,
-                    cycles: 1_000_000,
-                    instructions: 2_500_000,
-                    llc_loads: 4_000,
-                    llc_misses: 1_000,
-                    branch_misses: 42,
-                    bytes_per_nnz: Some(1.25),
-                },
-            )]
-            .into(),
-            residual: Some(ResidualSummary {
-                count: 29,
-                bytes_p50: 0.875,
-                bytes_p95: 1.5,
-                cycles_p50: 1.125,
-                cycles_p95: 2.0,
-            }),
-        });
-        let text = rec.to_json();
-        // Derived figures are emitted in-band for grep/jq consumers.
-        assert!(text.contains("\"ipc\":2.5"), "{text}");
-        assert!(text.contains("\"llc_miss_rate\":0.25"), "{text}");
-        let back = BenchRecord::from_json(&text).expect("parses");
-        assert_eq!(back, rec);
-
-        // A forced-off section (the explicit degradation marker) also
-        // survives, with no stages and no residuals.
-        rec.pmu = Some(PmuSection { status: "off".into(), ..Default::default() });
-        let back = BenchRecord::from_json(&rec.to_json()).expect("parses");
-        assert_eq!(back.pmu.as_ref().unwrap().status, "off");
-        assert!(back.pmu.as_ref().unwrap().stages.is_empty());
-    }
-
-    #[test]
-    fn pmu_section_lifts_from_summary() {
-        use crate::span::{Event, Phase};
-        use crate::PmuKind;
-        let ev = |name, phase, ts_ns, value| Event { name, phase, ts_ns, tid: 1, value };
-        let events = [
-            ev("kernel.spmv", Phase::Begin, 0, 0),
-            ev("kernel.spmv.nnz", Phase::Counter, 1, 1000),
-            ev("kernel.spmv", Phase::Pmu(PmuKind::Cycles), 9, 5000),
-            ev("kernel.spmv", Phase::Pmu(PmuKind::LlcMisses), 9, 125),
-            ev("kernel.spmv", Phase::End, 10, 10),
-            // Permille residual samples, as wise_perf::residual emits.
-            ev("model.residual.bytes", Phase::Sample, 11, 800),
-            ev("model.residual.cycles", Phase::Sample, 12, 1200),
-        ];
-        let summary = Summary::from_events(&events);
-        let section = PmuSection::from_summary(&summary);
-        assert!(!section.status.is_empty());
-        let spmv = &section.stages["kernel.spmv"];
-        assert_eq!(spmv.cycles, 5000);
-        // 125 misses × 64B ÷ 1000 nnz = 8 bytes/nnz.
-        assert_eq!(spmv.bytes_per_nnz, Some(8.0));
-        let residual = section.residual.expect("residual summary");
-        assert_eq!(residual.count, 1);
-        assert_eq!(residual.bytes_p50, 0.8);
-        assert_eq!(residual.cycles_p50, 1.2);
-        // from_summary wires the section into the record.
-        let rec =
-            BenchRecord::from_summary(9, "t", "fnv1a:00", HostFingerprint::default(), &summary);
-        assert_eq!(rec.pmu.as_ref().unwrap().stages.len(), 1);
-        assert_eq!(rec.stages["kernel.spmv"].p99_ns, 10);
+    fn records_with_a_pmu_section_parse_and_gate() {
+        // A record exactly as `bench_regress --quick` wrote it while the
+        // ledger still carried hardware-counter telemetry: readers skip
+        // the `pmu` member, and the record gates a new-code candidate.
+        let text = include_str!("../tests/fixtures/BENCH_pmu_section.json");
+        assert!(text.contains(r#""pmu":{"status":"unavailable ("#));
+        let old = BenchRecord::from_json(text).expect("record with a pmu section parses");
+        assert_eq!(old.schema_version, SCHEMA_VERSION);
+        assert!(!old.stages.is_empty() && !old.sketches.is_empty());
+        let new_text = old.to_json();
+        assert!(!new_text.contains("\"pmu\""), "new records carry no pmu member");
+        let cand = BenchRecord::from_json(&new_text).expect("new record parses");
+        assert_eq!(cand, old);
+        let rep = gate(&[old], &cand, &GatePolicy::default());
+        assert!(rep.passed(), "{}", rep.render());
+        assert_eq!(rep.baselines_used, 1);
     }
 }

@@ -3,18 +3,14 @@
 //! Every performance claim WISE makes is an *end-to-end* claim: feature
 //! extraction, format conversion and the SpMV win must be accounted for
 //! together (paper §4.4, Figs. 10–13). This crate gives the whole
-//! workspace one shared way to do that accounting:
+//! workspace one shared way to do that accounting, from wall time alone
+//! (no hardware counters):
 //!
 //! * [`span`] — hierarchical RAII spans recorded into per-thread
 //!   buffers (no shared lock on the hot path; buffers merge at flush);
-//! * [`span_pmu`] / [`pmu`] — spans that additionally carry hardware
-//!   counter deltas (cycles, instructions, LLC loads/misses, branch
-//!   misses) read from a raw-syscall `perf_event_open` group, degrading
-//!   to plain timestamps with an explicit status marker when the
-//!   kernel denies the PMU (`WISE_PMU` knob: `0|off|1|on|auto`);
 //! * [`counter`] / [`observe_ns`] — monotonic counters and duration
-//!   samples, aggregated into log2-bucketed histograms
-//!   ([`metrics::Hist`]);
+//!   samples, aggregated into exact per-stage percentiles ([`Summary`])
+//!   and a mergeable quantile sketch ([`QuantileSketch`]);
 //! * [`export`] — a human-readable run report, Chrome trace-event JSON
 //!   (loadable in Perfetto / `chrome://tracing`), and a machine-
 //!   readable `perf_summary.json` (stage → `{p50, p95, count}`) so
@@ -55,11 +51,11 @@
 //! `kernel.*`, `estimate.*`, `label.*`, `train.*`, `select.*` and
 //! `pipeline.*` (see DESIGN.md §10 for the full table).
 
+#![forbid(unsafe_code)]
+
 pub mod env_knob;
 pub mod export;
 pub mod ledger;
-pub mod metrics;
-pub mod pmu;
 pub mod span;
 pub mod telemetry;
 
@@ -68,13 +64,11 @@ pub use export::{
     write_trace_files,
 };
 pub use ledger::{BenchRecord, GatePolicy, GateReport, HostFingerprint, ModelMetrics};
-pub use metrics::Hist;
-pub use pmu::{PmuCounts, PmuKind, PmuStatus};
 pub use span::{
-    build_forest, counter, dropped_events, observe, observe_ns, span, span_pmu, take_events, Event,
-    Phase, Span, SpanNode,
+    build_forest, counter, dropped_events, observe, observe_ns, span, take_events, Event, Phase,
+    Span, SpanNode,
 };
-pub use summary::{PmuStats, StageStats, Summary};
+pub use summary::{StageStats, Summary};
 pub use telemetry::{DriftLevel, QuantileSketch, RequestRecord};
 
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -111,44 +105,9 @@ pub fn set_enabled(on: bool) {
 }
 
 mod summary {
-    use crate::metrics::Hist;
-    use crate::pmu::PmuKind;
     use crate::span::{Event, Phase};
     use crate::telemetry::QuantileSketch;
     use std::collections::{BTreeMap, HashMap};
-
-    /// Aggregated hardware-counter deltas of one stage (summed over its
-    /// [`Phase::Pmu`]-carrying spans).
-    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-    pub struct PmuStats {
-        /// Spans that contributed counter deltas.
-        pub samples: u64,
-        pub cycles: u64,
-        pub instructions: u64,
-        pub llc_loads: u64,
-        pub llc_misses: u64,
-        pub branch_misses: u64,
-    }
-
-    impl PmuStats {
-        /// Instructions per cycle over the stage's aggregate.
-        pub fn ipc(&self) -> Option<f64> {
-            if self.cycles > 0 && self.instructions > 0 {
-                Some(self.instructions as f64 / self.cycles as f64)
-            } else {
-                None
-            }
-        }
-
-        /// Aggregate LLC load miss rate in `[0, 1]`.
-        pub fn llc_miss_rate(&self) -> Option<f64> {
-            if self.llc_loads > 0 {
-                Some((self.llc_misses as f64 / self.llc_loads as f64).min(1.0))
-            } else {
-                None
-            }
-        }
-    }
 
     /// Aggregated statistics of one span/sample stage.
     #[derive(Debug, Clone, PartialEq)]
@@ -167,34 +126,26 @@ mod summary {
         pub p95_ns: u64,
         pub p99_ns: u64,
         pub max_ns: u64,
-        /// Log2-bucketed duration histogram (for the run report).
-        pub hist: Hist,
         /// Most frequent enclosing span, if this stage ever nested
         /// (drives the indented run-report tree).
         pub parent: Option<String>,
-        /// Hardware-counter aggregate when any of this stage's spans
-        /// carried PMU deltas.
-        pub pmu: Option<PmuStats>,
         /// Mergeable quantile sketch over the same durations
         /// (α = [`crate::telemetry::DEFAULT_ALPHA`]): lets runs be
         /// combined after the fact with bounded error, unlike the exact
-        /// percentiles above which only describe this stream.
+        /// percentiles above which only describe this stream. The run
+        /// report draws its spread column from it.
         pub sketch: QuantileSketch,
     }
 
     /// Everything the exporters need, aggregated from a flushed event
     /// stream: per-stage duration statistics (from span ends and
-    /// duration samples), summed counters, and the PMU status marker.
+    /// duration samples) and summed counters.
     #[derive(Debug, Clone, Default)]
     pub struct Summary {
         /// Stage name → duration statistics, name-sorted.
         pub stages: BTreeMap<String, StageStats>,
         /// Counter name → summed value, name-sorted.
         pub counters: BTreeMap<String, u64>,
-        /// [`crate::pmu::status_label`] at aggregation time (`off`,
-        /// `available`, or `unavailable (<reason>)`; empty only on
-        /// `Summary::default()`).
-        pub pmu_status: String,
     }
 
     #[derive(Default)]
@@ -203,8 +154,6 @@ mod summary {
         self_ns: u64,
         /// Enclosing-span name ("" = root) → occurrences.
         parents: BTreeMap<&'static str, u64>,
-        pmu: [u64; 5],
-        pmu_samples: u64,
     }
 
     impl Summary {
@@ -248,13 +197,6 @@ mod summary {
                         *acc.parents.entry("").or_insert(0) += 1;
                     }
                     Phase::Counter => *counters.entry(e.name.to_string()).or_insert(0) += e.value,
-                    Phase::Pmu(kind) => {
-                        let acc = accs.entry(e.name).or_default();
-                        acc.pmu[kind as usize] += e.value;
-                        if kind == PmuKind::Cycles {
-                            acc.pmu_samples += 1;
-                        }
-                    }
                 }
             }
             let stages = accs
@@ -264,10 +206,8 @@ mod summary {
                     let mut ds = acc.ds;
                     ds.sort_unstable();
                     let pct = |p: f64| ds[((ds.len() - 1) as f64 * p).round() as usize];
-                    let mut hist = Hist::default();
-                    let mut sketch = crate::telemetry::QuantileSketch::default();
+                    let mut sketch = QuantileSketch::default();
                     for &d in &ds {
-                        hist.observe(d);
                         sketch.observe(d);
                     }
                     // Dominant parent; ties break toward "" (root,
@@ -279,14 +219,6 @@ mod summary {
                         .map(|(&p, _)| p)
                         .filter(|p| !p.is_empty())
                         .map(str::to_string);
-                    let pmu = (acc.pmu_samples > 0).then(|| PmuStats {
-                        samples: acc.pmu_samples,
-                        cycles: acc.pmu[PmuKind::Cycles as usize],
-                        instructions: acc.pmu[PmuKind::Instructions as usize],
-                        llc_loads: acc.pmu[PmuKind::LlcLoads as usize],
-                        llc_misses: acc.pmu[PmuKind::LlcMisses as usize],
-                        branch_misses: acc.pmu[PmuKind::BranchMisses as usize],
-                    });
                     let stats = StageStats {
                         count: ds.len() as u64,
                         total_ns: ds.iter().sum(),
@@ -296,15 +228,13 @@ mod summary {
                         p95_ns: pct(0.95),
                         p99_ns: pct(0.99),
                         max_ns: ds[ds.len() - 1],
-                        hist,
                         parent,
-                        pmu,
                         sketch,
                     };
                     (name.to_string(), stats)
                 })
                 .collect();
-            Summary { stages, counters, pmu_status: crate::pmu::status_label() }
+            Summary { stages, counters }
         }
     }
 }
@@ -328,8 +258,6 @@ mod tests {
         assert_eq!(st.total_ns, 5050);
         assert_eq!(st.self_total_ns, 5050); // samples are all self-time
         assert_eq!(st.parent, None);
-        assert_eq!(st.pmu, None);
-        assert!(!s.pmu_status.is_empty());
     }
 
     #[test]
@@ -376,31 +304,6 @@ mod tests {
         assert_eq!(s.stages["outer"].parent, None);
         assert_eq!(s.stages["inner"].self_total_ns, 50);
         assert_eq!(s.stages["inner"].parent.as_deref(), Some("outer"));
-    }
-
-    #[test]
-    fn summary_aggregates_pmu_deltas() {
-        let ev = |phase, value| Event { name: "k", phase, ts_ns: 0, tid: 1, value };
-        let events = [
-            ev(Phase::Begin, 0),
-            ev(Phase::Pmu(PmuKind::Cycles), 1000),
-            ev(Phase::Pmu(PmuKind::Instructions), 2000),
-            ev(Phase::Pmu(PmuKind::LlcLoads), 100),
-            ev(Phase::Pmu(PmuKind::LlcMisses), 25),
-            ev(Phase::End, 10),
-            ev(Phase::Begin, 0),
-            ev(Phase::Pmu(PmuKind::Cycles), 1000),
-            ev(Phase::Pmu(PmuKind::Instructions), 2000),
-            ev(Phase::End, 10),
-        ];
-        let s = Summary::from_events(&events);
-        let pmu = s.stages["k"].pmu.expect("pmu stats");
-        assert_eq!(pmu.samples, 2);
-        assert_eq!(pmu.cycles, 2000);
-        assert_eq!(pmu.instructions, 4000);
-        assert_eq!(pmu.ipc(), Some(2.0));
-        assert_eq!(pmu.llc_miss_rate(), Some(0.25));
-        assert_eq!(pmu.branch_misses, 0);
     }
 
     #[test]

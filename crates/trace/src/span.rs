@@ -9,7 +9,6 @@
 //! tracing can stay on across arbitrarily long runs with bounded
 //! memory.
 
-use crate::pmu::{PmuCounts, PmuKind};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,10 +31,6 @@ pub enum Phase {
     /// A standalone duration sample (`value` in ns), e.g. one
     /// `measure_median` iteration.
     Sample,
-    /// A hardware-counter delta attributed to the [`span_pmu`] span
-    /// closing at this timestamp (`value` is the counter delta over the
-    /// span, on the recording thread).
-    Pmu(PmuKind),
 }
 
 /// One trace record. `name` is `'static` so the hot path never copies
@@ -117,7 +112,6 @@ pub struct Span {
     name: &'static str,
     start_ns: u64,
     active: bool,
-    pmu_base: Option<PmuCounts>,
 }
 
 /// Opens a hierarchical span. Nesting is positional: spans opened while
@@ -127,43 +121,17 @@ pub struct Span {
 #[inline]
 pub fn span(name: &'static str) -> Span {
     if !crate::enabled() {
-        return Span { name, start_ns: 0, active: false, pmu_base: None };
+        return Span { name, start_ns: 0, active: false };
     }
     let start_ns = now_ns();
     record(name, Phase::Begin, start_ns, 0);
-    Span { name, start_ns, active: true, pmu_base: None }
-}
-
-/// Like [`span`], but additionally snapshots the calling thread's
-/// hardware-counter group and records per-counter [`Phase::Pmu`] deltas
-/// when the span closes. Degrades to exactly [`span`] — a bit-identical
-/// event stream — when the PMU is off or unavailable (see
-/// [`crate::pmu`]); still a single relaxed load and no allocation when
-/// tracing is disabled.
-#[inline]
-pub fn span_pmu(name: &'static str) -> Span {
-    if !crate::enabled() {
-        return Span { name, start_ns: 0, active: false, pmu_base: None };
-    }
-    // Baseline read happens before the start timestamp so the read cost
-    // lands in the parent, not in this span's duration.
-    let pmu_base = crate::pmu::span_baseline();
-    let start_ns = now_ns();
-    record(name, Phase::Begin, start_ns, 0);
-    Span { name, start_ns, active: true, pmu_base }
+    Span { name, start_ns, active: true }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
         if self.active {
             let end = now_ns();
-            if let Some(base) = self.pmu_base {
-                // Stamped at `end` and recorded before the End event:
-                // the stable timestamp sort keeps the deltas just
-                // inside the closing span, and the counter read cost
-                // stays out of the measured duration.
-                crate::pmu::emit_span_delta(self.name, &base, end);
-            }
             let dur = end - self.start_ns;
             record(self.name, Phase::End, end, dur);
             crate::telemetry::stream_observe(self.name, dur);
@@ -194,7 +162,7 @@ pub fn observe_ns(name: &'static str, ns: u64) {
 /// Records one standalone histogram sample under `name` for
 /// dimensionless values (ratios, sizes) — identical recording path to
 /// [`observe_ns`]; the unit is the caller's convention (e.g. the
-/// `model.residual.*` stages record predicted/measured permille). One
+/// `drift.regret` stage records measured/predicted permille). One
 /// relaxed load when tracing is disabled.
 #[inline]
 pub fn observe(name: &'static str, value: u64) {
@@ -279,7 +247,7 @@ pub fn build_forest(events: &[Event]) -> Vec<SpanNode> {
                     None => roots.push(node),
                 }
             }
-            Phase::Counter | Phase::Sample | Phase::Pmu(_) => {}
+            Phase::Counter | Phase::Sample => {}
         }
     }
     for (tid, stack) in &stacks {

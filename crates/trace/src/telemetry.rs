@@ -17,7 +17,7 @@
 //!   process runs — no flush, no retained samples.
 //! * A **per-request flight recorder**: selection requests record a
 //!   bounded ring of [`RequestRecord`]s (method, cascade stage, margin,
-//!   predicted vs measured seconds, PMU deltas). A request whose
+//!   predicted vs measured seconds). A request whose
 //!   latency exceeds a configurable quantile of recent history dumps
 //!   the surrounding window as a loadable Chrome-trace JSON — the
 //!   "black box" for post-hoc analysis of one slow request.
@@ -38,7 +38,7 @@
 //! `WISE_SNAPSHOT` / `WISE_SNAPSHOT_SECS` drive the snapshot thread.
 
 use crate::env_knob::Knob;
-use crate::pmu::PmuCounts;
+use crate::export::json::{FromJson, JsonError, ToJson, Value};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -201,11 +201,19 @@ impl QuantileSketch {
         self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-        for (idx, &c) in other.buckets.iter().enumerate() {
-            if c > 0 {
-                *self.slot(other.bucket_lo + idx as i32) += c;
-            }
+        for (i, c) in other.nonzero_buckets() {
+            *self.slot(i) += c;
         }
+    }
+
+    /// `(bucket index, count)` of every non-empty bucket, ascending.
+    fn nonzero_buckets(&self) -> impl Iterator<Item = (i32, u64)> + '_ {
+        let lo = self.bucket_lo;
+        self.buckets
+            .iter()
+            .enumerate()
+            .filter(|(_, &c)| c > 0)
+            .map(move |(k, &c)| (lo + k as i32, c))
     }
 
     /// The quantile estimate at `q ∈ [0, 1]`, within α relative error
@@ -230,56 +238,95 @@ impl QuantileSketch {
         Some(self.max)
     }
 
-    /// Serializes to a canonical JSON object: only non-empty buckets,
-    /// index-sorted, so equal sketch contents produce identical bytes
-    /// (and [`QuantileSketch::from_json`] round-trips byte-stably).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(128);
-        s.push_str(&format!(
-            "{{\"alpha\":{},\"count\":{},\"zero\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[",
-            self.alpha,
-            self.count,
-            self.zero,
-            self.sum,
-            if self.count > 0 && self.zero == 0 { self.min } else { 0 },
-            self.max
-        ));
-        let mut first = true;
-        for (idx, &c) in self.buckets.iter().enumerate() {
-            if c > 0 {
-                if !first {
-                    s.push(',');
-                }
-                first = false;
-                s.push_str(&format!("[{},{}]", self.bucket_lo + idx as i32, c));
-            }
+    /// A compact spark-line of the distribution over power-of-two
+    /// bins (`_.:|#`, one glyph per bin from the lowest occupied to the
+    /// highest; zeros get their own bin), for the run report's spread
+    /// column.
+    pub fn sparkline(&self) -> String {
+        const GLYPHS: [char; 5] = ['_', '.', ':', '|', '#'];
+        let mut bins = [0u64; 65];
+        bins[0] = self.zero;
+        for (i, c) in self.nonzero_buckets() {
+            bins[64 - self.bucket_value(i).max(1).leading_zeros() as usize] += c;
         }
-        s.push_str("]}");
-        s
+        let (Some(lo), Some(hi)) =
+            (bins.iter().position(|&c| c > 0), bins.iter().rposition(|&c| c > 0))
+        else {
+            return String::new();
+        };
+        let max = bins[lo..=hi].iter().copied().max().unwrap_or(1);
+        bins[lo..=hi]
+            .iter()
+            .map(|&c| if c == 0 { GLYPHS[0] } else { GLYPHS[1 + (c * 3 / max) as usize] })
+            .collect()
     }
+}
 
-    /// Parses [`QuantileSketch::to_json`] output. `None` on malformed
-    /// or schema-mismatched input.
-    pub fn from_json(v: &crate::export::json::Value) -> Option<QuantileSketch> {
-        let obj = v.as_object()?;
-        let num = |k: &str| obj.get(k).and_then(|v| v.as_f64());
-        let mut sk = QuantileSketch::new(num("alpha")?);
-        sk.count = num("count")? as u64;
-        sk.zero = num("zero")? as u64;
-        sk.sum = num("sum")?;
-        sk.max = num("max")? as u64;
-        let min = num("min")? as u64;
-        sk.min = if sk.count > 0 && sk.zero == 0 { min } else { u64::MAX };
-        for pair in obj.get("buckets")?.as_array()? {
-            let pair = pair.as_array()?;
-            if pair.len() != 2 {
-                return None;
-            }
-            let idx = pair[0].as_f64()? as i32;
-            let c = pair[1].as_f64()? as u64;
-            *sk.slot(idx) += c;
+/// The persisted form of a [`QuantileSketch`]: only non-empty buckets,
+/// index-sorted, so equal sketch contents encode to identical bytes.
+struct SketchDoc {
+    alpha: f64,
+    count: u64,
+    zero: u64,
+    sum: f64,
+    min: u64,
+    max: u64,
+    buckets: Vec<(i32, u64)>,
+}
+crate::json_struct!(SketchDoc { alpha, count, zero, sum, min, max, buckets });
+
+impl ToJson for QuantileSketch {
+    fn write_json(&self, out: &mut String) {
+        SketchDoc {
+            alpha: self.alpha,
+            count: self.count,
+            zero: self.zero,
+            sum: self.sum,
+            min: if self.count > 0 && self.zero == 0 { self.min } else { 0 },
+            max: self.max,
+            buckets: self.nonzero_buckets().collect(),
         }
-        Some(sk)
+        .write_json(out)
+    }
+}
+
+impl FromJson for QuantileSketch {
+    /// Decodes [`ToJson`] output. Rejects what no sketch writes: an α
+    /// outside the clamp range, a bucket index outside the range `u64`
+    /// values map to, and a `count` other than `zero` plus the bucket
+    /// counts.
+    fn from_json(v: &Value) -> Result<Self, JsonError> {
+        let doc = SketchDoc::from_json(v)?;
+        if !(1e-4..=0.5).contains(&doc.alpha) {
+            return Err(JsonError::Invalid(format!(
+                "sketch alpha {} outside [1e-4, 0.5]",
+                doc.alpha
+            )));
+        }
+        let mut sk = QuantileSketch::new(doc.alpha);
+        let (lo, hi) = (sk.bucket_index(1), sk.bucket_index(u64::MAX));
+        let mut total = doc.zero;
+        for &(i, c) in &doc.buckets {
+            if !(lo..=hi).contains(&i) {
+                return Err(JsonError::Invalid(format!("sketch bucket {i} outside {lo}..={hi}")));
+            }
+            total = total
+                .checked_add(c)
+                .ok_or_else(|| JsonError::Invalid("sketch bucket counts overflow".into()))?;
+            *sk.slot(i) += c;
+        }
+        if total != doc.count {
+            return Err(JsonError::Invalid(format!(
+                "sketch count {} != zero + bucket counts {total}",
+                doc.count
+            )));
+        }
+        sk.count = doc.count;
+        sk.zero = doc.zero;
+        sk.sum = doc.sum;
+        sk.max = doc.max;
+        sk.min = if doc.count > 0 && doc.zero == 0 { doc.min } else { u64::MAX };
+        Ok(sk)
     }
 }
 
@@ -433,8 +480,6 @@ pub struct RequestRecord {
     pub predicted_s: Option<f64>,
     /// Measured seconds, filled in later by [`note_measured`].
     pub measured_s: Option<f64>,
-    /// Hardware-counter deltas over the selection, when available.
-    pub pmu: Option<PmuCounts>,
 }
 
 /// Aggregate flight-recorder state, for reports and snapshots.
@@ -704,13 +749,6 @@ fn flight_dump_json(ring: &VecDeque<RequestRecord>, anomaly_id: u64, threshold_n
         if let Some(m) = rec.measured_s.filter(|m| m.is_finite()) {
             let _ = write!(out, ",\"measured_s\":{m}");
         }
-        if let Some(pmu) = &rec.pmu {
-            let _ = write!(
-                out,
-                ",\"cycles\":{},\"instructions\":{},\"llc_misses\":{}",
-                pmu.cycles, pmu.instructions, pmu.llc_misses
-            );
-        }
         out.push_str("}}");
         if rec.id == anomaly_id {
             sep(&mut out);
@@ -839,9 +877,6 @@ pub fn snapshot_json() -> String {
     let mut out = String::with_capacity(1024);
     out.push_str("{\n");
     let _ = write!(out, "  \"schema_version\": 1,\n  \"ts_ns\": {},\n", crate::span::now_ns());
-    out.push_str("  \"pmu_status\": \"");
-    crate::export::write_escaped(&mut out, &crate::pmu::status_label());
-    out.push_str("\",\n");
     let _ = writeln!(out, "  \"dropped_events\": {},", crate::dropped_events());
     out.push_str("  \"stages\": {\n");
     let mut first = true;
@@ -998,6 +1033,10 @@ mod tests {
         }
     }
 
+    /// Serializes the tests that reset and fill the process-global
+    /// flight recorder.
+    static FLIGHT_TESTS: Mutex<()> = Mutex::new(());
+
     fn assert_within_alpha(sk: &QuantileSketch, est: u64, v: u64) {
         let bound = sk.alpha() * v as f64 + 1.0 + 1e-9 * v as f64;
         assert!(
@@ -1110,6 +1149,38 @@ mod tests {
     }
 
     #[test]
+    fn sketch_decode_rejects_impossible_documents() {
+        let doc = |alpha: &str, count: &str, buckets: &str| {
+            format!(
+                r#"{{"alpha":{alpha},"count":{count},"zero":1,"sum":0,"min":0,"max":0,"buckets":{buckets}}}"#
+            )
+        };
+        assert!(QuantileSketch::from_json_str(&doc("0.01", "3", "[[0,1],[5,1]]")).is_ok());
+        for bad in [
+            doc("0.01", "2", "[[-2000000000,1],[2000000000,1]]"),
+            doc("0.01", "2", "[[-1,1]]"),
+            doc("0.01", "2", "[[2300,1]]"),
+            doc("0.6", "2", "[[1,1]]"),
+            doc("0.00001", "2", "[[1,1]]"),
+            doc("null", "2", "[[1,1]]"),
+            doc("0.01", "3", "[[1,1]]"),
+            doc("0.01", "1", "[[1,18446744073709551615]]"),
+            doc("0.01", "3", "[[1,1,1]]"),
+        ] {
+            let err = QuantileSketch::from_json_str(&bad);
+            assert!(err.is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn empty_sketch_is_quiet() {
+        let sk = QuantileSketch::default();
+        assert_eq!(sk.count(), 0);
+        assert_eq!(sk.quantile(0.5), None);
+        assert_eq!(sk.sparkline(), "");
+    }
+
+    #[test]
     fn sketch_handles_zero_and_empty() {
         let mut sk = QuantileSketch::default();
         assert_eq!(sk.quantile(0.5), None);
@@ -1120,10 +1191,22 @@ mod tests {
         assert_eq!(sk.quantile(0.5), Some(0));
         assert_eq!(sk.min(), Some(0));
         assert_eq!(sk.max(), Some(0));
+        assert_eq!(sk.sparkline(), "#");
+    }
+
+    #[test]
+    fn sketch_sparkline_spans_occupied_log2_bins() {
+        let mut sk = QuantileSketch::default();
+        sk.observe(1);
+        sk.observe(1);
+        sk.observe(8);
+        // Bins [1,2) ..= [8,16): four glyphs, the empty ones as '_'.
+        assert_eq!(sk.sparkline(), "#__:");
     }
 
     #[test]
     fn flight_recorder_flags_a_slow_request_and_dumps_a_valid_trace() {
+        let _serial = FLIGHT_TESTS.lock().unwrap_or_else(|p| p.into_inner());
         set_telemetry_enabled(true);
         flight_reset();
         set_flight_quantile(0.99);
@@ -1136,7 +1219,6 @@ mod tests {
             margin: Some(1.5),
             predicted_s: Some(1e-4),
             measured_s: None,
-            pmu: None,
         };
         let mut id = 0;
         for _ in 0..200 {
@@ -1162,6 +1244,7 @@ mod tests {
 
     #[test]
     fn flight_ring_is_bounded() {
+        let _serial = FLIGHT_TESTS.lock().unwrap_or_else(|p| p.into_inner());
         set_telemetry_enabled(true);
         flight_reset();
         for i in 0..(FLIGHT_RING_CAPACITY as u64 * 2) {
@@ -1174,7 +1257,6 @@ mod tests {
                 margin: None,
                 predicted_s: None,
                 measured_s: None,
-                pmu: None,
             });
         }
         let stats = flight_stats();
@@ -1219,6 +1301,5 @@ mod tests {
         let drift = obj.get("drift").and_then(|v| v.as_object()).expect("drift");
         assert_eq!(drift.get("status").and_then(|v| v.as_str()), Some("warning"));
         assert!(obj.get("flight").is_some());
-        assert!(obj.get("pmu_status").and_then(|v| v.as_str()).is_some());
     }
 }

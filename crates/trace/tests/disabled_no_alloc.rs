@@ -42,7 +42,6 @@ fn disabled_tracing_neither_records_nor_allocates() {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for i in 0..10_000u64 {
         let _outer = wise_trace::span("bench.outer");
-        let _pmu = wise_trace::span_pmu("bench.pmu");
         let _inner = wise_trace::span("bench.inner");
         wise_trace::counter("bench.counter", i);
         wise_trace::observe_ns("bench.sample", i);

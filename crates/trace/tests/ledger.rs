@@ -3,10 +3,10 @@
 //! injected-regression gate failure the CI workflow relies on.
 
 use std::collections::BTreeMap;
+use wise_trace::export::json::{FromJson, JsonError};
 use wise_trace::ledger::{
     gate, load_all, next_seq, write_record, BenchRecord, DriftRecord, Fnv1a, GatePolicy,
-    HostFingerprint, ModelMetrics, PmuSection, PmuStageRecord, ResidualSummary, StageRecord,
-    Verdict, SCHEMA_VERSION,
+    HostFingerprint, MatrixRegret, ModelMetrics, StageRecord, Verdict, SCHEMA_VERSION,
 };
 use wise_trace::span::{Event, Phase};
 use wise_trace::telemetry::QuantileSketch;
@@ -64,7 +64,12 @@ fn full_record(seq: u64) -> BenchRecord {
         },
         stages,
         counters: [("kernel.spmv.nnz".to_string(), 123_456u64)].into_iter().collect(),
-        throughput: [("kernel.spmv.nnz_per_s".to_string(), 2.5718e9)].into_iter().collect(),
+        throughput: [
+            ("kernel.spmv.nnz_per_s".to_string(), 2.5718e9),
+            ("select.cascade.fallthrough_rate".to_string(), 1.0 / 3.0),
+        ]
+        .into_iter()
+        .collect(),
         model: Some(ModelMetrics {
             accuracy: 0.8125,
             p_ratio: 0.9417,
@@ -72,31 +77,10 @@ fn full_record(seq: u64) -> BenchRecord {
             max_regret: 1.9001,
             n_classes: 7,
             confusion: (0..49).collect(),
-            per_matrix_regret: vec![("rmat_13_8".into(), 1.25), ("rgg_13_8".into(), 1.0)],
-        }),
-        pmu: Some(PmuSection {
-            status: "available".into(),
-            stages: [(
-                "kernel.spmv".to_string(),
-                PmuStageRecord {
-                    samples: 30,
-                    cycles: 3_600_000,
-                    instructions: 7_200_000,
-                    llc_loads: 12_000,
-                    llc_misses: 3_000,
-                    branch_misses: 150,
-                    bytes_per_nnz: Some(1.5),
-                },
-            )]
-            .into_iter()
-            .collect(),
-            residual: Some(ResidualSummary {
-                count: 29,
-                bytes_p50: 0.75,
-                bytes_p95: 1.25,
-                cycles_p50: 1.0,
-                cycles_p95: 1.5,
-            }),
+            per_matrix_regret: [("rmat_13_8", 1.25), ("rgg_13_8", 1.0), ("kron_13_8", 1.0 / 3.0)]
+                .into_iter()
+                .map(|(name, regret)| MatrixRegret { name: name.into(), regret })
+                .collect(),
         }),
         sketches: [("kernel.spmv".to_string(), {
             let mut sk = QuantileSketch::default();
@@ -132,6 +116,55 @@ fn bench_record_json_round_trip() {
     // Garbage and truncated documents are rejected, not panicked on.
     assert!(BenchRecord::from_json("{}").is_err());
     assert!(BenchRecord::from_json(&text[..text.len() / 2]).is_err());
+}
+
+/// The innermost error under any `Field` wrappers.
+fn root(e: &JsonError) -> &JsonError {
+    match e {
+        JsonError::Field { error, .. } => root(error),
+        e => e,
+    }
+}
+
+#[test]
+fn ledger_integers_decode_exactly() {
+    let text = full_record(3).to_json();
+    for (valid, damaged) in [
+        (r#""seq":3"#, r#""seq":-3"#),
+        (r#""cpu_cores":8"#, r#""cpu_cores":2.7"#),
+        (r#""count":30"#, r#""count":1.5"#),
+        (r#""min_ns":1200"#, r#""min_ns":-1"#),
+        (r#""total_ns":48000"#, r#""total_ns":1e30"#),
+    ] {
+        assert_eq!(text.matches(valid).count(), 1, "{valid}");
+        let doc = text.replace(valid, damaged);
+        assert!(BenchRecord::from_json(&doc).is_err(), "{damaged} decoded");
+        let err = <BenchRecord as FromJson>::from_json_str(&doc).unwrap_err();
+        assert!(
+            matches!(root(&err), JsonError::Range(_) | JsonError::Type { .. }),
+            "{damaged}: {err:?}"
+        );
+    }
+}
+
+#[test]
+fn damaged_sketch_is_skipped_not_a_panic() {
+    let mut rec = full_record(1);
+    rec.sketches.clear();
+    let hostile = r#""sketches":{"kernel.spmv":{"alpha":0.01,"count":2,"zero":0,"sum":0,"min":0,"max":0,"buckets":[[-2000000000,1],[2000000000,1]]}}"#;
+    let doc = rec.to_json().replace(r#""sketches":{}"#, hostile);
+    assert!(doc.contains("-2000000000"));
+    assert!(BenchRecord::from_json(&doc).is_err());
+
+    let dir = temp_dir("hostile_sketch");
+    write_record(&dir, &full_record(1)).unwrap();
+    std::fs::write(dir.join("BENCH_2.json"), &doc).unwrap();
+    let mut warnings = Vec::new();
+    let all = load_all(&dir, &mut warnings).unwrap();
+    assert_eq!(all.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![1]);
+    assert_eq!(warnings.len(), 1, "{warnings:?}");
+    assert!(warnings[0].contains("BENCH_2.json"), "{warnings:?}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -114,7 +114,6 @@ fn main() {
             margin: None,
             predicted_s: None,
             measured_s: None,
-            pmu: None,
         });
         assert!(flagged, "injected slow request must trip the anomaly trigger");
         let stats = telemetry::flight_stats();

@@ -57,10 +57,6 @@ fn traced_pipeline_covers_mandatory_stages() {
         assert!(stats.self_total_ns <= stats.total_ns);
     }
 
-    // The explicit PMU marker is always present, whatever the host
-    // resolved to (available, unavailable, or off via WISE_PMU=0).
-    assert!(!summary.pmu_status.is_empty(), "summary must carry a pmu status marker");
-
     // Counters made it through, and with plausible magnitudes.
     assert_eq!(summary.counters["label.corpus.matrices"], corpus.len() as u64);
     // Stored nonzeros: nnz for CSR-family picks, padded nnz otherwise.
