@@ -92,8 +92,13 @@ fn main() {
     }
 
     // ---- 2. Small/medium-matrix SpMV --------------------------------
-    let shapes: &[(u32, u32)] = if quick { &[(8, 8)] } else { &[(8, 8), (10, 8), (12, 8)] };
-    let spmv_threads: &[usize] = if quick { &[2] } else { &[1, 2, 4] };
+    // 1 thread is always timed: the 2-thread/1-thread ratio printed per
+    // config shows whether the second thread pays for itself. Quick mode
+    // keeps a 4096-row shape because at 256 rows every kernel's work
+    // fits one 256-row grab and runs inline.
+    let shapes: &[(u32, u32)] =
+        if quick { &[(8, 8), (12, 8)] } else { &[(8, 8), (10, 8), (12, 8)] };
+    let spmv_threads: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4] };
     let configs = [
         MethodConfig::csr(Schedule::Dyn),
         MethodConfig::csr(Schedule::St),
@@ -112,6 +117,7 @@ fn main() {
         let x: Vec<f64> = (0..m.ncols()).map(|i| (i as f64).sin()).collect();
         for cfg in configs {
             let prep = cfg.prepare(&m);
+            let mut pool_us_at = Vec::new();
             for &nthreads in spmv_threads {
                 let mut per_exec = [0f64; 2];
                 let mut outputs: Vec<Vec<f64>> = Vec::new();
@@ -143,6 +149,7 @@ fn main() {
                     m.nrows()
                 );
                 let [spawn_us, pool_us] = per_exec;
+                pool_us_at.push((nthreads, pool_us));
                 println!(
                     "{:>8} {:>26} {:>8} {:>10.2}us {:>10.2}us {:>8.2}x",
                     m.nrows(),
@@ -158,6 +165,16 @@ fn main() {
                     m.nrows(),
                     spawn_us / pool_us.max(1e-9)
                 ));
+            }
+            if let [(1, one), (2, two), ..] = pool_us_at[..] {
+                println!(
+                    "{:>8} {:>26} {:>8} {:>24} {:>8.2}x",
+                    m.nrows(),
+                    cfg.label(),
+                    "2t/1t",
+                    "(pool time ratio)",
+                    two / one.max(1e-9)
+                );
             }
         }
     }

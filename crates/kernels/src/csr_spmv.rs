@@ -6,7 +6,9 @@
 //! disjoint row range of `y`, which is what makes the shared-output
 //! parallelism sound.
 //!
-//! On the vector levels the row loop additionally exploits memory-level
+//! Auto width (`v = 0`) runs the scalar row loop, which beats the
+//! gather row kernels on the measured hosts (DESIGN.md §14). On the
+//! explicit vector levels the row loop additionally exploits memory-level
 //! parallelism (DESIGN.md §17): rows are processed in blocks of
 //! [`CsrSpmv::resolved_interleave`] rows with independent accumulator
 //! chains (bit-identical to the solo-row kernels — pure scheduling),
@@ -55,9 +57,11 @@ impl<'a> CsrSpmv<'a> {
         self
     }
 
-    /// Requests a SIMD width for the row kernel: 0 = auto (widest
-    /// active level), 1 = the original scalar path (bit-exact), else
-    /// capped at the host's [`simd::active`] level.
+    /// Requests a SIMD width for the row kernel: 0 = auto, which for
+    /// CSR is the original scalar row loop (bit-exact; the gather row
+    /// kernels lose to it on the measured hosts, DESIGN.md §14), 1 =
+    /// that same scalar loop forced, else the gather kernel capped at
+    /// the host's [`simd::active`] level.
     pub fn with_simd(mut self, v: usize) -> Self {
         self.simd = v;
         self
@@ -98,8 +102,13 @@ impl<'a> CsrSpmv<'a> {
         self.interleave
     }
 
-    /// The level this kernel will actually execute at.
+    /// The level this kernel will actually execute at: scalar for
+    /// auto (`v = 0`) and forced (`v = 1`) widths, else
+    /// [`simd::resolve`].
     pub fn resolved_isa(&self) -> SimdIsa {
+        if self.simd == 0 {
+            return SimdIsa::Scalar;
+        }
         simd::resolve(self.simd, self.matrix.ncols())
     }
 
@@ -329,17 +338,25 @@ mod tests {
     #[test]
     fn forced_scalar_width_matches_reference_bitwise() {
         // v=1 must run the original unchecked loop: same order of
-        // operations as `spmv_reference`, so bit-for-bit equal.
+        // operations as `spmv_reference`, so bit-for-bit equal. Auto
+        // width (v=0) runs the same loop on CSR.
         let m = RmatParams::LOW_LOC.generate(8, 4, 12);
         let x = random_x(m.ncols(), 5);
         let mut want = vec![0.0; m.nrows()];
         m.spmv_reference(&x, &mut want);
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
         let k = CsrSpmv::new(&m, Schedule::St).with_simd(1);
         assert_eq!(k.resolved_isa(), crate::simd::SimdIsa::Scalar);
         let mut got = vec![0.0; m.nrows()];
         k.spmv(&x, &mut got, 3);
-        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&got), bits(&want));
+        let auto = CsrSpmv::new(&m, Schedule::St).with_simd(0);
+        assert_eq!(auto.resolved_isa(), crate::simd::SimdIsa::Scalar);
+        for nthreads in [1, 2, 7] {
+            let mut got = vec![f64::NAN; m.nrows()];
+            auto.spmv(&x, &mut got, nthreads);
+            assert_eq!(bits(&got), bits(&want), "v=0 nthreads={nthreads}");
+        }
     }
 
     #[test]
@@ -351,14 +368,20 @@ mod tests {
         let m = RmatParams::MED_SKEW.generate(9, 8, 21);
         let x = random_x(m.ncols(), 17);
         let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        // v=8 (capped at the host's level): auto width runs the
+        // scalar loop, which neither prefetches nor interleaves.
         let mut base = vec![0.0; m.nrows()];
         CsrSpmv::new(&m, Schedule::Dyn)
+            .with_simd(8)
             .with_prefetch(Some(0))
             .with_interleave(1)
             .spmv(&x, &mut base, 2);
         for pf in [None, Some(0), Some(2), Some(8), Some(simd::MAX_PREFETCH + 99)] {
             for il in [0usize, 1, 2, 3, 4, 16] {
-                let k = CsrSpmv::new(&m, Schedule::Dyn).with_prefetch(pf).with_interleave(il);
+                let k = CsrSpmv::new(&m, Schedule::Dyn)
+                    .with_simd(8)
+                    .with_prefetch(pf)
+                    .with_interleave(il);
                 let mut got = vec![0.0; m.nrows()];
                 k.spmv(&x, &mut got, 2);
                 assert_eq!(bits(&got), bits(&base), "pf={pf:?} il={il}");

@@ -76,9 +76,10 @@ pub struct MethodConfig {
     pub sigma: usize,
     /// LAV dense fraction; 0.0 unless `method == Lav`.
     pub t: f64,
-    /// Requested SIMD lane width for the kernels: 0 = auto (widest
-    /// level active on the host), 1 = forced scalar (bit-exact legacy
-    /// path), 2/4/8 = cap at that many f64 lanes. Defaults to 0, so
+    /// Requested SIMD lane width for the kernels: 0 = auto (the scalar
+    /// row loop for CSR, the widest level active on the host for
+    /// packed chunks), 1 = forced scalar (bit-exact legacy path),
+    /// 2/4/8 = cap at that many f64 lanes. Defaults to 0, so
     /// configs serialized before this field existed — and the default
     /// catalog — behave as auto and keep their pre-SIMD labels.
     pub v: usize,

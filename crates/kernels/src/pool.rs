@@ -9,63 +9,77 @@
 //! and are woken by an epoch bump, so a dispatch costs one mutex
 //! round-trip per side instead of OS thread creation.
 //!
-//! # Protocol (epoch-sequenced handoff)
+//! # Protocol (epoch-sequenced handoff, caller is thread 0)
 //!
-//! Shared state is one mutex-guarded [`JobState`] plus two condvars:
+//! A job of `n` logical threads needs only `n − 1` pool workers: the
+//! dispatching thread runs logical thread 0 itself instead of idling at
+//! the barrier. Shared state is one mutex-guarded [`JobState`], a done
+//! condvar, and one wake condvar per worker:
 //!
 //! 1. **Publish** — the dispatcher stores the lifetime-erased job
-//!    reference, sets `remaining = nworkers`, increments `epoch`, and
-//!    `notify_all`s the work condvar.
-//! 2. **Pick up** — each worker sleeps until `epoch` differs from the
-//!    last value it saw, then snapshots the *current* job under the
-//!    lock. Workers whose index is `>= nworkers` just record the epoch
-//!    and go back to sleep; a worker that slept through an entire job
-//!    was by construction not a participant of it (the dispatcher does
-//!    not return while a participant has yet to run), so it can never
-//!    execute a stale job.
-//! 3. **Complete** — each participant runs the job body (wrapped in
+//!    reference, sets `remaining = n − 1`, increments `epoch`, and
+//!    signals the wake condvars of workers `0..n − 1` only, so a job
+//!    never wakes workers it does not need.
+//! 2. **Caller's share** — the dispatcher runs `body(0)` under
+//!    `catch_unwind`, with [`current_worker_index`] reporting `Some(0)`
+//!    for that call only (so nested parallel calls run inline).
+//! 3. **Pick up** — worker `id` (logical thread `id + 1`) sleeps until
+//!    `epoch` differs from the last value it saw, then snapshots the
+//!    *current* job under the lock. Workers with `id + 1 >= n` are not
+//!    signaled; one that sees the new epoch anyway (while spinning, or
+//!    on a spurious wakeup) just records it and goes back to sleep. A
+//!    worker that slept through an entire job was by construction not
+//!    a participant of it (the dispatcher does not return while a
+//!    participant has yet to run), so it can never execute a stale
+//!    job.
+//! 4. **Complete** — each helper runs the job body (wrapped in
 //!    `catch_unwind`), then decrements `remaining` under the lock; the
-//!    last one signals the done condvar. The dispatcher waits (short
-//!    spin on a mirror atomic, then condvar) until `remaining == 0`.
+//!    last one signals the done condvar. The dispatcher, once its own
+//!    share has returned or unwound, waits (short spin on a mirror
+//!    atomic, then condvar) until `remaining == 0`.
 //!
 //! # Safety of the lifetime-erased job
 //!
 //! [`WorkerPool::run`] transmutes `&'a (dyn Fn(usize) + Sync)` to
 //! `&'static` before publishing it. This is sound because `run` is a
-//! completion barrier: it does not return until every participating
-//! worker has decremented `remaining`, and workers touch the job
-//! reference only between pickup and their decrement. Non-participants
-//! never dereference it. The borrow therefore strictly outlives every
-//! use, exactly as in `std::thread::scope`.
+//! completion barrier: it does not return — normally *or by unwinding*
+//! — until every participating worker has decremented `remaining`, and
+//! workers touch the job reference only between pickup and their
+//! decrement. The caller's own share is the one place the dispatcher
+//! runs user code after publishing; it runs under `catch_unwind`, so a
+//! panic there still reaches the barrier before it is re-raised.
+//! Non-participants never dereference the job. The borrow therefore
+//! strictly outlives every use, exactly as in `std::thread::scope`.
 //!
 //! # Schedule preservation
 //!
-//! The pool does not decide *what* a worker runs — it only delivers a
-//! logical thread index `t ∈ 0..nworkers` to the job body. The
-//! chunk→thread assignment logic (Dyn / St / StCont, paper §2.1) lives
-//! in [`crate::sched::parallel_for_chunks`]'s shared per-thread loop,
+//! The pool does not decide *what* a thread runs — it only delivers a
+//! logical thread index `t ∈ 0..n` to the job body. The chunk→thread
+//! assignment logic (Dyn / St / StCont, paper §2.1) lives in
+//! [`crate::sched::parallel_for_chunks`]'s shared per-thread loop,
 //! which is the same code the spawn executor runs, so scheduling
 //! semantics are identical by construction (and pinned by the
 //! `pool_parity` test suite).
 //!
 //! # Panics
 //!
-//! A panic inside a job body is caught on the worker, recorded, and
-//! re-thrown on the dispatching thread after the barrier completes; the
-//! worker itself survives and the pool keeps serving subsequent
-//! dispatches.
+//! A panic inside a helper's share is caught on the worker, recorded,
+//! and re-thrown on the dispatching thread after the barrier completes;
+//! the worker itself survives and the pool keeps serving subsequent
+//! dispatches. A panic in the caller's share is re-raised with its
+//! original payload, also only after the barrier.
 
 use std::cell::Cell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
-use wise_trace::env_knob::{Knob, KnobError};
 
 thread_local! {
     /// Logical executor-thread index of the current thread, if it is
-    /// running inside a pool worker or a spawn-executor thread.
+    /// running inside a pool worker, a spawn-executor thread, or the
+    /// dispatcher's own share of a pooled job.
     static WORKER_INDEX: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
@@ -80,24 +94,31 @@ pub fn current_worker_index() -> Option<usize> {
     WORKER_INDEX.with(|w| w.get())
 }
 
-/// Runs `f` with [`current_worker_index`] set to `index` (used by the
-/// spawn executor, whose threads are born and die inside one call).
-pub(crate) fn with_worker_index<R>(index: usize, f: impl FnOnce() -> R) -> R {
-    WORKER_INDEX.with(|w| {
-        let prev = w.replace(Some(index));
-        let out = f();
-        w.set(prev);
-        out
-    })
+/// Restores the previous [`WORKER_INDEX`] on drop, including when the
+/// body unwinds (the dispatcher's thread outlives a panicking share).
+struct IndexGuard(Option<usize>);
+
+impl Drop for IndexGuard {
+    fn drop(&mut self) {
+        WORKER_INDEX.with(|w| w.set(self.0));
+    }
 }
 
-/// A published job: the erased body plus how many workers participate.
+/// Runs `f` with [`current_worker_index`] set to `index` (the spawn
+/// executor's threads and the pool dispatcher's own share).
+pub(crate) fn with_worker_index<R>(index: usize, f: impl FnOnce() -> R) -> R {
+    let _restore = IndexGuard(WORKER_INDEX.with(|w| w.replace(Some(index))));
+    f()
+}
+
+/// A published job: the erased body plus how many logical threads it
+/// spans (the dispatcher is thread 0, worker `id` is thread `id + 1`).
 #[derive(Clone, Copy)]
 struct ErasedJob {
     /// Lifetime-erased by [`WorkerPool::run`]; valid until every
     /// participant has decremented `remaining` (see module docs).
     body: &'static (dyn Fn(usize) + Sync),
-    nworkers: usize,
+    nthreads: usize,
     /// The dispatcher's flight-recorder request id
     /// ([`wise_trace::telemetry::current_request`]), forwarded to the
     /// workers so kernel work is attributed to the selection request
@@ -113,9 +134,9 @@ struct JobState {
     /// reads it after observing a fresh epoch under the same lock, and
     /// the dispatcher of that epoch's job is still inside `run`.
     job: Option<ErasedJob>,
-    /// Participants of the current job that have not yet finished.
+    /// Helpers of the current job that have not yet finished.
     remaining: usize,
-    /// Whether any participant of the current job panicked.
+    /// Whether any helper of the current job panicked.
     panicked: bool,
     /// Tells workers to exit (local pools only; set by `Drop`).
     shutdown: bool,
@@ -123,9 +144,7 @@ struct JobState {
 
 struct Shared {
     state: Mutex<JobState>,
-    /// Signaled on publish and on shutdown.
-    work_cv: Condvar,
-    /// Signaled by the last participant of a job.
+    /// Signaled by the last helper of a job.
     done_cv: Condvar,
     /// Mirror of `state.epoch` for the workers' pre-lock spin.
     epoch_hint: AtomicU64,
@@ -144,40 +163,18 @@ fn wait<'a>(cv: &Condvar, g: MutexGuard<'a, JobState>) -> MutexGuard<'a, JobStat
     cv.wait(g).unwrap_or_else(|e| e.into_inner())
 }
 
-/// The `WISE_POOL_SPIN` knob, on the shared [`wise_trace::env_knob`]
-/// grammar.
-const SPIN_KNOB: Knob = Knob::new("WISE_POOL_SPIN", "a non-negative integer");
-
-/// Parses a raw `WISE_POOL_SPIN` value. `Ok(None)` means unset (use the
-/// automatic budget); `Ok(Some(0))` is valid and disables spinning
-/// entirely; `Err` means set but malformed, which [`spin_budget`]
-/// reports loudly instead of silently ignoring.
-pub fn parse_wise_pool_spin(raw: Option<&str>) -> Result<Option<u32>, KnobError> {
-    SPIN_KNOB.parse(raw, |norm| norm.parse::<u32>().ok())
-}
-
-/// Spin iterations before sleeping on a condvar, tunable via
-/// `WISE_POOL_SPIN` (0 disables spinning). Defaults to 512 on
-/// multi-core hosts and 0 on single-core ones, where spinning only
-/// steals cycles from the thread being waited on. A malformed value
-/// falls back to the automatic budget *loudly* — one stderr warning
-/// plus a `pool.spin_env_invalid` trace counter — never silently.
+/// Spin iterations before sleeping on a condvar: 512 on multi-core
+/// hosts, 0 on single-core ones, where spinning only steals cycles
+/// from the thread being waited on.
 fn spin_budget() -> u32 {
     static BUDGET: OnceLock<u32> = OnceLock::new();
     *BUDGET.get_or_init(|| {
-        let auto = || {
-            let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-            if cores > 1 {
-                512
-            } else {
-                0
-            }
-        };
-        SPIN_KNOB
-            .read("pool.spin_env_invalid", "falling back to the automatic spin budget", |norm| {
-                norm.parse::<u32>().ok()
-            })
-            .unwrap_or_else(auto)
+        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        if cores > 1 {
+            512
+        } else {
+            0
+        }
     })
 }
 
@@ -187,19 +184,26 @@ fn spin_budget() -> u32 {
 /// uses. Local instances (tests, benchmarks) shut their workers down on
 /// `Drop`.
 pub struct WorkerPool {
-    shared: std::sync::Arc<Shared>,
+    shared: Arc<Shared>,
     /// Serializes dispatches (one job in flight per pool) and owns the
-    /// worker handles for `Drop`. Lock order: `workers` before `state`.
-    workers: Mutex<Vec<JoinHandle<()>>>,
+    /// workers for `Drop`. Lock order: `workers` before `state`.
+    workers: Mutex<Vec<Worker>>,
+}
+
+/// A live worker thread and the condvar it alone parks on (with the
+/// shared state mutex), so a dispatch wakes exactly its job's helpers.
+struct Worker {
+    handle: JoinHandle<()>,
+    wake: Arc<Condvar>,
 }
 
 impl WorkerPool {
     /// Creates an empty pool; workers are spawned lazily on the first
     /// `run` that needs them and the pool grows whenever a larger
-    /// `nworkers` is requested.
+    /// `nthreads` is requested.
     pub fn new() -> WorkerPool {
         WorkerPool {
-            shared: std::sync::Arc::new(Shared {
+            shared: Arc::new(Shared {
                 state: Mutex::new(JobState {
                     epoch: 0,
                     job: None,
@@ -207,7 +211,6 @@ impl WorkerPool {
                     panicked: false,
                     shutdown: false,
                 }),
-                work_cv: Condvar::new(),
                 done_cv: Condvar::new(),
                 epoch_hint: AtomicU64::new(0),
                 remaining_hint: AtomicUsize::new(0),
@@ -216,95 +219,110 @@ impl WorkerPool {
         }
     }
 
-    /// Number of live worker threads.
+    /// Number of live worker threads (the dispatcher is not counted, so
+    /// a pool that has served an `n`-thread job holds `n − 1`).
     pub fn size(&self) -> usize {
         self.workers.lock().unwrap_or_else(|e| e.into_inner()).len()
     }
 
     /// Runs `body(t)` for every logical thread index `t` in
-    /// `0..nworkers`, in parallel on the pool's workers, and returns
-    /// once all of them have finished (completion barrier).
+    /// `0..nthreads` and returns once all of them have finished
+    /// (completion barrier). The calling thread runs `body(0)`; pool
+    /// workers run `body(1..nthreads)` in parallel with it.
     ///
-    /// `nworkers == 1` runs inline. Calls from inside a pool worker run
-    /// inline serially as well — dispatching to the own pool would
-    /// deadlock on the in-flight job (`parallel_for_chunks` runs nested
-    /// parallelism inline before this can happen).
+    /// `nthreads == 1` runs inline. Calls from inside a pool job (on a
+    /// worker or in the dispatcher's own share) run inline serially as
+    /// well — dispatching to the own pool would deadlock on the
+    /// in-flight job (`parallel_for_chunks` runs nested parallelism
+    /// inline before this can happen).
     ///
     /// # Panics
-    /// Re-throws (as a new panic) if any participant's body panicked.
-    pub fn run(&self, nworkers: usize, body: &(dyn Fn(usize) + Sync)) {
-        assert!(nworkers >= 1, "need at least one worker");
-        if nworkers == 1 || current_worker_index().is_some() {
-            for t in 0..nworkers {
+    /// Re-raises the caller's own panic, or panics anew if a helper's
+    /// body panicked — in both cases only after every helper finished.
+    pub fn run(&self, nthreads: usize, body: &(dyn Fn(usize) + Sync)) {
+        assert!(nthreads >= 1, "need at least one thread");
+        if nthreads == 1 || current_worker_index().is_some() {
+            for t in 0..nthreads {
                 body(t);
             }
             return;
         }
         let t0 = wise_trace::enabled().then(Instant::now);
+        let nhelpers = nthreads - 1;
 
         // One job in flight per pool; concurrent dispatchers queue here.
         let mut handles = self.workers.lock().unwrap_or_else(|e| e.into_inner());
-        if handles.len() < nworkers {
-            self.grow(&mut handles, nworkers);
+        if handles.len() < nhelpers {
+            self.grow(&mut handles, nhelpers);
         }
 
         // SAFETY: lifetime erasure only. This function does not return
-        // until every participant has finished with `body` (completion
-        // barrier below), so the reference outlives all uses.
-        let body: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(body) };
+        // or unwind until every helper has finished with `body`
+        // (completion barrier below; the caller's share cannot skip it
+        // because it runs under catch_unwind), so the reference
+        // outlives all uses.
+        let erased: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(body) };
 
-        let panicked = {
-            let request = wise_trace::telemetry::current_request();
-            let mut st = lock(&self.shared.state);
-            debug_assert_eq!(st.remaining, 0, "dispatch lock admitted overlapping jobs");
-            st.job = Some(ErasedJob { body, nworkers, request });
-            st.remaining = nworkers;
-            st.panicked = false;
-            st.epoch += 1;
-            self.shared.remaining_hint.store(nworkers, Ordering::Release);
-            self.shared.epoch_hint.store(st.epoch, Ordering::Release);
-            drop(st);
-            self.shared.work_cv.notify_all();
+        let request = wise_trace::telemetry::current_request();
+        let mut st = lock(&self.shared.state);
+        debug_assert_eq!(st.remaining, 0, "dispatch lock admitted overlapping jobs");
+        st.job = Some(ErasedJob { body: erased, nthreads, request });
+        st.remaining = nhelpers;
+        st.panicked = false;
+        st.epoch += 1;
+        self.shared.remaining_hint.store(nhelpers, Ordering::Release);
+        self.shared.epoch_hint.store(st.epoch, Ordering::Release);
+        drop(st);
+        for w in &handles[..nhelpers] {
+            w.wake.notify_one();
+        }
 
-            // Completion barrier: spin briefly on the mirror, then
-            // sleep. The final lock also synchronizes `panicked`.
-            for _ in 0..spin_budget() {
-                if self.shared.remaining_hint.load(Ordering::Acquire) == 0 {
-                    break;
-                }
-                std::hint::spin_loop();
+        let own = catch_unwind(AssertUnwindSafe(|| with_worker_index(0, || body(0))));
+
+        // Completion barrier: spin briefly on the mirror, then sleep.
+        // The final lock also synchronizes `panicked`.
+        for _ in 0..spin_budget() {
+            if self.shared.remaining_hint.load(Ordering::Acquire) == 0 {
+                break;
             }
-            let mut st = lock(&self.shared.state);
-            while st.remaining > 0 {
-                st = wait(&self.shared.done_cv, st);
-            }
-            st.panicked
-        };
+            std::hint::spin_loop();
+        }
+        let mut st = lock(&self.shared.state);
+        while st.remaining > 0 {
+            st = wait(&self.shared.done_cv, st);
+        }
+        let helper_panicked = st.panicked;
+        drop(st);
         drop(handles);
 
         if let Some(t0) = t0 {
             wise_trace::counter("pool.jobs", 1);
             wise_trace::observe_ns("pool.dispatch", t0.elapsed().as_nanos() as u64);
         }
-        if panicked {
+        if let Err(payload) = own {
+            resume_unwind(payload);
+        }
+        if helper_panicked {
             panic!("a worker panicked inside a pooled job (original panic reported by the worker)");
         }
     }
 
     /// Spawns workers `handles.len()..target`. Caller holds the
     /// dispatch lock, so no job is in flight while the pool grows.
-    fn grow(&self, handles: &mut Vec<JoinHandle<()>>, target: usize) {
+    fn grow(&self, handles: &mut Vec<Worker>, target: usize) {
         let _span = wise_trace::span("pool.start");
         // Workers must skip every epoch published before they existed;
         // snapshotting under the state lock makes that exact.
         let epoch_at_spawn = lock(&self.shared.state).epoch;
         for id in handles.len()..target {
-            let shared = std::sync::Arc::clone(&self.shared);
+            let shared = Arc::clone(&self.shared);
+            let wake = Arc::new(Condvar::new());
+            let parked = Arc::clone(&wake);
             let handle = std::thread::Builder::new()
                 .name(format!("wise-pool-{id}"))
-                .spawn(move || worker_loop(shared, id, epoch_at_spawn))
+                .spawn(move || worker_loop(shared, &parked, id, epoch_at_spawn))
                 .expect("spawn pool worker");
-            handles.push(handle);
+            handles.push(Worker { handle, wake });
         }
     }
 }
@@ -317,20 +335,25 @@ impl Default for WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        let handles = std::mem::take(&mut *self.workers.lock().unwrap_or_else(|e| e.into_inner()));
+        let workers = std::mem::take(&mut *self.workers.lock().unwrap_or_else(|e| e.into_inner()));
         {
             let mut st = lock(&self.shared.state);
             st.shutdown = true;
         }
-        self.shared.work_cv.notify_all();
-        for h in handles {
-            let _ = h.join();
+        for w in &workers {
+            w.wake.notify_one();
+        }
+        for w in workers {
+            let _ = w.handle.join();
         }
     }
 }
 
-fn worker_loop(shared: std::sync::Arc<Shared>, id: usize, mut seen: u64) {
-    WORKER_INDEX.with(|w| w.set(Some(id)));
+/// Worker `id` always runs logical thread `id + 1`; thread 0 is the
+/// dispatcher's.
+fn worker_loop(shared: Arc<Shared>, wake: &Condvar, id: usize, mut seen: u64) {
+    let t = id + 1;
+    WORKER_INDEX.with(|w| w.set(Some(t)));
     loop {
         // Pre-lock spin: cheap wakeup when a job lands immediately.
         for _ in 0..spin_budget() {
@@ -342,7 +365,7 @@ fn worker_loop(shared: std::sync::Arc<Shared>, id: usize, mut seen: u64) {
         let job = {
             let mut st = lock(&shared.state);
             while st.epoch == seen && !st.shutdown {
-                st = wait(&shared.work_cv, st);
+                st = wait(wake, st);
             }
             if st.shutdown {
                 return;
@@ -350,14 +373,14 @@ fn worker_loop(shared: std::sync::Arc<Shared>, id: usize, mut seen: u64) {
             seen = st.epoch;
             st.job.expect("epoch advanced without a published job")
         };
-        if id < job.nworkers {
-            // Participant: run our share, then report completion. The
+        if t < job.nthreads {
+            // Helper: run our share, then report completion. The
             // catch_unwind keeps the worker alive across body panics;
             // the dispatcher re-throws after the barrier. The scope
             // attributes the worker's spans to the dispatching request.
             let ok = catch_unwind(AssertUnwindSafe(|| {
                 let _req = wise_trace::telemetry::RequestScope::enter(job.request);
-                (job.body)(id)
+                (job.body)(t)
             }))
             .is_ok();
             let mut st = lock(&shared.state);
@@ -399,19 +422,21 @@ mod tests {
                 assert_eq!(h.load(Ordering::Relaxed), 1, "worker {t} of {n}");
             }
         }
-        assert!(pool.size() >= 8);
+        // The dispatcher is logical thread 0, so an 8-thread job needs
+        // 7 workers.
+        assert_eq!(pool.size(), 7);
     }
 
     #[test]
     fn grows_on_demand_and_reuses_workers() {
         let pool = WorkerPool::new();
         assert_eq!(pool.size(), 0);
-        pool.run(3, &|_| {});
-        assert_eq!(pool.size(), 3);
+        pool.run(3, &|_| {}); // the caller is thread 0: 2 workers
+        assert_eq!(pool.size(), 2);
         pool.run(2, &|_| {}); // smaller job: no shrink, no growth
-        assert_eq!(pool.size(), 3);
+        assert_eq!(pool.size(), 2);
         pool.run(6, &|_| {});
-        assert_eq!(pool.size(), 6);
+        assert_eq!(pool.size(), 5);
     }
 
     #[test]
@@ -463,6 +488,62 @@ mod tests {
     }
 
     #[test]
+    fn caller_share_runs_on_the_dispatching_thread() {
+        let pool = WorkerPool::new();
+        let caller = std::thread::current().id();
+        let on_caller: Vec<TestCounter> = (0..3).map(|_| TestCounter::new(0)).collect();
+        pool.run(3, &|t| {
+            if std::thread::current().id() == caller {
+                on_caller[t].fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        let got: Vec<u64> = on_caller.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+        assert_eq!(got, [1, 0, 0], "only logical thread 0 runs on the caller");
+    }
+
+    /// The soundness of the lifetime-erased job rests on `run` never
+    /// returning, or unwinding, before its helpers finish: here the
+    /// caller's share panics at once while a helper, which starts only
+    /// once that panic is under way, sleeps and then writes a slot on
+    /// the caller's stack.
+    #[test]
+    fn caller_panic_waits_for_helpers_before_unwinding() {
+        let pool = WorkerPool::new();
+        for round in 0..3 {
+            let slot = TestCounter::new(0);
+            let caller_panicking = std::sync::atomic::AtomicBool::new(false);
+            let err = catch_unwind(AssertUnwindSafe(|| {
+                pool.run(2, &|t| {
+                    if t == 0 {
+                        caller_panicking.store(true, Ordering::SeqCst);
+                        panic!("injected caller panic (round {round})");
+                    }
+                    while !caller_panicking.load(Ordering::SeqCst) {
+                        std::hint::spin_loop();
+                    }
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    slot.store(1 + round, Ordering::SeqCst);
+                });
+            }));
+            let payload = err.expect_err("the caller's panic must propagate");
+            let msg = payload.downcast_ref::<String>().map(String::as_str).unwrap_or("");
+            assert!(msg.starts_with("injected caller panic"), "original payload re-raised: {msg}");
+            assert_eq!(
+                slot.load(Ordering::SeqCst),
+                1 + round,
+                "run unwound before its helper finished"
+            );
+            assert_eq!(current_worker_index(), None, "caller's worker index restored on unwind");
+        }
+        // Both sides survive: the next dispatch covers every thread.
+        let hits: Vec<TestCounter> = (0..2).map(|_| TestCounter::new(0)).collect();
+        pool.run(2, &|t| {
+            hits[t].fetch_add(1, Ordering::Relaxed);
+        });
+        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
     fn forwards_dispatcher_request_id_to_workers() {
         use wise_trace::telemetry;
         let pool = WorkerPool::new();
@@ -491,37 +572,5 @@ mod tests {
         let pool = WorkerPool::new();
         pool.run(4, &|_| {});
         drop(pool); // must not hang
-    }
-
-    #[test]
-    fn spin_env_parses_valid_budgets() {
-        assert_eq!(parse_wise_pool_spin(None), Ok(None));
-        // 0 is a *valid* setting: it disables spinning.
-        assert_eq!(parse_wise_pool_spin(Some("0")), Ok(Some(0)));
-        assert_eq!(parse_wise_pool_spin(Some("512")), Ok(Some(512)));
-        assert_eq!(parse_wise_pool_spin(Some(" 64 ")), Ok(Some(64)));
-        assert_eq!(parse_wise_pool_spin(Some("4294967295")), Ok(Some(u32::MAX)));
-    }
-
-    #[test]
-    fn spin_env_rejects_malformed_budgets() {
-        assert_eq!(
-            parse_wise_pool_spin(Some("")),
-            Err(KnobError::Empty { knob: "WISE_POOL_SPIN" })
-        );
-        assert_eq!(
-            parse_wise_pool_spin(Some("  ")),
-            Err(KnobError::Empty { knob: "WISE_POOL_SPIN" })
-        );
-        for bad in ["-1", "lots", "1e3", "4294967296"] {
-            let err = parse_wise_pool_spin(Some(bad)).unwrap_err();
-            match &err {
-                KnobError::Invalid { knob: "WISE_POOL_SPIN", value, .. } => {
-                    assert_eq!(value, bad, "input {bad:?}");
-                }
-                other => panic!("input {bad:?}: unexpected error {other:?}"),
-            }
-            assert!(err.to_string().contains("WISE_POOL_SPIN"));
-        }
     }
 }

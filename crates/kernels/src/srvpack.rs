@@ -610,14 +610,11 @@ impl SrvPack {
         };
         y.fill(0.0);
         let c = self.config.c;
-        // Dynamic scheduling grabs one chunk at a time: under RFS the
-        // widest chunks cluster at the front, and coarse grabs would
-        // hand them all to one thread. Static policies keep CSR-like
-        // granularity to bound the round-robin bookkeeping.
-        let grain = match schedule {
-            Schedule::Dyn => 1,
-            _ => (crate::csr_spmv::DEFAULT_ROWS_PER_CHUNK / c).max(1),
-        };
+        // Every policy grabs CSR's 256-row unit, Dyn included: a
+        // per-chunk grab costs one shared atomic per c rows, and the
+        // counter's line bouncing between threads costs more than the
+        // finer balance buys (measured in DESIGN.md §12).
+        let grain = (crate::csr_spmv::DEFAULT_ROWS_PER_CHUNK / c).max(1);
         let isa = self.resolved_isa();
         let pf = self.resolved_prefetch(isa);
         let pair = self.resolved_interleave(isa) >= 2;

@@ -165,7 +165,7 @@ fn nested_calls_run_inline_on_the_worker() {
     let packs_differ = AtomicUsize::new(0);
     parallel_for_chunks_with(Executor::Pool, catalog.len(), 3, Schedule::Dyn, 1, |i| {
         let outer = pool::current_worker_index();
-        assert!(outer.is_some(), "the outer job runs on pool workers");
+        assert!(outer.is_some(), "the outer job runs on executor threads");
         parallel_for_chunks_with(Executor::Pool, 64, 4, Schedule::Dyn, 1, |_| {
             if pool::current_worker_index() != outer {
                 index_drift.fetch_add(1, Ordering::SeqCst);
@@ -191,15 +191,20 @@ fn nested_calls_run_inline_on_the_worker() {
 /// the global pool serving subsequent dispatches.
 #[test]
 fn pool_survives_panicking_chunk_bodies() {
-    for round in 0..3 {
+    // StCont with 4 threads over 16 chunks: chunk 9 belongs to a pool
+    // worker (thread 2), chunk 0 to the dispatching thread (thread 0).
+    for (round, bad) in [9usize, 9, 9, 0].into_iter().enumerate() {
         let err = catch_unwind(AssertUnwindSafe(|| {
             parallel_for_chunks_with(Executor::Pool, 16, 4, Schedule::StCont, 1, |i| {
-                if i == 9 {
+                if i == bad {
                     panic!("injected chunk panic, round {round}");
                 }
             });
         }));
         assert!(err.is_err(), "chunk panic must reach the caller");
+        // A panic in the caller's own share must not leave it marked as
+        // an executor thread (every later call would run inline).
+        assert_eq!(pool::current_worker_index(), None, "round {round}");
         // The very next dispatch must work.
         let hits: Vec<AtomicUsize> = (0..32).map(|_| AtomicUsize::new(0)).collect();
         parallel_for_chunks_with(Executor::Pool, 32, 4, Schedule::Dyn, 2, |i| {
@@ -209,7 +214,8 @@ fn pool_survives_panicking_chunk_bodies() {
     }
 }
 
-/// The pool resizes upward on demand and keeps old workers.
+/// The pool resizes upward on demand and keeps old workers; the
+/// dispatcher runs logical thread 0, so an n-thread job needs n − 1.
 #[test]
 fn local_pool_resizes_and_shuts_down() {
     let pool = WorkerPool::new();
@@ -220,6 +226,6 @@ fn local_pool_resizes_and_shuts_down() {
         });
         assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
     }
-    assert_eq!(pool.size(), 16, "grows to the high-water mark, never shrinks");
+    assert_eq!(pool.size(), 15, "grows to the high-water mark, never shrinks");
     drop(pool); // joins workers; hanging here fails the test by timeout
 }

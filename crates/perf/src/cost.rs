@@ -230,8 +230,10 @@ fn estimate_layout(
                 1 => c as f64 * machine.scalar_cycles_per_nnz,
                 l => (c as f64 / l as f64).ceil() * machine.simd_cycles_per_step / mlp,
             };
-            // Mirror the kernel: Dyn grabs single chunks (RFS fronts
-            // the widest chunks), static policies use coarser blocks.
+            // Deliberately not the kernel's grain: the model keeps the
+            // paper's per-chunk dynamic grabs on its modelled machine
+            // (labels stay comparable); the kernel hands every policy
+            // 256-row blocks (DESIGN.md §12).
             grain = match cfg.schedule {
                 wise_kernels::Schedule::Dyn => 1,
                 _ => (model_rows_per_chunk(m.nrows(), nthreads) / c).max(1),

@@ -1,9 +1,9 @@
 //! One shared grammar for every `WISE_*` environment knob.
 //!
-//! Five knobs across two crates (`WISE_SIMD`, `WISE_PREFETCH`,
-//! `WISE_CASCADE`, `WISE_THREADS`, `WISE_POOL_SPIN`) grew
-//! the same parse-and-warn contract independently; this module is now
-//! the single implementation they all call through:
+//! Four knobs across two crates (`WISE_SIMD`, `WISE_PREFETCH`,
+//! `WISE_CASCADE`, `WISE_THREADS`) grew the same parse-and-warn
+//! contract independently; this module is now the single
+//! implementation they all call through:
 //!
 //! * unset → `Ok(None)` (the caller applies its default);
 //! * the value is trimmed; empty (or whitespace-only) after the trim is

@@ -167,6 +167,9 @@ fn mlp_knobs_never_change_results_bitwise() {
     let picks = [
         MethodConfig::csr(Schedule::Dyn),
         MethodConfig::csr(Schedule::St),
+        // Auto-width CSR runs the scalar loop; v8 keeps the gather
+        // kernels' prefetch/interleave paths under test.
+        MethodConfig::csr(Schedule::Dyn).with_simd(8),
         MethodConfig::sellpack(8, Schedule::Dyn),
         MethodConfig::sell_c_r(8),
         MethodConfig::sell_c_sigma(4, 4096, Schedule::StCont),
@@ -252,6 +255,7 @@ fn prefetch_override_sweep_never_changes_numerics() {
     let x = dense_x(m.ncols(), 0x0DD5);
     for cfg in [
         MethodConfig::csr(Schedule::Dyn),
+        MethodConfig::csr(Schedule::Dyn).with_simd(8),
         MethodConfig::sell_c_r(8),
         MethodConfig::sellpack(4, Schedule::St),
     ] {
