@@ -255,23 +255,18 @@ fn main() {
     }
 
     // ---- 4. SIMD vs scalar throughput on the pinned SELL probe ------
-    // Three rungs: forced scalar, plain vector (prefetch and
-    // interleave pinned off, so the span stays comparable with records
-    // written before the MLP kernels existed), and the MLP kernel with
-    // the auto prefetch/interleave policies engaged.
-    report::progress("stage 4/7: SIMD throughput probe (scalar / vector / mlp)");
+    // Two rungs: forced scalar (v = 1) and the auto kernel (v = 0) —
+    // the kernel selection actually executes, with the auto prefetch
+    // and chunk-pair policies engaged wherever they apply.
+    report::progress("stage 4/7: SIMD throughput probe (scalar / vector)");
     let isa = wise_kernels::simd::active();
     let (_, simd_matrix) = &probes[3];
     let simd_cfg = MethodConfig::sell_c_sigma(8, 512, Schedule::StCont);
     let xs: Vec<f64> = (0..simd_matrix.ncols()).map(|i| (i as f64).cos()).collect();
     let mut ys = vec![0.0; simd_matrix.nrows()];
     let scalar_prep = simd_cfg.with_simd(1).prepare(simd_matrix);
-    // `pf = MAX+`-style "explicit off" is not label-encodable, so pin
-    // the plain-vector rung off through the process-wide override and
-    // restore auto before the MLP rung.
-    let vector_prep = simd_cfg.with_interleave(1).prepare(simd_matrix);
-    let mlp_prep = simd_cfg.prepare(simd_matrix);
-    let (mlp_pf, mlp_il) = match &mlp_prep {
+    let vector_prep = simd_cfg.prepare(simd_matrix);
+    let (mlp_pf, mlp_il) = match &vector_prep {
         wise_kernels::method::Prepared::Pack(p, _) => {
             let risa = p.resolved_isa();
             (p.resolved_prefetch(risa), p.resolved_interleave(risa))
@@ -279,37 +274,27 @@ fn main() {
         _ => (0, 1),
     };
     let probe_nnz = vector_prep.nnz_padded() as u64;
-    wise_kernels::simd::set_prefetch(Some(0));
-    for _ in 0..3 {
-        scalar_prep.spmv(&xs, &mut ys, 1, &mut ws);
-        vector_prep.spmv(&xs, &mut ys, 1, &mut ws);
-    }
-    for _ in 0..spmv_iters {
-        {
-            let _s = wise_trace::span("bench.simd.scalar");
-            scalar_prep.spmv(&xs, &mut ys, 1, &mut ws);
+    // Each rung warms and times its own pack back to back: alternating
+    // the two packs per call would make every call start on the other
+    // pack's cache footprint.
+    for (prep, span, nnz) in [
+        (&scalar_prep, "bench.simd.scalar", "bench.simd.scalar.nnz"),
+        (&vector_prep, "bench.simd.vector", "bench.simd.vector.nnz"),
+    ] {
+        for _ in 0..3 {
+            prep.spmv(&xs, &mut ys, 1, &mut ws);
         }
-        wise_trace::counter("bench.simd.scalar.nnz", probe_nnz);
-        {
-            let _s = wise_trace::span("bench.simd.vector");
-            vector_prep.spmv(&xs, &mut ys, 1, &mut ws);
+        for _ in 0..spmv_iters {
+            {
+                let _s = wise_trace::span(span);
+                prep.spmv(&xs, &mut ys, 1, &mut ws);
+            }
+            wise_trace::counter(nnz, probe_nnz);
         }
-        wise_trace::counter("bench.simd.vector.nnz", probe_nnz);
-    }
-    wise_kernels::simd::set_prefetch(None);
-    for _ in 0..3 {
-        mlp_prep.spmv(&xs, &mut ys, 1, &mut ws);
-    }
-    for _ in 0..spmv_iters {
-        {
-            let _s = wise_trace::span("bench.simd.mlp");
-            mlp_prep.spmv(&xs, &mut ys, 1, &mut ws);
-        }
-        wise_trace::counter("bench.simd.mlp.nnz", probe_nnz);
     }
     black_box(&ys);
     report::progress(format_args!(
-        "simd probe: {} ({} lanes), mlp pf{mlp_pf}:il{mlp_il}, {} padded nnz, {spmv_iters} iters",
+        "simd probe: {} ({} lanes), auto pf{mlp_pf}:il{mlp_il}, {} padded nnz, {spmv_iters} iters",
         isa.name(),
         isa.lanes(),
         probe_nnz
@@ -483,22 +468,6 @@ fn main() {
             args.simd_floor
         );
     }
-    // MLP speedup: the prefetched/interleaved kernel against the same
-    // forced-scalar baseline. This is the rung the raised --simd-floor
-    // gates on AVX-512 hosts; lesser ISAs run the plain vector kernel
-    // in both spans, so the ratio would only duplicate bench.simd.speedup.
-    let mlp_speedup = match (
-        summary.stages.get("bench.simd.scalar").map(|s| s.min_ns),
-        summary.stages.get("bench.simd.mlp").map(|s| s.min_ns),
-    ) {
-        (Some(s), Some(v)) if v > 0 => Some(s as f64 / v as f64),
-        _ => None,
-    };
-    if let Some(sp) = mlp_speedup {
-        record.throughput.insert("bench.simd.mlp_speedup".to_string(), sp);
-        println!("simd: mlp kernel (pf{mlp_pf}:il{mlp_il}) speedup {sp:.2}x over forced scalar");
-    }
-
     // Cascade selection latency: p50-over-p50 fast-vs-full speedup and
     // the fallthrough rate, recorded for trend tracking (older records
     // simply lack the fields).
@@ -536,7 +505,6 @@ fn main() {
     if isa.lanes() > 1 {
         policy.tracked.push("bench.simd.scalar".to_string());
         policy.tracked.push("bench.simd.vector".to_string());
-        policy.tracked.push("bench.simd.mlp".to_string());
     }
     let gate_report = ledger::gate(&prior, &record, &policy);
     println!("\n{}", gate_report.render());
@@ -548,20 +516,12 @@ fn main() {
         std::process::exit(1);
     }
     if isa.lanes() > 1 {
-        // The raised floor gates the MLP rung only where the MLP
-        // kernels actually engage (AVX-512: chunk-pair + prefetch);
-        // narrower ISAs gate the plain vector rung so an AVX2 CI
-        // runner is held to what its hardware can deliver.
-        let gated = if isa == wise_kernels::simd::SimdIsa::Avx512 {
-            ("mlp", mlp_speedup.unwrap_or(0.0))
-        } else {
-            ("vector", speedup.unwrap_or(0.0))
-        };
-        if gated.1 < args.simd_floor {
+        let sp = speedup.unwrap_or(0.0);
+        if sp < args.simd_floor {
             eprintln!(
-                "bench_regress: SIMD floor violated — {} kernel {:.2}x vs scalar \
+                "bench_regress: SIMD floor violated — vector kernel {sp:.2}x vs scalar \
                  (floor {:.2}x)",
-                gated.0, gated.1, args.simd_floor
+                args.simd_floor
             );
             std::process::exit(1);
         }

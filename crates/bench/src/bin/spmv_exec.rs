@@ -14,9 +14,9 @@
 //!
 //! Pool and spawn results are asserted bit-identical before timings are
 //! trusted (the exhaustive version lives in the `pool_parity` suite).
-//! `WISE_EXEC_QUICK=1` is the CI smoke mode; pass `--trace-out <path>`
-//! to capture `pool.dispatch` / `pool.jobs` / `kernel.spmv` for
-//! `check_trace`.
+//! `WISE_SCALE=tiny` is the CI smoke mode (fewer thread counts and
+//! iterations); pass `--trace-out <path>` to capture `pool.dispatch` /
+//! `pool.jobs` / `kernel.spmv` for `check_trace`.
 
 use std::time::Duration;
 use wise_bench::*;
@@ -29,7 +29,7 @@ use wise_kernels::{Executor, MethodConfig, Schedule};
 fn main() {
     let _trace = wise_bench::report::init();
     let ctx = BenchContext::from_env();
-    let quick = std::env::var("WISE_EXEC_QUICK").map(|v| v == "1").unwrap_or(false);
+    let quick = ctx.scale_name == "tiny";
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let isa = wise_kernels::simd::active();
     println!("== SpMV executor: persistent pool vs per-call spawn ==");

@@ -10,7 +10,7 @@
 //! ~8% noise — the regime WISE's ~90%-accurate format classes live in.
 //!
 //! Also checks, per shape, that both trainers produce bit-identical
-//! trees before trusting the timings. `WISE_TREE_QUICK=1` (the CI smoke
+//! trees before trusting the timings. `WISE_SCALE=tiny` (the CI smoke
 //! mode) runs one small shape with one repetition; pass `--trace-out
 //! <path>` to capture the `ml.fit` / `train.presort` / `train.split`
 //! spans for `check_trace`.
@@ -84,7 +84,7 @@ fn time_fits(reps: usize, mut fit: impl FnMut() -> DecisionTree) -> (f64, Decisi
 fn main() {
     let _trace = wise_bench::report::init();
     let ctx = BenchContext::from_env();
-    let quick = std::env::var("WISE_TREE_QUICK").map(|v| v == "1").unwrap_or(false);
+    let quick = ctx.scale_name == "tiny";
     let reps = if quick { 1 } else { 10 };
     let shapes: &[(usize, usize, u32)] =
         if quick { &[(200, 20, 4)] } else { &[(1000, 80, 4), (1500, 67, 7)] };

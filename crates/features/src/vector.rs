@@ -77,15 +77,15 @@ wise_trace::json_struct!(FeatureVector { values } check |f: &FeatureVector| matc
 
 /// The host SIMD/MLP capability features, in vector order:
 /// `[host_simd_lanes, host_prefetch, host_interleave]`. They depend on
-/// the active ISA (so `WISE_SIMD`/`WISE_PREFETCH` caps are visible to
-/// the classifier) and on `ncols`, which drives the auto policies'
-/// x-footprint thresholds. Shared by the full extractor, the reference
-/// extractor and the probe, so all three agree bit-for-bit.
+/// the active ISA (so a `WISE_SIMD` cap is visible to the classifier)
+/// and on `ncols`, which drives the auto policies' x-footprint
+/// thresholds. Shared by the full extractor, the reference extractor
+/// and the probe, so all three agree bit-for-bit.
 pub fn host_simd_features(ncols: usize) -> [f64; 3] {
     let isa = wise_kernels::simd::active();
     [
         isa.lanes() as f64,
-        wise_kernels::simd::prefetch_distance(isa, ncols) as f64,
+        wise_kernels::simd::auto_prefetch_distance(isa, ncols) as f64,
         wise_kernels::simd::auto_csr_interleave(isa, ncols) as f64,
     ]
 }

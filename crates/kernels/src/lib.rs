@@ -1,4 +1,3 @@
-#![cfg_attr(wise_portable_simd, feature(portable_simd))]
 //! SpMV kernels for the WISE reproduction.
 //!
 //! This crate implements the full SpMV optimization space of the paper
@@ -11,7 +10,8 @@
 //!   pool: parked threads woken via an epoch-sequenced condvar handoff,
 //!   so repeated SpMV calls pay a microsecond-scale dispatch instead of
 //!   per-call OS thread creation (see DESIGN.md §12);
-//! * [`csr_spmv`] — parallel CSR SpMV under any scheduling policy;
+//! * [`csr_spmv`] — parallel CSR SpMV under any scheduling policy (one
+//!   scalar row loop);
 //! * [`srvpack`] — the unified Segmented Reordered Vector Packing format
 //!   (Appendix A) and its vectorized kernel, plus builders for
 //!   SELLPACK, Sell-c-σ, Sell-c-R, LAV-1Seg and LAV;
@@ -22,15 +22,13 @@
 //!   see DESIGN.md for the substitution argument);
 //! * [`merge_csr`] — a merge-path load-balanced CSR kernel, the worked
 //!   example for extending WISE beyond the paper's 29 configurations;
-//! * [`simd`] — the runtime CPU capability probe (SSE2/AVX2/AVX-512, a
-//!   portable multi-accumulator level elsewhere) and the explicitly
-//!   vectorized CSR-row and SELL-chunk kernels it dispatches — with
-//!   software-prefetched gathers (`WISE_PREFETCH`), row-block/chunk-pair
-//!   interleaving, and AVX-512 masked tails (DESIGN.md §17) — plus the
+//! * [`simd`] — the runtime CPU capability probe (Scalar/AVX2/AVX-512)
+//!   and the explicitly vectorized SELL-chunk kernels it dispatches —
+//!   with the auto software-prefetch and AVX-512 chunk-pair policies and
+//!   masked lanes for chunk heights below 8 (DESIGN.md §17) — plus the
 //!   ulp-tolerance contract that replaces bit-exactness for reassociated
 //!   sums (`WISE_SIMD=0` opts back into the bit-exact scalar paths; see
-//!   DESIGN.md §14). Building with `--cfg wise_portable_simd` (nightly)
-//!   swaps the portable level's plain-Rust loops for `std::simd`;
+//!   DESIGN.md §14). CSR always runs its scalar row loop;
 //! * [`timing`] — robust wall-clock measurement helpers reporting the
 //!   full sample spread ([`timing::Samples`]).
 //!

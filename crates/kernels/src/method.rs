@@ -76,99 +76,52 @@ pub struct MethodConfig {
     pub sigma: usize,
     /// LAV dense fraction; 0.0 unless `method == Lav`.
     pub t: f64,
-    /// Requested SIMD lane width for the kernels: 0 = auto (the scalar
-    /// row loop for CSR, the widest level active on the host for
-    /// packed chunks), 1 = forced scalar (bit-exact legacy path),
-    /// 2/4/8 = cap at that many f64 lanes. Defaults to 0, so
-    /// configs serialized before this field existed — and the default
-    /// catalog — behave as auto and keep their pre-SIMD labels.
+    /// Requested SIMD lane width for the packed chunk kernel: 0 = auto
+    /// (the widest level active on the host), 1 = forced scalar
+    /// (bit-exact legacy path), 4/8 = cap at that many f64 lanes.
+    /// Ignored for CSR, which has one (scalar) kernel; `with_simd`
+    /// leaves it 0 there. Defaults to 0, so configs serialized before
+    /// this field existed — and the default catalog — behave as auto
+    /// and keep their pre-SIMD labels.
     pub v: usize,
-    /// Requested software-prefetch distance in vector steps: 0 = auto
-    /// (the `WISE_PREFETCH` / ISA policy decides), n ≥ 1 = prefetch n
-    /// steps ahead. Defaults to 0 when absent from JSON, so pre-MLP
-    /// files still load; an explicit value appears in labels as a
-    /// `-p{n}` tag.
-    pub pf: usize,
-    /// Requested row/chunk interleave factor: 0 = auto policy, 1 =
-    /// off (solo chains), n ≥ 2 = interleave n independent accumulator
-    /// chains. Defaults to 0 when absent from JSON; labeled as `-i{n}`
-    /// when explicit.
-    pub il: usize,
 }
 
 wise_trace::json_enum!(Method { Csr, SellPack, SellCSigma, SellCR, Lav1Seg, Lav });
-wise_trace::json_struct!(MethodConfig { method, schedule, c, sigma, t, v = 0, pf = 0, il = 0 });
+// Files written while configs still carried `pf`/`il` members decode
+// with both ignored.
+wise_trace::json_struct!(MethodConfig { method, schedule, c, sigma, t, v = 0 });
 
 impl MethodConfig {
     pub fn csr(schedule: Schedule) -> Self {
-        MethodConfig { method: Method::Csr, schedule, c: 0, sigma: 0, t: 0.0, v: 0, pf: 0, il: 0 }
+        MethodConfig { method: Method::Csr, schedule, c: 0, sigma: 0, t: 0.0, v: 0 }
     }
 
     pub fn sellpack(c: usize, schedule: Schedule) -> Self {
-        MethodConfig { method: Method::SellPack, schedule, c, sigma: 0, t: 0.0, v: 0, pf: 0, il: 0 }
+        MethodConfig { method: Method::SellPack, schedule, c, sigma: 0, t: 0.0, v: 0 }
     }
 
     pub fn sell_c_sigma(c: usize, sigma: usize, schedule: Schedule) -> Self {
-        MethodConfig { method: Method::SellCSigma, schedule, c, sigma, t: 0.0, v: 0, pf: 0, il: 0 }
+        MethodConfig { method: Method::SellCSigma, schedule, c, sigma, t: 0.0, v: 0 }
     }
 
     pub fn sell_c_r(c: usize) -> Self {
-        MethodConfig {
-            method: Method::SellCR,
-            schedule: Schedule::Dyn,
-            c,
-            sigma: 0,
-            t: 0.0,
-            v: 0,
-            pf: 0,
-            il: 0,
-        }
+        MethodConfig { method: Method::SellCR, schedule: Schedule::Dyn, c, sigma: 0, t: 0.0, v: 0 }
     }
 
     pub fn lav_1seg(c: usize) -> Self {
-        MethodConfig {
-            method: Method::Lav1Seg,
-            schedule: Schedule::Dyn,
-            c,
-            sigma: 0,
-            t: 0.0,
-            v: 0,
-            pf: 0,
-            il: 0,
-        }
+        MethodConfig { method: Method::Lav1Seg, schedule: Schedule::Dyn, c, sigma: 0, t: 0.0, v: 0 }
     }
 
     pub fn lav(c: usize, t: f64) -> Self {
-        MethodConfig {
-            method: Method::Lav,
-            schedule: Schedule::Dyn,
-            c,
-            sigma: 0,
-            t,
-            v: 0,
-            pf: 0,
-            il: 0,
-        }
+        MethodConfig { method: Method::Lav, schedule: Schedule::Dyn, c, sigma: 0, t, v: 0 }
     }
 
     /// Returns this config with an explicit SIMD width (see the `v`
-    /// field docs for the encoding).
+    /// field docs for the encoding). A no-op on CSR configs.
     pub fn with_simd(mut self, v: usize) -> Self {
-        self.v = v;
-        self
-    }
-
-    /// Returns this config with an explicit prefetch distance (see the
-    /// `pf` field docs; 0 restores the auto policy).
-    pub fn with_prefetch(mut self, pf: usize) -> Self {
-        self.pf = pf;
-        self
-    }
-
-    /// Returns this config with an explicit interleave factor (see the
-    /// `il` field docs; 0 restores the auto policy, 1 disables).
-    pub fn with_interleave(mut self, il: usize) -> Self {
-        self.il = il;
+        if self.method != Method::Csr {
+            self.v = v;
+        }
         self
     }
 
@@ -220,24 +173,16 @@ impl MethodConfig {
 
     /// Stable human-readable label, used in reports and model files.
     ///
-    /// The SIMD width appears as a `-v{n}` segment only when explicit
-    /// (`v != 0`), directly before the schedule suffix for scheduled
-    /// methods (`CSR-v8-Dyn`, `SELLPACK-c8-v4-Dyn`) and at the end for
+    /// A packed config's SIMD width appears as a `-v{n}` segment only
+    /// when explicit (`v != 0`), directly before the schedule suffix
+    /// for scheduled methods (`SELLPACK-c8-v4-Dyn`) and at the end for
     /// Dyn-only methods (`Sell-c-R-c8-v4`) — so every pre-SIMD label
-    /// is unchanged and still parses ([`MethodConfig::parse`]). The
-    /// MLP knobs follow the same rule in the same position: `-p{n}`
-    /// (prefetch distance) then `-i{n}` (interleave), each emitted
-    /// only when explicit, e.g. `CSR-v8-p4-i2-Dyn`.
+    /// is unchanged and still parses ([`MethodConfig::parse`]). CSR
+    /// labels never carry a width.
     pub fn label(&self) -> String {
-        let mut vtag = if self.v == 0 { String::new() } else { format!("-v{}", self.v) };
-        if self.pf != 0 {
-            vtag.push_str(&format!("-p{}", self.pf));
-        }
-        if self.il != 0 {
-            vtag.push_str(&format!("-i{}", self.il));
-        }
+        let vtag = if self.v == 0 { String::new() } else { format!("-v{}", self.v) };
         match self.method {
-            Method::Csr => format!("CSR{}-{}", vtag, self.schedule.name()),
+            Method::Csr => format!("CSR-{}", self.schedule.name()),
             Method::SellPack => format!("SELLPACK-c{}{}-{}", self.c, vtag, self.schedule.name()),
             Method::SellCSigma => {
                 format!("Sell-c-s-c{}-s{}{}-{}", self.c, self.sigma, vtag, self.schedule.name())
@@ -251,8 +196,8 @@ impl MethodConfig {
     }
 
     /// Inverse of [`MethodConfig::label`]: parses both pre-SIMD labels
-    /// (`v = 0`) and width-suffixed ones. Returns `None` for anything
-    /// `label()` cannot produce.
+    /// (`v = 0`) and width-suffixed packed ones. Returns `None` for
+    /// anything `label()` cannot produce.
     pub fn parse(label: &str) -> Option<MethodConfig> {
         // Leading decimal run -> (number, rest).
         fn num(s: &str) -> Option<(usize, &str)> {
@@ -262,104 +207,62 @@ impl MethodConfig {
             }
             Some((s[..end].parse().ok()?, &s[end..]))
         }
-        // One optional "{ch}{n}-" tag with n != 0 (explicit tags never
-        // encode 0 — zero means "omit the tag").
-        fn tag(s: &str, ch: char) -> Option<(usize, &str)> {
-            let (n, tail) = s.strip_prefix(ch).and_then(num)?;
-            if n == 0 {
-                return None;
+        // Optional "v{n}-" ahead of a schedule suffix; explicit tags
+        // never encode 0 — zero means "omit the tag".
+        fn v_infix(s: &str) -> Option<(usize, &str)> {
+            match s.strip_prefix('v') {
+                Some(tagged) => {
+                    let (v, tail) = num(tagged)?;
+                    (v != 0).then_some((v, tail.strip_prefix('-')?))
+                }
+                None => Some((0, s)),
             }
-            Some((n, tail.strip_prefix('-')?))
         }
-        // Optional "v{n}-p{n}-i{n}-" run ahead of a schedule suffix
-        // (each tag independently optional, in that order).
-        fn mlp_infix(s: &str) -> (usize, usize, usize, &str) {
-            let (mut v, mut pf, mut il, mut rest) = (0, 0, 0, s);
-            if let Some((n, tail)) = tag(rest, 'v') {
-                (v, rest) = (n, tail);
+        // Optional trailing "-v{n}" on Dyn-only labels.
+        fn v_suffix(s: &str) -> Option<usize> {
+            if s.is_empty() {
+                return Some(0);
             }
-            if let Some((n, tail)) = tag(rest, 'p') {
-                (pf, rest) = (n, tail);
-            }
-            if let Some((n, tail)) = tag(rest, 'i') {
-                (il, rest) = (n, tail);
-            }
-            (v, pf, il, rest)
+            let (v, tail) = num(s.strip_prefix("-v")?)?;
+            (v != 0 && tail.is_empty()).then_some(v)
         }
-        // Optional trailing "-v{n}[-p{n}][-i{n}]" on Dyn-only labels.
-        fn mlp_suffix(s: &str) -> Option<(usize, usize, usize)> {
-            fn stag<'a>(s: &'a str, pre: &str) -> Option<(usize, &'a str)> {
-                let (n, tail) = s.strip_prefix(pre).and_then(num)?;
-                (n != 0).then_some((n, tail))
-            }
-            let (mut v, mut pf, mut il, mut rest) = (0, 0, 0, s);
-            if let Some((n, tail)) = stag(rest, "-v") {
-                (v, rest) = (n, tail);
-            }
-            if let Some((n, tail)) = stag(rest, "-p") {
-                (pf, rest) = (n, tail);
-            }
-            if let Some((n, tail)) = stag(rest, "-i") {
-                (il, rest) = (n, tail);
-            }
-            rest.is_empty().then_some((v, pf, il))
-        }
-        let mlp =
-            |cfg: MethodConfig, v, pf, il| cfg.with_simd(v).with_prefetch(pf).with_interleave(il);
         if let Some(rest) = label.strip_prefix("CSR-") {
-            let (v, pf, il, rest) = mlp_infix(rest);
-            return Some(mlp(MethodConfig::csr(Schedule::parse(rest)?), v, pf, il));
+            return Some(MethodConfig::csr(Schedule::parse(rest)?));
         }
         if let Some(rest) = label.strip_prefix("SELLPACK-c") {
             let (c, rest) = num(rest)?;
-            let (v, pf, il, rest) = mlp_infix(rest.strip_prefix('-')?);
-            return Some(mlp(MethodConfig::sellpack(c, Schedule::parse(rest)?), v, pf, il));
+            let (v, rest) = v_infix(rest.strip_prefix('-')?)?;
+            return Some(MethodConfig::sellpack(c, Schedule::parse(rest)?).with_simd(v));
         }
         if let Some(rest) = label.strip_prefix("Sell-c-s-c") {
             let (c, rest) = num(rest)?;
             let (sigma, rest) = num(rest.strip_prefix("-s")?)?;
-            let (v, pf, il, rest) = mlp_infix(rest.strip_prefix('-')?);
-            return Some(mlp(
-                MethodConfig::sell_c_sigma(c, sigma, Schedule::parse(rest)?),
-                v,
-                pf,
-                il,
-            ));
+            let (v, rest) = v_infix(rest.strip_prefix('-')?)?;
+            return Some(MethodConfig::sell_c_sigma(c, sigma, Schedule::parse(rest)?).with_simd(v));
         }
         if let Some(rest) = label.strip_prefix("Sell-c-R-c") {
             let (c, rest) = num(rest)?;
-            let (v, pf, il) = mlp_suffix(rest)?;
-            return Some(mlp(MethodConfig::sell_c_r(c), v, pf, il));
+            return Some(MethodConfig::sell_c_r(c).with_simd(v_suffix(rest)?));
         }
         if let Some(rest) = label.strip_prefix("LAV-1Seg-c") {
             let (c, rest) = num(rest)?;
-            let (v, pf, il) = mlp_suffix(rest)?;
-            return Some(mlp(MethodConfig::lav_1seg(c), v, pf, il));
+            return Some(MethodConfig::lav_1seg(c).with_simd(v_suffix(rest)?));
         }
         if let Some(rest) = label.strip_prefix("LAV-c") {
             let (c, rest) = num(rest)?;
             let (t100, rest) = num(rest.strip_prefix("-T")?)?;
-            let (v, pf, il) = mlp_suffix(rest)?;
-            return Some(mlp(MethodConfig::lav(c, t100 as f64 / 100.0), v, pf, il));
+            return Some(MethodConfig::lav(c, t100 as f64 / 100.0).with_simd(v_suffix(rest)?));
         }
         None
     }
 
     /// Total order used for preprocessing-cost tie-breaking
     /// (Section 4.4): method rank first, then smaller parameters. The
-    /// SIMD width and MLP knobs sort last — they change execution, not
-    /// preprocessing, so they only break ties among otherwise-identical
+    /// SIMD width sorts last — it changes execution, not
+    /// preprocessing, so it only breaks ties among otherwise-identical
     /// configs.
-    pub fn preproc_key(&self) -> (u8, usize, usize, u64, usize, usize, usize) {
-        (
-            self.method.preproc_rank(),
-            self.c,
-            self.sigma,
-            (self.t * 1000.0) as u64,
-            self.v,
-            self.pf,
-            self.il,
-        )
+    pub fn preproc_key(&self) -> (u8, usize, usize, u64, usize) {
+        (self.method.preproc_rank(), self.c, self.sigma, (self.t * 1000.0) as u64, self.v)
     }
 
     /// Converts the matrix into this configuration's executable form.
@@ -367,23 +270,9 @@ impl MethodConfig {
     pub fn prepare<'m>(&self, m: &'m Csr) -> Prepared<'m> {
         let _span = wise_trace::span("kernel.convert");
         wise_trace::counter("kernel.convert.nnz", m.nnz() as u64);
-        // 0 = auto in the catalog encoding; the kernels take None for
-        // auto so an explicit `-p0` label (rejected by parse) never
-        // aliases "prefetch off".
-        let pf = if self.pf == 0 { None } else { Some(self.pf) };
-        let pack = |p: SrvPack| {
-            Prepared::Pack(
-                Box::new(p.with_simd(self.v).with_prefetch(pf).with_interleave(self.il)),
-                self.schedule,
-            )
-        };
+        let pack = |p: SrvPack| Prepared::Pack(Box::new(p.with_simd(self.v)), self.schedule);
         let prepared = match self.method {
-            Method::Csr => Prepared::Csr(
-                CsrSpmv::new(m, self.schedule)
-                    .with_simd(self.v)
-                    .with_prefetch(pf)
-                    .with_interleave(self.il),
-            ),
+            Method::Csr => Prepared::Csr(CsrSpmv::new(m, self.schedule)),
             Method::SellPack => pack(SrvPack::sellpack(m, self.c)),
             Method::SellCSigma => pack(SrvPack::sell_c_sigma(m, self.c, self.sigma)),
             Method::SellCR => pack(SrvPack::sell_c_r(m, self.c)),
@@ -408,7 +297,7 @@ impl Prepared<'_> {
     /// Lanes the kernel will actually execute with (1 = scalar path).
     pub fn simd_lanes(&self) -> usize {
         match self {
-            Prepared::Csr(k) => k.resolved_isa().lanes(),
+            Prepared::Csr(_) => 1,
             Prepared::Pack(p, _) => p.resolved_isa().lanes(),
         }
     }
@@ -535,7 +424,9 @@ mod tests {
 
     #[test]
     fn width_suffixed_labels_are_stable() {
-        assert_eq!(MethodConfig::csr(Schedule::Dyn).with_simd(8).label(), "CSR-v8-Dyn");
+        // CSR has one kernel: a width request is a no-op.
+        let csr = MethodConfig::csr(Schedule::Dyn).with_simd(8);
+        assert_eq!((csr.v, csr.label()), (0, "CSR-Dyn".to_string()));
         assert_eq!(
             MethodConfig::sellpack(8, Schedule::Dyn).with_simd(4).label(),
             "SELLPACK-c8-v4-Dyn"
@@ -550,50 +441,12 @@ mod tests {
     }
 
     #[test]
-    fn mlp_tagged_labels_are_stable() {
-        let csr = MethodConfig::csr(Schedule::Dyn);
-        assert_eq!(
-            csr.with_simd(8).with_prefetch(4).with_interleave(2).label(),
-            "CSR-v8-p4-i2-Dyn"
-        );
-        assert_eq!(csr.with_prefetch(4).label(), "CSR-p4-Dyn");
-        assert_eq!(csr.with_interleave(2).label(), "CSR-i2-Dyn");
-        assert_eq!(
-            MethodConfig::sellpack(8, Schedule::StCont).with_prefetch(8).label(),
-            "SELLPACK-c8-p8-StCont"
-        );
-        assert_eq!(
-            MethodConfig::sell_c_sigma(8, 512, Schedule::Dyn)
-                .with_simd(8)
-                .with_interleave(2)
-                .label(),
-            "Sell-c-s-c8-s512-v8-i2-Dyn"
-        );
-        assert_eq!(MethodConfig::sell_c_r(8).with_prefetch(16).label(), "Sell-c-R-c8-p16");
-        assert_eq!(
-            MethodConfig::lav(8, 0.8).with_simd(8).with_prefetch(4).with_interleave(1).label(),
-            "LAV-c8-T80-v8-p4-i1"
-        );
-    }
-
-    #[test]
     fn parse_round_trips_every_catalog_label() {
         for cfg in MethodConfig::catalog() {
             assert_eq!(MethodConfig::parse(&cfg.label()), Some(cfg), "{}", cfg.label());
             for v in [1usize, 2, 4, 8] {
                 let wide = cfg.with_simd(v);
                 assert_eq!(MethodConfig::parse(&wide.label()), Some(wide), "{}", wide.label());
-            }
-            for (v, pf, il) in
-                [(0usize, 4usize, 0usize), (0, 0, 2), (8, 4, 2), (8, 0, 1), (4, 64, 2), (1, 1, 1)]
-            {
-                let knobbed = cfg.with_simd(v).with_prefetch(pf).with_interleave(il);
-                assert_eq!(
-                    MethodConfig::parse(&knobbed.label()),
-                    Some(knobbed),
-                    "{}",
-                    knobbed.label()
-                );
             }
         }
     }
@@ -621,6 +474,13 @@ mod tests {
             "Sell-c-R-c8-p0",
             "LAV-c8-T80-i0",
             "LAV-c8-T80-v8-p4-i2x",
+            // Prefetch/interleave tags, and widths on CSR, are gone.
+            "CSR-p4-Dyn",
+            "SELLPACK-c8-i2-Dyn",
+            "Sell-c-R-c8-p16",
+            "CSR-v8-Dyn",
+            "CSR-v1-Dyn",
+            "Sell-c-s-c8-s512-v8-i2-Dyn",
         ] {
             assert_eq!(MethodConfig::parse(bad), None, "{bad:?} must not parse");
         }
@@ -630,7 +490,8 @@ mod tests {
     fn catalog_with_simd_pins_every_entry() {
         let cat = MethodConfig::catalog_with_simd(1);
         assert_eq!(cat.len(), 29);
-        assert!(cat.iter().all(|c| c.v == 1));
+        // CSR has no width to pin.
+        assert!(cat.iter().all(|c| c.v == usize::from(c.method != Method::Csr)));
         // The auto catalog stays width-0 with unchanged labels.
         assert!(MethodConfig::catalog().iter().all(|c| c.v == 0));
     }
@@ -641,37 +502,15 @@ mod tests {
         let json = cfg.to_json();
         assert_eq!(
             json,
-            r#"{"method":"SellCSigma","schedule":"Dyn","c":8,"sigma":512,"t":0.0,"v":0,"pf":0,"il":0}"#
+            r#"{"method":"SellCSigma","schedule":"Dyn","c":8,"sigma":512,"t":0.0,"v":0}"#
         );
-        let stripped =
-            json.replace(",\"v\":0", "").replace(",\"pf\":0", "").replace(",\"il\":0", "");
-        assert_ne!(stripped, json, "test must actually strip the fields");
+        let stripped = json.replace(",\"v\":0", "");
+        assert_ne!(stripped, json, "test must actually strip the field");
         assert_eq!(MethodConfig::from_json_str(&stripped), Ok(cfg));
-    }
-
-    #[test]
-    fn mlp_knobs_round_trip_json_and_never_change_results() {
-        let cfg = MethodConfig::csr(Schedule::Dyn).with_prefetch(4).with_interleave(2);
-        assert_eq!(MethodConfig::from_json_str(&cfg.to_json()), Ok(cfg));
-        // The knobs are scheduling-only: prepared output is
-        // bit-identical to the untagged config's.
-        let m = RmatParams::MED_SKEW.generate(9, 8, 21);
-        let mut rng = SplitMix64::seed_from_u64(5);
-        let x: Vec<f64> = (0..m.ncols()).map(|_| rng.range_f64(-1.0, 1.0)).collect();
-        let mut ws = SpmvWorkspace::default();
-        for base in
-            [MethodConfig::csr(Schedule::Dyn), MethodConfig::sell_c_sigma(8, 512, Schedule::Dyn)]
-        {
-            let mut want = vec![0.0; m.nrows()];
-            base.prepare(&m).spmv(&x, &mut want, 2, &mut ws);
-            for (pf, il) in [(4usize, 0usize), (0, 2), (8, 1), (2, 2)] {
-                let knobbed = base.with_prefetch(pf).with_interleave(il);
-                let mut got = vec![0.0; m.nrows()];
-                knobbed.prepare(&m).spmv(&x, &mut got, 2, &mut ws);
-                let wb: Vec<u64> = want.iter().map(|f| f.to_bits()).collect();
-                let gb: Vec<u64> = got.iter().map(|f| f.to_bits()).collect();
-                assert_eq!(gb, wb, "{} vs {}", knobbed.label(), base.label());
-            }
-        }
+        // Files that still carry the removed prefetch/interleave members
+        // decode with both ignored.
+        let old = json.replace("\"v\":0", "\"v\":0,\"pf\":4,\"il\":2");
+        assert_ne!(old, json);
+        assert_eq!(MethodConfig::from_json_str(&old), Ok(cfg));
     }
 }

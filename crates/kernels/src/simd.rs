@@ -1,55 +1,46 @@
-//! Runtime-dispatched SIMD kernels for the SpMV inner loops.
+//! Runtime-dispatched SIMD kernels for the packed (SELL/SRVPack) SpMV
+//! inner loop.
 //!
 //! The capability probe ([`detect_raw`]) classifies the host into one
-//! of five [`SimdIsa`] levels at startup; kernels then dispatch through
-//! `#[target_feature]` functions so a single binary runs the widest
-//! safe path everywhere. Non-x86-64 hosts land on the [`SimdIsa::
-//! Portable`] level — a plain-Rust multi-accumulator path (optionally
-//! `std::simd` under `--cfg wise_portable_simd` on nightly) instead of
-//! the old scalar fallback. Two kernel families are vectorized:
+//! of three [`SimdIsa`] levels at startup: `Avx512`, `Avx2` (which
+//! requires FMA), or `Scalar` — every non-x86-64 host, and x86-64
+//! without AVX2 + FMA. Kernels dispatch through `#[target_feature]`
+//! functions so a single binary runs the widest safe path everywhere.
 //!
-//! * **CSR rows** ([`csr_row_pf`], [`csr_rows_pf`]): 4-/8-wide
-//!   gather–multiply–accumulate with a horizontal reduction. The
-//!   AVX-512 path replaces the scalar `nnz % 8` residue with a masked
-//!   gather (`_mm512_maskz_*`), and [`csr_rows_pf`] processes `R` rows
-//!   concurrently with `R` independent accumulator chains so gathers
-//!   from different rows overlap in the load ports.
-//! * **SELL/SRVPack chunks** ([`sell_chunk_pf`], [`sell_chunk_pair`]):
-//!   the column-major padded chunk layout maps the chunk's `c` rows
-//!   1:1 onto vector lanes. Chunk heights `c ∈ {2..=7}` now run a
-//!   masked AVX-512 path instead of falling back to scalar, and
-//!   [`sell_chunk_pair`] interleaves two chunks (two independent
-//!   accumulator chains) to hide gather latency — measured the most
-//!   robust MLP win on this host (never loses to the single chain).
+//! Only the SELL/SRVPack chunk is vectorized ([`sell_chunk_pf`],
+//! [`sell_chunk_pair`]): the column-major padded chunk layout maps the
+//! chunk's `c` rows 1:1 onto vector lanes, so each column step is one
+//! gather + one FMA with no horizontal reduction. `c ∈ {4, 8}` run
+//! natively, `c ∈ {2..=7}` through a masked AVX-512 kernel, and
+//! [`sell_chunk_pair`] interleaves two c=8 chunks (two independent
+//! accumulator chains) to hide gather latency. CSR rows stay scalar:
+//! the gather row kernels lost to the scalar loop at the row lengths
+//! the catalog sees (DESIGN.md §14).
 //!
 //! Gather-bound SpMV serializes on `vgatherdpd` latency, not FLOPs, so
-//! the kernels also accept a software **prefetch distance**: `D` steps
-//! ahead of the current one, the kernel issues `_mm_prefetch` on the
-//! x-lines named by `cols[k + D·lanes ..]`. The distance comes from
-//! [`prefetch_distance`]: the `WISE_PREFETCH` env override when set
-//! (0 = off, `auto`/unset = policy, malformed warns once + counter),
-//! else an auto policy that only engages when x cannot be
+//! the chunk kernels also take a software **prefetch distance**: `D`
+//! steps ahead of the current one, the kernel issues `_mm_prefetch` on
+//! the x-lines named by `cols[k + D·lanes ..]`. Callers take `D` from
+//! [`auto_prefetch_distance`], which only engages when x cannot be
 //! cache-resident ([`PREFETCH_MIN_X_BYTES`]) — prefetch measurably
 //! *hurts* when x already lives in L2.
 //!
-//! Vectorization reassociates the per-row sums (pairwise/strided
-//! instead of strictly left-to-right), so bit-exactness with the scalar
-//! oracles is forfeited by design. The replacement contract is
-//! ulp-tolerance: [`assert_ulp_close`] with a per-kernel bound
+//! Vectorization reassociates the per-row sums, so bit-exactness with
+//! the scalar oracle is forfeited by design. The replacement contract
+//! is ulp-tolerance: [`assert_ulp_close`] with a per-kernel bound
 //! ([`SPMV_MAX_ULPS`], plus [`SPMV_ABS_FLOOR`] for catastrophic-
 //! cancellation results near zero, where relative ulp distance is
-//! meaningless). Prefetching and interleaving are pure *scheduling*
+//! meaningless). Prefetching and chunk pairing are pure *scheduling*
 //! changes: for a fixed level they never alter the sequence of
 //! operations feeding any accumulator, so results are bit-identical
-//! across every `(D, R)` setting. Setting `WISE_SIMD=0` (or preparing
-//! a config with explicit width 1) restores the original scalar path
-//! bit-exactly regardless of the other knobs.
+//! across every setting. Setting `WISE_SIMD=0` (or preparing a config
+//! with explicit width 1) restores the scalar path bit-exactly.
 //!
 //! All gathers index with *signed 32-bit* lanes, so [`resolve`] — and,
 //! per kernel call, [`clamp_isa`] — fall back to scalar when the x
 //! vector could exceed `i32::MAX` entries.
 
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 use wise_trace::env_knob::{Knob, KnobError};
 
@@ -60,29 +51,19 @@ use wise_trace::env_knob::{Knob, KnobError};
 /// at one level may safely call helpers of any lower level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SimdIsa {
-    /// No explicit vectorization: the original scalar kernels.
+    /// No explicit vectorization: the scalar kernels.
     Scalar,
-    /// Plain-Rust multi-accumulator kernels for non-x86-64 hosts
-    /// (`std::simd` under `--cfg wise_portable_simd`). Ordered just
-    /// above scalar: it has no hardware gather, so any real x86 level
-    /// should win a `min` against it.
-    Portable,
-    /// 2 × f64 lanes, no hardware gather (emulated with scalar loads).
-    Sse2,
     /// 4 × f64 lanes, `vgatherdpd` + FMA.
     Avx2,
-    /// 8 × f64 lanes, `vgatherdpd` + FMA + full-width reduce.
+    /// 8 × f64 lanes, `vgatherdpd` + FMA, masked lanes.
     Avx512,
 }
 
 impl SimdIsa {
-    /// f64 lanes per vector register at this level. `Portable` reports
-    /// 2 — the conservative width the plain-Rust path is modeled at.
+    /// f64 lanes per vector register at this level.
     pub const fn lanes(self) -> usize {
         match self {
             SimdIsa::Scalar => 1,
-            SimdIsa::Portable => 2,
-            SimdIsa::Sse2 => 2,
             SimdIsa::Avx2 => 4,
             SimdIsa::Avx512 => 8,
         }
@@ -92,73 +73,45 @@ impl SimdIsa {
     pub const fn name(self) -> &'static str {
         match self {
             SimdIsa::Scalar => "scalar",
-            SimdIsa::Portable => "portable2",
-            SimdIsa::Sse2 => "sse2",
             SimdIsa::Avx2 => "avx2",
             SimdIsa::Avx512 => "avx512f",
         }
     }
 
-    /// The widest level whose lane count is `<= lanes` (0 clamps to
-    /// scalar). Inverse of [`SimdIsa::lanes`] for the valid widths on
-    /// x86; never returns `Portable` (catalog widths name x86 levels,
-    /// and `min` against a portable [`active`] cap does the demotion).
+    /// The widest level whose lane count is `<= lanes` (0–3 clamp to
+    /// scalar). Inverse of [`SimdIsa::lanes`].
     pub const fn widest_for_lanes(lanes: usize) -> SimdIsa {
         match lanes {
-            0 | 1 => SimdIsa::Scalar,
-            2 | 3 => SimdIsa::Sse2,
+            0..=3 => SimdIsa::Scalar,
             4..=7 => SimdIsa::Avx2,
             _ => SimdIsa::Avx512,
         }
     }
 
     const fn to_u8(self) -> u8 {
-        match self {
-            SimdIsa::Scalar => 0,
-            SimdIsa::Sse2 => 1,
-            SimdIsa::Avx2 => 2,
-            SimdIsa::Avx512 => 3,
-            // Appended after the original four so persisted values
-            // keep their meaning.
-            SimdIsa::Portable => 4,
-        }
+        self as u8
     }
 
     const fn from_u8(v: u8) -> SimdIsa {
         match v {
-            1 => SimdIsa::Sse2,
-            2 => SimdIsa::Avx2,
-            3 => SimdIsa::Avx512,
-            4 => SimdIsa::Portable,
+            1 => SimdIsa::Avx2,
+            2 => SimdIsa::Avx512,
             _ => SimdIsa::Scalar,
         }
     }
 }
 
-/// Probes the host CPU. On x86_64 this is `is_x86_feature_detected!`
-/// (cached by std after the first cpuid); elsewhere the portable
-/// multi-accumulator level.
+/// Probes the host CPU: `is_x86_feature_detected!` on x86-64 (cached
+/// by std after the first cpuid), `Scalar` everywhere else.
 ///
-/// The `Avx512` level additionally requires AVX2 + FMA so higher levels
-/// strictly superset lower ones (see [`SimdIsa`]).
+/// `Avx2` requires FMA, and `Avx512` additionally requires AVX2 + FMA,
+/// so higher levels strictly superset lower ones (see [`SimdIsa`]).
 pub fn detect_raw() -> SimdIsa {
     #[cfg(target_arch = "x86_64")]
-    {
-        let avx2 = is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma");
-        if avx2 && is_x86_feature_detected!("avx512f") {
-            SimdIsa::Avx512
-        } else if avx2 {
-            SimdIsa::Avx2
-        } else if is_x86_feature_detected!("sse2") {
-            SimdIsa::Sse2
-        } else {
-            SimdIsa::Scalar
-        }
+    if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+        return if is_x86_feature_detected!("avx512f") { SimdIsa::Avx512 } else { SimdIsa::Avx2 };
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        SimdIsa::Portable
-    }
+    SimdIsa::Scalar
 }
 
 /// [`detect_raw`] memoized (one atomic load after the first call).
@@ -168,24 +121,25 @@ pub fn detected() -> SimdIsa {
 }
 
 /// The `WISE_SIMD` knob, on the shared [`wise_trace::env_knob`] grammar.
-const SIMD_KNOB: Knob = Knob::new(
-    "WISE_SIMD",
-    "a SIMD width (expected 0/off/scalar/1, 2/sse2, 4/avx2, 8/avx512, or portable)",
-);
+const SIMD_KNOB: Knob =
+    Knob::new("WISE_SIMD", "a SIMD width (expected 0/off/scalar/1, 4/avx2, or 8/avx512)");
 
-/// Parses a raw `WISE_SIMD` value into a capability *cap*. `Ok(None)`
-/// means unset (auto-detect); `0`, `off`, `scalar`, and `1` all force
-/// the scalar path; `portable` caps at the plain-Rust level (useful for
-/// exercising the non-x86 path on x86 hosts).
-pub fn parse_wise_simd(raw: Option<&str>) -> Result<Option<SimdIsa>, KnobError> {
-    SIMD_KNOB.parse(raw, |norm| match norm {
+/// The `WISE_SIMD` grammar, shared by [`parse_wise_simd`] and the env
+/// read behind [`active`].
+fn simd_interp(norm: &str) -> Option<SimdIsa> {
+    match norm {
         "0" | "off" | "scalar" | "1" => Some(SimdIsa::Scalar),
-        "portable" | "portable2" => Some(SimdIsa::Portable),
-        "2" | "sse2" => Some(SimdIsa::Sse2),
         "4" | "avx2" => Some(SimdIsa::Avx2),
         "8" | "avx512" | "avx512f" => Some(SimdIsa::Avx512),
         _ => None,
-    })
+    }
+}
+
+/// Parses a raw `WISE_SIMD` value into a capability *cap*. `Ok(None)`
+/// means unset (auto-detect); `0`, `off`, `scalar`, and `1` all force
+/// the scalar path.
+pub fn parse_wise_simd(raw: Option<&str>) -> Result<Option<SimdIsa>, KnobError> {
+    SIMD_KNOB.parse(raw, simd_interp)
 }
 
 const ISA_UNINIT: u8 = u8::MAX;
@@ -199,26 +153,15 @@ static ACTIVE: AtomicU8 = AtomicU8::new(ISA_UNINIT);
 pub fn active() -> SimdIsa {
     match ACTIVE.load(Ordering::Relaxed) {
         ISA_UNINIT => {
-            let isa = active_from_env();
+            let det = detected();
+            let isa = SIMD_KNOB
+                .read("kernel.simd_env_invalid", "using the detected level", simd_interp)
+                .map_or(det, |cap| cap.min(det));
             ACTIVE.store(isa.to_u8(), Ordering::Relaxed);
             isa
         }
         v => SimdIsa::from_u8(v),
     }
-}
-
-fn active_from_env() -> SimdIsa {
-    let det = detected();
-    SIMD_KNOB
-        .read("kernel.simd_env_invalid", "using the detected level", |norm| match norm {
-            "0" | "off" | "scalar" | "1" => Some(SimdIsa::Scalar),
-            "portable" | "portable2" => Some(SimdIsa::Portable),
-            "2" | "sse2" => Some(SimdIsa::Sse2),
-            "4" | "avx2" => Some(SimdIsa::Avx2),
-            "8" | "avx512" | "avx512f" => Some(SimdIsa::Avx512),
-            _ => None,
-        })
-        .map_or(det, |cap| cap.min(det))
 }
 
 /// Overrides the active level (tests, experiments). The request is
@@ -229,12 +172,12 @@ pub fn set_active(isa: SimdIsa) {
 }
 
 // ---------------------------------------------------------------------
-// Prefetch distance: WISE_PREFETCH override + auto policy
+// Auto policies
 // ---------------------------------------------------------------------
 
-/// Upper clamp on any prefetch distance (in vector steps). Distances
-/// beyond this are past every useful horizon — the lines would be
-/// evicted again before use.
+/// Largest prefetch distance (in vector steps) the chunk kernels are
+/// specified for. Distances beyond this are past every useful horizon
+/// — the lines would be evicted again before use.
 pub const MAX_PREFETCH: usize = 64;
 
 /// Auto-prefetch engages only when the x vector is bigger than this
@@ -244,77 +187,14 @@ pub const MAX_PREFETCH: usize = 64;
 /// (measured 1.21× at D=8 on a 32 MB x).
 pub const PREFETCH_MIN_X_BYTES: usize = 4 << 20;
 
-/// CSR row-interleave auto policy only engages when x fits well inside
-/// the private caches (bytes): interleaving R rows multiplies the
-/// live gather footprint by R, which thrashes once x spills.
+/// [`auto_csr_interleave`] reports 2 only while x fits this many bytes:
+/// interleaving R rows multiplies the live gather footprint by R,
+/// which thrashes once x spills the private caches.
 pub const INTERLEAVE_MAX_X_BYTES: usize = 256 << 10;
 
-/// CSR row-interleave auto policy requires at least this many nonzeros
-/// per row: shorter rows spend their time in the reduce/tail epilogue
-/// where interleaving cannot help.
-pub const INTERLEAVE_MIN_ROW_NNZ: usize = 32;
-
-/// The `WISE_PREFETCH` knob, on the shared [`wise_trace::env_knob`]
-/// grammar.
-const PREFETCH_KNOB: Knob =
-    Knob::new("WISE_PREFETCH", "a prefetch distance (expected a step count, 0 = off, or `auto`)");
-
-/// Interpreter shared by [`parse_wise_prefetch`] and the env read:
-/// `auto` keeps the policy (`Some(None)`), a number forces a distance
-/// (clamped at [`MAX_PREFETCH`]).
-fn prefetch_interp(norm: &str) -> Option<Option<usize>> {
-    if norm == "auto" {
-        return Some(None);
-    }
-    norm.parse::<usize>().ok().map(|d| Some(d.min(MAX_PREFETCH)))
-}
-
-/// Parses a raw `WISE_PREFETCH` value into a distance *override* in
-/// vector steps. `Ok(None)` means unset or `auto` (use the policy);
-/// `Ok(Some(0))` disables prefetch entirely; larger values clamp at
-/// [`MAX_PREFETCH`].
-pub fn parse_wise_prefetch(raw: Option<&str>) -> Result<Option<usize>, KnobError> {
-    PREFETCH_KNOB.parse(raw, prefetch_interp).map(Option::flatten)
-}
-
-const PF_UNINIT: usize = usize::MAX;
-const PF_AUTO: usize = usize::MAX - 1;
-static PREFETCH: AtomicUsize = AtomicUsize::new(PF_UNINIT);
-
-/// The process-wide `WISE_PREFETCH` override, resolved lazily from the
-/// environment and cached: `Some(d)` forces distance `d` everywhere
-/// (0 = off), `None` defers to [`auto_prefetch_distance`]. A malformed
-/// value falls back to auto *loudly*: a once-per-process stderr warning
-/// plus a `kernel.prefetch_env_invalid` trace counter.
-pub fn prefetch_override() -> Option<usize> {
-    match PREFETCH.load(Ordering::Relaxed) {
-        PF_UNINIT => {
-            let ov = prefetch_from_env();
-            PREFETCH.store(ov.unwrap_or(PF_AUTO), Ordering::Relaxed);
-            ov
-        }
-        PF_AUTO => None,
-        d => Some(d),
-    }
-}
-
-fn prefetch_from_env() -> Option<usize> {
-    PREFETCH_KNOB
-        .read("kernel.prefetch_env_invalid", "using the auto prefetch policy", prefetch_interp)
-        .flatten()
-}
-
-/// Overrides the prefetch distance (tests, experiments): `Some(d)`
-/// forces `d` (clamped at [`MAX_PREFETCH`]), `None` restores the auto
-/// policy.
-pub fn set_prefetch(d: Option<usize>) {
-    PREFETCH.store(d.map_or(PF_AUTO, |d| d.min(MAX_PREFETCH)), Ordering::Relaxed);
-}
-
-/// The auto prefetch policy: distance 8 for the gather levels when x
-/// cannot be cache-resident (see [`PREFETCH_MIN_X_BYTES`]), else 0.
-/// SSE2 has no hardware gather to overlap and the portable path's
-/// loads are already exposed to the out-of-order window, so both get 0.
+/// The packed kernels' prefetch policy: distance 8 on the gather
+/// levels when x cannot be cache-resident (see
+/// [`PREFETCH_MIN_X_BYTES`]), else 0. Scalar never prefetches.
 pub fn auto_prefetch_distance(isa: SimdIsa, ncols: usize) -> usize {
     match isa {
         SimdIsa::Avx512 | SimdIsa::Avx2
@@ -326,23 +206,12 @@ pub fn auto_prefetch_distance(isa: SimdIsa, ncols: usize) -> usize {
     }
 }
 
-/// The effective prefetch distance for a kernel at `isa` over an x of
-/// `ncols` entries: the `WISE_PREFETCH` override when set, else the
-/// auto policy. Scalar kernels never prefetch.
-pub fn prefetch_distance(isa: SimdIsa, ncols: usize) -> usize {
-    if isa.lanes() <= 1 {
-        return 0;
-    }
-    match prefetch_override() {
-        Some(d) => d,
-        None => auto_prefetch_distance(isa, ncols),
-    }
-}
-
-/// The auto CSR row-interleave factor: 2 on AVX-512 when x is small
-/// enough to stay cache-resident under the doubled gather footprint
-/// (see [`INTERLEAVE_MAX_X_BYTES`]; callers additionally gate on
-/// [`INTERLEAVE_MIN_ROW_NNZ`] per row block), else 1.
+/// The CSR row-interleave factor the AVX-512 gather row kernel would
+/// use: 2 when x stays cache-resident under the doubled gather
+/// footprint (see [`INTERLEAVE_MAX_X_BYTES`]), else 1. No kernel reads
+/// it — CSR runs the scalar loop — but it still feeds the
+/// `host_interleave` feature slot and the benchmark's host line, so
+/// feature vectors keep their trained values.
 pub fn auto_csr_interleave(isa: SimdIsa, ncols: usize) -> usize {
     if isa == SimdIsa::Avx512
         && ncols.saturating_mul(std::mem::size_of::<f64>()) <= INTERLEAVE_MAX_X_BYTES
@@ -353,9 +222,9 @@ pub fn auto_csr_interleave(isa: SimdIsa, ncols: usize) -> usize {
     }
 }
 
-/// The auto SELL chunk-interleave factor: pair chunks on the AVX-512
-/// c=8 path (two independent accumulator chains — measured the one MLP
-/// transform that never loses on this host), else 1.
+/// The packed kernels' chunk-interleave policy: pair chunks on the
+/// AVX-512 c=8 path (two independent accumulator chains — measured the
+/// one MLP transform that never lost on a Skylake-SP AVX-512 host), else 1.
 pub fn auto_sell_interleave(isa: SimdIsa, c: usize) -> usize {
     if isa == SimdIsa::Avx512 && c == 8 {
         2
@@ -399,112 +268,21 @@ pub fn resolve(v: usize, ncols: usize) -> SimdIsa {
 // Kernels
 // ---------------------------------------------------------------------
 
-/// One CSR row: `dot(vals, x[cols])` at the given level, no prefetch.
-/// Equivalent to [`csr_row_pf`] with distance 0 — kept for callers
-/// that predate the MLP knobs.
-///
-/// # Safety
-///
-/// See [`csr_row_pf`].
-pub unsafe fn csr_row(isa: SimdIsa, vals: &[f64], cols: &[u32], x: &[f64]) -> f64 {
-    csr_row_pf(isa, vals, cols, x, 0)
-}
-
-/// One CSR row: `dot(vals, x[cols])` at the given level, issuing
-/// software prefetches `pf` vector steps ahead (0 = none). The
-/// prefetch distance never changes the result — only the schedule.
-///
-/// # Safety
-///
-/// `vals.len() == cols.len()` and every `cols[k] as usize <
-/// x.len()` — the `Csr::try_new` invariants. The level is clamped per
-/// call via [`clamp_isa`], so an over-wide `isa` cannot execute
-/// unsupported instructions and oversized x falls back to scalar.
-pub unsafe fn csr_row_pf(isa: SimdIsa, vals: &[f64], cols: &[u32], x: &[f64], pf: usize) -> f64 {
-    debug_assert_eq!(vals.len(), cols.len());
-    let isa = clamp_isa(isa, x.len());
-    #[cfg(target_arch = "x86_64")]
-    match isa {
-        SimdIsa::Avx512 => return x86::csr_row_avx512(vals, cols, x, pf),
-        SimdIsa::Avx2 => return x86::csr_row_avx2(vals, cols, x, pf),
-        SimdIsa::Sse2 => return x86::csr_row_sse2(vals, cols, x),
-        SimdIsa::Portable => return portable::csr_row(vals, cols, x),
-        SimdIsa::Scalar => {}
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    if isa > SimdIsa::Scalar {
-        return portable::csr_row(vals, cols, x);
-    }
-    let _ = pf;
-    csr_row_scalar(vals, cols, x)
-}
-
-/// `R` CSR rows concurrently: row `i` spans `vals[ranges[i].0 ..
-/// ranges[i].1]` (and the same span of `cols`), and each row gets its
-/// own accumulator chain so the gathers of all `R` rows stay in flight
-/// together. On AVX-512 the rows advance in lockstep over the shortest
-/// row's full steps, then each finishes independently (masked tail for
-/// the residue); every other level degrades to `R` sequential
-/// [`csr_row_pf`] calls. Either way the per-row operation sequence is
-/// identical to the `R = 1` path, so results are **bit-identical** to
-/// calling [`csr_row_pf`] per row — interleaving is scheduling only.
-///
-/// # Safety
-///
-/// Every range must satisfy `r.0 <= r.1 <= vals.len() == cols.len()`,
-/// and every referenced `cols[k] as usize < x.len()`.
-pub unsafe fn csr_rows_pf<const R: usize>(
-    isa: SimdIsa,
-    ranges: &[(usize, usize); R],
-    vals: &[f64],
-    cols: &[u32],
-    x: &[f64],
-    pf: usize,
-) -> [f64; R] {
-    debug_assert_eq!(vals.len(), cols.len());
-    let isa = clamp_isa(isa, x.len());
-    #[cfg(target_arch = "x86_64")]
-    if isa == SimdIsa::Avx512 {
-        return x86::csr_rows_avx512::<R>(ranges, vals, cols, x, pf);
-    }
-    let mut out = [0.0f64; R];
-    for i in 0..R {
-        let (k0, k1) = ranges[i];
-        out[i] = csr_row_pf(isa, &vals[k0..k1], &cols[k0..k1], x, pf);
-    }
-    out
-}
-
-/// One SELL/SRVPack chunk, no prefetch: see [`sell_chunk_pf`].
-///
-/// # Safety
-///
-/// See [`sell_chunk_pf`].
-pub unsafe fn sell_chunk(
-    isa: SimdIsa,
-    vals: &[f64],
-    cols: &[u32],
-    c: usize,
-    x: &[f64],
-    acc: &mut [f64],
-) {
-    sell_chunk_pf(isa, vals, cols, c, x, acc, 0);
-}
-
 /// One SELL/SRVPack chunk: accumulates `width` column-major steps of
 /// `c` lanes into `acc` (the chunk's per-row partial sums), issuing
 /// software prefetches `pf` steps ahead (0 = none). Vector paths:
 /// `c ∈ {4, 8}` natively; `c ∈ {2..=7}` via the AVX-512 masked-lane
 /// kernel (ulp-close, not bit-exact, to scalar: masked FMA fuses the
 /// multiply-add the scalar oracle rounds twice); anything else runs
-/// the scalar loop.
+/// the scalar loop. The prefetch distance never changes the result —
+/// only the schedule.
 ///
 /// # Safety
 ///
 /// `vals.len() == cols.len()`, both a multiple of `c`, `acc.len() ==
-/// c`, and every `cols[k] as usize < x.len()` (padding entries store
-/// column 0 with value 0.0 — the `SrvPack` build invariant). The level
-/// is clamped per call via [`clamp_isa`].
+/// c`, `pf <= MAX_PREFETCH`, and every `cols[k] as usize < x.len()`
+/// (padding entries store column 0 with value 0.0 — the `SrvPack`
+/// build invariant). The level is clamped per call via [`clamp_isa`].
 pub unsafe fn sell_chunk_pf(
     isa: SimdIsa,
     vals: &[f64],
@@ -516,25 +294,17 @@ pub unsafe fn sell_chunk_pf(
 ) {
     debug_assert_eq!(vals.len(), cols.len());
     debug_assert!(vals.len().is_multiple_of(c.max(1)) && acc.len() == c);
-    let isa = clamp_isa(isa, x.len());
+    debug_assert!(pf <= MAX_PREFETCH);
     #[cfg(target_arch = "x86_64")]
-    match (isa, c) {
+    match (clamp_isa(isa, x.len()), c) {
         (SimdIsa::Avx512, 8) => return x86::sell_chunk_avx512(vals, cols, x, acc, pf),
         (SimdIsa::Avx512 | SimdIsa::Avx2, 4 | 8) => {
             return x86::sell_chunk_avx2(vals, cols, c, x, acc)
         }
         (SimdIsa::Avx512, 2..=7) => return x86::sell_chunk_avx512_masked(vals, cols, c, x, acc),
-        (SimdIsa::Sse2, _) if c.is_multiple_of(2) => {
-            return x86::sell_chunk_sse2(vals, cols, c, x, acc)
-        }
-        (SimdIsa::Portable, _) if c >= 2 => return portable::sell_chunk(vals, cols, c, x, acc),
         _ => {}
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    if isa > SimdIsa::Scalar && c >= 2 {
-        return portable::sell_chunk(vals, cols, c, x, acc);
-    }
-    let _ = pf;
+    let _ = (isa, pf);
     sell_chunk_scalar(vals, cols, c, x, acc);
 }
 
@@ -548,7 +318,7 @@ pub unsafe fn sell_chunk_pf(
 /// # Safety
 ///
 /// Both chunk triples must satisfy the [`sell_chunk_pf`] invariants
-/// for the same `c` and `x`.
+/// for the same `c`, `x` and `pf`.
 #[allow(clippy::too_many_arguments)]
 pub unsafe fn sell_chunk_pair(
     isa: SimdIsa,
@@ -562,27 +332,13 @@ pub unsafe fn sell_chunk_pair(
     x: &[f64],
     pf: usize,
 ) {
-    let clamped = clamp_isa(isa, x.len());
     #[cfg(target_arch = "x86_64")]
-    if clamped == SimdIsa::Avx512 && c == 8 {
+    if clamp_isa(isa, x.len()) == SimdIsa::Avx512 && c == 8 {
+        debug_assert!(pf <= MAX_PREFETCH);
         return x86::sell_chunk_pair_avx512(vals0, cols0, vals1, cols1, x, acc0, acc1, pf);
     }
-    let _ = clamped;
     sell_chunk_pf(isa, vals0, cols0, c, x, acc0, pf);
     sell_chunk_pf(isa, vals1, cols1, c, x, acc1, pf);
-}
-
-/// Scalar CSR row oracle (strict left-to-right accumulation), shared by
-/// the dispatcher fallback and the parity tests.
-///
-/// Bounds are checked — the hot scalar path stays in `CsrSpmv::spmv`,
-/// which keeps its original unchecked loop bit-for-bit.
-pub fn csr_row_scalar(vals: &[f64], cols: &[u32], x: &[f64]) -> f64 {
-    let mut acc = 0.0f64;
-    for (v, &ci) in vals.iter().zip(cols) {
-        acc += v * x[ci as usize];
-    }
-    acc
 }
 
 /// Scalar SELL chunk oracle: per-lane strict accumulation order,
@@ -595,81 +351,6 @@ pub fn sell_chunk_scalar(vals: &[f64], cols: &[u32], c: usize, x: &[f64], acc: &
     }
 }
 
-mod portable {
-    //! The [`SimdIsa::Portable`](super::SimdIsa::Portable) kernel
-    //! bodies: plain Rust written so the per-lane work is independent
-    //! (multi-accumulator CSR rows, column-major SELL steps) and the
-    //! compiler's autovectorizer — or the `std::simd` variant under
-    //! `--cfg wise_portable_simd` on nightly — can keep several loads
-    //! in flight on any target, aarch64 included. Compiled on every
-    //! arch so the level stays testable from x86 CI.
-
-    /// Four independent accumulator chains + pairwise combine. The
-    /// reassociation stays inside the ulp contract; the tail is strict
-    /// left-to-right like the scalar oracle.
-    #[cfg(not(wise_portable_simd))]
-    pub fn csr_row(vals: &[f64], cols: &[u32], x: &[f64]) -> f64 {
-        let n = vals.len();
-        let mut a = [0.0f64; 4];
-        let mut k = 0usize;
-        while k + 4 <= n {
-            for l in 0..4 {
-                a[l] += vals[k + l] * x[cols[k + l] as usize];
-            }
-            k += 4;
-        }
-        let mut sum = (a[0] + a[1]) + (a[2] + a[3]);
-        while k < n {
-            sum += vals[k] * x[cols[k] as usize];
-            k += 1;
-        }
-        sum
-    }
-
-    /// `std::simd` variant of [`csr_row`]: 4-lane gather + multiply
-    /// into one vector accumulator, reduced pairwise like the plain
-    /// path so both variants stay within the same ulp envelope.
-    #[cfg(wise_portable_simd)]
-    pub fn csr_row(vals: &[f64], cols: &[u32], x: &[f64]) -> f64 {
-        use std::simd::prelude::*;
-        let n = vals.len();
-        let mut acc = Simd::<f64, 4>::splat(0.0);
-        let mut k = 0usize;
-        while k + 4 <= n {
-            let idx = Simd::<usize, 4>::from_array([
-                cols[k] as usize,
-                cols[k + 1] as usize,
-                cols[k + 2] as usize,
-                cols[k + 3] as usize,
-            ]);
-            let xv = Simd::<f64, 4>::gather_or_default(x, idx);
-            let vv = Simd::<f64, 4>::from_slice(&vals[k..k + 4]);
-            acc += vv * xv;
-            k += 4;
-        }
-        let a = acc.to_array();
-        let mut sum = (a[0] + a[1]) + (a[2] + a[3]);
-        while k < n {
-            sum += vals[k] * x[cols[k] as usize];
-            k += 1;
-        }
-        sum
-    }
-
-    /// Portable SELL chunk: the column-major layout already presents
-    /// `c` independent per-lane accumulations per step, which is
-    /// exactly the shape autovectorizers handle; the loop is kept in
-    /// scalar-oracle order so this path is **bit-exact** with
-    /// [`sell_chunk_scalar`](super::sell_chunk_scalar).
-    pub fn sell_chunk(vals: &[f64], cols: &[u32], c: usize, x: &[f64], acc: &mut [f64]) {
-        for (vrow, crow) in vals.chunks_exact(c).zip(cols.chunks_exact(c)) {
-            for l in 0..c {
-                acc[l] += vrow[l] * x[crow[l] as usize];
-            }
-        }
-    }
-}
-
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     //! `#[target_feature]` kernel bodies. Callers must guarantee the
@@ -678,137 +359,6 @@ mod x86 {
     //! distances (`pf`) are in vector steps and only ever change the
     //! instruction schedule, never the arithmetic.
     use std::arch::x86_64::*;
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn csr_row_sse2(vals: &[f64], cols: &[u32], x: &[f64]) -> f64 {
-        let n = vals.len();
-        let mut acc = _mm_setzero_pd();
-        let mut k = 0usize;
-        while k + 2 <= n {
-            // No gather below AVX2: emulate with two scalar loads.
-            let xv = _mm_set_pd(
-                *x.get_unchecked(*cols.get_unchecked(k + 1) as usize),
-                *x.get_unchecked(*cols.get_unchecked(k) as usize),
-            );
-            let vv = _mm_loadu_pd(vals.as_ptr().add(k));
-            acc = _mm_add_pd(acc, _mm_mul_pd(vv, xv));
-            k += 2;
-        }
-        let mut sum = _mm_cvtsd_f64(acc) + _mm_cvtsd_f64(_mm_unpackhi_pd(acc, acc));
-        while k < n {
-            sum += *vals.get_unchecked(k) * *x.get_unchecked(*cols.get_unchecked(k) as usize);
-            k += 1;
-        }
-        sum
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn csr_row_avx2(vals: &[f64], cols: &[u32], x: &[f64], pf: usize) -> f64 {
-        let n = vals.len();
-        let dist = pf * 4;
-        let mut acc = _mm256_setzero_pd();
-        let mut k = 0usize;
-        while k + 4 <= n {
-            if dist > 0 && k + dist + 4 <= n {
-                for j in 0..4 {
-                    _mm_prefetch::<_MM_HINT_T0>(
-                        x.as_ptr().add(*cols.get_unchecked(k + dist + j) as usize) as *const i8,
-                    );
-                }
-            }
-            let idx = _mm_loadu_si128(cols.as_ptr().add(k) as *const __m128i);
-            let xv = _mm256_i32gather_pd::<8>(x.as_ptr(), idx);
-            let vv = _mm256_loadu_pd(vals.as_ptr().add(k));
-            acc = _mm256_fmadd_pd(vv, xv, acc);
-            k += 4;
-        }
-        let lo = _mm256_castpd256_pd128(acc);
-        let hi = _mm256_extractf128_pd::<1>(acc);
-        let pair = _mm_add_pd(lo, hi);
-        let mut sum = _mm_cvtsd_f64(pair) + _mm_cvtsd_f64(_mm_unpackhi_pd(pair, pair));
-        while k < n {
-            sum += *vals.get_unchecked(k) * *x.get_unchecked(*cols.get_unchecked(k) as usize);
-            k += 1;
-        }
-        sum
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn csr_row_avx512(vals: &[f64], cols: &[u32], x: &[f64], pf: usize) -> f64 {
-        csr_rows_avx512::<1>(&[(0, vals.len())], vals, cols, x, pf)[0]
-    }
-
-    /// `R` CSR rows with `R` independent zmm accumulator chains. The
-    /// rows advance in lockstep over the shortest row's full 8-wide
-    /// steps (keeping `R` gathers in flight), then each row finishes
-    /// its remaining full steps and a masked-gather residue alone.
-    /// Each chain sees its row's steps in the exact order the `R = 1`
-    /// kernel would issue them, so the results are bit-identical to
-    /// `R` solo calls.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn csr_rows_avx512<const R: usize>(
-        ranges: &[(usize, usize); R],
-        vals: &[f64],
-        cols: &[u32],
-        x: &[f64],
-        pf: usize,
-    ) -> [f64; R] {
-        let dist = pf * 8;
-        let mut acc = [_mm512_setzero_pd(); R];
-        let steps = ranges.iter().map(|r| (r.1 - r.0) / 8).min().unwrap_or(0);
-        for s in 0..steps {
-            for i in 0..R {
-                let k = ranges[i].0 + s * 8;
-                if dist > 0 && k + dist + 8 <= ranges[i].1 {
-                    for j in 0..8 {
-                        _mm_prefetch::<_MM_HINT_T0>(
-                            x.as_ptr().add(*cols.get_unchecked(k + dist + j) as usize) as *const i8,
-                        );
-                    }
-                }
-                let idx = _mm256_loadu_si256(cols.as_ptr().add(k) as *const __m256i);
-                let xv = _mm512_i32gather_pd::<8>(idx, x.as_ptr());
-                let vv = _mm512_loadu_pd(vals.as_ptr().add(k));
-                acc[i] = _mm512_fmadd_pd(vv, xv, acc[i]);
-            }
-        }
-        let mut out = [0.0f64; R];
-        for i in 0..R {
-            let (k0, k1) = ranges[i];
-            let mut k = k0 + steps * 8;
-            let mut a = acc[i];
-            while k + 8 <= k1 {
-                if dist > 0 && k + dist + 8 <= k1 {
-                    for j in 0..8 {
-                        _mm_prefetch::<_MM_HINT_T0>(
-                            x.as_ptr().add(*cols.get_unchecked(k + dist + j) as usize) as *const i8,
-                        );
-                    }
-                }
-                let idx = _mm256_loadu_si256(cols.as_ptr().add(k) as *const __m256i);
-                let xv = _mm512_i32gather_pd::<8>(idx, x.as_ptr());
-                let vv = _mm512_loadu_pd(vals.as_ptr().add(k));
-                a = _mm512_fmadd_pd(vv, xv, a);
-                k += 8;
-            }
-            let rem = k1 - k;
-            if rem > 0 {
-                // Masked residue: stage the short index run in a stack
-                // buffer (a full 256-bit load could run off `cols`),
-                // then gather/load only the live lanes. Dead lanes
-                // contribute 0·0 to the FMA — no NaN contamination.
-                let m: __mmask8 = (1u8 << rem) - 1;
-                let mut buf = [0u32; 8];
-                buf[..rem].copy_from_slice(&cols[k..k1]);
-                let idx = _mm256_loadu_si256(buf.as_ptr() as *const __m256i);
-                let xv = _mm512_mask_i32gather_pd::<8>(_mm512_setzero_pd(), m, idx, x.as_ptr());
-                let vv = _mm512_maskz_loadu_pd(m, vals.as_ptr().add(k));
-                a = _mm512_fmadd_pd(vv, xv, a);
-            }
-            out[i] = _mm512_reduce_add_pd(a);
-        }
-        out
-    }
 
     /// AVX2 SELL chunk, `c ∈ {4, 8}`: one (c=4) or two (c=8) 4-lane
     /// accumulators — the two-accumulator shape hides gather latency
@@ -1010,32 +560,6 @@ mod x86 {
         _mm512_storeu_pd(a0.as_mut_ptr(), acc0);
         _mm512_storeu_pd(a1.as_mut_ptr(), acc1);
     }
-
-    /// SSE2 SELL chunk, even `c`: 2-lane blocks with emulated gathers.
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn sell_chunk_sse2(
-        vals: &[f64],
-        cols: &[u32],
-        c: usize,
-        x: &[f64],
-        acc: &mut [f64],
-    ) {
-        debug_assert!(c.is_multiple_of(2) && acc.len() == c);
-        let steps = vals.len() / c;
-        for b in 0..c / 2 {
-            let mut a = _mm_loadu_pd(acc.as_ptr().add(b * 2));
-            for s in 0..steps {
-                let base = s * c + b * 2;
-                let xv = _mm_set_pd(
-                    *x.get_unchecked(*cols.get_unchecked(base + 1) as usize),
-                    *x.get_unchecked(*cols.get_unchecked(base) as usize),
-                );
-                let vv = _mm_loadu_pd(vals.as_ptr().add(base));
-                a = _mm_add_pd(a, _mm_mul_pd(vv, xv));
-            }
-            _mm_storeu_pd(acc.as_mut_ptr().add(b * 2), a);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1116,34 +640,59 @@ mod tests {
         (vals, cols, x)
     }
 
-    const ALL: [SimdIsa; 5] =
-        [SimdIsa::Scalar, SimdIsa::Portable, SimdIsa::Sse2, SimdIsa::Avx2, SimdIsa::Avx512];
+    const ALL: [SimdIsa; 3] = [SimdIsa::Scalar, SimdIsa::Avx2, SimdIsa::Avx512];
 
-    /// Levels actually runnable on this host (always includes Scalar;
-    /// Portable is compiled everywhere so it is always runnable too).
+    /// Prefetch distances every chunk check runs: off, the shortest,
+    /// a mid value, and the ceiling.
+    const PFS: [usize; 4] = [0, 1, 4, MAX_PREFETCH];
+
+    /// Chunk widths (column steps) every chunk check runs: each width
+    /// 0..=17 covers every residue of the 8-step lane groups and of the
+    /// masked kernel's staged-index tail; 66 and 73 exceed the
+    /// `MAX_PREFETCH` lookahead so the prefetching loop body runs.
+    fn widths() -> impl Iterator<Item = usize> {
+        (0..=17).chain([66, 73])
+    }
+
+    /// Levels the running CPU supports (always includes Scalar).
     fn runnable() -> Vec<SimdIsa> {
-        ALL.into_iter().filter(|&isa| isa == SimdIsa::Portable || isa <= detected()).collect()
+        ALL.into_iter().filter(|&isa| isa <= detected()).collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
+    /// Runs `sell_chunk_pf` at `isa` for every distance in [`PFS`]:
+    /// each result is ulp-close to `sell_chunk_scalar` and bit-identical
+    /// to the `pf = 0` result. The accumulator starts nonzero because
+    /// the kernel contract accumulates.
+    fn check_chunk(isa: SimdIsa, c: usize, width: usize, seed: u64) {
+        let (vals, cols, x) = rand_problem(width * c, 512, seed);
+        let mut want = vec![0.25f64; c];
+        sell_chunk_scalar(&vals, &cols, c, &x, &mut want);
+        let mut base = vec![0.25f64; c];
+        unsafe { sell_chunk_pf(isa, &vals, &cols, c, &x, &mut base, 0) };
+        let ctx = format!("{isa:?} c={c} width={width}");
+        assert_ulp_close(&base, &want, SPMV_MAX_ULPS, SPMV_ABS_FLOOR, &ctx);
+        for pf in PFS {
+            let mut got = vec![0.25f64; c];
+            unsafe { sell_chunk_pf(isa, &vals, &cols, c, &x, &mut got, pf) };
+            assert_eq!(bits(&got), bits(&base), "{ctx} pf={pf}");
+        }
     }
 
     #[test]
     fn lanes_names_and_ordering() {
-        assert!(SimdIsa::Scalar < SimdIsa::Portable && SimdIsa::Portable < SimdIsa::Sse2);
-        assert!(SimdIsa::Sse2 < SimdIsa::Avx2 && SimdIsa::Avx2 < SimdIsa::Avx512);
+        assert!(SimdIsa::Scalar < SimdIsa::Avx2 && SimdIsa::Avx2 < SimdIsa::Avx512);
         for isa in ALL {
             assert_eq!(SimdIsa::from_u8(isa.to_u8()), isa);
-            if isa != SimdIsa::Portable {
-                // widest_for_lanes inverts lanes() for the x86 levels;
-                // Portable shares the 2-lane slot with Sse2 and is
-                // deliberately never produced from a width.
-                assert_eq!(SimdIsa::widest_for_lanes(isa.lanes()), isa);
-            }
+            assert_eq!(SimdIsa::widest_for_lanes(isa.lanes()), isa);
         }
-        assert_eq!(SimdIsa::widest_for_lanes(SimdIsa::Portable.lanes()), SimdIsa::Sse2);
         assert_eq!(SimdIsa::Avx512.lanes(), 8);
-        assert_eq!(SimdIsa::Portable.lanes(), 2);
         assert_eq!(SimdIsa::Avx2.name(), "avx2");
-        assert_eq!(SimdIsa::Portable.name(), "portable2");
         assert_eq!(SimdIsa::widest_for_lanes(0), SimdIsa::Scalar);
+        assert_eq!(SimdIsa::widest_for_lanes(2), SimdIsa::Scalar);
         assert_eq!(SimdIsa::widest_for_lanes(6), SimdIsa::Avx2);
         assert_eq!(SimdIsa::widest_for_lanes(64), SimdIsa::Avx512);
     }
@@ -1156,10 +705,6 @@ mod tests {
             ("off", SimdIsa::Scalar),
             ("Scalar", SimdIsa::Scalar),
             ("1", SimdIsa::Scalar),
-            ("portable", SimdIsa::Portable),
-            ("Portable2", SimdIsa::Portable),
-            ("2", SimdIsa::Sse2),
-            ("sse2", SimdIsa::Sse2),
             ("4", SimdIsa::Avx2),
             ("AVX2", SimdIsa::Avx2),
             ("8", SimdIsa::Avx512),
@@ -1174,7 +719,10 @@ mod tests {
     fn parse_rejects_garbage_loudly() {
         assert_eq!(parse_wise_simd(Some("")), Err(KnobError::Empty { knob: "WISE_SIMD" }));
         assert_eq!(parse_wise_simd(Some("  ")), Err(KnobError::Empty { knob: "WISE_SIMD" }));
-        for bad in ["3", "16", "-4", "avx", "wide", "8 lanes"] {
+        // `2`/`sse2`/`portable`/`portable2` named levels that no longer
+        // exist; they are malformed like any other unknown value.
+        for bad in ["3", "16", "-4", "avx", "wide", "8 lanes", "2", "sse2", "portable", "portable2"]
+        {
             let err = parse_wise_simd(Some(bad)).unwrap_err();
             match &err {
                 KnobError::Invalid { knob: "WISE_SIMD", value, .. } => {
@@ -1187,46 +735,13 @@ mod tests {
     }
 
     #[test]
-    fn parse_prefetch_accepts_distances_and_auto() {
-        assert_eq!(parse_wise_prefetch(None), Ok(None));
-        assert_eq!(parse_wise_prefetch(Some("auto")), Ok(None));
-        assert_eq!(parse_wise_prefetch(Some(" AUTO ")), Ok(None));
-        assert_eq!(parse_wise_prefetch(Some("0")), Ok(Some(0)));
-        assert_eq!(parse_wise_prefetch(Some("8")), Ok(Some(8)));
-        assert_eq!(parse_wise_prefetch(Some(" 12 ")), Ok(Some(12)));
-        // Distances clamp at MAX_PREFETCH instead of erroring.
-        assert_eq!(parse_wise_prefetch(Some("10000")), Ok(Some(MAX_PREFETCH)));
-    }
-
-    #[test]
-    fn parse_prefetch_rejects_garbage_loudly() {
-        assert_eq!(parse_wise_prefetch(Some("")), Err(KnobError::Empty { knob: "WISE_PREFETCH" }));
-        assert_eq!(
-            parse_wise_prefetch(Some("  ")),
-            Err(KnobError::Empty { knob: "WISE_PREFETCH" })
-        );
-        for bad in ["-1", "2.5", "far", "8 steps"] {
-            let err = parse_wise_prefetch(Some(bad)).unwrap_err();
-            match &err {
-                KnobError::Invalid { knob: "WISE_PREFETCH", value, .. } => {
-                    assert_eq!(value, bad.trim(), "input {bad:?}");
-                }
-                other => panic!("input {bad:?}: unexpected error {other:?}"),
-            }
-            assert!(err.to_string().contains("WISE_PREFETCH"));
-        }
-    }
-
-    #[test]
-    fn prefetch_policy_and_override() {
-        // Pure policy first (no global state).
+    fn auto_policies_follow_isa_and_x_size() {
         let small = (INTERLEAVE_MAX_X_BYTES / 8) / 2;
         let big = PREFETCH_MIN_X_BYTES / 8 + 1;
         assert_eq!(auto_prefetch_distance(SimdIsa::Avx512, small), 0);
+        assert_eq!(auto_prefetch_distance(SimdIsa::Avx512, PREFETCH_MIN_X_BYTES / 8), 0);
         assert_eq!(auto_prefetch_distance(SimdIsa::Avx512, big), 8);
         assert_eq!(auto_prefetch_distance(SimdIsa::Avx2, big), 8);
-        assert_eq!(auto_prefetch_distance(SimdIsa::Sse2, big), 0);
-        assert_eq!(auto_prefetch_distance(SimdIsa::Portable, big), 0);
         assert_eq!(auto_prefetch_distance(SimdIsa::Scalar, big), 0);
         assert_eq!(auto_csr_interleave(SimdIsa::Avx512, small), 2);
         assert_eq!(auto_csr_interleave(SimdIsa::Avx512, big), 1);
@@ -1234,19 +749,6 @@ mod tests {
         assert_eq!(auto_sell_interleave(SimdIsa::Avx512, 8), 2);
         assert_eq!(auto_sell_interleave(SimdIsa::Avx512, 4), 1);
         assert_eq!(auto_sell_interleave(SimdIsa::Avx2, 8), 1);
-        // Override round-trip (single test fn: the atomic is global).
-        let prior = prefetch_override();
-        set_prefetch(Some(3));
-        assert_eq!(prefetch_override(), Some(3));
-        assert_eq!(prefetch_distance(SimdIsa::Avx512, small), 3);
-        assert_eq!(prefetch_distance(SimdIsa::Scalar, big), 0);
-        set_prefetch(Some(MAX_PREFETCH + 10));
-        assert_eq!(prefetch_override(), Some(MAX_PREFETCH));
-        set_prefetch(None);
-        assert_eq!(prefetch_override(), None);
-        assert_eq!(prefetch_distance(SimdIsa::Avx512, big), 8);
-        assert_eq!(prefetch_distance(SimdIsa::Avx512, small), 0);
-        set_prefetch(prior);
     }
 
     #[test]
@@ -1260,12 +762,11 @@ mod tests {
         let cap = active();
         assert_eq!(resolve(0, 100), cap);
         assert_eq!(resolve(1, 100), SimdIsa::Scalar);
-        assert_eq!(resolve(2, 100), SimdIsa::Sse2.min(cap));
+        assert_eq!(resolve(2, 100), SimdIsa::Scalar);
         assert_eq!(resolve(4, 100), SimdIsa::Avx2.min(cap));
         assert_eq!(resolve(8, 100), SimdIsa::Avx512.min(cap));
         // Signed 32-bit gather indices cannot address a wider x —
-        // including under an explicit width request (the satellite-2
-        // regression: v=8 must not survive the bound).
+        // including under an explicit width request.
         assert_eq!(resolve(0, i32::MAX as usize + 1), SimdIsa::Scalar);
         assert_eq!(resolve(8, i32::MAX as usize + 1), SimdIsa::Scalar);
         // And the per-kernel-call clamp applies the same rule.
@@ -1274,84 +775,13 @@ mod tests {
     }
 
     #[test]
-    fn csr_row_matches_scalar_for_every_residue() {
-        let (vals, cols, x) = rand_problem(67, 512, 7);
-        for isa in runnable() {
-            for len in 0..=vals.len() {
-                let want = csr_row_scalar(&vals[..len], &cols[..len], &x);
-                let got = unsafe { csr_row(isa, &vals[..len], &cols[..len], &x) };
-                assert!(
-                    ulp_close(got, want, SPMV_MAX_ULPS, SPMV_ABS_FLOOR),
-                    "{isa:?} len={len}: {got} vs {want}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn csr_row_results_do_not_depend_on_prefetch_distance() {
-        let (vals, cols, x) = rand_problem(333, 512, 11);
-        for isa in runnable() {
-            let base = unsafe { csr_row_pf(isa, &vals, &cols, &x, 0) };
-            for pf in [1usize, 2, 8, MAX_PREFETCH] {
-                let got = unsafe { csr_row_pf(isa, &vals, &cols, &x, pf) };
-                assert_eq!(got.to_bits(), base.to_bits(), "{isa:?} pf={pf}");
-            }
-        }
-    }
-
-    #[test]
-    fn csr_rows_interleave_is_bit_identical_to_solo_rows() {
-        let (vals, cols, x) = rand_problem(500, 512, 13);
-        // Ragged row layout, including empty and sub-vector rows.
-        let bounds = [0usize, 0, 5, 64, 100, 173, 296, 500];
-        for isa in runnable() {
-            for pf in [0usize, 4] {
-                let mut solo = Vec::new();
-                for w in bounds.windows(2) {
-                    solo.push(unsafe {
-                        csr_row_pf(isa, &vals[w[0]..w[1]], &cols[w[0]..w[1]], &x, pf)
-                    });
-                }
-                // R = 2 and R = 4 blocks over the same rows.
-                let mut blocked = Vec::new();
-                let ranges4 = [
-                    (bounds[0], bounds[1]),
-                    (bounds[1], bounds[2]),
-                    (bounds[2], bounds[3]),
-                    (bounds[3], bounds[4]),
-                ];
-                blocked.extend(unsafe { csr_rows_pf::<4>(isa, &ranges4, &vals, &cols, &x, pf) });
-                let ranges2 = [(bounds[4], bounds[5]), (bounds[5], bounds[6])];
-                blocked.extend(unsafe { csr_rows_pf::<2>(isa, &ranges2, &vals, &cols, &x, pf) });
-                blocked.extend(unsafe {
-                    csr_rows_pf::<1>(isa, &[(bounds[6], bounds[7])], &vals, &cols, &x, pf)
-                });
-                assert_eq!(solo.len(), blocked.len());
-                for (i, (s, b)) in solo.iter().zip(&blocked).enumerate() {
-                    assert_eq!(s.to_bits(), b.to_bits(), "{isa:?} pf={pf} row {i}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn sell_chunk_matches_scalar_for_both_widths() {
-        for &c in &[4usize, 8] {
-            for width in [0usize, 1, 2, 3, 17, 33] {
-                let (vals, cols, x) = rand_problem(width * c, 512, width as u64 * 31 + c as u64);
-                let mut want = vec![0.1f64; c]; // nonzero start: contract accumulates
-                sell_chunk_scalar(&vals, &cols, c, &x, &mut want);
+        // AVX2 runs the c ∈ {4, 8} kernel; AVX-512 runs its own c = 8
+        // kernel and the AVX2 one for c = 4.
+        for c in [4usize, 8] {
+            for width in widths() {
                 for isa in runnable() {
-                    let mut got = vec![0.1f64; c];
-                    unsafe { sell_chunk(isa, &vals, &cols, c, &x, &mut got) };
-                    assert_ulp_close(
-                        &got,
-                        &want,
-                        SPMV_MAX_ULPS,
-                        SPMV_ABS_FLOOR,
-                        &format!("{isa:?} c={c} width={width}"),
-                    );
+                    check_chunk(isa, c, width, width as u64 * 31 + c as u64);
                 }
             }
         }
@@ -1360,24 +790,12 @@ mod tests {
     #[test]
     fn sell_chunk_masked_heights_match_scalar() {
         // c ∈ {2, 3, 5, 6, 7} run the AVX-512 masked path when the
-        // host has it; every level must stay inside the ulp contract,
-        // including widths whose trailing steps need the staged-index
-        // loop (total columns < 8).
-        for &c in &[2usize, 3, 5, 6, 7] {
-            for width in [0usize, 1, 2, 3, 9, 40] {
-                let (vals, cols, x) = rand_problem(width * c, 256, width as u64 * 17 + c as u64);
-                let mut want = vec![0.25f64; c];
-                sell_chunk_scalar(&vals, &cols, c, &x, &mut want);
+        // host has it, including widths whose trailing steps need the
+        // staged-index loop (fewer than 8 columns left).
+        for c in [2usize, 3, 5, 6, 7] {
+            for width in widths() {
                 for isa in runnable() {
-                    let mut got = vec![0.25f64; c];
-                    unsafe { sell_chunk(isa, &vals, &cols, c, &x, &mut got) };
-                    assert_ulp_close(
-                        &got,
-                        &want,
-                        SPMV_MAX_ULPS,
-                        SPMV_ABS_FLOOR,
-                        &format!("{isa:?} c={c} width={width}"),
-                    );
+                    check_chunk(isa, c, width, width as u64 * 17 + c as u64);
                 }
             }
         }
@@ -1386,12 +804,14 @@ mod tests {
     #[test]
     fn sell_chunk_pair_is_bit_identical_to_sequential_chunks() {
         let c = 8usize;
-        // Different widths so the joint loop + solo-tail path runs.
-        for (w0, w1) in [(0usize, 5usize), (7, 7), (12, 3), (1, 0)] {
+        // Different widths so the joint loop + solo-tail path runs on
+        // either side, past the prefetch lookahead on the long ones.
+        let pairs = widths().flat_map(|w0| [(w0, 0usize), (w0, 5), (w0, 73), (0, w0), (9, w0)]);
+        for (w0, w1) in pairs {
             let (v0, c0, x) = rand_problem(w0 * c, 512, 71 + w0 as u64);
             let (v1, c1, _) = rand_problem(w1 * c, 512, 171 + w1 as u64);
             for isa in runnable() {
-                for pf in [0usize, 4] {
+                for pf in PFS {
                     let mut s0 = vec![0.5f64; c];
                     let mut s1 = vec![-0.5f64; c];
                     unsafe {
@@ -1403,9 +823,14 @@ mod tests {
                     unsafe {
                         sell_chunk_pair(isa, &v0, &c0, &mut p0, &v1, &c1, &mut p1, c, &x, pf)
                     };
-                    let key = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(key(&s0), key(&p0), "{isa:?} pf={pf} w=({w0},{w1}) chunk0");
-                    assert_eq!(key(&s1), key(&p1), "{isa:?} pf={pf} w=({w0},{w1}) chunk1");
+                    assert_eq!(bits(&s0), bits(&p0), "{isa:?} pf={pf} w=({w0},{w1}) chunk0");
+                    assert_eq!(bits(&s1), bits(&p1), "{isa:?} pf={pf} w=({w0},{w1}) chunk1");
+                    // The pair's prefetch distance is scheduling only.
+                    let mut q0 = vec![0.5f64; c];
+                    let mut q1 = vec![-0.5f64; c];
+                    unsafe { sell_chunk_pair(isa, &v0, &c0, &mut q0, &v1, &c1, &mut q1, c, &x, 0) };
+                    assert_eq!(bits(&q0), bits(&p0), "{isa:?} pf={pf} vs 0 chunk0");
+                    assert_eq!(bits(&q1), bits(&p1), "{isa:?} pf={pf} vs 0 chunk1");
                 }
             }
         }
@@ -1421,36 +846,11 @@ mod tests {
         let mut want = vec![0.0f64; c];
         sell_chunk_scalar(&vals, &cols, c, &x, &mut want);
         let mut got = vec![0.0f64; c];
-        unsafe { sell_chunk(SimdIsa::Avx2, &vals, &cols, c, &x, &mut got) };
+        unsafe { sell_chunk_pf(SimdIsa::Avx2, &vals, &cols, c, &x, &mut got, 0) };
         assert_eq!(got, want, "Avx2 must fall back to the exact scalar loop");
         let mut got = vec![0.0f64; c];
-        unsafe { sell_chunk(SimdIsa::Avx512, &vals, &cols, c, &x, &mut got) };
+        unsafe { sell_chunk_pf(SimdIsa::Avx512, &vals, &cols, c, &x, &mut got, 0) };
         assert_ulp_close(&got, &want, SPMV_MAX_ULPS, SPMV_ABS_FLOOR, "Avx512 masked c=6");
-    }
-
-    #[test]
-    fn portable_kernels_honor_the_contract() {
-        let (vals, cols, x) = rand_problem(129, 512, 23);
-        let want = csr_row_scalar(&vals, &cols, &x);
-        let got = portable::csr_row(&vals, &cols, &x);
-        assert!(
-            ulp_close(got, want, SPMV_MAX_ULPS, SPMV_ABS_FLOOR),
-            "portable csr_row: {got} vs {want}"
-        );
-        // The portable SELL chunk keeps scalar accumulation order and
-        // must be bit-exact.
-        for c in [2usize, 4, 8] {
-            let (vals, cols, x) = rand_problem(9 * c, 128, c as u64);
-            let mut want = vec![0.0f64; c];
-            sell_chunk_scalar(&vals, &cols, c, &x, &mut want);
-            let mut got = vec![0.0f64; c];
-            portable::sell_chunk(&vals, &cols, c, &x, &mut got);
-            assert_eq!(got, want, "portable sell_chunk c={c}");
-            // And the dispatcher reaches it when Portable is requested.
-            let mut via = vec![0.0f64; c];
-            unsafe { sell_chunk(SimdIsa::Portable, &vals, &cols, c, &x, &mut via) };
-            assert_eq!(via, want, "dispatched portable sell_chunk c={c}");
-        }
     }
 
     #[test]

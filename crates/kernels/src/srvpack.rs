@@ -149,14 +149,6 @@ pub struct SrvPack {
     /// Requested SIMD width (0 = auto, 1 = scalar; see
     /// [`SrvPack::with_simd`]).
     simd: usize,
-    /// Requested software prefetch distance in vector steps (see
-    /// [`SrvPack::with_prefetch`]). `None` defers to `WISE_PREFETCH` /
-    /// the auto policy.
-    prefetch: Option<usize>,
-    /// Requested chunk-interleave factor (see
-    /// [`SrvPack::with_interleave`]): 0 = auto policy, 1 = off, ≥ 2 =
-    /// pair chunks.
-    interleave: usize,
 }
 
 /// Reusable scratch buffers for [`SrvPack::spmv`] so iterative callers
@@ -417,7 +409,7 @@ impl SrvPack {
             });
         }
 
-        SrvPack { nrows, ncols, config, col_perm, segments, simd: 0, prefetch: None, interleave: 0 }
+        SrvPack { nrows, ncols, config, col_perm, segments, simd: 0 }
     }
 
     /// Requests a SIMD width for the chunk kernel: 0 = auto (widest
@@ -436,35 +428,6 @@ impl SrvPack {
         self.simd
     }
 
-    /// Requests a software prefetch distance in vector steps:
-    /// `Some(0)` disables prefetch, `Some(d)` forces `d` (clamped at
-    /// [`simd::MAX_PREFETCH`]), `None` (default) defers to the
-    /// `WISE_PREFETCH` override / auto policy. Scheduling only — never
-    /// changes results.
-    pub fn with_prefetch(mut self, d: Option<usize>) -> SrvPack {
-        self.prefetch = d;
-        self
-    }
-
-    /// The requested prefetch distance (see [`SrvPack::with_prefetch`]).
-    pub fn prefetch(&self) -> Option<usize> {
-        self.prefetch
-    }
-
-    /// Requests a chunk-interleave factor: 0 = auto policy (pair chunks
-    /// on the AVX-512 c=8 path), 1 = off, ≥ 2 = pair chunks. Paired
-    /// execution keeps each chunk's accumulator chain in solo-kernel
-    /// order, so results are bit-identical across factors.
-    pub fn with_interleave(mut self, r: usize) -> SrvPack {
-        self.interleave = r;
-        self
-    }
-
-    /// The requested interleave factor (see [`SrvPack::with_interleave`]).
-    pub fn interleave(&self) -> usize {
-        self.interleave
-    }
-
     /// The level the chunk kernel will actually execute at.
     pub fn resolved_isa(&self) -> SimdIsa {
         let isa = simd::resolve(self.simd, self.ncols);
@@ -479,30 +442,17 @@ impl SrvPack {
         }
     }
 
-    /// The effective prefetch distance at `isa`: the pack's override
-    /// when set, else the `WISE_PREFETCH` / auto policy chain. Scalar
-    /// never prefetches.
+    /// The prefetch distance the chunk kernel runs at `isa`: the auto
+    /// policy, which engages only once x outgrows the caches
+    /// ([`simd::auto_prefetch_distance`]).
     pub fn resolved_prefetch(&self, isa: SimdIsa) -> usize {
-        if isa.lanes() <= 1 {
-            return 0;
-        }
-        match self.prefetch {
-            Some(d) => d.min(simd::MAX_PREFETCH),
-            None => simd::prefetch_distance(isa, self.ncols),
-        }
+        simd::auto_prefetch_distance(isa, self.ncols)
     }
 
-    /// The effective chunk-interleave factor at `isa`: the pack's
-    /// override (clamped to {1, 2}) or the auto policy.
+    /// The chunk-interleave factor at `isa`: 2 (chunk pairs) on the
+    /// AVX-512 c=8 path, else 1 ([`simd::auto_sell_interleave`]).
     pub fn resolved_interleave(&self, isa: SimdIsa) -> usize {
-        if isa == SimdIsa::Scalar {
-            return 1;
-        }
-        match self.interleave {
-            0 => simd::auto_sell_interleave(isa, self.config.c),
-            1 => 1,
-            _ => 2,
-        }
+        simd::auto_sell_interleave(isa, self.config.c)
     }
 
     // ---- Accessors ----------------------------------------------------
@@ -1067,30 +1017,71 @@ mod tests {
 
     #[test]
     fn prefetch_and_interleave_never_change_results() {
-        // Both MLP knobs are scheduling-only: for a fixed resolved
-        // level the output must be bit-identical across every (D, R)
-        // combination, including the auto policies.
-        let m = RmatParams::HIGH_SKEW.generate(9, 8, 41);
-        let x = random_x(m.ncols(), 13);
-        let mut ws = SpmvWorkspace::default();
+        // An x past PREFETCH_MIN_X_BYTES engages the auto prefetch
+        // (D = 8) on every vector level, and c = 8 on AVX-512 also
+        // pairs chunks. Both are scheduling only: the packed SpMV must
+        // equal solo `sell_chunk_pf` calls at D = 0 bit-for-bit, and
+        // stay ulp-close to the reference.
+        let ncols = simd::PREFETCH_MIN_X_BYTES / 8 + 1000;
+        let mut rng = SplitMix64::seed_from_u64(61);
+        let (mut row_ptr, mut col_idx, mut vals) = (vec![0usize], Vec::new(), Vec::new());
+        for _ in 0..600 {
+            let len = 8 + rng.below(40);
+            let mut cols: Vec<u32> = (0..len).map(|_| rng.below(ncols) as u32).collect();
+            cols.sort_unstable();
+            cols.dedup();
+            vals.extend(cols.iter().map(|_| rng.range_f64(-1.0, 1.0)));
+            col_idx.extend(cols);
+            row_ptr.push(col_idx.len());
+        }
+        let m = Csr::try_new(600, ncols, row_ptr, col_idx, vals).unwrap();
+        let x = random_x(ncols, 19);
+        let mut want = vec![0.0; m.nrows()];
+        m.spmv_reference(&x, &mut want);
         let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-        for c in [4usize, 8] {
-            let pack = SrvPack::sell_c_sigma(&m, c, 64);
-            let mut base = vec![0.0; m.nrows()];
-            pack.clone().with_prefetch(Some(0)).with_interleave(1).spmv(
-                &x,
-                &mut base,
-                2,
-                Schedule::Dyn,
-                &mut ws,
-            );
-            for pf in [None, Some(0), Some(4), Some(simd::MAX_PREFETCH + 9)] {
-                for il in [0usize, 1, 2, 5] {
-                    let p = pack.clone().with_prefetch(pf).with_interleave(il);
-                    let mut got = vec![0.0; m.nrows()];
-                    p.spmv(&x, &mut got, 2, Schedule::Dyn, &mut ws);
-                    assert_eq!(bits(&got), bits(&base), "c={c} pf={pf:?} il={il}");
+        let mut ws = SpmvWorkspace::default();
+        for pack in
+            [SrvPack::sellpack(&m, 8), SrvPack::sell_c_sigma(&m, 8, 64), SrvPack::sellpack(&m, 4)]
+        {
+            let c = pack.config().c;
+            let isa = pack.resolved_isa();
+            if isa > SimdIsa::Scalar {
+                assert_eq!(pack.resolved_prefetch(isa), 8, "c={c} {isa:?}");
+            }
+            // Solo chunks, no prefetch, in pack order.
+            let mut solo = vec![0.0; m.nrows()];
+            let seg = &pack.segments()[0];
+            for k in 0..seg.nchunks() {
+                let (w0, w1) = (seg.offsets[k] * c, seg.offsets[k + 1] * c);
+                let mut acc = vec![0.0; c];
+                // SAFETY: the `SrvPack::build` invariants (see
+                // `chunk_kernel_simd`).
+                unsafe {
+                    simd::sell_chunk_pf(
+                        isa,
+                        &seg.vals[w0..w1],
+                        &seg.col_ids[w0..w1],
+                        c,
+                        &x,
+                        &mut acc,
+                        0,
+                    )
+                };
+                for (l, &r) in seg.chunk_rows(k, c).iter().enumerate() {
+                    solo[r as usize] += acc[l];
                 }
+            }
+            for sched in Schedule::ALL {
+                let mut got = vec![f64::NAN; m.nrows()];
+                pack.spmv(&x, &mut got, 2, sched, &mut ws);
+                assert_eq!(bits(&got), bits(&solo), "c={c} {sched:?}");
+                simd::assert_ulp_close(
+                    &got,
+                    &want,
+                    simd::SPMV_MAX_ULPS,
+                    simd::SPMV_ABS_FLOOR,
+                    &format!("c={c} {sched:?} vs reference"),
+                );
             }
         }
     }
@@ -1101,14 +1092,9 @@ mod tests {
         let p = SrvPack::sellpack(&m, 8);
         assert_eq!(p.resolved_prefetch(SimdIsa::Scalar), 0);
         assert_eq!(p.resolved_interleave(SimdIsa::Scalar), 1);
+        assert_eq!(p.resolved_prefetch(SimdIsa::Avx512), 0, "cache-resident x never prefetches");
         assert_eq!(p.resolved_interleave(SimdIsa::Avx512), 2, "auto pairs on AVX-512 c=8");
-        let p = p.with_prefetch(Some(simd::MAX_PREFETCH + 3)).with_interleave(7);
-        assert_eq!(p.resolved_prefetch(SimdIsa::Avx512), simd::MAX_PREFETCH);
-        assert_eq!(p.resolved_interleave(SimdIsa::Avx512), 2);
-        assert_eq!(p.prefetch(), Some(simd::MAX_PREFETCH + 3));
-        assert_eq!(p.interleave(), 7);
-        let p = p.with_interleave(1);
-        assert_eq!(p.resolved_interleave(SimdIsa::Avx512), 1);
+        assert_eq!(p.resolved_interleave(SimdIsa::Avx2), 1);
         let q = SrvPack::sellpack(&m, 4);
         assert_eq!(q.resolved_interleave(SimdIsa::Avx512), 1, "auto never pairs c=4");
     }

@@ -170,42 +170,15 @@ fn estimate_layout(
 
     match prepared {
         Prepared::Csr(_) => {
-            // Explicit SIMD width: a row of length `len` runs as
-            // `len / lanes` gather+FMA steps plus a scalar tail of
-            // `len % lanes` elements. `lanes <= 1` (v = 0 legacy model
-            // or forced-scalar v = 1) keeps the calibrated per-nonzero
-            // formula bit-identical to the pre-SIMD model.
-            let lanes = machine.modeled_lanes(cfg.v);
-            // Memory-level parallelism: explicit prefetch/interleave
-            // knobs overlap gather latency, scaling SIMD step
-            // throughput by the machine's MLP dividend. Exactly 1.0
-            // when both knobs are auto/off, so the pre-MLP model is
-            // bit-unchanged; scalar paths never gather, so the factor
-            // only divides vector-step cycles.
-            let mlp = machine.mlp_factor(cfg.pf, cfg.il);
+            // CSR has one kernel, the scalar row loop, so every CSR
+            // config is priced with the calibrated per-nonzero formula.
             let rows_per_chunk = model_rows_per_chunk(m.nrows(), nthreads);
             let nchunks = m.nrows().div_ceil(rows_per_chunk);
             for chunk in 0..nchunks {
                 let lo = chunk * rows_per_chunk;
                 let hi = (lo + rows_per_chunk).min(m.nrows());
-                let mut nnz_chunk = 0usize;
-                let mut steps = 0usize;
-                let mut tail = 0usize;
-                for r in lo..hi {
-                    let len = m.row_nnz(r);
-                    nnz_chunk += len;
-                    if lanes > 1 {
-                        steps += len / lanes;
-                        tail += len % lanes;
-                    }
-                }
-                let cycles = if lanes > 1 {
-                    steps as f64 * machine.simd_cycles_per_step / mlp
-                        + tail as f64 * machine.scalar_cycles_per_nnz
-                } else {
-                    nnz_chunk as f64 * machine.scalar_cycles_per_nnz
-                };
-                chunk_compute.push(cycles);
+                let nnz_chunk: usize = (lo..hi).map(|r| m.row_nnz(r)).sum();
+                chunk_compute.push(nnz_chunk as f64 * machine.scalar_cycles_per_nnz);
                 // vals 8B + col_idx 4B per nnz, row_ptr 8B + y 8B per row.
                 chunk_stream_bytes.push(nnz_chunk as f64 * 12.0 + (hi - lo) as f64 * 16.0);
                 chunk_x_accesses.push(nnz_chunk as f64);
@@ -221,14 +194,10 @@ fn estimate_layout(
             // Cycles per packed column step: legacy calibrated constant
             // for v = 0, pure scalar for a forced v = 1, and one vector
             // op per `lanes` rows of the chunk otherwise.
-            // MLP dividend, as in the CSR arm: only the explicit-SIMD
-            // gather steps overlap, so legacy (v = 0) and forced-scalar
-            // (v = 1) step costs are untouched.
-            let mlp = machine.mlp_factor(cfg.pf, cfg.il);
             let step_cycles = match lanes {
                 0 => machine.vector_cycles_per_step,
                 1 => c as f64 * machine.scalar_cycles_per_nnz,
-                l => (c as f64 / l as f64).ceil() * machine.simd_cycles_per_step / mlp,
+                l => (c as f64 / l as f64).ceil() * machine.simd_cycles_per_step,
             };
             // Deliberately not the kernel's grain: the model keeps the
             // paper's per-chunk dynamic grabs on its modelled machine
@@ -561,58 +530,6 @@ mod tests {
         // same packed layout regardless of v.
         assert_eq!(auto.dram_bytes, scalar.dram_bytes);
         assert_eq!(auto.nnz_padded, wide.nnz_padded);
-    }
-
-    #[test]
-    fn explicit_width_lowers_csr_compute_on_long_rows() {
-        // ~32 nnz per row: an 8-lane width models 4 gather steps per
-        // row instead of 32 scalar ops, so compute must drop.
-        let m = RmatParams::MED_LOC.generate(11, 32, 23);
-        let mach = machine();
-        let cfg = MethodConfig::csr(Schedule::Dyn);
-        let legacy = estimate_spmv_seconds(&m, &cfg, &mach, 0);
-        let one = estimate_spmv_seconds(&m, &cfg.with_simd(1), &mach, 0);
-        let wide = estimate_spmv_seconds(&m, &cfg.with_simd(8), &mach, 0);
-        // v = 0 and v = 1 share the scalar CSR formula bit-for-bit.
-        assert_eq!(legacy, one);
-        assert!(wide.compute_seconds < legacy.compute_seconds, "{wide:?} vs {legacy:?}");
-    }
-
-    #[test]
-    fn mlp_knobs_lower_simd_compute_only() {
-        let m = RmatParams::MED_LOC.generate(11, 32, 23);
-        let mach = machine();
-        for base in
-            [MethodConfig::csr(Schedule::Dyn), MethodConfig::sell_c_sigma(8, 4096, Schedule::Dyn)]
-        {
-            let wide = estimate_spmv_seconds(&m, &base.with_simd(8), &mach, 0);
-            let pf = estimate_spmv_seconds(&m, &base.with_simd(8).with_prefetch(8), &mach, 0);
-            let both = estimate_spmv_seconds(
-                &m,
-                &base.with_simd(8).with_prefetch(8).with_interleave(2),
-                &mach,
-                0,
-            );
-            // The overlap term ranks pf < pf+interleave below plain v8.
-            assert!(pf.compute_seconds < wide.compute_seconds, "{}", base.label());
-            assert!(both.compute_seconds < pf.compute_seconds, "{}", base.label());
-            // Traffic is untouched — MLP reorders loads, it doesn't
-            // remove them.
-            assert_eq!(both.dram_bytes, wide.dram_bytes);
-            assert_eq!(both.llc_bytes, wide.llc_bytes);
-            // Legacy (v = 0) and forced-scalar models ignore the knobs
-            // bit-for-bit: they have no gather steps to overlap.
-            for v in [0usize, 1] {
-                let plain = estimate_spmv_seconds(&m, &base.with_simd(v), &mach, 0);
-                let knobbed = estimate_spmv_seconds(
-                    &m,
-                    &base.with_simd(v).with_prefetch(8).with_interleave(2),
-                    &mach,
-                    0,
-                );
-                assert_eq!(plain, knobbed, "{} v={v}", base.label());
-            }
-        }
     }
 
     #[test]

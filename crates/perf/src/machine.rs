@@ -41,16 +41,6 @@ pub struct MachineModel {
     /// Caps the lane count an explicit `v` can model. Defaults match
     /// the Skylake preset for files missing the field.
     pub simd_lanes: usize,
-    /// Relative throughput gained per extra in-flight gather stream —
-    /// the memory-level-parallelism dividend of software prefetch and
-    /// row/chunk interleaving. Each enabled MLP mechanism (prefetch on,
-    /// plus every interleaved chain beyond the first) multiplies SIMD
-    /// step throughput by `1 + simd_gather_mlp` (see
-    /// [`MachineModel::mlp_factor`]). Calibrated from the measured
-    /// chunk-pair win on this repo's Skylake-class host (~1.2× for the
-    /// first extra stream, diminishing after). Defaults to the preset
-    /// for files serialized before this field existed.
-    pub simd_gather_mlp: f64,
     /// Overhead of one dynamic-scheduling work grab, nanoseconds
     /// (shared-counter fetch_add plus its coherence traffic).
     pub dyn_grab_ns: f64,
@@ -69,7 +59,6 @@ wise_trace::json_struct!(MachineModel {
     scalar_cycles_per_nnz, vector_cycles_per_step,
     simd_cycles_per_step = default_simd_cycles_per_step(),
     simd_lanes = default_simd_lanes(),
-    simd_gather_mlp = default_simd_gather_mlp(),
     dyn_grab_ns, single_thread_dram_fraction, single_thread_llc_fraction, scatter_write_factor,
 });
 
@@ -79,10 +68,6 @@ fn default_simd_cycles_per_step() -> f64 {
 
 fn default_simd_lanes() -> usize {
     8
-}
-
-fn default_simd_gather_mlp() -> f64 {
-    0.2
 }
 
 impl MachineModel {
@@ -104,7 +89,6 @@ impl MachineModel {
             vector_cycles_per_step: 6.0,
             simd_cycles_per_step: 6.0,
             simd_lanes: 8,
-            simd_gather_mlp: 0.2,
             dyn_grab_ns: 40.0,
             single_thread_dram_fraction: 0.125,
             single_thread_llc_fraction: 0.1,
@@ -189,20 +173,6 @@ impl MachineModel {
         }
     }
 
-    /// Throughput multiplier for the memory-level parallelism a config
-    /// exposes: `pf` is the resolved prefetch distance (0 = off) and
-    /// `il` the resolved interleave factor (≤ 1 = solo chains). Each
-    /// extra in-flight gather stream — prefetch counts as one, every
-    /// chain beyond the first counts as one — adds `simd_gather_mlp`
-    /// of a step's base throughput, saturating at three extra streams
-    /// (the load ports bound further overlap). Returns exactly 1.0
-    /// when no MLP mechanism is enabled, so pre-MLP model outputs are
-    /// bit-unchanged.
-    pub fn mlp_factor(&self, pf: usize, il: usize) -> f64 {
-        let streams = (il.max(1) - 1) + usize::from(pf > 0);
-        1.0 + self.simd_gather_mlp * streams.min(3) as f64
-    }
-
     /// The SIMD capability of the *host* this process runs on, as
     /// `(isa name, f64 lanes)` — the runtime probe of
     /// `wise_kernels::simd` surfaced where cost-model users live.
@@ -258,24 +228,15 @@ mod tests {
         // saved experiments reload their machine description).
         let m = MachineModel::skylake_6126();
         let json = m.to_json();
-        let stripped = json
-            .replace(",\"simd_cycles_per_step\":6.0", "")
-            .replace(",\"simd_lanes\":8", "")
-            .replace(",\"simd_gather_mlp\":0.2", "");
+        let stripped =
+            json.replace(",\"simd_cycles_per_step\":6.0", "").replace(",\"simd_lanes\":8", "");
         assert_ne!(stripped, json, "test must actually strip the fields");
-        assert_eq!(MachineModel::from_json_str(&stripped), Ok(m));
-    }
-
-    #[test]
-    fn mlp_factor_counts_streams_and_saturates() {
-        let m = MachineModel::skylake_6126();
-        assert_eq!(m.mlp_factor(0, 0), 1.0, "no MLP → exactly 1.0");
-        assert_eq!(m.mlp_factor(0, 1), 1.0);
-        assert_eq!(m.mlp_factor(8, 1), 1.0 + m.simd_gather_mlp);
-        assert_eq!(m.mlp_factor(0, 2), 1.0 + m.simd_gather_mlp);
-        assert_eq!(m.mlp_factor(8, 2), 1.0 + 2.0 * m.simd_gather_mlp);
-        assert_eq!(m.mlp_factor(8, 4), 1.0 + 3.0 * m.simd_gather_mlp, "saturates at 3 streams");
-        assert_eq!(m.mlp_factor(64, 8), m.mlp_factor(1, 4));
+        assert_eq!(MachineModel::from_json_str(&stripped), Ok(m.clone()));
+        // Files that still carry the removed `simd_gather_mlp` member
+        // decode with it ignored.
+        let old = json.replace("\"simd_lanes\":8", "\"simd_lanes\":8,\"simd_gather_mlp\":0.2");
+        assert_ne!(old, json);
+        assert_eq!(MachineModel::from_json_str(&old), Ok(m));
     }
 
     #[test]

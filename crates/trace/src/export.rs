@@ -533,7 +533,6 @@ mod tests {
             simd: Some("avx2:4".into()),
             simd_env: Some("0".into()),
             mlp: Some("pf8:il2".into()),
-            prefetch_env: None,
         };
         let doc = json::parse(&perf_summary_json_with(&summary, &host)).expect("parses");
         let h = doc.get("host").expect("host object");

@@ -82,29 +82,18 @@ pub struct HostFingerprint {
     /// MLP kernels existed; tolerated when missing so old records stay
     /// comparable.
     pub mlp: Option<String>,
-    /// Raw `WISE_PREFETCH` value, if set — like `simd_env`, an explicit
-    /// override changes what the kernels execute, so it must match
-    /// exactly for two runs to be comparable.
-    pub prefetch_env: Option<String>,
 }
 
 /// The host's SIMD capability in `isa:lanes` form. Mirrors the probe in
 /// `wise_kernels::simd` — re-implemented here because this crate has no
 /// dependencies and `wise-kernels` depends on it, not vice versa.
 fn detect_simd() -> String {
+    // AVX2 without FMA (or AVX-512 without both) is not worth a
+    // distinct tier; the kernel probe applies the same gate.
     #[cfg(target_arch = "x86_64")]
-    {
-        // AVX2 without FMA (or AVX-512 without both) is not worth a
-        // distinct tier; the kernel probe applies the same gate.
-        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-            if is_x86_feature_detected!("avx512f") {
-                return "avx512f:8".to_string();
-            }
-            return "avx2:4".to_string();
-        }
-        if is_x86_feature_detected!("sse2") {
-            return "sse2:2".to_string();
-        }
+    if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+        let isa = if is_x86_feature_detected!("avx512f") { "avx512f:8" } else { "avx2:4" };
+        return isa.to_string();
     }
     "scalar:1".to_string()
 }
@@ -122,7 +111,6 @@ impl HostFingerprint {
             simd: Some(detect_simd()),
             simd_env: std::env::var("WISE_SIMD").ok(),
             mlp: None,
-            prefetch_env: std::env::var("WISE_PREFETCH").ok(),
         }
     }
 
@@ -162,20 +150,10 @@ impl HostFingerprint {
             && opt_ok(&self.simd, &other.simd)
             && self.simd_env == other.simd_env
             && opt_ok(&self.mlp, &other.mlp)
-            && self.prefetch_env == other.prefetch_env
     }
 }
 
-json_struct!(HostFingerprint {
-    cpu_cores,
-    threads_env,
-    pool_env,
-    rustc,
-    simd,
-    simd_env,
-    mlp,
-    prefetch_env,
-});
+json_struct!(HostFingerprint { cpu_cores, threads_env, pool_env, rustc, simd, simd_env, mlp });
 
 // ---------------------------------------------------------------------
 // Record contents
@@ -375,7 +353,6 @@ impl BenchRecord {
             ("kernel.convert.nnz", "kernel.convert.nnz_per_s"),
             ("bench.simd.scalar.nnz", "bench.simd.scalar.nnz_per_s"),
             ("bench.simd.vector.nnz", "bench.simd.vector.nnz_per_s"),
-            ("bench.simd.mlp.nnz", "bench.simd.mlp.nnz_per_s"),
         ] {
             let volume = summary.counters.get(counter).copied().unwrap_or(0);
             let stage = counter.rsplit_once('.').map(|(s, _)| s).unwrap_or(counter);
@@ -890,7 +867,6 @@ mod tests {
             simd: Some("avx2:4".into()),
             simd_env: None,
             mlp: Some("pf8:il2".into()),
-            prefetch_env: None,
         };
         assert!(a.comparable_to(&a));
         // Unknown rustc / SIMD capability on one side is tolerated
@@ -909,10 +885,8 @@ mod tests {
         // WISE_SIMD is strict: a forced-scalar run is a different
         // experiment, even if the hardware matches.
         assert!(!a.comparable_to(&HostFingerprint { simd_env: Some("0".into()), ..a.clone() }));
-        // Mismatched MLP settings (both known) or an explicit
-        // WISE_PREFETCH override on one side are different experiments.
+        // Mismatched MLP settings (both known) are different experiments.
         assert!(!a.comparable_to(&HostFingerprint { mlp: Some("pf0:il1".into()), ..a.clone() }));
-        assert!(!a.comparable_to(&HostFingerprint { prefetch_env: Some("4".into()), ..a.clone() }));
     }
 
     #[test]
@@ -921,9 +895,14 @@ mod tests {
         rec.host.simd = Some("avx512f:8".into());
         rec.host.simd_env = Some("4".into());
         rec.host.mlp = Some("pf8:il2".into());
-        rec.host.prefetch_env = Some("8".into());
-        let back = BenchRecord::from_json(&rec.to_json()).unwrap();
+        let json = rec.to_json();
+        let back = BenchRecord::from_json(&json).unwrap();
         assert_eq!(back.host, rec.host);
+        // Records written while the fingerprint still carried the
+        // removed `prefetch_env` member decode with it ignored.
+        let old = json.replace("\"mlp\":\"pf8:il2\"", "\"mlp\":\"pf8:il2\",\"prefetch_env\":\"8\"");
+        assert_ne!(old, json);
+        assert_eq!(BenchRecord::from_json(&old).unwrap().host, rec.host);
         // detect() always knows its own capability, in isa:lanes form.
         let detected = HostFingerprint::detect();
         assert!(detected.simd.as_deref().unwrap().contains(':'));

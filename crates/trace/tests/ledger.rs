@@ -60,7 +60,6 @@ fn full_record(seq: u64) -> BenchRecord {
             simd: Some("avx512f:8".into()),
             simd_env: Some("8".into()),
             mlp: Some("pf8:il2".into()),
-            prefetch_env: None,
         },
         stages,
         counters: [("kernel.spmv.nnz".to_string(), 123_456u64)].into_iter().collect(),

@@ -46,15 +46,14 @@ fn zoo() -> Vec<(&'static str, Csr)> {
     ]
 }
 
-/// The catalog plus explicit SIMD-width, prefetch and interleave
-/// variants (same layouts, different execution models).
+/// The catalog plus explicit SIMD-width variants (same layouts,
+/// different execution models; a no-op on CSR).
 fn configs() -> Vec<MethodConfig> {
     let mut cfgs = MethodConfig::catalog();
     for base in MethodConfig::catalog() {
         cfgs.push(base.with_simd(1));
         cfgs.push(base.with_simd(8));
-        cfgs.push(base.with_simd(8).with_prefetch(4));
-        cfgs.push(base.with_simd(4).with_interleave(2));
+        cfgs.push(base.with_simd(4));
     }
     cfgs
 }
