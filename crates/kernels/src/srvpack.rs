@@ -26,6 +26,7 @@
 
 use crate::sched::{parallel_for_chunks, DisjointWriter, Schedule};
 use crate::simd::{self, SimdIsa};
+use wise_matrix::perm::counting_sort_desc;
 use wise_matrix::{Csr, Permutation};
 
 /// Row-reordering policy applied within each segment.
@@ -123,6 +124,11 @@ impl Segment {
     pub fn col_ids(&self) -> &[u32] {
         &self.col_ids
     }
+
+    /// Values, `c` lanes per step; padding lanes hold 0.0.
+    pub fn vals(&self) -> &[f64] {
+        &self.vals
+    }
 }
 
 /// A matrix packed in SRVPack form, ready for vectorized SpMV.
@@ -214,20 +220,14 @@ impl SrvPack {
 
     // ---- Generic builder ---------------------------------------------
 
-    /// Packs `m` per `config`. Cost is O(nnz + rows·log σ-window); this
-    /// is the preprocessing the selection heuristic charges for. Chunk
-    /// filling is parallelized over the worker pool
+    /// Packs `m` per `config` in O(nrows + ncols + nnz); this is the
+    /// preprocessing the selection heuristic charges for (DESIGN.md
+    /// §21). Chunk filling runs on the worker pool
     /// ([`crate::sched::default_threads`] workers); the output is
-    /// bit-identical to [`SrvPack::build_serial`] because each chunk
-    /// owns a disjoint `offsets`-delimited range of the buffers.
+    /// bit-identical for every thread count because each chunk owns a
+    /// disjoint `offsets`-delimited range of the buffers.
     pub fn build(m: &Csr, config: PackConfig) -> SrvPack {
         Self::build_with_threads(m, config, crate::sched::default_threads())
-    }
-
-    /// The serial reference build — the parity oracle for the parallel
-    /// path (`convert_parity` asserts bit-identical prepared buffers).
-    pub fn build_serial(m: &Csr, config: PackConfig) -> SrvPack {
-        Self::build_with_threads(m, config, 1)
     }
 
     /// [`SrvPack::build`] with an explicit worker count (1 = fill
@@ -240,106 +240,53 @@ impl SrvPack {
         }
         let nrows = m.nrows();
         let ncols = m.ncols();
+        let row_ptr = m.row_ptr();
 
-        // 1. CFS: old -> new column relabeling.
-        let (col_perm, old_to_new) = if config.cfs {
-            let perm = Permutation::sort_desc_by_key(&m.nnz_per_col());
-            let inv = perm.inverse();
-            (Some(perm), Some(inv))
-        } else {
-            (None, None)
-        };
-
-        // 2. Segment boundaries in the (possibly relabeled) column space.
-        let boundaries: Vec<usize> = match config.segments {
-            SegmentSpec::One => vec![0, ncols],
-            SegmentSpec::DenseFraction(t) => {
-                let counts = m.nnz_per_col();
-                let perm = col_perm.as_ref().expect("checked above");
-                let total = m.nnz();
-                let target = (t * total as f64).ceil() as usize;
-                let mut cum = 0usize;
-                let mut split = ncols;
-                for new_c in 0..ncols {
-                    cum += counts[perm.apply(new_c)];
-                    if cum >= target {
-                        split = new_c + 1;
-                        break;
-                    }
-                }
-                if split >= ncols || total == 0 {
-                    vec![0, ncols] // dense segment swallowed everything
-                } else {
-                    vec![0, split, ncols]
-                }
+        // 1. CFS: relabel columns by descending count, then split the
+        // relabeled space into the dense prefix holding fraction T.
+        let mut split = ncols;
+        let col_perm = config.cfs.then(|| {
+            let counts = m.nnz_per_col();
+            let perm = Permutation::sort_desc_by_key(&counts);
+            if let SegmentSpec::DenseFraction(t) = config.segments {
+                split = dense_split(&counts, &perm, m.nnz(), t);
             }
-        };
+            perm
+        });
 
-        // 3. Build each segment.
+        // 2. One remap pass through `old_to_new` (see `remap`); the
+        // temporaries are dropped when `build` returns.
+        let mut lens: Vec<usize> = row_ptr.windows(2).map(|w| w[1] - w[0]).collect();
+        let remapped = col_perm.as_ref().map(|perm| remap(m, &perm.inverse(), split, &mut lens));
+        let (cols, src_vals) = match &remapped {
+            Some((cols, vals)) => (&cols[..], vals.as_deref().unwrap_or(m.vals())),
+            None => (m.col_idx(), m.vals()),
+        };
+        let boundaries: &[usize] = if split < ncols { &[0, split, ncols] } else { &[0, ncols] };
+
+        // 3. Build each segment. `lens` holds the segment's row lengths:
+        // the dense counts first, then `row_nnz - dense` for the sparse
+        // remainder.
         let nseg = boundaries.len() - 1;
         let mut segments = Vec::with_capacity(nseg);
+        let mut sort_counts = Vec::new();
         for s in 0..nseg {
             let (lo, hi) = (boundaries[s], boundaries[s + 1]);
-
-            // Row lengths within this segment.
-            let mut lens = vec![0usize; nrows];
-            if nseg == 1 && old_to_new.is_none() {
+            if s == 1 {
                 for (r, len) in lens.iter_mut().enumerate() {
-                    *len = m.row_nnz(r);
-                }
-            } else {
-                #[allow(clippy::needless_range_loop)]
-                for r in 0..nrows {
-                    for &c in m.row_cols(r) {
-                        let nc = match &old_to_new {
-                            Some(p) => p.apply(c as usize),
-                            None => c as usize,
-                        };
-                        if nc >= lo && nc < hi {
-                            lens[r] += 1;
-                        }
-                    }
+                    *len = row_ptr[r + 1] - row_ptr[r] - *len;
                 }
             }
+            let row_order = row_order(config.sigma, &lens, &mut sort_counts);
 
-            // Row order.
-            let row_order: Vec<u32> = match config.sigma {
-                SigmaSpec::None => (0..nrows as u32).collect(),
-                SigmaSpec::Window(w) => {
-                    let w = w.max(1);
-                    let mut order: Vec<u32> = (0..nrows as u32).collect();
-                    for win in order.chunks_mut(w) {
-                        win.sort_by(|&a, &b| {
-                            lens[b as usize].cmp(&lens[a as usize]).then(a.cmp(&b))
-                        });
-                    }
-                    order
-                }
-                SigmaSpec::Full => {
-                    let mut order: Vec<u32> = (0..nrows as u32).collect();
-                    order.sort_by(|&a, &b| lens[b as usize].cmp(&lens[a as usize]).then(a.cmp(&b)));
-                    // Drop trailing zero-length rows: they produce no
-                    // output in this segment.
-                    while let Some(&last) = order.last() {
-                        if lens[last as usize] == 0 {
-                            order.pop();
-                        } else {
-                            break;
-                        }
-                    }
-                    order
-                }
-            };
-
-            // Pack chunk-major. Widths and offsets are computed up
-            // front (cheap: one max over `lens` per chunk), which lets
-            // the expensive fill — re-walking every row's nonzeros —
-            // run one chunk per work item over the worker pool: chunk
-            // `k` owns the disjoint buffer range `offsets[k] * c ..
-            // offsets[k + 1] * c`, so the parallel fill writes exactly
-            // the bytes the serial loop would (padding slots keep their
-            // zero initialization either way) and the prepared buffers
-            // are bit-identical for every thread count.
+            // Pack chunk-major. Widths and offsets come first (one max
+            // over `lens` per chunk), which lets the fill run one chunk
+            // per work item over the worker pool: chunk `k` owns the
+            // disjoint buffer range `offsets[k] * c .. offsets[k + 1] *
+            // c`, so the parallel fill writes exactly the bytes the
+            // serial loop would (padding slots keep their zero
+            // initialization either way) and the prepared buffers are
+            // bit-identical for every thread count.
             let c = config.c;
             let nchunks = row_order.len().div_ceil(c);
             let mut offsets = Vec::with_capacity(nchunks + 1);
@@ -351,49 +298,35 @@ impl SrvPack {
             let total = *offsets.last().unwrap() * c;
             let mut col_ids = vec![0u32; total];
             let mut vals = vec![0.0f64; total];
-            let mut chunk_nnz = vec![0usize; nchunks];
             {
                 let cols_w = DisjointWriter::new(&mut col_ids);
                 let vals_w = DisjointWriter::new(&mut vals);
-                let nnz_w = DisjointWriter::new(&mut chunk_nnz);
-                let offsets = &offsets;
-                let row_order = &row_order;
-                let old_to_new = &old_to_new;
+                let (offsets, row_order, lens) = (&offsets, &row_order, &lens);
+                // The dense segment reads the first `lens[r]` entries of
+                // each (partitioned) row, the sparse one the last.
+                let from_end = s == 1;
                 let fill = |k: usize| {
                     let base = offsets[k] * c;
                     let chunk_rows = &row_order[k * c..((k + 1) * c).min(row_order.len())];
-                    let mut real = 0usize;
-                    let mut seg_cols: Vec<(u32, f64)> = Vec::new(); // scratch
                     for (lane, &r) in chunk_rows.iter().enumerate() {
-                        seg_cols.clear();
-                        for (cc, v) in m.row(r as usize) {
-                            let nc = match old_to_new {
-                                Some(p) => p.apply(cc as usize),
-                                None => cc as usize,
-                            };
-                            if nc >= lo && nc < hi {
-                                seg_cols.push((nc as u32, v));
-                            }
-                        }
-                        real += seg_cols.len();
-                        for (j, &(nc, v)) in seg_cols.iter().enumerate() {
-                            // SAFETY: `base + j * c + lane` stays inside
-                            // chunk k's buffer range (j < its width, lane
-                            // < c) and chunk ranges are disjoint by the
-                            // offsets prefix sum; k is unique per call.
+                        let (r, len) = (r as usize, lens[r as usize]);
+                        let a = if from_end { row_ptr[r + 1] - len } else { row_ptr[r] };
+                        let entries = cols[a..a + len].iter().zip(&src_vals[a..a + len]);
+                        for (j, (&nc, &v)) in entries.enumerate() {
+                            // SAFETY: j < lens[r] <= chunk k's width and
+                            // lane < c, so `base + j·c + lane` stays inside
+                            // chunk k's range; chunk ranges are disjoint by
+                            // the offsets prefix sum and k is unique per
+                            // call.
                             unsafe {
                                 cols_w.write(base + j * c + lane, nc);
                                 vals_w.write(base + j * c + lane, v);
                             }
                         }
                     }
-                    // SAFETY: one writer per chunk index.
-                    unsafe { nnz_w.write(k, real) };
                 };
                 if nthreads <= 1 {
-                    for k in 0..nchunks {
-                        fill(k);
-                    }
+                    (0..nchunks).for_each(fill);
                 } else {
                     let grain = (crate::csr_spmv::DEFAULT_ROWS_PER_CHUNK / c.max(1)).max(1);
                     parallel_for_chunks(nchunks, nthreads, Schedule::Dyn, grain, fill);
@@ -404,7 +337,7 @@ impl SrvPack {
                 offsets,
                 col_ids,
                 vals,
-                nnz_real: chunk_nnz.iter().sum(),
+                nnz_real: lens.iter().sum(),
                 col_range: (lo, hi),
             });
         }
@@ -757,6 +690,85 @@ impl SrvPack {
     }
 }
 
+/// The dense segment's end in CFS order: the smallest column prefix
+/// holding at least `ceil(t · nnz)` nonzeros, or `ncols` when that
+/// prefix is every column (or the matrix is empty) — one segment then.
+fn dense_split(counts: &[usize], perm: &Permutation, nnz: usize, t: f64) -> usize {
+    let ncols = counts.len();
+    if nnz == 0 {
+        return ncols;
+    }
+    let target = (t * nnz as f64).ceil() as usize;
+    let mut cum = 0usize;
+    for (new_c, &old) in perm.as_slice().iter().enumerate() {
+        cum += counts[old as usize];
+        if cum >= target {
+            return new_c + 1;
+        }
+    }
+    ncols
+}
+
+/// Maps every column id of `m` through `old_to_new` (CFS). With a dense
+/// split (`split < ncols`) each row is also stored stably partitioned —
+/// its entries in columns `< split` first, both halves in CSR order —
+/// with its values alongside, and `lens[r]` becomes the row's dense
+/// count: each segment's fill then copies one contiguous run per row.
+fn remap(
+    m: &Csr,
+    old_to_new: &Permutation,
+    split: usize,
+    lens: &mut [usize],
+) -> (Vec<u32>, Option<Vec<f64>>) {
+    let old_to_new = old_to_new.as_slice();
+    let new_col = |c: u32| old_to_new[c as usize];
+    if split == m.ncols() {
+        return (m.col_idx().iter().map(|&c| new_col(c)).collect(), None);
+    }
+    let (row_ptr, src_cols, src_vals) = (m.row_ptr(), m.col_idx(), m.vals());
+    let mut cols = vec![0u32; m.nnz()];
+    let mut vals = vec![0.0f64; m.nnz()];
+    for (r, len) in lens.iter_mut().enumerate() {
+        let (a, b) = (row_ptr[r], row_ptr[r + 1]);
+        let dense = src_cols[a..b].iter().filter(|&&c| (new_col(c) as usize) < split).count();
+        let (mut d, mut s) = (a, a + dense);
+        for (&c, &v) in src_cols[a..b].iter().zip(&src_vals[a..b]) {
+            let nc = new_col(c);
+            let is_dense = (nc as usize) < split;
+            let at = if is_dense { d } else { s };
+            cols[at] = nc;
+            vals[at] = v;
+            d += is_dense as usize;
+            s += !is_dense as usize;
+        }
+        *len = dense;
+    }
+    (cols, Some(vals))
+}
+
+/// Pack order of the rows under `sigma`, by stable counting sort on the
+/// segment lengths `lens` (descending, ties in row order). `counts` is
+/// the sort's scratch, shared across windows and segments. `Full` drops
+/// the trailing zero-length rows: they produce no output in the segment.
+fn row_order(sigma: SigmaSpec, lens: &[usize], counts: &mut Vec<usize>) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..lens.len() as u32).collect();
+    match sigma {
+        SigmaSpec::None => {}
+        SigmaSpec::Window(w) => {
+            let w = w.max(1);
+            for (k, (win, dst)) in lens.chunks(w).zip(order.chunks_mut(w)).enumerate() {
+                counting_sort_desc(win, (k * w) as u32, counts, dst);
+            }
+        }
+        SigmaSpec::Full => {
+            counting_sort_desc(lens, 0, counts, &mut order);
+            let kept = order.partition_point(|&r| lens[r as usize] > 0);
+            order.truncate(kept);
+        }
+    }
+    order
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1101,9 +1113,9 @@ mod tests {
 
     #[test]
     fn parallel_build_is_bit_identical_to_serial() {
-        // Satellite 1: the pool-parallel chunk fill must produce
-        // byte-identical prepared buffers for every method and thread
-        // count (the serial path is the parity oracle).
+        // The pool-parallel chunk fill must produce byte-identical
+        // prepared buffers for every method and thread count (the
+        // 1-thread build is the baseline).
         for (i, m) in [RmatParams::HIGH_SKEW.generate(9, 8, 51), suite::banded(300, 5, 0.8, 7)]
             .iter()
             .enumerate()
@@ -1124,7 +1136,7 @@ mod tests {
                 },
                 PackConfig { c: 3, sigma: SigmaSpec::Full, cfs: false, segments: SegmentSpec::One },
             ] {
-                let serial = SrvPack::build_serial(m, cfg);
+                let serial = SrvPack::build_with_threads(m, cfg, 1);
                 for t in [2usize, 3, 7] {
                     let par = SrvPack::build_with_threads(m, cfg, t);
                     assert_eq!(par, serial, "matrix {i} cfg {cfg:?} t={t}");

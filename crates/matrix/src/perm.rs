@@ -40,11 +40,12 @@ impl Permutation {
 
     /// Sorts indices `0..keys.len()` by key descending; ties broken by
     /// original index ascending (a *stable* frequency sort, matching the
-    /// deterministic RFS/CFS used in LAV).
+    /// deterministic RFS/CFS used in LAV). O(len + largest key) through
+    /// [`counting_sort_desc`].
     pub fn sort_desc_by_key(keys: &[usize]) -> Self {
-        let mut idx: Vec<u32> = (0..keys.len() as u32).collect();
-        idx.sort_by(|&a, &b| keys[b as usize].cmp(&keys[a as usize]).then(a.cmp(&b)));
-        Permutation { map: idx }
+        let mut map = vec![0u32; keys.len()];
+        counting_sort_desc(keys, 0, &mut Vec::new(), &mut map);
+        Permutation { map }
     }
 
     #[inline]
@@ -107,6 +108,36 @@ impl Permutation {
         for (d, &old) in dst.iter_mut().zip(self.map.iter()) {
             *d = src[old as usize];
         }
+    }
+}
+
+/// Stable counting sort by key descending: writes `base + i` for every
+/// `i in 0..keys.len()` into `out`, ordered by `keys[i]` descending with
+/// ties in ascending `i` — exactly the order of
+/// `sort_by(|a, b| keys[b].cmp(&keys[a]).then(a.cmp(&b)))`.
+///
+/// Runs in O(len + largest key). `counts` is scratch: callers sorting
+/// many slices (RFS over σ-windows) pass the same buffer every time, so
+/// it is allocated once at the largest window maximum.
+pub fn counting_sort_desc(keys: &[usize], base: u32, counts: &mut Vec<usize>, out: &mut [u32]) {
+    assert_eq!(keys.len(), out.len(), "counting sort output length mismatch");
+    let Some(&max) = keys.iter().max() else { return };
+    counts.clear();
+    counts.resize(max + 1, 0);
+    for &k in keys {
+        counts[k] += 1;
+    }
+    // Exclusive prefix sum from the largest key down: `counts[k]` becomes
+    // the first output slot of key `k`.
+    let mut next = 0;
+    for slot in counts.iter_mut().rev() {
+        let n = *slot;
+        *slot = next;
+        next += n;
+    }
+    for (i, &k) in keys.iter().enumerate() {
+        out[counts[k]] = base + i as u32;
+        counts[k] += 1;
     }
 }
 
@@ -226,17 +257,49 @@ mod property_loops {
         }
     }
 
-    /// sort_desc_by_key yields non-increasing keys.
+    /// The comparison sort the counting sort replaces: key descending,
+    /// ties by index ascending.
+    fn sort_by_oracle(keys: &[usize]) -> Vec<u32> {
+        let mut idx: Vec<u32> = (0..keys.len() as u32).collect();
+        idx.sort_by(|&a, &b| keys[b as usize].cmp(&keys[a as usize]).then(a.cmp(&b)));
+        idx
+    }
+
+    /// sort_desc_by_key equals the `sort_by` oracle exactly, tie order
+    /// included: an unstable sort would reorder CFS columns and RFS rows
+    /// and so change every LAV pack.
     #[test]
     fn sort_desc_is_sorted() {
         for case in 0..256 {
             let mut rng = case;
             let len = 1 + next(&mut rng) as usize % 79;
-            let keys: Vec<usize> = (0..len).map(|_| next(&mut rng) as usize % 100).collect();
+            // Small key ranges force many ties; some cases draw keys far
+            // above the length.
+            let range = [3, 100, 1 << 16][case as usize % 3];
+            let keys: Vec<usize> = (0..len).map(|_| next(&mut rng) as usize % range).collect();
             let p = Permutation::sort_desc_by_key(&keys);
-            let sorted: Vec<usize> = (0..keys.len()).map(|i| keys[p.apply(i)]).collect();
-            for w in sorted.windows(2) {
-                assert!(w[0] >= w[1], "case {case}");
+            assert_eq!(p.as_slice(), sort_by_oracle(&keys).as_slice(), "case {case}");
+        }
+        assert!(Permutation::sort_desc_by_key(&[]).is_empty());
+        assert_eq!(Permutation::sort_desc_by_key(&[7; 33]), Permutation::identity(33));
+        let keys = [0, 1 << 24, 5, 1 << 24, 0];
+        assert_eq!(Permutation::sort_desc_by_key(&keys).as_slice(), &sort_by_oracle(&keys)[..]);
+    }
+
+    /// Sorting consecutive windows through one reused count buffer gives
+    /// each window the oracle order, offset by the window's base.
+    #[test]
+    fn windowed_counting_sort_reuses_one_buffer() {
+        let mut rng = 99;
+        let keys: Vec<usize> = (0..200).map(|_| next(&mut rng) as usize % 17).collect();
+        let mut counts = Vec::new();
+        let mut out = vec![0u32; keys.len()];
+        for w in [1, 7, 64, 201] {
+            for (k, (win, dst)) in keys.chunks(w).zip(out.chunks_mut(w)).enumerate() {
+                let base = (k * w) as u32;
+                counting_sort_desc(win, base, &mut counts, dst);
+                let want: Vec<u32> = sort_by_oracle(win).iter().map(|&i| base + i).collect();
+                assert_eq!(dst, &want[..], "window {w} #{k}");
             }
         }
     }
