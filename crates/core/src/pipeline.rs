@@ -53,9 +53,12 @@ pub struct ChoiceTiming {
     pub feature_extraction_s: f64,
     /// Seconds running the per-configuration class predictions.
     pub predict_s: f64,
-    /// Seconds in the selection heuristic (including, for
-    /// [`Wise::select_for_iterations`], the preprocessing-cost
-    /// estimates the amortized pick needs).
+    /// Seconds in the selection heuristic. For
+    /// [`Wise::select_for_iterations`] this includes the amortized
+    /// pick's cost-model work: one preprocessing estimate per catalog
+    /// config and the best-CSR baseline
+    /// ([`wise_perf::Estimator::csr_baseline_seconds`], a windowed
+    /// replay on long column streams).
     pub select_s: f64,
 }
 
@@ -441,7 +444,8 @@ impl Wise {
     /// A full-pipeline or amortized `choice.features` can be moved
     /// straight in; a cascade *stage-1* choice carries only the probe
     /// slots, which need not cover the read set — check
-    /// [`Choice::cascade`] first.
+    /// [`Choice::cascade`] first. A matrix without nonzeros has nothing
+    /// to multiply and gets the cheapest config to prepare (CSR).
     pub fn select_for_iterations_from_features(
         &self,
         m: &Csr,
@@ -461,13 +465,15 @@ impl Wise {
         let catalog = self.registry.catalog();
         let preproc: Vec<f64> =
             catalog.iter().map(|cfg| estimator.preprocessing_seconds(m, cfg)).collect();
-        let csr: Vec<MethodConfig> =
-            catalog.iter().filter(|c| c.method == wise_kernels::Method::Csr).copied().collect();
-        let best_csr = estimator
-            .catalog_costs(m, &csr)
-            .into_iter()
-            .map(|(steady, _)| steady)
-            .fold(f64::MAX, f64::min);
+        let best_csr = if m.nnz() == 0 {
+            // Nothing to multiply: no conversion can pay off.
+            0.0
+        } else {
+            let _baseline = wise_trace::span("select.baseline");
+            let csr: Vec<MethodConfig> =
+                catalog.iter().filter(|c| c.method == wise_kernels::Method::Csr).copied().collect();
+            estimator.csr_baseline_seconds(m, &csr)
+        };
         let index = crate::select::select_index_amortized(
             catalog,
             &predictions,

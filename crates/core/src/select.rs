@@ -101,7 +101,8 @@ mod tests {
 /// `preproc_seconds` holds the per-configuration conversion estimate
 /// (catalog order). For tiny `n_iterations` this collapses to CSR (no
 /// conversion is worth it); for large `n_iterations` it converges to
-/// [`select_index`].
+/// [`select_index`]. A zero baseline (nothing to multiply) leaves only
+/// the conversion estimates, so the cheapest config to prepare wins.
 pub fn select_index_amortized(
     catalog: &[MethodConfig],
     predictions: &[SpeedupClass],
@@ -112,7 +113,7 @@ pub fn select_index_amortized(
     assert_eq!(catalog.len(), predictions.len(), "catalog/prediction length mismatch");
     assert_eq!(catalog.len(), preproc_seconds.len(), "catalog/preproc length mismatch");
     assert!(!catalog.is_empty(), "empty catalog");
-    assert!(best_csr_seconds > 0.0, "need a positive baseline time");
+    assert!(best_csr_seconds >= 0.0, "need a non-negative baseline time");
     let n = n_iterations.max(1) as f64;
     let total = |i: usize| -> f64 {
         let per_iter = predictions[i].representative_relative_time() * best_csr_seconds;
@@ -167,6 +168,15 @@ mod amortized_tests {
         let after = select_index_amortized(&cat, &preds, &preproc, 1.0, 92);
         assert_eq!(cat[before].method, wise_kernels::Method::Csr);
         assert_eq!(cat[after].method, wise_kernels::Method::Lav);
+    }
+
+    #[test]
+    fn zero_baseline_picks_the_cheapest_to_prepare() {
+        let (cat, preds, _) = two_config_setup();
+        for preproc in [[0.0, 50.0], [0.0, 0.0]] {
+            let i = select_index_amortized(&cat, &preds, &preproc, 0.0, 1000);
+            assert_eq!(cat[i].method, wise_kernels::Method::Csr, "{preproc:?}");
+        }
     }
 
     #[test]

@@ -15,13 +15,16 @@
 //!   segmentation and row reordering genuinely move the estimate.
 //!
 //! Chunk costs are folded into a parallel makespan per the scheduling
-//! policy ([`crate::sched_sim`]). Everything is deterministic.
+//! policy ([`crate::sched_sim`]). Everything is deterministic. Labels
+//! and catalog estimates replay every access; the amortized pick's CSR
+//! baseline ([`estimate_csr_baseline`]) replays fixed windows of long
+//! CSR streams.
 
-use crate::lru::{AccessCounts, SampledLru, MAX_SAMPLE_SHIFT};
+use crate::lru::{footprint_level, AccessCounts, SampledLru, MAX_SAMPLE_SHIFT};
 use crate::machine::MachineModel;
 use crate::sched_sim::makespan;
 use wise_kernels::method::{Method, MethodConfig, Prepared};
-use wise_kernels::srvpack::SigmaSpec;
+use wise_kernels::srvpack::{SigmaSpec, SrvPack};
 use wise_matrix::Csr;
 
 /// Detailed output of the cost model.
@@ -124,6 +127,135 @@ pub fn estimate_catalog(
     out.into_iter().flatten().collect()
 }
 
+/// Best steady-state seconds over the CSR configs `csr_cfgs`
+/// (`f64::MAX` when there are none): the baseline the amortized pick
+/// turns conversion seconds into iterations with (DESIGN.md §22).
+/// Streams longer than [`BASELINE_FULL_REPLAY`] go through a windowed
+/// replay, unless the machine's LLC holds more lines than
+/// [`BASELINE_WARMUP`], where a warm-up cannot reach its capacity
+/// misses. Every other stream is replayed in full at `sample_shift`,
+/// bit-identical to the best CSR of [`estimate_catalog`]. The chunk
+/// arrays are built once and only the steady-state tail runs per
+/// schedule.
+///
+/// # Panics
+/// If a config in `csr_cfgs` is not CSR.
+pub fn estimate_csr_baseline(
+    m: &Csr,
+    csr_cfgs: &[MethodConfig],
+    machine: &MachineModel,
+    sample_shift: u32,
+) -> f64 {
+    assert!(csr_cfgs.iter().all(|c| c.method == Method::Csr), "baseline configs must be CSR");
+    let x_counts = if m.nnz() <= BASELINE_FULL_REPLAY || machine.llc_lines() > BASELINE_WARMUP {
+        let mut sim = x_lru(m, machine, sample_shift);
+        replay(&mut sim, m.col_idx());
+        sim.finish_both().0
+    } else {
+        csr_x_counts_windowed(m, machine)
+    };
+    let work = LayoutWork::csr(m, machine);
+    csr_cfgs
+        .iter()
+        .map(|cfg| work.assemble(m, cfg, machine, x_counts, false).seconds)
+        .fold(f64::MAX, f64::min)
+}
+
+/// Windows the CSR baseline replays (DESIGN.md §22).
+pub const BASELINE_WINDOWS: usize = 8;
+/// Accesses per window whose levels are counted.
+pub const BASELINE_WINDOW_LEN: usize = 128;
+/// Uncounted accesses replayed just before each window, so every line
+/// a window re-touches within them has its exact reuse distance. Above
+/// the LLC capacity of machines scaled for corpora up to 2^14 rows (512
+/// lines); machines with larger LLCs replay in full.
+pub const BASELINE_WARMUP: usize = 640;
+/// Column streams up to this length are replayed in full: the windows
+/// would cover them anyway.
+pub const BASELINE_FULL_REPLAY: usize = BASELINE_WINDOWS * (BASELINE_WARMUP + BASELINE_WINDOW_LEN);
+
+/// Steady-state x line-access counts of the CSR stream (`col_idx`),
+/// estimated from [`BASELINE_WINDOWS`] windows of
+/// [`BASELINE_WINDOW_LEN`] accesses spaced evenly across it, each
+/// preceded by [`BASELINE_WARMUP`] uncounted accesses, all through one
+/// exact (shift 0) [`SampledLru`]. A window access is classified
+/// exactly whenever its previous touch, or at least an LLC's worth of
+/// distinct lines, falls inside its warm-up and window. The window
+/// counts are scaled by `nnz / (windows · len)`.
+///
+/// A line the replay meets for the first time was either first touched
+/// there or last touched before the warm-up. The stream has exactly `F`
+/// first touches for its `F` distinct lines: up to `F` of the scaled
+/// new-line count take the footprint rule at `F`, like the full
+/// replay's first touches, and the rest the longest reuse distance a
+/// re-touch can have, `F - 1` lines.
+///
+/// # Panics
+/// If the stream is not longer than [`BASELINE_FULL_REPLAY`].
+fn csr_x_counts_windowed(m: &Csr, machine: &MachineModel) -> AccessCounts {
+    const SPAN: usize = BASELINE_WARMUP + BASELINE_WINDOW_LEN;
+    let cols = m.col_idx();
+    assert!(cols.len() > BASELINE_FULL_REPLAY, "short streams replay in full");
+    let mut sim = x_lru(m, machine, 0).defer_cold();
+    // L1, L2, LLC, DRAM, then lines new to the replay.
+    let mut levels = [0u64; 5];
+    for w in 0..BASELINE_WINDOWS {
+        let end = (w + 1) * cols.len() / BASELINE_WINDOWS;
+        let (warm, window) = cols[end - SPAN..end].split_at(BASELINE_WARMUP);
+        replay(&mut sim, warm);
+        for &c in window {
+            levels[sim.access(x_line(c)).map_or(4, |l| l as usize)] += 1;
+        }
+    }
+    let scale = cols.len() as f64 / (BASELINE_WINDOWS * BASELINE_WINDOW_LEN) as f64;
+    let mut counts = levels.map(|n| n as f64 * scale);
+    let caps = [machine.l1_lines(), machine.l2_lines(), machine.llc_lines()];
+    let footprint = csr_footprint(m, caps[1].max(caps[2]) + 1);
+    let first = counts[4].min(footprint as f64);
+    counts[footprint_level(footprint, caps) as usize] += first;
+    counts[footprint_level(footprint - 1, caps) as usize] += counts[4] - first;
+    AccessCounts { l1: counts[0], l2: counts[1], llc: counts[2], dram: counts[3] }
+}
+
+/// Distinct x lines `col_idx` touches, counted up to `enough`.
+fn csr_footprint(m: &Csr, enough: usize) -> usize {
+    let lines = m.ncols().div_ceil(ELTS_PER_LINE as usize);
+    let enough = enough.min(lines);
+    let mut seen = vec![0u64; lines.div_ceil(64)];
+    let mut distinct = 0;
+    for &c in m.col_idx() {
+        let line = x_line(c) as usize;
+        let (word, bit) = (line / 64, 1u64 << (line % 64));
+        distinct += usize::from(seen[word] & bit == 0);
+        seen[word] |= bit;
+        if distinct == enough {
+            break;
+        }
+    }
+    distinct
+}
+
+/// f64 elements per 64-byte line.
+const ELTS_PER_LINE: u32 = 8;
+
+/// The x line column `c` reads.
+fn x_line(c: u32) -> u64 {
+    u64::from(c / ELTS_PER_LINE)
+}
+
+/// A classifier for `m`'s x lines against `machine`'s hierarchy.
+fn x_lru(m: &Csr, machine: &MachineModel, sample_shift: u32) -> SampledLru {
+    let caps = [machine.l1_lines(), machine.l2_lines(), machine.llc_lines()];
+    SampledLru::new(caps, sample_shift, m.ncols().div_ceil(ELTS_PER_LINE as usize))
+}
+
+/// Feeds the x lines of columns `cols` to `sim`.
+fn replay(sim: &mut SampledLru, cols: &[u32]) {
+    for &c in cols {
+        sim.access(x_line(c));
+    }
+}
+
 /// `(steady-state, cold)` x line-access counts from one replay of the
 /// layout's input-vector stream ([`SampledLru::finish_both`]).
 fn x_stream_counts(
@@ -132,19 +264,13 @@ fn x_stream_counts(
     machine: &MachineModel,
     sample_shift: u32,
 ) -> (AccessCounts, AccessCounts) {
-    const ELTS_PER_LINE: u32 = 8; // f64 elements per 64-byte line
-    let caps = [machine.l1_lines(), machine.l2_lines(), machine.llc_lines()];
-    let lines = m.ncols().div_ceil(ELTS_PER_LINE as usize);
-    let mut x_sim = SampledLru::new(caps, sample_shift, lines);
-    let mut feed = |cols: &[u32]| {
-        for &c in cols {
-            x_sim.access(u64::from(c / ELTS_PER_LINE));
-        }
-    };
+    let mut x_sim = x_lru(m, machine, sample_shift);
     match prepared {
-        Prepared::Csr(_) => feed(m.col_idx()),
+        Prepared::Csr(_) => replay(&mut x_sim, m.col_idx()),
         // The packed order, segment by segment.
-        Prepared::Pack(p, _) => p.segments().iter().for_each(|seg| feed(seg.col_ids())),
+        Prepared::Pack(p, _) => {
+            p.segments().iter().for_each(|seg| replay(&mut x_sim, seg.col_ids()))
+        }
     }
     x_sim.finish_both()
 }
@@ -158,84 +284,129 @@ fn estimate_layout(
     machine: &MachineModel,
     (steady_x, cold_x): (AccessCounts, AccessCounts),
 ) -> (CostBreakdown, CostBreakdown) {
-    let nthreads = machine.threads;
-    let line = machine.cache_line as f64;
+    let work = match prepared {
+        Prepared::Csr(_) => LayoutWork::csr(m, machine),
+        Prepared::Pack(p, _) => LayoutWork::pack(m, cfg, p, machine),
+    };
+    (work.assemble(m, cfg, machine, steady_x, false), work.assemble(m, cfg, machine, cold_x, true))
+}
 
-    // ---- Per-chunk compute cycles, matrix/y bytes and x accesses.
-    let mut chunk_compute: Vec<f64> = Vec::new(); // cycles
-    let mut chunk_stream_bytes: Vec<f64> = Vec::new(); // matrix + y
-    let mut chunk_x_accesses: Vec<f64> = Vec::new();
-    let mut grain = 1usize;
-    let mut per_segment_chunks: Vec<usize> = Vec::new(); // segment boundaries
+/// A layout's per-chunk work: everything the cost tail reads besides
+/// the x counts, the residency and the schedule.
+struct LayoutWork {
+    /// Per-chunk compute cycles, matrix + y bytes and x accesses.
+    chunk_compute: Vec<f64>,
+    chunk_stream_bytes: Vec<f64>,
+    chunk_x_accesses: Vec<f64>,
+    /// Chunks per segment (segment boundaries).
+    per_segment_chunks: Vec<usize>,
+    grain: usize,
+    /// Bytes of the stored matrix.
+    matrix_bytes: usize,
+    /// CFS layouts gather x through their column permutation per call.
+    gathers_x: bool,
+    nnz_padded: usize,
+}
 
-    match prepared {
-        Prepared::Csr(_) => {
-            // CSR has one kernel, the scalar row loop, so every CSR
-            // config is priced with the calibrated per-nonzero formula.
-            let rows_per_chunk = model_rows_per_chunk(m.nrows(), nthreads);
-            let nchunks = m.nrows().div_ceil(rows_per_chunk);
-            for chunk in 0..nchunks {
-                let lo = chunk * rows_per_chunk;
-                let hi = (lo + rows_per_chunk).min(m.nrows());
-                let nnz_chunk: usize = (lo..hi).map(|r| m.row_nnz(r)).sum();
-                chunk_compute.push(nnz_chunk as f64 * machine.scalar_cycles_per_nnz);
-                // vals 8B + col_idx 4B per nnz, row_ptr 8B + y 8B per row.
-                chunk_stream_bytes.push(nnz_chunk as f64 * 12.0 + (hi - lo) as f64 * 16.0);
-                chunk_x_accesses.push(nnz_chunk as f64);
-            }
-            per_segment_chunks.push(nchunks);
+impl LayoutWork {
+    fn csr(m: &Csr, machine: &MachineModel) -> LayoutWork {
+        // CSR has one kernel, the scalar row loop, so every CSR config
+        // is priced with the calibrated per-nonzero formula.
+        let rows_per_chunk = model_rows_per_chunk(m.nrows(), machine.threads);
+        let nchunks = m.nrows().div_ceil(rows_per_chunk);
+        let (mut chunk_compute, mut chunk_stream_bytes, mut chunk_x_accesses) =
+            (Vec::with_capacity(nchunks), Vec::with_capacity(nchunks), Vec::with_capacity(nchunks));
+        let row_ptr = m.row_ptr();
+        for chunk in 0..nchunks {
+            let lo = chunk * rows_per_chunk;
+            let hi = (lo + rows_per_chunk).min(m.nrows());
+            let nnz_chunk = row_ptr[hi] - row_ptr[lo];
+            chunk_compute.push(nnz_chunk as f64 * machine.scalar_cycles_per_nnz);
+            // vals 8B + col_idx 4B per nnz, row_ptr 8B + y 8B per row.
+            chunk_stream_bytes.push(nnz_chunk as f64 * 12.0 + (hi - lo) as f64 * 16.0);
+            chunk_x_accesses.push(nnz_chunk as f64);
         }
-        Prepared::Pack(p, _) => {
-            let c = p.config().c;
-            // The runtime dispatcher only vectorizes catalog chunk
-            // heights (c = 4 or 8); other heights always run scalar, so
-            // the model must not credit them with SIMD throughput.
-            let lanes = if c == 4 || c == 8 { machine.modeled_lanes(cfg.v) } else { 0 };
-            // Cycles per packed column step: legacy calibrated constant
-            // for v = 0, pure scalar for a forced v = 1, and one vector
-            // op per `lanes` rows of the chunk otherwise.
-            let step_cycles = match lanes {
-                0 => machine.vector_cycles_per_step,
-                1 => c as f64 * machine.scalar_cycles_per_nnz,
-                l => (c as f64 / l as f64).ceil() * machine.simd_cycles_per_step,
-            };
-            // Deliberately not the kernel's grain: the model keeps the
-            // paper's per-chunk dynamic grabs on its modelled machine
-            // (labels stay comparable); the kernel hands every policy
-            // 256-row blocks (DESIGN.md §12).
-            grain = match cfg.schedule {
-                wise_kernels::Schedule::Dyn => 1,
-                _ => (model_rows_per_chunk(m.nrows(), nthreads) / c).max(1),
-            };
-            // Scattered-output penalty: RFS randomizes the y rows a
-            // chunk writes; if y exceeds the LLC each write allocates a
-            // full line.
-            let scattered =
-                matches!(p.config().sigma, SigmaSpec::Full) && m.nrows() * 8 > machine.llc_bytes;
-            let y_write_bytes = if scattered { 8.0 * machine.scatter_write_factor } else { 8.0 };
-            for seg in p.segments() {
-                for chunk in 0..seg.nchunks() {
-                    let w = seg.chunk_width(chunk);
-                    let rows = seg.chunk_rows(chunk, c).len();
-                    chunk_compute.push(w as f64 * step_cycles);
-                    chunk_stream_bytes.push((w * c) as f64 * 12.0 + rows as f64 * y_write_bytes);
-                    chunk_x_accesses.push((w * c) as f64);
-                }
-                per_segment_chunks.push(seg.nchunks());
-            }
+        LayoutWork {
+            chunk_compute,
+            chunk_stream_bytes,
+            chunk_x_accesses,
+            per_segment_chunks: vec![nchunks],
+            grain: 1,
+            matrix_bytes: m.footprint_bytes(),
+            gathers_x: false,
+            nnz_padded: 0,
         }
     }
 
-    let total_x_accesses: f64 = chunk_x_accesses.iter().sum::<f64>().max(1.0);
-    // ---- Working-set residency: steady-state iterative SpMV keeps the
-    // matrix + vectors in LLC when they fit.
-    let matrix_bytes = match prepared {
-        Prepared::Csr(_) => m.footprint_bytes(),
-        Prepared::Pack(p, _) => p.footprint_bytes(),
-    };
-    let working_set = matrix_bytes + m.ncols() * 8 + m.nrows() * 8;
+    fn pack(m: &Csr, cfg: &MethodConfig, p: &SrvPack, machine: &MachineModel) -> LayoutWork {
+        let c = p.config().c;
+        // The runtime dispatcher only vectorizes catalog chunk heights
+        // (c = 4 or 8); other heights always run scalar, so the model
+        // must not credit them with SIMD throughput.
+        let lanes = if c == 4 || c == 8 { machine.modeled_lanes(cfg.v) } else { 0 };
+        // Cycles per packed column step: legacy calibrated constant for
+        // v = 0, pure scalar for a forced v = 1, and one vector op per
+        // `lanes` rows of the chunk otherwise.
+        let step_cycles = match lanes {
+            0 => machine.vector_cycles_per_step,
+            1 => c as f64 * machine.scalar_cycles_per_nnz,
+            l => (c as f64 / l as f64).ceil() * machine.simd_cycles_per_step,
+        };
+        // Deliberately not the kernel's grain: the model keeps the
+        // paper's per-chunk dynamic grabs on its modelled machine
+        // (labels stay comparable); the kernel hands every policy
+        // 256-row blocks (DESIGN.md §12).
+        let grain = match cfg.schedule {
+            wise_kernels::Schedule::Dyn => 1,
+            _ => (model_rows_per_chunk(m.nrows(), machine.threads) / c).max(1),
+        };
+        // Scattered-output penalty: RFS randomizes the y rows a chunk
+        // writes; if y exceeds the LLC each write allocates a full line.
+        let scattered =
+            matches!(p.config().sigma, SigmaSpec::Full) && m.nrows() * 8 > machine.llc_bytes;
+        let y_write_bytes = if scattered { 8.0 * machine.scatter_write_factor } else { 8.0 };
+        let (mut chunk_compute, mut chunk_stream_bytes, mut chunk_x_accesses) =
+            (Vec::new(), Vec::new(), Vec::new());
+        let mut per_segment_chunks = Vec::new();
+        for seg in p.segments() {
+            for chunk in 0..seg.nchunks() {
+                let w = seg.chunk_width(chunk);
+                let rows = seg.chunk_rows(chunk, c).len();
+                chunk_compute.push(w as f64 * step_cycles);
+                chunk_stream_bytes.push((w * c) as f64 * 12.0 + rows as f64 * y_write_bytes);
+                chunk_x_accesses.push((w * c) as f64);
+            }
+            per_segment_chunks.push(seg.nchunks());
+        }
+        LayoutWork {
+            chunk_compute,
+            chunk_stream_bytes,
+            chunk_x_accesses,
+            per_segment_chunks,
+            grain,
+            matrix_bytes: p.footprint_bytes(),
+            gathers_x: p.col_perm().is_some(),
+            nnz_padded: p.nnz_padded(),
+        }
+    }
 
-    let assemble = |x_counts: AccessCounts, cold: bool| {
+    /// `cfg`'s breakdown from `x_counts`: steady state keeps the matrix
+    /// LLC-resident when the working set fits, `cold` streams it from
+    /// DRAM.
+    fn assemble(
+        &self,
+        m: &Csr,
+        cfg: &MethodConfig,
+        machine: &MachineModel,
+        x_counts: AccessCounts,
+        cold: bool,
+    ) -> CostBreakdown {
+        let nthreads = machine.threads;
+        let line = machine.cache_line as f64;
+        let total_x_accesses: f64 = self.chunk_x_accesses.iter().sum::<f64>().max(1.0);
+        // ---- Working-set residency: steady-state iterative SpMV keeps
+        // the matrix + vectors in LLC when they fit.
+        let working_set = self.matrix_bytes + m.ncols() * 8 + m.nrows() * 8;
         let matrix_from_llc = !cold && working_set <= machine.llc_bytes;
 
         // Line-granularity misses -> bytes.
@@ -249,16 +420,16 @@ fn estimate_layout(
         let mut dram_total = 0.0f64;
         let mut llc_total = 0.0f64;
         let mut compute_total = 0.0f64;
-        let nchunks = chunk_compute.len();
+        let nchunks = self.chunk_compute.len();
         let mut chunk_seconds: Vec<f64> = Vec::with_capacity(nchunks);
         let mut chunk_dram: Vec<f64> = Vec::with_capacity(nchunks);
         let mut chunk_llc: Vec<f64> = Vec::with_capacity(nchunks);
         for i in 0..nchunks {
-            let share = chunk_x_accesses[i] / total_x_accesses;
+            let share = self.chunk_x_accesses[i] / total_x_accesses;
             let (stream_dram, stream_llc) = if matrix_from_llc {
-                (0.0, chunk_stream_bytes[i])
+                (0.0, self.chunk_stream_bytes[i])
             } else {
-                (chunk_stream_bytes[i], 0.0)
+                (self.chunk_stream_bytes[i], 0.0)
             };
             let dram = stream_dram + x_dram_bytes * share;
             let llc = stream_llc + x_llc_bytes * share;
@@ -266,7 +437,7 @@ fn estimate_layout(
             llc_total += llc;
             chunk_dram.push(dram);
             chunk_llc.push(llc);
-            let compute = machine.cycles_to_seconds(chunk_compute[i]);
+            let compute = machine.cycles_to_seconds(self.chunk_compute[i]);
             compute_total += compute;
             chunk_seconds.push(
                 compute + machine.dram_seconds_single(dram) + machine.llc_seconds_single(llc),
@@ -280,12 +451,17 @@ fn estimate_layout(
         let dyn_grab = machine.dyn_grab_ns * 1e-9;
         let mut seconds = 0.0f64;
         let mut offset = 0usize;
-        let mut segment_critical = Vec::with_capacity(per_segment_chunks.len());
-        let mut segment_floor = Vec::with_capacity(per_segment_chunks.len());
-        for &seg_chunks in &per_segment_chunks {
+        let mut segment_critical = Vec::with_capacity(self.per_segment_chunks.len());
+        let mut segment_floor = Vec::with_capacity(self.per_segment_chunks.len());
+        for &seg_chunks in &self.per_segment_chunks {
             let range = offset..offset + seg_chunks;
-            let critical =
-                makespan(&chunk_seconds[range.clone()], nthreads, cfg.schedule, grain, dyn_grab);
+            let critical = makespan(
+                &chunk_seconds[range.clone()],
+                nthreads,
+                cfg.schedule,
+                self.grain,
+                dyn_grab,
+            );
             let floor = machine.bandwidth_floor_seconds(
                 chunk_dram[range.clone()].iter().sum(),
                 chunk_llc[range].iter().sum(),
@@ -297,14 +473,12 @@ fn estimate_layout(
         }
 
         // ---- CFS input-vector gather (done per call, single traversal).
-        if let Prepared::Pack(p, _) = prepared {
-            if p.col_perm().is_some() {
-                let bytes = 2.0 * m.ncols() as f64 * 8.0;
-                seconds += machine
-                    .bandwidth_floor_seconds(bytes, 0.0)
-                    .max(machine.cycles_to_seconds(m.ncols() as f64));
-                dram_total += bytes;
-            }
+        if self.gathers_x {
+            let bytes = 2.0 * m.ncols() as f64 * 8.0;
+            seconds += machine
+                .bandwidth_floor_seconds(bytes, 0.0)
+                .max(machine.cycles_to_seconds(m.ncols() as f64));
+            dram_total += bytes;
         }
 
         CostBreakdown {
@@ -313,12 +487,11 @@ fn estimate_layout(
             llc_bytes: llc_total,
             compute_seconds: compute_total,
             x_counts,
-            nnz_padded: prepared.nnz_padded(),
+            nnz_padded: self.nnz_padded,
             segment_critical,
             segment_floor,
         }
-    };
-    (assemble(steady_x, false), assemble(cold_x, true))
+    }
 }
 
 /// Estimated preprocessing seconds to convert a CSR matrix into `cfg`'s
@@ -390,6 +563,7 @@ pub fn time_all_configs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lru::HitLevel;
     use wise_gen::{suite, RmatParams};
     use wise_kernels::Schedule;
 
@@ -530,6 +704,51 @@ mod tests {
         // same packed layout regardless of v.
         assert_eq!(auto.dram_bytes, scalar.dram_bytes);
         assert_eq!(auto.nnz_padded, wide.nnz_padded);
+    }
+
+    #[test]
+    fn windowed_counts_cover_the_stream() {
+        let mach = machine();
+        for m in [
+            suite::stencil_2d(128, 96),
+            suite::banded(8192, 6, 0.9, 1),
+            RmatParams::HIGH_SKEW.generate(13, 8, 3),
+        ] {
+            let win = csr_x_counts_windowed(&m, &mach);
+            assert_eq!(win.total(), m.nnz() as f64);
+        }
+    }
+
+    #[test]
+    fn windowed_counts_are_exact_where_the_warmup_reaches_the_llc() {
+        // Scattered columns over 2048 lines: each warm-up touches more
+        // than the LLC's 512 lines, so every window access is classified
+        // as the full replay classifies it, and replay-new lines are
+        // DRAM on both sides.
+        let m = RmatParams::LOW_LOC.generate(14, 4, 5);
+        let mach = machine();
+        let mut full = x_lru(&m, &mach, 0).defer_cold();
+        let levels: Vec<Option<HitLevel>> =
+            m.col_idx().iter().map(|&c| full.access(x_line(c))).collect();
+        let mut hits = [0u64; 3];
+        for w in 0..BASELINE_WINDOWS {
+            let end = (w + 1) * levels.len() / BASELINE_WINDOWS;
+            let window = end - BASELINE_WINDOW_LEN;
+            let mut warm: Vec<u64> =
+                m.col_idx()[window - BASELINE_WARMUP..window].iter().map(|&c| x_line(c)).collect();
+            warm.sort_unstable();
+            warm.dedup();
+            assert!(warm.len() > mach.llc_lines(), "window {w}: {} lines", warm.len());
+            for level in levels[window..end].iter().flatten() {
+                if let Some(h) = hits.get_mut(*level as usize) {
+                    *h += 1;
+                }
+            }
+        }
+        let scale = m.nnz() as f64 / (BASELINE_WINDOWS * BASELINE_WINDOW_LEN) as f64;
+        let win = csr_x_counts_windowed(&m, &mach);
+        assert_eq!([win.l1, win.l2, win.llc], hits.map(|h| h as f64 * scale));
+        assert_eq!(win.dram, m.nnz() as f64 - win.l1 - win.l2 - win.llc);
     }
 
     #[test]

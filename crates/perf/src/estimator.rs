@@ -8,8 +8,8 @@
 //! multicore hardware to validate the model's orderings).
 
 use crate::cost::{
-    auto_sample_shift, estimate_catalog, estimate_feature_extraction_seconds,
-    estimate_preprocessing_seconds, estimate_spmv_seconds,
+    auto_sample_shift, estimate_catalog, estimate_csr_baseline,
+    estimate_feature_extraction_seconds, estimate_preprocessing_seconds, estimate_spmv_seconds,
 };
 use crate::machine::MachineModel;
 use wise_features::ProbeFeatures;
@@ -149,6 +149,27 @@ impl Estimator {
                 .iter()
                 .map(|cfg| (self.spmv_seconds(m, cfg), measure_spmv(m, cfg, *nthreads, 0, 1)))
                 .collect(),
+        }
+    }
+
+    /// Best steady-state seconds over the CSR configs `csr_cfgs`: the
+    /// baseline [`crate::cost::estimate_csr_baseline`] prices for the
+    /// amortized pick. The model replays the column stream in full up
+    /// to [`crate::cost::BASELINE_FULL_REPLAY`] accesses (bit-identical
+    /// to the best CSR steady state of [`Self::catalog_costs`]) and
+    /// through fixed windows beyond; the measured backend times every
+    /// config as [`Self::catalog_costs`] does.
+    pub fn csr_baseline_seconds(&self, m: &Csr, csr_cfgs: &[MethodConfig]) -> f64 {
+        match self {
+            Estimator::Model { machine, sample_shift } => {
+                let shift = sample_shift.unwrap_or_else(|| auto_sample_shift(m.nnz()));
+                estimate_csr_baseline(m, csr_cfgs, machine, shift)
+            }
+            Estimator::Measured { .. } => self
+                .catalog_costs(m, csr_cfgs)
+                .into_iter()
+                .map(|(steady, _)| steady)
+                .fold(f64::MAX, f64::min),
         }
     }
 

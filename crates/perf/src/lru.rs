@@ -250,15 +250,26 @@ impl SampledLru {
             llc: (llc + llc_cold) as f64 * w,
             dram: (dram + dram_cold) as f64 * w,
         };
-        let distinct = self.cold as usize;
-        let steady = if distinct < self.caps[1] {
-            counts(self.cold, 0, 0)
-        } else if distinct < self.caps[2] {
-            counts(0, self.cold, 0)
-        } else {
-            counts(0, 0, self.cold)
+        let steady = match footprint_level(self.cold as usize, self.caps) {
+            HitLevel::L2 => counts(self.cold, 0, 0),
+            HitLevel::Llc => counts(0, self.cold, 0),
+            _ => counts(0, 0, self.cold),
         };
         (steady, counts(0, 0, self.cold))
+    }
+}
+
+/// The footprint rule: where a steady-state iteration finds a line
+/// last touched one iteration ago, given the stream's `distinct` lines
+/// and the L1, L2, LLC capacities `caps` — the first of L2 and LLC
+/// that holds them all, else DRAM.
+pub(crate) fn footprint_level(distinct: usize, caps: [usize; 3]) -> HitLevel {
+    if distinct < caps[1] {
+        HitLevel::L2
+    } else if distinct < caps[2] {
+        HitLevel::Llc
+    } else {
+        HitLevel::Dram
     }
 }
 

@@ -2,15 +2,20 @@
 //! and one input-vector reuse pass per packed layout — is bit-identical
 //! to estimating every configuration on its own, for modeled seconds,
 //! full breakdowns, training labels and the picks derived from them.
+//! The amortized pick's CSR baseline equals the grouped best CSR bit
+//! for bit wherever it replays in full, and its windowed replay stays
+//! within a stated ratio of it without moving a pick.
 
 use wise_core::select::select_index_amortized;
 use wise_core::{CorpusLabels, MatrixLabels, SpeedupClass, TrainOptions, Wise};
-use wise_features::FeatureConfig;
+use wise_features::{FeatureConfig, FeatureVector};
 use wise_gen::{suite, Recipe};
 use wise_kernels::{Method, MethodConfig};
 use wise_matrix::Csr;
 use wise_ml::TreeParams;
-use wise_perf::cost::{estimate_catalog, estimate_spmv_seconds};
+use wise_perf::cost::{
+    estimate_catalog, estimate_spmv_seconds, BASELINE_FULL_REPLAY, BASELINE_WARMUP,
+};
 use wise_perf::{Estimator, MachineModel};
 
 /// A `nrows × ncols` matrix with a deterministic scatter of columns;
@@ -202,6 +207,109 @@ fn labels_and_picks_match_per_config_recomputation() {
                 best_csr(&seconds),
                 k,
             );
+            assert_eq!(choice.index, want, "{name} k = {k}");
+        }
+    }
+}
+
+/// The catalog's CSR configs.
+fn csr_configs() -> Vec<MethodConfig> {
+    MethodConfig::catalog().into_iter().filter(|c| c.method == Method::Csr).collect()
+}
+
+/// Best steady-state CSR seconds from the grouped full replay.
+fn catalog_best_csr(est: &Estimator, m: &Csr, cfgs: &[MethodConfig]) -> f64 {
+    est.catalog_costs(m, cfgs).into_iter().map(|(steady, _)| steady).fold(f64::MAX, f64::min)
+}
+
+#[test]
+fn csr_baseline_matches_catalog_best_csr_where_it_replays_in_full() {
+    let csr = csr_configs();
+    // The zoo's short streams, the longest stream still replayed in
+    // full (768 rows × 8), and shapes with nothing to multiply.
+    let mut short: Vec<(&str, Csr)> =
+        zoo().into_iter().filter(|(_, m)| m.nnz() <= BASELINE_FULL_REPLAY).collect();
+    assert_eq!(short.len(), 5, "the zoo's short streams");
+    short.push(("full-replay-edge", scattered(768, 1024, 8, |_| false)));
+    assert_eq!(short.last().map(|(_, m)| m.nnz()), Some(BASELINE_FULL_REPLAY));
+    for (name, shape) in [("0x0", (0, 0)), ("0x5", (0, 5)), ("5x0", (5, 0)), ("empty", (16, 16))] {
+        short.push((name, Csr::zero(shape.0, shape.1)));
+    }
+    for (name, m) in &short {
+        for est in estimators() {
+            for cfgs in [&csr[..], &csr[..1], &csr[1..]] {
+                let want = catalog_best_csr(&est, m, cfgs);
+                let got = est.csr_baseline_seconds(m, cfgs);
+                assert_eq!(got.to_bits(), want.to_bits(), "{name} {} {est:?}", cfgs.len());
+            }
+        }
+    }
+    // A warm-up cannot reach an LLC larger than itself: such machines
+    // replay long streams in full too.
+    let est = Estimator::model_for_rows(1 << 16);
+    assert!(est.machine().map(|m| m.llc_lines()) > Some(BASELINE_WARMUP));
+    for (name, m) in zoo().iter().filter(|(_, m)| m.nnz() > BASELINE_FULL_REPLAY) {
+        let want = catalog_best_csr(&est, m, &csr);
+        assert_eq!(est.csr_baseline_seconds(m, &csr).to_bits(), want.to_bits(), "{name}");
+    }
+}
+
+/// RMAT recipes plus suite banded and stencil matrices at 2^13–2^15
+/// rows, 4–16 nonzeros per row.
+fn long_stream_sample() -> Vec<(String, Csr)> {
+    let mut out = Vec::new();
+    for scale in 13u32..=15 {
+        let n = 1usize << scale;
+        for (i, recipe) in [
+            Recipe::HighSkew,
+            Recipe::MedSkew,
+            Recipe::LowSkew,
+            Recipe::LowLoc,
+            Recipe::MedLoc,
+            Recipe::HighLoc,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let deg = [4, 8, 16][(i + scale as usize) % 3];
+            out.push((format!("{recipe:?}_s{scale}_d{deg}"), recipe.generate(scale, deg, 7)));
+        }
+        let half_bw = 4 + 4 * (scale as usize % 2);
+        out.push((format!("banded_s{scale}"), suite::banded(n, half_bw, 0.9, 7)));
+        out.push((format!("stencil2d_s{scale}"), suite::stencil_2d(128, n / 128)));
+        out.push((format!("stencil3d_s{scale}"), suite::stencil_3d(16, 16, n / 256)));
+    }
+    out
+}
+
+#[test]
+fn windowed_csr_baseline_tracks_the_full_replay_and_keeps_picks() {
+    // The benchmark's machine: its LLC (512 lines) is within a warm-up.
+    let est = Estimator::model_for_rows(1 << 10);
+    let catalog = MethodConfig::catalog();
+    let csr = csr_configs();
+    let features = FeatureConfig { threads: 1, ..FeatureConfig::default() };
+    let matrices = tiny_corpus()
+        .iter()
+        .map(|(name, m)| MatrixLabels::compute_with(name, m, &est, &features, &catalog))
+        .collect();
+    let opts = TrainOptions {
+        estimator: est.clone(),
+        feature_config: features,
+        tree_params: TreeParams::default(),
+    };
+    let wise = Wise::from_labels(&CorpusLabels { catalog: catalog.clone(), matrices }, &opts);
+    for (name, m) in long_stream_sample() {
+        assert!(m.nnz() > BASELINE_FULL_REPLAY, "{name}");
+        let full = catalog_best_csr(&est, &m, &csr);
+        let windowed = est.csr_baseline_seconds(&m, &csr);
+        let ratio = windowed / full;
+        assert!((0.9..=1.25).contains(&ratio), "{name}: windowed / full = {ratio}");
+        let preproc: Vec<f64> = catalog.iter().map(|c| est.preprocessing_seconds(&m, c)).collect();
+        let vector = FeatureVector::extract(&m, &features);
+        for k in [1, 10, 200] {
+            let choice = wise.select_for_iterations_from_features(&m, vector.clone(), &est, k);
+            let want = select_index_amortized(&catalog, &choice.predictions, &preproc, full, k);
             assert_eq!(choice.index, want, "{name} k = {k}");
         }
     }

@@ -6,6 +6,8 @@ use wise_core::pipeline::{TrainOptions, Wise};
 use wise_features::FeatureConfig;
 use wise_gen::{Corpus, CorpusScale, RmatParams, SplitMix64};
 use wise_kernels::srvpack::SpmvWorkspace;
+use wise_kernels::Method;
+use wise_matrix::Csr;
 use wise_perf::Estimator;
 
 fn options(scale: &CorpusScale) -> TrainOptions {
@@ -145,4 +147,28 @@ fn catalog_without_csr_is_rejected() {
         label_corpus_with(&corpus, &opts.estimator, &opts.feature_config, catalog)
     });
     assert!(result.is_err(), "labeling without a CSR baseline must panic");
+}
+
+#[test]
+fn zero_row_and_empty_matrices_select_without_panicking() {
+    // Shapes `Csr::try_new` accepts with nothing to multiply: both
+    // selection paths must answer, and the amortized one with CSR.
+    let scale = CorpusScale::tiny();
+    let opts = options(&scale);
+    let wise = Wise::train(&Corpus::full(&scale, 8), &opts);
+    for m in [Csr::zero(0, 0), Csr::zero(0, 5), Csr::zero(5, 0), Csr::zero(16, 16)] {
+        let shape = format!("{}x{}", m.nrows(), m.ncols());
+        let x = vec![1.0; m.ncols()];
+        let mut choices = vec![wise.select(&m)];
+        for k in [1, 10, 200] {
+            let choice = wise.select_for_iterations(&m, &opts.estimator, k);
+            assert_eq!(choice.config.method, Method::Csr, "{shape} k = {k}");
+            choices.push(choice);
+        }
+        for choice in &choices {
+            let mut y = vec![f64::NAN; m.nrows()];
+            wise.run_spmv(&m, choice, &x, &mut y, 2);
+            assert!(y.iter().all(|&v| v == 0.0), "{shape} {}", choice.config.label());
+        }
+    }
 }
