@@ -1,41 +1,42 @@
-//! Runs every figure/table harness in sequence (labels are computed
-//! once and shared through the on-disk cache), capturing each report
-//! under the results directory.
+//! Runs the paper's tables and figures in-process (labels are computed
+//! once and shared through the on-disk cache), saving each report as
+//! `<name>.txt` under the results directory.
+//!
+//! Usage: `all [--only <name>] [--trace-out <path>]`. A plain run covers
+//! every default figure in order; `--only` runs the named one, including
+//! `table4`, `feature_importance` and `model_validation`, which a plain
+//! run skips.
 
-use std::process::Command;
-
-const TARGETS: [&str; 14] = [
-    "table1", "table2", "table3", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig10", "fig11",
-    "fig12", "fig13", "ie",
-];
+use wise_bench::figures::{Figure, FIGURES};
+use wise_bench::report::{self, Report};
+use wise_bench::BenchContext;
 
 fn main() {
-    let _trace = wise_bench::report::init();
-    // table4 is far more expensive (24 full CV evaluations); include it
-    // only when asked.
-    let with_table4 = std::env::args().any(|a| a == "--with-table4");
-    let exe_dir =
-        std::env::current_exe().expect("current exe").parent().expect("exe dir").to_path_buf();
-    let results_dir = std::env::var("WISE_RESULTS_DIR").unwrap_or_else(|_| "results".to_string());
-    std::fs::create_dir_all(&results_dir).expect("results dir");
-
-    let mut targets: Vec<&str> = TARGETS.to_vec();
-    if with_table4 {
-        targets.push("table4");
-    }
-    for t in targets {
-        wise_bench::report::section(t);
-        let out = Command::new(exe_dir.join(t)).output().unwrap_or_else(|e| {
-            panic!("failed to run {t}: {e}; build with `cargo build --release -p wise-bench --bins` first")
-        });
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        print!("{stdout}");
-        if !out.status.success() {
-            eprintln!("{stderr}");
-            panic!("{t} failed with {}", out.status);
+    let _trace = report::init();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let targets: Vec<&Figure> = match args.iter().position(|a| a == "--only") {
+        Some(i) => {
+            let name = args.get(i + 1).unwrap_or_else(|| usage("--only needs a name"));
+            let fig = FIGURES.iter().find(|f| f.name == name);
+            vec![fig.unwrap_or_else(|| usage(&format!("unknown figure '{name}'")))]
         }
-        std::fs::write(format!("{results_dir}/{t}.txt"), stdout.as_bytes()).expect("write report");
+        None => FIGURES.iter().filter(|f| f.default).collect(),
+    };
+    let ctx = BenchContext::from_env();
+    for fig in &targets {
+        if targets.len() > 1 {
+            report::section(fig.name);
+        }
+        let mut out = Report::default();
+        (fig.run)(&ctx, &mut out).expect("a report writes to stdout and memory");
+        let path = ctx.results_dir.join(format!("{}.txt", fig.name));
+        std::fs::write(&path, &out.text).expect("write report");
     }
-    wise_bench::report::progress(format_args!("all reports written under {results_dir}/"));
+    report::progress(format_args!("reports written under {}/", ctx.results_dir.display()));
+}
+
+fn usage(problem: &str) -> ! {
+    let names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+    eprintln!("all: {problem}\nusage: all [--only <name>]\nnames: {}", names.join(" "));
+    std::process::exit(2)
 }

@@ -44,9 +44,8 @@ use wise_core::labels::label_corpus;
 use wise_core::pipeline::{TrainOptions, Wise};
 use wise_features::{FeatureConfig, FeatureVector};
 use wise_gen::{Corpus, CorpusScale, RggParams, RmatParams};
-use wise_kernels::sched::set_executor;
 use wise_kernels::srvpack::SpmvWorkspace;
-use wise_kernels::{Executor, MethodConfig, Schedule};
+use wise_kernels::{MethodConfig, Schedule};
 use wise_matrix::Csr;
 use wise_ml::TreeParams;
 use wise_perf::Estimator;
@@ -206,7 +205,6 @@ fn model_metrics(eval: &CvEvaluation) -> ModelMetrics {
 fn main() {
     let args = parse_args();
     wise_trace::set_enabled(true);
-    set_executor(Executor::Pool);
     let spmv_iters = if args.quick { 10 } else { 40 };
     let nthreads = 2;
     let mode = if args.quick { "quick" } else { "full" };

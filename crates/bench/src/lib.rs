@@ -1,7 +1,8 @@
-//! Shared machinery for the figure/table harness binaries.
+//! Shared machinery for the figure/table harness.
 //!
-//! Every binary reproduces one table or figure of the paper's
-//! evaluation (see DESIGN.md's per-experiment index). They share:
+//! Every function in [`figures`] reproduces one table or figure of the
+//! paper's evaluation (see DESIGN.md's per-experiment index); the `all`
+//! binary runs them. They and the other harness binaries share:
 //!
 //! * [`BenchContext`] — scale/seed/backend resolved from the
 //!   environment (`WISE_SCALE`, `WISE_SEED`, `WISE_MEASURED`,
@@ -12,6 +13,7 @@
 //!   and CSV writers, so each figure produces both a human-readable
 //!   report and a machine-readable artifact.
 
+pub mod figures;
 pub mod report;
 pub mod sweep;
 
@@ -23,7 +25,7 @@ use std::path::{Path, PathBuf};
 use wise_core::labels::{label_corpus, CorpusLabels};
 use wise_features::FeatureConfig;
 use wise_gen::{Corpus, CorpusScale};
-use wise_kernels::method::{Method, MethodConfig};
+use wise_kernels::method::Method;
 use wise_perf::Estimator;
 use wise_trace::export::json::{FromJson, ToJson};
 
@@ -129,6 +131,11 @@ impl BenchContext {
 
     /// Writes a CSV artifact under the results dir and reports it.
     pub fn write_csv(&self, name: &str, header: &str, rows: &[String]) {
+        report::artifact(self.save_csv(name, header, rows).display());
+    }
+
+    /// Writes a CSV artifact under the results dir and returns its path.
+    pub fn save_csv(&self, name: &str, header: &str, rows: &[String]) -> PathBuf {
         let path = self.results_dir.join(name);
         let mut body = String::with_capacity(rows.len() * 32 + header.len() + 1);
         body.push_str(header);
@@ -138,7 +145,7 @@ impl BenchContext {
             body.push('\n');
         }
         std::fs::write(&path, body).expect("write csv");
-        report::artifact(path.display());
+        path
     }
 }
 
@@ -287,20 +294,10 @@ pub fn method_code(m: Method) -> &'static str {
     }
 }
 
-/// All catalog configs of one method.
-pub fn configs_of(labels: &CorpusLabels, method: Method) -> Vec<(usize, MethodConfig)> {
-    labels
-        .catalog
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.method == method)
-        .map(|(i, c)| (i, *c))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wise_kernels::method::MethodConfig;
 
     #[test]
     fn histogram_bins_cover_range() {

@@ -14,7 +14,8 @@
 //! so they share one format (and stdout stays reserved for the figure
 //! content the bins exist to print).
 
-use std::fmt::Display;
+use crate::BenchContext;
+use std::fmt::{self, Display};
 use std::path::PathBuf;
 use wise_kernels::timing::Samples;
 
@@ -32,6 +33,38 @@ pub fn section(title: impl Display) {
 /// Reports a file artifact written by the run.
 pub fn artifact(path: impl Display) {
     println!("\n[artifact] {path}");
+}
+
+/// A figure's text report. Every write goes to stdout as it happens
+/// and is also kept, so the `all` driver can save the report under the
+/// results directory.
+#[derive(Debug, Default)]
+pub struct Report {
+    /// Everything written so far.
+    pub text: String,
+}
+
+impl Report {
+    /// Writes a CSV artifact under `ctx`'s results dir and notes it in
+    /// the report (the line [`artifact`] prints).
+    pub fn csv(
+        &mut self,
+        ctx: &BenchContext,
+        name: &str,
+        header: &str,
+        rows: &[String],
+    ) -> fmt::Result {
+        let path = ctx.save_csv(name, header, rows);
+        fmt::Write::write_fmt(self, format_args!("\n[artifact] {}\n", path.display()))
+    }
+}
+
+impl fmt::Write for Report {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        print!("{s}");
+        self.text.push_str(s);
+        Ok(())
+    }
 }
 
 /// Formats a [`Samples`] measurement for artifact/report lines:

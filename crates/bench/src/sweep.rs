@@ -1,6 +1,8 @@
 //! Shared implementation of the Figure 5/6 sweep grids.
 
-use crate::{fastest_method, method_code, render_sweep_grid, report, BenchContext};
+use crate::report::{self, Report};
+use crate::{fastest_method, method_code, render_sweep_grid, BenchContext};
+use std::fmt::{self, Write as _};
 use wise_core::labels::CorpusLabels;
 use wise_gen::Recipe;
 
@@ -13,14 +15,19 @@ fn parse_name(name: &str) -> Option<(&str, u32, u32)> {
     Some((abbr, s, d))
 }
 
-/// Prints the fastest-method grid and the speedup-over-best-CSR grid
+/// Reports the fastest-method grid and the speedup-over-best-CSR grid
 /// for each recipe, and writes a combined CSV.
-pub fn print_sweep_figure(figure: &str, recipes: &[Recipe], csv_stem: &str) {
-    let ctx = BenchContext::from_env();
+pub fn sweep_figure(
+    ctx: &BenchContext,
+    out: &mut Report,
+    figure: &str,
+    recipes: &[Recipe],
+    csv_stem: &str,
+) -> fmt::Result {
     let labels = ctx.random_labels();
     report::progress(format_args!("rendering {figure} grids for {} recipes", recipes.len()));
 
-    println!("legend: {}", legend());
+    writeln!(out, "legend: {}", legend())?;
     let mut rows: Vec<String> = Vec::new();
     for &recipe in recipes {
         let grid = collect(&labels, recipe);
@@ -37,7 +44,7 @@ pub fn print_sweep_figure(figure: &str, recipes: &[Recipe], csv_stem: &str) {
                     .unwrap_or_else(|| ".".into())
             },
         );
-        println!("{fastest}");
+        writeln!(out, "{fastest}")?;
         let speedup = render_sweep_grid(
             &format!("{figure}: {recipe:?} — best speedup over best CSR"),
             &row_scales,
@@ -46,7 +53,7 @@ pub fn print_sweep_figure(figure: &str, recipes: &[Recipe], csv_stem: &str) {
                 grid.get(&(rs, d)).map(|&(_, s)| format!("{s:.2}")).unwrap_or_else(|| ".".into())
             },
         );
-        println!("{speedup}");
+        writeln!(out, "{speedup}")?;
 
         for ((rs, d), (mi, s)) in &grid {
             rows.push(format!(
@@ -56,11 +63,12 @@ pub fn print_sweep_figure(figure: &str, recipes: &[Recipe], csv_stem: &str) {
             ));
         }
     }
-    ctx.write_csv(
+    out.csv(
+        ctx,
         &format!("{csv_stem}_sweep.csv"),
         "recipe,log2_rows,degree,fastest,speedup_over_best_csr",
         &rows,
-    );
+    )
 }
 
 fn legend() -> String {

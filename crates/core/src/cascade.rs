@@ -24,106 +24,23 @@
 //! margin range whose training-set cascade P-ratio stays within
 //! [`P_RATIO_REL_FLOOR`] of full WISE.
 //!
-//! The loop is closed two ways: measured execution seconds feed a
-//! per-process regret accumulator ([`observe_execution`], surfaced as
-//! `select.cascade.regret` ledger telemetry), and the `WISE_CASCADE`
-//! knob (`0|off|1|on|auto`; malformed values warn once, like
-//! `WISE_SIMD`) can disable the fast path entirely — `WISE_CASCADE=0`
-//! is bit-exact with the pre-cascade pipeline.
+//! Measured execution seconds feed a per-process regret accumulator
+//! ([`observe_execution`], surfaced as `select.cascade.regret` ledger
+//! telemetry). A [`Wise`](crate::pipeline::Wise) without a gate
+//! (`with_cascade_gate(None)`) never takes the fast path and is
+//! bit-exact with the pre-cascade pipeline.
 
 use crate::classes::SpeedupClass;
 use crate::labels::CorpusLabels;
 use crate::registry::ModelRegistry;
 use crate::select::select_index;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Mutex;
 use wise_ml::PartialPrediction;
 use wise_perf::{calibrate_margin_threshold, Estimator, MachineModel, MarginSample};
-use wise_trace::env_knob::{Knob, KnobError};
 
 /// The cascade's training-set quality contract: the calibrated gate
 /// must keep the cascade P-ratio at ≥ 98% of full WISE's.
 pub const P_RATIO_REL_FLOOR: f64 = 0.98;
-
-// ---------------------------------------------------------------------
-// WISE_CASCADE knob
-// ---------------------------------------------------------------------
-
-/// Runtime cascade mode. `Auto` (the default, also spelled `1`/`on`)
-/// engages stage 1 whenever the selecting [`Wise`] carries a
-/// calibrated gate; `Off` forces the full pipeline for every matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CascadeMode {
-    Off,
-    Auto,
-}
-
-impl CascadeMode {
-    fn to_u8(self) -> u8 {
-        match self {
-            CascadeMode::Off => 0,
-            CascadeMode::Auto => 1,
-        }
-    }
-
-    fn from_u8(v: u8) -> CascadeMode {
-        if v == 0 {
-            CascadeMode::Off
-        } else {
-            CascadeMode::Auto
-        }
-    }
-}
-
-/// The `WISE_CASCADE` knob, on the shared [`wise_trace::env_knob`]
-/// grammar.
-const CASCADE_KNOB: Knob =
-    Knob::new("WISE_CASCADE", "a cascade mode (expected 0/off, 1/on, or auto)");
-
-/// Interpreter shared by [`parse_wise_cascade`] and the env read.
-fn cascade_interp(norm: &str) -> Option<CascadeMode> {
-    match norm {
-        "0" | "off" => Some(CascadeMode::Off),
-        "1" | "on" | "auto" => Some(CascadeMode::Auto),
-        _ => None,
-    }
-}
-
-/// Parses a raw `WISE_CASCADE` value. `Ok(None)` means unset (use the
-/// default, [`CascadeMode::Auto`]); `1`, `on` and `auto` are synonyms.
-pub fn parse_wise_cascade(raw: Option<&str>) -> Result<Option<CascadeMode>, KnobError> {
-    CASCADE_KNOB.parse(raw, cascade_interp)
-}
-
-const MODE_UNINIT: u8 = u8::MAX;
-static MODE: AtomicU8 = AtomicU8::new(MODE_UNINIT);
-
-/// The process-wide cascade mode: `WISE_CASCADE`, resolved lazily on
-/// first use and cached. A malformed value falls back to the default
-/// *loudly* — a once-per-process stderr warning plus a
-/// `select.cascade_env_invalid` trace counter — never a silent
-/// behavior change.
-pub fn mode() -> CascadeMode {
-    match MODE.load(Ordering::Relaxed) {
-        MODE_UNINIT => {
-            let m = mode_from_env();
-            MODE.store(m.to_u8(), Ordering::Relaxed);
-            m
-        }
-        v => CascadeMode::from_u8(v),
-    }
-}
-
-fn mode_from_env() -> CascadeMode {
-    CASCADE_KNOB
-        .read("select.cascade_env_invalid", "cascade stays in auto mode", cascade_interp)
-        .unwrap_or(CascadeMode::Auto)
-}
-
-/// Overrides the process-wide mode (tests, experiments).
-pub fn set_mode(m: CascadeMode) {
-    MODE.store(m.to_u8(), Ordering::Relaxed);
-}
 
 // ---------------------------------------------------------------------
 // Gate: calibrated acceptance threshold + roofline veto
@@ -180,9 +97,8 @@ pub enum FallthroughReason {
 }
 
 /// Cascade provenance attached to a [`Choice`](crate::pipeline::Choice)
-/// (absent entirely when the cascade is off or the model has no gate,
-/// keeping `WISE_CASCADE=0` serializations byte-identical to pre-
-/// cascade ones).
+/// (absent entirely when the model has no gate, keeping gateless
+/// serializations byte-identical to pre-cascade ones).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CascadeInfo {
     /// Stage that produced the answer.
@@ -370,26 +286,6 @@ pub fn reset_regret() {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_accepts_the_documented_spellings() {
-        assert_eq!(parse_wise_cascade(None), Ok(None));
-        for s in ["0", "off", "OFF", " off "] {
-            assert_eq!(parse_wise_cascade(Some(s)), Ok(Some(CascadeMode::Off)), "{s:?}");
-        }
-        for s in ["1", "on", "auto", "AUTO"] {
-            assert_eq!(parse_wise_cascade(Some(s)), Ok(Some(CascadeMode::Auto)), "{s:?}");
-        }
-    }
-
-    #[test]
-    fn parse_rejects_malformed_values() {
-        assert_eq!(parse_wise_cascade(Some("")), Err(KnobError::Empty { knob: "WISE_CASCADE" }));
-        assert_eq!(parse_wise_cascade(Some("  ")), Err(KnobError::Empty { knob: "WISE_CASCADE" }));
-        let err = parse_wise_cascade(Some("fast")).unwrap_err();
-        assert!(matches!(err, KnobError::Invalid { knob: "WISE_CASCADE", .. }));
-        assert!(err.to_string().contains("WISE_CASCADE"), "{err}");
-    }
 
     fn head(class: u32, confidence: f64, reached_leaf: bool) -> PartialPrediction {
         PartialPrediction { class, confidence, reached_leaf, depth: 1 }

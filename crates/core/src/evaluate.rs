@@ -142,14 +142,6 @@ impl CvPlan {
         let plan = FoldPlan::build(&matrix, &base_rows, k, seed);
         CvPlan { matrix, plan }
     }
-
-    pub fn matrix(&self) -> &Arc<FeatureMatrix> {
-        &self.matrix
-    }
-
-    pub fn fold_plan(&self) -> &FoldPlan {
-        &self.plan
-    }
 }
 
 /// Runs `eval` for every `(depth, ccp)` cell of Table 4 on the worker

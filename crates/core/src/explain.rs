@@ -137,8 +137,7 @@ mod tests {
 
     #[test]
     fn cascade_provenance_is_rendered() {
-        use crate::cascade::{self, CascadeGate, CascadeStage, FallthroughReason};
-        cascade::set_mode(cascade::CascadeMode::Auto);
+        use crate::cascade::{CascadeGate, CascadeStage, FallthroughReason};
         let scale = CorpusScale::tiny();
         let corpus = Corpus::random(&scale, 11);
         let gate = CascadeGate {

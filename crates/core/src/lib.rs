@@ -19,9 +19,8 @@
 //! Selection itself is cascaded ([`cascade`]): a single O(nnz) feature
 //! probe plus partial tree walks answer "easy" matrices in microseconds
 //! when a calibrated confidence gate accepts, and fall through to the
-//! full pipeline (steps 1–3 above, bit-identical) otherwise. The
-//! `WISE_CASCADE` environment knob (`0|off` / `1|on|auto`) disables or
-//! enables the fast path.
+//! full pipeline (steps 1–3 above, bit-identical) otherwise. A
+//! [`Wise`] built `with_cascade_gate(None)` never takes the fast path.
 //!
 //! # Quick start
 //!
@@ -53,8 +52,8 @@ pub mod registry;
 pub mod select;
 
 pub use cascade::{
-    observe_execution, regret_stats, CascadeGate, CascadeInfo, CascadeMode, CascadeStage,
-    FallthroughReason, RegretStats,
+    observe_execution, regret_stats, CascadeGate, CascadeInfo, CascadeStage, FallthroughReason,
+    RegretStats,
 };
 pub use classes::SpeedupClass;
 pub use drift::{DriftStats, DriftStatus};

@@ -228,7 +228,7 @@ impl Wise {
     }
 
     /// Replaces the cascade gate (tests, experiments; `None` disables
-    /// the fast path for this instance regardless of `WISE_CASCADE`).
+    /// the fast path for this instance).
     pub fn with_cascade_gate(mut self, gate: Option<CascadeGate>) -> Wise {
         self.cascade_gate = gate;
         self
@@ -237,13 +237,12 @@ impl Wise {
     /// Runs steps 1–3 of Figure 8: extract features, predict classes,
     /// select the best configuration.
     ///
-    /// When this instance carries a calibrated cascade gate and
-    /// `WISE_CASCADE` is not `off`, selection is cascaded: a stage-1
-    /// O(nnz) probe + partial tree vote answers immediately when its
-    /// margin clears the gate (microseconds instead of the full
-    /// extraction), falling through to the full pipeline otherwise —
-    /// bit-identical to the non-cascaded result modulo the
-    /// [`Choice::cascade`] provenance field.
+    /// When this instance carries a calibrated cascade gate, selection
+    /// is cascaded: a stage-1 O(nnz) probe + partial tree vote answers
+    /// immediately when its margin clears the gate (microseconds
+    /// instead of the full extraction), falling through to the full
+    /// pipeline otherwise — bit-identical to the non-cascaded result
+    /// modulo the [`Choice::cascade`] provenance field.
     pub fn select(&self, m: &Csr) -> Choice {
         let _span = wise_trace::span("pipeline.select");
         let flight = FlightRequest::begin();
@@ -255,40 +254,34 @@ impl Wise {
     /// [`Wise::select`] minus the span/flight bookkeeping: cascade
     /// dispatch with its early returns.
     fn select_cascaded(&self, m: &Csr) -> Choice {
-        if cascade::mode() != cascade::CascadeMode::Off {
-            if let Some(gate) = &self.cascade_gate {
-                match self.select_stage_one(m, gate) {
-                    Ok(choice) => {
-                        wise_trace::counter("select.cascade.stage1", 1);
-                        return choice;
-                    }
-                    Err((margin, reason)) => {
-                        wise_trace::counter("select.cascade.stage2", 1);
-                        wise_trace::counter(
-                            match reason {
-                                FallthroughReason::NoThreshold => {
-                                    "select.cascade.fallthrough.no_threshold"
-                                }
-                                FallthroughReason::LowMargin => {
-                                    "select.cascade.fallthrough.low_margin"
-                                }
-                                FallthroughReason::EstimatorVeto => {
-                                    "select.cascade.fallthrough.veto"
-                                }
-                            },
-                            1,
-                        );
-                        let _s2 = wise_trace::span("select.cascade.stage2");
-                        let mut choice = self.select_full(m);
-                        choice.cascade = Some(CascadeInfo {
-                            stage: CascadeStage::Stage2,
-                            margin,
-                            threshold: gate.threshold,
-                            fallthrough: Some(reason),
-                            predicted_seconds: None,
-                        });
-                        return choice;
-                    }
+        if let Some(gate) = &self.cascade_gate {
+            match self.select_stage_one(m, gate) {
+                Ok(choice) => {
+                    wise_trace::counter("select.cascade.stage1", 1);
+                    return choice;
+                }
+                Err((margin, reason)) => {
+                    wise_trace::counter("select.cascade.stage2", 1);
+                    wise_trace::counter(
+                        match reason {
+                            FallthroughReason::NoThreshold => {
+                                "select.cascade.fallthrough.no_threshold"
+                            }
+                            FallthroughReason::LowMargin => "select.cascade.fallthrough.low_margin",
+                            FallthroughReason::EstimatorVeto => "select.cascade.fallthrough.veto",
+                        },
+                        1,
+                    );
+                    let _s2 = wise_trace::span("select.cascade.stage2");
+                    let mut choice = self.select_full(m);
+                    choice.cascade = Some(CascadeInfo {
+                        stage: CascadeStage::Stage2,
+                        margin,
+                        threshold: gate.threshold,
+                        fallthrough: Some(reason),
+                        predicted_seconds: None,
+                    });
+                    return choice;
                 }
             }
         }
@@ -628,10 +621,6 @@ mod cascade_pipeline_tests {
     use crate::cascade::P_RATIO_REL_FLOOR;
 
     fn trained() -> Wise {
-        // Pin the cascade on: these tests control behavior through the
-        // per-instance gate, and must not depend on a WISE_CASCADE=0
-        // leaking in from the environment.
-        cascade::set_mode(cascade::CascadeMode::Auto);
         let scale = CorpusScale::tiny();
         let corpus = Corpus::random(&scale, 11);
         Wise::train(&corpus, &TrainOptions::for_scale(&scale))

@@ -90,15 +90,6 @@ impl ModelRegistry {
         Dataset::from_matrix(Arc::clone(matrix), y, N_CLASSES)
     }
 
-    /// Builds the per-configuration training dataset (exposed for
-    /// cross-validation in the evaluation harness). Builds a fresh
-    /// matrix; when iterating over configurations, build the matrix
-    /// once with [`Self::feature_matrix`] and use
-    /// [`Self::dataset_for_matrix`].
-    pub fn dataset_for(labels: &CorpusLabels, cfg_idx: usize) -> Dataset {
-        Self::dataset_for_matrix(&Self::feature_matrix(labels), labels, cfg_idx)
-    }
-
     pub fn catalog(&self) -> &[MethodConfig] {
         &self.catalog
     }

@@ -278,6 +278,10 @@ pub(crate) struct RowColStats {
 /// input, so these statistics equal the reference extractor's bit for
 /// bit. With `BAND` (the probe) the C histogram loop also sums each
 /// nonzero's distance from the scaled diagonal, in row-major order.
+// Kept out of line: when the compiler inlined it into
+// `ProbeFeatures::extract_with`, the `triage` benchmark's request p50
+// rose about 7% (8 alternating runs, 2-vCPU AVX-512 host).
+#[inline(never)]
 pub(crate) fn row_col_stats<const BAND: bool>(
     m: &Csr,
     scratch: &mut FeatureScratch,

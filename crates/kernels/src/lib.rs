@@ -3,9 +3,8 @@
 //! This crate implements the full SpMV optimization space of the paper
 //! (Section 2 and Table 1):
 //!
-//! * [`sched`] — the three row-scheduling policies (Dyn, St, StCont) and
-//!   the executors that realize them (persistent pool by default, scoped
-//!   spawn threads as the parity oracle / `WISE_POOL=0` escape hatch);
+//! * [`sched`] — the three row-scheduling policies (Dyn, St, StCont),
+//!   all dispatched onto the persistent pool;
 //! * [`pool`] — the lazily-initialized, process-wide persistent worker
 //!   pool: parked threads woken via an epoch-sequenced condvar handoff,
 //!   so repeated SpMV calls pay a microsecond-scale dispatch instead of
@@ -20,15 +19,13 @@
 //! * [`baseline`] — the MKL-like fixed-schedule baseline and the trial-
 //!   executing inspector-executor (substitutes for Intel MKL and MKL IE;
 //!   see DESIGN.md for the substitution argument);
-//! * [`merge_csr`] — a merge-path load-balanced CSR kernel, the worked
-//!   example for extending WISE beyond the paper's 29 configurations;
 //! * [`simd`] — the runtime CPU capability probe (Scalar/AVX2/AVX-512)
 //!   and the explicitly vectorized SELL-chunk kernels it dispatches —
 //!   with the auto software-prefetch and AVX-512 chunk-pair policies and
 //!   masked lanes for chunk heights below 8 (DESIGN.md §17) — plus the
 //!   ulp-tolerance contract that replaces bit-exactness for reassociated
-//!   sums (`WISE_SIMD=0` opts back into the bit-exact scalar paths; see
-//!   DESIGN.md §14). CSR always runs its scalar row loop;
+//!   sums (a config with explicit width 1 keeps the bit-exact scalar
+//!   path; see DESIGN.md §14). CSR always runs its scalar row loop;
 //! * [`timing`] — robust wall-clock measurement helpers reporting the
 //!   full sample spread ([`timing::Samples`]).
 //!
@@ -45,7 +42,6 @@
 
 pub mod baseline;
 pub mod csr_spmv;
-pub mod merge_csr;
 pub mod method;
 pub mod pool;
 pub mod sched;
@@ -55,6 +51,6 @@ pub mod timing;
 
 pub use method::{Method, MethodConfig, Prepared};
 pub use pool::WorkerPool;
-pub use sched::{Executor, Schedule};
+pub use sched::Schedule;
 pub use simd::SimdIsa;
 pub use srvpack::SrvPack;

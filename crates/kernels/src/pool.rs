@@ -2,12 +2,11 @@
 //!
 //! Every labeling run times SpMV thousands of times (29 catalog
 //! configurations × many matrices × `measure_median` iterations), and
-//! the spawn executor in [`crate::sched`] used to pay a fresh
-//! `std::thread::scope` spawn+join per call — tens of microseconds that
-//! dominate small-matrix kernels and inflate every measured label. This
-//! module keeps the workers alive across calls: they park on a condvar
-//! and are woken by an epoch bump, so a dispatch costs one mutex
-//! round-trip per side instead of OS thread creation.
+//! a fresh `std::thread::scope` spawn+join per call would cost tens of
+//! microseconds that dominate small-matrix kernels and inflate every
+//! measured label. This module keeps the workers alive across calls:
+//! they park on a condvar and are woken by an epoch bump, so a dispatch
+//! costs one mutex round-trip per side instead of OS thread creation.
 //!
 //! # Protocol (epoch-sequenced handoff, caller is thread 0)
 //!
@@ -56,10 +55,9 @@
 //! The pool does not decide *what* a thread runs — it only delivers a
 //! logical thread index `t ∈ 0..n` to the job body. The chunk→thread
 //! assignment logic (Dyn / St / StCont, paper §2.1) lives in
-//! [`crate::sched::parallel_for_chunks`]'s shared per-thread loop,
-//! which is the same code the spawn executor runs, so scheduling
-//! semantics are identical by construction (and pinned by the
-//! `pool_parity` test suite).
+//! [`crate::sched::parallel_for_chunks`]'s per-thread loop, and the
+//! `pool_parity` test suite pins it against the model's
+//! `static_assignment`.
 //!
 //! # Panics
 //!
@@ -77,14 +75,13 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 thread_local! {
-    /// Logical executor-thread index of the current thread, if it is
-    /// running inside a pool worker, a spawn-executor thread, or the
-    /// dispatcher's own share of a pooled job.
+    /// Logical thread index of the current thread, if it is running
+    /// inside a pool worker or the dispatcher's own share of a job.
     static WORKER_INDEX: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
 /// The logical thread index the current thread is executing under, or
-/// `None` outside any executor (e.g. on the main thread, where the
+/// `None` outside the pool (e.g. on the main thread, where the
 /// inline fallback of `parallel_for_chunks` runs).
 ///
 /// Used by the parity suite to record chunk→thread assignments, and by
@@ -102,13 +99,6 @@ impl Drop for IndexGuard {
     fn drop(&mut self) {
         WORKER_INDEX.with(|w| w.set(self.0));
     }
-}
-
-/// Runs `f` with [`current_worker_index`] set to `index` (the spawn
-/// executor's threads and the pool dispatcher's own share).
-pub(crate) fn with_worker_index<R>(index: usize, f: impl FnOnce() -> R) -> R {
-    let _restore = IndexGuard(WORKER_INDEX.with(|w| w.replace(Some(index))));
-    f()
 }
 
 /// A published job: the erased body plus how many logical threads it
@@ -277,7 +267,10 @@ impl WorkerPool {
             w.wake.notify_one();
         }
 
-        let own = catch_unwind(AssertUnwindSafe(|| with_worker_index(0, || body(0))));
+        let own = catch_unwind(AssertUnwindSafe(|| {
+            let _restore = IndexGuard(WORKER_INDEX.with(|w| w.replace(Some(0))));
+            body(0)
+        }));
 
         // Completion barrier: spin briefly on the mirror, then sleep.
         // The final lock also synchronizes `panicked`.

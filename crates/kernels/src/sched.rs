@@ -13,27 +13,18 @@
 //!   (`schedule(static)`); zero overhead, best spatial locality, worst
 //!   balance under skew.
 //!
-//! Two executors realize these policies, sharing one per-thread chunk
-//! loop ([`Executor`]):
-//!
-//! * **Pool** (default) — the persistent worker pool of [`crate::pool`];
-//!   a dispatch costs a condvar handoff instead of OS thread creation,
-//!   which matters enormously when SpMV is called in a timing loop.
-//! * **Spawn** — fresh `std::thread::scope` threads per call; the
-//!   original executor, kept as the parity oracle (`pool_parity` test
-//!   suite) and as an escape hatch (`WISE_POOL=0`).
-//!
-//! Neither executor is a work-stealing pool (one would blur the
-//! Dyn/St/StCont distinctions the paper studies): a logical thread `t`
-//! runs exactly the chunks the policy assigns to `t`, and because both
-//! executors call the *same* [`thread_chunk_loop`], their chunk→thread
-//! assignments are identical by construction.
+//! The persistent worker pool of [`crate::pool`] realizes these
+//! policies: a dispatch costs a condvar handoff instead of OS thread
+//! creation, which matters enormously when SpMV is called in a timing
+//! loop. It is not a work-stealing pool (one would blur the
+//! Dyn/St/StCont distinctions the paper studies): logical thread `t`
+//! runs exactly the chunks the policy assigns to `t`.
 //!
 //! Kernels, feature sweeps and the labeling/training loops ([`par_map`])
-//! all dispatch through [`parallel_for_chunks`]; a call nested inside an
-//! executor thread runs inline (DESIGN.md §20).
+//! all dispatch through [`parallel_for_chunks`]; a call nested inside a
+//! pool thread runs inline (DESIGN.md §20).
 
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use wise_trace::env_knob::{Knob, KnobError};
 
 /// A chunk-to-thread scheduling policy.
@@ -192,59 +183,12 @@ impl<'a, T> DisjointWriter<'a, T> {
 }
 
 // ---------------------------------------------------------------------
-// Executors
+// Dispatch
 // ---------------------------------------------------------------------
 
-/// Which mechanism carries the per-thread chunk loops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Executor {
-    /// The persistent worker pool ([`crate::pool`]); the default.
-    Pool,
-    /// Fresh scoped threads per call — the original executor, kept as
-    /// the parity oracle and the `WISE_POOL=0` escape hatch.
-    Spawn,
-}
-
-const EXEC_UNINIT: u8 = 0;
-const EXEC_POOL: u8 = 1;
-const EXEC_SPAWN: u8 = 2;
-
-/// Process-wide executor choice; resolved from `WISE_POOL` on first
-/// use, overridable via [`set_executor`].
-static EXECUTOR: AtomicU8 = AtomicU8::new(EXEC_UNINIT);
-
-/// The executor `parallel_for_chunks` currently routes through:
-/// [`Executor::Pool`] unless `WISE_POOL` is set to `0`, `off` or
-/// `spawn` (or [`set_executor`] said otherwise).
-pub fn executor() -> Executor {
-    match EXECUTOR.load(Ordering::Relaxed) {
-        EXEC_POOL => Executor::Pool,
-        EXEC_SPAWN => Executor::Spawn,
-        _ => {
-            let exec = match std::env::var("WISE_POOL").ok().as_deref().map(str::trim) {
-                Some("0") | Some("off") | Some("spawn") => Executor::Spawn,
-                _ => Executor::Pool,
-            };
-            set_executor(exec);
-            exec
-        }
-    }
-}
-
-/// Overrides the process-wide executor (benchmarks compare the two;
-/// tests pin one side).
-pub fn set_executor(executor: Executor) {
-    let v = match executor {
-        Executor::Pool => EXEC_POOL,
-        Executor::Spawn => EXEC_SPAWN,
-    };
-    EXECUTOR.store(v, Ordering::Relaxed);
-}
-
-/// The per-thread chunk loop shared *verbatim* by both executors, so
-/// their chunk→thread assignments cannot drift apart: logical thread
-/// `t` of `nthreads` executes exactly the chunks `schedule` assigns to
-/// `t` (for Dyn, whatever it wins from the shared `counter`).
+/// The per-thread chunk loop: logical thread `t` of `nthreads`
+/// executes exactly the chunks `schedule` assigns to `t` (for Dyn,
+/// whatever it wins from the shared `counter`).
 #[inline]
 fn thread_chunk_loop<F: Fn(usize) + Sync>(
     t: usize,
@@ -290,45 +234,16 @@ fn thread_chunk_loop<F: Fn(usize) + Sync>(
 }
 
 /// Runs `body(chunk_index)` for every chunk in `0..nchunks` across
-/// `nthreads` threads under the given policy, using the process-wide
-/// [`executor`] (the persistent pool by default).
+/// `nthreads` threads of the persistent pool under the given policy.
 ///
 /// `grain` is the number of consecutive chunks a thread takes at once
 /// for Dyn/St (the paper's "K rows at a time" granularity knob, in
 /// units of chunks). StCont ignores `grain`.
 ///
 /// Single-thread calls, tiny jobs (`nchunks <= grain`) and nested calls
-/// (made from inside an executor thread, whose outer loop already
-/// occupies the workers) run inline on the caller — no dispatch at all.
+/// (made from inside a pool thread, whose outer loop already occupies
+/// the workers) run inline on the caller — no dispatch at all.
 pub fn parallel_for_chunks<F>(
-    nchunks: usize,
-    nthreads: usize,
-    schedule: Schedule,
-    grain: usize,
-    body: F,
-) where
-    F: Fn(usize) + Sync,
-{
-    parallel_for_chunks_with(executor(), nchunks, nthreads, schedule, grain, body)
-}
-
-/// [`parallel_for_chunks`] on the spawn executor — the reference the
-/// parity suite compares the pool against.
-pub fn parallel_for_chunks_spawn<F>(
-    nchunks: usize,
-    nthreads: usize,
-    schedule: Schedule,
-    grain: usize,
-    body: F,
-) where
-    F: Fn(usize) + Sync,
-{
-    parallel_for_chunks_with(Executor::Spawn, nchunks, nthreads, schedule, grain, body)
-}
-
-/// [`parallel_for_chunks`] with an explicit executor choice.
-pub fn parallel_for_chunks_with<F>(
-    executor: Executor,
     nchunks: usize,
     nthreads: usize,
     schedule: Schedule,
@@ -346,22 +261,9 @@ pub fn parallel_for_chunks_with<F>(
     }
     let nthreads = nthreads.min(nchunks);
     let counter = AtomicUsize::new(0);
-    match executor {
-        Executor::Pool => crate::pool::global().run(nthreads, &|t| {
-            thread_chunk_loop(t, nthreads, nchunks, schedule, grain, &counter, &body)
-        }),
-        Executor::Spawn => std::thread::scope(|s| {
-            for t in 0..nthreads {
-                let body = &body;
-                let counter = &counter;
-                s.spawn(move || {
-                    crate::pool::with_worker_index(t, || {
-                        thread_chunk_loop(t, nthreads, nchunks, schedule, grain, counter, body)
-                    })
-                });
-            }
-        }),
-    }
+    crate::pool::global().run(nthreads, &|t| {
+        thread_chunk_loop(t, nthreads, nchunks, schedule, grain, &counter, &body)
+    })
 }
 
 /// Maps `f` over `0..n` through [`parallel_for_chunks`] (Dyn schedule,
@@ -423,31 +325,23 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
 
-    fn covers_all_with(
-        exec: Executor,
-        schedule: Schedule,
-        nchunks: usize,
-        nthreads: usize,
-        grain: usize,
-    ) {
+    fn covers_all(schedule: Schedule, nchunks: usize, nthreads: usize, grain: usize) {
         let hits: Vec<AtomicU64> = (0..nchunks).map(|_| AtomicU64::new(0)).collect();
-        parallel_for_chunks_with(exec, nchunks, nthreads, schedule, grain, |i| {
+        parallel_for_chunks(nchunks, nthreads, schedule, grain, |i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         for (i, h) in hits.iter().enumerate() {
-            assert_eq!(h.load(Ordering::Relaxed), 1, "chunk {i} under {schedule:?} ({exec:?})");
+            assert_eq!(h.load(Ordering::Relaxed), 1, "chunk {i} under {schedule:?}");
         }
     }
 
     #[test]
     fn every_schedule_covers_every_chunk_exactly_once() {
-        for exec in [Executor::Pool, Executor::Spawn] {
-            for sched in Schedule::ALL {
-                for &(n, t, g) in
-                    &[(1usize, 1usize, 1usize), (7, 3, 1), (100, 4, 8), (64, 8, 16), (5, 8, 2)]
-                {
-                    covers_all_with(exec, sched, n, t, g);
-                }
+        for sched in Schedule::ALL {
+            for &(n, t, g) in
+                &[(1usize, 1usize, 1usize), (7, 3, 1), (100, 4, 8), (64, 8, 16), (5, 8, 2)]
+            {
+                covers_all(sched, n, t, g);
             }
         }
     }
@@ -529,22 +423,20 @@ mod tests {
     }
 
     #[test]
-    fn executors_produce_identical_static_assignments() {
+    fn pool_follows_the_static_assignment() {
         // Spot-check here; the exhaustive version (incl. kernels) lives
         // in tests/pool_parity.rs.
         use std::sync::Mutex;
-        for exec in [Executor::Pool, Executor::Spawn] {
-            let owners = Mutex::new(vec![usize::MAX; 24]);
-            parallel_for_chunks_with(exec, 24, 3, Schedule::St, 2, |i| {
-                let t = crate::pool::current_worker_index().unwrap_or(0);
-                owners.lock().unwrap()[i] = t;
-            });
-            let owners = owners.into_inner().unwrap();
-            let want = static_assignment(24, 3, Schedule::St, 2);
-            for (t, chunks) in want.iter().enumerate() {
-                for &c in chunks {
-                    assert_eq!(owners[c], t, "chunk {c} ({exec:?})");
-                }
+        let owners = Mutex::new(vec![usize::MAX; 24]);
+        parallel_for_chunks(24, 3, Schedule::St, 2, |i| {
+            let t = crate::pool::current_worker_index().unwrap_or(0);
+            owners.lock().unwrap()[i] = t;
+        });
+        let owners = owners.into_inner().unwrap();
+        let want = static_assignment(24, 3, Schedule::St, 2);
+        for (t, chunks) in want.iter().enumerate() {
+            for &c in chunks {
+                assert_eq!(owners[c], t, "chunk {c}");
             }
         }
     }

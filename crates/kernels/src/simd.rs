@@ -33,8 +33,9 @@
 //! meaningless). Prefetching and chunk pairing are pure *scheduling*
 //! changes: for a fixed level they never alter the sequence of
 //! operations feeding any accumulator, so results are bit-identical
-//! across every setting. Setting `WISE_SIMD=0` (or preparing a config
-//! with explicit width 1) restores the scalar path bit-exactly.
+//! across every setting. Preparing a config with explicit width 1 (or
+//! [`set_active`]`(Scalar)` in tests) restores the scalar path
+//! bit-exactly.
 //!
 //! All gathers index with *signed 32-bit* lanes, so [`resolve`] — and,
 //! per kernel call, [`clamp_isa`] — fall back to scalar when the x
@@ -42,7 +43,6 @@
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
-use wise_trace::env_knob::{Knob, KnobError};
 
 /// A SIMD capability level, ordered narrowest to widest.
 ///
@@ -120,55 +120,24 @@ pub fn detected() -> SimdIsa {
     *DETECTED.get_or_init(detect_raw)
 }
 
-/// The `WISE_SIMD` knob, on the shared [`wise_trace::env_knob`] grammar.
-const SIMD_KNOB: Knob =
-    Knob::new("WISE_SIMD", "a SIMD width (expected 0/off/scalar/1, 4/avx2, or 8/avx512)");
+/// [`set_active`]'s override; `NO_OVERRIDE` means [`detected`].
+const NO_OVERRIDE: u8 = u8::MAX;
+static OVERRIDE: AtomicU8 = AtomicU8::new(NO_OVERRIDE);
 
-/// The `WISE_SIMD` grammar, shared by [`parse_wise_simd`] and the env
-/// read behind [`active`].
-fn simd_interp(norm: &str) -> Option<SimdIsa> {
-    match norm {
-        "0" | "off" | "scalar" | "1" => Some(SimdIsa::Scalar),
-        "4" | "avx2" => Some(SimdIsa::Avx2),
-        "8" | "avx512" | "avx512f" => Some(SimdIsa::Avx512),
-        _ => None,
-    }
-}
-
-/// Parses a raw `WISE_SIMD` value into a capability *cap*. `Ok(None)`
-/// means unset (auto-detect); `0`, `off`, `scalar`, and `1` all force
-/// the scalar path.
-pub fn parse_wise_simd(raw: Option<&str>) -> Result<Option<SimdIsa>, KnobError> {
-    SIMD_KNOB.parse(raw, simd_interp)
-}
-
-const ISA_UNINIT: u8 = u8::MAX;
-static ACTIVE: AtomicU8 = AtomicU8::new(ISA_UNINIT);
-
-/// The process-wide active SIMD level: `min(detected, WISE_SIMD cap)`,
-/// resolved lazily on first use and cached. A malformed `WISE_SIMD`
-/// falls back to auto-detect *loudly*: a once-per-process stderr
-/// warning plus a `kernel.simd_env_invalid` trace counter — never a
-/// silent behavior change.
+/// The process-wide active SIMD level: [`detected`] unless
+/// [`set_active`] overrode it.
 pub fn active() -> SimdIsa {
-    match ACTIVE.load(Ordering::Relaxed) {
-        ISA_UNINIT => {
-            let det = detected();
-            let isa = SIMD_KNOB
-                .read("kernel.simd_env_invalid", "using the detected level", simd_interp)
-                .map_or(det, |cap| cap.min(det));
-            ACTIVE.store(isa.to_u8(), Ordering::Relaxed);
-            isa
-        }
+    match OVERRIDE.load(Ordering::Relaxed) {
+        NO_OVERRIDE => detected(),
         v => SimdIsa::from_u8(v),
     }
 }
 
-/// Overrides the active level (tests, experiments). The request is
-/// capped at [`detected`] so an unsupported level can never be forced
-/// into the dispatchers.
+/// Overrides the active level (tests). The request is capped at
+/// [`detected`] so an unsupported level can never be forced into the
+/// dispatchers.
 pub fn set_active(isa: SimdIsa) {
-    ACTIVE.store(isa.min(detected()).to_u8(), Ordering::Relaxed);
+    OVERRIDE.store(isa.min(detected()).to_u8(), Ordering::Relaxed);
 }
 
 // ---------------------------------------------------------------------
@@ -695,43 +664,6 @@ mod tests {
         assert_eq!(SimdIsa::widest_for_lanes(2), SimdIsa::Scalar);
         assert_eq!(SimdIsa::widest_for_lanes(6), SimdIsa::Avx2);
         assert_eq!(SimdIsa::widest_for_lanes(64), SimdIsa::Avx512);
-    }
-
-    #[test]
-    fn parse_accepts_widths_and_names() {
-        assert_eq!(parse_wise_simd(None), Ok(None));
-        for (s, isa) in [
-            ("0", SimdIsa::Scalar),
-            ("off", SimdIsa::Scalar),
-            ("Scalar", SimdIsa::Scalar),
-            ("1", SimdIsa::Scalar),
-            ("4", SimdIsa::Avx2),
-            ("AVX2", SimdIsa::Avx2),
-            ("8", SimdIsa::Avx512),
-            ("avx512", SimdIsa::Avx512),
-            (" avx512f ", SimdIsa::Avx512),
-        ] {
-            assert_eq!(parse_wise_simd(Some(s)), Ok(Some(isa)), "input {s:?}");
-        }
-    }
-
-    #[test]
-    fn parse_rejects_garbage_loudly() {
-        assert_eq!(parse_wise_simd(Some("")), Err(KnobError::Empty { knob: "WISE_SIMD" }));
-        assert_eq!(parse_wise_simd(Some("  ")), Err(KnobError::Empty { knob: "WISE_SIMD" }));
-        // `2`/`sse2`/`portable`/`portable2` named levels that no longer
-        // exist; they are malformed like any other unknown value.
-        for bad in ["3", "16", "-4", "avx", "wide", "8 lanes", "2", "sse2", "portable", "portable2"]
-        {
-            let err = parse_wise_simd(Some(bad)).unwrap_err();
-            match &err {
-                KnobError::Invalid { knob: "WISE_SIMD", value, .. } => {
-                    assert_eq!(value, bad.trim(), "input {bad:?}");
-                }
-                other => panic!("input {bad:?}: unexpected error {other:?}"),
-            }
-            assert!(err.to_string().contains("WISE_SIMD"));
-        }
     }
 
     #[test]

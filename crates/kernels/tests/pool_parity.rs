@@ -1,22 +1,21 @@
-//! Pool ↔ spawn executor parity suite.
+//! Worker-pool parity suite.
 //!
-//! The persistent pool must be *observationally identical* to the
-//! original scoped-spawn executor: same chunk→thread assignments for
-//! the static schedules (pinned against `static_assignment`, the
-//! introspection helper `wise-perf` models with), exactly-once chunk
-//! coverage for Dyn, and bit-identical SpMV outputs for both kernel
-//! families across every schedule and ragged thread/chunk shapes.
-//! Plus lifecycle: a panic inside a job body must not wedge the pool,
-//! and a call nested inside a pool worker runs inline on that worker.
+//! The persistent pool must be *observationally identical* to running
+//! every chunk inline: chunk→thread assignments for the static
+//! schedules match `static_assignment` (the introspection helper
+//! `wise-perf` models with), Dyn covers every chunk exactly once, and
+//! every catalog config's SpMV output is bit-identical at every thread
+//! count to the 1-thread inline result, across ragged thread/chunk
+//! shapes. Plus lifecycle: a panic inside a job body must not wedge the
+//! pool, and a call nested inside a pool worker runs inline on that
+//! worker.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use wise_gen::{suite, RmatParams, SplitMix64};
 use wise_kernels::pool::{self, WorkerPool};
-use wise_kernels::sched::{
-    parallel_for_chunks_with, set_executor, static_assignment, Executor, Schedule,
-};
+use wise_kernels::sched::{parallel_for_chunks, static_assignment, Schedule};
 use wise_kernels::srvpack::SpmvWorkspace;
 use wise_kernels::{MethodConfig, SrvPack};
 use wise_matrix::Csr;
@@ -28,11 +27,10 @@ const NTHREADS: [usize; 5] = [1, 2, 3, 7, 16];
 const NCHUNKS: [usize; 6] = [1, 3, 5, 17, 63, 130];
 const GRAINS: [usize; 3] = [1, 2, 8];
 
-/// Runs a recording body under `exec` and returns (owner per chunk,
+/// Runs a recording body on the pool and returns (owner per chunk,
 /// effective thread count). Chunks run inline on the caller map to
 /// thread 0, matching `static_assignment` with one thread.
 fn record_assignment(
-    exec: Executor,
     nchunks: usize,
     nthreads: usize,
     sched: Schedule,
@@ -40,7 +38,7 @@ fn record_assignment(
 ) -> (Vec<usize>, usize) {
     let owners = Mutex::new(vec![usize::MAX; nchunks]);
     let hits: Vec<AtomicUsize> = (0..nchunks).map(|_| AtomicUsize::new(0)).collect();
-    parallel_for_chunks_with(exec, nchunks, nthreads, sched, grain, |i| {
+    parallel_for_chunks(nchunks, nthreads, sched, grain, |i| {
         let t = pool::current_worker_index().unwrap_or(0);
         owners.lock().unwrap()[i] = t;
         hits[i].fetch_add(1, Ordering::SeqCst);
@@ -48,7 +46,7 @@ fn record_assignment(
     for (i, h) in hits.iter().enumerate() {
         assert_eq!(h.load(Ordering::SeqCst), 1, "chunk {i} ran {} times", h.load(Ordering::SeqCst));
     }
-    // Mirror the executor's own clamping: inline when single-threaded
+    // Mirror the dispatcher's own clamping: inline when single-threaded
     // or the whole job fits one grain, else cap threads at nchunks.
     let effective =
         if nthreads <= 1 || nchunks <= grain.max(1) { 1 } else { nthreads.min(nchunks) };
@@ -56,22 +54,16 @@ fn record_assignment(
 }
 
 #[test]
-fn static_assignments_match_spawn_and_model() {
+fn static_assignments_match_the_model() {
     for sched in [Schedule::St, Schedule::StCont] {
         for &nthreads in &NTHREADS {
             for &nchunks in &NCHUNKS {
                 for &grain in &GRAINS {
                     let tag = format!("{sched:?} t={nthreads} n={nchunks} g={grain}");
-                    let (pool_owners, eff) =
-                        record_assignment(Executor::Pool, nchunks, nthreads, sched, grain);
-                    let (spawn_owners, eff2) =
-                        record_assignment(Executor::Spawn, nchunks, nthreads, sched, grain);
-                    assert_eq!(eff, eff2);
-                    // (a) pool and spawn executors place every chunk on
-                    // the same logical thread;
-                    assert_eq!(pool_owners, spawn_owners, "{tag}");
-                    // ...and both match the model's assignment function
-                    // (with the executors' thread clamping applied).
+                    let (pool_owners, eff) = record_assignment(nchunks, nthreads, sched, grain);
+                    // (a) the pool places every chunk on the logical
+                    // thread the model's assignment function names
+                    // (with the dispatcher's thread clamping applied).
                     let want = static_assignment(nchunks, eff, sched, grain);
                     for (t, chunks) in want.iter().enumerate() {
                         for &c in chunks {
@@ -85,15 +77,13 @@ fn static_assignments_match_spawn_and_model() {
 }
 
 #[test]
-fn dyn_covers_every_chunk_exactly_once_on_both_executors() {
-    for exec in [Executor::Pool, Executor::Spawn] {
-        for &nthreads in &NTHREADS {
-            for &nchunks in &NCHUNKS {
-                for &grain in &GRAINS {
-                    // Coverage is asserted inside record_assignment;
-                    // Dyn's owner is timing-dependent by design.
-                    record_assignment(exec, nchunks, nthreads, Schedule::Dyn, grain);
-                }
+fn dyn_covers_every_chunk_exactly_once() {
+    for &nthreads in &NTHREADS {
+        for &nchunks in &NCHUNKS {
+            for &grain in &GRAINS {
+                // Coverage is asserted inside record_assignment; Dyn's
+                // owner is timing-dependent by design.
+                record_assignment(nchunks, nthreads, Schedule::Dyn, grain);
             }
         }
     }
@@ -104,42 +94,38 @@ fn random_x(n: usize, seed: u64) -> Vec<f64> {
     (0..n).map(|_| rng.range_f64(-1.0, 1.0)).collect()
 }
 
-/// (b) CSR and SRVPack results must be bit-identical pool vs. spawn:
-/// each chunk computes its outputs with the same instruction sequence
-/// regardless of which thread runs it, and rows are written by exactly
-/// one chunk (per segment, with segments sequential), so the executor
-/// cannot change a single bit.
+/// (b) CSR and SRVPack results must be bit-identical at every thread
+/// count: each chunk computes its outputs with the same instruction
+/// sequence regardless of which thread runs it, and rows are written by
+/// exactly one chunk (per segment, with segments sequential), so the
+/// pool cannot change a single bit of the 1-thread inline result.
 #[test]
-fn spmv_results_bit_identical_pool_vs_spawn() {
+fn spmv_results_bit_identical_across_thread_counts() {
     let matrices: Vec<(String, Csr)> = vec![
         ("rmat9".into(), RmatParams::HIGH_SKEW.generate(9, 8, 42)),
         ("stencil".into(), suite::stencil_2d(23, 23)),
         ("banded".into(), suite::banded(517, 9, 0.5, 3)),
     ];
-    let prev = wise_kernels::sched::executor();
     for (name, m) in &matrices {
         let x = random_x(m.ncols(), 7);
         for cfg in MethodConfig::catalog() {
             let prep = cfg.prepare(m);
-            for &nthreads in &NTHREADS {
-                let mut y_spawn = vec![f64::NAN; m.nrows()];
-                set_executor(Executor::Spawn);
-                prep.spmv(&x, &mut y_spawn, nthreads, &mut SpmvWorkspace::default());
+            let mut y_inline = vec![f64::NAN; m.nrows()];
+            prep.spmv(&x, &mut y_inline, 1, &mut SpmvWorkspace::default());
+            for nthreads in [2, 3, 7, 16] {
                 let mut y_pool = vec![f64::NAN; m.nrows()];
-                set_executor(Executor::Pool);
                 prep.spmv(&x, &mut y_pool, nthreads, &mut SpmvWorkspace::default());
-                for (r, (a, b)) in y_spawn.iter().zip(&y_pool).enumerate() {
+                for (r, (a, b)) in y_inline.iter().zip(&y_pool).enumerate() {
                     assert_eq!(
                         a.to_bits(),
                         b.to_bits(),
-                        "{name} {} t={nthreads} row {r}: spawn={a} pool={b}",
+                        "{name} {} t={nthreads} row {r}: inline={a} pool={b}",
                         cfg.label()
                     );
                 }
             }
         }
     }
-    set_executor(prev);
 }
 
 fn spmv_bits(cfg: &MethodConfig, m: &Csr, x: &[f64]) -> Vec<u64> {
@@ -163,10 +149,10 @@ fn nested_calls_run_inline_on_the_worker() {
     let got = Mutex::new(vec![Vec::new(); catalog.len()]);
     let index_drift = AtomicUsize::new(0);
     let packs_differ = AtomicUsize::new(0);
-    parallel_for_chunks_with(Executor::Pool, catalog.len(), 3, Schedule::Dyn, 1, |i| {
+    parallel_for_chunks(catalog.len(), 3, Schedule::Dyn, 1, |i| {
         let outer = pool::current_worker_index();
-        assert!(outer.is_some(), "the outer job runs on executor threads");
-        parallel_for_chunks_with(Executor::Pool, 64, 4, Schedule::Dyn, 1, |_| {
+        assert!(outer.is_some(), "the outer job runs on pool threads");
+        parallel_for_chunks(64, 4, Schedule::Dyn, 1, |_| {
             if pool::current_worker_index() != outer {
                 index_drift.fetch_add(1, Ordering::SeqCst);
             }
@@ -195,7 +181,7 @@ fn pool_survives_panicking_chunk_bodies() {
     // worker (thread 2), chunk 0 to the dispatching thread (thread 0).
     for (round, bad) in [9usize, 9, 9, 0].into_iter().enumerate() {
         let err = catch_unwind(AssertUnwindSafe(|| {
-            parallel_for_chunks_with(Executor::Pool, 16, 4, Schedule::StCont, 1, |i| {
+            parallel_for_chunks(16, 4, Schedule::StCont, 1, |i| {
                 if i == bad {
                     panic!("injected chunk panic, round {round}");
                 }
@@ -203,11 +189,11 @@ fn pool_survives_panicking_chunk_bodies() {
         }));
         assert!(err.is_err(), "chunk panic must reach the caller");
         // A panic in the caller's own share must not leave it marked as
-        // an executor thread (every later call would run inline).
+        // a pool thread (every later call would run inline).
         assert_eq!(pool::current_worker_index(), None, "round {round}");
         // The very next dispatch must work.
         let hits: Vec<AtomicUsize> = (0..32).map(|_| AtomicUsize::new(0)).collect();
-        parallel_for_chunks_with(Executor::Pool, 32, 4, Schedule::Dyn, 2, |i| {
+        parallel_for_chunks(32, 4, Schedule::Dyn, 2, |i| {
             hits[i].fetch_add(1, Ordering::SeqCst);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1), "pool wedged after panic");

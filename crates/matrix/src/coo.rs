@@ -17,6 +17,9 @@ pub enum DupPolicy {
     KeepLast,
 }
 
+/// One past the largest index a `u32` triplet can store.
+const INDEX_LIMIT: usize = u32::MAX as usize + 1;
+
 /// A growable triplet matrix.
 #[derive(Debug, Clone, Default)]
 pub struct Coo {
@@ -67,11 +70,16 @@ impl Coo {
 
     /// Appends one triplet. Bounds are checked.
     pub fn push(&mut self, row: usize, col: usize, val: f64) -> Result<()> {
-        if row >= self.nrows {
-            return Err(MatrixError::RowOutOfBounds { row, nrows: self.nrows });
+        // Indices are stored as u32: a larger declared dimension still
+        // bounds them at the u32 range.
+        let nrows = self.nrows.min(INDEX_LIMIT);
+        let ncols = self.ncols.min(INDEX_LIMIT);
+        if row >= nrows {
+            return Err(MatrixError::RowOutOfBounds { row, nrows });
         }
-        if col >= self.ncols {
-            return Err(MatrixError::ColumnOutOfBounds { row, col: col as u32, ncols: self.ncols });
+        if col >= ncols {
+            let col = u32::try_from(col).unwrap_or(u32::MAX);
+            return Err(MatrixError::ColumnOutOfBounds { row, col, ncols });
         }
         self.rows.push(row as u32);
         self.cols.push(col as u32);
@@ -166,6 +174,18 @@ mod tests {
         assert!(m.push(0, 0, 1.0).is_ok());
         assert!(matches!(m.push(2, 0, 1.0), Err(MatrixError::RowOutOfBounds { .. })));
         assert!(matches!(m.push(0, 2, 1.0), Err(MatrixError::ColumnOutOfBounds { .. })));
+    }
+
+    #[test]
+    fn push_rejects_indices_beyond_u32() {
+        // Indices beyond u32 are rejected even when the declared size
+        // admits them, instead of being truncated on store.
+        let mut wide = Coo::new(1 << 33, 1 << 33);
+        let e = wide.push(1 << 32, 0, 1.0).unwrap_err();
+        assert_eq!(e, MatrixError::RowOutOfBounds { row: 1 << 32, nrows: 1 << 32 });
+        let e = wide.push(0, 1 << 32, 1.0).unwrap_err();
+        assert_eq!(e, MatrixError::ColumnOutOfBounds { row: 0, col: u32::MAX, ncols: 1 << 32 });
+        assert!(wide.push((1 << 32) - 1, (1 << 32) - 1, 1.0).is_ok());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! value), and `row_ptr` (`nrows + 1` offsets; row `i` occupies
 //! `vals[row_ptr[i]..row_ptr[i+1]]`).
 
-use crate::{MatrixError, Permutation, Result};
+use crate::{MatrixError, Result};
 
 /// A sparse matrix in Compressed Sparse Row format.
 ///
@@ -313,62 +313,6 @@ impl Csr {
         }
     }
 
-    /// Returns a new matrix with rows permuted: row `i` of the result is
-    /// row `perm.apply(i)` of `self` (i.e. `perm` maps new index -> old
-    /// index, the "gather" convention used by RFS).
-    pub fn permute_rows(&self, perm: &Permutation) -> Result<Csr> {
-        if perm.len() != self.nrows {
-            return Err(MatrixError::InvalidPermutation(format!(
-                "row permutation has len {} but nrows={}",
-                perm.len(),
-                self.nrows
-            )));
-        }
-        let mut row_ptr = Vec::with_capacity(self.nrows + 1);
-        let mut col_idx = Vec::with_capacity(self.nnz());
-        let mut vals = Vec::with_capacity(self.nnz());
-        row_ptr.push(0);
-        for new_r in 0..self.nrows {
-            let old_r = perm.apply(new_r);
-            col_idx.extend_from_slice(self.row_cols(old_r));
-            vals.extend_from_slice(self.row_vals(old_r));
-            row_ptr.push(col_idx.len());
-        }
-        Ok(Csr { nrows: self.nrows, ncols: self.ncols, row_ptr, col_idx, vals })
-    }
-
-    /// Returns a new matrix with columns relabeled: column `j` of `self`
-    /// becomes column `perm.inverse_apply(j)` of the result (the
-    /// "scatter" convention used by CFS: `perm` maps new index -> old
-    /// index, so old index `j` lands at the new position where `j`
-    /// appears in `perm`). Rows are re-sorted after relabeling.
-    pub fn permute_cols(&self, perm: &Permutation) -> Result<Csr> {
-        if perm.len() != self.ncols {
-            return Err(MatrixError::InvalidPermutation(format!(
-                "col permutation has len {} but ncols={}",
-                perm.len(),
-                self.ncols
-            )));
-        }
-        let inv = perm.inverse();
-        let mut col_idx = Vec::with_capacity(self.nnz());
-        let mut vals = Vec::with_capacity(self.nnz());
-        let mut row_ptr = Vec::with_capacity(self.nrows + 1);
-        row_ptr.push(0);
-        let mut scratch: Vec<(u32, f64)> = Vec::new();
-        for r in 0..self.nrows {
-            scratch.clear();
-            scratch.extend(self.row(r).map(|(c, v)| (inv.apply(c as usize) as u32, v)));
-            scratch.sort_unstable_by_key(|&(c, _)| c);
-            for &(c, v) in &scratch {
-                col_idx.push(c);
-                vals.push(v);
-            }
-            row_ptr.push(col_idx.len());
-        }
-        Ok(Csr { nrows: self.nrows, ncols: self.ncols, row_ptr, col_idx, vals })
-    }
-
     /// Approximate heap footprint in bytes (vals + col_idx + row_ptr).
     pub fn footprint_bytes(&self) -> usize {
         self.vals.len() * std::mem::size_of::<f64>()
@@ -557,43 +501,6 @@ mod tests {
             let expect: f64 = (0..8).map(|c| d[r * 8 + c] * x[c]).sum();
             assert!((y[r] - expect).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn permute_rows_reverses() {
-        let m = fig1a();
-        let perm = Permutation::try_new((0..8).rev().collect()).unwrap();
-        let p = m.permute_rows(&perm).unwrap();
-        for r in 0..8 {
-            assert_eq!(p.row_cols(r), m.row_cols(7 - r));
-            assert_eq!(p.row_vals(r), m.row_vals(7 - r));
-        }
-    }
-
-    #[test]
-    fn permute_cols_then_permuted_input_matches() {
-        // y = A x must equal y' = A' x' where A' = A with columns
-        // relabeled by perm and x'[new] = x[perm[new]].
-        let m = fig1a();
-        let perm = Permutation::try_new(vec![3, 0, 2, 1, 7, 6, 5, 4]).unwrap();
-        let mp = m.permute_cols(&perm).unwrap();
-        let x: Vec<f64> = (0..8).map(|i| i as f64 + 1.0).collect();
-        let xp: Vec<f64> = (0..8).map(|new| x[perm.apply(new)]).collect();
-        let mut y = vec![0.0; 8];
-        let mut yp = vec![0.0; 8];
-        m.spmv_reference(&x, &mut y);
-        mp.spmv_reference(&xp, &mut yp);
-        for r in 0..8 {
-            assert!((y[r] - yp[r]).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn permute_wrong_len_rejected() {
-        let m = fig1a();
-        let perm = Permutation::try_new(vec![0, 1]).unwrap();
-        assert!(m.permute_rows(&perm).is_err());
-        assert!(m.permute_cols(&perm).is_err());
     }
 
     #[test]

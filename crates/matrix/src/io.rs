@@ -27,6 +27,15 @@ enum Symmetry {
     Symmetric,
 }
 
+/// Largest row or column count a matrix can declare: indices are
+/// stored as `u32`.
+const MAX_DIM: usize = u32::MAX as usize + 1;
+
+/// Most triplets preallocated from the header; a file that really has
+/// more grows the buffers as it is read, so a lying header cannot make
+/// the reader allocate before any entry arrives.
+const MAX_PREALLOC: usize = 1 << 20;
+
 /// Reads a Matrix Market file from disk into CSR.
 pub fn read_matrix_market(path: impl AsRef<Path>) -> Result<Csr> {
     let f = std::fs::File::open(path)?;
@@ -80,9 +89,26 @@ pub fn read_matrix_market_from<R: Read>(reader: R) -> Result<Csr> {
         return Err(MatrixError::Parse(format!("bad size line: {size_line}")));
     }
     let (nrows, ncols, nnz) = (dims[0], dims[1], dims[2]);
+    if nrows > MAX_DIM || ncols > MAX_DIM {
+        return Err(MatrixError::Parse(format!(
+            "size {nrows} x {ncols} exceeds the u32 index range ({MAX_DIM} rows or columns)"
+        )));
+    }
+    if nrows.checked_mul(ncols).is_some_and(|cells| nnz > cells) {
+        return Err(MatrixError::Parse(format!(
+            "header declares {nnz} entries in a {nrows} x {ncols} matrix"
+        )));
+    }
+    // Symmetric files store each off-diagonal entry twice; the triplet
+    // buffer indexes its entries with u32.
+    let stored = if symmetry == Symmetry::Symmetric { nnz.saturating_mul(2) } else { nnz };
+    if stored > MAX_DIM {
+        return Err(MatrixError::Parse(format!(
+            "{nnz} entries exceed the u32 triplet index range"
+        )));
+    }
 
-    let cap = if symmetry == Symmetry::Symmetric { nnz * 2 } else { nnz };
-    let mut coo = Coo::with_capacity(nrows, ncols, cap);
+    let mut coo = Coo::with_capacity(nrows, ncols, stored.min(MAX_PREALLOC));
     let mut read = 0usize;
     for line in lines {
         let line = line?;
@@ -111,6 +137,11 @@ pub fn read_matrix_market_from<R: Read>(reader: R) -> Result<Csr> {
         };
         if r == 0 || c == 0 {
             return Err(MatrixError::Parse("matrix market indices are 1-based".into()));
+        }
+        if read == nnz {
+            return Err(MatrixError::Parse(format!(
+                "header declared {nnz} entries but file has more"
+            )));
         }
         coo.push(r - 1, c - 1, v)?;
         if symmetry == Symmetry::Symmetric && r != c {
@@ -222,6 +253,47 @@ mod tests {
     fn rejects_unsupported_format() {
         assert!(read_str("%%MatrixMarket matrix array real general\n1 1\n1.0\n").is_err());
         assert!(read_str("%%MatrixMarket matrix coordinate complex general\n1 1 0\n").is_err());
+    }
+
+    fn assert_parse_error(text: &str) {
+        let e = read_str(text).unwrap_err();
+        assert!(matches!(e, MatrixError::Parse(_)), "{e:?}");
+    }
+
+    #[test]
+    fn rejects_entry_count_beyond_matrix_cells() {
+        // Would otherwise preallocate 10^12 triplets before reading.
+        assert_parse_error(
+            "%%MatrixMarket matrix coordinate real general\n2 2 1000000000000\n1 1 1.0\n",
+        );
+    }
+
+    #[test]
+    fn rejects_symmetric_entry_count_that_overflows() {
+        assert_parse_error(
+            "%%MatrixMarket matrix coordinate real symmetric\n2 2 18446744073709551615\n1 1 1.0\n",
+        );
+    }
+
+    #[test]
+    fn rejects_dimensions_beyond_u32_indices() {
+        assert_parse_error("%%MatrixMarket matrix coordinate real general\n1099511627776 2 0\n");
+        assert_parse_error("%%MatrixMarket matrix coordinate real general\n2 4294967297 0\n");
+    }
+
+    #[test]
+    fn rejects_more_entries_than_declared() {
+        assert_parse_error(
+            "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0\n2 2 1.0\n",
+        );
+    }
+
+    #[test]
+    fn rejects_truncated_file() {
+        // Cut mid-entry: the last line lost its value.
+        assert_parse_error("%%MatrixMarket matrix coordinate real general\n3 3 3\n1 1 1.0\n2 2");
+        // Cut in the size line.
+        assert_parse_error("%%MatrixMarket matrix coordinate real general\n3 3");
     }
 
     #[test]

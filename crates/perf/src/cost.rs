@@ -549,17 +549,6 @@ pub fn estimate_feature_extraction_seconds(m: &Csr, machine: &MachineModel) -> f
         + machine.cycles_to_seconds(sort_cycles / machine.threads as f64)
 }
 
-/// Estimates all 29 catalog configurations on `m`, in catalog order.
-pub fn time_all_configs(
-    m: &Csr,
-    machine: &MachineModel,
-    sample_shift: u32,
-) -> Vec<(MethodConfig, CostBreakdown)> {
-    let catalog = MethodConfig::catalog();
-    let estimates = estimate_catalog(m, &catalog, machine, sample_shift);
-    catalog.into_iter().zip(estimates).map(|(cfg, (steady, _))| (cfg, steady)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -755,9 +744,10 @@ mod tests {
     fn all_29_configs_estimate() {
         let m = RmatParams::MED_LOC.generate(9, 8, 17);
         let mach = machine();
-        let all = time_all_configs(&m, &mach, 0);
+        let catalog = MethodConfig::catalog();
+        let all = estimate_catalog(&m, &catalog, &mach, 0);
         assert_eq!(all.len(), 29);
-        for (cfg, b) in &all {
+        for (cfg, (b, _)) in catalog.iter().zip(&all) {
             assert!(b.seconds > 0.0, "{}", cfg.label());
             assert!(b.seconds < 1.0, "{} absurd time {}", cfg.label(), b.seconds);
         }

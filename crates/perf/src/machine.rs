@@ -176,8 +176,8 @@ impl MachineModel {
     /// The SIMD capability of the *host* this process runs on, as
     /// `(isa name, f64 lanes)` — the runtime probe of
     /// `wise_kernels::simd` surfaced where cost-model users live.
-    /// Reflects `WISE_SIMD` caps, so a forced-scalar run reports
-    /// `("scalar", 1)`.
+    /// Reflects `simd::set_active` overrides, so a forced-scalar test
+    /// reports `("scalar", 1)`.
     pub fn host_simd() -> (&'static str, usize) {
         let isa = wise_kernels::simd::active();
         (isa.name(), isa.lanes())

@@ -192,7 +192,7 @@ fn validate_summary_schema(doc: &Value) -> Result<(), String> {
     if cores < 1.0 {
         return Err(format!("host.cpu_cores must be >= 1, got {cores}"));
     }
-    for key in ["threads_env", "pool_env", "rustc", "simd", "simd_env"] {
+    for key in ["threads_env", "rustc", "simd"] {
         match host.get(key) {
             Some(Value::String(_) | Value::Null) => {}
             Some(_) => return Err(format!("host.{key} must be a string or null")),

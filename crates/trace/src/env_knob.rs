@@ -1,9 +1,8 @@
 //! One shared grammar for every `WISE_*` environment knob.
 //!
-//! The knobs across two crates (`WISE_SIMD`, `WISE_CASCADE`,
-//! `WISE_THREADS`) grew the same parse-and-warn contract
-//! independently; this module is now the single implementation they
-//! all call through:
+//! The parsed knobs across two crates (`WISE_THREADS`,
+//! `WISE_TELEMETRY`, `WISE_FLIGHT_QUANTILE`, `WISE_SNAPSHOT_SECS`) share
+//! one parse-and-warn contract, implemented once here:
 //!
 //! * unset → `Ok(None)` (the caller applies its default);
 //! * the value is trimmed; empty (or whitespace-only) after the trim is

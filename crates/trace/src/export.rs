@@ -77,7 +77,7 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
 /// [`HostFingerprint`]: stage → `{count, p50, p95, min, max, total}`
 /// (nanoseconds), summed counters, and a `host` object — the artifact
 /// BENCH trajectories diff across PRs. Summaries from different hosts
-/// (or different `WISE_THREADS`/`WISE_POOL` settings) carry the
+/// (or different `WISE_THREADS` settings) carry the
 /// difference in-band instead of relying on out-of-band notes.
 pub fn perf_summary_json(summary: &Summary) -> String {
     perf_summary_json_with(summary, &HostFingerprint::detect())
@@ -528,20 +528,16 @@ mod tests {
         let host = HostFingerprint {
             cpu_cores: 4,
             threads_env: Some("2".into()),
-            pool_env: None,
             rustc: Some("rustc 1.95.0".into()),
             simd: Some("avx2:4".into()),
-            simd_env: Some("0".into()),
             mlp: Some("pf8:il2".into()),
         };
         let doc = json::parse(&perf_summary_json_with(&summary, &host)).expect("parses");
         let h = doc.get("host").expect("host object");
         assert_eq!(h.get("cpu_cores").unwrap().as_f64(), Some(4.0));
         assert_eq!(h.get("threads_env").unwrap().as_str(), Some("2"));
-        assert_eq!(h.get("pool_env"), Some(&json::Value::Null));
         assert_eq!(h.get("rustc").unwrap().as_str(), Some("rustc 1.95.0"));
         assert_eq!(h.get("simd").unwrap().as_str(), Some("avx2:4"));
-        assert_eq!(h.get("simd_env").unwrap().as_str(), Some("0"));
         assert_eq!(h.get("mlp").unwrap().as_str(), Some("pf8:il2"));
         // The detect()-based default emits a host object too.
         assert!(json::parse(&perf_summary_json(&summary)).unwrap().get("host").is_some());

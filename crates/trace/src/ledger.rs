@@ -6,9 +6,9 @@
 //! messages, EXPERIMENTS.md). The ledger makes the trajectory machine
 //! readable: one record per benchmark run, carrying
 //!
-//! * a **host fingerprint** (core count, `WISE_THREADS` / `WISE_POOL` /
-//!   `WISE_SIMD` state, detected SIMD capability, rustc version) so
-//!   records from different machines are never silently compared;
+//! * a **host fingerprint** (core count, `WISE_THREADS` state, detected
+//!   SIMD capability, rustc version) so records from different machines
+//!   are never silently compared;
 //! * a **corpus digest** pinning the exact input set;
 //! * per-stage wall times lifted from the trace [`Summary`] (count /
 //!   min / p50 / p95 / total, nanoseconds);
@@ -65,17 +65,12 @@ pub struct HostFingerprint {
     pub cpu_cores: u64,
     /// Raw `WISE_THREADS` value, if set.
     pub threads_env: Option<String>,
-    /// Raw `WISE_POOL` value, if set (unset means the pool is on).
-    pub pool_env: Option<String>,
     /// `rustc -V` output, when the recording binary could obtain it.
     pub rustc: Option<String>,
     /// Detected SIMD capability as `isa:lanes` (e.g. `avx512f:8`,
     /// `scalar:1`). `None` only in records written before the field
     /// existed.
     pub simd: Option<String>,
-    /// Raw `WISE_SIMD` value, if set — it caps which kernels run, so
-    /// runs under different caps must never be compared.
-    pub simd_env: Option<String>,
     /// Per-kernel MLP settings as `pf{d}:il{r}` — the resolved
     /// prefetch distance and interleave factor the SIMD bench stages
     /// ran with (e.g. `pf8:il2`). `None` in records written before the
@@ -106,10 +101,8 @@ impl HostFingerprint {
         HostFingerprint {
             cpu_cores: std::thread::available_parallelism().map(|n| n.get() as u64).unwrap_or(1),
             threads_env: std::env::var("WISE_THREADS").ok(),
-            pool_env: std::env::var("WISE_POOL").ok(),
             rustc: None,
             simd: Some(detect_simd()),
-            simd_env: std::env::var("WISE_SIMD").ok(),
             mlp: None,
         }
     }
@@ -136,8 +129,7 @@ impl HostFingerprint {
 
     /// Whether two fingerprints are close enough that timing comparison
     /// is meaningful. Unknown rustc or SIMD capability on either side
-    /// is tolerated (old records); everything else — including the
-    /// `WISE_SIMD` cap — must match exactly.
+    /// is tolerated (old records); everything else must match exactly.
     pub fn comparable_to(&self, other: &HostFingerprint) -> bool {
         let opt_ok = |a: &Option<String>, b: &Option<String>| match (a, b) {
             (Some(a), Some(b)) => a == b,
@@ -145,15 +137,13 @@ impl HostFingerprint {
         };
         self.cpu_cores == other.cpu_cores
             && self.threads_env == other.threads_env
-            && self.pool_env == other.pool_env
             && opt_ok(&self.rustc, &other.rustc)
             && opt_ok(&self.simd, &other.simd)
-            && self.simd_env == other.simd_env
             && opt_ok(&self.mlp, &other.mlp)
     }
 }
 
-json_struct!(HostFingerprint { cpu_cores, threads_env, pool_env, rustc, simd, simd_env, mlp });
+json_struct!(HostFingerprint { cpu_cores, threads_env, rustc, simd, mlp });
 
 // ---------------------------------------------------------------------
 // Record contents
@@ -862,10 +852,8 @@ mod tests {
         let a = HostFingerprint {
             cpu_cores: 8,
             threads_env: Some("4".into()),
-            pool_env: None,
             rustc: Some("rustc 1.95.0".into()),
             simd: Some("avx2:4".into()),
-            simd_env: None,
             mlp: Some("pf8:il2".into()),
         };
         assert!(a.comparable_to(&a));
@@ -877,14 +865,10 @@ mod tests {
         // Different cores / env / rustc / capability are not.
         assert!(!a.comparable_to(&HostFingerprint { cpu_cores: 4, ..a.clone() }));
         assert!(!a.comparable_to(&HostFingerprint { threads_env: None, ..a.clone() }));
-        assert!(!a.comparable_to(&HostFingerprint { pool_env: Some("0".into()), ..a.clone() }));
         assert!(
             !a.comparable_to(&HostFingerprint { rustc: Some("rustc 1.94.0".into()), ..a.clone() })
         );
         assert!(!a.comparable_to(&HostFingerprint { simd: Some("scalar:1".into()), ..a.clone() }));
-        // WISE_SIMD is strict: a forced-scalar run is a different
-        // experiment, even if the hardware matches.
-        assert!(!a.comparable_to(&HostFingerprint { simd_env: Some("0".into()), ..a.clone() }));
         // Mismatched MLP settings (both known) are different experiments.
         assert!(!a.comparable_to(&HostFingerprint { mlp: Some("pf0:il1".into()), ..a.clone() }));
     }
@@ -893,7 +877,6 @@ mod tests {
     fn fingerprint_simd_round_trips_through_json() {
         let mut rec = record(1, &[("a", stage(10, 10))]);
         rec.host.simd = Some("avx512f:8".into());
-        rec.host.simd_env = Some("4".into());
         rec.host.mlp = Some("pf8:il2".into());
         let json = rec.to_json();
         let back = BenchRecord::from_json(&json).unwrap();
@@ -1014,6 +997,22 @@ mod tests {
         assert_eq!(rec_old.drift, None);
         let rep = gate(&[rec_old], &rec, &policy(&["kernel.spmv"]));
         assert!(rep.passed(), "{}", rep.render());
+    }
+
+    #[test]
+    fn records_naming_removed_env_knobs_load_and_gate() {
+        // Fingerprints once carried the raw `WISE_POOL` and `WISE_SIMD`
+        // values; records that set them load with both ignored.
+        let old = r#"{"schema_version":1,"seq":5,"note":"old","corpus_digest":"fnv1a:0000000000000001",
+            "host":{"cpu_cores":4,"threads_env":null,"pool_env":"0","rustc":null,"simd":"avx2:4","simd_env":"0","mlp":null},
+            "stages":{"kernel.spmv":{"count":5,"min_ns":100,"p50_ns":120,"p95_ns":150,"p99_ns":150,"total_ns":600}},
+            "counters":{},"throughput":{},"model":null}"#;
+        let rec = BenchRecord::from_json(old).expect("record naming removed knobs parses");
+        assert_eq!(rec.host.simd.as_deref(), Some("avx2:4"));
+        let cand = record(6, &[("kernel.spmv", stage(100, 120))]);
+        let rep = gate(&[rec], &cand, &policy(&["kernel.spmv"]));
+        assert!(rep.passed(), "{}", rep.render());
+        assert_eq!(rep.baselines_used, 1);
     }
 
     #[test]

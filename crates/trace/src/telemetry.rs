@@ -504,7 +504,6 @@ struct FlightState {
     last_dump: Option<String>,
     quantile: f64,
     dir: Option<PathBuf>,
-    dir_from_env: bool,
 }
 
 impl FlightState {
@@ -543,7 +542,6 @@ fn flight() -> &'static Mutex<FlightState> {
             last_dump_at: 0,
             last_dump: None,
             quantile,
-            dir_from_env: dir.is_some(),
             dir,
         })
     })
@@ -666,24 +664,6 @@ pub fn last_anomaly_dump() -> Option<String> {
 /// Clones the live request ring, most recent last (tests, `wise-top`).
 pub fn flight_ring() -> Vec<RequestRecord> {
     flight_lock().ring.iter().cloned().collect()
-}
-
-/// Points anomaly dumps at a directory (`None` restores the
-/// `WISE_FLIGHT_DIR` environment setting, or disables file dumps if the
-/// variable is unset).
-pub fn set_flight_dir(dir: Option<PathBuf>) {
-    let mut st = flight_lock();
-    match dir {
-        Some(d) => {
-            st.dir = Some(d);
-            st.dir_from_env = false;
-        }
-        None => {
-            st.dir =
-                std::env::var("WISE_FLIGHT_DIR").ok().filter(|d| !d.is_empty()).map(PathBuf::from);
-            st.dir_from_env = st.dir.is_some();
-        }
-    }
 }
 
 /// Overrides the anomaly quantile (tests; clamped into `(0, 1)`).

@@ -55,10 +55,8 @@ fn full_record(seq: u64) -> BenchRecord {
         host: HostFingerprint {
             cpu_cores: 8,
             threads_env: Some("4".into()),
-            pool_env: Some("0".into()),
             rustc: Some("rustc 1.95.0 (abc 2026-01-01)".into()),
             simd: Some("avx512f:8".into()),
-            simd_env: Some("8".into()),
             mlp: Some("pf8:il2".into()),
         },
         stages,

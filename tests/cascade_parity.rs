@@ -6,18 +6,13 @@
 //! 1. a stage-2 *fallthrough* [`Choice`] is field-identical (modulo the
 //!    `cascade` provenance and measured timing) to a full
 //!    [`Wise::select`];
-//! 2. `WISE_CASCADE=0` (here via [`cascade::set_mode`]) is bit-exact
+//! 2. the cascade switched off (`with_cascade_gate(None)`) is bit-exact
 //!    with the pre-cascade pipeline — serialized choices carry no
 //!    `cascade` key at all;
 //! 3. stage-1 answers respect the calibrated P-ratio bound on the
 //!    labeled quick corpus ([`cascade::P_RATIO_REL_FLOOR`]).
-//!
-//! Tests that touch the process-global `WISE_CASCADE` mode serialize on
-//! a shared mutex and restore the previous value on drop, so the suite
-//! is order- and parallelism-independent.
 
-use std::sync::{Mutex, MutexGuard};
-use wise_core::cascade::{self, CascadeMode, P_RATIO_REL_FLOOR};
+use wise_core::cascade::{self, P_RATIO_REL_FLOOR};
 use wise_core::labels::{label_corpus, CorpusLabels};
 use wise_core::pipeline::{Choice, ChoiceTiming, TrainOptions, Wise};
 use wise_core::{CascadeGate, CascadeStage, FallthroughReason};
@@ -27,23 +22,6 @@ use wise_kernels::MethodConfig;
 use wise_matrix::Csr;
 use wise_ml::TreeParams;
 use wise_perf::Estimator;
-
-static MODE_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock_mode() -> MutexGuard<'static, ()> {
-    // A poisoned lock only means another parity test panicked; the
-    // guard below restored the mode, so continuing is safe.
-    MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Restores the saved cascade mode when dropped (even on panic).
-struct RestoreMode(CascadeMode);
-
-impl Drop for RestoreMode {
-    fn drop(&mut self) {
-        cascade::set_mode(self.0);
-    }
-}
 
 fn train_opts() -> TrainOptions {
     TrainOptions {
@@ -85,9 +63,6 @@ fn assert_same_answer(tag: &str, got: &Choice, want: &Choice) {
 
 #[test]
 fn fallthrough_choice_is_field_identical_to_full_select() {
-    let _g = lock_mode();
-    let _restore = RestoreMode(cascade::mode());
-    cascade::set_mode(CascadeMode::Auto);
     let (wise, _, _) = labeled();
     // A threshold-less gate falls through on every matrix, exercising
     // the stage-2 path end to end.
@@ -114,9 +89,6 @@ fn fallthrough_choice_is_field_identical_to_full_select() {
 fn natural_gate_fallthroughs_also_match_full_select() {
     // Same contract under the *calibrated* gate: wherever the real
     // cascade declines, the answer must equal the full pipeline's.
-    let _g = lock_mode();
-    let _restore = RestoreMode(cascade::mode());
-    cascade::set_mode(CascadeMode::Auto);
     let (wise, _, _) = labeled();
     let full_wise = wise.clone().with_cascade_gate(None);
     for (tag, m) in zoo() {
@@ -139,16 +111,15 @@ fn natural_gate_fallthroughs_also_match_full_select() {
 
 #[test]
 fn cascade_off_is_bit_exact_with_pre_cascade_pipeline() {
-    let _g = lock_mode();
-    let _restore = RestoreMode(cascade::mode());
-    cascade::set_mode(CascadeMode::Off);
     let (wise, _, _) = labeled();
     assert!(wise.cascade_gate().is_some(), "trained instance carries a gate");
-    let pre = wise.clone().with_cascade_gate(None);
+    let off_wise = wise.clone().with_cascade_gate(None);
     for (tag, m) in zoo() {
-        let mut off = wise.select(&m);
-        let mut want = pre.select(&m);
-        assert!(off.cascade.is_none(), "{tag}: WISE_CASCADE=0 must not cascade");
+        let mut off = off_wise.select(&m);
+        // The pre-cascade pipeline: extract every feature, then predict
+        // and pick.
+        let mut want = wise.select_from_features(FeatureVector::extract(&m, wise.feature_config()));
+        assert!(off.cascade.is_none(), "{tag}: a gateless select must not cascade");
         // Timing is wall-clock and request ids are per-process
         // provenance; zero both sides, then demand identical choices —
         // the pre-cascade contract.
@@ -193,9 +164,6 @@ fn stage_one_answers_respect_calibrated_p_ratio_bound() {
 
 #[test]
 fn stage_one_choice_round_trips_and_config_labels_parse() {
-    let _g = lock_mode();
-    let _restore = RestoreMode(cascade::mode());
-    cascade::set_mode(CascadeMode::Auto);
     let (wise, _, _) = labeled();
     // Forced-accept gate: every zoo matrix is answered in stage 1.
     let wise = wise.with_cascade_gate(Some(CascadeGate {

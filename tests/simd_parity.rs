@@ -3,8 +3,8 @@
 //! contract (`wise_kernels::simd::SPMV_MAX_ULPS` /
 //! `SPMV_ABS_FLOOR`), across the full 29-configuration catalog, every
 //! scheduling policy, and several thread counts — and forcing the
-//! scalar path (`WISE_SIMD=0`, here via `simd::set_active`) must
-//! restore bit-exact agreement with the reference loop.
+//! scalar path (`simd::set_active(SimdIsa::Scalar)`) must restore
+//! bit-exact agreement with the reference loop.
 //!
 //! Tests that touch the process-global active-ISA state serialize on a
 //! shared mutex and restore the previous value on drop, so the suite is
@@ -102,7 +102,7 @@ fn explicit_widths_match_scalar_oracle_within_ulp_bound() {
 
 #[test]
 fn forcing_scalar_isa_restores_bitwise_parity() {
-    // The WISE_SIMD=0 contract: with the active ISA pinned to Scalar,
+    // The forced-scalar contract: with the active ISA pinned to Scalar,
     // the default (v = 0) catalog is bit-for-bit the pre-SIMD repo.
     let _g = lock_active_isa();
     let _restore = RestoreIsa(simd::active());

@@ -14,10 +14,6 @@ fn traced_pipeline_covers_mandatory_stages() {
     wise_trace::set_enabled(true);
     let _ = wise_trace::take_events(); // discard anything from other tests in this binary
 
-    // Pin the cascade on so the stage-1 span below is deterministic
-    // even if WISE_CASCADE=0 leaks in from the environment.
-    wise_core::cascade::set_mode(wise_core::CascadeMode::Auto);
-
     let scale = CorpusScale::tiny();
     let corpus = Corpus::random(&scale, 7);
     let wise = Wise::train(&corpus, &TrainOptions::for_scale(&scale));
