@@ -13,7 +13,8 @@
 //! torn file is never observed).
 
 use std::time::Duration;
-use wise_trace::export::json::{self, Value};
+use wise_trace::export::json::FromJson;
+use wise_trace::telemetry::Snapshot;
 
 fn fail(msg: &str) -> ! {
     eprintln!("wise_top: {msg}");
@@ -62,12 +63,13 @@ fn main() {
 
 fn render_file(path: &str) -> Result<String, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let doc = json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    render(&doc).ok_or_else(|| format!("{path}: not a metrics snapshot"))
+    let snap = Snapshot::from_json_str(&text).map_err(|e| format!("{path}: {e}"))?;
+    Ok(render(&snap))
 }
 
 /// Pretty ns with a unit, column-stable at 9 chars.
-fn fmt_ns(ns: f64) -> String {
+fn fmt_ns(ns: u64) -> String {
+    let ns = ns as f64;
     if ns >= 1e9 {
         format!("{:7.2}s ", ns / 1e9)
     } else if ns >= 1e6 {
@@ -79,45 +81,29 @@ fn fmt_ns(ns: f64) -> String {
     }
 }
 
-fn num(v: &Value, key: &str) -> f64 {
-    v.get(key).and_then(|x| x.as_f64()).unwrap_or(0.0)
-}
-
-fn render(doc: &Value) -> Option<String> {
+fn render(snap: &Snapshot) -> String {
     use std::fmt::Write as _;
     let mut out = String::with_capacity(2048);
-    let ts_s = num(doc, "ts_ns") / 1e9;
-    let _ = writeln!(out, "wise-top — uptime {ts_s:.1}s");
+    let _ = writeln!(out, "wise-top — uptime {:.1}s", snap.ts_ns as f64 / 1e9);
+    let d = &snap.drift;
+    let _ = writeln!(
+        out,
+        "drift   {}  regret {:.2}x  fallthrough {:.1}%  ({} observed)",
+        d.status.label(),
+        d.regret_permille as f64 / 1000.0,
+        d.fallthrough_permille as f64 / 10.0,
+        d.observed,
+    );
+    let f = &snap.flight;
+    let threshold = f.threshold_ns.map_or("unarmed".to_string(), |t| fmt_ns(t).trim().to_string());
+    let _ = writeln!(
+        out,
+        "flight  {} request(s)  {} anomaly(ies)  ring {}  threshold {threshold}",
+        f.requests, f.anomalies, f.ring_len,
+    );
 
-    if let Some(d) = doc.get("drift") {
-        let status = d.get("status").and_then(|v| v.as_str()).unwrap_or("?");
-        let _ = writeln!(
-            out,
-            "drift   {status}  regret {:.2}x  fallthrough {:.1}%  ({} observed)",
-            num(d, "regret_permille") / 1000.0,
-            num(d, "fallthrough_permille") / 10.0,
-            num(d, "observed") as u64,
-        );
-    }
-    if let Some(f) = doc.get("flight") {
-        let threshold = match f.get("threshold_ns").and_then(|v| v.as_f64()) {
-            Some(t) => fmt_ns(t).trim().to_string(),
-            None => "unarmed".to_string(),
-        };
-        let _ = writeln!(
-            out,
-            "flight  {} request(s)  {} anomaly(ies)  ring {}  threshold {threshold}",
-            num(f, "requests") as u64,
-            num(f, "anomalies") as u64,
-            num(f, "ring") as u64,
-        );
-    }
-
-    let stages = doc.get("stages")?.as_object()?;
-    let mut rows: Vec<(&String, &Value)> = stages.iter().collect();
-    rows.sort_by(|a, b| {
-        num(b.1, "total_ns").partial_cmp(&num(a.1, "total_ns")).unwrap_or(std::cmp::Ordering::Equal)
-    });
+    let mut rows: Vec<_> = snap.stages.iter().collect();
+    rows.sort_by_key(|(_, st)| std::cmp::Reverse(st.total_ns));
     let _ = writeln!(
         out,
         "{:<32} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
@@ -128,13 +114,13 @@ fn render(doc: &Value) -> Option<String> {
             out,
             "{:<32} {:>9} {} {} {} {} {}",
             name,
-            num(st, "count") as u64,
-            fmt_ns(num(st, "p50_ns")),
-            fmt_ns(num(st, "p95_ns")),
-            fmt_ns(num(st, "p99_ns")),
-            fmt_ns(num(st, "max_ns")),
-            fmt_ns(num(st, "total_ns")),
+            st.count,
+            fmt_ns(st.p50_ns),
+            fmt_ns(st.p95_ns),
+            fmt_ns(st.p99_ns),
+            fmt_ns(st.max_ns),
+            fmt_ns(st.total_ns),
         );
     }
-    Some(out)
+    out
 }

@@ -16,8 +16,27 @@
 
 use crate::BenchContext;
 use std::fmt::{self, Display};
+use std::io::Write as _;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use wise_kernels::timing::Samples;
+
+/// Set once stdout's reader has gone away (`all | grep -q …`).
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Writes `s` to stdout. A closed pipe ends the echo for the rest of
+/// the run instead of panicking; the caller's own copy (a [`Report`]'s
+/// text, the saved results file) is unaffected.
+fn echo(s: &str) {
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    if let Err(e) = std::io::stdout().lock().write_all(s.as_bytes()) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            STDOUT_CLOSED.store(true, Ordering::Relaxed);
+        }
+    }
+}
 
 /// A progress note on stderr: `[wise-bench] {msg}`. Stderr so piping a
 /// bin's stdout to a file captures only the figure/table content.
@@ -27,17 +46,17 @@ pub fn progress(msg: impl Display) {
 
 /// A section banner on stdout (used between sub-runs, e.g. by `all`).
 pub fn section(title: impl Display) {
-    println!("\n=================== {title} ===================");
+    echo(&format!("\n=================== {title} ===================\n"));
 }
 
 /// Reports a file artifact written by the run.
 pub fn artifact(path: impl Display) {
-    println!("\n[artifact] {path}");
+    echo(&format!("\n[artifact] {path}\n"));
 }
 
 /// A figure's text report. Every write goes to stdout as it happens
-/// and is also kept, so the `all` driver can save the report under the
-/// results directory.
+/// (while stdout is open) and is also kept, so the `all` driver can
+/// save the report under the results directory.
 #[derive(Debug, Default)]
 pub struct Report {
     /// Everything written so far.
@@ -61,7 +80,7 @@ impl Report {
 
 impl fmt::Write for Report {
     fn write_str(&mut self, s: &str) -> fmt::Result {
-        print!("{s}");
+        echo(s);
         self.text.push_str(s);
         Ok(())
     }
@@ -111,8 +130,8 @@ pub struct TraceSession {
 /// turns tracing on even without `WISE_TRACE=1`; `WISE_TRACE=1` alone
 /// still records and prints the run report, just without the JSON
 /// artifacts. `WISE_SNAPSHOT=<path>` additionally starts the periodic
-/// telemetry snapshot exporter (interval `WISE_SNAPSHOT_SECS`, default
-/// 5s), which also writes a final snapshot when the session ends.
+/// telemetry snapshot exporter (every 5 s), which also writes a final
+/// snapshot when the session ends.
 pub fn init() -> TraceSession {
     TraceSession::with_path(trace_out_from_args())
 }

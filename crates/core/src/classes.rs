@@ -90,11 +90,6 @@ impl SpeedupClass {
     pub fn representative_speedup(&self) -> f64 {
         1.0 / self.representative_relative_time()
     }
-
-    /// `true` if the class denotes an actual speedup over best CSR.
-    pub fn is_speedup(&self) -> bool {
-        *self >= SpeedupClass::C2
-    }
 }
 
 impl std::fmt::Display for SpeedupClass {
@@ -141,14 +136,6 @@ mod tests {
             let t = c.representative_relative_time();
             assert_eq!(SpeedupClass::from_relative_time(t), c, "{c}");
         }
-    }
-
-    #[test]
-    fn speedup_predicate() {
-        assert!(!SpeedupClass::C0.is_speedup());
-        assert!(!SpeedupClass::C1.is_speedup());
-        assert!(SpeedupClass::C2.is_speedup());
-        assert!(SpeedupClass::C6.is_speedup());
     }
 
     #[test]

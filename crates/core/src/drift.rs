@@ -32,7 +32,7 @@
 use crate::cascade::CascadeStage;
 use crate::pipeline::Choice;
 use std::sync::Mutex;
-use wise_trace::telemetry::{self, DriftLevel, DriftSnapshot};
+use wise_trace::telemetry::{self, DriftRecord};
 
 /// EWMA window, in observations.
 pub const DRIFT_WINDOW: u64 = 64;
@@ -54,32 +54,10 @@ pub const FALLTHROUGH_WARNING: f64 = 0.5;
 /// has effectively stopped firing.
 pub const FALLTHROUGH_RETRAIN: f64 = 0.8;
 
-/// The monitor's verdict on the deployed model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum DriftStatus {
-    /// Predictions and gate behavior match calibration.
-    Stable,
-    /// One signal crossed its warning level; watch the trend.
-    Warning,
-    /// Sustained divergence — retrain (or recalibrate the gate) on the
-    /// current workload.
-    RetrainSuggested,
-}
-
-impl DriftStatus {
-    /// The wire label, shared with [`wise_trace::telemetry::DriftLevel`].
-    pub fn label(self) -> &'static str {
-        self.level().label()
-    }
-
-    fn level(self) -> DriftLevel {
-        match self {
-            DriftStatus::Stable => DriftLevel::Stable,
-            DriftStatus::Warning => DriftLevel::Warning,
-            DriftStatus::RetrainSuggested => DriftLevel::RetrainSuggested,
-        }
-    }
-}
+/// The monitor's verdict on the deployed model: the trace crate's
+/// drift level, whose labels (`stable`, `warning`, `retrain-suggested`)
+/// are its encoding in every export.
+pub use wise_trace::telemetry::DriftLevel as DriftStatus;
 
 /// A point-in-time copy of the monitor's state.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -125,9 +103,9 @@ impl DriftState {
         status
     }
 
-    fn snapshot(&self) -> DriftSnapshot {
-        DriftSnapshot {
-            level: self.status().level(),
+    fn snapshot(&self) -> DriftRecord {
+        DriftRecord {
+            status: self.status(),
             regret_permille: self
                 .regret
                 .map_or(0, |r| (r * 1000.0).round().clamp(0.0, 1e12) as u64),
@@ -312,7 +290,7 @@ mod tests {
         assert_eq!(s.regret_ewma, None);
         // The trace-side gauge mirrors the monitor.
         let gauge = telemetry::drift_gauge();
-        assert_eq!(gauge.level, DriftLevel::RetrainSuggested);
+        assert_eq!(gauge.status, DriftStatus::RetrainSuggested);
         assert_eq!(gauge.observed, s.observed);
         assert!(gauge.fallthrough_permille > 800, "{gauge:?}");
         reset();

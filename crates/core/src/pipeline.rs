@@ -100,8 +100,8 @@ pub struct Choice {
     pub cascade: Option<CascadeInfo>,
     /// Flight-recorder request id of the selection that produced this
     /// choice (see [`wise_trace::telemetry`]), for correlating the
-    /// choice with its flight-dump record. `0` when telemetry was off
-    /// or the selection was nested inside another request.
+    /// choice with its flight-dump record. `0` only when the selection
+    /// was nested inside another request.
     pub request_id: u64,
 }
 
@@ -121,7 +121,7 @@ struct FlightRequest {
 
 impl FlightRequest {
     fn begin() -> FlightRequest {
-        if !telemetry::telemetry_enabled() || telemetry::current_request() != 0 {
+        if telemetry::current_request() != 0 {
             return FlightRequest { id: 0, start_ns: 0, _scope: None };
         }
         let id = telemetry::next_request_id();

@@ -36,10 +36,10 @@ impl ToJson for ModelRegistry {
 impl FromJson for ModelRegistry {
     fn from_json(v: &Value) -> Result<Self, JsonError> {
         let obj = json::object(v)?;
-        let catalog: Vec<MethodConfig> = json::member(obj, "catalog", None)?;
-        let trees: Vec<DecisionTree> = json::member(obj, "trees", None)?;
+        let catalog: Vec<MethodConfig> = json::member(obj, "catalog")?;
+        let trees: Vec<DecisionTree> = json::member(obj, "trees")?;
         Self::check(&catalog, &trees)?;
-        Ok(Self::new(catalog, trees, json::member(obj, "params", None)?))
+        Ok(Self::new(catalog, trees, json::member(obj, "params")?))
     }
 }
 

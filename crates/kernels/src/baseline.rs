@@ -5,19 +5,14 @@
 //!   the matrix. Figure 3 of the paper shows MKL tracking (and slightly
 //!   trailing) the best CSR schedule, which is exactly the behaviour of
 //!   a fixed-policy kernel.
-//! * [`InspectorExecutor`] — the *MKL inspector-executor* of Section
-//!   6.4: it trial-executes every candidate configuration on the actual
-//!   matrix and keeps the fastest. This is the canonical IE design and
-//!   reproduces the two measured properties the paper reports: near-
-//!   oracle selection quality and a preprocessing cost far above
-//!   WISE's (the paper measures 17.43 vs 8.33 baseline iterations).
+//!
+//! The *MKL inspector-executor* of Section 6.4 has no kernel here: it
+//! trial-executes every candidate and keeps the fastest, so the §6.4
+//! figure prices it from the labels, which already hold every
+//! candidate's measured time and conversion cost.
 
-use crate::method::{MethodConfig, Prepared};
+use crate::method::MethodConfig;
 use crate::sched::Schedule;
-use crate::srvpack::SpmvWorkspace;
-use crate::timing::{measure_median, measure_once};
-use std::time::Duration;
-use wise_matrix::Csr;
 
 /// The fixed configuration standing in for the MKL CSR baseline:
 /// static scheduling, default chunking.
@@ -25,116 +20,14 @@ pub fn mkl_like_config() -> MethodConfig {
     MethodConfig::csr(Schedule::St)
 }
 
-/// Result of an inspector-executor run.
-#[derive(Debug)]
-pub struct InspectorReport {
-    /// The winning configuration.
-    pub choice: MethodConfig,
-    /// Trial execution time of every candidate, in catalog order.
-    pub trials: Vec<(MethodConfig, Duration)>,
-    /// Total preprocessing spent: every format conversion plus every
-    /// trial execution.
-    pub preprocessing: Duration,
-}
-
-/// A trial-executing inspector-executor over a candidate set.
-pub struct InspectorExecutor {
-    candidates: Vec<MethodConfig>,
-    /// Timed trial iterations per candidate (median taken).
-    pub trial_iters: usize,
-}
-
-impl Default for InspectorExecutor {
-    fn default() -> Self {
-        InspectorExecutor { candidates: MethodConfig::catalog(), trial_iters: 1 }
-    }
-}
-
-impl InspectorExecutor {
-    pub fn with_candidates(candidates: Vec<MethodConfig>) -> Self {
-        InspectorExecutor { candidates, trial_iters: 1 }
-    }
-
-    /// Inspects `m`: converts to every candidate format, times a trial
-    /// SpMV of each, and returns the fastest prepared kernel plus a
-    /// report of everything it cost to find out.
-    pub fn inspect<'m>(
-        &self,
-        m: &'m Csr,
-        x: &[f64],
-        nthreads: usize,
-    ) -> (Prepared<'m>, InspectorReport) {
-        assert!(!self.candidates.is_empty(), "inspector needs at least one candidate");
-        let mut y = vec![0.0; m.nrows()];
-        let mut ws = SpmvWorkspace::default();
-        let mut best: Option<(usize, Duration)> = None;
-        let mut trials = Vec::with_capacity(self.candidates.len());
-        let mut preprocessing = Duration::ZERO;
-        for (i, cfg) in self.candidates.iter().enumerate() {
-            let (prep, conv_time) = measure_once(|| cfg.prepare(m));
-            let samples =
-                measure_median(|| prep.spmv(x, &mut y, nthreads, &mut ws), 0, self.trial_iters);
-            let trial = samples.median;
-            // Charge what the trials actually cost (summed durations),
-            // not `median × iters` — with skewed samples the median
-            // misstates the real amortization bill.
-            preprocessing += conv_time + samples.total;
-            trials.push((*cfg, trial));
-            if best.is_none_or(|(_, t)| trial < t) {
-                best = Some((i, trial));
-            }
-        }
-        let (best_idx, _) = best.expect("non-empty candidates");
-        let choice = self.candidates[best_idx];
-        // Re-prepare the winner (the trial Prepared values were dropped
-        // as we went to bound peak memory, like a real IE would).
-        let prep = choice.prepare(m);
-        (prep, InspectorReport { choice, trials, preprocessing })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wise_gen::{RmatParams, SplitMix64};
 
     #[test]
     fn mkl_like_is_fixed_csr() {
         let cfg = mkl_like_config();
         assert_eq!(cfg.method, crate::method::Method::Csr);
         assert_eq!(cfg.schedule, Schedule::St);
-    }
-
-    #[test]
-    fn inspector_picks_a_candidate_and_computes_correctly() {
-        let m = RmatParams::HIGH_SKEW.generate(8, 8, 13);
-        let mut rng = SplitMix64::seed_from_u64(3);
-        let x: Vec<f64> = (0..m.ncols()).map(|_| rng.range_f64(-1.0, 1.0)).collect();
-        let candidates = vec![
-            MethodConfig::csr(Schedule::Dyn),
-            MethodConfig::sellpack(8, Schedule::Dyn),
-            MethodConfig::lav(8, 0.8),
-        ];
-        let ie = InspectorExecutor::with_candidates(candidates.clone());
-        let (prep, report) = ie.inspect(&m, &x, 1);
-        assert!(candidates.iter().any(|c| c.label() == report.choice.label()));
-        assert_eq!(report.trials.len(), 3);
-        assert!(report.preprocessing > Duration::ZERO);
-        // The returned kernel computes y = Ax.
-        let mut want = vec![0.0; m.nrows()];
-        m.spmv_reference(&x, &mut want);
-        let mut got = vec![0.0; m.nrows()];
-        prep.spmv(&x, &mut got, 1, &mut SpmvWorkspace::default());
-        for (g, w) in got.iter().zip(&want) {
-            assert!((g - w).abs() < 1e-9 * (1.0 + w.abs()));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one candidate")]
-    fn inspector_rejects_empty_candidates() {
-        let m = Csr::identity(4);
-        let x = vec![1.0; 4];
-        InspectorExecutor::with_candidates(vec![]).inspect(&m, &x, 1);
     }
 }

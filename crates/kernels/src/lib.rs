@@ -16,9 +16,9 @@
 //!   SELLPACK, Sell-c-σ, Sell-c-R, LAV-1Seg and LAV;
 //! * [`method`] — the `{method, parameter}` catalog (29 configurations,
 //!   Section 4.3) and a uniform `prepare`/`spmv` interface over it;
-//! * [`baseline`] — the MKL-like fixed-schedule baseline and the trial-
-//!   executing inspector-executor (substitutes for Intel MKL and MKL IE;
-//!   see DESIGN.md for the substitution argument);
+//! * [`baseline`] — the MKL-like fixed-schedule baseline (the stand-in
+//!   for Intel MKL; the MKL IE is priced from the labels, see DESIGN.md
+//!   for the substitution argument);
 //! * [`simd`] — the runtime CPU capability probe (Scalar/AVX2/AVX-512)
 //!   and the explicitly vectorized SELL-chunk kernels it dispatches —
 //!   with the auto software-prefetch and AVX-512 chunk-pair policies and

@@ -56,16 +56,6 @@ impl Samples {
             iters: samples.len(),
         }
     }
-
-    /// Relative spread `(p95 - min) / median` — a quick noise gauge.
-    pub fn relative_spread(&self) -> f64 {
-        let median = self.median.as_secs_f64();
-        if median == 0.0 {
-            0.0
-        } else {
-            (self.p95.as_secs_f64() - self.min.as_secs_f64()) / median
-        }
-    }
 }
 
 /// Runs `f` `warmup` times untimed, then `iters` timed runs, returning
@@ -141,7 +131,6 @@ mod tests {
         assert_eq!(s.max, ms(5));
         assert_eq!(s.total, ms(15));
         assert_eq!(s.iters, 5);
-        assert!((s.relative_spread() - (0.005 - 0.001) / 0.003).abs() < 1e-9);
     }
 
     #[test]

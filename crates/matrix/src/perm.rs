@@ -99,16 +99,6 @@ impl Permutation {
         assert_eq!(src.len(), self.len(), "gather length mismatch");
         self.map.iter().map(|&old| src[old as usize]).collect()
     }
-
-    /// Gathers into a caller-provided buffer (allocation-free hot path
-    /// for per-iteration input-vector permutation).
-    pub fn gather_into<T: Copy>(&self, src: &[T], dst: &mut [T]) {
-        assert_eq!(src.len(), self.len(), "gather length mismatch");
-        assert_eq!(dst.len(), self.len(), "gather length mismatch");
-        for (d, &old) in dst.iter_mut().zip(self.map.iter()) {
-            *d = src[old as usize];
-        }
-    }
 }
 
 /// Stable counting sort by key descending: writes `base + i` for every
@@ -196,9 +186,6 @@ mod tests {
         let p = Permutation::try_new(vec![2, 0, 1]).unwrap();
         let src = [10, 20, 30];
         assert_eq!(p.gather(&src), vec![30, 10, 20]);
-        let mut dst = [0; 3];
-        p.gather_into(&src, &mut dst);
-        assert_eq!(dst, [30, 10, 20]);
     }
 
     #[test]

@@ -140,12 +140,6 @@ pub fn cross_val_confusion_planned(
     (pairs, cm)
 }
 
-/// Out-of-fold predictions only (when the caller aggregates its own
-/// metric, e.g. the end-to-end speedup of Table 4).
-pub fn cross_val_predictions(data: &Dataset, params: TreeParams, k: usize, seed: u64) -> Vec<u32> {
-    cross_val_confusion(data, params, k, seed).0.into_iter().map(|(_, p)| p).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,8 +168,8 @@ mod tests {
     #[test]
     fn cross_val_deterministic() {
         let d = dataset();
-        let a = cross_val_predictions(&d, TreeParams::default(), 5, 3);
-        let b = cross_val_predictions(&d, TreeParams::default(), 5, 3);
+        let a = cross_val_confusion(&d, TreeParams::default(), 5, 3);
+        let b = cross_val_confusion(&d, TreeParams::default(), 5, 3);
         assert_eq!(a, b);
     }
 

@@ -172,16 +172,6 @@ impl MachineModel {
             _ => v.min(self.simd_lanes.max(1)),
         }
     }
-
-    /// The SIMD capability of the *host* this process runs on, as
-    /// `(isa name, f64 lanes)` — the runtime probe of
-    /// `wise_kernels::simd` surfaced where cost-model users live.
-    /// Reflects `simd::set_active` overrides, so a forced-scalar test
-    /// reports `("scalar", 1)`.
-    pub fn host_simd() -> (&'static str, usize) {
-        let isa = wise_kernels::simd::active();
-        (isa.name(), isa.lanes())
-    }
 }
 
 impl Default for MachineModel {
@@ -247,8 +237,6 @@ mod tests {
         assert_eq!(m.modeled_lanes(4), 4);
         assert_eq!(m.modeled_lanes(8), 8);
         assert_eq!(m.modeled_lanes(16), 8, "capped at simd_lanes");
-        let (name, lanes) = MachineModel::host_simd();
-        assert!(!name.is_empty() && lanes >= 1);
     }
 
     #[test]

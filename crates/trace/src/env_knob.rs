@@ -1,8 +1,8 @@
-//! One shared grammar for every `WISE_*` environment knob.
-//!
-//! The parsed knobs across two crates (`WISE_THREADS`,
-//! `WISE_TELEMETRY`, `WISE_FLIGHT_QUANTILE`, `WISE_SNAPSHOT_SECS`) share
-//! one parse-and-warn contract, implemented once here:
+//! The grammar for a parsed `WISE_*` environment knob. One knob uses
+//! it: `WISE_THREADS` (`wise_kernels::sched`). The other knobs are a
+//! switch (`WISE_TRACE`) or paths and names taken as given
+//! (`WISE_FLIGHT_DIR`, `WISE_SNAPSHOT`, `WISE_RESULTS_DIR`, …). The
+//! contract:
 //!
 //! * unset → `Ok(None)` (the caller applies its default);
 //! * the value is trimmed; empty (or whitespace-only) after the trim is
@@ -15,9 +15,8 @@
 //!   counter — a typo in a benchmark script must never silently change
 //!   what was measured.
 //!
-//! Domain modules keep their typed `parse_wise_*` entry points (and
-//! their own value enums); only the grammar and the warn-once plumbing
-//! live here.
+//! The domain module keeps its typed `parse_wise_*` entry point; only
+//! the grammar and the warn-once plumbing live here.
 
 use std::collections::BTreeSet;
 use std::sync::{Mutex, OnceLock};
@@ -100,25 +99,17 @@ impl Knob {
         fallback_note: &str,
         interp: impl FnOnce(&str) -> Option<T>,
     ) -> Option<T> {
-        match self.parse(std::env::var(self.name).ok().as_deref(), interp) {
-            Ok(v) => v,
-            Err(err) => {
-                self.warn_once(&err, invalid_counter, fallback_note);
-                None
-            }
-        }
-    }
-
-    /// The warn-once half of the contract, callable directly by sites
-    /// that parse eagerly themselves.
-    pub fn warn_once(&self, err: &KnobError, invalid_counter: &'static str, fallback_note: &str) {
         static WARNED: OnceLock<Mutex<BTreeSet<&'static str>>> = OnceLock::new();
+        let err = match self.parse(std::env::var(self.name).ok().as_deref(), interp) {
+            Ok(v) => return v,
+            Err(err) => err,
+        };
         let warned = WARNED.get_or_init(|| Mutex::new(BTreeSet::new()));
-        let first = warned.lock().map(|mut set| set.insert(self.name)).unwrap_or(false);
-        if first {
+        if warned.lock().map(|mut set| set.insert(self.name)).unwrap_or(false) {
             eprintln!("[wise] ignoring {err}; {fallback_note}");
             crate::counter(invalid_counter, 1);
         }
+        None
     }
 }
 

@@ -10,9 +10,8 @@
 //! tests) can verify emitted files.
 
 use crate::export::json::ToJson;
-use crate::ledger::HostFingerprint;
 use crate::span::{Event, Phase};
-use crate::Summary;
+use crate::{QuantileSketch, Summary};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -73,45 +72,13 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
     out
 }
 
-/// Renders `perf_summary.json` with the current process's
-/// [`HostFingerprint`]: stage → `{count, p50, p95, min, max, total}`
-/// (nanoseconds), summed counters, and a `host` object — the artifact
-/// BENCH trajectories diff across PRs. Summaries from different hosts
-/// (or different `WISE_THREADS` settings) carry the
-/// difference in-band instead of relying on out-of-band notes.
+/// Renders `perf_summary.json`: the encoded [`Summary`] — its host
+/// fingerprint, one [`crate::StageRecord`] per stage and the summed
+/// counters — the artifact BENCH trajectories diff across PRs.
+/// Summaries from different hosts (or different `WISE_THREADS`
+/// settings) carry the difference in-band.
 pub fn perf_summary_json(summary: &Summary) -> String {
-    perf_summary_json_with(summary, &HostFingerprint::detect())
-}
-
-/// [`perf_summary_json`] with an explicit host fingerprint (tests, or
-/// bins that already detected one with the rustc version filled in).
-pub fn perf_summary_json_with(summary: &Summary, host: &HostFingerprint) -> String {
-    let mut out = String::from("{\"host\":");
-    host.write_json(&mut out);
-    out.push_str(",\"stages\":{");
-    let mut first = true;
-    for (name, st) in &summary.stages {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push('"');
-        write_escaped(&mut out, name);
-        let _ = write!(
-            out,
-            "\":{{\"count\":{},\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{},\"min_ns\":{},\"max_ns\":{},\"total_ns\":{},\"self_total_ns\":{}",
-            st.count, st.p50_ns, st.p95_ns, st.p99_ns, st.min_ns, st.max_ns, st.total_ns,
-            st.self_total_ns
-        );
-        // Mergeable sketch alongside the exact percentiles, so
-        // summaries from separate runs can be combined post hoc.
-        let _ = write!(out, ",\"sketch\":{}", st.sketch.to_json());
-        out.push('}');
-    }
-    out.push_str("},\"counters\":");
-    summary.counters.write_json(&mut out);
-    out.push('}');
-    out
+    summary.to_json()
 }
 
 fn fmt_ns(ns: u64) -> String {
@@ -192,7 +159,7 @@ pub fn run_report(summary: &Summary) -> String {
             fmt_ns(st.p95_ns),
             fmt_ns(st.p99_ns),
             fmt_ns(st.max_ns),
-            st.sketch.sparkline()
+            st.sketch.as_ref().map(QuantileSketch::sparkline).unwrap_or_default()
         );
     }
     // Live telemetry gauges, when the run exercised them: the drift
@@ -202,7 +169,7 @@ pub fn run_report(summary: &Summary) -> String {
         let _ = writeln!(
             out,
             "drift: {} (regret {:.2}x, fallthrough {:.1}%, {} observed)",
-            drift.level.label(),
+            drift.status.label(),
             drift.regret_permille as f64 / 1000.0,
             drift.fallthrough_permille as f64 / 10.0,
             drift.observed
@@ -287,40 +254,34 @@ pub mod folded {
     //! root-span time — no double counting of nested spans.
 
     use crate::span::{Event, Phase};
+    use crate::OpenSpans;
     use std::collections::{BTreeMap, HashMap};
 
     /// Aggregates a flushed event stream into folded-stack lines,
-    /// name-sorted. Uses the same positional nesting and unbalanced-
-    /// stream tolerance as `Summary::from_events`: an `End` without a
-    /// matching open span becomes a single-frame root line (balance
-    /// panic-truncated streams with [`super::balanced_events`] first
-    /// for open spans to be counted at all).
+    /// name-sorted. Uses the same self-time walk as
+    /// `Summary::from_events`: an `End` without a matching open span
+    /// becomes a single-frame root line (balance panic-truncated
+    /// streams with [`super::balanced_events`] first for open spans to
+    /// be counted at all).
     pub fn folded_stacks(events: &[Event]) -> String {
         let mut lines: BTreeMap<String, u64> = BTreeMap::new();
-        // Per-thread stack of (name, ns consumed by closed children).
-        let mut stacks: HashMap<u64, Vec<(&str, u64)>> = HashMap::new();
+        let mut stacks: HashMap<u64, OpenSpans> = HashMap::new();
         for e in events {
             match e.phase {
-                Phase::Begin => stacks.entry(e.tid).or_default().push((e.name, 0)),
+                Phase::Begin => stacks.entry(e.tid).or_default().begin(e.name),
                 Phase::End => {
                     let stack = stacks.entry(e.tid).or_default();
-                    let matched = stack.last().map(|t| t.0) == Some(e.name);
-                    let self_ns = if matched {
-                        let (_, child_ns) = stack.pop().unwrap();
-                        if let Some(top) = stack.last_mut() {
-                            top.1 += e.value;
-                        }
-                        e.value.saturating_sub(child_ns)
-                    } else {
-                        e.value
-                    };
                     let mut path = String::new();
-                    if matched {
-                        for (frame, _) in stack.iter() {
-                            path.push_str(frame);
-                            path.push(';');
+                    let self_ns = match stack.end(e.name, e.value) {
+                        Some(self_ns) => {
+                            for frame in stack.frames() {
+                                path.push_str(frame);
+                                path.push(';');
+                            }
+                            self_ns
                         }
-                    }
+                        None => e.value,
+                    };
                     path.push_str(e.name);
                     *lines.entry(path).or_insert(0) += self_ns;
                 }
@@ -524,23 +485,26 @@ mod tests {
 
     #[test]
     fn perf_summary_carries_host_fingerprint() {
-        let summary = Summary::from_events(&sample_events());
-        let host = HostFingerprint {
+        let mut summary = Summary::from_events(&sample_events());
+        // from_events fingerprints the process it runs in.
+        assert_eq!(summary.host, crate::HostFingerprint::detect());
+        summary.host = crate::HostFingerprint {
             cpu_cores: 4,
             threads_env: Some("2".into()),
             rustc: Some("rustc 1.95.0".into()),
             simd: Some("avx2:4".into()),
             mlp: Some("pf8:il2".into()),
         };
-        let doc = json::parse(&perf_summary_json_with(&summary, &host)).expect("parses");
+        let doc = json::parse(&perf_summary_json(&summary)).expect("parses");
         let h = doc.get("host").expect("host object");
         assert_eq!(h.get("cpu_cores").unwrap().as_f64(), Some(4.0));
         assert_eq!(h.get("threads_env").unwrap().as_str(), Some("2"));
         assert_eq!(h.get("rustc").unwrap().as_str(), Some("rustc 1.95.0"));
         assert_eq!(h.get("simd").unwrap().as_str(), Some("avx2:4"));
         assert_eq!(h.get("mlp").unwrap().as_str(), Some("pf8:il2"));
-        // The detect()-based default emits a host object too.
-        assert!(json::parse(&perf_summary_json(&summary)).unwrap().get("host").is_some());
+        // The document decodes back to the summary it encodes.
+        let back = <Summary as json::FromJson>::from_json(&doc).expect("decodes");
+        assert_eq!(back, summary);
     }
 
     #[test]

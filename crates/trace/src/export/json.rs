@@ -451,17 +451,14 @@ pub fn object(v: &Value) -> Result<&BTreeMap<String, Value>, JsonError> {
     v.as_object().ok_or(JsonError::Type { expected: "an object" })
 }
 
-/// Decodes member `name`; an absent member takes `default()` if given,
-/// else [`FromJson::from_missing`].
+/// Decodes member `name`; an absent member is [`FromJson::from_missing`].
 pub fn member<T: FromJson>(
     obj: &BTreeMap<String, Value>,
     name: &'static str,
-    default: Option<fn() -> T>,
 ) -> Result<T, JsonError> {
-    match (obj.get(name), default) {
-        (Some(v), _) => T::from_json(v).map_err(|e| JsonError::Field { name, error: Box::new(e) }),
-        (None, Some(default)) => Ok(default()),
-        (None, None) => T::from_missing().ok_or(JsonError::Missing(name)),
+    match obj.get(name) {
+        Some(v) => T::from_json(v).map_err(|e| JsonError::Field { name, error: Box::new(e) }),
+        None => T::from_missing().ok_or(JsonError::Missing(name)),
     }
 }
 
@@ -469,7 +466,8 @@ pub fn member<T: FromJson>(
 /// by field name, one line per field:
 ///
 /// * `name` — required (an `Option` field may be absent: `None`);
-/// * `name = expr` — `expr` when absent;
+/// * `name = expr` — `expr` when absent (it may name fields listed
+///   before it);
 /// * `#[omit_none] name` — an `Option` field left out when `None`.
 ///
 /// An optional trailing `check path` names a
@@ -504,10 +502,8 @@ macro_rules! json_struct {
                 v: &$crate::export::json::Value,
             ) -> Result<Self, $crate::export::json::JsonError> {
                 let obj = $crate::export::json::object(v)?;
-                let value = $ty {
-                    $( $field: $crate::export::json::member(
-                        obj, stringify!($field), $crate::json_struct!(@default $($default)?))?, )*
-                };
+                $( let $field = $crate::json_struct!(@member obj $field $($default)?); )*
+                let value = $ty { $($field),* };
                 let check: fn(&$ty) -> Result<(), $crate::export::json::JsonError> = $check;
                 check(&value)?;
                 Ok(value)
@@ -522,8 +518,13 @@ macro_rules! json_struct {
     (@write $out:ident $sep:ident $self:ident $field:ident) => {
         $crate::export::json::write_member($out, &mut $sep, stringify!($field), &$self.$field)
     };
-    (@default $default:expr) => { Some(|| $default) };
-    (@default) => { None };
+    (@member $obj:ident $field:ident $default:expr) => {
+        match $obj.get(stringify!($field)) {
+            None => $default,
+            Some(_) => $crate::export::json::member($obj, stringify!($field))?,
+        }
+    };
+    (@member $obj:ident $field:ident) => { $crate::export::json::member($obj, stringify!($field))? };
 }
 
 /// Implements [`ToJson`]/[`FromJson`] for a fieldless enum as its

@@ -10,8 +10,9 @@
 //!   SIMD capability, rustc version) so records from different machines
 //!   are never silently compared;
 //! * a **corpus digest** pinning the exact input set;
-//! * per-stage wall times lifted from the trace [`Summary`] (count /
-//!   min / p50 / p95 / total, nanoseconds);
+//! * one [`StageRecord`] per stage, lifted from the trace [`Summary`]
+//!   (count / min / p50 / p95 / p99 / max / total / self-time in
+//!   nanoseconds, plus the sketch the quantiles came from);
 //! * derived **throughput** figures (e.g. `kernel.spmv` nnz/s from the
 //!   existing counters);
 //! * **model quality**: accuracy, P-ratio, summed per-class confusion,
@@ -30,9 +31,9 @@
 //! section of records written while hardware counters were still
 //! recorded) are ignored.
 
-use crate::export::json::{self, FromJson, JsonError, ToJson, Value};
+use crate::export::json::{FromJson, JsonError, ToJson};
 use crate::json_struct;
-use crate::telemetry::QuantileSketch;
+use crate::telemetry::{DriftRecord, QuantileSketch};
 use crate::Summary;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -121,8 +122,7 @@ impl HostFingerprint {
         self
     }
 
-    /// Emits the fingerprint as a JSON object (shared by the ledger and
-    /// the `perf_summary.json` exporter).
+    /// Emits the fingerprint as a JSON object.
     pub fn write_json(&self, out: &mut String) {
         ToJson::write_json(self, out)
     }
@@ -149,21 +149,55 @@ json_struct!(HostFingerprint { cpu_cores, threads_env, rustc, simd, mlp });
 // Record contents
 // ---------------------------------------------------------------------
 
-/// Wall-time statistics of one stage, lifted from [`Summary`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The statistics of one stage: the one per-stage shape that
+/// [`Summary`], `perf_summary.json`, `metrics_snapshot.json` and
+/// [`BenchRecord::stages`] all carry.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct StageRecord {
     pub count: u64,
     /// Fastest observation — the min-of-k the gate compares.
     pub min_ns: u64,
     pub p50_ns: u64,
     pub p95_ns: u64,
-    /// Tail latency (serving gates on p99). Records written before the
-    /// field existed parse with `p99_ns == p95_ns`.
+    /// Tail latency (serving gates on p99).
     pub p99_ns: u64,
+    pub max_ns: u64,
     pub total_ns: u64,
+    /// Sum of durations *minus* time spent in child spans on the same
+    /// thread — the stage's own work, so nested stages (e.g.
+    /// `kernel.spmv.simd` inside `kernel.spmv`) are not double-counted.
+    /// Samples contribute their full value.
+    pub self_total_ns: u64,
+    /// Most frequent enclosing span, if this stage ever nested (drives
+    /// the indented run report).
+    pub parent: Option<String>,
+    /// The mergeable sketch the quantiles were read from, so records
+    /// from separate runs can be combined after the fact.
+    pub sketch: Option<QuantileSketch>,
 }
 
 impl StageRecord {
+    /// The record of a stage from its sketch, its exact total and its
+    /// self-time. count, min and max are exact (the sketch tracks
+    /// them); p50/p95/p99 are the sketch's estimates (relative error α)
+    /// clamped into [min, max].
+    pub fn new(sketch: QuantileSketch, total_ns: u64, self_total_ns: u64) -> StageRecord {
+        let (min_ns, max_ns) = (sketch.min().unwrap_or(0), sketch.max().unwrap_or(0));
+        let q = |p: f64| sketch.quantile(p).unwrap_or(0).clamp(min_ns, max_ns);
+        StageRecord {
+            count: sketch.count(),
+            min_ns,
+            p50_ns: q(0.50),
+            p95_ns: q(0.95),
+            p99_ns: q(0.99),
+            max_ns,
+            total_ns,
+            self_total_ns,
+            parent: None,
+            sketch: Some(sketch),
+        }
+    }
+
     /// Relative min→p50 spread, the stage's own noise gauge:
     /// `(p50 - min) / min`.
     pub fn rel_spread(&self) -> f64 {
@@ -173,70 +207,34 @@ impl StageRecord {
             (self.p50_ns.saturating_sub(self.min_ns)) as f64 / self.min_ns as f64
         }
     }
-}
 
-impl ToJson for StageRecord {
-    fn write_json(&self, out: &mut String) {
-        let mut sep = '{';
-        json::write_member(out, &mut sep, "count", &self.count);
-        json::write_member(out, &mut sep, "min_ns", &self.min_ns);
-        json::write_member(out, &mut sep, "p50_ns", &self.p50_ns);
-        json::write_member(out, &mut sep, "p95_ns", &self.p95_ns);
-        json::write_member(out, &mut sep, "p99_ns", &self.p99_ns);
-        json::write_member(out, &mut sep, "total_ns", &self.total_ns);
-        out.push('}');
+    /// Rejects a sketch that does not describe the stage's own count.
+    fn check(&self) -> Result<(), JsonError> {
+        match &self.sketch {
+            Some(sk) if sk.count() != self.count => Err(JsonError::Invalid(format!(
+                "sketch count {} != stage count {}",
+                sk.count(),
+                self.count
+            ))),
+            _ => Ok(()),
+        }
     }
 }
 
-impl FromJson for StageRecord {
-    /// Records written before `p99_ns` existed decode with their p95.
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        let obj = json::object(v)?;
-        let p95_ns = json::member(obj, "p95_ns", None)?;
-        Ok(StageRecord {
-            count: json::member(obj, "count", None)?,
-            min_ns: json::member(obj, "min_ns", None)?,
-            p50_ns: json::member(obj, "p50_ns", None)?,
-            p95_ns,
-            p99_ns: json::member::<Option<u64>>(obj, "p99_ns", None)?.unwrap_or(p95_ns),
-            total_ns: json::member(obj, "total_ns", None)?,
-        })
-    }
-}
-
-/// The drift monitor's reading at record time, lifted from
-/// `wise_core::drift` via the [`crate::telemetry`] gauge. Records
-/// written before the monitor existed carry `None` (tolerated
-/// everywhere).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct DriftRecord {
-    /// [`crate::telemetry::DriftLevel::label`] (`stable`, `warning`, or
-    /// `retrain-suggested`).
-    pub status: String,
-    /// EWMA of measured/predicted execution time, permille.
-    pub regret_permille: u64,
-    /// EWMA of the cascade fallthrough indicator, permille.
-    pub fallthrough_permille: u64,
-    /// Executions the monitor had observed.
-    pub observed: u64,
-}
-
-impl DriftRecord {
-    /// The current [`crate::telemetry::drift_gauge`] reading, or `None`
-    /// when the monitor never observed an execution this process (the
-    /// record then matches pre-monitor ones).
-    pub fn from_gauge() -> Option<DriftRecord> {
-        let g = crate::telemetry::drift_gauge();
-        (g.observed > 0).then(|| DriftRecord {
-            status: g.level.label().to_string(),
-            regret_permille: g.regret_permille,
-            fallthrough_permille: g.fallthrough_permille,
-            observed: g.observed,
-        })
-    }
-}
-
-json_struct!(DriftRecord { status, regret_permille, fallthrough_permille, observed });
+// Records written before a member existed read it from the nearest
+// one they carry: p99 from p95, max from p99, self-time from total.
+json_struct!(StageRecord {
+    count,
+    min_ns,
+    p50_ns,
+    p95_ns,
+    p99_ns = p95_ns,
+    max_ns = p99_ns,
+    total_ns,
+    self_total_ns = total_ns,
+    #[omit_none] parent,
+    #[omit_none] sketch,
+} check StageRecord::check);
 
 /// Prediction-quality metrics of the model the run trained.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -299,10 +297,6 @@ pub struct BenchRecord {
     pub throughput: BTreeMap<String, f64>,
     /// Model quality, when the run trained and evaluated one.
     pub model: Option<ModelMetrics>,
-    /// Stage name → mergeable quantile sketch over the same durations
-    /// the [`StageRecord`] percentiles summarize. Empty on records
-    /// written before sketches existed (tolerated everywhere).
-    pub sketches: BTreeMap<String, QuantileSketch>,
     /// Prediction-drift reading at record time; `None` on old records
     /// and on runs that never fed the monitor.
     pub drift: Option<DriftRecord>,
@@ -310,7 +304,8 @@ pub struct BenchRecord {
 
 impl BenchRecord {
     /// Builds a record from a flushed trace summary: every stage is
-    /// lifted verbatim, counters are copied, and throughput rates are
+    /// lifted verbatim, the drift gauge is read when the monitor
+    /// observed anything, counters are copied, and throughput rates are
     /// derived where both a volume counter and its stage time exist
     /// (`kernel.spmv.nnz` ÷ `kernel.spmv` total, and the analogous
     /// `rows` rate).
@@ -321,21 +316,6 @@ impl BenchRecord {
         host: HostFingerprint,
         summary: &Summary,
     ) -> BenchRecord {
-        let stages: BTreeMap<String, StageRecord> = summary
-            .stages
-            .iter()
-            .map(|(name, st)| {
-                let rec = StageRecord {
-                    count: st.count,
-                    min_ns: st.min_ns,
-                    p50_ns: st.p50_ns,
-                    p95_ns: st.p95_ns,
-                    p99_ns: st.p99_ns,
-                    total_ns: st.total_ns,
-                };
-                (name.clone(), rec)
-            })
-            .collect();
         let mut throughput = BTreeMap::new();
         for (counter, rate) in [
             ("kernel.spmv.nnz", "kernel.spmv.nnz_per_s"),
@@ -346,7 +326,7 @@ impl BenchRecord {
         ] {
             let volume = summary.counters.get(counter).copied().unwrap_or(0);
             let stage = counter.rsplit_once('.').map(|(s, _)| s).unwrap_or(counter);
-            let total_ns = stages.get(stage).map(|s| s.total_ns).unwrap_or(0);
+            let total_ns = summary.stages.get(stage).map(|s| s.total_ns).unwrap_or(0);
             if volume > 0 && total_ns > 0 {
                 throughput.insert(rate.to_string(), volume as f64 * 1e9 / total_ns as f64);
             }
@@ -357,16 +337,11 @@ impl BenchRecord {
             note: note.to_string(),
             corpus_digest: corpus_digest.to_string(),
             host,
-            stages,
+            stages: summary.stages.clone(),
             counters: summary.counters.clone(),
             throughput,
             model: None,
-            sketches: summary
-                .stages
-                .iter()
-                .map(|(name, st)| (name.clone(), st.sketch.clone()))
-                .collect(),
-            drift: DriftRecord::from_gauge(),
+            drift: Some(crate::telemetry::drift_gauge()).filter(|d| d.observed > 0),
         }
     }
 
@@ -393,7 +368,6 @@ json_struct!(BenchRecord {
     counters,
     throughput,
     model,
-    sketches = BTreeMap::new(),
     drift,
 });
 
@@ -737,7 +711,10 @@ mod tests {
             p50_ns: p50,
             p95_ns: p50 * 2,
             p99_ns: p50 * 2,
+            max_ns: p50 * 2,
             total_ns: p50 * 5,
+            self_total_ns: p50 * 5,
+            ..Default::default()
         }
     }
 
@@ -748,7 +725,7 @@ mod tests {
             note: "test".into(),
             corpus_digest: "fnv1a:0000000000000001".into(),
             host: HostFingerprint { cpu_cores: 4, ..Default::default() },
-            stages: stages.iter().map(|(n, s)| (n.to_string(), *s)).collect(),
+            stages: stages.iter().map(|(n, s)| (n.to_string(), s.clone())).collect(),
             ..Default::default()
         }
     }
@@ -922,7 +899,7 @@ mod tests {
         assert_eq!(stage(1000, 1500).rel_spread(), 0.5);
         assert_eq!(stage(0, 10).rel_spread(), 0.0);
         // p50 < min cannot happen from Summary, but must not underflow.
-        let s = StageRecord { count: 1, min_ns: 10, p50_ns: 5, p95_ns: 5, p99_ns: 5, total_ns: 5 };
+        let s = StageRecord { count: 1, min_ns: 10, p50_ns: 5, ..Default::default() };
         assert_eq!(s.rel_spread(), 0.0);
     }
 
@@ -972,28 +949,32 @@ mod tests {
 
     #[test]
     fn sketch_and_drift_round_trip_and_old_records_tolerate_absence() {
-        let mut rec = record(8, &[("kernel.spmv", stage(100, 120))]);
         let mut sk = QuantileSketch::default();
         for v in [0u64, 100, 120, 150, 600, 1_000_000] {
             sk.observe(v);
         }
-        rec.sketches.insert("kernel.spmv".to_string(), sk.clone());
+        let mut spmv = StageRecord::new(sk.clone(), 1_000_970, 1_000_970);
+        spmv.parent = Some("pipeline.select".to_string());
+        let mut rec = record(8, &[("kernel.spmv", spmv)]);
         rec.drift = Some(DriftRecord {
-            status: "warning".to_string(),
+            status: crate::DriftLevel::Warning,
             regret_permille: 1_500,
             fallthrough_permille: 120,
             observed: 640,
         });
         let back = BenchRecord::from_json(&rec.to_json()).expect("parses");
         assert_eq!(back, rec);
-        assert_eq!(back.sketches["kernel.spmv"].quantile(0.5), sk.quantile(0.5));
-        // Old records (no sketches / drift fields at all) still load.
+        let back_sketch = back.stages["kernel.spmv"].sketch.as_ref().unwrap();
+        assert_eq!(back_sketch.quantile(0.5), sk.quantile(0.5));
+        // Old records (no sketch, max, self-time or drift members) load,
+        // reading max from p95 and self-time from the total.
         let old = r#"{"schema_version":1,"seq":3,"note":"old","corpus_digest":"fnv1a:0000000000000001",
             "host":{"cpu_cores":4,"threads_env":null,"pool_env":null,"rustc":null,"simd":null,"simd_env":null},
             "stages":{"kernel.spmv":{"count":5,"min_ns":100,"p50_ns":120,"p95_ns":150,"total_ns":600}},
             "counters":{},"throughput":{},"model":null}"#;
         let rec_old = BenchRecord::from_json(old).expect("pre-sketch record parses");
-        assert!(rec_old.sketches.is_empty());
+        let st = &rec_old.stages["kernel.spmv"];
+        assert_eq!((st.sketch.as_ref(), st.max_ns, st.self_total_ns), (None, 150, 600));
         assert_eq!(rec_old.drift, None);
         let rep = gate(&[rec_old], &rec, &policy(&["kernel.spmv"]));
         assert!(rep.passed(), "{}", rep.render());
@@ -1022,9 +1003,12 @@ mod tests {
         // the `pmu` member, and the record gates a new-code candidate.
         let text = include_str!("../tests/fixtures/BENCH_pmu_section.json");
         assert!(text.contains(r#""pmu":{"status":"unavailable ("#));
+        // Its top-level `sketches` map predates the per-stage sketch
+        // member and is ignored like any unknown member.
+        assert!(text.contains(r#""sketches":{"#));
         let old = BenchRecord::from_json(text).expect("record with a pmu section parses");
         assert_eq!(old.schema_version, SCHEMA_VERSION);
-        assert!(!old.stages.is_empty() && !old.sketches.is_empty());
+        assert!(!old.stages.is_empty() && old.stages.values().all(|s| s.sketch.is_none()));
         let new_text = old.to_json();
         assert!(!new_text.contains("\"pmu\""), "new records carry no pmu member");
         let cand = BenchRecord::from_json(&new_text).expect("new record parses");

@@ -9,11 +9,13 @@
 //! * [`span`] — hierarchical RAII spans recorded into per-thread
 //!   buffers (no shared lock on the hot path; buffers merge at flush);
 //! * [`counter`] / [`observe_ns`] — monotonic counters and duration
-//!   samples, aggregated into exact per-stage percentiles ([`Summary`])
-//!   and a mergeable quantile sketch ([`QuantileSketch`]);
+//!   samples, aggregated per stage into one [`StageRecord`] (exact
+//!   count, min, max, total and self-time; p50/p95/p99 from a mergeable
+//!   [`QuantileSketch`]), both per flushed stream ([`Summary`]) and
+//!   live per thread ([`telemetry::stream_stages`]);
 //! * [`export`] — a human-readable run report, Chrome trace-event JSON
-//!   (loadable in Perfetto / `chrome://tracing`), and a machine-
-//!   readable `perf_summary.json` (stage → `{p50, p95, count}`) so
+//!   (loadable in Perfetto / `chrome://tracing`), and the machine-
+//!   readable `perf_summary.json` (the encoded [`Summary`]) so
 //!   benchmark trajectories can be diffed across PRs;
 //! * [`ledger`] — the versioned `BENCH_<seq>.json` benchmark ledger
 //!   (host fingerprint, per-stage wall times, throughput, model
@@ -60,16 +62,16 @@ pub mod span;
 pub mod telemetry;
 
 pub use export::{
-    balanced_events, chrome_trace_json, perf_summary_json, perf_summary_json_with, run_report,
-    write_trace_files,
+    balanced_events, chrome_trace_json, perf_summary_json, run_report, write_trace_files,
 };
-pub use ledger::{BenchRecord, GatePolicy, GateReport, HostFingerprint, ModelMetrics};
+pub use ledger::{BenchRecord, GatePolicy, GateReport, HostFingerprint, ModelMetrics, StageRecord};
 pub use span::{
     build_forest, counter, dropped_events, observe, observe_ns, span, take_events, Event, Phase,
     Span, SpanNode,
 };
-pub use summary::{StageStats, Summary};
-pub use telemetry::{DriftLevel, QuantileSketch, RequestRecord};
+pub use summary::Summary;
+pub(crate) use summary::{OpenSpans, StageAcc};
+pub use telemetry::{DriftLevel, DriftRecord, QuantileSketch, RequestRecord};
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -105,136 +107,138 @@ pub fn set_enabled(on: bool) {
 }
 
 mod summary {
+    use crate::ledger::{HostFingerprint, StageRecord};
     use crate::span::{Event, Phase};
     use crate::telemetry::QuantileSketch;
     use std::collections::{BTreeMap, HashMap};
 
-    /// Aggregated statistics of one span/sample stage.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct StageStats {
-        /// Completed spans / recorded samples.
-        pub count: u64,
-        /// Sum of all durations, nanoseconds.
-        pub total_ns: u64,
-        /// Sum of durations *minus* time spent in child spans on the
-        /// same thread — the stage's own work, so nested stages (e.g.
-        /// `kernel.spmv.simd` inside `kernel.spmv`) are not
-        /// double-counted. Samples contribute their full value.
-        pub self_total_ns: u64,
-        pub min_ns: u64,
-        pub p50_ns: u64,
-        pub p95_ns: u64,
-        pub p99_ns: u64,
-        pub max_ns: u64,
-        /// Most frequent enclosing span, if this stage ever nested
-        /// (drives the indented run-report tree).
-        pub parent: Option<String>,
-        /// Mergeable quantile sketch over the same durations
-        /// (α = [`crate::telemetry::DEFAULT_ALPHA`]): lets runs be
-        /// combined after the fact with bounded error, unlike the exact
-        /// percentiles above which only describe this stream. The run
-        /// report draws its spread column from it.
-        pub sketch: QuantileSketch,
+    /// A thread's open spans, innermost last, each with the nanoseconds
+    /// its already-closed children consumed: the one self-time rule that
+    /// [`Summary::from_events`], the folded-stack export and the
+    /// streaming per-thread stages all apply.
+    #[derive(Debug, Default)]
+    pub(crate) struct OpenSpans(Vec<(&'static str, u64)>);
+
+    impl OpenSpans {
+        pub(crate) fn begin(&mut self, name: &'static str) {
+            self.0.push((name, 0));
+        }
+
+        /// Closes `name` after `dur` ns and returns its self-time.
+        /// Nesting is positional; an `End` that does not match the
+        /// innermost open span (dropped or truncated events) leaves the
+        /// stack as is and returns `None`: the span counts as a root
+        /// with its full duration as self-time, never a panic.
+        pub(crate) fn end(&mut self, name: &'static str, dur: u64) -> Option<u64> {
+            if self.0.last().map(|t| t.0) != Some(name) {
+                return None;
+            }
+            let (_, child_ns) = self.0.pop()?;
+            if let Some(top) = self.0.last_mut() {
+                top.1 += dur;
+            }
+            Some(dur.saturating_sub(child_ns))
+        }
+
+        /// The open span names, outermost first.
+        pub(crate) fn frames(&self) -> impl Iterator<Item = &'static str> + '_ {
+            self.0.iter().map(|t| t.0)
+        }
+    }
+
+    /// Running statistics of one stage: the sketch over its durations,
+    /// plus the exact total and self-time the sketch cannot carry.
+    #[derive(Debug, Clone, Default)]
+    pub(crate) struct StageAcc {
+        pub(crate) sketch: QuantileSketch,
+        total_ns: u64,
+        self_ns: u64,
+    }
+
+    impl StageAcc {
+        pub(crate) fn observe(&mut self, ns: u64, self_ns: u64) {
+            self.sketch.observe(ns);
+            self.total_ns += ns;
+            self.self_ns += self_ns;
+        }
+
+        pub(crate) fn merge(&mut self, other: &StageAcc) {
+            self.sketch.merge(&other.sketch);
+            self.total_ns += other.total_ns;
+            self.self_ns += other.self_ns;
+        }
+
+        pub(crate) fn record(&self) -> StageRecord {
+            StageRecord::new(self.sketch.clone(), self.total_ns, self.self_ns)
+        }
     }
 
     /// Everything the exporters need, aggregated from a flushed event
-    /// stream: per-stage duration statistics (from span ends and
-    /// duration samples) and summed counters.
-    #[derive(Debug, Clone, Default)]
+    /// stream: per-stage statistics (from span ends and duration
+    /// samples), summed counters, and the host the run executed on.
+    /// Encoded as-is, this is `perf_summary.json`.
+    #[derive(Debug, Clone, Default, PartialEq)]
     pub struct Summary {
-        /// Stage name → duration statistics, name-sorted.
-        pub stages: BTreeMap<String, StageStats>,
+        /// The fingerprint of the process that aggregated the stream.
+        pub host: HostFingerprint,
+        /// Stage name → statistics, name-sorted.
+        pub stages: BTreeMap<String, StageRecord>,
         /// Counter name → summed value, name-sorted.
         pub counters: BTreeMap<String, u64>,
     }
 
-    #[derive(Default)]
-    struct Acc {
-        ds: Vec<u64>,
-        self_ns: u64,
-        /// Enclosing-span name ("" = root) → occurrences.
-        parents: BTreeMap<&'static str, u64>,
-    }
+    crate::json_struct!(Summary { host, stages, counters });
 
     impl Summary {
-        /// Aggregates a flushed event stream ([`crate::take_events`]).
-        ///
-        /// Self-time uses the same positional nesting rule as
-        /// [`crate::build_forest`], but tolerates unbalanced streams
-        /// (dropped or truncated events): an `End` that does not match
-        /// the top of its thread's stack is attributed as a root span
-        /// with full self-time, never a panic.
+        /// Aggregates a flushed event stream ([`crate::take_events`]):
+        /// count, min, max, total and self-time are exact; p50/p95/p99
+        /// come from each stage's [`QuantileSketch`] (relative error α).
+        /// Self-time follows [`crate::build_forest`]'s positional
+        /// nesting, tolerating unbalanced streams (see `OpenSpans::end`).
         pub fn from_events(events: &[Event]) -> Summary {
-            let mut accs: BTreeMap<&'static str, Acc> = BTreeMap::new();
+            let mut accs: BTreeMap<&'static str, StageAcc> = BTreeMap::new();
+            // Enclosing-span name ("" = root) → occurrences, per stage.
+            let mut parents: BTreeMap<&'static str, BTreeMap<&'static str, u64>> = BTreeMap::new();
             let mut counters: BTreeMap<String, u64> = BTreeMap::new();
-            // Per-thread stack of (open span, ns consumed by its
-            // already-closed children).
-            let mut stacks: HashMap<u64, Vec<(&'static str, u64)>> = HashMap::new();
+            let mut stacks: HashMap<u64, OpenSpans> = HashMap::new();
             for e in events {
-                match e.phase {
-                    Phase::Begin => stacks.entry(e.tid).or_default().push((e.name, 0)),
+                let (self_ns, parent) = match e.phase {
+                    Phase::Begin => {
+                        stacks.entry(e.tid).or_default().begin(e.name);
+                        continue;
+                    }
                     Phase::End => {
                         let stack = stacks.entry(e.tid).or_default();
-                        let matched = stack.last().map(|t| t.0) == Some(e.name);
-                        let (self_ns, parent) = if matched {
-                            let (_, child_ns) = stack.pop().unwrap();
-                            if let Some(top) = stack.last_mut() {
-                                top.1 += e.value;
-                            }
-                            (e.value.saturating_sub(child_ns), stack.last().map(|t| t.0))
-                        } else {
-                            (e.value, None)
-                        };
-                        let acc = accs.entry(e.name).or_default();
-                        acc.ds.push(e.value);
-                        acc.self_ns += self_ns;
-                        *acc.parents.entry(parent.unwrap_or("")).or_insert(0) += 1;
+                        match stack.end(e.name, e.value) {
+                            Some(self_ns) => (self_ns, stack.frames().last().unwrap_or("")),
+                            None => (e.value, ""),
+                        }
                     }
-                    Phase::Sample => {
-                        let acc = accs.entry(e.name).or_default();
-                        acc.ds.push(e.value);
-                        acc.self_ns += e.value;
-                        *acc.parents.entry("").or_insert(0) += 1;
+                    Phase::Sample => (e.value, ""),
+                    Phase::Counter => {
+                        *counters.entry(e.name.to_string()).or_insert(0) += e.value;
+                        continue;
                     }
-                    Phase::Counter => *counters.entry(e.name.to_string()).or_insert(0) += e.value,
-                }
+                };
+                accs.entry(e.name).or_default().observe(e.value, self_ns);
+                *parents.entry(e.name).or_default().entry(parent).or_insert(0) += 1;
             }
             let stages = accs
                 .into_iter()
-                .filter(|(_, acc)| !acc.ds.is_empty())
                 .map(|(name, acc)| {
-                    let mut ds = acc.ds;
-                    ds.sort_unstable();
-                    let pct = |p: f64| ds[((ds.len() - 1) as f64 * p).round() as usize];
-                    let mut sketch = QuantileSketch::default();
-                    for &d in &ds {
-                        sketch.observe(d);
-                    }
+                    let mut rec = acc.record();
                     // Dominant parent; ties break toward "" (root,
                     // which sorts first) then lexicographically.
-                    let parent = acc
-                        .parents
+                    rec.parent = parents[name]
                         .iter()
                         .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(a.0)))
                         .map(|(&p, _)| p)
                         .filter(|p| !p.is_empty())
                         .map(str::to_string);
-                    let stats = StageStats {
-                        count: ds.len() as u64,
-                        total_ns: ds.iter().sum(),
-                        self_total_ns: acc.self_ns,
-                        min_ns: ds[0],
-                        p50_ns: pct(0.50),
-                        p95_ns: pct(0.95),
-                        p99_ns: pct(0.99),
-                        max_ns: ds[ds.len() - 1],
-                        parent,
-                        sketch,
-                    };
-                    (name.to_string(), stats)
+                    (name.to_string(), rec)
                 })
                 .collect();
-            Summary { stages, counters }
+            Summary { host: HostFingerprint::detect(), stages, counters }
         }
     }
 }
@@ -262,20 +266,50 @@ mod tests {
 
     #[test]
     fn summary_sketch_agrees_with_exact_percentiles() {
-        // Acceptance bound: the streaming sketch must land within its
-        // documented α of the retained-sample exact percentiles.
-        let mk = |value| Event { name: "s", phase: Phase::Sample, ts_ns: 0, tid: 0, value };
-        let events: Vec<Event> = (1..=5000u64).map(|i| mk(i * 37 % 100_000 + 1)).collect();
+        // A fixed nested stream: count, min, max, total and self-time
+        // must equal the exact sort-based computation; each quantile
+        // must sit within the sketch's α of the exact order statistic
+        // (rank round(q·(n-1))) and inside [min, max].
+        let mut lcg = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |bound: u64| {
+            lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            1 + (lcg >> 33) % bound
+        };
+        let ev = |name, phase, value| Event { name, phase, ts_ns: 0, tid: 3, value };
+        let (mut inner, mut outer, mut outer_self) = (Vec::new(), Vec::new(), 0u64);
+        let mut events = Vec::new();
+        for _ in 0..5000 {
+            let (d, extra) = (next(100_000), next(1_000));
+            events.extend([
+                ev("outer", Phase::Begin, 0),
+                ev("inner", Phase::Begin, 0),
+                ev("inner", Phase::End, d),
+                ev("outer", Phase::End, d + extra),
+            ]);
+            inner.push(d);
+            outer.push(d + extra);
+            outer_self += extra;
+        }
         let s = Summary::from_events(&events);
-        let st = &s.stages["s"];
-        assert_eq!(st.sketch.count(), st.count);
-        for (exact, q) in [(st.p50_ns, 0.50), (st.p95_ns, 0.95), (st.p99_ns, 0.99)] {
-            let est = st.sketch.quantile(q).unwrap();
-            let bound = st.sketch.alpha() * exact as f64 + 1.0;
-            assert!(
-                (est as f64 - exact as f64).abs() <= bound,
-                "sketch q{q}: {est} vs exact {exact} (bound {bound})"
-            );
+        for (name, mut exact, self_ns) in
+            [("inner", inner.clone(), inner.iter().sum()), ("outer", outer, outer_self)]
+        {
+            exact.sort_unstable();
+            let st = &s.stages[name];
+            assert_eq!(st.count, exact.len() as u64);
+            assert_eq!((st.min_ns, st.max_ns), (exact[0], exact[exact.len() - 1]));
+            assert_eq!(st.total_ns, exact.iter().sum::<u64>());
+            assert_eq!(st.self_total_ns, self_ns);
+            let alpha = st.sketch.as_ref().unwrap().alpha();
+            for (est, q) in [(st.p50_ns, 0.50), (st.p95_ns, 0.95), (st.p99_ns, 0.99)] {
+                let truth = exact[((exact.len() - 1) as f64 * q).round() as usize];
+                let bound = alpha * truth as f64 + 1.0;
+                assert!(
+                    (est as f64 - truth as f64).abs() <= bound,
+                    "{name} q{q}: {est} vs exact {truth} (bound {bound})"
+                );
+                assert!(st.min_ns <= est && est <= st.max_ns, "{name} q{q} outside [min, max]");
+            }
         }
     }
 

@@ -1,16 +1,20 @@
 //! RAII spans, per-thread event buffers, and the global flush path.
 //!
 //! Each thread that records events owns one ring buffer, registered in
-//! a global list on the thread's first event. The hot path locks only
+//! a global list on the thread's first event, plus its streaming
+//! per-stage statistics ([`stream_stages`]). The hot path locks only
 //! the thread's *own* buffer — uncontended except during a concurrent
-//! [`take_events`] flush — so threads never serialize against each
+//! flush or streaming read — so threads never serialize against each
 //! other while tracing. Buffers are rings: when a thread outruns
 //! [`RING_CAPACITY`] the oldest events are dropped (and counted), so
 //! tracing can stay on across arbitrarily long runs with bounded
 //! memory.
 
+use crate::ledger::StageRecord;
+use crate::telemetry::QuantileSketch;
+use crate::{OpenSpans, StageAcc};
 use std::cell::RefCell;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -52,15 +56,24 @@ fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
-/// Nanoseconds since the trace epoch (first use wins).
-pub(crate) fn now_ns() -> u64 {
+/// Nanoseconds since the process-wide trace epoch (first use wins) —
+/// the clock span events and `telemetry::RequestRecord::start_ns` are
+/// stamped with, so request producers outside this crate timestamp
+/// consistently with the trace stream.
+pub fn now_ns() -> u64 {
     epoch().elapsed().as_nanos() as u64
 }
 
+#[derive(Default)]
 struct Ring {
     events: VecDeque<Event>,
     /// Events discarded because the ring was full.
     dropped: u64,
+    /// This thread's streaming statistics per stage: never drained,
+    /// bounded by the distinct `'static` stage names.
+    stages: BTreeMap<&'static str, StageAcc>,
+    /// Spans open on this thread, for the streaming self-time.
+    open: OpenSpans,
 }
 
 struct ThreadBuf {
@@ -71,6 +84,15 @@ struct ThreadBuf {
 impl ThreadBuf {
     fn push(&self, e: Event) {
         let mut ring = self.ring.lock().unwrap();
+        match e.phase {
+            Phase::Begin => ring.open.begin(e.name),
+            Phase::End => {
+                let self_ns = ring.open.end(e.name, e.value).unwrap_or(e.value);
+                ring.stages.entry(e.name).or_default().observe(e.value, self_ns);
+            }
+            Phase::Sample => ring.stages.entry(e.name).or_default().observe(e.value, e.value),
+            Phase::Counter => {}
+        }
         if ring.events.len() == RING_CAPACITY {
             ring.events.pop_front();
             ring.dropped += 1;
@@ -79,9 +101,11 @@ impl ThreadBuf {
     }
 }
 
-fn registry() -> &'static Mutex<Vec<Arc<ThreadBuf>>> {
-    static REGISTRY: OnceLock<Mutex<Vec<Arc<ThreadBuf>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
+static REGISTRY: Mutex<Vec<Arc<ThreadBuf>>> = Mutex::new(Vec::new());
+
+/// Every thread buffer ever registered (exited threads included).
+fn threads() -> Vec<Arc<ThreadBuf>> {
+    REGISTRY.lock().unwrap().clone()
 }
 
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
@@ -90,19 +114,60 @@ thread_local! {
     static LOCAL: RefCell<Option<Arc<ThreadBuf>>> = const { RefCell::new(None) };
 }
 
+/// Appends one event to the calling thread's ring and, for span ends
+/// and samples, to its streaming stage statistics.
 pub(crate) fn record(name: &'static str, phase: Phase, ts_ns: u64, value: u64) {
     LOCAL.with(|local| {
         let mut local = local.borrow_mut();
         let buf = local.get_or_insert_with(|| {
             let buf = Arc::new(ThreadBuf {
                 tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
-                ring: Mutex::new(Ring { events: VecDeque::new(), dropped: 0 }),
+                ring: Mutex::new(Ring::default()),
             });
-            registry().lock().unwrap().push(Arc::clone(&buf));
+            REGISTRY.lock().unwrap().push(Arc::clone(&buf));
             buf
         });
         buf.push(Event { name, phase, ts_ns, tid: buf.tid, value });
     });
+}
+
+/// Every thread's streaming statistics merged per stage. Exact: each
+/// merged sketch equals one fed the concatenated durations.
+fn stream_merged() -> BTreeMap<&'static str, StageAcc> {
+    let mut merged: BTreeMap<&'static str, StageAcc> = BTreeMap::new();
+    for buf in threads() {
+        for (&name, acc) in &buf.ring.lock().unwrap().stages {
+            merged.entry(name).or_default().merge(acc);
+        }
+    }
+    merged
+}
+
+/// The live per-stage records of every span and sample recorded since
+/// start (or [`stream_reset`]), across all threads.
+pub fn stream_stages() -> BTreeMap<String, StageRecord> {
+    stream_merged().into_iter().map(|(name, acc)| (name.to_string(), acc.record())).collect()
+}
+
+/// The live per-stage sketches, merged across threads.
+pub fn stream_sketches() -> BTreeMap<&'static str, QuantileSketch> {
+    stream_merged().into_iter().map(|(name, acc)| (name, acc.sketch)).collect()
+}
+
+/// Clears every thread's streaming statistics (tests).
+pub fn stream_reset() {
+    for buf in threads() {
+        buf.ring.lock().unwrap().stages.clear();
+    }
+}
+
+/// Total heap footprint of the per-thread streaming sketches, for
+/// bounded-memory assertions.
+pub fn stream_footprint_bytes() -> usize {
+    let sketch_bytes = |buf: &Arc<ThreadBuf>| -> usize {
+        buf.ring.lock().unwrap().stages.values().map(|a| a.sketch.footprint_bytes()).sum()
+    };
+    threads().iter().map(sketch_bytes).sum()
 }
 
 /// An open span; records its `End` event (with duration) on drop.
@@ -132,9 +197,7 @@ impl Drop for Span {
     fn drop(&mut self) {
         if self.active {
             let end = now_ns();
-            let dur = end - self.start_ns;
-            record(self.name, Phase::End, end, dur);
-            crate::telemetry::stream_observe(self.name, dur);
+            record(self.name, Phase::End, end, end - self.start_ns);
         }
     }
 }
@@ -155,7 +218,6 @@ pub fn counter(name: &'static str, value: u64) {
 pub fn observe_ns(name: &'static str, ns: u64) {
     if crate::enabled() {
         record(name, Phase::Sample, now_ns(), ns);
-        crate::telemetry::stream_observe(name, ns);
     }
 }
 
@@ -168,7 +230,6 @@ pub fn observe_ns(name: &'static str, ns: u64) {
 pub fn observe(name: &'static str, value: u64) {
     if crate::enabled() {
         record(name, Phase::Sample, now_ns(), value);
-        crate::telemetry::stream_observe(name, value);
     }
 }
 
@@ -177,9 +238,8 @@ pub fn observe(name: &'static str, value: u64) {
 /// still open when this is called are *not* included — flush after the
 /// work being traced has completed.
 pub fn take_events() -> Vec<Event> {
-    let bufs: Vec<Arc<ThreadBuf>> = registry().lock().unwrap().clone();
     let mut all = Vec::new();
-    for buf in bufs {
+    for buf in threads() {
         let mut ring = buf.ring.lock().unwrap();
         all.extend(ring.events.drain(..));
     }
@@ -192,9 +252,8 @@ pub fn take_events() -> Vec<Event> {
 /// Total events dropped to ring overflow since the last drain, across
 /// all threads.
 pub fn dropped_events() -> u64 {
-    let bufs: Vec<Arc<ThreadBuf>> = registry().lock().unwrap().clone();
     let mut total = 0;
-    for buf in bufs {
+    for buf in threads() {
         let mut ring = buf.ring.lock().unwrap();
         total += ring.dropped;
         ring.dropped = 0;

@@ -1,57 +1,56 @@
 //! Streaming telemetry for infinite-lifetime processes.
 //!
-//! The exporters in [`crate::export`] assume a *bounded* run: raw
-//! samples are retained per stage and everything flushes at process
-//! exit. A long-lived selection daemon breaks both assumptions, so this
-//! module keeps a second, always-on aggregation path whose memory is
-//! constant after warm-up:
+//! The exporters in [`crate::export`] aggregate a *bounded*, flushed
+//! event stream. A long-lived selection daemon never flushes, so this
+//! module keeps the live views whose memory is constant after warm-up:
 //!
 //! * [`QuantileSketch`] — a DDSketch-style mergeable quantile sketch
 //!   with log-γ buckets: relative error is bounded by a fixed α, two
 //!   sketches over disjoint streams merge *exactly* (the merged sketch
 //!   is bit-identical to one built from the concatenated stream), and
 //!   the footprint is hard-capped by the bucket range of `u64`.
-//! * A **streaming stage registry**: every closing span and duration
-//!   sample also lands in a per-stage sketch (one global map keyed by
-//!   the `'static` stage name), so quantiles stay queryable while the
-//!   process runs — no flush, no retained samples.
+//! * **Streaming stages**: every closing span and duration sample also
+//!   lands in its thread's per-stage sketch, updated under the ring
+//!   lock the event itself takes; [`stream_stages`] merges the threads
+//!   on read, so quantiles stay queryable while the process runs — no
+//!   flush, no retained samples.
 //! * A **per-request flight recorder**: selection requests record a
 //!   bounded ring of [`RequestRecord`]s (method, cascade stage, margin,
-//!   predicted vs measured seconds). A request whose
-//!   latency exceeds a configurable quantile of recent history dumps
-//!   the surrounding window as a loadable Chrome-trace JSON — the
-//!   "black box" for post-hoc analysis of one slow request.
-//! * A **drift gauge**: `wise-core`'s prediction-drift monitor mirrors
-//!   its windowed EWMAs here so exports and snapshots can carry them
-//!   without a dependency cycle.
-//! * A **periodic snapshot exporter**: a background thread renders the
-//!   above to `metrics_snapshot.json` every N seconds (atomic
-//!   tmp+rename), the feed for the `wise-top` live view.
+//!   predicted vs measured seconds). A request whose latency exceeds
+//!   the [`FLIGHT_QUANTILE`] of recent history dumps the surrounding
+//!   window as a loadable Chrome-trace JSON — the "black box" for
+//!   post-hoc analysis of one slow request.
+//! * A **drift gauge**: `wise-core`'s prediction-drift monitor
+//!   publishes its [`DriftRecord`] here so exports and snapshots can
+//!   carry it without a dependency cycle.
+//! * A **periodic snapshot exporter**: a background thread writes the
+//!   above as a [`Snapshot`] to `metrics_snapshot.json` every
+//!   [`SNAPSHOT_INTERVAL`] (atomic tmp+rename), the feed for the
+//!   `wise-top` live view.
 //!
-//! # Knobs
-//!
-//! All on the [`crate::env_knob`] grammar: `WISE_TELEMETRY=0|off`
-//! disables the streaming registry and the flight recorder (spans then
-//! cost exactly what they did before this module existed);
-//! `WISE_FLIGHT_QUANTILE` moves the anomaly threshold (default 0.99);
-//! `WISE_FLIGHT_DIR` makes anomaly dumps land as files;
-//! `WISE_SNAPSHOT` / `WISE_SNAPSHOT_SECS` drive the snapshot thread.
+//! Two path knobs drive the file outputs: `WISE_FLIGHT_DIR` makes
+//! anomaly dumps land as files, `WISE_SNAPSHOT` starts the snapshot
+//! thread.
 
-use crate::env_knob::Knob;
 use crate::export::json::{FromJson, JsonError, ToJson, Value};
+use crate::ledger::StageRecord;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
+
+pub use crate::span::{
+    now_ns, stream_footprint_bytes, stream_reset, stream_sketches, stream_stages,
+};
 
 // ---------------------------------------------------------------------
 // Mergeable relative-error quantile sketch
 // ---------------------------------------------------------------------
 
 /// Default relative-error bound α for every sketch the workspace
-/// creates (stage registry, flight recorder, [`crate::Summary`]).
+/// creates (streaming stages, flight recorder, [`crate::Summary`]).
 pub const DEFAULT_ALPHA: f64 = 0.01;
 
 /// A DDSketch-style quantile sketch over `u64` values (nanoseconds by
@@ -107,10 +106,6 @@ impl QuantileSketch {
 
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    pub fn sum(&self) -> f64 {
-        self.sum
     }
 
     pub fn min(&self) -> Option<u64> {
@@ -345,120 +340,24 @@ impl PartialEq for QuantileSketch {
 }
 
 // ---------------------------------------------------------------------
-// WISE_TELEMETRY gate
-// ---------------------------------------------------------------------
-
-const TELEMETRY_KNOB: Knob =
-    Knob::new("WISE_TELEMETRY", "a telemetry mode (expected 0/off, 1/on, or auto)");
-
-const T_UNINIT: u8 = 0;
-const T_OFF: u8 = 1;
-const T_ON: u8 = 2;
-
-static TELEMETRY: AtomicU8 = AtomicU8::new(T_UNINIT);
-
-/// Whether the streaming registry and the flight recorder are live.
-/// Defaults to on (`WISE_TELEMETRY=0|off` disables); one relaxed atomic
-/// load after the first call.
-#[inline]
-pub fn telemetry_enabled() -> bool {
-    match TELEMETRY.load(Ordering::Relaxed) {
-        T_ON => true,
-        T_OFF => false,
-        _ => telemetry_from_env(),
-    }
-}
-
-#[cold]
-fn telemetry_from_env() -> bool {
-    let on = TELEMETRY_KNOB
-        .read("trace.telemetry_env_invalid", "telemetry stays on", |norm| match norm {
-            "0" | "off" => Some(false),
-            "1" | "on" | "auto" => Some(true),
-            _ => None,
-        })
-        .unwrap_or(true);
-    TELEMETRY.store(if on { T_ON } else { T_OFF }, Ordering::Relaxed);
-    on
-}
-
-/// Overrides the `WISE_TELEMETRY` gate (tests, the overhead benchmark).
-pub fn set_telemetry_enabled(on: bool) {
-    TELEMETRY.store(if on { T_ON } else { T_OFF }, Ordering::Relaxed);
-}
-
-// ---------------------------------------------------------------------
-// Streaming per-stage sketch registry
-// ---------------------------------------------------------------------
-
-fn stream() -> &'static Mutex<BTreeMap<&'static str, QuantileSketch>> {
-    static STREAM: OnceLock<Mutex<BTreeMap<&'static str, QuantileSketch>>> = OnceLock::new();
-    STREAM.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
-/// Feeds one duration/value into the named stage's streaming sketch.
-/// Called by every closing span and duration sample when tracing and
-/// telemetry are both on; bounded memory (one sketch per distinct
-/// `'static` stage name).
-pub(crate) fn stream_observe(name: &'static str, value: u64) {
-    if !telemetry_enabled() {
-        return;
-    }
-    let mut map = match stream().lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
-    };
-    map.entry(name).or_default().observe(value);
-}
-
-/// Snapshot (clone) of the streaming stage sketches.
-pub fn stream_sketches() -> BTreeMap<&'static str, QuantileSketch> {
-    match stream().lock() {
-        Ok(g) => g.clone(),
-        Err(p) => p.into_inner().clone(),
-    }
-}
-
-/// Clears the streaming registry (tests).
-pub fn stream_reset() {
-    match stream().lock() {
-        Ok(mut g) => g.clear(),
-        Err(mut p) => p.get_mut().clear(),
-    }
-}
-
-/// Total heap footprint of the streaming registry, for bounded-memory
-/// assertions.
-pub fn stream_footprint_bytes() -> usize {
-    stream_sketches().values().map(QuantileSketch::footprint_bytes).sum()
-}
-
-// ---------------------------------------------------------------------
 // Request ids + flight recorder
 // ---------------------------------------------------------------------
-
-/// Nanoseconds on the shared trace epoch — the clock span events and
-/// [`RequestRecord::start_ns`] are stamped with. Public so request
-/// producers outside this crate (the selection pipeline) can timestamp
-/// records consistently with the trace stream.
-pub fn now_ns() -> u64 {
-    crate::span::now_ns()
-}
 
 /// Ring capacity of the flight recorder, in requests.
 pub const FLIGHT_RING_CAPACITY: usize = 512;
 
-/// Latency-history window size: the anomaly threshold is the configured
-/// quantile over the current plus previous window (so "recent" spans at
-/// most `2 × FLIGHT_WINDOW` requests).
+/// Latency-history window size: the anomaly threshold is the
+/// [`FLIGHT_QUANTILE`] over the current plus previous window (so
+/// "recent" spans at most `2 × FLIGHT_WINDOW` requests).
 pub const FLIGHT_WINDOW: u64 = 1024;
 
 /// Minimum latency history before the anomaly trigger arms — a cold
 /// recorder never fires on its first requests.
 pub const FLIGHT_MIN_HISTORY: u64 = 64;
 
-const FLIGHT_QUANTILE_KNOB: Knob =
-    Knob::new("WISE_FLIGHT_QUANTILE", "a quantile in (0, 1), e.g. 0.99");
+/// The latency quantile of recent history above which a request is
+/// flagged as an anomaly.
+pub const FLIGHT_QUANTILE: f64 = 0.99;
 
 /// One selection request, as the flight recorder keeps it.
 #[derive(Debug, Clone, PartialEq)]
@@ -492,6 +391,8 @@ pub struct FlightStats {
     pub threshold_ns: Option<u64>,
 }
 
+crate::json_struct!(FlightStats { requests, anomalies, ring_len, threshold_ns });
+
 struct FlightState {
     ring: VecDeque<RequestRecord>,
     window: QuantileSketch,
@@ -502,11 +403,23 @@ struct FlightState {
     /// window's worth of requests).
     last_dump_at: u64,
     last_dump: Option<String>,
-    quantile: f64,
     dir: Option<PathBuf>,
 }
 
 impl FlightState {
+    fn cold(dir: Option<PathBuf>) -> FlightState {
+        FlightState {
+            ring: VecDeque::with_capacity(FLIGHT_RING_CAPACITY),
+            window: QuantileSketch::default(),
+            prior: QuantileSketch::default(),
+            requests: 0,
+            anomalies: 0,
+            last_dump_at: 0,
+            last_dump: None,
+            dir,
+        }
+    }
+
     fn threshold_ns(&self) -> Option<u64> {
         let mut hist = self.prior.clone();
         hist.merge(&self.window);
@@ -517,38 +430,17 @@ impl FlightState {
         // quantile by up to α (relative), and a request sitting exactly
         // at the quantile must never flag. The armed threshold is an
         // upper bound on the true quantile value.
-        let est = hist.quantile(self.quantile)? as f64;
+        let est = hist.quantile(FLIGHT_QUANTILE)? as f64;
         let gamma = (1.0 + hist.alpha()) / (1.0 - hist.alpha());
         Some((est * gamma).ceil() as u64)
     }
 }
 
-fn flight() -> &'static Mutex<FlightState> {
-    static FLIGHT: OnceLock<Mutex<FlightState>> = OnceLock::new();
-    FLIGHT.get_or_init(|| {
-        let quantile = FLIGHT_QUANTILE_KNOB
-            .read("trace.flight_env_invalid", "keeping the default 0.99 quantile", |norm| {
-                norm.parse::<f64>().ok().filter(|q| *q > 0.0 && *q < 1.0)
-            })
-            .unwrap_or(0.99);
-        let dir =
-            std::env::var("WISE_FLIGHT_DIR").ok().filter(|d| !d.is_empty()).map(PathBuf::from);
-        Mutex::new(FlightState {
-            ring: VecDeque::with_capacity(FLIGHT_RING_CAPACITY),
-            window: QuantileSketch::default(),
-            prior: QuantileSketch::default(),
-            requests: 0,
-            anomalies: 0,
-            last_dump_at: 0,
-            last_dump: None,
-            quantile,
-            dir,
-        })
-    })
-}
-
 fn flight_lock() -> std::sync::MutexGuard<'static, FlightState> {
-    flight().lock().unwrap_or_else(|p| p.into_inner())
+    static FLIGHT: OnceLock<Mutex<FlightState>> = OnceLock::new();
+    let dir = || std::env::var("WISE_FLIGHT_DIR").ok().filter(|d| !d.is_empty()).map(PathBuf::from);
+    let flight = FLIGHT.get_or_init(|| Mutex::new(FlightState::cold(dir())));
+    flight.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 static NEXT_REQUEST: AtomicU64 = AtomicU64::new(1);
@@ -570,37 +462,29 @@ pub fn current_request() -> u64 {
     CURRENT_REQUEST.with(|c| c.get())
 }
 
-/// Sets the calling thread's request id, returning the previous one
-/// (restore it when the scope ends — see [`RequestScope`]).
-pub fn set_current_request(id: u64) -> u64 {
-    CURRENT_REQUEST.with(|c| c.replace(id))
-}
-
-/// RAII scope for [`set_current_request`].
+/// Sets the calling thread's request id until dropped, then restores
+/// the previous one.
 pub struct RequestScope {
     prior: u64,
 }
 
 impl RequestScope {
     pub fn enter(id: u64) -> RequestScope {
-        RequestScope { prior: set_current_request(id) }
+        RequestScope { prior: CURRENT_REQUEST.with(|c| c.replace(id)) }
     }
 }
 
 impl Drop for RequestScope {
     fn drop(&mut self) {
-        set_current_request(self.prior);
+        CURRENT_REQUEST.with(|c| c.set(self.prior));
     }
 }
 
 /// Records one completed selection request into the flight ring,
 /// updates the latency history, and fires the anomaly trigger when the
-/// request's latency exceeds the configured quantile of recent history.
+/// request's latency exceeds the [`FLIGHT_QUANTILE`] of recent history.
 /// Returns `true` when the request was flagged as an anomaly.
 pub fn record_request(rec: RequestRecord) -> bool {
-    if !telemetry_enabled() {
-        return false;
-    }
     let mut st = flight_lock();
     // Threshold first: the request must not raise the bar it is judged
     // against.
@@ -635,7 +519,7 @@ pub fn record_request(rec: RequestRecord) -> bool {
 /// Fills in the measured execution time of a recorded request (matched
 /// by id in the live ring; a no-op once the request aged out).
 pub fn note_measured(id: u64, seconds: f64) {
-    if !telemetry_enabled() || id == 0 {
+    if id == 0 {
         return;
     }
     let mut st = flight_lock();
@@ -666,21 +550,10 @@ pub fn flight_ring() -> Vec<RequestRecord> {
     flight_lock().ring.iter().cloned().collect()
 }
 
-/// Overrides the anomaly quantile (tests; clamped into `(0, 1)`).
-pub fn set_flight_quantile(q: f64) {
-    flight_lock().quantile = q.clamp(1e-6, 1.0 - 1e-6);
-}
-
 /// Resets the recorder to cold state (tests).
 pub fn flight_reset() {
     let mut st = flight_lock();
-    st.ring.clear();
-    st.window = QuantileSketch::default();
-    st.prior = QuantileSketch::default();
-    st.requests = 0;
-    st.anomalies = 0;
-    st.last_dump_at = 0;
-    st.last_dump = None;
+    *st = FlightState::cold(st.dir.take());
 }
 
 /// Renders the ring window around an anomaly as Chrome-trace JSON: one
@@ -689,57 +562,54 @@ pub fn flight_reset() {
 /// at the offending request. Loads in Perfetto and passes the
 /// `check_trace` balance validator.
 fn flight_dump_json(ring: &VecDeque<RequestRecord>, anomaly_id: u64, threshold_ns: u64) -> String {
+    use crate::export::json::write_member;
     use std::fmt::Write as _;
     let mut out = String::with_capacity(ring.len() * 256 + 64);
-    out.push_str("{\"traceEvents\":[\n");
-    let mut first = true;
-    let mut sep = |out: &mut String| {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-    };
+    out.push_str("{\"traceEvents\":[");
     for rec in ring {
-        let ts_us = rec.start_ns as f64 / 1000.0;
-        let end_us = (rec.start_ns + rec.latency_ns) as f64 / 1000.0;
-        sep(&mut out);
+        let end_us = (rec.start_ns + rec.latency_ns) as f64 / 1e3;
+        let event = |ph: &str, ts_us: f64| {
+            format!(
+                "\n{{\"name\":\"request\",\"cat\":\"flight\",\"ph\":\"{ph}\",\"ts\":{ts_us:.3},\
+                 \"pid\":1,\"tid\":{}",
+                rec.id
+            )
+        };
         let _ = write!(
             out,
-            "{{\"name\":\"request\",\"cat\":\"flight\",\"ph\":\"B\",\"ts\":{ts_us:.3},\
-             \"pid\":1,\"tid\":{}}}",
-            rec.id
+            "{}}},{},\"args\":",
+            event("B", rec.start_ns as f64 / 1e3),
+            event("E", end_us)
         );
-        sep(&mut out);
-        let _ = write!(
-            out,
-            "{{\"name\":\"request\",\"cat\":\"flight\",\"ph\":\"E\",\"ts\":{end_us:.3},\
-             \"pid\":1,\"tid\":{},\"args\":{{\"id\":{},\"method\":\"",
-            rec.id, rec.id
-        );
-        crate::export::write_escaped(&mut out, &rec.method);
-        let _ = write!(out, "\",\"stage\":\"{}\"", rec.stage);
+        let mut sep = '{';
+        write_member(&mut out, &mut sep, "id", &rec.id);
+        write_member(&mut out, &mut sep, "method", &rec.method);
+        write_member(&mut out, &mut sep, "stage", rec.stage);
         // Non-finite floats (e.g. the f64::MAX all-leaves margin after
-        // arithmetic) would render as invalid JSON; drop them instead.
-        if let Some(m) = rec.margin.filter(|m| m.is_finite()) {
-            let _ = write!(out, ",\"margin\":{m}");
+        // arithmetic) are left out.
+        let floats = [
+            ("margin", rec.margin),
+            ("predicted_s", rec.predicted_s),
+            ("measured_s", rec.measured_s),
+        ];
+        for (name, v) in floats {
+            if let Some(v) = v.filter(|v| v.is_finite()) {
+                write_member(&mut out, &mut sep, name, &v);
+            }
         }
-        if let Some(p) = rec.predicted_s.filter(|p| p.is_finite()) {
-            let _ = write!(out, ",\"predicted_s\":{p}");
-        }
-        if let Some(m) = rec.measured_s.filter(|m| m.is_finite()) {
-            let _ = write!(out, ",\"measured_s\":{m}");
-        }
-        out.push_str("}}");
+        out.push_str("}},");
         if rec.id == anomaly_id {
-            sep(&mut out);
             let _ = write!(
                 out,
-                "{{\"name\":\"flight.anomaly\",\"cat\":\"flight\",\"ph\":\"i\",\"s\":\"g\",\
+                "\n{{\"name\":\"flight.anomaly\",\"cat\":\"flight\",\"ph\":\"i\",\"s\":\"g\",\
                  \"ts\":{end_us:.3},\"pid\":1,\"tid\":{},\
-                 \"args\":{{\"latency_ns\":{},\"threshold_ns\":{threshold_ns}}}}}",
+                 \"args\":{{\"latency_ns\":{},\"threshold_ns\":{threshold_ns}}}}},",
                 rec.id, rec.latency_ns
             );
         }
+    }
+    if out.ends_with(',') {
+        out.pop();
     }
     out.push_str("\n],\"displayTimeUnit\":\"ns\"}\n");
     out
@@ -760,21 +630,25 @@ fn write_flight_dump(dir: &Path, id: u64, dump: &str) {
 }
 
 // ---------------------------------------------------------------------
-// Drift gauge (mirrored by wise-core's drift monitor)
+// Drift gauge (published by wise-core's drift monitor)
 // ---------------------------------------------------------------------
 
-/// Coarse drift verdict, as the run report / ledger / snapshot carry
-/// it. Computed by `wise_core::drift`; mirrored here so the
-/// dependency-free exporters can render it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The drift monitor's verdict on the deployed model (computed by
+/// `wise_core::drift`, which re-exports it as `DriftStatus`). Ordered
+/// by severity. Encoded as its [`DriftLevel::label`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DriftLevel {
+    /// Predictions and gate behavior match calibration.
     Stable,
+    /// One signal crossed its warning level; watch the trend.
     Warning,
+    /// Sustained divergence — retrain (or recalibrate the gate) on the
+    /// current workload.
     RetrainSuggested,
 }
 
 impl DriftLevel {
-    /// Stable snake-ish label used in every export.
+    /// Stable label used in every export.
     pub fn label(self) -> &'static str {
         match self {
             DriftLevel::Stable => "stable",
@@ -782,21 +656,29 @@ impl DriftLevel {
             DriftLevel::RetrainSuggested => "retrain-suggested",
         }
     }
+}
 
-    pub fn parse(s: &str) -> Option<DriftLevel> {
-        match s {
-            "stable" => Some(DriftLevel::Stable),
-            "warning" => Some(DriftLevel::Warning),
-            "retrain-suggested" => Some(DriftLevel::RetrainSuggested),
-            _ => None,
-        }
+impl ToJson for DriftLevel {
+    fn write_json(&self, out: &mut String) {
+        self.label().write_json(out)
     }
 }
 
-/// One exported drift reading.
+impl FromJson for DriftLevel {
+    fn from_json(v: &Value) -> Result<Self, JsonError> {
+        let label = String::from_json(v)?;
+        [DriftLevel::Stable, DriftLevel::Warning, DriftLevel::RetrainSuggested]
+            .into_iter()
+            .find(|l| l.label() == label)
+            .ok_or_else(|| JsonError::Invalid(format!("unknown drift status {label:?}")))
+    }
+}
+
+/// One drift reading, as the gauge, the snapshot and the ledger carry
+/// it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DriftSnapshot {
-    pub level: DriftLevel,
+pub struct DriftRecord {
+    pub status: DriftLevel,
     /// EWMA of measured/predicted execution time, permille.
     pub regret_permille: u64,
     /// EWMA of the cascade fallthrough indicator, permille.
@@ -805,103 +687,74 @@ pub struct DriftSnapshot {
     pub observed: u64,
 }
 
-static DRIFT_LEVEL: AtomicU8 = AtomicU8::new(0);
-static DRIFT_REGRET: AtomicU64 = AtomicU64::new(0);
-static DRIFT_FALLTHROUGH: AtomicU64 = AtomicU64::new(0);
-static DRIFT_OBSERVED: AtomicU64 = AtomicU64::new(0);
+crate::json_struct!(DriftRecord { status, regret_permille, fallthrough_permille, observed });
+
+static DRIFT: Mutex<DriftRecord> = Mutex::new(DriftRecord {
+    status: DriftLevel::Stable,
+    regret_permille: 0,
+    fallthrough_permille: 0,
+    observed: 0,
+});
 
 /// Publishes the drift monitor's current reading (called by
 /// `wise_core::drift` after each observation).
-pub fn set_drift_gauge(snapshot: DriftSnapshot) {
-    let code = match snapshot.level {
-        DriftLevel::Stable => 0,
-        DriftLevel::Warning => 1,
-        DriftLevel::RetrainSuggested => 2,
-    };
-    DRIFT_LEVEL.store(code, Ordering::Relaxed);
-    DRIFT_REGRET.store(snapshot.regret_permille, Ordering::Relaxed);
-    DRIFT_FALLTHROUGH.store(snapshot.fallthrough_permille, Ordering::Relaxed);
-    DRIFT_OBSERVED.store(snapshot.observed, Ordering::Relaxed);
+pub fn set_drift_gauge(reading: DriftRecord) {
+    *DRIFT.lock().unwrap_or_else(|p| p.into_inner()) = reading;
 }
 
 /// The last published drift reading (all-zero `Stable` before the
 /// monitor ever reported).
-pub fn drift_gauge() -> DriftSnapshot {
-    let level = match DRIFT_LEVEL.load(Ordering::Relaxed) {
-        1 => DriftLevel::Warning,
-        2 => DriftLevel::RetrainSuggested,
-        _ => DriftLevel::Stable,
-    };
-    DriftSnapshot {
-        level,
-        regret_permille: DRIFT_REGRET.load(Ordering::Relaxed),
-        fallthrough_permille: DRIFT_FALLTHROUGH.load(Ordering::Relaxed),
-        observed: DRIFT_OBSERVED.load(Ordering::Relaxed),
-    }
+pub fn drift_gauge() -> DriftRecord {
+    *DRIFT.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 // ---------------------------------------------------------------------
 // Periodic snapshot exporter
 // ---------------------------------------------------------------------
 
-const SNAPSHOT_SECS_KNOB: Knob = Knob::new("WISE_SNAPSHOT_SECS", "a positive number of seconds");
+/// Bump when the `metrics_snapshot.json` layout changes.
+pub const SNAPSHOT_SCHEMA: u64 = 2;
 
-/// Renders the live telemetry state (streaming sketches, drift gauge,
-/// flight stats) as `metrics_snapshot.json` content. Pure read — does
-/// not drain the trace rings, so it can run forever alongside them.
-pub fn snapshot_json() -> String {
-    use std::fmt::Write as _;
-    let stages = stream_sketches();
-    let drift = drift_gauge();
-    let fs = flight_stats();
-    let mut out = String::with_capacity(1024);
-    out.push_str("{\n");
-    let _ = write!(out, "  \"schema_version\": 1,\n  \"ts_ns\": {},\n", crate::span::now_ns());
-    let _ = writeln!(out, "  \"dropped_events\": {},", crate::dropped_events());
-    out.push_str("  \"stages\": {\n");
-    let mut first = true;
-    for (name, sk) in &stages {
-        if !first {
-            out.push_str(",\n");
+/// How often the snapshot thread rewrites its file.
+pub const SNAPSHOT_INTERVAL: Duration = Duration::from_secs(5);
+
+/// The live telemetry state, as `metrics_snapshot.json` carries it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Snapshot {
+    pub schema_version: u64,
+    /// Nanoseconds on the trace epoch at capture.
+    pub ts_ns: u64,
+    pub dropped_events: u64,
+    /// The streaming stages ([`stream_stages`]).
+    pub stages: BTreeMap<String, StageRecord>,
+    pub drift: DriftRecord,
+    pub flight: FlightStats,
+}
+
+impl Snapshot {
+    /// Reads the live state. Does not drain the trace rings, so it can
+    /// run forever alongside them.
+    pub fn capture() -> Snapshot {
+        Snapshot {
+            schema_version: SNAPSHOT_SCHEMA,
+            ts_ns: now_ns(),
+            dropped_events: crate::dropped_events(),
+            stages: stream_stages(),
+            drift: drift_gauge(),
+            flight: flight_stats(),
         }
-        first = false;
-        out.push_str("    \"");
-        crate::export::write_escaped(&mut out, name);
-        out.push('"');
-        let q = |p: f64| sk.quantile(p).unwrap_or(0);
-        let _ = write!(
-            out,
-            ": {{\"count\":{},\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{},\"max_ns\":{},\
-             \"total_ns\":{},\"alpha\":{}}}",
-            sk.count(),
-            q(0.50),
-            q(0.95),
-            q(0.99),
-            sk.max().unwrap_or(0),
-            sk.sum() as u64,
-            sk.alpha()
-        );
     }
-    out.push_str("\n  },\n");
-    let _ = writeln!(
-        out,
-        "  \"drift\": {{\"status\":\"{}\",\"regret_permille\":{},\"fallthrough_permille\":{},\
-         \"observed\":{}}},",
-        drift.level.label(),
-        drift.regret_permille,
-        drift.fallthrough_permille,
-        drift.observed
-    );
-    let _ = writeln!(
-        out,
-        "  \"flight\": {{\"requests\":{},\"anomalies\":{},\"ring\":{},\"threshold_ns\":{}}}",
-        fs.requests,
-        fs.anomalies,
-        fs.ring_len,
-        fs.threshold_ns.map_or("null".to_string(), |t| t.to_string())
-    );
-    out.push_str("}\n");
-    out
+}
+
+crate::json_struct!(Snapshot { schema_version, ts_ns, dropped_events, stages, drift, flight }
+check |s: &Snapshot| match s.schema_version {
+    SNAPSHOT_SCHEMA => Ok(()),
+    v => Err(JsonError::Invalid(format!("unsupported schema_version {v}"))),
+});
+
+/// The current [`Snapshot`], encoded.
+pub fn snapshot_json() -> String {
+    Snapshot::capture().to_json()
 }
 
 /// Writes [`snapshot_json`] atomically (tmp + rename) so a concurrent
@@ -938,6 +791,7 @@ impl SnapshotHandle {
     fn shutdown(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(join) = self.join.take() {
+            join.thread().unpark();
             let _ = join.join();
         }
     }
@@ -954,44 +808,29 @@ impl Drop for SnapshotHandle {
 /// a final state behind).
 pub fn start_snapshot_thread(path: PathBuf, every: Duration) -> SnapshotHandle {
     let stop = Arc::new(AtomicBool::new(false));
-    let stop_t = Arc::clone(&stop);
-    let path_t = path.clone();
+    let (stop_t, path_t) = (Arc::clone(&stop), path.clone());
     let join = std::thread::Builder::new()
         .name("wise-snapshot".to_string())
-        .spawn(move || {
-            let tick = Duration::from_millis(50).min(every);
-            let mut elapsed = Duration::ZERO;
-            loop {
-                if stop_t.load(Ordering::Relaxed) {
-                    break;
-                }
-                std::thread::sleep(tick);
-                elapsed += tick;
-                if elapsed >= every {
-                    elapsed = Duration::ZERO;
-                    if let Err(e) = write_snapshot(&path_t) {
-                        eprintln!("[wise] snapshot write failed ({}): {e}", path_t.display());
-                    }
-                }
-            }
+        .spawn(move || loop {
+            // `shutdown` unparks the thread early for the final write.
+            std::thread::park_timeout(every);
+            let stopping = stop_t.load(Ordering::Relaxed);
             if let Err(e) = write_snapshot(&path_t) {
-                eprintln!("[wise] final snapshot write failed ({}): {e}", path_t.display());
+                eprintln!("[wise] snapshot write failed ({}): {e}", path_t.display());
+            }
+            if stopping {
+                break;
             }
         })
         .expect("spawn wise-snapshot thread");
     SnapshotHandle { stop, join: Some(join), path }
 }
 
-/// Starts the snapshot thread when `WISE_SNAPSHOT=<path>` is set in the
-/// environment; interval from `WISE_SNAPSHOT_SECS` (default 5).
+/// Starts the snapshot thread, writing every [`SNAPSHOT_INTERVAL`], when
+/// `WISE_SNAPSHOT=<path>` is set in the environment.
 pub fn snapshot_from_env() -> Option<SnapshotHandle> {
     let path = std::env::var("WISE_SNAPSHOT").ok().filter(|p| !p.is_empty())?;
-    let secs = SNAPSHOT_SECS_KNOB
-        .read("trace.snapshot_env_invalid", "keeping the 5s default", |norm| {
-            norm.parse::<f64>().ok().filter(|s| *s > 0.0)
-        })
-        .unwrap_or(5.0);
-    Some(start_snapshot_thread(PathBuf::from(path), Duration::from_secs_f64(secs)))
+    Some(start_snapshot_thread(PathBuf::from(path), SNAPSHOT_INTERVAL))
 }
 
 #[cfg(test)]
@@ -1187,9 +1026,7 @@ mod tests {
     #[test]
     fn flight_recorder_flags_a_slow_request_and_dumps_a_valid_trace() {
         let _serial = FLIGHT_TESTS.lock().unwrap_or_else(|p| p.into_inner());
-        set_telemetry_enabled(true);
         flight_reset();
-        set_flight_quantile(0.99);
         let mk = |id: u64, latency: u64| RequestRecord {
             id,
             start_ns: id * 10_000,
@@ -1225,7 +1062,6 @@ mod tests {
     #[test]
     fn flight_ring_is_bounded() {
         let _serial = FLIGHT_TESTS.lock().unwrap_or_else(|p| p.into_inner());
-        set_telemetry_enabled(true);
         flight_reset();
         for i in 0..(FLIGHT_RING_CAPACITY as u64 * 2) {
             record_request(RequestRecord {
@@ -1262,24 +1098,26 @@ mod tests {
 
     #[test]
     fn snapshot_json_is_valid_and_carries_the_sections() {
-        set_telemetry_enabled(true);
-        stream_observe("unit.snapshot.stage", 1234);
-        stream_observe("unit.snapshot.stage", 2345);
-        set_drift_gauge(DriftSnapshot {
-            level: DriftLevel::Warning,
+        // `record` feeds the thread's streaming stages without flipping
+        // the process-global trace switch other unit tests rely on.
+        crate::span::record("unit.snapshot.stage", crate::Phase::Sample, 0, 1234);
+        crate::span::record("unit.snapshot.stage", crate::Phase::Sample, 0, 2345);
+        set_drift_gauge(DriftRecord {
+            status: DriftLevel::Warning,
             regret_permille: 1700,
             fallthrough_permille: 250,
             observed: 40,
         });
         let json = snapshot_json();
-        let v = crate::export::json::parse(&json).expect("valid json");
-        let obj = v.as_object().expect("object");
-        assert_eq!(obj.get("schema_version").and_then(|v| v.as_f64()), Some(1.0));
-        let stages = obj.get("stages").and_then(|v| v.as_object()).expect("stages");
-        let st = stages.get("unit.snapshot.stage").and_then(|v| v.as_object()).expect("stage");
-        assert_eq!(st.get("count").and_then(|v| v.as_f64()), Some(2.0));
-        let drift = obj.get("drift").and_then(|v| v.as_object()).expect("drift");
-        assert_eq!(drift.get("status").and_then(|v| v.as_str()), Some("warning"));
-        assert!(obj.get("flight").is_some());
+        let snap = Snapshot::from_json_str(&json).expect("the snapshot decodes");
+        assert_eq!(snap.schema_version, SNAPSHOT_SCHEMA);
+        let st = &snap.stages["unit.snapshot.stage"];
+        assert_eq!((st.count, st.total_ns, st.self_total_ns), (2, 3579, 3579));
+        assert_eq!(snap.drift.status, DriftLevel::Warning);
+        assert!(json.contains(r#""status":"warning""#), "{json}");
+        // An unknown drift label or schema version does not decode.
+        assert!(Snapshot::from_json_str(&json.replace(r#""warning""#, r#""melting""#)).is_err());
+        let v1 = json.replace(r#""schema_version":2"#, r#""schema_version":1"#);
+        assert!(Snapshot::from_json_str(&v1).is_err());
     }
 }

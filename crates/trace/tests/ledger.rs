@@ -3,20 +3,26 @@
 //! injected-regression gate failure the CI workflow relies on.
 
 use std::collections::BTreeMap;
-use wise_trace::export::json::{FromJson, JsonError};
+use wise_trace::export::json::{FromJson, JsonError, ToJson};
 use wise_trace::ledger::{
-    gate, load_all, next_seq, write_record, BenchRecord, DriftRecord, Fnv1a, GatePolicy,
-    HostFingerprint, MatrixRegret, ModelMetrics, StageRecord, Verdict, SCHEMA_VERSION,
+    gate, load_all, next_seq, write_record, BenchRecord, Fnv1a, GatePolicy, HostFingerprint,
+    MatrixRegret, ModelMetrics, StageRecord, Verdict, SCHEMA_VERSION,
 };
 use wise_trace::span::{Event, Phase};
 use wise_trace::telemetry::QuantileSketch;
-use wise_trace::Summary;
+use wise_trace::{DriftLevel, DriftRecord, Summary};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("wise_ledger_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+fn select_sketch() -> QuantileSketch {
+    let mut sk = QuantileSketch::default();
+    sk.observe(900_000);
+    sk
 }
 
 fn full_record(seq: u64) -> BenchRecord {
@@ -29,20 +35,14 @@ fn full_record(seq: u64) -> BenchRecord {
                 p50_ns: 1_500,
                 p95_ns: 2_100,
                 p99_ns: 2_400,
+                max_ns: 3_000,
                 total_ns: 48_000,
+                self_total_ns: 40_000,
+                parent: Some("pipeline.select".into()),
+                sketch: None,
             },
         ),
-        (
-            "pipeline.select",
-            StageRecord {
-                count: 1,
-                min_ns: 900_000,
-                p50_ns: 900_000,
-                p95_ns: 900_000,
-                p99_ns: 900_000,
-                total_ns: 900_000,
-            },
-        ),
+        ("pipeline.select", StageRecord::new(select_sketch(), 900_000, 852_000)),
     ]
     .into_iter()
     .map(|(n, s)| (n.to_string(), s))
@@ -79,17 +79,8 @@ fn full_record(seq: u64) -> BenchRecord {
                 .map(|(name, regret)| MatrixRegret { name: name.into(), regret })
                 .collect(),
         }),
-        sketches: [("kernel.spmv".to_string(), {
-            let mut sk = QuantileSketch::default();
-            for ns in [1_200u64, 1_500, 1_500, 2_100, 48_000] {
-                sk.observe(ns);
-            }
-            sk
-        })]
-        .into_iter()
-        .collect(),
         drift: Some(DriftRecord {
-            status: "warning".into(),
+            status: DriftLevel::Warning,
             regret_permille: 1_732,
             fallthrough_permille: 250,
             observed: 40,
@@ -146,10 +137,11 @@ fn ledger_integers_decode_exactly() {
 
 #[test]
 fn damaged_sketch_is_skipped_not_a_panic() {
-    let mut rec = full_record(1);
-    rec.sketches.clear();
-    let hostile = r#""sketches":{"kernel.spmv":{"alpha":0.01,"count":2,"zero":0,"sum":0,"min":0,"max":0,"buckets":[[-2000000000,1],[2000000000,1]]}}"#;
-    let doc = rec.to_json().replace(r#""sketches":{}"#, hostile);
+    let hostile = r#"{"alpha":0.01,"count":1,"zero":0,"sum":0,"min":0,"max":0,"buckets":[[-2000000000,1],[2000000000,1]]}"#;
+    let text = full_record(1).to_json();
+    let sketch = select_sketch().to_json();
+    assert_eq!(text.matches(&sketch).count(), 1);
+    let doc = text.replace(&sketch, hostile);
     assert!(doc.contains("-2000000000"));
     assert!(BenchRecord::from_json(&doc).is_err());
 

@@ -25,7 +25,6 @@ fn soak_10k_selections_stays_in_bounded_memory() {
     // the raw-event ring is itself fixed-capacity (overflow drops
     // events, it never grows), so this adds no unbounded memory.
     wise_trace::set_enabled(true);
-    telemetry::set_telemetry_enabled(true);
     telemetry::stream_reset();
     telemetry::flight_reset();
 
@@ -48,7 +47,7 @@ fn soak_10k_selections_stays_in_bounded_memory() {
     let mut footprint_at_checkpoint = 0usize;
     for i in 0..SOAK {
         let choice = wise.select_from_features(fv.clone());
-        assert_ne!(choice.request_id, 0, "telemetry-on selection must carry a request id");
+        assert_ne!(choice.request_id, 0, "a top-level selection must carry a request id");
         if i + 1 == CHECKPOINT {
             footprint_at_checkpoint = telemetry::stream_footprint_bytes();
         }
