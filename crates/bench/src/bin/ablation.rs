@@ -54,11 +54,11 @@ fn main() {
         ("full (paper)", group_indices("full")),
     ];
 
-    println!(
+    outln!(
         "== Ablation: feature groups vs end-to-end WISE speedup ({k}-fold CV, {} matrices) ==\n",
         labels.len()
     );
-    println!("{:<14} {:>9} {:>10} {:>12}", "features", "#features", "mean acc", "mean speedup");
+    outln!("{:<14} {:>9} {:>10} {:>12}", "features", "#features", "mean acc", "mean speedup");
 
     let mkl_index = labels.config_index(&wise_kernels::baseline::mkl_like_config().label());
     let mut rows = Vec::new();
@@ -95,15 +95,9 @@ fn main() {
             speedups.push(ml.seconds[mkl_index] / ml.seconds[choice]);
         }
         let mean_speedup = speedups.iter().sum::<f64>() / speedups.len() as f64;
-        println!(
-            "{:<14} {:>9} {:>9.1}% {:>11.2}x",
-            name,
-            idxs.len(),
-            100.0 * mean_acc,
-            mean_speedup
-        );
+        outln!("{:<14} {:>9} {:>9.1}% {:>11.2}x", name, idxs.len(), 100.0 * mean_acc, mean_speedup);
         rows.push(format!("{name},{},{mean_acc:.4},{mean_speedup:.4}", idxs.len()));
     }
-    println!("\nExpectation: accuracy and speedup improve monotonically toward the full set.");
+    outln!("\nExpectation: accuracy and speedup improve monotonically toward the full set.");
     ctx.write_csv("ablation_features.csv", "variant,n_features,mean_accuracy,mean_speedup", &rows);
 }

@@ -61,7 +61,7 @@ fn main() {
         total / labels.len() as f64
     };
 
-    println!("== Model ablation ({k}-fold CV, {} matrices) ==\n", labels.len());
+    outln!("== Model ablation ({k}-fold CV, {} matrices) ==\n", labels.len());
     let mut results: Vec<(String, f64)> = Vec::new();
 
     // (a) Single tree, 7 classes — the paper's configuration.
@@ -128,10 +128,10 @@ fn main() {
         results.push(("oracle (exact times)".into(), oracle));
     }
 
-    println!("{:<28} {:>14}", "variant", "mean speedup");
+    outln!("{:<28} {:>14}", "variant", "mean speedup");
     let mut csv = Vec::new();
     for (name, speedup) in &results {
-        println!("{name:<28} {speedup:>13.3}x");
+        outln!("{name:<28} {speedup:>13.3}x");
         csv.push(format!("{name},{speedup:.4}"));
     }
     ctx.write_csv("ablation_models.csv", "variant,mean_wise_speedup", &csv);

@@ -35,7 +35,7 @@
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::process::Command;
-use wise_bench::report;
+use wise_bench::{outln, report};
 use wise_core::classes::N_CLASSES;
 use wise_core::evaluate::{evaluate_cv, CvEvaluation};
 use wise_core::explain_choice;
@@ -201,7 +201,7 @@ fn main() {
     let nthreads = 2;
     let mode = if args.quick { "quick" } else { "full" };
 
-    println!("== bench_regress: pinned suite (seed {SEED}, {mode} mode) ==");
+    outln!("== bench_regress: pinned suite (seed {SEED}, {mode} mode) ==");
 
     // ---- 1. Feature extraction on the fixed probes ------------------
     report::progress("stage 1/7: feature extraction probes");
@@ -294,11 +294,11 @@ fn main() {
     report::progress("stage 5/7: end-to-end select + CV evaluation");
     let choice = wise.select(spmv_matrix);
     wise.run_spmv(spmv_matrix, &choice, &x, &mut y, nthreads);
-    println!("\n{}", explain_choice(wise.registry().catalog(), &choice));
+    outln!("\n{}", explain_choice(wise.registry().catalog(), &choice));
     let folds = 5.min(labels.len());
     let eval = evaluate_cv(&labels, opts.tree_params, folds, SEED);
     let metrics = model_metrics(&eval);
-    println!(
+    outln!(
         "model: accuracy {:.3}, P-ratio {:.3}, regret mean {:.3} / max {:.3} over {} matrices",
         metrics.accuracy,
         metrics.p_ratio,
@@ -312,9 +312,8 @@ fn main() {
     // through the calibrated cascade, once with the gate stripped (the
     // exact pre-cascade pipeline) — under `bench.cascade.fast` /
     // `bench.cascade.full` latency samples. Stage-1 answers then run a
-    // measured SpMV to feed the regret accumulator.
+    // measured SpMV to feed the drift monitor's regret.
     report::progress("stage 6/7: selection-latency probe (cascade vs full)");
-    wise_core::cascade::reset_regret();
     let full_wise = wise.clone().with_cascade_gate(None);
     let sel_iters = if args.quick { 3 } else { 10 };
     let mut cascade_selects = 0u64;
@@ -358,17 +357,12 @@ fn main() {
         "cascade: {stage1_answers}/{cascade_selects} stage-1 answers \
          (fallthrough rate {fallthrough_rate:.2})"
     ));
-    if let Some(r) = wise_core::regret_stats() {
-        println!(
-            "cascade regret: mean measured/predicted {:.3} over {} measured execution(s)",
-            r.mean_ratio, r.observed
-        );
-    }
-    let drift = wise_core::drift::stats();
+    let drift = wise_trace::telemetry::drift_gauge();
     if drift.observed > 0 {
-        println!(
-            "drift monitor: {} ({} observed executions)",
+        outln!(
+            "drift monitor: {} (regret EWMA {:.3}x measured/predicted, {} observed executions)",
             drift.status.label(),
+            drift.regret_permille as f64 / 1000.0,
             drift.observed
         );
     }
@@ -438,7 +432,7 @@ fn main() {
     };
     if let Some(sp) = speedup {
         record.throughput.insert("bench.simd.speedup".to_string(), sp);
-        println!(
+        outln!(
             "simd: {} ({} lanes), vector speedup {sp:.2}x over forced scalar (floor {:.2}x)",
             isa.name(),
             isa.lanes(),
@@ -459,7 +453,7 @@ fn main() {
     record.throughput.insert("bench.trace.span_ns".to_string(), span_ns);
     if let Some(sp) = cascade_speedup {
         record.throughput.insert("bench.cascade.speedup".to_string(), sp);
-        println!(
+        outln!(
             "cascade: selection p50 speedup {sp:.2}x over the full pipeline, \
              fallthrough rate {fallthrough_rate:.2} (floor {:.2}x)",
             args.cascade_speedup_floor
@@ -484,7 +478,7 @@ fn main() {
         policy.tracked.push("bench.simd.vector".to_string());
     }
     let gate_report = ledger::gate(&prior, &record, &policy);
-    println!("\n{}", gate_report.render());
+    outln!("\n{}", gate_report.render());
     if !gate_report.passed() {
         eprintln!(
             "bench_regress: REGRESSION — {} tracked stage(s) failed the gate",
@@ -503,7 +497,7 @@ fn main() {
             std::process::exit(1);
         }
     } else {
-        println!("simd: scalar-fallback host; gated on parity only");
+        outln!("simd: scalar-fallback host; gated on parity only");
     }
 
     // ---- Cascade selection-latency floor ----------------------------
@@ -522,8 +516,8 @@ fn main() {
             std::process::exit(1);
         }
     } else {
-        println!("cascade: gate accepted no probe selections; floor gate skipped");
+        outln!("cascade: gate accepted no probe selections; floor gate skipped");
     }
 
-    println!("bench_regress: gate passed (BENCH_{seq}.json recorded)");
+    outln!("bench_regress: gate passed (BENCH_{seq}.json recorded)");
 }

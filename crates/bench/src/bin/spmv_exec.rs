@@ -33,8 +33,8 @@ fn main() {
     let quick = ctx.scale_name == "tiny";
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let isa = wise_kernels::simd::active();
-    println!("== SpMV executor: persistent worker pool ==");
-    println!(
+    outln!("== SpMV executor: persistent worker pool ==");
+    outln!(
         "(host cores: {cores}; simd: {} x{}; dispatch times are per \
          parallel_for_chunks call)\n",
         isa.name(),
@@ -49,8 +49,8 @@ fn main() {
     // ---- 1. Dispatch-path overhead (near-empty body) ----------------
     let thread_counts: &[usize] = if quick { &[2, 4] } else { &[2, 4, 8, 16] };
     let iters = if quick { 300 } else { 3000 };
-    println!("-- dispatch overhead, ns/call (empty body, nchunks = 4 x threads, grain 1) --");
-    println!("{:>8} {:>8} {:>12}", "sched", "threads", "pool");
+    outln!("-- dispatch overhead, ns/call (empty body, nchunks = 4 x threads, grain 1) --");
+    outln!("{:>8} {:>8} {:>12}", "sched", "threads", "pool");
     for &nthreads in thread_counts {
         for sched in Schedule::ALL {
             let nchunks = nthreads * 4;
@@ -70,7 +70,7 @@ fn main() {
                 sched.name(),
                 report::samples_summary(&s)
             ));
-            println!("{:>8} {:>8} {:>10.0}ns", sched.name(), nthreads, pool_ns);
+            outln!("{:>8} {:>8} {:>10.0}ns", sched.name(), nthreads, pool_ns);
             rows.push(format!("dispatch,{},{nthreads},,{pool_ns:.0}", sched.name()));
         }
     }
@@ -91,8 +91,8 @@ fn main() {
         MethodConfig::lav(8, 0.8),
     ];
     let spmv_iters = if quick { 30 } else { 200 };
-    println!("\n-- SpMV medians, us/call (RMAT, nnz/row ~8) --");
-    println!("{:>8} {:>26} {:>8} {:>12}", "rows", "config", "threads", "pool");
+    outln!("\n-- SpMV medians, us/call (RMAT, nnz/row ~8) --");
+    outln!("{:>8} {:>26} {:>8} {:>12}", "rows", "config", "threads", "pool");
     for &(scale, deg) in shapes {
         let m = RmatParams::MED_SKEW.generate(scale, deg, ctx.seed);
         let x: Vec<f64> = (0..m.ncols()).map(|i| (i as f64).sin()).collect();
@@ -125,17 +125,11 @@ fn main() {
                     m.nrows()
                 );
                 pool_us_at.push((nthreads, pool_us));
-                println!(
-                    "{:>8} {:>26} {:>8} {:>10.2}us",
-                    m.nrows(),
-                    cfg.label(),
-                    nthreads,
-                    pool_us
-                );
+                outln!("{:>8} {:>26} {:>8} {:>10.2}us", m.nrows(), cfg.label(), nthreads, pool_us);
                 rows.push(format!("spmv,{},{nthreads},{},{pool_us:.3}", cfg.label(), m.nrows()));
             }
             if let [(1, one), (2, two), ..] = pool_us_at[..] {
-                println!(
+                outln!(
                     "{:>8} {:>26} {:>8} {:>8.2}x (pool time ratio)",
                     m.nrows(),
                     cfg.label(),
@@ -145,8 +139,8 @@ fn main() {
             }
         }
     }
-    println!("\n(outputs verified bit-identical across thread counts; see tests/pool_parity.rs)");
-    println!(
+    outln!("\n(outputs verified bit-identical across thread counts; see tests/pool_parity.rs)");
+    outln!(
         "(total measured wall-clock: dispatch {:.1}ms, spmv {:.1}ms)",
         measured[0].as_secs_f64() * 1e3,
         measured[1].as_secs_f64() * 1e3

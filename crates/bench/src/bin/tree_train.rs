@@ -90,11 +90,16 @@ fn main() {
         if quick { &[(200, 20, 4)] } else { &[(1000, 80, 4), (1500, 67, 7)] };
     let params = TreeParams::default();
 
-    println!("== tree training: presorted columnar engine vs reference trainer ==");
-    println!("(reps per timing: {reps}; parity asserted per shape)\n");
-    println!(
+    outln!("== tree training: presorted columnar engine vs reference trainer ==");
+    outln!("(reps per timing: {reps}; parity asserted per shape)\n");
+    outln!(
         "{:>10} {:>12} {:>12} {:>8} {:>14} {:>8}",
-        "shape", "reference", "presorted", "speedup", "shared-presort", "speedup"
+        "shape",
+        "reference",
+        "presorted",
+        "speedup",
+        "shared-presort",
+        "speedup"
     );
     let mut rows = Vec::new();
     for &(n, f, classes) in shapes {
@@ -114,7 +119,7 @@ fn main() {
             );
         }
         let (speedup, speedup_shared) = (t_ref / t_new, t_ref / t_shared);
-        println!(
+        outln!(
             "{:>10} {:>10.2}ms {:>10.2}ms {:>7.2}x {:>12.2}ms {:>7.2}x",
             format!("{n}x{f}"),
             t_ref * 1e3,
@@ -130,7 +135,7 @@ fn main() {
             t_shared * 1e3
         ));
     }
-    println!("\n(trees verified bit-identical before timing; see tests/tree_parity.rs)");
+    outln!("\n(trees verified bit-identical before timing; see tests/tree_parity.rs)");
     ctx.write_csv(
         "tree_train.csv",
         "n_samples,n_features,n_classes,reference_ms,presorted_ms,speedup,shared_presort_ms,shared_speedup",

@@ -13,6 +13,7 @@
 //! torn file is never observed).
 
 use std::time::Duration;
+use wise_bench::{out, outln};
 use wise_trace::export::json::FromJson;
 use wise_trace::telemetry::Snapshot;
 
@@ -35,7 +36,7 @@ fn main() {
             }
             watch = Some(secs);
         } else if a == "--help" || a == "-h" {
-            println!("usage: wise_top [<metrics_snapshot.json>] [--watch <secs>]");
+            outln!("usage: wise_top [<metrics_snapshot.json>] [--watch <secs>]");
             return;
         } else {
             path = a.clone();
@@ -47,9 +48,9 @@ fn main() {
             Ok(view) => {
                 if watch.is_some() {
                     // ANSI clear + home, like top(1).
-                    print!("\x1b[2J\x1b[H");
+                    out!("\x1b[2J\x1b[H");
                 }
-                print!("{view}");
+                out!("{view}");
             }
             Err(e) if watch.is_some() => eprintln!("wise_top: {e} (retrying)"),
             Err(e) => fail(&e),

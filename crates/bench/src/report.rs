@@ -26,8 +26,9 @@ static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
 
 /// Writes `s` to stdout. A closed pipe ends the echo for the rest of
 /// the run instead of panicking; the caller's own copy (a [`Report`]'s
-/// text, the saved results file) is unaffected.
-fn echo(s: &str) {
+/// text, the saved results file) is unaffected. The bins print through
+/// it with [`out!`](crate::out) and [`outln!`](crate::outln).
+pub fn echo(s: &str) {
     if STDOUT_CLOSED.load(Ordering::Relaxed) {
         return;
     }
@@ -36,6 +37,23 @@ fn echo(s: &str) {
             STDOUT_CLOSED.store(true, Ordering::Relaxed);
         }
     }
+}
+
+/// `print!` through [`echo`]: stops echoing once stdout's reader is
+/// gone (`bin | head`) instead of panicking.
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::report::echo(&format!($($arg)*))
+    };
+}
+
+/// `println!` through [`echo`] (see [`out!`](crate::out)).
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::report::echo(&format!("{}\n", format_args!($($arg)*)))
+    };
 }
 
 /// A progress note on stderr: `[wise-bench] {msg}`. Stderr so piping a

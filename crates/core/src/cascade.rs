@@ -24,9 +24,9 @@
 //! margin range whose training-set cascade P-ratio stays within
 //! [`P_RATIO_REL_FLOOR`] of full WISE.
 //!
-//! Measured execution seconds feed a per-process regret accumulator
-//! ([`observe_execution`], surfaced as `select.cascade.regret` ledger
-//! telemetry). A [`Wise`](crate::pipeline::Wise) without a gate
+//! Measured execution seconds of stage-1 answers feed the drift
+//! monitor's regret EWMA ([`crate::observe_execution`]). A
+//! [`Wise`](crate::pipeline::Wise) without a gate
 //! (`with_cascade_gate(None)`) never takes the fast path and is
 //! bit-exact with the pre-cascade pipeline.
 
@@ -34,7 +34,6 @@ use crate::classes::SpeedupClass;
 use crate::labels::CorpusLabels;
 use crate::registry::ModelRegistry;
 use crate::select::select_index;
-use std::sync::Mutex;
 use wise_ml::PartialPrediction;
 use wise_perf::{calibrate_margin_threshold, Estimator, MachineModel, MarginSample};
 
@@ -111,8 +110,8 @@ pub struct CascadeInfo {
     /// Why stage 1 declined (stage 2 only).
     pub fallthrough: Option<FallthroughReason>,
     /// Stage 1 only: quick roofline estimate of the chosen
-    /// configuration's per-iteration seconds — the baseline the regret
-    /// accumulator compares measured samples against.
+    /// configuration's per-iteration seconds — the baseline the drift
+    /// monitor's regret compares measured samples against.
     pub predicted_seconds: Option<f64>,
 }
 
@@ -225,64 +224,6 @@ pub fn calibrate_gate(
     }
 }
 
-// ---------------------------------------------------------------------
-// Regret feedback
-// ---------------------------------------------------------------------
-
-/// Per-process regret accumulator state: `(samples, Σ permille)` of
-/// measured/predicted per-iteration time for stage-1 answers.
-static REGRET: Mutex<(u64, u64)> = Mutex::new((0, 0));
-
-/// Aggregated stage-1 regret so far in this process.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RegretStats {
-    /// Measured stage-1 executions observed.
-    pub observed: u64,
-    /// Mean measured/predicted time ratio (1.0 = the roofline estimate
-    /// was exact; > 1 = stage 1 was optimistic).
-    pub mean_ratio: f64,
-}
-
-/// Feeds one measured execution back into the closed loop: the
-/// per-request flight recorder (matching the record by
-/// `choice.request_id`), the drift monitor ([`crate::drift`], which
-/// sees every observation), and — for stage-1 choices carrying a
-/// roofline prediction — the regret accumulator. Each regret
-/// observation lands in the `select.cascade.regret` trace metric
-/// (permille of measured/predicted) and in the process-global
-/// [`regret_stats`].
-pub fn observe_execution(choice: &crate::pipeline::Choice, measured_seconds: f64) {
-    if choice.request_id != 0 && measured_seconds > 0.0 {
-        wise_trace::telemetry::note_measured(choice.request_id, measured_seconds);
-    }
-    crate::drift::observe_choice(choice, measured_seconds);
-    let Some(info) = &choice.cascade else { return };
-    if info.stage != CascadeStage::Stage1 {
-        return;
-    }
-    let Some(predicted) = info.predicted_seconds else { return };
-    // Written so NaN fails the test too.
-    if !(measured_seconds > 0.0 && predicted > 0.0) {
-        return;
-    }
-    let permille = (measured_seconds / predicted * 1000.0).round().clamp(0.0, 1e12) as u64;
-    wise_trace::observe("select.cascade.regret", permille);
-    let mut g = REGRET.lock().unwrap();
-    g.0 += 1;
-    g.1 += permille;
-}
-
-/// The process-global regret aggregate; `None` before any observation.
-pub fn regret_stats() -> Option<RegretStats> {
-    let g = REGRET.lock().unwrap();
-    (g.0 > 0).then(|| RegretStats { observed: g.0, mean_ratio: g.1 as f64 / g.0 as f64 / 1000.0 })
-}
-
-/// Clears the regret accumulator (tests, benchmark stages).
-pub fn reset_regret() {
-    *REGRET.lock().unwrap() = (0, 0);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,55 +266,5 @@ mod tests {
         let mc = fold_stage_one(&catalog, &confident).margin;
         let ms = fold_stage_one(&catalog, &shaky).margin;
         assert!(mc > ms, "{mc} vs {ms}");
-    }
-
-    #[test]
-    fn regret_accumulator_rounds_trip() {
-        // observe_execution also feeds the global drift monitor.
-        let _g = crate::drift::monitor_test_lock();
-        reset_regret();
-        assert_eq!(regret_stats(), None);
-        // Build a minimal stage-1 choice by hand.
-        let catalog = wise_kernels::method::MethodConfig::catalog();
-        let choice = crate::pipeline::Choice {
-            config: catalog[0],
-            index: 0,
-            predictions: vec![SpeedupClass::C1; catalog.len()],
-            features: wise_features::FeatureVector::from_values(vec![
-                0.0;
-                wise_features::N_FEATURES
-            ]),
-            timing: Default::default(),
-            decision_paths: Vec::new(),
-            cascade: Some(CascadeInfo {
-                stage: CascadeStage::Stage1,
-                margin: f64::MAX,
-                threshold: Some(0.5),
-                fallthrough: None,
-                predicted_seconds: Some(1e-3),
-            }),
-            request_id: 0,
-        };
-        observe_execution(&choice, 2e-3); // 2x the prediction
-        observe_execution(&choice, 1e-3); // exact
-        let stats = regret_stats().unwrap();
-        assert_eq!(stats.observed, 2);
-        assert!((stats.mean_ratio - 1.5).abs() < 1e-9, "ratio {}", stats.mean_ratio);
-        // Stage-2 and prediction-less choices are ignored.
-        let mut stage2 = choice.clone();
-        stage2.cascade = Some(CascadeInfo {
-            stage: CascadeStage::Stage2,
-            margin: 0.1,
-            threshold: Some(0.5),
-            fallthrough: Some(FallthroughReason::LowMargin),
-            predicted_seconds: None,
-        });
-        observe_execution(&stage2, 5e-3);
-        let mut plain = choice;
-        plain.cascade = None;
-        observe_execution(&plain, 5e-3);
-        assert_eq!(regret_stats().unwrap().observed, 2);
-        reset_regret();
-        assert_eq!(regret_stats(), None);
     }
 }

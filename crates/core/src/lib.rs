@@ -51,12 +51,9 @@ pub mod pipeline;
 pub mod registry;
 pub mod select;
 
-pub use cascade::{
-    observe_execution, regret_stats, CascadeGate, CascadeInfo, CascadeStage, FallthroughReason,
-    RegretStats,
-};
+pub use cascade::{CascadeGate, CascadeInfo, CascadeStage, FallthroughReason};
 pub use classes::SpeedupClass;
-pub use drift::{DriftStats, DriftStatus};
+pub use drift::{observe_execution, DriftStatus};
 pub use evaluate::{evaluate_cv, CvEvaluation, EvalOutcome};
 pub use explain::explain_choice;
 pub use labels::{label_corpus, CorpusLabels, MatrixLabels};

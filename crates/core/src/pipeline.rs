@@ -6,7 +6,7 @@ use crate::cascade::{self, CascadeGate, CascadeInfo, CascadeStage, FallthroughRe
 use crate::classes::SpeedupClass;
 use crate::labels::{label_corpus, CorpusLabels};
 use crate::registry::ModelRegistry;
-use crate::select::select_index;
+use crate::select::{select_index, select_index_amortized};
 use std::path::Path;
 use std::time::Instant;
 use wise_features::{FeatureConfig, FeatureVector, ProbeFeatures};
@@ -105,61 +105,83 @@ pub struct Choice {
     pub request_id: u64,
 }
 
-/// Attributes one public selection entry point to a flight-recorder
-/// request: allocates the id, scopes it onto the calling thread (the
-/// worker pool forwards it to kernel workers), and on [`Self::finish`]
-/// records the completed request — latency, method, cascade stage,
-/// margin and roofline prediction — into
-/// [`wise_trace::telemetry`]. Nested entry points (`select_full` →
-/// `select_from_features`) see the outer id already set and record
-/// nothing, so every public selection is exactly one request.
+/// One flight-recorder request: allocates the id, scopes it onto the
+/// calling thread (the worker pool forwards it to kernel workers), and
+/// on [`Self::finish`] records the completed request — latency, method,
+/// cascade stage, margin and roofline prediction — into
+/// [`wise_trace::telemetry`].
 struct FlightRequest {
     id: u64,
     start_ns: u64,
-    _scope: Option<telemetry::RequestScope>,
+    _scope: telemetry::RequestScope,
 }
 
 impl FlightRequest {
-    fn begin() -> FlightRequest {
+    /// `None` inside another request's scope (a pool worker, say): that
+    /// request covers the selection.
+    fn begin() -> Option<FlightRequest> {
         if telemetry::current_request() != 0 {
-            return FlightRequest { id: 0, start_ns: 0, _scope: None };
+            return None;
         }
         let id = telemetry::next_request_id();
-        FlightRequest {
-            id,
-            start_ns: telemetry::now_ns(),
-            _scope: Some(telemetry::RequestScope::enter(id)),
-        }
+        let start_ns = telemetry::now_ns();
+        Some(FlightRequest { id, start_ns, _scope: telemetry::RequestScope::enter(id) })
     }
 
-    /// Stamps `choice.request_id` and records the request; returns
-    /// whether the recorder flagged it anomalous.
-    fn finish(self, choice: &mut Choice) -> bool {
-        if self.id == 0 {
-            return false;
-        }
+    /// Stamps `choice.request_id` and records the request.
+    fn finish(self, choice: &mut Choice) {
         choice.request_id = self.id;
-        let (stage, margin, predicted_s) = match &choice.cascade {
-            Some(info) => (
-                match info.stage {
-                    CascadeStage::Stage1 => "stage1",
-                    CascadeStage::Stage2 => "stage2",
-                },
-                Some(info.margin),
-                info.predicted_seconds,
-            ),
-            None => ("full", None, None),
-        };
         telemetry::record_request(telemetry::RequestRecord {
             id: self.id,
             start_ns: self.start_ns,
             latency_ns: telemetry::now_ns().saturating_sub(self.start_ns),
             method: choice.config.label(),
-            stage,
-            margin,
-            predicted_s,
+            stage: choice.stage_label(),
+            margin: choice.cascade.map(|info| info.margin),
+            predicted_s: choice.cascade.and_then(|info| info.predicted_seconds),
             measured_s: None,
-        })
+        });
+    }
+}
+
+/// Runs one public selection as exactly one flight-recorder request.
+fn one_request(select: impl FnOnce() -> Choice) -> Choice {
+    let flight = FlightRequest::begin();
+    let mut choice = select();
+    if let Some(flight) = flight {
+        flight.finish(&mut choice);
+    }
+    choice
+}
+
+/// Runs `f`, returning its value and its wall-clock seconds.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let t0 = Instant::now();
+    let out = f();
+    (out, t0.elapsed().as_secs_f64())
+}
+
+/// The amortised pick rule of [`Wise::select_for_iterations`]: one
+/// preprocessing estimate per catalog config plus the best-CSR baseline
+/// (`select.baseline`), handed to [`select_index_amortized`].
+fn amortized<'a>(
+    m: &'a Csr,
+    estimator: &'a Estimator,
+    n_iterations: u64,
+) -> impl FnOnce(&[MethodConfig], &[SpeedupClass]) -> usize + 'a {
+    move |catalog, predictions| {
+        let preproc: Vec<f64> =
+            catalog.iter().map(|cfg| estimator.preprocessing_seconds(m, cfg)).collect();
+        let best_csr = if m.nnz() == 0 {
+            // Nothing to multiply: no conversion can pay off.
+            0.0
+        } else {
+            let _baseline = wise_trace::span("select.baseline");
+            let csr: Vec<MethodConfig> =
+                catalog.iter().filter(|c| c.method == wise_kernels::Method::Csr).copied().collect();
+            estimator.csr_baseline_seconds(m, &csr)
+        };
+        select_index_amortized(catalog, predictions, &preproc, best_csr, n_iterations)
     }
 }
 
@@ -168,6 +190,16 @@ impl Choice {
     /// choice built without decision paths).
     pub fn winning_path(&self) -> Option<&wise_ml::DecisionPath> {
         self.decision_paths.get(self.index)
+    }
+
+    /// The flight recorder's stage label: `"stage1"` or `"stage2"` when
+    /// the cascade ran, `"full"` otherwise.
+    pub(crate) fn stage_label(&self) -> &'static str {
+        match self.cascade.map(|info| info.stage) {
+            Some(CascadeStage::Stage1) => "stage1",
+            Some(CascadeStage::Stage2) => "stage2",
+            None => "full",
+        }
     }
 }
 
@@ -245,15 +277,17 @@ impl Wise {
     /// modulo the [`Choice::cascade`] provenance field.
     pub fn select(&self, m: &Csr) -> Choice {
         let _span = wise_trace::span("pipeline.select");
-        let flight = FlightRequest::begin();
-        let mut choice = self.select_cascaded(m);
-        flight.finish(&mut choice);
-        choice
+        one_request(|| self.select_cascaded(m))
     }
 
-    /// [`Wise::select`] minus the span/flight bookkeeping: cascade
-    /// dispatch with its early returns.
+    /// [`Wise::select`] inside its request: cascade dispatch, then on a
+    /// fallthrough (or without a gate) the full selection. The full
+    /// selection extracts every feature group. It does not narrow
+    /// extraction to the registry's read set: on registries whose trees
+    /// read only probe features, the lean extraction would cost less
+    /// than the stage-1 probe meant to skip it (see `DESIGN.md` §9).
     fn select_cascaded(&self, m: &Csr) -> Choice {
+        let mut cascade = None;
         if let Some(gate) = &self.cascade_gate {
             match self.select_stage_one(m, gate) {
                 Ok(choice) => {
@@ -272,35 +306,50 @@ impl Wise {
                         },
                         1,
                     );
-                    let _s2 = wise_trace::span("select.cascade.stage2");
-                    let mut choice = self.select_full(m);
-                    choice.cascade = Some(CascadeInfo {
+                    cascade = Some(CascadeInfo {
                         stage: CascadeStage::Stage2,
                         margin,
                         threshold: gate.threshold,
                         fallthrough: Some(reason),
                         predicted_seconds: None,
                     });
-                    return choice;
                 }
             }
         }
-        self.select_full(m)
+        let _s2 = cascade.map(|_| wise_trace::span("select.cascade.stage2"));
+        let (features, extract_s) = timed(|| FeatureVector::extract(m, &self.feature_config));
+        Choice { cascade, ..self.predict_and_pick(features, extract_s, select_index) }
     }
 
-    /// The full (non-cascaded) selection: extract every feature group,
-    /// predict, pick. This is the exact pre-cascade `select` body. It
-    /// does not narrow extraction to the registry's read set: on
-    /// registries whose trees read only probe features, the lean
-    /// extraction would cost less than the stage-1 probe meant to skip
-    /// it (see `DESIGN.md` §9).
-    fn select_full(&self, m: &Csr) -> Choice {
-        let t0 = Instant::now();
-        let features = FeatureVector::extract(m, &self.feature_config);
-        let feature_extraction_s = t0.elapsed().as_secs_f64();
-        let mut choice = self.select_from_features(features);
-        choice.timing.feature_extraction_s = feature_extraction_s;
-        choice
+    /// Predict → pick → [`ChoiceTiming`] → [`Choice`]: the body of every
+    /// selection stage 1 does not answer. `pick` turns the predicted
+    /// classes into a catalog index ([`select_index`] or [`amortized`]);
+    /// it runs inside the `select.pick` span and its time is `select_s`.
+    fn predict_and_pick(
+        &self,
+        features: FeatureVector,
+        feature_extraction_s: f64,
+        pick: impl FnOnce(&[MethodConfig], &[SpeedupClass]) -> usize,
+    ) -> Choice {
+        let catalog = self.registry.catalog();
+        let ((predictions, decision_paths), predict_s) = timed(|| {
+            let _predict = wise_trace::span("select.predict");
+            self.registry.predict_explained(&features)
+        });
+        let (index, select_s) = timed(|| {
+            let _pick = wise_trace::span("select.pick");
+            pick(catalog, &predictions)
+        });
+        Choice {
+            config: catalog[index],
+            index,
+            predictions,
+            features,
+            timing: ChoiceTiming { feature_extraction_s, predict_s, select_s },
+            decision_paths,
+            cascade: None,
+            request_id: 0,
+        }
     }
 
     /// Stage 1 of the cascade: probe, partial vote, gate, roofline
@@ -368,35 +417,7 @@ impl Wise {
     /// Selection from pre-extracted features (used when the caller
     /// already paid for extraction).
     pub fn select_from_features(&self, features: FeatureVector) -> Choice {
-        let flight = FlightRequest::begin();
-        let t0 = Instant::now();
-        let (predictions, decision_paths) = {
-            let _predict = wise_trace::span("select.predict");
-            self.registry.predict_explained(&features)
-        };
-        let predict_s = t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        let index = {
-            let _pick = wise_trace::span("select.pick");
-            select_index(self.registry.catalog(), &predictions)
-        };
-        let timing = ChoiceTiming {
-            feature_extraction_s: 0.0,
-            predict_s,
-            select_s: t1.elapsed().as_secs_f64(),
-        };
-        let mut choice = Choice {
-            config: self.registry.catalog()[index],
-            index,
-            predictions,
-            features,
-            timing,
-            decision_paths,
-            cascade: None,
-            request_id: 0,
-        };
-        flight.finish(&mut choice);
-        choice
+        one_request(|| self.predict_and_pick(features, 0.0, select_index))
     }
 
     /// Amortization-aware selection: minimizes conversion cost plus
@@ -413,20 +434,16 @@ impl Wise {
     pub fn select_for_iterations(
         &self,
         m: &Csr,
-        estimator: &wise_perf::Estimator,
+        estimator: &Estimator,
         n_iterations: u64,
     ) -> Choice {
         let _span = wise_trace::span("pipeline.select");
-        let flight = FlightRequest::begin();
-        let t0 = Instant::now();
-        let features =
-            FeatureVector::extract_subset(m, &self.feature_config, self.registry.read_set());
-        let feature_extraction_s = t0.elapsed().as_secs_f64();
-        let mut choice =
-            self.select_for_iterations_from_features(m, features, estimator, n_iterations);
-        choice.timing.feature_extraction_s = feature_extraction_s;
-        flight.finish(&mut choice);
-        choice
+        one_request(|| {
+            let read_set = self.registry.read_set();
+            let (features, extract_s) =
+                timed(|| FeatureVector::extract_subset(m, &self.feature_config, read_set));
+            self.predict_and_pick(features, extract_s, amortized(m, estimator, n_iterations))
+        })
     }
 
     /// [`Wise::select_for_iterations`] from pre-extracted features —
@@ -443,54 +460,10 @@ impl Wise {
         &self,
         m: &Csr,
         features: FeatureVector,
-        estimator: &wise_perf::Estimator,
+        estimator: &Estimator,
         n_iterations: u64,
     ) -> Choice {
-        let flight = FlightRequest::begin();
-        let t1 = Instant::now();
-        let (predictions, decision_paths) = {
-            let _predict = wise_trace::span("select.predict");
-            self.registry.predict_explained(&features)
-        };
-        let predict_s = t1.elapsed().as_secs_f64();
-        let t2 = Instant::now();
-        let _pick = wise_trace::span("select.pick");
-        let catalog = self.registry.catalog();
-        let preproc: Vec<f64> =
-            catalog.iter().map(|cfg| estimator.preprocessing_seconds(m, cfg)).collect();
-        let best_csr = if m.nnz() == 0 {
-            // Nothing to multiply: no conversion can pay off.
-            0.0
-        } else {
-            let _baseline = wise_trace::span("select.baseline");
-            let csr: Vec<MethodConfig> =
-                catalog.iter().filter(|c| c.method == wise_kernels::Method::Csr).copied().collect();
-            estimator.csr_baseline_seconds(m, &csr)
-        };
-        let index = crate::select::select_index_amortized(
-            catalog,
-            &predictions,
-            &preproc,
-            best_csr,
-            n_iterations,
-        );
-        let timing = ChoiceTiming {
-            feature_extraction_s: 0.0,
-            predict_s,
-            select_s: t2.elapsed().as_secs_f64(),
-        };
-        let mut choice = Choice {
-            config: catalog[index],
-            index,
-            predictions,
-            features,
-            timing,
-            decision_paths,
-            cascade: None,
-            request_id: 0,
-        };
-        flight.finish(&mut choice);
-        choice
+        one_request(|| self.predict_and_pick(features, 0.0, amortized(m, estimator, n_iterations)))
     }
 
     /// Steps 4–5 of Figure 8: converts `m` to the chosen format and

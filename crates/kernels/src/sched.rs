@@ -24,8 +24,7 @@
 //! all dispatch through [`parallel_for_chunks`]; a call nested inside a
 //! pool thread runs inline (DESIGN.md §20).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use wise_trace::env_knob::{Knob, KnobError};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// A chunk-to-thread scheduling policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -63,20 +62,17 @@ impl Schedule {
 // Thread-count resolution
 // ---------------------------------------------------------------------
 
-/// The `WISE_THREADS` knob, on the shared [`wise_trace::env_knob`]
-/// grammar.
-const THREADS_KNOB: Knob = Knob::new("WISE_THREADS", "a positive integer");
-
-/// Parses a raw `WISE_THREADS` value. `Ok(None)` means the variable is
-/// unset (use the hardware default); `Err` means it is set but
-/// malformed — including `0`, since a zero-thread pool cannot make
-/// progress — which [`default_threads`] reports loudly instead of
-/// silently ignoring.
-pub fn parse_wise_threads(raw: Option<&str>) -> Result<Option<usize>, KnobError> {
-    THREADS_KNOB.parse(raw, |norm| match norm.parse::<usize>() {
-        Ok(0) | Err(_) => None,
-        Ok(n) => Some(n),
-    })
+/// Parses a raw `WISE_THREADS` value, trimmed. `Ok(None)` means the
+/// variable is unset (use the hardware default); `Err` carries the
+/// message for a set but malformed value — empty, non-numeric or `0`,
+/// since a zero-thread pool cannot make progress — which
+/// [`default_threads`] reports loudly instead of silently ignoring.
+pub fn parse_wise_threads(raw: Option<&str>) -> Result<Option<usize>, String> {
+    let Some(raw) = raw.map(str::trim) else { return Ok(None) };
+    match raw.parse::<usize>() {
+        Ok(n) if n > 0 => Ok(Some(n)),
+        _ => Err(format!("WISE_THREADS={raw:?} is not a positive integer")),
+    }
 }
 
 /// Number of worker threads to use: the `WISE_THREADS` environment
@@ -87,15 +83,18 @@ pub fn parse_wise_threads(raw: Option<&str>) -> Result<Option<usize>, KnobError>
 /// plus a `sched.threads_env_invalid` trace counter, so a typo in a
 /// benchmark script cannot silently change what was measured.
 pub fn default_threads() -> usize {
-    let hardware = || std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    THREADS_KNOB
-        .read("sched.threads_env_invalid", "falling back to available_parallelism()", |norm| {
-            match norm.parse::<usize>() {
-                Ok(0) | Err(_) => None,
-                Ok(n) => Some(n),
+    static WARNED: AtomicBool = AtomicBool::new(false);
+    match parse_wise_threads(std::env::var("WISE_THREADS").ok().as_deref()) {
+        Ok(Some(n)) => return n,
+        Ok(None) => {}
+        Err(msg) => {
+            if !WARNED.swap(true, Ordering::Relaxed) {
+                eprintln!("[wise] ignoring {msg}; falling back to available_parallelism()");
+                wise_trace::counter("sched.threads_env_invalid", 1);
             }
-        })
-        .unwrap_or_else(hardware)
+        }
+    }
+    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
 // ---------------------------------------------------------------------
@@ -410,15 +409,13 @@ mod tests {
         assert_eq!(parse_wise_threads(None), Ok(None));
         assert_eq!(parse_wise_threads(Some("4")), Ok(Some(4)));
         assert_eq!(parse_wise_threads(Some(" 16 ")), Ok(Some(16)));
-        assert_eq!(parse_wise_threads(Some("")), Err(KnobError::Empty { knob: "WISE_THREADS" }));
-        assert_eq!(parse_wise_threads(Some("   ")), Err(KnobError::Empty { knob: "WISE_THREADS" }));
-        // Zero, words and negatives are all rejected by the shared
-        // grammar with a self-describing message.
-        for bad in ["0", "four", "-2"] {
+        // Empty and whitespace-only values, zero, words and negatives
+        // are all rejected with a self-describing message.
+        for bad in ["", "   ", "0", "four", "-2"] {
             let err = parse_wise_threads(Some(bad)).unwrap_err();
-            assert!(matches!(err, KnobError::Invalid { knob: "WISE_THREADS", .. }), "{bad:?}");
-            assert!(err.to_string().contains("WISE_THREADS"), "{err}");
-            assert!(err.to_string().contains("positive integer"), "{err}");
+            assert!(err.contains("WISE_THREADS"), "{err}");
+            assert!(err.contains("positive integer"), "{err}");
+            assert!(err.contains(&format!("{:?}", bad.trim())), "{err}");
         }
     }
 

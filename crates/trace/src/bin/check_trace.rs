@@ -19,6 +19,7 @@
 //! known drift status, flight-recorder aggregates).
 
 use std::collections::BTreeMap;
+use std::io::Write as _;
 use wise_trace::export::json::{self, FromJson};
 use wise_trace::export::validate_chrome_trace;
 use wise_trace::telemetry::Snapshot;
@@ -32,6 +33,14 @@ const DEFAULT_REQUIRED: &[&str] = &[
     "kernel.convert",
     "kernel.spmv",
 ];
+
+/// `println!` that ignores a closed stdout (`check_trace … | head -0`)
+/// instead of panicking: the verdict is the exit code.
+macro_rules! say {
+    ($($arg:tt)*) => {{
+        let _ = writeln!(std::io::stdout(), $($arg)*);
+    }};
+}
 
 fn fail(msg: &str) -> ! {
     eprintln!("check_trace: FAIL: {msg}");
@@ -75,7 +84,7 @@ fn main() {
     if let Some(trace_path) = trace_path {
         match validate_chrome_trace(&read(trace_path)) {
             Ok(0) => fail("trace is valid JSON but contains no complete spans"),
-            Ok(spans) => println!("check_trace: {trace_path}: OK ({spans} balanced spans)"),
+            Ok(spans) => say!("check_trace: {trace_path}: OK ({spans} balanced spans)"),
             Err(e) => fail(&format!("{trace_path}: {e}")),
         }
     }
@@ -97,7 +106,7 @@ fn main() {
                 fail(&format!("{summary_path}: required stage '{name}' missing or empty"));
             }
         }
-        println!(
+        say!(
             "check_trace: {summary_path}: OK ({} stages, all {} required present)",
             stages.len(),
             required.len()
@@ -109,7 +118,7 @@ fn main() {
             .map_err(|e| e.to_string())
             .and_then(|snap| check_order(&snap.stages).map(|()| snap))
             .unwrap_or_else(|e| fail(&format!("{snapshot_path}: schema: {e}")));
-        println!("check_trace: {snapshot_path}: OK ({} streaming stages)", snapshot.stages.len());
+        say!("check_trace: {snapshot_path}: OK ({} streaming stages)", snapshot.stages.len());
     }
 }
 

@@ -55,7 +55,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod env_knob;
 pub mod export;
 pub mod ledger;
 pub mod span;

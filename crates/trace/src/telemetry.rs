@@ -14,15 +14,17 @@
 //!   lock the event itself takes; [`stream_stages`] merges the threads
 //!   on read, so quantiles stay queryable while the process runs — no
 //!   flush, no retained samples.
-//! * A **per-request flight recorder**: selection requests record a
-//!   bounded ring of [`RequestRecord`]s (method, cascade stage, margin,
-//!   predicted vs measured seconds). A request whose latency exceeds
-//!   the [`FLIGHT_QUANTILE`] of recent history dumps the surrounding
-//!   window as a loadable Chrome-trace JSON — the "black box" for
-//!   post-hoc analysis of one slow request.
-//! * A **drift gauge**: `wise-core`'s prediction-drift monitor
-//!   publishes its [`DriftRecord`] here so exports and snapshots can
-//!   carry it without a dependency cycle.
+//! * A **request monitor**, one state behind one lock:
+//!   - the *flight recorder*: selection requests record a bounded ring
+//!     of [`RequestRecord`]s (method, cascade stage, margin, predicted
+//!     vs measured seconds). A request whose latency exceeds the
+//!     [`FLIGHT_QUANTILE`] of recent history dumps the surrounding
+//!     window as a loadable Chrome-trace JSON — the "black box" for
+//!     post-hoc analysis of one slow request;
+//!   - the *drift monitor*: [`record_execution`] feeds each measured
+//!     execution back, filling in the request's ring record and
+//!     folding the sample into the regret and fallthrough EWMAs that
+//!     [`drift_gauge`] reads as a [`DriftRecord`].
 //! * A **periodic snapshot exporter**: a background thread writes the
 //!   above as a [`Snapshot`] to `metrics_snapshot.json` every
 //!   [`SNAPSHOT_INTERVAL`] (atomic tmp+rename), the feed for the
@@ -70,7 +72,6 @@ pub struct QuantileSketch {
     /// Count of exact zeros.
     zero: u64,
     count: u64,
-    sum: f64,
     min: u64,
     max: u64,
     /// Bucket counts for indices `bucket_lo ..`, grown lazily toward
@@ -91,7 +92,6 @@ impl QuantileSketch {
             ln_gamma: gamma.ln(),
             zero: 0,
             count: 0,
-            sum: 0.0,
             min: u64::MAX,
             max: 0,
             buckets: Vec::new(),
@@ -170,7 +170,6 @@ impl QuantileSketch {
     /// Records one value.
     pub fn observe(&mut self, v: u64) {
         self.count += 1;
-        self.sum += v as f64;
         self.max = self.max.max(v);
         if v == 0 {
             self.zero += 1;
@@ -193,7 +192,6 @@ impl QuantileSketch {
         );
         self.zero += other.zero;
         self.count += other.count;
-        self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
         for (i, c) in other.nonzero_buckets() {
@@ -259,16 +257,17 @@ impl QuantileSketch {
 
 /// The persisted form of a [`QuantileSketch`]: only non-empty buckets,
 /// index-sorted, so equal sketch contents encode to identical bytes.
+/// Documents written while sketches still kept a `sum` member decode
+/// unchanged (unknown members are ignored).
 struct SketchDoc {
     alpha: f64,
     count: u64,
     zero: u64,
-    sum: f64,
     min: u64,
     max: u64,
     buckets: Vec<(i32, u64)>,
 }
-crate::json_struct!(SketchDoc { alpha, count, zero, sum, min, max, buckets });
+crate::json_struct!(SketchDoc { alpha, count, zero, min, max, buckets });
 
 impl ToJson for QuantileSketch {
     fn write_json(&self, out: &mut String) {
@@ -276,7 +275,6 @@ impl ToJson for QuantileSketch {
             alpha: self.alpha,
             count: self.count,
             zero: self.zero,
-            sum: self.sum,
             min: if self.count > 0 && self.zero == 0 { self.min } else { 0 },
             max: self.max,
             buckets: self.nonzero_buckets().collect(),
@@ -318,7 +316,6 @@ impl FromJson for QuantileSketch {
         }
         sk.count = doc.count;
         sk.zero = doc.zero;
-        sk.sum = doc.sum;
         sk.max = doc.max;
         sk.min = if doc.count > 0 && doc.zero == 0 { doc.min } else { u64::MAX };
         Ok(sk)
@@ -377,7 +374,7 @@ pub struct RequestRecord {
     pub margin: Option<f64>,
     /// Stage-1 roofline prediction for the chosen method, seconds.
     pub predicted_s: Option<f64>,
-    /// Measured seconds, filled in later by [`note_measured`].
+    /// Measured seconds, filled in later by [`record_execution`].
     pub measured_s: Option<f64>,
 }
 
@@ -393,10 +390,17 @@ pub struct FlightStats {
 
 crate::json_struct!(FlightStats { requests, anomalies, ring_len, threshold_ns });
 
+/// The request monitor: the flight ring, the latency history the
+/// anomaly threshold reads, and the drift EWMAs, all under one lock.
 struct FlightState {
     ring: VecDeque<RequestRecord>,
     window: QuantileSketch,
     prior: QuantileSketch,
+    /// `prior` ⊕ `window`, kept by observing each latency into it too
+    /// and re-cloned from `prior` when the window rotates. Merging is
+    /// exact bucket-wise addition, so this equals a fresh merge.
+    history: QuantileSketch,
+    drift: Drift,
     requests: u64,
     anomalies: u64,
     /// Request count at the last dump (rate limit: one dump per
@@ -412,6 +416,8 @@ impl FlightState {
             ring: VecDeque::with_capacity(FLIGHT_RING_CAPACITY),
             window: QuantileSketch::default(),
             prior: QuantileSketch::default(),
+            history: QuantileSketch::default(),
+            drift: Drift::default(),
             requests: 0,
             anomalies: 0,
             last_dump_at: 0,
@@ -421,8 +427,7 @@ impl FlightState {
     }
 
     fn threshold_ns(&self) -> Option<u64> {
-        let mut hist = self.prior.clone();
-        hist.merge(&self.window);
+        let hist = &self.history;
         if hist.count() < FLIGHT_MIN_HISTORY {
             return None;
         }
@@ -491,8 +496,10 @@ pub fn record_request(rec: RequestRecord) -> bool {
     let threshold = st.threshold_ns();
     let anomalous = threshold.is_some_and(|t| rec.latency_ns > t);
     st.window.observe(rec.latency_ns);
+    st.history.observe(rec.latency_ns);
     if st.window.count() >= FLIGHT_WINDOW {
         st.prior = std::mem::take(&mut st.window);
+        st.history = st.prior.clone();
     }
     if st.ring.len() == FLIGHT_RING_CAPACITY {
         st.ring.pop_front();
@@ -516,16 +523,22 @@ pub fn record_request(rec: RequestRecord) -> bool {
     anomalous
 }
 
-/// Fills in the measured execution time of a recorded request (matched
-/// by id in the live ring; a no-op once the request aged out).
-pub fn note_measured(id: u64, seconds: f64) {
-    if id == 0 {
-        return;
-    }
+/// Feeds one measured execution back into the monitor, under its one
+/// lock:
+/// - a positive `measured_s` fills in the ring record of request `id`
+///   (a no-op for id 0 or once the request aged out);
+/// - the drift EWMAs fold the sample in (see [`DRIFT_WINDOW`]).
+///
+/// `stage` is the [`RequestRecord::stage`] label; `predicted_s` the
+/// stage-1 roofline prediction, if any.
+pub fn record_execution(id: u64, stage: &str, predicted_s: Option<f64>, measured_s: f64) {
     let mut st = flight_lock();
-    if let Some(rec) = st.ring.iter_mut().rev().find(|r| r.id == id) {
-        rec.measured_s = Some(seconds);
+    if id != 0 && measured_s > 0.0 {
+        if let Some(rec) = st.ring.iter_mut().rev().find(|r| r.id == id) {
+            rec.measured_s = Some(measured_s);
+        }
     }
+    st.drift.observe(stage, predicted_s, measured_s);
 }
 
 /// Current flight-recorder aggregates.
@@ -550,7 +563,8 @@ pub fn flight_ring() -> Vec<RequestRecord> {
     flight_lock().ring.iter().cloned().collect()
 }
 
-/// Resets the recorder to cold state (tests).
+/// Resets the whole monitor to cold state: ring, latency history and
+/// drift EWMAs (tests, benchmark stages).
 pub fn flight_reset() {
     let mut st = flight_lock();
     *st = FlightState::cold(st.dir.take());
@@ -630,12 +644,32 @@ fn write_flight_dump(dir: &Path, id: u64, dump: &str) {
 }
 
 // ---------------------------------------------------------------------
-// Drift gauge (published by wise-core's drift monitor)
+// Drift monitor
 // ---------------------------------------------------------------------
 
-/// The drift monitor's verdict on the deployed model (computed by
-/// `wise_core::drift`, which re-exports it as `DriftStatus`). Ordered
-/// by severity. Encoded as its [`DriftLevel::label`].
+/// Drift EWMA window, in observations (α = 2/(window+1)).
+pub const DRIFT_WINDOW: u64 = 64;
+
+/// Observations before the monitor may leave [`DriftLevel::Stable`].
+pub const DRIFT_MIN_OBSERVATIONS: u64 = 16;
+
+/// Regret-EWMA level that raises [`DriftLevel::Warning`]: stage-1
+/// predictions running 1.5× slow on average.
+const REGRET_WARNING: f64 = 1.5;
+
+/// Regret-EWMA level that suggests retraining.
+const REGRET_RETRAIN: f64 = 2.5;
+
+/// Fallthrough-rate EWMA that raises [`DriftLevel::Warning`].
+const FALLTHROUGH_WARNING: f64 = 0.5;
+
+/// Fallthrough-rate EWMA that suggests retraining: the calibrated gate
+/// has effectively stopped firing.
+const FALLTHROUGH_RETRAIN: f64 = 0.8;
+
+/// The drift monitor's verdict on the deployed model (`wise_core`
+/// re-exports it as `DriftStatus`). Ordered by severity. Encoded as its
+/// [`DriftLevel::label`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DriftLevel {
     /// Predictions and gate behavior match calibration.
@@ -656,6 +690,16 @@ impl DriftLevel {
             DriftLevel::RetrainSuggested => "retrain-suggested",
         }
     }
+
+    /// The level an EWMA reaches against its warning and retrain
+    /// thresholds (`Stable` before its first sample).
+    fn of(ewma: Option<f64>, warning: f64, retrain: f64) -> DriftLevel {
+        match ewma {
+            Some(v) if v >= retrain => DriftLevel::RetrainSuggested,
+            Some(v) if v >= warning => DriftLevel::Warning,
+            _ => DriftLevel::Stable,
+        }
+    }
 }
 
 impl ToJson for DriftLevel {
@@ -674,8 +718,8 @@ impl FromJson for DriftLevel {
     }
 }
 
-/// One drift reading, as the gauge, the snapshot and the ledger carry
-/// it.
+/// One drift reading, as [`drift_gauge`], the snapshot and the ledger
+/// carry it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DriftRecord {
     pub status: DriftLevel,
@@ -689,23 +733,70 @@ pub struct DriftRecord {
 
 crate::json_struct!(DriftRecord { status, regret_permille, fallthrough_permille, observed });
 
-static DRIFT: Mutex<DriftRecord> = Mutex::new(DriftRecord {
-    status: DriftLevel::Stable,
-    regret_permille: 0,
-    fallthrough_permille: 0,
-    observed: 0,
-});
-
-/// Publishes the drift monitor's current reading (called by
-/// `wise_core::drift` after each observation).
-pub fn set_drift_gauge(reading: DriftRecord) {
-    *DRIFT.lock().unwrap_or_else(|p| p.into_inner()) = reading;
+/// Two EWMAs over the executions [`record_execution`] feeds back:
+/// - **regret**, the measured/predicted time ratio of stage-1 answers
+///   (a sustained climb means the machine model no longer describes
+///   the hardware or the workload);
+/// - **fallthrough**, the fraction of cascaded selections that fell
+///   through to stage 2 (a collapse toward 1 means the incoming
+///   matrices look nothing like what the gate was calibrated on).
+///
+/// Both recover once the workload normalizes: this is a drift monitor,
+/// not a lifetime average.
+#[derive(Default)]
+struct Drift {
+    regret: Option<f64>,
+    fallthrough: Option<f64>,
+    observed: u64,
 }
 
-/// The last published drift reading (all-zero `Stable` before the
-/// monitor ever reported).
+impl Drift {
+    fn observe(&mut self, stage: &str, predicted_s: Option<f64>, measured_s: f64) {
+        fn ewma(prev: Option<f64>, sample: f64) -> f64 {
+            const ALPHA: f64 = 2.0 / (DRIFT_WINDOW as f64 + 1.0);
+            prev.map_or(sample, |p| p + ALPHA * (sample - p))
+        }
+        self.observed += 1;
+        if stage == "full" {
+            return;
+        }
+        let fell_through = stage == "stage2";
+        self.fallthrough = Some(ewma(self.fallthrough, fell_through as u64 as f64));
+        if fell_through {
+            crate::counter("drift.fallthrough", 1);
+        }
+        let predicted = predicted_s.filter(|_| stage == "stage1").unwrap_or(f64::NAN);
+        // Written so NaN fails the test too.
+        if measured_s > 0.0 && predicted > 0.0 {
+            let ratio = measured_s / predicted;
+            self.regret = Some(ewma(self.regret, ratio));
+            crate::observe("drift.regret", permille(ratio));
+        }
+    }
+
+    fn record(&self) -> DriftRecord {
+        let regret = DriftLevel::of(self.regret, REGRET_WARNING, REGRET_RETRAIN);
+        let fallthrough =
+            DriftLevel::of(self.fallthrough, FALLTHROUGH_WARNING, FALLTHROUGH_RETRAIN);
+        let armed = self.observed >= DRIFT_MIN_OBSERVATIONS;
+        DriftRecord {
+            status: if armed { regret.max(fallthrough) } else { DriftLevel::Stable },
+            regret_permille: self.regret.map_or(0, permille),
+            fallthrough_permille: self.fallthrough.map_or(0, |f| permille(f).min(1000)),
+            observed: self.observed,
+        }
+    }
+}
+
+/// `x` in permille, rounded and clamped to `[0, 10^12]` (NaN reads 0).
+fn permille(x: f64) -> u64 {
+    (x * 1000.0).round().clamp(0.0, 1e12) as u64
+}
+
+/// The drift monitor's current reading (all-zero `Stable` before any
+/// execution was fed back).
 pub fn drift_gauge() -> DriftRecord {
-    *DRIFT.lock().unwrap_or_else(|p| p.into_inner())
+    flight_lock().drift.record()
 }
 
 // ---------------------------------------------------------------------
@@ -965,13 +1056,21 @@ mod tests {
         assert_eq!(back.quantile(0.95), sk.quantile(0.95));
         assert_eq!(back.min(), sk.min());
         assert_eq!(back.max(), sk.max());
+        // A document from before sketches dropped their write-only
+        // `sum` member decodes to the same sketch and re-encodes to
+        // today's bytes.
+        let old = json1.replacen(r#""zero":"#, r#""sum":9876543.5,"zero":"#, 1);
+        assert_ne!(old, json1);
+        let back_old = QuantileSketch::from_json_str(&old).expect("old document");
+        assert_eq!(back_old, sk);
+        assert_eq!(back_old.to_json(), json1);
     }
 
     #[test]
     fn sketch_decode_rejects_impossible_documents() {
         let doc = |alpha: &str, count: &str, buckets: &str| {
             format!(
-                r#"{{"alpha":{alpha},"count":{count},"zero":1,"sum":0,"min":0,"max":0,"buckets":{buckets}}}"#
+                r#"{{"alpha":{alpha},"count":{count},"zero":1,"min":0,"max":0,"buckets":{buckets}}}"#
             )
         };
         assert!(QuantileSketch::from_json_str(&doc("0.01", "3", "[[0,1],[5,1]]")).is_ok());
@@ -1049,7 +1148,7 @@ mod tests {
         // One request 100x the p99 of history: must flag and dump.
         id += 1;
         assert!(record_request(mk(id, 1_200_000)), "slow request not flagged");
-        note_measured(id, 0.5);
+        record_execution(id, "stage1", Some(1e-4), 0.5);
         let dump = last_anomaly_dump().expect("anomaly dump");
         crate::export::validate_chrome_trace(&dump).expect("dump must be a valid trace");
         assert!(dump.contains("flight.anomaly"), "missing anomaly marker");
@@ -1082,6 +1181,50 @@ mod tests {
     }
 
     #[test]
+    fn flight_threshold_equals_a_clone_and_merge_of_prior_and_window() {
+        let _serial = FLIGHT_TESTS.lock().unwrap_or_else(|p| p.into_inner());
+        flight_reset();
+        // The threshold, computed independently: a fresh merge of the
+        // previous and the current latency window.
+        let reference = |prior: &QuantileSketch, window: &QuantileSketch| {
+            let mut hist = prior.clone();
+            hist.merge(window);
+            if hist.count() < FLIGHT_MIN_HISTORY {
+                return None;
+            }
+            let gamma = (1.0 + hist.alpha()) / (1.0 - hist.alpha());
+            Some((hist.quantile(FLIGHT_QUANTILE)? as f64 * gamma).ceil() as u64)
+        };
+        let (mut prior, mut window) = (QuantileSketch::default(), QuantileSketch::default());
+        let mut rng = Rng(0xF11E);
+        // 3,000 requests cross two window rotations; the occasional
+        // 20-50x outlier moves the p99 between them.
+        for id in 1..=3_000u64 {
+            let latency = match rng.next() % 100 {
+                0 => 200_000 + rng.next() % 300_000,
+                _ => 5_000 + rng.next() % 5_000,
+            };
+            record_request(RequestRecord {
+                id,
+                start_ns: id * 20_000,
+                latency_ns: latency,
+                method: "m".to_string(),
+                stage: "full",
+                margin: None,
+                predicted_s: None,
+                measured_s: None,
+            });
+            window.observe(latency);
+            if window.count() >= FLIGHT_WINDOW {
+                prior = std::mem::take(&mut window);
+            }
+            assert_eq!(flight_stats().threshold_ns, reference(&prior, &window), "request {id}");
+        }
+        assert_eq!(flight_stats().requests, 3_000);
+        flight_reset();
+    }
+
+    #[test]
     fn request_scope_nests_and_restores() {
         assert_eq!(current_request(), 0);
         {
@@ -1098,26 +1241,28 @@ mod tests {
 
     #[test]
     fn snapshot_json_is_valid_and_carries_the_sections() {
+        let _serial = FLIGHT_TESTS.lock().unwrap_or_else(|p| p.into_inner());
+        flight_reset();
         // `record` feeds the thread's streaming stages without flipping
         // the process-global trace switch other unit tests rely on.
         crate::span::record("unit.snapshot.stage", crate::Phase::Sample, 0, 1234);
         crate::span::record("unit.snapshot.stage", crate::Phase::Sample, 0, 2345);
-        set_drift_gauge(DriftRecord {
-            status: DriftLevel::Warning,
-            regret_permille: 1700,
-            fallthrough_permille: 250,
-            observed: 40,
-        });
+        // Stage-1 executions running 1.7x their prediction.
+        for _ in 0..DRIFT_MIN_OBSERVATIONS {
+            record_execution(0, "stage1", Some(1e-3), 1.7e-3);
+        }
         let json = snapshot_json();
         let snap = Snapshot::from_json_str(&json).expect("the snapshot decodes");
         assert_eq!(snap.schema_version, SNAPSHOT_SCHEMA);
         let st = &snap.stages["unit.snapshot.stage"];
         assert_eq!((st.count, st.total_ns, st.self_total_ns), (2, 3579, 3579));
-        assert_eq!(snap.drift.status, DriftLevel::Warning);
+        assert_eq!(snap.drift, drift_gauge());
+        assert_eq!((snap.drift.status, snap.drift.regret_permille), (DriftLevel::Warning, 1700));
         assert!(json.contains(r#""status":"warning""#), "{json}");
         // An unknown drift label or schema version does not decode.
         assert!(Snapshot::from_json_str(&json.replace(r#""warning""#, r#""melting""#)).is_err());
         let v1 = json.replace(r#""schema_version":2"#, r#""schema_version":1"#);
         assert!(Snapshot::from_json_str(&v1).is_err());
+        flight_reset();
     }
 }

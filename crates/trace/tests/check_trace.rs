@@ -4,7 +4,7 @@
 //! emitters; each malformed one is a single edit of a valid one.
 
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Stdio};
 use wise_trace::export::json::{self, Value};
 use wise_trace::span::{Event, Phase};
 use wise_trace::{chrome_trace_json, perf_summary_json, Summary};
@@ -180,4 +180,28 @@ fn valid_documents_pass_and_each_malformed_one_fails() {
 
 fn num(n: u64) -> Value {
     Value::Number(n.to_string())
+}
+
+/// `check_trace --snapshot … | head -0`: a reader gone before the first
+/// line must not turn a passing verdict into a panic.
+#[test]
+fn closed_stdout_keeps_the_verdict_and_does_not_panic() {
+    let dir = std::env::temp_dir().join(format!("wise_check_trace_pipe_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let snapshot = dir.join("metrics_snapshot.json");
+    std::fs::write(&snapshot, valid_snapshot()).unwrap();
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_check_trace"))
+        .arg("--snapshot")
+        .arg(&snapshot)
+        .stdout(Stdio::from(writer))
+        .stderr(Stdio::piped())
+        .output()
+        .expect("run check_trace");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(out.status.code(), Some(101), "panicked:\n{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.status.success(), "a valid snapshot must still pass: {stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
