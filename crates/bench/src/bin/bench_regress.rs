@@ -17,11 +17,11 @@
 //! `--note <text>` (free-form tag stored in the record),
 //! `--simd-floor <x>` (minimum scalar/vector speedup of the SIMD
 //! throughput stage; default 1.0 — the vector kernel must not lose.
-//! Hosts whose probe resolves to the scalar ISA gate on parity only),
-//! `--cascade-speedup-floor <x>` (minimum p50 cascade-vs-full selection
-//! speedup on the stage-6 latency probe; default 1.0 — the fast path
-//! must not lose. Skipped with a notice when the calibrated gate never
-//! accepts a probe matrix),
+//! Hosts whose probe resolves to the scalar ISA gate on parity only).
+//! The p50 cascade-vs-full selection speedup on the stage-6 latency
+//! probe must reach `CASCADE_SPEEDUP_FLOOR` (1.0) — the fast path must not
+//! lose — unless the calibrated gate never accepts a probe matrix
+//! (skipped with a notice).
 //! Stage 7 records the cost of one traced span (ring event plus
 //! streaming sketch) as `bench.trace.span_ns`, for trend tracking.
 //!
@@ -55,13 +55,15 @@ use wise_trace::{BenchRecord, GatePolicy, HostFingerprint, ModelMetrics, Summary
 /// would silently start a new baseline.
 const SEED: u64 = 42;
 
+/// Minimum p50 cascade-vs-full selection speedup on the stage-6 probe.
+const CASCADE_SPEEDUP_FLOOR: f64 = 1.0;
+
 struct Args {
     quick: bool,
     ledger_dir: PathBuf,
     trace_out: Option<PathBuf>,
     note: String,
     simd_floor: f64,
-    cascade_speedup_floor: f64,
 }
 
 fn parse_args() -> Args {
@@ -71,7 +73,6 @@ fn parse_args() -> Args {
         trace_out: None,
         note: String::new(),
         simd_floor: 1.0,
-        cascade_speedup_floor: 1.0,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -88,17 +89,11 @@ fn parse_args() -> Args {
                 let raw = it.next().expect("--simd-floor needs a number");
                 args.simd_floor = raw.parse().expect("--simd-floor: not a number");
             }
-            "--cascade-speedup-floor" => {
-                let raw = it.next().expect("--cascade-speedup-floor needs a number");
-                args.cascade_speedup_floor =
-                    raw.parse().expect("--cascade-speedup-floor: not a number");
-            }
             other => {
                 eprintln!("unknown flag {other}");
                 eprintln!(
                     "usage: bench_regress [--quick] [--ledger-dir <dir>] \
-                     [--trace-out <path>] [--note <text>] [--simd-floor <x>] \
-                     [--cascade-speedup-floor <x>]"
+                     [--trace-out <path>] [--note <text>] [--simd-floor <x>]"
                 );
                 std::process::exit(2);
             }
@@ -256,13 +251,6 @@ fn main() {
     let mut ys = vec![0.0; simd_matrix.nrows()];
     let scalar_prep = simd_cfg.with_simd(1).prepare(simd_matrix);
     let vector_prep = simd_cfg.prepare(simd_matrix);
-    let (mlp_pf, mlp_il) = match &vector_prep {
-        wise_kernels::method::Prepared::Pack(p, _) => {
-            let risa = p.resolved_isa();
-            (p.resolved_prefetch(risa), p.resolved_interleave(risa))
-        }
-        _ => (0, 1),
-    };
     let probe_nnz = vector_prep.nnz_padded() as u64;
     // Each rung warms and times its own pack back to back: alternating
     // the two packs per call would make every call start on the other
@@ -284,7 +272,7 @@ fn main() {
     }
     black_box(&ys);
     report::progress(format_args!(
-        "simd probe: {} ({} lanes), auto pf{mlp_pf}:il{mlp_il}, {} padded nnz, {spmv_iters} iters",
+        "simd probe: {} ({} lanes), {} padded nnz, {spmv_iters} iters",
         isa.name(),
         isa.lanes(),
         probe_nnz
@@ -400,9 +388,7 @@ fn main() {
         }
     }
     let summary = Summary::from_events(&events);
-    let host = HostFingerprint::detect()
-        .with_rustc(rustc_version())
-        .with_mlp(Some(format!("pf{mlp_pf}:il{mlp_il}")));
+    let host = HostFingerprint { rustc: rustc_version(), ..HostFingerprint::detect() };
 
     let dir = &args.ledger_dir;
     let mut warnings = Vec::new();
@@ -455,8 +441,7 @@ fn main() {
         record.throughput.insert("bench.cascade.speedup".to_string(), sp);
         outln!(
             "cascade: selection p50 speedup {sp:.2}x over the full pipeline, \
-             fallthrough rate {fallthrough_rate:.2} (floor {:.2}x)",
-            args.cascade_speedup_floor
+             fallthrough rate {fallthrough_rate:.2} (floor {CASCADE_SPEEDUP_FLOOR:.2}x)"
         );
     }
 
@@ -507,11 +492,10 @@ fn main() {
     // only punish conservative calibrations.
     if stage1_answers > 0 {
         let sp = cascade_speedup.unwrap_or(0.0);
-        if sp < args.cascade_speedup_floor {
+        if sp < CASCADE_SPEEDUP_FLOOR {
             eprintln!(
                 "bench_regress: cascade floor violated — fast-path selection {sp:.2}x vs \
-                 full (floor {:.2}x)",
-                args.cascade_speedup_floor
+                 full (floor {CASCADE_SPEEDUP_FLOOR:.2}x)"
             );
             std::process::exit(1);
         }

@@ -4,6 +4,7 @@
 //! stop rendering without a panic.
 
 use std::process::{Command, Stdio};
+use wise_trace::export::json::ToJson;
 
 #[test]
 fn closed_stdout_neither_panics_nor_loses_the_saved_report() {
@@ -34,7 +35,7 @@ fn wise_top_on_a_closed_stdout_does_not_panic() {
     let dir = std::env::temp_dir().join(format!("wise_broken_pipe_top_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let snapshot = dir.join("metrics_snapshot.json");
-    std::fs::write(&snapshot, wise_trace::telemetry::snapshot_json()).unwrap();
+    std::fs::write(&snapshot, wise_trace::telemetry::Snapshot::capture().to_json()).unwrap();
     let (reader, writer) = std::io::pipe().expect("pipe");
     drop(reader);
     let out = Command::new(env!("CARGO_BIN_EXE_wise_top"))

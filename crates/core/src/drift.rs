@@ -3,16 +3,11 @@
 //! [`wise_trace::telemetry`] — one call under one lock. The monitor
 //! fills in the request's flight record and folds the sample into its
 //! regret and fallthrough EWMAs. [`telemetry::drift_gauge`] reads them
-//! as a [`DriftStatus`] plus permille levels; the run report,
+//! as a [`telemetry::DriftLevel`] plus permille levels; the run report,
 //! `metrics_snapshot.json` and the benchmark ledger carry that reading.
 
 use crate::pipeline::Choice;
 use wise_trace::telemetry;
-
-/// The monitor's verdict on the deployed model: the trace crate's
-/// drift level, whose labels (`stable`, `warning`, `retrain-suggested`)
-/// are its encoding in every export.
-pub use wise_trace::telemetry::DriftLevel as DriftStatus;
 
 /// Feeds one measured execution of `choice` back into the request
 /// monitor: its flight record (by `choice.request_id`) and the drift
@@ -33,7 +28,7 @@ mod tests {
     use crate::cascade::{CascadeInfo, CascadeStage, FallthroughReason};
     use crate::classes::SpeedupClass;
     use std::sync::Mutex;
-    use telemetry::{drift_gauge, flight_reset, DRIFT_MIN_OBSERVATIONS, DRIFT_WINDOW};
+    use telemetry::{drift_gauge, flight_reset, DriftLevel, DRIFT_MIN_OBSERVATIONS, DRIFT_WINDOW};
 
     /// Serializes the tests that reset and fill the process-global
     /// monitor.
@@ -87,10 +82,10 @@ mod tests {
         for _ in 0..DRIFT_MIN_OBSERVATIONS - 1 {
             observe_execution(&stage1(1e-3), 10e-3);
         }
-        assert_eq!(drift_gauge().status, DriftStatus::Stable);
+        assert_eq!(drift_gauge().status, DriftLevel::Stable);
         // Crossing the minimum with a 10x regret EWMA suggests retrain.
         observe_execution(&stage1(1e-3), 10e-3);
-        assert_eq!(drift_gauge().status, DriftStatus::RetrainSuggested);
+        assert_eq!(drift_gauge().status, DriftLevel::RetrainSuggested);
         let s = drift_gauge();
         assert!(s.regret_permille > 2500, "{s:?}");
         assert_eq!(s.observed, DRIFT_MIN_OBSERVATIONS);
@@ -104,17 +99,17 @@ mod tests {
         for _ in 0..DRIFT_MIN_OBSERVATIONS {
             observe_execution(&stage1(1e-3), 1e-3);
         }
-        assert_eq!(drift_gauge().status, DriftStatus::Stable);
+        assert_eq!(drift_gauge().status, DriftLevel::Stable);
         // A burst of 2x-slow samples lifts the EWMA into warning...
         for _ in 0..DRIFT_WINDOW {
             observe_execution(&stage1(1e-3), 2e-3);
         }
-        assert_eq!(drift_gauge().status, DriftStatus::Warning);
+        assert_eq!(drift_gauge().status, DriftLevel::Warning);
         // ...and a long accurate stretch decays it back to stable.
         for _ in 0..4 * DRIFT_WINDOW {
             observe_execution(&stage1(1e-3), 1e-3);
         }
-        assert_eq!(drift_gauge().status, DriftStatus::Stable);
+        assert_eq!(drift_gauge().status, DriftLevel::Stable);
         flight_reset();
     }
 
@@ -125,7 +120,7 @@ mod tests {
         for _ in 0..2 * DRIFT_WINDOW {
             observe_execution(&stage2(), 1e-3);
         }
-        assert_eq!(drift_gauge().status, DriftStatus::RetrainSuggested);
+        assert_eq!(drift_gauge().status, DriftLevel::RetrainSuggested);
         let s = drift_gauge();
         assert!(s.fallthrough_permille > 800, "{s:?}");
         assert_eq!(s.regret_permille, 0);
@@ -143,7 +138,7 @@ mod tests {
             observe_execution(&choice_with(None), 1e-3);
         }
         let s = drift_gauge();
-        assert_eq!(s.status, DriftStatus::Stable);
+        assert_eq!(s.status, DriftLevel::Stable);
         assert_eq!(s.regret_permille, 0);
         assert_eq!(s.fallthrough_permille, 0);
         assert_eq!(s.observed, 2 * DRIFT_MIN_OBSERVATIONS);

@@ -53,7 +53,7 @@ pub mod select;
 
 pub use cascade::{CascadeGate, CascadeInfo, CascadeStage, FallthroughReason};
 pub use classes::SpeedupClass;
-pub use drift::{observe_execution, DriftStatus};
+pub use drift::observe_execution;
 pub use evaluate::{evaluate_cv, CvEvaluation, EvalOutcome};
 pub use explain::explain_choice;
 pub use labels::{label_corpus, CorpusLabels, MatrixLabels};

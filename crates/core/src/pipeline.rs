@@ -124,7 +124,7 @@ impl FlightRequest {
             return None;
         }
         let id = telemetry::next_request_id();
-        let start_ns = telemetry::now_ns();
+        let start_ns = wise_trace::span::now_ns();
         Some(FlightRequest { id, start_ns, _scope: telemetry::RequestScope::enter(id) })
     }
 
@@ -134,7 +134,7 @@ impl FlightRequest {
         telemetry::record_request(telemetry::RequestRecord {
             id: self.id,
             start_ns: self.start_ns,
-            latency_ns: telemetry::now_ns().saturating_sub(self.start_ns),
+            latency_ns: wise_trace::span::now_ns().saturating_sub(self.start_ns),
             method: choice.config.label(),
             stage: choice.stage_label(),
             margin: choice.cascade.map(|info| info.margin),

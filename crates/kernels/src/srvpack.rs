@@ -378,13 +378,13 @@ impl SrvPack {
     /// The prefetch distance the chunk kernel runs at `isa`: the auto
     /// policy, which engages only once x outgrows the caches
     /// ([`simd::auto_prefetch_distance`]).
-    pub fn resolved_prefetch(&self, isa: SimdIsa) -> usize {
+    pub(crate) fn resolved_prefetch(&self, isa: SimdIsa) -> usize {
         simd::auto_prefetch_distance(isa, self.ncols)
     }
 
     /// The chunk-interleave factor at `isa`: 2 (chunk pairs) on the
     /// AVX-512 c=8 path, else 1 ([`simd::auto_sell_interleave`]).
-    pub fn resolved_interleave(&self, isa: SimdIsa) -> usize {
+    pub(crate) fn resolved_interleave(&self, isa: SimdIsa) -> usize {
         simd::auto_sell_interleave(isa, self.config.c)
     }
 

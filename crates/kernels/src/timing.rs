@@ -18,15 +18,12 @@ use std::time::{Duration, Instant};
 /// *nearest-rank with rounding*: percentile `p` is the sorted sample at
 /// index `round((len - 1) · p)`, with ties rounding away from zero. For
 /// even-length samples the median is therefore the **upper** middle
-/// element (index `len / 2`), and `median == p50` by construction.
+/// element (index `len / 2`): the median is the nearest-rank p50.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Samples {
-    /// The median timed iteration (the headline estimate). Identical to
-    /// `p50` — both use the nearest-rank definition above.
+    /// The median timed iteration (the headline estimate).
     pub median: Duration,
     pub min: Duration,
-    /// 50th percentile; equals `median` (kept for symmetry with `p95`).
-    pub p50: Duration,
     pub p95: Duration,
     pub max: Duration,
     /// Sum of every timed iteration — what the whole measurement
@@ -49,7 +46,6 @@ impl Samples {
         Samples {
             median: pct(0.50),
             min: samples[0],
-            p50: pct(0.50),
             p95: pct(0.95),
             max: samples[samples.len() - 1],
             total,
@@ -59,7 +55,7 @@ impl Samples {
 }
 
 /// Runs `f` `warmup` times untimed, then `iters` timed runs, returning
-/// the sample summary (median, min/p50/p95/max, count). `iters` of 0 is
+/// the sample summary (median, min/p95/max, count). `iters` of 0 is
 /// treated as 1. Each timed run is recorded into the
 /// `timing.measure_median` trace histogram when tracing is enabled.
 pub fn measure_median(mut f: impl FnMut(), warmup: usize, iters: usize) -> Samples {
@@ -126,7 +122,6 @@ mod tests {
         let s = Samples::from_durations(vec![ms(5), ms(1), ms(3), ms(2), ms(4)]);
         assert_eq!(s.min, ms(1));
         assert_eq!(s.median, ms(3));
-        assert_eq!(s.p50, ms(3));
         assert_eq!(s.p95, ms(5)); // round(4 * 0.95) = 4 -> last sample
         assert_eq!(s.max, ms(5));
         assert_eq!(s.total, ms(15));
@@ -142,8 +137,7 @@ mod tests {
             1,
             9,
         );
-        assert!(s.min <= s.p50 && s.p50 <= s.p95 && s.p95 <= s.max);
-        assert!(s.min <= s.median && s.median <= s.max);
+        assert!(s.min <= s.median && s.median <= s.p95 && s.p95 <= s.max);
     }
 
     #[test]
@@ -157,8 +151,7 @@ mod tests {
         let ms = Duration::from_millis;
         for len in [2usize, 4, 6, 10] {
             let s = Samples::from_durations((1..=len as u64).map(ms).collect());
-            assert_eq!(s.median, s.p50, "len={len}");
-            // Upper middle element by the documented definition.
+            // The nearest-rank p50: the upper middle element.
             assert_eq!(s.median, ms(len as u64 / 2 + 1), "len={len}");
             assert_eq!(s.total, ms((1..=len as u64).sum()), "len={len}");
         }

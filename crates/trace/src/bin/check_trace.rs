@@ -1,12 +1,11 @@
 //! CI validator for emitted trace artifacts.
 //!
-//! Usage: `check_trace <trace.json> [<perf_summary.json>] [--summary
-//! <perf_summary.json>] [--snapshot <metrics_snapshot.json>]
-//! [--require stage1,stage2,...]`
+//! Usage: `check_trace <trace.json> [<perf_summary.json>]
+//! [--snapshot <metrics_snapshot.json>] [--require stage1,stage2,...]`
 //!
 //! Checks that the Chrome trace parses as JSON with balanced,
-//! properly-nested begin/end events, and that the perf summary (given
-//! positionally or via `--summary`) decodes as a [`Summary`] — every
+//! properly-nested begin/end events, and that the perf summary, when
+//! given, decodes as a [`Summary`] — every
 //! host string member present (string or null), a positive core count,
 //! integer stage statistics in `min ≤ p50 ≤ p95 ≤ p99 ≤ max` order with
 //! any sketch agreeing with its stage's count, integer counters — and
@@ -54,7 +53,6 @@ fn read(path: &str) -> String {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut paths: Vec<&String> = Vec::new();
-    let mut summary_flag: Option<&String> = None;
     let mut snapshot_flag: Option<&String> = None;
     let mut required: Vec<String> = DEFAULT_REQUIRED.iter().map(|s| s.to_string()).collect();
     let mut it = args.iter();
@@ -62,8 +60,6 @@ fn main() {
         if a == "--require" {
             let list = it.next().unwrap_or_else(|| fail("--require needs a comma-separated list"));
             required = list.split(',').map(|s| s.trim().to_string()).collect();
-        } else if a == "--summary" {
-            summary_flag = Some(it.next().unwrap_or_else(|| fail("--summary needs a path")));
         } else if a == "--snapshot" {
             snapshot_flag = Some(it.next().unwrap_or_else(|| fail("--snapshot needs a path")));
         } else {
@@ -72,12 +68,13 @@ fn main() {
     }
     // A snapshot stands alone (`check_trace --snapshot <path>`); every
     // other mode starts from a positional trace.
-    let (trace_path, rest): (Option<&String>, &[&String]) = match paths.as_slice() {
-        [trace, rest @ ..] => (Some(trace), rest),
-        [] if snapshot_flag.is_some() => (None, &[]),
-        [] => fail(
+    let (trace_path, summary_path) = match paths.as_slice() {
+        [trace] => (Some(trace), None),
+        [trace, summary] => (Some(trace), Some(summary)),
+        [] if snapshot_flag.is_some() => (None, None),
+        _ => fail(
             "usage: check_trace <trace.json> [<perf_summary.json>] \
-             [--summary <path>] [--snapshot <path>] [--require a,b,...]",
+             [--snapshot <path>] [--require a,b,...]",
         ),
     };
 
@@ -89,14 +86,6 @@ fn main() {
         }
     }
 
-    // The summary may be given positionally (historical) or via
-    // --summary; both run the same validation.
-    let summary_path = match (summary_flag, rest) {
-        (Some(p), []) => Some(p),
-        (None, [p]) => Some(*p),
-        (None, []) => None,
-        _ => fail("give the summary either positionally or via --summary, not both"),
-    };
     if let Some(summary_path) = summary_path {
         let summary = decode_summary(&read(summary_path))
             .unwrap_or_else(|e| fail(&format!("{summary_path}: schema: {e}")));

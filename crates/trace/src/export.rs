@@ -4,38 +4,72 @@
 //! The Chrome format is the subset understood by Perfetto and
 //! `chrome://tracing`: an object with a `traceEvents` array of `B`/`E`
 //! duration events, `C` counter events and `i` instant events, with
-//! timestamps in *microseconds*. JSON is emitted by hand — this crate
-//! is zero-dependency — and [`json`] holds the workspace's parser and
-//! typed encode/decode traits, so the `check_trace` validator (and
-//! tests) can verify emitted files.
+//! timestamps in *microseconds*. [`trace_document`] is its one writer,
+//! shared by the span export and the flight recorder's anomaly dump.
+//! JSON is emitted by hand — this crate is zero-dependency — and
+//! [`json`] holds the workspace's parser and typed encode/decode
+//! traits, so the `check_trace` validator (and tests) can verify
+//! emitted files.
 
-use crate::export::json::ToJson;
+use crate::export::json::{write_member, ToJson};
 use crate::span::{Event, Phase};
 use crate::{QuantileSketch, Summary};
 use std::fmt::Write as _;
 use std::path::Path;
 
-/// Escapes `s` into a JSON string literal body (shared with the
-/// [`json`] codec and the telemetry emitters).
-pub(crate) fn write_escaped(out: &mut String, s: &str) {
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// One trace-event object, as [`trace_document`] writes it: `s` is an
+/// instant event's scope (`"t"` thread, `"g"` global), `args` any
+/// encodable payload.
+pub(crate) struct TraceEvent<'a, A> {
+    pub(crate) name: &'a str,
+    pub(crate) cat: &'static str,
+    pub(crate) ph: &'static str,
+    pub(crate) ts_ns: u64,
+    pub(crate) tid: u64,
+    pub(crate) s: Option<&'static str>,
+    pub(crate) args: Option<A>,
+}
+
+impl<A: ToJson> ToJson for TraceEvent<'_, A> {
+    fn write_json(&self, out: &mut String) {
+        let mut sep = '{';
+        write_member(out, &mut sep, "name", self.name);
+        write_member(out, &mut sep, "cat", self.cat);
+        write_member(out, &mut sep, "ph", self.ph);
+        // Microseconds, the format's unit, with the nanoseconds kept as
+        // exact decimals.
+        let _ = write!(out, ",\"ts\":{}.{:03},\"pid\":1", self.ts_ns / 1_000, self.ts_ns % 1_000);
+        write_member(out, &mut sep, "tid", &self.tid);
+        if let Some(s) = self.s {
+            write_member(out, &mut sep, "s", s);
         }
+        if let Some(args) = &self.args {
+            write_member(out, &mut sep, "args", args);
+        }
+        out.push('}');
     }
 }
 
-/// Microsecond timestamp with nanosecond precision kept as decimals.
-fn us(ts_ns: u64) -> String {
-    format!("{}.{:03}", ts_ns / 1_000, ts_ns % 1_000)
+/// A one-member `args` object: `{"<name>":<value>}`.
+struct Arg<'a>(&'a str, u64);
+
+impl ToJson for Arg<'_> {
+    fn write_json(&self, out: &mut String) {
+        let mut sep = '{';
+        write_member(out, &mut sep, self.0, &self.1);
+        out.push('}');
+    }
+}
+
+/// The trace-event document around `events`:
+/// `{"displayTimeUnit":"ms","traceEvents":[…]}`.
+pub(crate) fn trace_document<A: ToJson>(events: Vec<TraceEvent<'_, A>>) -> String {
+    let mut out = String::with_capacity(events.len() * 96 + 64);
+    let mut sep = '{';
+    write_member(&mut out, &mut sep, "displayTimeUnit", "ms");
+    write_member(&mut out, &mut sep, "traceEvents", &events);
+    out.push('}');
+    out
 }
 
 /// Renders a flushed event stream as Chrome trace-event JSON. Spans
@@ -43,45 +77,24 @@ fn us(ts_ns: u64) -> String {
 /// counter tracks in Perfetto), duration samples become `i` instant
 /// events carrying their nanosecond value in `args`.
 pub fn chrome_trace_json(events: &[Event]) -> String {
-    let mut out = String::with_capacity(events.len() * 96 + 64);
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    let mut first = true;
-    for e in events {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str("{\"name\":\"");
-        write_escaped(&mut out, e.name);
-        let _ =
-            write!(out, "\",\"cat\":\"wise\",\"pid\":1,\"tid\":{},\"ts\":{}", e.tid, us(e.ts_ns));
-        match e.phase {
-            Phase::Begin => out.push_str(",\"ph\":\"B\"}"),
-            Phase::End => out.push_str(",\"ph\":\"E\"}"),
-            Phase::Counter => {
-                out.push_str(",\"ph\":\"C\",\"args\":{\"");
-                write_escaped(&mut out, e.name);
-                let _ = write!(out, "\":{}}}}}", e.value);
-            }
-            Phase::Sample => {
-                let _ = write!(out, ",\"ph\":\"i\",\"s\":\"t\",\"args\":{{\"ns\":{}}}}}", e.value);
-            }
-        }
-    }
-    out.push_str("]}");
-    out
+    trace_document(
+        events
+            .iter()
+            .map(|e| {
+                let (ph, s, args) = match e.phase {
+                    Phase::Begin => ("B", None, None),
+                    Phase::End => ("E", None, None),
+                    Phase::Counter => ("C", None, Some(Arg(e.name, e.value))),
+                    Phase::Sample => ("i", Some("t"), Some(Arg("ns", e.value))),
+                };
+                TraceEvent { name: e.name, cat: "wise", ph, ts_ns: e.ts_ns, tid: e.tid, s, args }
+            })
+            .collect(),
+    )
 }
 
-/// Renders `perf_summary.json`: the encoded [`Summary`] — its host
-/// fingerprint, one [`crate::StageRecord`] per stage and the summed
-/// counters — the artifact BENCH trajectories diff across PRs.
-/// Summaries from different hosts (or different `WISE_THREADS`
-/// settings) carry the difference in-band.
-pub fn perf_summary_json(summary: &Summary) -> String {
-    summary.to_json()
-}
-
-fn fmt_ns(ns: u64) -> String {
+/// A duration with a unit, for the run report and the gate's diff.
+pub(crate) fn fmt_ns(ns: u64) -> String {
     match ns {
         0..=9_999 => format!("{ns}ns"),
         10_000..=9_999_999 => format!("{:.1}us", ns as f64 / 1e3),
@@ -199,8 +212,9 @@ pub fn run_report(summary: &Summary) -> String {
 ///
 /// A panic (or an early `process::exit`) unwinding through open spans
 /// leaves their `Begin` events in the buffers with no matching `End`;
-/// the raw stream would then fail [`validate_chrome_trace`] and panic
-/// [`crate::build_forest`]. A span still open when an enclosing span
+/// the raw stream would then fail [`validate_chrome_trace`], and
+/// [`folded::folded_stacks`] and [`Summary::from_events`] would drop the
+/// open spans' time. A span still open when an enclosing span
 /// ends (its guard was leaked, or unwinding skipped it) is closed just
 /// before that `End`; spans open at the end of the stream are closed
 /// per thread in LIFO order (preserving nesting) at the stream's final
@@ -336,7 +350,7 @@ pub fn write_trace_files(
     std::fs::write(trace_path.with_extension("folded"), folded::folded_stacks(&events))?;
     let summary = Summary::from_events(&events);
     let summary_path = trace_path.parent().unwrap_or(Path::new(".")).join("perf_summary.json");
-    std::fs::write(&summary_path, perf_summary_json(&summary))?;
+    std::fs::write(&summary_path, summary.to_json())?;
     Ok(summary_path)
 }
 
@@ -429,7 +443,7 @@ mod tests {
     #[test]
     fn perf_summary_shape() {
         let summary = Summary::from_events(&sample_events());
-        let text = perf_summary_json(&summary);
+        let text = summary.to_json();
         let doc = json::parse(&text).expect("parses");
         let stages = doc.get("stages").unwrap().as_object().unwrap();
         assert!(stages.contains_key("features.extract"));
@@ -493,15 +507,13 @@ mod tests {
             threads_env: Some("2".into()),
             rustc: Some("rustc 1.95.0".into()),
             simd: Some("avx2:4".into()),
-            mlp: Some("pf8:il2".into()),
         };
-        let doc = json::parse(&perf_summary_json(&summary)).expect("parses");
+        let doc = json::parse(&summary.to_json()).expect("parses");
         let h = doc.get("host").expect("host object");
         assert_eq!(h.get("cpu_cores").unwrap().as_f64(), Some(4.0));
         assert_eq!(h.get("threads_env").unwrap().as_str(), Some("2"));
         assert_eq!(h.get("rustc").unwrap().as_str(), Some("rustc 1.95.0"));
         assert_eq!(h.get("simd").unwrap().as_str(), Some("avx2:4"));
-        assert_eq!(h.get("mlp").unwrap().as_str(), Some("pf8:il2"));
         // The document decodes back to the summary it encodes.
         let back = <Summary as json::FromJson>::from_json(&doc).expect("decodes");
         assert_eq!(back, summary);
@@ -527,9 +539,9 @@ mod tests {
             .expect("inner closed");
         assert_eq!(inner_end.ts_ns, 4_000);
         assert_eq!(inner_end.value, 2_000);
-        // build_forest accepts the balanced stream and nests correctly.
-        let forest = crate::build_forest(&balanced);
-        assert!(forest.iter().any(|n| n.name == "outer" && n.children[0].name == "inner"));
+        // The balanced stream nests inner under outer.
+        let folded = folded::parse_folded(&folded::folded_stacks(&balanced)).unwrap();
+        assert!(folded.iter().any(|(path, _)| path == &["outer", "inner"]), "{folded:?}");
         // Already-balanced streams come back unchanged.
         assert_eq!(balanced_events(&sample_events()), sample_events());
     }
@@ -560,6 +572,28 @@ mod tests {
         // Self-times sum to the total root duration.
         let sum: u64 = rows.iter().map(|(_, v)| v).sum();
         assert_eq!(sum, 9_000);
+    }
+
+    #[test]
+    fn folded_stacks_nest_by_position() {
+        // A span's parent is whatever was open on its thread when it
+        // began; a later span opened after its predecessor closed is a
+        // sibling root, not a child.
+        let events = [
+            ev("outer", Phase::Begin, 0, 7, 0),
+            ev("inner", Phase::Begin, 10, 7, 0),
+            ev("inner", Phase::End, 20, 7, 10),
+            ev("outer", Phase::End, 30, 7, 30),
+            ev("second", Phase::Begin, 40, 7, 0),
+            ev("second", Phase::End, 50, 7, 10),
+        ];
+        let rows = folded::parse_folded(&folded::folded_stacks(&events)).unwrap();
+        let paths: Vec<Vec<&str>> =
+            rows.iter().map(|(p, _)| p.iter().map(String::as_str).collect()).collect();
+        assert_eq!(paths, [vec!["outer"], vec!["outer", "inner"], vec!["second"]]);
+        let summary = Summary::from_events(&events);
+        assert_eq!(summary.stages["inner"].parent.as_deref(), Some("outer"));
+        assert_eq!(summary.stages["second"].parent, None);
     }
 
     #[test]

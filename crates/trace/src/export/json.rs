@@ -11,9 +11,9 @@
 //! rejected; floats are written in shortest round-trip form (non-finite
 //! ones as `null`, which decodes as NaN). Decoding never panics.
 
-use crate::export::write_escaped;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -297,6 +297,23 @@ pub trait FromJson: Sized {
 
     fn from_json_str(text: &str) -> Result<Self, JsonError> {
         Self::from_json(&parse(text).map_err(JsonError::Syntax)?)
+    }
+}
+
+/// Escapes `s` into a JSON string literal body.
+fn write_escaped(out: &mut String, s: &str) {
+    for ch in s.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
     }
 }
 

@@ -1,10 +1,7 @@
 //! The benchmark ledger: versioned `BenchRecord` artifacts
 //! (`BENCH_<seq>.json`) and the noise-aware regression gate that
-//! compares them.
-//!
-//! Every performance PR so far has left its numbers in prose (commit
-//! messages, EXPERIMENTS.md). The ledger makes the trajectory machine
-//! readable: one record per benchmark run, carrying
+//! compares them: one machine-readable record per benchmark run,
+//! carrying
 //!
 //! * a **host fingerprint** (core count, `WISE_THREADS` state, detected
 //!   SIMD capability, rustc version) so records from different machines
@@ -31,6 +28,7 @@
 //! section of records written while hardware counters were still
 //! recorded) are ignored.
 
+use crate::export::fmt_ns;
 use crate::export::json::{FromJson, JsonError, ToJson};
 use crate::json_struct;
 use crate::telemetry::{DriftRecord, QuantileSketch};
@@ -72,12 +70,6 @@ pub struct HostFingerprint {
     /// `scalar:1`). `None` only in records written before the field
     /// existed.
     pub simd: Option<String>,
-    /// Per-kernel MLP settings as `pf{d}:il{r}` — the resolved
-    /// prefetch distance and interleave factor the SIMD bench stages
-    /// ran with (e.g. `pf8:il2`). `None` in records written before the
-    /// MLP kernels existed; tolerated when missing so old records stay
-    /// comparable.
-    pub mlp: Option<String>,
 }
 
 /// The host's SIMD capability in `isa:lanes` form. Mirrors the probe in
@@ -97,29 +89,14 @@ fn detect_simd() -> String {
 impl HostFingerprint {
     /// Reads the fingerprint of the current process. `rustc` is left
     /// `None` — a library cannot assume a toolchain on `PATH`; bins
-    /// fill it in via [`HostFingerprint::with_rustc`].
+    /// fill the member in themselves.
     pub fn detect() -> HostFingerprint {
         HostFingerprint {
             cpu_cores: std::thread::available_parallelism().map(|n| n.get() as u64).unwrap_or(1),
             threads_env: std::env::var("WISE_THREADS").ok(),
             rustc: None,
             simd: Some(detect_simd()),
-            mlp: None,
         }
-    }
-
-    /// Returns `self` with the rustc version string attached.
-    pub fn with_rustc(mut self, rustc: Option<String>) -> HostFingerprint {
-        self.rustc = rustc;
-        self
-    }
-
-    /// Returns `self` with the per-kernel MLP settings attached
-    /// (`pf{d}:il{r}`; bins that run the SIMD bench stages record what
-    /// they resolved).
-    pub fn with_mlp(mut self, mlp: Option<String>) -> HostFingerprint {
-        self.mlp = mlp;
-        self
     }
 
     /// Emits the fingerprint as a JSON object.
@@ -139,11 +116,10 @@ impl HostFingerprint {
             && self.threads_env == other.threads_env
             && opt_ok(&self.rustc, &other.rustc)
             && opt_ok(&self.simd, &other.simd)
-            && opt_ok(&self.mlp, &other.mlp)
     }
 }
 
-json_struct!(HostFingerprint { cpu_cores, threads_env, rustc, simd, mlp });
+json_struct!(HostFingerprint { cpu_cores, threads_env, rustc, simd });
 
 // ---------------------------------------------------------------------
 // Record contents
@@ -344,18 +320,6 @@ impl BenchRecord {
             drift: Some(crate::telemetry::drift_gauge()).filter(|d| d.observed > 0),
         }
     }
-
-    /// Serializes the record (see the [`json_struct!`] declaration
-    /// below for the member layout).
-    pub fn to_json(&self) -> String {
-        ToJson::to_json(self)
-    }
-
-    /// Parses a record emitted by [`BenchRecord::to_json`] (or any
-    /// schema-compatible document, including older records).
-    pub fn from_json(text: &str) -> Result<BenchRecord, String> {
-        <BenchRecord as FromJson>::from_json_str(text).map_err(|e| e.to_string())
-    }
 }
 
 json_struct!(BenchRecord {
@@ -377,14 +341,14 @@ json_struct!(BenchRecord {
 
 /// Parses a ledger file name (`BENCH_<seq>.json`) into its sequence
 /// number.
-pub fn parse_ledger_name(name: &str) -> Option<u64> {
+fn parse_ledger_name(name: &str) -> Option<u64> {
     name.strip_prefix("BENCH_")?.strip_suffix(".json")?.parse().ok()
 }
 
 /// All ledger files under `dir`, sorted by sequence number. Files that
 /// merely resemble the pattern (`BENCH_x.json`, `BENCH_.json`) are
 /// ignored.
-pub fn ledger_paths(dir: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
+fn ledger_paths(dir: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
     let mut found = Vec::new();
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
@@ -408,7 +372,7 @@ pub fn load_all(dir: &Path, warnings: &mut Vec<String>) -> std::io::Result<Vec<B
     let mut records = Vec::new();
     for (seq, path) in ledger_paths(dir)? {
         let text = std::fs::read_to_string(&path)?;
-        match BenchRecord::from_json(&text) {
+        match BenchRecord::from_json_str(&text) {
             Ok(r) => records.push(r),
             Err(e) => warnings.push(format!("{}: skipped (seq {seq}): {e}", path.display())),
         }
@@ -471,29 +435,27 @@ impl Fnv1a {
 // Regression gate
 // ---------------------------------------------------------------------
 
-/// Tuning of the regression gate.
+/// Tolerance floor: a stage may always be this much slower (relative)
+/// than the baseline without failing.
+const BASE_REL_TOL: f64 = 0.30;
+
+/// How much of the observed min→p50 spread widens the tolerance.
+const SPREAD_WEIGHT: f64 = 2.0;
+
+/// Tolerance ceiling, so a pathologically noisy stage still gates
+/// order-of-magnitude regressions.
+const MAX_REL_TOL: f64 = 3.0;
+
+/// Which stages the regression gate tracks.
 #[derive(Debug, Clone)]
 pub struct GatePolicy {
     /// Stage names that must not regress.
     pub tracked: Vec<String>,
-    /// Tolerance floor: a stage may always be this much slower
-    /// (relative) than the baseline without failing.
-    pub base_rel_tol: f64,
-    /// How much of the observed min→p50 spread widens the tolerance.
-    pub spread_weight: f64,
-    /// Tolerance ceiling, so a pathologically noisy stage still gates
-    /// order-of-magnitude regressions.
-    pub max_rel_tol: f64,
 }
 
 impl Default for GatePolicy {
     fn default() -> Self {
-        GatePolicy {
-            tracked: DEFAULT_TRACKED.iter().map(|s| s.to_string()).collect(),
-            base_rel_tol: 0.30,
-            spread_weight: 2.0,
-            max_rel_tol: 3.0,
-        }
+        GatePolicy { tracked: DEFAULT_TRACKED.iter().map(|s| s.to_string()).collect() }
     }
 }
 
@@ -604,15 +566,6 @@ impl GateReport {
     }
 }
 
-fn fmt_ns(ns: u64) -> String {
-    match ns {
-        0..=9_999 => format!("{ns}ns"),
-        10_000..=9_999_999 => format!("{:.1}us", ns as f64 / 1e3),
-        10_000_000..=9_999_999_999 => format!("{:.1}ms", ns as f64 / 1e6),
-        _ => format!("{:.2}s", ns as f64 / 1e9),
-    }
-}
-
 /// Compares `candidate` against every comparable record in `prior`.
 ///
 /// A prior record is comparable when its schema version and corpus
@@ -662,7 +615,7 @@ pub fn gate(prior: &[BenchRecord], candidate: &BenchRecord, policy: &GatePolicy)
                 baseline_min_ns: None,
                 candidate_min_ns: cand.map(|s| s.min_ns),
                 ratio: None,
-                tolerance: policy.base_rel_tol,
+                tolerance: BASE_REL_TOL,
                 verdict: Verdict::NoBaseline,
             },
             (Some((base_min, _)), None) => StageDiff {
@@ -670,13 +623,12 @@ pub fn gate(prior: &[BenchRecord], candidate: &BenchRecord, policy: &GatePolicy)
                 baseline_min_ns: Some(base_min),
                 candidate_min_ns: None,
                 ratio: None,
-                tolerance: policy.base_rel_tol,
+                tolerance: BASE_REL_TOL,
                 verdict: Verdict::MissingStage,
             },
             (Some((base_min, base_spread)), Some(c)) => {
                 let spread = base_spread.max(c.rel_spread());
-                let tolerance =
-                    (policy.base_rel_tol + policy.spread_weight * spread).min(policy.max_rel_tol);
+                let tolerance = (BASE_REL_TOL + SPREAD_WEIGHT * spread).min(MAX_REL_TOL);
                 let ratio = if base_min == 0 { 1.0 } else { c.min_ns as f64 / base_min as f64 };
                 let verdict = if ratio <= 1.0 {
                     Verdict::Improved
@@ -731,7 +683,7 @@ mod tests {
     }
 
     fn policy(names: &[&str]) -> GatePolicy {
-        GatePolicy { tracked: names.iter().map(|s| s.to_string()).collect(), ..Default::default() }
+        GatePolicy { tracked: names.iter().map(|s| s.to_string()).collect() }
     }
 
     #[test]
@@ -774,7 +726,7 @@ mod tests {
 
     #[test]
     fn tolerance_is_capped() {
-        // Absurd spread cannot push tolerance past max_rel_tol = 3.0:
+        // Absurd spread cannot push tolerance past MAX_REL_TOL = 3.0:
         // a 4.5x regression always fails.
         let base = record(1, &[("a", stage(1000, 50_000))]);
         let bad = record(2, &[("a", stage(4500, 4500))]);
@@ -831,14 +783,12 @@ mod tests {
             threads_env: Some("4".into()),
             rustc: Some("rustc 1.95.0".into()),
             simd: Some("avx2:4".into()),
-            mlp: Some("pf8:il2".into()),
         };
         assert!(a.comparable_to(&a));
         // Unknown rustc / SIMD capability on one side is tolerated
         // (records written before the fields existed).
         assert!(a.comparable_to(&HostFingerprint { rustc: None, ..a.clone() }));
         assert!(a.comparable_to(&HostFingerprint { simd: None, ..a.clone() }));
-        assert!(a.comparable_to(&HostFingerprint { mlp: None, ..a.clone() }));
         // Different cores / env / rustc / capability are not.
         assert!(!a.comparable_to(&HostFingerprint { cpu_cores: 4, ..a.clone() }));
         assert!(!a.comparable_to(&HostFingerprint { threads_env: None, ..a.clone() }));
@@ -846,23 +796,22 @@ mod tests {
             !a.comparable_to(&HostFingerprint { rustc: Some("rustc 1.94.0".into()), ..a.clone() })
         );
         assert!(!a.comparable_to(&HostFingerprint { simd: Some("scalar:1".into()), ..a.clone() }));
-        // Mismatched MLP settings (both known) are different experiments.
-        assert!(!a.comparable_to(&HostFingerprint { mlp: Some("pf0:il1".into()), ..a.clone() }));
     }
 
     #[test]
     fn fingerprint_simd_round_trips_through_json() {
         let mut rec = record(1, &[("a", stage(10, 10))]);
         rec.host.simd = Some("avx512f:8".into());
-        rec.host.mlp = Some("pf8:il2".into());
         let json = rec.to_json();
-        let back = BenchRecord::from_json(&json).unwrap();
+        let back = BenchRecord::from_json_str(&json).unwrap();
         assert_eq!(back.host, rec.host);
         // Records written while the fingerprint still carried the
-        // removed `prefetch_env` member decode with it ignored.
-        let old = json.replace("\"mlp\":\"pf8:il2\"", "\"mlp\":\"pf8:il2\",\"prefetch_env\":\"8\"");
+        // removed `mlp` and `prefetch_env` members decode with them
+        // ignored.
+        let simd = "\"simd\":\"avx512f:8\"";
+        let old = json.replace(simd, &format!("{simd},\"mlp\":\"pf8:il2\",\"prefetch_env\":\"8\""));
         assert_ne!(old, json);
-        assert_eq!(BenchRecord::from_json(&old).unwrap().host, rec.host);
+        assert_eq!(BenchRecord::from_json_str(&old).unwrap().host, rec.host);
         // detect() always knows its own capability, in isa:lanes form.
         let detected = HostFingerprint::detect();
         assert!(detected.simd.as_deref().unwrap().contains(':'));
@@ -910,7 +859,7 @@ mod tests {
             "host":{"cpu_cores":4,"threads_env":null,"pool_env":null,"rustc":null,"simd":null,"simd_env":null},
             "stages":{"kernel.spmv":{"count":5,"min_ns":100,"p50_ns":120,"p95_ns":150,"total_ns":600}},
             "counters":{},"throughput":{},"model":null}"#;
-        let rec = BenchRecord::from_json(old).expect("old schema parses");
+        let rec = BenchRecord::from_json_str(old).expect("old schema parses");
         assert_eq!(rec.stages["kernel.spmv"].p99_ns, 150); // defaulted to p95
 
         // And it still gates cleanly against a new-schema candidate.
@@ -929,7 +878,7 @@ mod tests {
         rec.throughput.insert("select.cascade.fallthrough_rate".to_string(), 0.25);
         rec.counters.insert("select.cascade.stage1".to_string(), 9);
         rec.counters.insert("select.cascade.stage2".to_string(), 3);
-        let back = BenchRecord::from_json(&rec.to_json()).expect("parses");
+        let back = BenchRecord::from_json_str(&rec.to_json()).expect("parses");
         assert_eq!(back, rec);
         assert_eq!(back.throughput["select.cascade.fallthrough_rate"], 0.25);
         // ...while records written before the cascade existed carry
@@ -939,7 +888,7 @@ mod tests {
             "host":{"cpu_cores":4,"threads_env":null,"pool_env":null,"rustc":null,"simd":null,"simd_env":null},
             "stages":{"pipeline.select":{"count":5,"min_ns":1000,"p50_ns":1200,"p95_ns":1500,"total_ns":6000}},
             "counters":{},"throughput":{},"model":null}"#;
-        let rec_old = BenchRecord::from_json(old).expect("pre-cascade record parses");
+        let rec_old = BenchRecord::from_json_str(old).expect("pre-cascade record parses");
         assert!(!rec_old.throughput.contains_key("bench.cascade.speedup"));
         assert!(!rec_old.counters.contains_key("select.cascade.stage1"));
         let rep = gate(&[rec_old], &rec, &policy(&["pipeline.select"]));
@@ -962,7 +911,7 @@ mod tests {
             fallthrough_permille: 120,
             observed: 640,
         });
-        let back = BenchRecord::from_json(&rec.to_json()).expect("parses");
+        let back = BenchRecord::from_json_str(&rec.to_json()).expect("parses");
         assert_eq!(back, rec);
         let back_sketch = back.stages["kernel.spmv"].sketch.as_ref().unwrap();
         assert_eq!(back_sketch.quantile(0.5), sk.quantile(0.5));
@@ -972,7 +921,7 @@ mod tests {
             "host":{"cpu_cores":4,"threads_env":null,"pool_env":null,"rustc":null,"simd":null,"simd_env":null},
             "stages":{"kernel.spmv":{"count":5,"min_ns":100,"p50_ns":120,"p95_ns":150,"total_ns":600}},
             "counters":{},"throughput":{},"model":null}"#;
-        let rec_old = BenchRecord::from_json(old).expect("pre-sketch record parses");
+        let rec_old = BenchRecord::from_json_str(old).expect("pre-sketch record parses");
         let st = &rec_old.stages["kernel.spmv"];
         assert_eq!((st.sketch.as_ref(), st.max_ns, st.self_total_ns), (None, 150, 600));
         assert_eq!(rec_old.drift, None);
@@ -988,7 +937,7 @@ mod tests {
             "host":{"cpu_cores":4,"threads_env":null,"pool_env":"0","rustc":null,"simd":"avx2:4","simd_env":"0","mlp":null},
             "stages":{"kernel.spmv":{"count":5,"min_ns":100,"p50_ns":120,"p95_ns":150,"p99_ns":150,"total_ns":600}},
             "counters":{},"throughput":{},"model":null}"#;
-        let rec = BenchRecord::from_json(old).expect("record naming removed knobs parses");
+        let rec = BenchRecord::from_json_str(old).expect("record naming removed knobs parses");
         assert_eq!(rec.host.simd.as_deref(), Some("avx2:4"));
         let cand = record(6, &[("kernel.spmv", stage(100, 120))]);
         let rep = gate(&[rec], &cand, &policy(&["kernel.spmv"]));
@@ -1003,15 +952,17 @@ mod tests {
         // the `pmu` member, and the record gates a new-code candidate.
         let text = include_str!("../tests/fixtures/BENCH_pmu_section.json");
         assert!(text.contains(r#""pmu":{"status":"unavailable ("#));
+        // Its fingerprint still carries the removed `mlp` member.
+        assert!(text.contains(r#""mlp":"pf0:il2""#));
         // Its top-level `sketches` map predates the per-stage sketch
         // member and is ignored like any unknown member.
         assert!(text.contains(r#""sketches":{"#));
-        let old = BenchRecord::from_json(text).expect("record with a pmu section parses");
+        let old = BenchRecord::from_json_str(text).expect("record with a pmu section parses");
         assert_eq!(old.schema_version, SCHEMA_VERSION);
         assert!(!old.stages.is_empty() && old.stages.values().all(|s| s.sketch.is_none()));
         let new_text = old.to_json();
         assert!(!new_text.contains("\"pmu\""), "new records carry no pmu member");
-        let cand = BenchRecord::from_json(&new_text).expect("new record parses");
+        let cand = BenchRecord::from_json_str(&new_text).expect("new record parses");
         assert_eq!(cand, old);
         let rep = gate(&[old], &cand, &GatePolicy::default());
         assert!(rep.passed(), "{}", rep.render());

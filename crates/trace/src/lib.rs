@@ -12,7 +12,7 @@
 //!   samples, aggregated per stage into one [`StageRecord`] (exact
 //!   count, min, max, total and self-time; p50/p95/p99 from a mergeable
 //!   [`QuantileSketch`]), both per flushed stream ([`Summary`]) and
-//!   live per thread ([`telemetry::stream_stages`]);
+//!   live per thread ([`span::stream_stages`]);
 //! * [`export`] — a human-readable run report, Chrome trace-event JSON
 //!   (loadable in Perfetto / `chrome://tracing`), and the machine-
 //!   readable `perf_summary.json` (the encoded [`Summary`]) so
@@ -60,14 +60,9 @@ pub mod ledger;
 pub mod span;
 pub mod telemetry;
 
-pub use export::{
-    balanced_events, chrome_trace_json, perf_summary_json, run_report, write_trace_files,
-};
+pub use export::{balanced_events, chrome_trace_json, run_report, write_trace_files};
 pub use ledger::{BenchRecord, GatePolicy, GateReport, HostFingerprint, ModelMetrics, StageRecord};
-pub use span::{
-    build_forest, counter, dropped_events, observe, observe_ns, span, take_events, Event, Phase,
-    Span, SpanNode,
-};
+pub use span::{counter, dropped_events, observe_ns, span, take_events, Event, Phase, Span};
 pub use summary::Summary;
 pub(crate) use summary::{OpenSpans, StageAcc};
 pub use telemetry::{DriftLevel, DriftRecord, QuantileSketch, RequestRecord};
@@ -192,8 +187,8 @@ mod summary {
         /// Aggregates a flushed event stream ([`crate::take_events`]):
         /// count, min, max, total and self-time are exact; p50/p95/p99
         /// come from each stage's [`QuantileSketch`] (relative error α).
-        /// Self-time follows [`crate::build_forest`]'s positional
-        /// nesting, tolerating unbalanced streams (see `OpenSpans::end`).
+        /// Self-time follows positional nesting per thread, tolerating
+        /// unbalanced streams (see `OpenSpans::end`).
         pub fn from_events(events: &[Event]) -> Summary {
             let mut accs: BTreeMap<&'static str, StageAcc> = BTreeMap::new();
             // Enclosing-span name ("" = root) → occurrences, per stage.

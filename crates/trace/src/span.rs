@@ -11,7 +11,6 @@
 //! memory.
 
 use crate::ledger::StageRecord;
-use crate::telemetry::QuantileSketch;
 use crate::{OpenSpans, StageAcc};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -131,34 +130,18 @@ pub(crate) fn record(name: &'static str, phase: Phase, ts_ns: u64, value: u64) {
     });
 }
 
-/// Every thread's streaming statistics merged per stage. Exact: each
-/// merged sketch equals one fed the concatenated durations.
-fn stream_merged() -> BTreeMap<&'static str, StageAcc> {
+/// The live per-stage records of every span and sample recorded since
+/// start, every thread's statistics merged per
+/// stage. Exact: each merged sketch equals one fed the concatenated
+/// durations.
+pub fn stream_stages() -> BTreeMap<String, StageRecord> {
     let mut merged: BTreeMap<&'static str, StageAcc> = BTreeMap::new();
     for buf in threads() {
         for (&name, acc) in &buf.ring.lock().unwrap().stages {
             merged.entry(name).or_default().merge(acc);
         }
     }
-    merged
-}
-
-/// The live per-stage records of every span and sample recorded since
-/// start (or [`stream_reset`]), across all threads.
-pub fn stream_stages() -> BTreeMap<String, StageRecord> {
-    stream_merged().into_iter().map(|(name, acc)| (name.to_string(), acc.record())).collect()
-}
-
-/// The live per-stage sketches, merged across threads.
-pub fn stream_sketches() -> BTreeMap<&'static str, QuantileSketch> {
-    stream_merged().into_iter().map(|(name, acc)| (name, acc.sketch)).collect()
-}
-
-/// Clears every thread's streaming statistics (tests).
-pub fn stream_reset() {
-    for buf in threads() {
-        buf.ring.lock().unwrap().stages.clear();
-    }
+    merged.into_iter().map(|(name, acc)| (name.to_string(), acc.record())).collect()
 }
 
 /// Total heap footprint of the per-thread streaming sketches, for
@@ -211,23 +194,13 @@ pub fn counter(name: &'static str, value: u64) {
     }
 }
 
-/// Records one standalone duration sample (nanoseconds) under `name` —
-/// the histogram feed for repeated measurements like `measure_median`
-/// iterations. One relaxed load when tracing is disabled.
-#[inline]
-pub fn observe_ns(name: &'static str, ns: u64) {
-    if crate::enabled() {
-        record(name, Phase::Sample, now_ns(), ns);
-    }
-}
-
-/// Records one standalone histogram sample under `name` for
-/// dimensionless values (ratios, sizes) — identical recording path to
-/// [`observe_ns`]; the unit is the caller's convention (e.g. the
+/// Records one standalone sample under `name` — the histogram feed for
+/// repeated measurements like `measure_median` iterations. Durations are
+/// in nanoseconds; a dimensionless stage keeps its own unit (the
 /// `drift.regret` stage records measured/predicted permille). One
 /// relaxed load when tracing is disabled.
 #[inline]
-pub fn observe(name: &'static str, value: u64) {
+pub fn observe_ns(name: &'static str, value: u64) {
     if crate::enabled() {
         record(name, Phase::Sample, now_ns(), value);
     }
@@ -261,61 +234,6 @@ pub fn dropped_events() -> u64 {
     total
 }
 
-/// One node of the reconstructed span tree.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanNode {
-    pub name: &'static str,
-    pub tid: u64,
-    pub start_ns: u64,
-    pub duration_ns: u64,
-    pub children: Vec<SpanNode>,
-}
-
-/// Rebuilds the parent/child span forest from a flushed event stream.
-/// Parentage is per-thread and positional: a span's parent is the span
-/// that was open on the same thread when it began. Returns the roots
-/// (cross-thread, start-time order).
-///
-/// # Panics
-///
-/// Panics if the stream's Begin/End events are not properly nested per
-/// thread (which [`take_events`] guarantees for streams with no dropped
-/// events and no still-open spans).
-pub fn build_forest(events: &[Event]) -> Vec<SpanNode> {
-    let mut roots: Vec<SpanNode> = Vec::new();
-    let mut stacks: std::collections::HashMap<u64, Vec<SpanNode>> =
-        std::collections::HashMap::new();
-    for e in events {
-        match e.phase {
-            Phase::Begin => stacks.entry(e.tid).or_default().push(SpanNode {
-                name: e.name,
-                tid: e.tid,
-                start_ns: e.ts_ns,
-                duration_ns: 0,
-                children: Vec::new(),
-            }),
-            Phase::End => {
-                let stack = stacks.entry(e.tid).or_default();
-                let mut node = stack.pop().unwrap_or_else(|| {
-                    panic!("End without Begin for span '{}' on tid {}", e.name, e.tid)
-                });
-                assert_eq!(node.name, e.name, "interleaved spans on tid {}", e.tid);
-                node.duration_ns = e.value;
-                match stack.last_mut() {
-                    Some(parent) => parent.children.push(node),
-                    None => roots.push(node),
-                }
-            }
-            Phase::Counter | Phase::Sample => {}
-        }
-    }
-    for (tid, stack) in &stacks {
-        assert!(stack.is_empty(), "{} unclosed span(s) on tid {}", stack.len(), tid);
-    }
-    roots.sort_by_key(|n| n.start_ns);
-    roots
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,32 +252,5 @@ mod tests {
             observe_ns("unit.disabled.sample", 10);
         }
         assert!(take_events().iter().all(|e| !e.name.starts_with("unit.disabled")));
-    }
-
-    #[test]
-    fn forest_rejects_unbalanced_streams() {
-        let begin = Event { name: "a", phase: Phase::Begin, ts_ns: 0, tid: 1, value: 0 };
-        let result = std::panic::catch_unwind(|| build_forest(&[begin]));
-        assert!(result.is_err(), "open span must panic");
-    }
-
-    #[test]
-    fn forest_nests_by_position() {
-        let ev = |name, phase, ts_ns, value| Event { name, phase, ts_ns, tid: 7, value };
-        let events = [
-            ev("outer", Phase::Begin, 0, 0),
-            ev("inner", Phase::Begin, 10, 0),
-            ev("inner", Phase::End, 20, 10),
-            ev("outer", Phase::End, 30, 30),
-            ev("second", Phase::Begin, 40, 0),
-            ev("second", Phase::End, 50, 10),
-        ];
-        let forest = build_forest(&events);
-        assert_eq!(forest.len(), 2);
-        assert_eq!(forest[0].name, "outer");
-        assert_eq!(forest[0].children.len(), 1);
-        assert_eq!(forest[0].children[0].name, "inner");
-        assert_eq!(forest[1].name, "second");
-        assert!(forest[1].children.is_empty());
     }
 }

@@ -8,44 +8,35 @@
 //!   with log-γ buckets: relative error is bounded by a fixed α, two
 //!   sketches over disjoint streams merge *exactly* (the merged sketch
 //!   is bit-identical to one built from the concatenated stream), and
-//!   the footprint is hard-capped by the bucket range of `u64`.
-//! * **Streaming stages**: every closing span and duration sample also
-//!   lands in its thread's per-stage sketch, updated under the ring
-//!   lock the event itself takes; [`stream_stages`] merges the threads
-//!   on read, so quantiles stay queryable while the process runs — no
-//!   flush, no retained samples.
+//!   the footprint is hard-capped by the bucket range of `u64`. The
+//!   streaming stages ([`crate::span::stream_stages`]) keep one per
+//!   stage and thread and merge them on read.
 //! * A **request monitor**, one state behind one lock:
 //!   - the *flight recorder*: selection requests record a bounded ring
 //!     of [`RequestRecord`]s (method, cascade stage, margin, predicted
 //!     vs measured seconds). A request whose latency exceeds the
 //!     [`FLIGHT_QUANTILE`] of recent history dumps the surrounding
-//!     window as a loadable Chrome-trace JSON — the "black box" for
-//!     post-hoc analysis of one slow request;
+//!     window as a loadable Chrome trace into `WISE_FLIGHT_DIR`, when
+//!     set — the "black box" for post-hoc analysis of one slow request;
 //!   - the *drift monitor*: [`record_execution`] feeds each measured
 //!     execution back, filling in the request's ring record and
 //!     folding the sample into the regret and fallthrough EWMAs that
 //!     [`drift_gauge`] reads as a [`DriftRecord`].
-//! * A **periodic snapshot exporter**: a background thread writes the
-//!   above as a [`Snapshot`] to `metrics_snapshot.json` every
+//! * A **periodic snapshot exporter**: with `WISE_SNAPSHOT=<path>`, a
+//!   background thread writes the above as a [`Snapshot`] every
 //!   [`SNAPSHOT_INTERVAL`] (atomic tmp+rename), the feed for the
 //!   `wise-top` live view.
-//!
-//! Two path knobs drive the file outputs: `WISE_FLIGHT_DIR` makes
-//! anomaly dumps land as files, `WISE_SNAPSHOT` starts the snapshot
-//! thread.
 
-use crate::export::json::{FromJson, JsonError, ToJson, Value};
+use crate::export::json::{write_member, FromJson, JsonError, ToJson, Value};
+use crate::export::{trace_document, TraceEvent};
 use crate::ledger::StageRecord;
+use crate::span::{now_ns, stream_stages};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
-
-pub use crate::span::{
-    now_ns, stream_footprint_bytes, stream_reset, stream_sketches, stream_stages,
-};
 
 // ---------------------------------------------------------------------
 // Mergeable relative-error quantile sketch
@@ -406,7 +397,6 @@ struct FlightState {
     /// Request count at the last dump (rate limit: one dump per
     /// window's worth of requests).
     last_dump_at: u64,
-    last_dump: Option<String>,
     dir: Option<PathBuf>,
 }
 
@@ -421,7 +411,6 @@ impl FlightState {
             requests: 0,
             anomalies: 0,
             last_dump_at: 0,
-            last_dump: None,
             dir,
         }
     }
@@ -510,14 +499,13 @@ pub fn record_request(rec: RequestRecord) -> bool {
     if anomalous {
         st.anomalies += 1;
         crate::counter("flight.anomaly", 1);
-        // Rate limit: at most one dump per window of requests.
-        if st.requests - st.last_dump_at >= FLIGHT_WINDOW || st.last_dump_at == 0 {
+        // Rendered only for a flight dir, at most once per window of
+        // requests.
+        let due = st.last_dump_at == 0 || st.requests - st.last_dump_at >= FLIGHT_WINDOW;
+        if let Some(dir) = st.dir.clone().filter(|_| due) {
             st.last_dump_at = st.requests;
             let dump = flight_dump_json(&st.ring, anomaly_id, threshold.unwrap_or(0));
-            if let Some(dir) = st.dir.clone() {
-                write_flight_dump(&dir, anomaly_id, &dump);
-            }
-            st.last_dump = Some(dump);
+            write_flight_dump(&dir, anomaly_id, &dump);
         }
     }
     anomalous
@@ -552,12 +540,6 @@ pub fn flight_stats() -> FlightStats {
     }
 }
 
-/// The most recent anomaly dump (Chrome-trace JSON), kept in memory for
-/// hosts without a `WISE_FLIGHT_DIR`.
-pub fn last_anomaly_dump() -> Option<String> {
-    flight_lock().last_dump.clone()
-}
-
 /// Clones the live request ring, most recent last (tests, `wise-top`).
 pub fn flight_ring() -> Vec<RequestRecord> {
     flight_lock().ring.iter().cloned().collect()
@@ -570,63 +552,61 @@ pub fn flight_reset() {
     *st = FlightState::cold(st.dir.take());
 }
 
-/// Renders the ring window around an anomaly as Chrome-trace JSON: one
-/// balanced Begin/End pair per request (on its own tid so concurrent
+/// The `args` of a flight-dump event: a request's record on its `E`
+/// event, or the anomaly marker's latency and threshold.
+enum FlightArgs<'a> {
+    Request(&'a RequestRecord),
+    Anomaly { latency_ns: u64, threshold_ns: u64 },
+}
+
+impl ToJson for FlightArgs<'_> {
+    fn write_json(&self, out: &mut String) {
+        let mut sep = '{';
+        match *self {
+            FlightArgs::Request(rec) => {
+                write_member(out, &mut sep, "id", &rec.id);
+                write_member(out, &mut sep, "method", &rec.method);
+                write_member(out, &mut sep, "stage", rec.stage);
+                // Non-finite floats (e.g. the f64::MAX all-leaves margin
+                // after arithmetic) are left out.
+                let floats = [
+                    ("margin", rec.margin),
+                    ("predicted_s", rec.predicted_s),
+                    ("measured_s", rec.measured_s),
+                ];
+                for (name, v) in floats {
+                    if let Some(v) = v.filter(|v| v.is_finite()) {
+                        write_member(out, &mut sep, name, &v);
+                    }
+                }
+            }
+            FlightArgs::Anomaly { latency_ns, threshold_ns } => {
+                write_member(out, &mut sep, "latency_ns", &latency_ns);
+                write_member(out, &mut sep, "threshold_ns", &threshold_ns);
+            }
+        }
+        out.push('}');
+    }
+}
+
+/// Renders the ring window around an anomaly as a trace-event document:
+/// one balanced Begin/End pair per request (on its own tid so concurrent
 /// requests cannot interleave) plus an instant `flight.anomaly` marker
 /// at the offending request. Loads in Perfetto and passes the
 /// `check_trace` balance validator.
 fn flight_dump_json(ring: &VecDeque<RequestRecord>, anomaly_id: u64, threshold_ns: u64) -> String {
-    use crate::export::json::write_member;
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(ring.len() * 256 + 64);
-    out.push_str("{\"traceEvents\":[");
+    let mut events = Vec::new();
     for rec in ring {
-        let end_us = (rec.start_ns + rec.latency_ns) as f64 / 1e3;
-        let event = |ph: &str, ts_us: f64| {
-            format!(
-                "\n{{\"name\":\"request\",\"cat\":\"flight\",\"ph\":\"{ph}\",\"ts\":{ts_us:.3},\
-                 \"pid\":1,\"tid\":{}",
-                rec.id
-            )
-        };
-        let _ = write!(
-            out,
-            "{}}},{},\"args\":",
-            event("B", rec.start_ns as f64 / 1e3),
-            event("E", end_us)
-        );
-        let mut sep = '{';
-        write_member(&mut out, &mut sep, "id", &rec.id);
-        write_member(&mut out, &mut sep, "method", &rec.method);
-        write_member(&mut out, &mut sep, "stage", rec.stage);
-        // Non-finite floats (e.g. the f64::MAX all-leaves margin after
-        // arithmetic) are left out.
-        let floats = [
-            ("margin", rec.margin),
-            ("predicted_s", rec.predicted_s),
-            ("measured_s", rec.measured_s),
-        ];
-        for (name, v) in floats {
-            if let Some(v) = v.filter(|v| v.is_finite()) {
-                write_member(&mut out, &mut sep, name, &v);
-            }
-        }
-        out.push_str("}},");
+        let (tid, cat, end_ns) = (rec.id, "flight", rec.start_ns + rec.latency_ns);
+        let event = |name, ph, ts_ns, s, args| TraceEvent { name, cat, ph, ts_ns, tid, s, args };
+        events.push(event("request", "B", rec.start_ns, None, None));
+        events.push(event("request", "E", end_ns, None, Some(FlightArgs::Request(rec))));
         if rec.id == anomaly_id {
-            let _ = write!(
-                out,
-                "\n{{\"name\":\"flight.anomaly\",\"cat\":\"flight\",\"ph\":\"i\",\"s\":\"g\",\
-                 \"ts\":{end_us:.3},\"pid\":1,\"tid\":{},\
-                 \"args\":{{\"latency_ns\":{},\"threshold_ns\":{threshold_ns}}}}},",
-                rec.id, rec.latency_ns
-            );
+            let args = FlightArgs::Anomaly { latency_ns: rec.latency_ns, threshold_ns };
+            events.push(event("flight.anomaly", "i", end_ns, Some("g"), Some(args)));
         }
     }
-    if out.ends_with(',') {
-        out.pop();
-    }
-    out.push_str("\n],\"displayTimeUnit\":\"ns\"}\n");
-    out
+    trace_document(events)
 }
 
 fn write_flight_dump(dir: &Path, id: u64, dump: &str) {
@@ -667,9 +647,8 @@ const FALLTHROUGH_WARNING: f64 = 0.5;
 /// has effectively stopped firing.
 const FALLTHROUGH_RETRAIN: f64 = 0.8;
 
-/// The drift monitor's verdict on the deployed model (`wise_core`
-/// re-exports it as `DriftStatus`). Ordered by severity. Encoded as its
-/// [`DriftLevel::label`].
+/// The drift monitor's verdict on the deployed model. Ordered by
+/// severity. Encoded as its [`DriftLevel::label`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DriftLevel {
     /// Predictions and gate behavior match calibration.
@@ -770,7 +749,7 @@ impl Drift {
         if measured_s > 0.0 && predicted > 0.0 {
             let ratio = measured_s / predicted;
             self.regret = Some(ewma(self.regret, ratio));
-            crate::observe("drift.regret", permille(ratio));
+            crate::observe_ns("drift.regret", permille(ratio));
         }
     }
 
@@ -816,7 +795,7 @@ pub struct Snapshot {
     /// Nanoseconds on the trace epoch at capture.
     pub ts_ns: u64,
     pub dropped_events: u64,
-    /// The streaming stages ([`stream_stages`]).
+    /// The streaming stages ([`crate::span::stream_stages`]).
     pub stages: BTreeMap<String, StageRecord>,
     pub drift: DriftRecord,
     pub flight: FlightStats,
@@ -843,18 +822,13 @@ check |s: &Snapshot| match s.schema_version {
     v => Err(JsonError::Invalid(format!("unsupported schema_version {v}"))),
 });
 
-/// The current [`Snapshot`], encoded.
-pub fn snapshot_json() -> String {
-    Snapshot::capture().to_json()
-}
-
-/// Writes [`snapshot_json`] atomically (tmp + rename) so a concurrent
-/// reader never sees a torn file.
-pub fn write_snapshot(path: &Path) -> std::io::Result<()> {
+/// Writes the current [`Snapshot`] atomically (tmp + rename) so a
+/// concurrent reader never sees a torn file.
+fn write_snapshot(path: &Path) -> std::io::Result<()> {
     let tmp = path.with_extension("json.tmp");
     {
         let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(snapshot_json().as_bytes())?;
+        f.write_all(Snapshot::capture().to_json().as_bytes())?;
         f.sync_all().ok();
     }
     std::fs::rename(&tmp, path)
@@ -894,17 +868,17 @@ impl Drop for SnapshotHandle {
     }
 }
 
-/// Starts a background thread writing [`snapshot_json`] to `path` every
-/// `every` (plus once at shutdown, so short-lived processes still leave
-/// a final state behind).
-pub fn start_snapshot_thread(path: PathBuf, every: Duration) -> SnapshotHandle {
+/// Starts a background thread writing the [`Snapshot`] to `path` every
+/// [`SNAPSHOT_INTERVAL`] (plus once at shutdown, so short-lived
+/// processes still leave a final state behind).
+pub fn start_snapshot_thread(path: PathBuf) -> SnapshotHandle {
     let stop = Arc::new(AtomicBool::new(false));
     let (stop_t, path_t) = (Arc::clone(&stop), path.clone());
     let join = std::thread::Builder::new()
         .name("wise-snapshot".to_string())
         .spawn(move || loop {
             // `shutdown` unparks the thread early for the final write.
-            std::thread::park_timeout(every);
+            std::thread::park_timeout(SNAPSHOT_INTERVAL);
             let stopping = stop_t.load(Ordering::Relaxed);
             if let Err(e) = write_snapshot(&path_t) {
                 eprintln!("[wise] snapshot write failed ({}): {e}", path_t.display());
@@ -921,7 +895,7 @@ pub fn start_snapshot_thread(path: PathBuf, every: Duration) -> SnapshotHandle {
 /// `WISE_SNAPSHOT=<path>` is set in the environment.
 pub fn snapshot_from_env() -> Option<SnapshotHandle> {
     let path = std::env::var("WISE_SNAPSHOT").ok().filter(|p| !p.is_empty())?;
-    Some(start_snapshot_thread(PathBuf::from(path), SNAPSHOT_INTERVAL))
+    Some(start_snapshot_thread(PathBuf::from(path)))
 }
 
 #[cfg(test)]
@@ -1145,14 +1119,18 @@ mod tests {
         assert_eq!(stats.requests, 200);
         assert_eq!(stats.anomalies, 0);
         assert!(stats.threshold_ns.is_some(), "history must be armed");
-        // One request 100x the p99 of history: must flag and dump.
+        // One request 100x the p99 of history must flag; the dump of
+        // the ring around it is a valid trace.
         id += 1;
         assert!(record_request(mk(id, 1_200_000)), "slow request not flagged");
         record_execution(id, "stage1", Some(1e-4), 0.5);
-        let dump = last_anomaly_dump().expect("anomaly dump");
-        crate::export::validate_chrome_trace(&dump).expect("dump must be a valid trace");
+        let threshold = stats.threshold_ns.unwrap();
+        let dump = flight_dump_json(&flight_ring().into(), id, threshold);
+        assert_eq!(crate::export::validate_chrome_trace(&dump), Ok(201), "one span per request");
         assert!(dump.contains("flight.anomaly"), "missing anomaly marker");
         assert!(dump.contains("CSR:Dyn:v8"), "missing method label");
+        assert!(dump.contains(&format!(r#""threshold_ns":{threshold}"#)), "{dump}");
+        assert!(dump.contains(r#""measured_s":0.5"#), "missing back-filled measurement");
         let ring = flight_ring();
         assert_eq!(ring.last().unwrap().measured_s, Some(0.5));
         flight_reset();
@@ -1251,7 +1229,7 @@ mod tests {
         for _ in 0..DRIFT_MIN_OBSERVATIONS {
             record_execution(0, "stage1", Some(1e-3), 1.7e-3);
         }
-        let json = snapshot_json();
+        let json = Snapshot::capture().to_json();
         let snap = Snapshot::from_json_str(&json).expect("the snapshot decodes");
         assert_eq!(snap.schema_version, SNAPSHOT_SCHEMA);
         let st = &snap.stages["unit.snapshot.stage"];

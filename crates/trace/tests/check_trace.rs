@@ -5,9 +5,9 @@
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
-use wise_trace::export::json::{self, Value};
+use wise_trace::export::json::{self, ToJson, Value};
 use wise_trace::span::{Event, Phase};
-use wise_trace::{chrome_trace_json, perf_summary_json, Summary};
+use wise_trace::{chrome_trace_json, Summary};
 
 fn temp_dir() -> PathBuf {
     let dir = std::env::temp_dir().join(format!("wise_check_trace_{}", std::process::id()));
@@ -96,7 +96,7 @@ fn valid_snapshot() -> String {
         wise_trace::observe_ns("unit.snapshot.stage", ns);
     }
     wise_trace::set_enabled(false);
-    wise_trace::telemetry::snapshot_json()
+    wise_trace::telemetry::Snapshot::capture().to_json()
 }
 
 #[test]
@@ -104,7 +104,7 @@ fn valid_documents_pass_and_each_malformed_one_fails() {
     let dir = temp_dir();
     let trace = dir.join("trace.json");
     std::fs::write(&trace, chrome_trace_json(&events())).unwrap();
-    let summary_text = perf_summary_json(&Summary::from_events(&events()));
+    let summary_text = Summary::from_events(&events()).to_json();
     let summary = dir.join("perf_summary.json");
     std::fs::write(&summary, &summary_text).unwrap();
     let snapshot_text = valid_snapshot();

@@ -45,7 +45,6 @@ fn disabled_tracing_neither_records_nor_allocates() {
         let _inner = wise_trace::span("bench.inner");
         wise_trace::counter("bench.counter", i);
         wise_trace::observe_ns("bench.sample", i);
-        wise_trace::observe("bench.value", i);
     }
     let after = ALLOCATIONS.load(Ordering::Relaxed);
     assert_eq!(after - before, 0, "disabled tracing must not allocate");

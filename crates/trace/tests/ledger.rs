@@ -57,7 +57,6 @@ fn full_record(seq: u64) -> BenchRecord {
             threads_env: Some("4".into()),
             rustc: Some("rustc 1.95.0 (abc 2026-01-01)".into()),
             simd: Some("avx512f:8".into()),
-            mlp: Some("pf8:il2".into()),
         },
         stages,
         counters: [("kernel.spmv.nnz".to_string(), 123_456u64)].into_iter().collect(),
@@ -92,18 +91,18 @@ fn full_record(seq: u64) -> BenchRecord {
 fn bench_record_json_round_trip() {
     let rec = full_record(3);
     let text = rec.to_json();
-    let back = BenchRecord::from_json(&text).expect("parses");
+    let back = BenchRecord::from_json_str(&text).expect("parses");
     assert_eq!(back, rec);
 
     // A model-less record round-trips too.
     let mut bare = full_record(4);
     bare.model = None;
     bare.host = HostFingerprint { cpu_cores: 1, ..Default::default() };
-    assert_eq!(BenchRecord::from_json(&bare.to_json()).unwrap(), bare);
+    assert_eq!(BenchRecord::from_json_str(&bare.to_json()).unwrap(), bare);
 
     // Garbage and truncated documents are rejected, not panicked on.
-    assert!(BenchRecord::from_json("{}").is_err());
-    assert!(BenchRecord::from_json(&text[..text.len() / 2]).is_err());
+    assert!(BenchRecord::from_json_str("{}").is_err());
+    assert!(BenchRecord::from_json_str(&text[..text.len() / 2]).is_err());
 }
 
 /// The innermost error under any `Field` wrappers.
@@ -126,7 +125,7 @@ fn ledger_integers_decode_exactly() {
     ] {
         assert_eq!(text.matches(valid).count(), 1, "{valid}");
         let doc = text.replace(valid, damaged);
-        assert!(BenchRecord::from_json(&doc).is_err(), "{damaged} decoded");
+        assert!(BenchRecord::from_json_str(&doc).is_err(), "{damaged} decoded");
         let err = <BenchRecord as FromJson>::from_json_str(&doc).unwrap_err();
         assert!(
             matches!(root(&err), JsonError::Range(_) | JsonError::Type { .. }),
@@ -143,7 +142,7 @@ fn damaged_sketch_is_skipped_not_a_panic() {
     assert_eq!(text.matches(&sketch).count(), 1);
     let doc = text.replace(&sketch, hostile);
     assert!(doc.contains("-2000000000"));
-    assert!(BenchRecord::from_json(&doc).is_err());
+    assert!(BenchRecord::from_json_str(&doc).is_err());
 
     let dir = temp_dir("hostile_sketch");
     write_record(&dir, &full_record(1)).unwrap();
@@ -210,10 +209,7 @@ fn injected_inflated_record_fails_the_gate() {
     assert!(warnings.is_empty());
     let (candidate, prior) = all.split_last().unwrap();
 
-    let policy = GatePolicy {
-        tracked: vec!["kernel.spmv".into(), "pipeline.select".into()],
-        ..GatePolicy::default()
-    };
+    let policy = GatePolicy { tracked: vec!["kernel.spmv".into(), "pipeline.select".into()] };
     let report = gate(prior, candidate, &policy);
     assert!(!report.passed(), "10x inflation must fail:\n{}", report.render());
     assert_eq!(report.failures(), 2);
@@ -273,5 +269,5 @@ fn from_summary_lifts_stages_and_derives_throughput() {
     assert!(!rec.throughput.contains_key("kernel.spmv.rows_per_s"));
 
     // And the derived record round-trips like any other.
-    assert_eq!(BenchRecord::from_json(&rec.to_json()).unwrap(), rec);
+    assert_eq!(BenchRecord::from_json_str(&rec.to_json()).unwrap(), rec);
 }

@@ -4,8 +4,9 @@
 //! Runs as its own process because it owns the global enable flag.
 
 use std::collections::BTreeMap;
+use wise_trace::span::stream_stages;
 use wise_trace::span::Phase;
-use wise_trace::telemetry::{stream_sketches, stream_stages, QuantileSketch};
+use wise_trace::QuantileSketch;
 
 #[test]
 fn merged_stream_sketches_equal_one_sketch_of_the_concatenated_durations() {
@@ -34,12 +35,10 @@ fn merged_stream_sketches_equal_one_sketch_of_the_concatenated_durations() {
         *total += e.value;
     }
     assert_eq!(expected["merge.outer"].0.count(), 2000);
-    let sketches = stream_sketches();
     let stages = stream_stages();
     for (name, (sketch, total)) in &expected {
-        assert_eq!(&sketches[name], sketch, "{name}: merged sketch differs");
+        assert_eq!(stages[*name].sketch.as_ref(), Some(sketch), "{name}: merged sketch differs");
         assert_eq!(stages[*name].total_ns, *total, "{name}: total");
-        assert_eq!(stages[*name].sketch.as_ref(), Some(sketch));
     }
     // The inner span is all self-time; the outer one loses the inner's.
     let (outer, inner) = (&stages["merge.outer"], &stages["merge.inner"]);

@@ -107,7 +107,7 @@ fn main() {
         let id = telemetry::next_request_id();
         let flagged = telemetry::record_request(telemetry::RequestRecord {
             id,
-            start_ns: telemetry::now_ns(),
+            start_ns: wise_trace::span::now_ns(),
             latency_ns: threshold.saturating_mul(10),
             method: choice.config.label(),
             stage: "full",

@@ -14,7 +14,7 @@ use wise_features::{FeatureConfig, FeatureVector};
 use wise_gen::{Corpus, CorpusScale, RmatParams};
 use wise_ml::TreeParams;
 use wise_perf::Estimator;
-use wise_trace::telemetry;
+use wise_trace::{span, telemetry};
 
 const SOAK: usize = 10_000;
 const CHECKPOINT: usize = SOAK / 2;
@@ -25,7 +25,6 @@ fn soak_10k_selections_stays_in_bounded_memory() {
     // the raw-event ring is itself fixed-capacity (overflow drops
     // events, it never grows), so this adds no unbounded memory.
     wise_trace::set_enabled(true);
-    telemetry::stream_reset();
     telemetry::flight_reset();
 
     let opts = TrainOptions {
@@ -49,11 +48,11 @@ fn soak_10k_selections_stays_in_bounded_memory() {
         let choice = wise.select_from_features(fv.clone());
         assert_ne!(choice.request_id, 0, "a top-level selection must carry a request id");
         if i + 1 == CHECKPOINT {
-            footprint_at_checkpoint = telemetry::stream_footprint_bytes();
+            footprint_at_checkpoint = span::stream_footprint_bytes();
         }
     }
 
-    let footprint = telemetry::stream_footprint_bytes();
+    let footprint = span::stream_footprint_bytes();
     assert!(footprint > 0, "sketches must have observed the soak");
     // Saturation: the second 5k selections see the same latency
     // distribution as the first, so at most a handful of new buckets
