@@ -5,11 +5,9 @@
 
 use std::sync::Arc;
 use wise_bench::*;
-use wise_core::classes::N_CLASSES;
-use wise_core::select::select_index;
+use wise_core::evaluate::{evaluate_cv_planned, CvPlan};
 use wise_features::FeatureVector;
-use wise_ml::grid::{cross_val_confusion_planned, FoldPlan};
-use wise_ml::{Dataset, FeatureMatrix, TreeParams};
+use wise_ml::{FeatureMatrix, TreeParams};
 
 /// Returns the feature indices of one named group.
 fn group_indices(group: &str) -> Vec<usize> {
@@ -60,41 +58,21 @@ fn main() {
     );
     outln!("{:<14} {:>9} {:>10} {:>12}", "features", "#features", "mean acc", "mean speedup");
 
-    let mkl_index = labels.config_index(&wise_kernels::baseline::mkl_like_config().label());
     let mut rows = Vec::new();
     for (name, idxs) in &variants {
         // One subset matrix per variant; the 29 per-config datasets are
-        // label views over it and share one fold plan (presorts built
-        // once per fold, not per configuration).
-        let subset_rows: Vec<Vec<f64>> = labels
-            .matrices
-            .iter()
-            .map(|m| idxs.iter().map(|&i| m.features.values()[i]).collect())
-            .collect();
-        let matrix = Arc::new(FeatureMatrix::from_rows(subset_rows));
-        let base_rows: Vec<u32> = (0..matrix.n_rows() as u32).collect();
-        let plan = FoldPlan::build(&matrix, &base_rows, k, ctx.seed);
-        let mut acc_sum = 0.0;
-        let mut preds_per_cfg: Vec<Vec<u32>> = Vec::with_capacity(labels.catalog.len());
-        for cfg_idx in 0..labels.catalog.len() {
-            let y: Vec<u32> = labels.matrices.iter().map(|m| m.classes[cfg_idx].index()).collect();
-            let ds = Dataset::from_matrix(Arc::clone(&matrix), y, N_CLASSES);
-            let (pairs, cm) = cross_val_confusion_planned(&plan, &ds, params);
-            acc_sum += cm.accuracy();
-            preds_per_cfg.push(pairs.into_iter().map(|(_, p)| p).collect());
-        }
-        let mean_acc = acc_sum / labels.catalog.len() as f64;
-
-        // End-to-end speedup with these predictions.
-        let mut speedups = Vec::with_capacity(labels.len());
-        for (mi, ml) in labels.matrices.iter().enumerate() {
-            let preds: Vec<_> = (0..labels.catalog.len())
-                .map(|ci| wise_core::SpeedupClass::from_index(preds_per_cfg[ci][mi]))
-                .collect();
-            let choice = select_index(&labels.catalog, &preds);
-            speedups.push(ml.seconds[mkl_index] / ml.seconds[choice]);
-        }
-        let mean_speedup = speedups.iter().sum::<f64>() / speedups.len() as f64;
+        // label views over it and share one fold plan.
+        let subset = FeatureMatrix::from_rows(
+            labels
+                .matrices
+                .iter()
+                .map(|m| idxs.iter().map(|&i| m.features.values()[i]).collect())
+                .collect(),
+        );
+        let ev = evaluate_cv_planned(&labels, &CvPlan::over(Arc::new(subset), k, ctx.seed), params);
+        let mean_acc =
+            ev.confusions.iter().map(|c| c.accuracy()).sum::<f64>() / labels.catalog.len() as f64;
+        let mean_speedup = ev.mean_wise_speedup();
         outln!("{:<14} {:>9} {:>9.1}% {:>11.2}x", name, idxs.len(), 100.0 * mean_acc, mean_speedup);
         rows.push(format!("{name},{},{mean_acc:.4},{mean_speedup:.4}", idxs.len()));
     }

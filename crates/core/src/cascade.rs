@@ -7,7 +7,7 @@
 //! ([`wise_features::ProbeFeatures`]: sizes + full R/C statistics, one
 //! O(nnz) pass, no tiling/locality sweeps), walks every registry tree
 //! over the 22 probe-known features
-//! ([`DecisionTree::predict_partial`](wise_ml::DecisionTree::predict_partial)),
+//! ([`DecisionTree::predict_partial_explained`](wise_ml::DecisionTree::predict_partial_explained)),
 //! and computes a *vote margin*. If the margin clears a threshold
 //! calibrated on the training labels — and the roofline veto
 //! ([`wise_perf::QuickBounds`]) finds the winning class physically
@@ -34,7 +34,7 @@ use crate::classes::SpeedupClass;
 use crate::labels::CorpusLabels;
 use crate::registry::ModelRegistry;
 use crate::select::select_index;
-use wise_ml::PartialPrediction;
+use wise_ml::{DecisionPath, PartialPrediction};
 use wise_perf::{calibrate_margin_threshold, Estimator, MachineModel, MarginSample};
 
 /// The cascade's training-set quality contract: the calibrated gate
@@ -74,7 +74,7 @@ wise_trace::json_struct!(CascadeGate {
     calibration_accept_rate,
 });
 
-/// Which stage of the cascade produced a [`Choice`].
+/// Which stage of the cascade produced a [`Choice`](crate::pipeline::Choice).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CascadeStage {
     /// Answered by the O(nnz) probe + partial tree walk.
@@ -167,9 +167,15 @@ pub fn fold_stage_one(
     StageOneVote { predictions, index, margin, all_leaves, min_confidence }
 }
 
-/// Runs the full stage-1 vote for a probe-known partial feature row.
-pub fn stage_one_vote(registry: &ModelRegistry, known: &[Option<f64>]) -> StageOneVote {
-    fold_stage_one(registry.catalog(), &registry.predict_partial(known))
+/// Runs the full stage-1 vote for a probe-known partial feature row:
+/// every head's partial walk, folded by [`fold_stage_one`]. Returns the
+/// vote with the per-head paths (catalog order).
+pub fn stage_one_vote(
+    registry: &ModelRegistry,
+    known: &[Option<f64>],
+) -> (StageOneVote, Vec<DecisionPath>) {
+    let (partials, paths) = registry.predict_partial_explained(known);
+    (fold_stage_one(registry.catalog(), &partials), paths)
 }
 
 // ---------------------------------------------------------------------
@@ -201,7 +207,7 @@ pub fn calibrate_gate(
         let full_idx = select_index(catalog, &registry.predict(&m.features));
         let p_full = oracle / m.seconds[full_idx];
         let known = wise_features::ProbeFeatures::mask_full(&m.features);
-        let vote = stage_one_vote(registry, &known);
+        let (vote, _) = stage_one_vote(registry, &known);
         let p_stage1 = oracle / m.seconds[vote.index];
         samples.push(MarginSample { margin: vote.margin, p_stage1, p_full });
     }

@@ -7,7 +7,7 @@
 //! and WISE's selection for that matrix uses only those held-out
 //! predictions.
 
-use crate::classes::{SpeedupClass, N_CLASSES};
+use crate::classes::SpeedupClass;
 use crate::labels::CorpusLabels;
 use crate::registry::ModelRegistry;
 use crate::select::select_index;
@@ -79,6 +79,53 @@ pub struct CvEvaluation {
 }
 
 impl CvEvaluation {
+    /// Scores per-matrix class predictions (outer: corpus order, inner:
+    /// catalog order) as picks: WISE's [`select_index`] choice, the
+    /// oracle, the inspector-executor and the MKL baseline, per matrix.
+    /// `confusions` is carried through as given.
+    pub fn from_predictions(
+        labels: &CorpusLabels,
+        predictions: Vec<Vec<SpeedupClass>>,
+        confusions: Vec<ConfusionMatrix>,
+    ) -> CvEvaluation {
+        assert_eq!(predictions.len(), labels.len(), "one prediction vector per matrix");
+        let mkl_index = labels.config_index(&mkl_like_config().label());
+        let outcomes = labels
+            .matrices
+            .iter()
+            .zip(&predictions)
+            .map(|(ml, preds)| {
+                let wise_index = select_index(&labels.catalog, preds);
+                let oracle_index = ml.oracle_index();
+                // IE picks by its cold trials, then runs steady state.
+                let ie_index = ml
+                    .cold_seconds
+                    .iter()
+                    .enumerate()
+                    .min_by(|a, b| a.1.total_cmp(b.1))
+                    .map(|(i, _)| i)
+                    .expect("non-empty catalog");
+                let ie_preproc_seconds = ml.preprocessing_seconds.iter().sum::<f64>()
+                    + ml.cold_seconds.iter().sum::<f64>();
+                EvalOutcome {
+                    name: ml.name.clone(),
+                    wise_index,
+                    oracle_index,
+                    ie_index,
+                    wise_seconds: ml.seconds[wise_index],
+                    oracle_seconds: ml.seconds[oracle_index],
+                    ie_seconds: ml.seconds[ie_index],
+                    mkl_seconds: ml.seconds[mkl_index],
+                    best_csr_seconds: ml.best_csr_seconds,
+                    wise_preproc_seconds: ml.feature_extraction_seconds
+                        + ml.preprocessing_seconds[wise_index],
+                    ie_preproc_seconds,
+                }
+            })
+            .collect();
+        CvEvaluation { outcomes, confusions, predictions }
+    }
+
     /// Arithmetic mean of WISE's speedup over MKL (the paper's headline
     /// 2.4x).
     pub fn mean_wise_speedup(&self) -> f64 {
@@ -136,8 +183,14 @@ pub struct CvPlan {
 impl CvPlan {
     /// Builds the matrix and fold presorts for `labels`.
     pub fn build(labels: &CorpusLabels, k: usize, seed: u64) -> CvPlan {
-        assert!(labels.len() >= k, "need at least k matrices for k-fold CV");
-        let matrix = ModelRegistry::feature_matrix(labels);
+        CvPlan::over(ModelRegistry::feature_matrix(labels), k, seed)
+    }
+
+    /// The fold presorts over a given feature matrix (one row per
+    /// labeled matrix, corpus order), e.g. a feature-group subset of
+    /// [`ModelRegistry::feature_matrix`].
+    pub fn over(matrix: Arc<FeatureMatrix>, k: usize, seed: u64) -> CvPlan {
+        assert!(matrix.n_rows() >= k, "need at least k matrices for k-fold CV");
         let base_rows: Vec<u32> = (0..matrix.n_rows() as u32).collect();
         let plan = FoldPlan::build(&matrix, &base_rows, k, seed);
         CvPlan { matrix, plan }
@@ -187,93 +240,13 @@ pub fn evaluate_cv_planned(
     let predictions: Vec<Vec<SpeedupClass>> = (0..labels.len())
         .map(|mi| (0..n_cfg).map(|ci| SpeedupClass::from_index(per_cfg[ci].0[mi].1)).collect())
         .collect();
-
-    let mkl_index = labels.config_index(&mkl_like_config().label());
-    let outcomes = labels
-        .matrices
-        .iter()
-        .zip(&predictions)
-        .map(|(ml, preds)| {
-            let wise_index = select_index(&labels.catalog, preds);
-            let oracle_index = ml.oracle_index();
-            // IE picks by its cold trials, then runs steady state.
-            let ie_index = ml
-                .cold_seconds
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.total_cmp(b.1))
-                .map(|(i, _)| i)
-                .expect("non-empty catalog");
-            let ie_preproc_seconds =
-                ml.preprocessing_seconds.iter().sum::<f64>() + ml.cold_seconds.iter().sum::<f64>();
-            EvalOutcome {
-                name: ml.name.clone(),
-                wise_index,
-                oracle_index,
-                ie_index,
-                wise_seconds: ml.seconds[wise_index],
-                oracle_seconds: ml.seconds[oracle_index],
-                ie_seconds: ml.seconds[ie_index],
-                mkl_seconds: ml.seconds[mkl_index],
-                best_csr_seconds: ml.best_csr_seconds,
-                wise_preproc_seconds: ml.feature_extraction_seconds
-                    + ml.preprocessing_seconds[wise_index],
-                ie_preproc_seconds,
-            }
-        })
-        .collect();
-
-    CvEvaluation { outcomes, confusions, predictions }
-}
-
-/// Sanity helper used by tests and the Table 4 harness: the evaluation
-/// run with every class predicted perfectly (upper bound on what the
-/// trees can deliver).
-pub fn evaluate_with_perfect_predictions(labels: &CorpusLabels) -> CvEvaluation {
-    let predictions: Vec<Vec<SpeedupClass>> =
-        labels.matrices.iter().map(|m| m.classes.clone()).collect();
-    let confusions = (0..labels.catalog.len())
-        .map(|ci| {
-            ConfusionMatrix::from_pairs(
-                N_CLASSES,
-                labels.matrices.iter().map(|m| {
-                    let c = m.classes[ci].index();
-                    (c, c)
-                }),
-            )
-        })
-        .collect();
-    let mkl_index = labels.config_index(&mkl_like_config().label());
-    let outcomes = labels
-        .matrices
-        .iter()
-        .zip(&predictions)
-        .map(|(ml, preds)| {
-            let wise_index = select_index(&labels.catalog, preds);
-            let oracle_index = ml.oracle_index();
-            let ie_index = oracle_index; // irrelevant for this helper
-            EvalOutcome {
-                name: ml.name.clone(),
-                wise_index,
-                oracle_index,
-                ie_index,
-                wise_seconds: ml.seconds[wise_index],
-                oracle_seconds: ml.seconds[oracle_index],
-                ie_seconds: ml.seconds[ie_index],
-                mkl_seconds: ml.seconds[mkl_index],
-                best_csr_seconds: ml.best_csr_seconds,
-                wise_preproc_seconds: ml.feature_extraction_seconds
-                    + ml.preprocessing_seconds[wise_index],
-                ie_preproc_seconds: 0.0,
-            }
-        })
-        .collect();
-    CvEvaluation { outcomes, confusions, predictions }
+    CvEvaluation::from_predictions(labels, predictions, confusions)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classes::N_CLASSES;
     use crate::labels::label_corpus;
     use wise_features::FeatureConfig;
     use wise_gen::{Corpus, CorpusScale};
@@ -353,7 +326,17 @@ mod tests {
     #[test]
     fn perfect_predictions_upper_bound_cv() {
         let labels = labeled();
-        let perfect = evaluate_with_perfect_predictions(&labels);
+        let perfect_confusion = |ci: usize| {
+            ConfusionMatrix::from_pairs(
+                N_CLASSES,
+                labels.matrices.iter().map(|m| (m.classes[ci].index(), m.classes[ci].index())),
+            )
+        };
+        let perfect = CvEvaluation::from_predictions(
+            &labels,
+            labels.matrices.iter().map(|m| m.classes.clone()).collect(),
+            (0..labels.catalog.len()).map(perfect_confusion).collect(),
+        );
         let cv = evaluate_cv(&labels, TreeParams::default(), 5, 3);
         // Perfect class knowledge can't be slower on average than CV
         // predictions under the same selection rule... modulo the

@@ -8,7 +8,7 @@
 //! what the trained models let end users skip).
 
 use crate::classes::SpeedupClass;
-use wise_features::{FeatureConfig, FeatureScratch, FeatureVector};
+use wise_features::{FeatureConfig, FeatureVector};
 use wise_gen::Corpus;
 use wise_kernels::method::{Method, MethodConfig};
 use wise_kernels::sched::par_map;
@@ -72,27 +72,6 @@ impl MatrixLabels {
         feature_config: &FeatureConfig,
         catalog: &[MethodConfig],
     ) -> MatrixLabels {
-        Self::compute_scoped(
-            name,
-            m,
-            estimator,
-            feature_config,
-            catalog,
-            &mut FeatureScratch::new(),
-        )
-    }
-
-    /// [`Self::compute_with`] reusing a caller-owned extraction
-    /// workspace, so labeling many matrices on one thread stays
-    /// allocation-lean.
-    pub fn compute_scoped(
-        name: &str,
-        m: &Csr,
-        estimator: &Estimator,
-        feature_config: &FeatureConfig,
-        catalog: &[MethodConfig],
-        scratch: &mut FeatureScratch,
-    ) -> MatrixLabels {
         let _span = wise_trace::span("label.matrix");
         assert!(
             catalog.iter().any(|c| c.method == Method::Csr),
@@ -117,7 +96,7 @@ impl MatrixLabels {
             seconds,
             best_csr_seconds,
             classes,
-            features: FeatureVector::extract_with(m, feature_config, scratch),
+            features: FeatureVector::extract(m, feature_config),
             preprocessing_seconds,
             cold_seconds,
             feature_extraction_seconds: estimator.feature_extraction_seconds(m),

@@ -12,7 +12,7 @@
 //!    to the best CSR implementation;
 //! 3. picks the configuration with the highest predicted speedup,
 //!    breaking ties toward cheaper preprocessing
-//!    ([`select::select_config`]);
+//!    ([`select::select_index`]);
 //! 4. converts the matrix to the chosen format and runs SpMV
 //!    ([`pipeline::Wise`]).
 //!
@@ -59,4 +59,3 @@ pub use explain::explain_choice;
 pub use labels::{label_corpus, CorpusLabels, MatrixLabels};
 pub use pipeline::{TrainOptions, Wise};
 pub use registry::ModelRegistry;
-pub use select::select_config;

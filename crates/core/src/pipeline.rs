@@ -365,8 +365,7 @@ impl Wise {
         let known = probe.known_values();
         let probe_s = t0.elapsed().as_secs_f64();
         let t1 = Instant::now();
-        let (partials, paths) = self.registry.predict_partial_explained(&known);
-        let vote = cascade::fold_stage_one(self.registry.catalog(), &partials);
+        let (vote, paths) = cascade::stage_one_vote(&self.registry, &known);
         let predict_s = t1.elapsed().as_secs_f64();
         let Some(threshold) = gate.threshold else {
             return Err((vote.margin, FallthroughReason::NoThreshold));

@@ -63,9 +63,11 @@ impl ModelRegistry {
         let presort = Presort::build(&matrix, &base_rows);
         let trees: Vec<DecisionTree> = par_map(labels.catalog.len(), |cfg_idx| {
             let _tree = wise_trace::span("train.tree");
-            let y: Vec<u32> = labels.matrices.iter().map(|m| m.classes[cfg_idx].index()).collect();
-            let ds = Dataset::from_matrix(Arc::clone(&matrix), y, N_CLASSES);
-            DecisionTree::fit_with(&ds, &presort, params)
+            DecisionTree::fit_with(
+                &Self::dataset_for_matrix(&matrix, labels, cfg_idx),
+                &presort,
+                params,
+            )
         });
         ModelRegistry::new(labels.catalog.clone(), trees, params)
     }
@@ -130,29 +132,15 @@ impl ModelRegistry {
     }
 
     /// Partial prediction of every head over an incompletely-known
-    /// feature row (catalog order) — the stage-1 vote of the selection
-    /// cascade. Each tree walks until its first split on an unknown
-    /// (`None`) feature; see
-    /// [`wise_ml::DecisionTree::predict_partial`].
-    pub fn predict_partial(&self, known: &[Option<f64>]) -> Vec<wise_ml::PartialPrediction> {
-        self.trees.iter().map(|t| t.predict_partial(known)).collect()
-    }
-
-    /// [`ModelRegistry::predict_partial`] plus the partial walk of
-    /// every head, so stage-1 selections stay as auditable as full
-    /// ones (each path terminates at the stopping node).
+    /// feature row (catalog order), plus each head's partial walk so
+    /// stage-1 selections stay as auditable as full ones. Each tree
+    /// walks until its first split on an unknown (`None`) feature; see
+    /// [`wise_ml::DecisionTree::predict_partial_explained`].
     pub fn predict_partial_explained(
         &self,
         known: &[Option<f64>],
     ) -> (Vec<wise_ml::PartialPrediction>, Vec<wise_ml::DecisionPath>) {
-        let mut partials = Vec::with_capacity(self.trees.len());
-        let mut paths = Vec::with_capacity(self.trees.len());
-        for t in &self.trees {
-            let (p, path) = t.predict_partial_explained(known);
-            partials.push(p);
-            paths.push(path);
-        }
-        (partials, paths)
+        self.trees.iter().map(|t| t.predict_partial_explained(known)).unzip()
     }
 
     /// Serializes to JSON at `path`.
@@ -246,7 +234,7 @@ mod tests {
         let reg = ModelRegistry::train(&labels, TreeParams::default());
         for m in labels.matrices.iter().take(4) {
             let known: Vec<Option<f64>> = m.features.values().iter().map(|&v| Some(v)).collect();
-            let partials = reg.predict_partial(&known);
+            let (partials, paths) = reg.predict_partial_explained(&known);
             let plain = reg.predict(&m.features);
             assert_eq!(partials.len(), 29);
             for (p, full) in partials.iter().zip(&plain) {
@@ -254,8 +242,6 @@ mod tests {
                 assert_eq!(p.confidence, 1.0);
                 assert_eq!(SpeedupClass::from_index(p.class), *full);
             }
-            let (explained, paths) = reg.predict_partial_explained(&known);
-            assert_eq!(explained, partials);
             assert_eq!(paths.len(), 29);
             for (p, path) in partials.iter().zip(&paths) {
                 assert_eq!(p.class, path.leaf_class);
@@ -271,7 +257,7 @@ mod tests {
         let reg = ModelRegistry::train(&labels, TreeParams::default());
         for m in labels.matrices.iter().take(6) {
             let masked = wise_features::ProbeFeatures::mask_full(&m.features);
-            let partials = reg.predict_partial(&masked);
+            let (partials, _) = reg.predict_partial_explained(&masked);
             let full = reg.predict(&m.features);
             for (p, f) in partials.iter().zip(&full) {
                 if p.reached_leaf {

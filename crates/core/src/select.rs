@@ -26,11 +26,6 @@ pub fn select_index(catalog: &[MethodConfig], predictions: &[SpeedupClass]) -> u
     best
 }
 
-/// Like [`select_index`] but returns the configuration itself.
-pub fn select_config(catalog: &[MethodConfig], predictions: &[SpeedupClass]) -> MethodConfig {
-    catalog[select_index(catalog, predictions)]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -54,7 +49,7 @@ mod tests {
         // Everything predicts C3: CSR (cheapest) must win; among CSR the
         // catalog's first entry is kept (stable ordering).
         let preds = vec![SpeedupClass::C3; cat.len()];
-        let chosen = select_config(&cat, &preds);
+        let chosen = cat[select_index(&cat, &preds)];
         assert_eq!(chosen.method, wise_kernels::Method::Csr);
     }
 
@@ -62,7 +57,7 @@ mod tests {
     fn lav_ties_prefer_smaller_t() {
         let cat = vec![MethodConfig::lav(8, 0.9), MethodConfig::lav(8, 0.7)];
         let preds = vec![SpeedupClass::C6, SpeedupClass::C6];
-        assert_eq!(select_config(&cat, &preds).t, 0.7);
+        assert_eq!(cat[select_index(&cat, &preds)].t, 0.7);
     }
 
     #[test]
@@ -72,7 +67,7 @@ mod tests {
             MethodConfig::sell_c_sigma(8, 512, Schedule::Dyn),
         ];
         let preds = vec![SpeedupClass::C4, SpeedupClass::C4];
-        assert_eq!(select_config(&cat, &preds).sigma, 512);
+        assert_eq!(cat[select_index(&cat, &preds)].sigma, 512);
     }
 
     #[test]
@@ -81,7 +76,7 @@ mod tests {
         // conversion cost for no benefit).
         let cat = catalog();
         let preds = vec![SpeedupClass::C0; cat.len()];
-        assert_eq!(select_config(&cat, &preds).method, wise_kernels::Method::Csr);
+        assert_eq!(cat[select_index(&cat, &preds)].method, wise_kernels::Method::Csr);
     }
 
     #[test]

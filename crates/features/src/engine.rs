@@ -19,7 +19,7 @@
 //! can be switched off when its feature group is not wanted (see
 //! [`crate::groups`]).
 //!
-//! The R and C distributions come from [`row_col_stats`], the one
+//! The R and C distributions come from `row_col_stats`, the one
 //! counting path shared with the stage-1 probe: `row_ptr` differences
 //! and an O(nnz) column histogram, no transpose.
 //!
@@ -315,7 +315,7 @@ pub(crate) fn row_col_stats<const BAND: bool>(
 }
 
 /// Reusable workspace for
-/// [`FeatureVector::extract_with`](crate::FeatureVector::extract_with):
+/// [`FeatureVector::extract_subset_with`](crate::FeatureVector::extract_subset_with):
 /// the pattern-transpose buffers, the per-thread sweep workers, and the
 /// statistics sort buffers.
 /// Repeated extractions over a corpus reuse every buffer, so the hot

@@ -104,7 +104,7 @@ pub(crate) fn side_metrics(inc: [usize; 6], n: usize, nnz: usize) -> SideLocalit
 
 impl LocalityMetrics {
     /// Assembles the 24 metrics from one distinct-`(group, tile)`
-    /// incidence array per orientation (see [`side_metrics`]).
+    /// incidence array per orientation (see `side_metrics`).
     pub fn from_incidence(
         row_side: [usize; 6],
         col_side: [usize; 6],

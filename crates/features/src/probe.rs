@@ -40,7 +40,7 @@ pub struct ProbeFeatures {
     /// toward ~0.3 for uniformly scattered columns.
     pub bandwidth_frac: f64,
     /// The trailing host SIMD/MLP features, computed by the same
-    /// [`host_simd_features`] call the full extractor uses (so they
+    /// `host_simd_features` call the full extractor uses (so they
     /// are bit-identical by construction).
     pub host: [f64; 3],
 }
@@ -107,7 +107,7 @@ impl ProbeFeatures {
 
     /// The probe's feature values in full-vector layout: `Some(v)` at
     /// every probe-known index, `None` elsewhere. This is the partial
-    /// row the cascade feeds to `DecisionTree::predict_partial`.
+    /// row the cascade feeds to `DecisionTree::predict_partial_explained`.
     pub fn known_values(&self) -> Vec<Option<f64>> {
         let mut values = vec![None; N_FEATURES];
         let idx = Self::known_indices();

@@ -189,20 +189,10 @@ impl FeatureVector {
     /// O(nnz + K) work split over `cfg.threads` workers. This is the
     /// feature-calculation half of WISE's preprocessing overhead
     /// (Fig. 13c). Allocates a fresh workspace; hot loops extracting
-    /// from many matrices should reuse one via [`Self::extract_with`].
+    /// from many matrices should reuse one via
+    /// [`Self::extract_subset_with`] with [`FeatureSet::ALL`].
     pub fn extract(m: &Csr, cfg: &FeatureConfig) -> FeatureVector {
         Self::extract_subset(m, cfg, FeatureSet::ALL)
-    }
-
-    /// [`Self::extract`] with a caller-owned [`FeatureScratch`], making
-    /// repeated extractions allocation-free once the workspace has
-    /// grown to the largest matrix seen.
-    pub fn extract_with(
-        m: &Csr,
-        cfg: &FeatureConfig,
-        scratch: &mut FeatureScratch,
-    ) -> FeatureVector {
-        Self::extract_subset_with(m, cfg, FeatureSet::ALL, scratch)
     }
 
     /// Extracts only the slots in `subset`, computing just the
@@ -213,9 +203,9 @@ impl FeatureVector {
         Self::extract_subset_with(m, cfg, subset, &mut FeatureScratch::new())
     }
 
-    /// [`Self::extract_subset`] with a caller-owned [`FeatureScratch`].
-    /// This is the one extractor: [`Self::extract_with`] is its
-    /// [`FeatureSet::ALL`] case.
+    /// [`Self::extract_subset`] with a caller-owned [`FeatureScratch`],
+    /// allocation-free once the workspace has grown to the largest
+    /// matrix seen. This is the one extractor.
     pub fn extract_subset_with(
         m: &Csr,
         cfg: &FeatureConfig,
@@ -413,7 +403,8 @@ mod tests {
             let want = FeatureVector::extract_reference(&m, &cfg1);
             for threads in [1usize, 2, 7] {
                 let cfg = FeatureConfig { k_max: 16, threads };
-                let got = FeatureVector::extract_with(&m, &cfg, &mut scratch);
+                let got =
+                    FeatureVector::extract_subset_with(&m, &cfg, FeatureSet::ALL, &mut scratch);
                 assert_eq!(got, want, "threads={threads}");
             }
         }
@@ -433,7 +424,7 @@ mod tests {
         ];
         for m in &ms {
             let fresh = FeatureVector::extract(m, &cfg);
-            let reused = FeatureVector::extract_with(m, &cfg, &mut scratch);
+            let reused = FeatureVector::extract_subset_with(m, &cfg, FeatureSet::ALL, &mut scratch);
             assert_eq!(fresh, reused);
         }
     }

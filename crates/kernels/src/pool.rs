@@ -12,7 +12,7 @@
 //!
 //! A job of `n` logical threads needs only `n − 1` pool workers: the
 //! dispatching thread runs logical thread 0 itself instead of idling at
-//! the barrier. Shared state is one mutex-guarded [`JobState`], a done
+//! the barrier. Shared state is one mutex-guarded `JobState`, a done
 //! condvar, and one wake condvar per worker:
 //!
 //! 1. **Publish** — the dispatcher stores the lifetime-erased job

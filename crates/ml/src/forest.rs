@@ -8,7 +8,7 @@
 //! over-promise speedup on a tie).
 
 use crate::dataset::Dataset;
-use crate::tree::{DecisionTree, TreeParams};
+use crate::tree::{argmax, DecisionTree, TreeParams};
 use wise_gen::SplitMix64;
 
 /// Forest hyperparameters.
@@ -58,17 +58,7 @@ impl RandomForest {
         for t in &self.trees {
             votes[t.predict(row) as usize] += 1;
         }
-        let mut best = 0usize;
-        for (c, &v) in votes.iter().enumerate() {
-            if v > votes[best] {
-                best = c;
-            }
-        }
-        best as u32
-    }
-
-    pub fn predict_all(&self, data: &Dataset) -> Vec<u32> {
-        (0..data.len()).map(|i| self.predict(data.row(i))).collect()
+        argmax(&votes).0 as u32
     }
 
     pub fn n_trees(&self) -> usize {
@@ -136,12 +126,12 @@ mod tests {
                 seed: 9,
             },
         );
-        let acc = |preds: Vec<u32>| {
-            preds.iter().zip(test.labels()).filter(|(a, b)| a == b).count() as f64
+        let acc = |predict: &dyn Fn(&[f64]) -> u32| {
+            (0..test.len()).filter(|&i| predict(test.row(i)) == test.label(i)).count() as f64
                 / test.len() as f64
         };
-        let tree_acc = acc(tree.predict_all(&test));
-        let forest_acc = acc(forest.predict_all(&test));
+        let tree_acc = acc(&|row| tree.predict(row));
+        let forest_acc = acc(&|row| forest.predict(row));
         assert!(forest_acc >= tree_acc - 0.03, "forest {forest_acc:.3} vs tree {tree_acc:.3}");
     }
 
@@ -150,9 +140,8 @@ mod tests {
         // With one tree the only difference is the bootstrap resample.
         let d = noisy_dataset(5);
         let f = RandomForest::fit(&d, ForestParams { n_trees: 1, ..Default::default() });
-        let preds = f.predict_all(&d);
-        let agree =
-            preds.iter().zip(d.labels()).filter(|(a, b)| a == b).count() as f64 / d.len() as f64;
+        let agree = (0..d.len()).filter(|&i| f.predict(d.row(i)) == d.label(i)).count() as f64
+            / d.len() as f64;
         assert!(agree > 0.7, "bootstrap tree should still track labels: {agree}");
     }
 

@@ -17,6 +17,7 @@
 //! trees.
 
 use crate::dataset::Dataset;
+use crate::explain::{DecisionPath, DecisionStep};
 use crate::presort::Presort;
 use wise_trace::export::json::JsonError;
 
@@ -62,7 +63,7 @@ impl Node {
     }
 }
 
-/// Outcome of [`DecisionTree::predict_partial`]: the walk over a
+/// Outcome of [`DecisionTree::predict_partial_explained`]: the walk over a
 /// partially-known feature row, stopped at the first split on an
 /// unknown feature (or at a true leaf).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -277,9 +278,13 @@ impl DecisionTree {
         loop {
             // Subtree risk and leaf count per node.
             let (risk, leaves) = self.subtree_stats();
+            let mut live = vec![false; self.nodes.len()];
+            for (i, _) in self.reachable() {
+                live[i] = true;
+            }
             let mut weakest: Option<(f64, usize)> = None;
             for (i, node) in self.nodes.iter().enumerate() {
-                if node.is_leaf() || !self.reachable(i) {
+                if node.is_leaf() || !live[i] {
                     continue;
                 }
                 let nl = leaves[i];
@@ -320,71 +325,64 @@ impl DecisionTree {
         (risk, leaves)
     }
 
-    /// Whether node `i` is still reachable from the root (pruning turns
-    /// ancestors into leaves without removing descendants).
-    fn reachable(&self, target: usize) -> bool {
-        let mut stack = vec![0usize];
-        while let Some(i) = stack.pop() {
-            if i == target {
-                return true;
-            }
+    /// Every node reachable from the root with its depth (root = 0), in
+    /// preorder, right subtree first. Pruning turns ancestors into
+    /// leaves without removing their descendants, so this is the tree a
+    /// prediction can walk.
+    fn reachable(&self) -> Vec<(usize, usize)> {
+        let mut order = Vec::new();
+        let mut stack = vec![(0usize, 0usize)];
+        while let Some((i, depth)) = stack.pop() {
+            order.push((i, depth));
             let node = &self.nodes[i];
             if !node.is_leaf() {
-                stack.push(node.left as usize);
-                stack.push(node.right as usize);
+                stack.push((node.left as usize, depth + 1));
+                stack.push((node.right as usize, depth + 1));
             }
         }
-        false
+        order
     }
 
-    /// Predicts the class of one feature row.
-    pub fn predict(&self, row: &[f64]) -> u32 {
-        assert_eq!(row.len(), self.n_features, "feature count mismatch");
-        let mut i = 0usize;
-        loop {
-            let node = &self.nodes[i];
-            if node.is_leaf() {
-                return node.class;
-            }
-            i = if row[node.feature as usize] <= node.threshold {
-                node.left as usize
-            } else {
-                node.right as usize
-            };
-        }
-    }
-
-    /// Predicts every row of a dataset.
-    pub fn predict_all(&self, data: &Dataset) -> Vec<u32> {
-        (0..data.len()).map(|i| self.predict(data.row(i))).collect()
-    }
-
-    /// Predicts one row *and* records the root-to-leaf walk that
-    /// produced the prediction (see [`crate::explain`]). The returned
-    /// path's `leaf_class` always equals [`DecisionTree::predict`] on
-    /// the same row.
-    pub fn decision_path(&self, row: &[f64]) -> crate::explain::DecisionPath {
-        assert_eq!(row.len(), self.n_features, "feature count mismatch");
-        let mut path = crate::explain::DecisionPath::default();
-        let mut i = 0usize;
-        loop {
-            let node = &self.nodes[i];
-            if node.is_leaf() {
-                path.leaf_class = node.class;
-                path.leaf_samples = node.n_samples;
-                return path;
-            }
-            let value = row[node.feature as usize];
+    /// The one descent every prediction takes: from the root, while the
+    /// tested feature is known (`value` returns `Some`), report the
+    /// split to `step` and follow its branch. Returns the stopping node:
+    /// a leaf, or the first split on an unknown feature.
+    fn walk(
+        &self,
+        value: impl Fn(usize) -> Option<f64>,
+        mut step: impl FnMut(DecisionStep),
+    ) -> &Node {
+        let mut node = &self.nodes[0];
+        while !node.is_leaf() {
+            let Some(value) = value(node.feature as usize) else { break };
             let went_left = value <= node.threshold;
-            path.steps.push(crate::explain::DecisionStep {
+            step(DecisionStep {
                 feature: node.feature,
                 threshold: node.threshold,
                 value,
                 went_left,
                 n_samples: node.n_samples,
             });
-            i = if went_left { node.left as usize } else { node.right as usize };
+            node = &self.nodes[if went_left { node.left } else { node.right } as usize];
         }
+        node
+    }
+
+    /// Predicts the class of one feature row.
+    pub fn predict(&self, row: &[f64]) -> u32 {
+        assert_eq!(row.len(), self.n_features, "feature count mismatch");
+        self.walk(|f| Some(row[f]), |_| {}).class
+    }
+
+    /// Predicts one row *and* records the root-to-leaf walk that
+    /// produced the prediction (see [`crate::explain`]). The returned
+    /// path's `leaf_class` always equals [`DecisionTree::predict`] on
+    /// the same row.
+    pub fn decision_path(&self, row: &[f64]) -> DecisionPath {
+        assert_eq!(row.len(), self.n_features, "feature count mismatch");
+        let mut steps = Vec::new();
+        let leaf = self.walk(|f| Some(row[f]), |s| steps.push(s));
+        DecisionPath { steps, leaf_class: leaf.class, leaf_samples: leaf.n_samples }
     }
 
     /// Walks the tree over a partially-known row, stopping at the
@@ -398,94 +396,35 @@ impl DecisionTree {
     /// When it stops early, the stopping node's majority class is
     /// returned with the majority training fraction as confidence —
     /// the probability (under training-set frequency) that completing
-    /// the walk would land on the same class.
-    pub fn predict_partial(&self, values: &[Option<f64>]) -> PartialPrediction {
-        assert_eq!(values.len(), self.n_features, "feature count mismatch");
-        let n_total = self.nodes[0].n_samples as f64;
-        let mut i = 0usize;
-        let mut depth = 0u32;
-        loop {
-            let node = &self.nodes[i];
-            if node.is_leaf() {
-                return PartialPrediction {
-                    class: node.class,
-                    confidence: 1.0,
-                    reached_leaf: true,
-                    depth,
-                };
-            }
-            let Some(v) = values[node.feature as usize] else {
-                // node_risk is weighted by n_samples/n_total; unweight
-                // it to recover the node-local majority fraction.
-                let confidence = if node.n_samples == 0 {
-                    0.0
-                } else {
-                    (1.0 - node.node_risk * n_total / node.n_samples as f64).clamp(0.0, 1.0)
-                };
-                return PartialPrediction {
-                    class: node.class,
-                    confidence,
-                    reached_leaf: false,
-                    depth,
-                };
-            };
-            i = if v <= node.threshold { node.left as usize } else { node.right as usize };
-            depth += 1;
-        }
-    }
-
-    /// [`DecisionTree::predict_partial`] plus the walk it took, as a
-    /// [`crate::explain::DecisionPath`] whose terminal entry is the
-    /// stopping node (a true leaf, or the first unknown-feature split
-    /// with its majority class and support). Keeps partial selections
-    /// as auditable as full ones.
+    /// the walk would land on the same class. The returned path ends at
+    /// the stopping node (a true leaf, or the first unknown-feature
+    /// split with its majority class and support), so partial
+    /// selections stay as auditable as full ones.
     pub fn predict_partial_explained(
         &self,
         values: &[Option<f64>],
-    ) -> (PartialPrediction, crate::explain::DecisionPath) {
+    ) -> (PartialPrediction, DecisionPath) {
         assert_eq!(values.len(), self.n_features, "feature count mismatch");
-        let n_total = self.nodes[0].n_samples as f64;
-        let mut path = crate::explain::DecisionPath::default();
-        let mut i = 0usize;
-        loop {
-            let node = &self.nodes[i];
-            if node.is_leaf() {
-                path.leaf_class = node.class;
-                path.leaf_samples = node.n_samples;
-                let p = PartialPrediction {
-                    class: node.class,
-                    confidence: 1.0,
-                    reached_leaf: true,
-                    depth: path.steps.len() as u32,
-                };
-                return (p, path);
-            }
-            let Some(value) = values[node.feature as usize] else {
-                path.leaf_class = node.class;
-                path.leaf_samples = node.n_samples;
-                let confidence = if node.n_samples == 0 {
-                    0.0
-                } else {
-                    (1.0 - node.node_risk * n_total / node.n_samples as f64).clamp(0.0, 1.0)
-                };
-                let p = PartialPrediction {
-                    class: node.class,
-                    confidence,
-                    reached_leaf: false,
-                    depth: path.steps.len() as u32,
-                };
-                return (p, path);
-            };
-            let went_left = value <= node.threshold;
-            path.steps.push(crate::explain::DecisionStep {
-                feature: node.feature,
-                threshold: node.threshold,
-                value,
-                went_left,
-                n_samples: node.n_samples,
-            });
-            i = if went_left { node.left as usize } else { node.right as usize };
-        }
+        let mut steps = Vec::new();
+        let stop = self.walk(|f| values[f], |s| steps.push(s));
+        let reached_leaf = stop.is_leaf();
+        // node_risk is weighted by n_samples/n_total; unweight it to
+        // recover the node-local majority fraction.
+        let confidence = if reached_leaf {
+            1.0
+        } else if stop.n_samples == 0 {
+            0.0
+        } else {
+            let n_total = self.nodes[0].n_samples as f64;
+            (1.0 - stop.node_risk * n_total / stop.n_samples as f64).clamp(0.0, 1.0)
+        };
+        let partial = PartialPrediction {
+            class: stop.class,
+            confidence,
+            reached_leaf,
+            depth: steps.len() as u32,
+        };
+        (partial, DecisionPath { steps, leaf_class: stop.class, leaf_samples: stop.n_samples })
     }
 
     /// Per-feature importance: normalized training-error decrease
@@ -494,8 +433,7 @@ impl DecisionTree {
     /// the Table 2 features actually drive each performance model.
     pub fn feature_importances(&self) -> Vec<f64> {
         let mut importances = vec![0.0f64; self.n_features];
-        let mut stack = vec![0usize];
-        while let Some(i) = stack.pop() {
+        for (i, _) in self.reachable() {
             let node = &self.nodes[i];
             if node.is_leaf() {
                 continue;
@@ -506,8 +444,6 @@ impl DecisionTree {
             // this is the (sample-weighted) error decrease of the split.
             let decrease = (node.node_risk - l.node_risk - r.node_risk).max(0.0);
             importances[node.feature as usize] += decrease;
-            stack.push(node.left as usize);
-            stack.push(node.right as usize);
         }
         let total: f64 = importances.iter().sum();
         if total > 0.0 {
@@ -522,16 +458,13 @@ impl DecisionTree {
     /// deduplicated: the only entries of a row that [`Self::predict`]
     /// can read.
     pub fn split_features(&self) -> Vec<usize> {
-        let mut features = Vec::new();
-        let mut stack = vec![0usize];
-        while let Some(i) = stack.pop() {
-            let node = &self.nodes[i];
-            if !node.is_leaf() {
-                features.push(node.feature as usize);
-                stack.push(node.left as usize);
-                stack.push(node.right as usize);
-            }
-        }
+        let mut features: Vec<usize> = self
+            .reachable()
+            .into_iter()
+            .map(|(i, _)| &self.nodes[i])
+            .filter(|node| !node.is_leaf())
+            .map(|node| node.feature as usize)
+            .collect();
         features.sort_unstable();
         features.dedup();
         features
@@ -539,32 +472,12 @@ impl DecisionTree {
 
     /// Number of reachable nodes.
     pub fn n_nodes(&self) -> usize {
-        let mut count = 0;
-        let mut stack = vec![0usize];
-        while let Some(i) = stack.pop() {
-            count += 1;
-            let node = &self.nodes[i];
-            if !node.is_leaf() {
-                stack.push(node.left as usize);
-                stack.push(node.right as usize);
-            }
-        }
-        count
+        self.reachable().len()
     }
 
     /// Maximum depth of the reachable tree (root = depth 0).
     pub fn depth(&self) -> usize {
-        let mut max = 0;
-        let mut stack = vec![(0usize, 0usize)];
-        while let Some((i, d)) = stack.pop() {
-            max = max.max(d);
-            let node = &self.nodes[i];
-            if !node.is_leaf() {
-                stack.push((node.left as usize, d + 1));
-                stack.push((node.right as usize, d + 1));
-            }
-        }
-        max
+        self.reachable().into_iter().map(|(_, depth)| depth).max().unwrap_or(0)
     }
 
     pub fn n_features(&self) -> usize {
@@ -629,6 +542,10 @@ mod tests {
     use wise_gen::SplitMix64;
     use wise_trace::export::json::{FromJson, ToJson};
 
+    fn predict_rows(t: &DecisionTree, d: &Dataset) -> Vec<u32> {
+        (0..d.len()).map(|i| t.predict(d.row(i))).collect()
+    }
+
     fn axis_dataset() -> Dataset {
         // Class = (x > 0.5) as label, y irrelevant.
         let rows: Vec<Vec<f64>> =
@@ -641,7 +558,7 @@ mod tests {
     fn fits_axis_aligned_split_perfectly() {
         let d = axis_dataset();
         let t = DecisionTree::fit(&d, TreeParams { ccp_alpha: 0.0, ..Default::default() });
-        assert_eq!(t.predict_all(&d), d.labels());
+        assert_eq!(predict_rows(&t, &d), d.labels());
         // One split suffices.
         assert_eq!(t.n_nodes(), 3);
         assert_eq!(t.depth(), 1);
@@ -664,7 +581,7 @@ mod tests {
             &d,
             TreeParams { max_depth: 4, ccp_alpha: 0.0, ..Default::default() },
         );
-        assert_eq!(t2.predict_all(&d), d.labels());
+        assert_eq!(predict_rows(&t2, &d), d.labels());
     }
 
     #[test]
@@ -719,7 +636,7 @@ mod tests {
         let t = DecisionTree::fit(&d, TreeParams::default());
         let t2 = DecisionTree::from_json_str(&t.to_json()).unwrap();
         assert_eq!(t, t2);
-        assert_eq!(t.predict_all(&d), t2.predict_all(&d));
+        assert_eq!(predict_rows(&t, &d), predict_rows(&t2, &d));
     }
 
     #[test]
@@ -771,7 +688,7 @@ mod tests {
                 &d,
                 TreeParams { max_depth: 64, ccp_alpha: 0.0, ..Default::default() },
             );
-            assert_eq!(t.predict_all(&d), labels, "case {case}");
+            assert_eq!(predict_rows(&t, &d), labels, "case {case}");
         }
     }
 }
@@ -819,7 +736,7 @@ mod explain_tests {
         for i in 0..d.len() {
             let row = d.row(i);
             let known: Vec<Option<f64>> = row.iter().map(|&v| Some(v)).collect();
-            let p = t.predict_partial(&known);
+            let (p, _) = t.predict_partial_explained(&known);
             assert!(p.reached_leaf);
             assert_eq!(p.confidence, 1.0);
             assert_eq!(p.class, t.predict(row), "row {i}");
@@ -836,7 +753,7 @@ mod explain_tests {
             &d,
             TreeParams { max_depth: 6, ccp_alpha: 0.0, ..Default::default() },
         );
-        let p = t.predict_partial(&[None]);
+        let (p, _) = t.predict_partial_explained(&[None]);
         assert!(!p.reached_leaf);
         assert_eq!(p.depth, 0);
         assert_eq!(p.class, 0);
@@ -856,7 +773,7 @@ mod explain_tests {
             TreeParams { max_depth: 4, ccp_alpha: 0.0, ..Default::default() },
         );
         for probe in [0.0, 5.0, 11.0, 15.0] {
-            let p = t.predict_partial(&[Some(probe), None]);
+            let (p, _) = t.predict_partial_explained(&[Some(probe), None]);
             assert!(p.reached_leaf, "probe {probe}");
             for unknown in [-1e9, 0.0, 1e9] {
                 assert_eq!(p.class, t.predict(&[probe, unknown]), "probe {probe}");
@@ -875,7 +792,7 @@ mod explain_tests {
             let row = d.row(i);
             let known: Vec<Option<f64>> = row.iter().map(|&v| Some(v)).collect();
             let (p, path) = t.predict_partial_explained(&known);
-            assert_eq!(p, t.predict_partial(&known));
+            assert_eq!(p.depth as usize, path.depth());
             // Fully-known walk: the explained path equals decision_path.
             assert_eq!(path, t.decision_path(row), "row {i}");
         }

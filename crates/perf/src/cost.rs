@@ -42,10 +42,6 @@ pub struct CostBreakdown {
     pub x_counts: AccessCounts,
     /// Stored entries including padding.
     pub nnz_padded: usize,
-    /// Per-segment critical-path makespan (diagnostics).
-    pub segment_critical: Vec<f64>,
-    /// Per-segment aggregate-bandwidth floor (diagnostics).
-    pub segment_floor: Vec<f64>,
 }
 
 /// Scheduling granularity used by the model: the kernel's default
@@ -83,20 +79,8 @@ pub fn estimate_spmv_seconds(
     sample_shift: u32,
 ) -> CostBreakdown {
     let prepared = cfg.prepare(m);
-    estimate_prepared(m, cfg, &prepared, machine, sample_shift)
-}
-
-/// Cost model over an already-prepared representation (lets callers
-/// amortize the format conversion across estimates).
-pub fn estimate_prepared(
-    m: &Csr,
-    cfg: &MethodConfig,
-    prepared: &Prepared<'_>,
-    machine: &MachineModel,
-    sample_shift: u32,
-) -> CostBreakdown {
-    let x_counts = x_stream_counts(m, prepared, machine, sample_shift);
-    estimate_layout(m, cfg, prepared, machine, x_counts).0
+    let x_counts = x_stream_counts(m, &prepared, machine, sample_shift);
+    estimate_layout(m, cfg, &prepared, machine, x_counts).0
 }
 
 /// `(steady-state, cold first-iteration)` estimates for `cfgs`, in
@@ -451,8 +435,6 @@ impl LayoutWork {
         let dyn_grab = machine.dyn_grab_ns * 1e-9;
         let mut seconds = 0.0f64;
         let mut offset = 0usize;
-        let mut segment_critical = Vec::with_capacity(self.per_segment_chunks.len());
-        let mut segment_floor = Vec::with_capacity(self.per_segment_chunks.len());
         for &seg_chunks in &self.per_segment_chunks {
             let range = offset..offset + seg_chunks;
             let critical = makespan(
@@ -466,8 +448,6 @@ impl LayoutWork {
                 chunk_dram[range.clone()].iter().sum(),
                 chunk_llc[range].iter().sum(),
             );
-            segment_critical.push(critical);
-            segment_floor.push(floor);
             seconds += critical.max(floor);
             offset += seg_chunks;
         }
@@ -488,8 +468,6 @@ impl LayoutWork {
             compute_seconds: compute_total,
             x_counts,
             nnz_padded: self.nnz_padded,
-            segment_critical,
-            segment_floor,
         }
     }
 }

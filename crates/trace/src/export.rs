@@ -4,7 +4,7 @@
 //! The Chrome format is the subset understood by Perfetto and
 //! `chrome://tracing`: an object with a `traceEvents` array of `B`/`E`
 //! duration events, `C` counter events and `i` instant events, with
-//! timestamps in *microseconds*. [`trace_document`] is its one writer,
+//! timestamps in *microseconds*. `trace_document` is its one writer,
 //! shared by the span export and the flight recorder's anomaly dump.
 //! JSON is emitted by hand — this crate is zero-dependency — and
 //! [`json`] holds the workspace's parser and typed encode/decode

@@ -262,7 +262,7 @@ pub struct BenchRecord {
     pub seq: u64,
     /// Free-form tag, e.g. `"quick"` or a git revision.
     pub note: String,
-    /// Digest pinning the benchmark input set (see [`fnv1a`]).
+    /// Digest pinning the benchmark input set (see [`Fnv1a`]).
     pub corpus_digest: String,
     pub host: HostFingerprint,
     /// Stage name → wall-time statistics.

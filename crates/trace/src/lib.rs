@@ -6,7 +6,7 @@
 //! workspace one shared way to do that accounting, from wall time alone
 //! (no hardware counters):
 //!
-//! * [`span`] — hierarchical RAII spans recorded into per-thread
+//! * [`mod@span`] — hierarchical RAII spans recorded into per-thread
 //!   buffers (no shared lock on the hot path; buffers merge at flush);
 //! * [`counter`] / [`observe_ns`] — monotonic counters and duration
 //!   samples, aggregated per stage into one [`StageRecord`] (exact
@@ -26,7 +26,7 @@
 //!
 //! Tracing is off unless `WISE_TRACE` is set (to anything but `0` or
 //! the empty string) or the process calls [`set_enabled`]`(true)`. When
-//! off, [`span`], [`counter`] and [`observe_ns`] each cost exactly one
+//! off, [`span()`], [`counter`] and [`observe_ns`] each cost exactly one
 //! relaxed atomic load and perform **no allocation** — cheap enough to
 //! leave in SpMV inner loops and the fused feature-extraction sweep.
 //!

@@ -144,7 +144,7 @@ fn stage_one_answers_respect_calibrated_p_ratio_bound() {
         let p_full = oracle / m.seconds[full_idx];
         full_sum += p_full;
         let known = ProbeFeatures::mask_full(&m.features);
-        let vote = cascade::stage_one_vote(wise.registry(), &known);
+        let (vote, _) = cascade::stage_one_vote(wise.registry(), &known);
         let fast = gate.threshold.map(|t| vote.margin >= t).unwrap_or(false);
         cascade_sum += if fast { oracle / m.seconds[vote.index] } else { p_full };
         accepted += fast as usize;

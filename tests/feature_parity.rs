@@ -38,7 +38,7 @@ fn check_parity(m: &Csr, tag: &str) {
         let want = FeatureVector::extract_reference(m, &FeatureConfig { k_max, threads: 1 });
         for threads in THREADS {
             let cfg = FeatureConfig { k_max, threads };
-            let got = FeatureVector::extract_with(m, &cfg, &mut scratch);
+            let got = FeatureVector::extract_subset_with(m, &cfg, FeatureSet::ALL, &mut scratch);
             for (i, (g, w)) in got.values().iter().zip(want.values()).enumerate() {
                 assert!(
                     g == w,
@@ -302,9 +302,10 @@ fn arbitrary_matrices_match_reference() {
         for k_max in K_MAX {
             let want = FeatureVector::extract_reference(&m, &FeatureConfig { k_max, threads: 1 });
             for threads in THREADS {
-                let got = FeatureVector::extract_with(
+                let got = FeatureVector::extract_subset_with(
                     &m,
                     &FeatureConfig { k_max, threads },
+                    FeatureSet::ALL,
                     &mut scratch,
                 );
                 assert_eq!(

@@ -39,7 +39,7 @@ fn dataset(
     Dataset::new(rows, labels, classes)
 }
 
-fn assert_parity(d: &Dataset, params: TreeParams, what: &str) {
+fn assert_parity(d: &Dataset, params: TreeParams, what: &str) -> DecisionTree {
     let reference = DecisionTree::fit_reference(d, params);
     let engine = DecisionTree::fit(d, params);
     assert_eq!(
@@ -47,14 +47,52 @@ fn assert_parity(d: &Dataset, params: TreeParams, what: &str) {
         engine.to_json(),
         "engine diverged from reference on {what} (params {params:?})"
     );
+    engine
+}
+
+/// `predict`, `decision_path` and the partial walk agree on every row
+/// of `d`, fully known and under a seeded random mask. Pruned trees
+/// keep unreachable descendants, so this also pins the walks to the
+/// reachable tree that `split_features` and `depth` describe.
+fn assert_walks_agree(tree: &DecisionTree, d: &Dataset, rng: &mut SplitMix64) {
+    let read = tree.split_features();
+    for i in 0..d.len() {
+        let row = d.row(i);
+        let full = tree.decision_path(row);
+        assert_eq!(tree.predict(row), full.leaf_class, "row {i}");
+        assert!(full.depth() <= tree.depth(), "row {i}");
+        assert!(full.steps.iter().all(|s| read.contains(&(s.feature as usize))), "row {i}");
+
+        let known: Vec<Option<f64>> = row.iter().map(|&v| Some(v)).collect();
+        let (p, path) = tree.predict_partial_explained(&known);
+        assert!(p.reached_leaf && p.confidence == 1.0, "row {i}: {p:?}");
+        assert_eq!(path, full, "row {i}");
+
+        let masked: Vec<Option<f64>> =
+            row.iter().map(|&v| (rng.next_u64() & 1 == 0).then_some(v)).collect();
+        let (p, path) = tree.predict_partial_explained(&masked);
+        assert!(full.steps.starts_with(&path.steps), "row {i}: partial walk left the full walk");
+        assert_eq!(p.depth as usize, path.depth(), "row {i}");
+        assert!(path.steps.iter().all(|s| read.contains(&(s.feature as usize))), "row {i}");
+        if p.reached_leaf {
+            assert_eq!(p.class, tree.predict(row), "row {i}");
+            assert_eq!(path, full, "row {i}");
+        } else {
+            let stop = full.steps[path.depth()].feature as usize;
+            assert!(masked[stop].is_none(), "row {i}: walk stopped on a known feature");
+            assert!((0.0..=1.0).contains(&p.confidence), "row {i}: {p:?}");
+        }
+    }
 }
 
 #[test]
 fn parity_across_seeded_sweep() {
     // >= 54 seeded datasets x a hyperparameter grid sweeping depth,
     // pruning strength and leaf-size floors, with tie-heavy and
-    // tie-free value distributions.
+    // tie-free value distributions. Every fitted tree's walks must
+    // agree with each other too.
     let mut n_datasets = 0usize;
+    let mut mask_rng = SplitMix64::seed_from_u64(0x3A5C);
     for seed in 0..6u64 {
         for &(n, f, classes) in &[(60usize, 4usize, 3usize), (150, 8, 5), (300, 6, 7)] {
             for &modulus in &[5u64, 23, 1 << 40] {
@@ -63,13 +101,15 @@ fn parity_across_seeded_sweep() {
                 for &max_depth in &[2usize, 5, 30] {
                     for &ccp_alpha in &[0.0f64, 0.005, 0.1] {
                         let params = TreeParams { max_depth, ccp_alpha, ..Default::default() };
-                        assert_parity(&d, params, "seeded sweep");
+                        let tree = assert_parity(&d, params, "seeded sweep");
+                        assert_walks_agree(&tree, &d, &mut mask_rng);
                     }
                 }
                 for &min_samples_leaf in &[2usize, 7] {
                     let params =
                         TreeParams { max_depth: 12, min_samples_leaf, ..Default::default() };
-                    assert_parity(&d, params, "leaf-floor sweep");
+                    let tree = assert_parity(&d, params, "leaf-floor sweep");
+                    assert_walks_agree(&tree, &d, &mut mask_rng);
                 }
             }
         }
