@@ -274,14 +274,11 @@ pub(crate) struct RowColStats {
 /// The one R/C counting path, shared by the grouped extractor and the
 /// stage-1 probe: the R distribution straight from `row_ptr`
 /// differences, the C distribution from an O(nnz) column histogram (no
-/// pattern transpose). `SummaryStats::from_counts_with` sorts its
-/// input, so these statistics equal the reference extractor's bit for
-/// bit. With `BAND` (the probe) the C histogram loop also sums each
-/// nonzero's distance from the scaled diagonal, in row-major order.
-// Kept out of line: when the compiler inlined it into
-// `ProbeFeatures::extract_with`, the `triage` benchmark's request p50
-// rose about 7% (8 alternating runs, 2-vCPU AVX-512 host).
-#[inline(never)]
+/// pattern transpose). Both reach the same [`SummaryStats`] body as the
+/// reference extractor's materialized counts, so these statistics equal
+/// its bit for bit. With `BAND` (the probe) the C histogram loop also
+/// sums each nonzero's distance from the scaled diagonal, in row-major
+/// order.
 pub(crate) fn row_col_stats<const BAND: bool>(
     m: &Csr,
     scratch: &mut FeatureScratch,
@@ -290,9 +287,8 @@ pub(crate) fn row_col_stats<const BAND: bool>(
 ) -> RowColStats {
     let (nrows, ncols) = (m.nrows(), m.ncols());
     let r = want_r.then(|| {
-        scratch.counts_buf.clear();
-        scratch.counts_buf.extend(m.row_ptr().windows(2).map(|w| w[1] - w[0]));
-        SummaryStats::from_counts_with(&scratch.counts_buf, &mut scratch.stat_buf)
+        let lens = m.row_ptr().windows(2).map(|w| w[1] - w[0]);
+        SummaryStats::from_values(lens, nrows, &mut scratch.stat_buf)
     });
     let mut band_sum = 0.0f64;
     let c = want_c.then(|| {
@@ -316,8 +312,8 @@ pub(crate) fn row_col_stats<const BAND: bool>(
 
 /// Reusable workspace for
 /// [`FeatureVector::extract_subset_with`](crate::FeatureVector::extract_subset_with):
-/// the pattern-transpose buffers, the per-thread sweep workers, and the
-/// statistics sort buffers.
+/// the pattern-transpose buffers, the per-thread sweep workers, the
+/// column histogram and the statistics buffer.
 /// Repeated extractions over a corpus reuse every buffer, so the hot
 /// labeling loop performs no per-matrix allocations once capacities
 /// have grown to the largest matrix seen.
@@ -329,10 +325,9 @@ pub struct FeatureScratch {
     pub(crate) t_col_idx: Vec<u32>,
     /// Per-thread sweep workers (grown on demand).
     pub(crate) workers: Vec<Worker>,
-    /// Sort buffer for [`SummaryStats`](crate::SummaryStats).
+    /// Value histogram (or, for wide value ranges, sorted values)
+    /// behind [`SummaryStats`](crate::SummaryStats).
     pub(crate) stat_buf: Vec<usize>,
-    /// Dense R count buffer built from row-pointer differences.
-    pub(crate) counts_buf: Vec<usize>,
     /// Column histogram behind the C distribution (no transpose needed).
     pub(crate) col_counts: Vec<usize>,
 }

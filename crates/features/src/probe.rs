@@ -54,7 +54,7 @@ impl ProbeFeatures {
 
     /// [`Self::extract`] with a caller-owned [`FeatureScratch`] —
     /// allocation-free once buffers have grown. Only the scratch's
-    /// count/sort/histogram buffers are touched; tile and transpose
+    /// column and statistics histograms are touched; tile and transpose
     /// buffers stay untouched.
     pub fn extract_with(m: &Csr, scratch: &mut FeatureScratch) -> ProbeFeatures {
         let _span = wise_trace::span("features.probe");

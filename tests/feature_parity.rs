@@ -16,11 +16,17 @@
 //! the full sweep bit for bit on its slots, and amortized selection on
 //! a registry that reads a few slots computes exactly their groups and
 //! decides exactly as it would on the full vector.
+//!
+//! Both extractors share [`SummaryStats`], so the suite also holds that
+//! one body to an independent copy of the sort-based statistics on
+//! every matrix's R, C, T, RB and CB counts.
 
 use wise_core::pipeline::Wise;
 use wise_core::ModelRegistry;
-use wise_features::{FeatureConfig, FeatureGroup, FeatureScratch, FeatureSet, FeatureVector};
-use wise_gen::{suite, RggParams, RmatParams, SplitMix64};
+use wise_features::{
+    FeatureConfig, FeatureGroup, FeatureScratch, FeatureSet, FeatureVector, SummaryStats, TileGrid,
+};
+use wise_gen::{suite, Corpus, CorpusScale, RggParams, RmatParams, SplitMix64};
 use wise_kernels::MethodConfig;
 use wise_matrix::coo::DupPolicy;
 use wise_matrix::{Coo, Csr};
@@ -314,6 +320,87 @@ fn arbitrary_matrices_match_reference() {
                     "case {case} k_max={k_max} threads={threads}"
                 );
             }
+        }
+    }
+}
+
+/// The sort-based statistics body, kept here independently of
+/// `wise_features`: ascending sorted non-empty values, one f64 add per
+/// element, and a linear p-ratio walk from the most loaded bucket.
+fn sorted_stats(values: &[usize], n_buckets: usize) -> [f64; 8] {
+    let mut sorted: Vec<usize> = values.iter().copied().filter(|&v| v > 0).collect();
+    sorted.sort_unstable();
+    if n_buckets == 0 {
+        return [0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0];
+    }
+    let n = n_buckets as f64;
+    let total: usize = sorted.iter().sum();
+    let mean = total as f64 / n;
+    let sum_sq: f64 = sorted.iter().map(|&v| (v as f64) * (v as f64)).sum();
+    let var = (sum_sq / n - mean * mean).max(0.0);
+    let min = if sorted.len() < n_buckets { 0.0 } else { sorted[0] as f64 };
+    let max = sorted.last().map_or(0.0, |&v| v as f64);
+    let (mut gini, mut p_ratio) = (0.0, 0.5);
+    if total > 0 {
+        let z = n_buckets - sorted.len();
+        let weighted: f64 =
+            sorted.iter().enumerate().map(|(i, &v)| (z + i + 1) as f64 * v as f64).sum();
+        gini = (2.0 * weighted / (n * total as f64) - (n + 1.0) / n).clamp(0.0, 1.0);
+        p_ratio = (sorted.len() as f64 / n).min(0.5);
+        let mut cum = 0;
+        for (k, &v) in sorted.iter().rev().enumerate() {
+            cum += v;
+            let frac_buckets = (k + 1) as f64 / n;
+            if cum as f64 / total as f64 >= 1.0 - frac_buckets {
+                p_ratio = frac_buckets.min(0.5);
+                break;
+            }
+        }
+    }
+    [mean, var.sqrt(), var, gini, p_ratio, min, max, sorted.len() as f64]
+}
+
+/// Asserts `got` equals the sort-based body on `values` bit for bit.
+fn assert_sorted_stats(got: SummaryStats, values: &[usize], n_buckets: usize, tag: &str) {
+    let got = [got.mean, got.std, got.var, got.gini, got.p_ratio, got.min, got.max, got.ne];
+    let want = sorted_stats(values, n_buckets);
+    assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{tag}: {got:?} != {want:?}");
+}
+
+/// `SummaryStats::from_counts` (dense) and `from_sparse` (non-empty
+/// values only) on every distribution the extractors build, against
+/// the independent sort-based body. `FeatureVector::extract_reference`
+/// calls the same `SummaryStats` as the fused engine, so the parity
+/// tests above cannot see a statistics bug; this one can.
+#[test]
+fn summary_stats_match_the_sorted_definition_on_every_distribution() {
+    let corpus = Corpus::suite(&CorpusScale::tiny(), 3).matrices.into_iter();
+    let zoo: Vec<(String, Csr)> = families()
+        .into_iter()
+        .chain(degenerate_shapes())
+        .map(|(tag, m)| (tag.to_string(), m))
+        .chain(corpus.map(|lm| (lm.name, lm.matrix)))
+        .collect();
+    let mut buf = Vec::new();
+    for (tag, m) in &zoo {
+        let mut dists = vec![("R", m.nnz_per_row()), ("C", m.nnz_per_col())];
+        for k_max in K_MAX {
+            let grid = TileGrid::new(m, k_max);
+            let t: Vec<usize> = grid.tile_counts().to_vec();
+            // T is stored sparsely: K² buckets, only the non-empty listed.
+            let tag = format!("{tag} k_max={k_max} T");
+            let sparse = SummaryStats::from_sparse_with(&t, grid.n_tiles(), &mut buf);
+            assert_sorted_stats(sparse, &t, grid.n_tiles(), &tag);
+            dists.push(("RB", grid.row_block_counts().to_vec()));
+            dists.push(("CB", grid.col_block_counts().to_vec()));
+        }
+        for (dist, counts) in dists {
+            let tag = format!("{tag} {dist}");
+            let dense = SummaryStats::from_counts_with(&counts, &mut buf);
+            assert_sorted_stats(dense, &counts, counts.len(), &tag);
+            let nonzero: Vec<usize> = counts.iter().copied().filter(|&v| v > 0).collect();
+            let sparse = SummaryStats::from_sparse(&nonzero, counts.len());
+            assert_sorted_stats(sparse, &counts, counts.len(), &tag);
         }
     }
 }
