@@ -134,12 +134,7 @@ impl SummaryStats {
         // One ascending pass: the exact sums. `ranked` is Σ i·v over the
         // 1-based ranks i among the non-empty values alone.
         let (mut ne, mut total, mut sq, mut ranked) = (0usize, 0usize, 0u128, 0u128);
-        let (mut lowest, mut highest) = (0usize, 0usize);
         for (v, m) in runs.clone() {
-            if ne == 0 {
-                lowest = v;
-            }
-            highest = v;
             let (v128, m128) = (v as u128, m as u128);
             sq = sq.saturating_add(m128.saturating_mul(v128 * v128));
             let rank_sum = m128.saturating_mul(ne as u128).saturating_add(m128 * (m128 + 1) / 2);
@@ -158,9 +153,9 @@ impl SummaryStats {
         // var = E[x^2] - mean^2 (zeros contribute 0 to sum_sq).
         let var = (sum_sq / n - mean * mean).max(0.0);
         let std = var.sqrt();
-        let has_empty = ne < n_buckets;
-        let min = if has_empty { 0.0 } else { lowest as f64 };
-        let max = highest as f64;
+        let value = |run: Option<(usize, usize)>| run.map_or(0.0, |(v, _)| v as f64);
+        let min = if ne < n_buckets { 0.0 } else { value(runs.clone().next()) };
+        let max = value(runs.clone().next_back());
 
         // Gini over all buckets: zeros occupy ranks 1..z with value 0,
         // contributing nothing to the weighted sum but inflating n.
@@ -393,7 +388,8 @@ mod property_loops {
         let mut sorted: Vec<usize> = values.iter().copied().filter(|&v| v > 0).collect();
         sorted.sort_unstable();
         if n_buckets == 0 {
-            return SummaryStats::from_counts(&[]);
+            let (mean, std, var, gini, min, max, ne) = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0);
+            return SummaryStats { mean, std, var, gini, p_ratio: 0.5, min, max, ne };
         }
         let n = n_buckets as f64;
         let total: usize = sorted.iter().sum();
