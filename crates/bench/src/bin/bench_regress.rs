@@ -44,7 +44,7 @@ use wise_core::pipeline::{TrainOptions, Wise};
 use wise_features::{FeatureConfig, FeatureVector};
 use wise_gen::{Corpus, CorpusScale, RggParams, RmatParams};
 use wise_kernels::srvpack::SpmvWorkspace;
-use wise_kernels::{MethodConfig, Schedule};
+use wise_kernels::{MethodConfig, Prepared, Schedule};
 use wise_matrix::Csr;
 use wise_ml::TreeParams;
 use wise_perf::Estimator;
@@ -240,16 +240,20 @@ fn main() {
     }
 
     // ---- 4. SIMD vs scalar throughput on the pinned SELL probe ------
-    // Two rungs: forced scalar (v = 1) and the auto kernel (v = 0) —
-    // the kernel selection actually executes, with the auto prefetch
-    // and chunk-pair policies engaged wherever they apply.
+    // Two rungs: the pack forced to the scalar loop (`with_simd(1)`)
+    // and the pack's own pick — the kernel selection actually executes,
+    // with the auto prefetch and chunk-pair policies engaged wherever
+    // they apply.
     report::progress("stage 4/7: SIMD throughput probe (scalar / vector)");
     let isa = wise_kernels::simd::active();
     let (_, simd_matrix) = &probes[3];
     let simd_cfg = MethodConfig::sell_c_sigma(8, 512, Schedule::StCont);
     let xs: Vec<f64> = (0..simd_matrix.ncols()).map(|i| (i as f64).cos()).collect();
     let mut ys = vec![0.0; simd_matrix.nrows()];
-    let scalar_prep = simd_cfg.with_simd(1).prepare(simd_matrix);
+    let scalar_prep = match simd_cfg.prepare(simd_matrix) {
+        Prepared::Pack(pack, schedule) => Prepared::Pack(Box::new(pack.with_simd(1)), schedule),
+        Prepared::Csr(_) => unreachable!("Sell-c-σ prepares a pack"),
+    };
     let vector_prep = simd_cfg.prepare(simd_matrix);
     let probe_nnz = vector_prep.nnz_padded() as u64;
     // Each rung warms and times its own pack back to back: alternating

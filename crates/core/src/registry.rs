@@ -38,6 +38,7 @@ impl FromJson for ModelRegistry {
         let obj = json::object(v)?;
         let catalog: Vec<MethodConfig> = json::member(obj, "catalog")?;
         let trees: Vec<DecisionTree> = json::member(obj, "trees")?;
+        let trees = trees.into_iter().map(Self::narrow).collect::<Result<Vec<_>, _>>()?;
         Self::check(&catalog, &trees)?;
         Ok(Self::new(catalog, trees, json::member(obj, "params")?))
     }
@@ -152,6 +153,19 @@ impl ModelRegistry {
     /// files fail with [`std::io::ErrorKind::InvalidData`].
     pub fn load(path: impl AsRef<Path>) -> std::io::Result<ModelRegistry> {
         Ok(ModelRegistry::from_json_str(&std::fs::read_to_string(path)?)?)
+    }
+
+    /// Models saved while three host slots trailed Table 2's 67
+    /// features carry 70-feature trees: they load over the 67 slots
+    /// when no split reads a trailing slot, which this build no longer
+    /// extracts.
+    fn narrow(tree: DecisionTree) -> Result<DecisionTree, JsonError> {
+        if tree.n_features() <= N_FEATURES {
+            return Ok(tree);
+        }
+        tree.narrowed(N_FEATURES).ok_or_else(|| {
+            JsonError::Invalid(format!("a tree splits on a feature slot past the {N_FEATURES}"))
+        })
     }
 
     /// Rejects decoded registries selection could not serve: it needs a

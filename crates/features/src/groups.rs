@@ -1,10 +1,10 @@
-//! Select-time feature groups: the vector's 70 slots partitioned by
+//! Select-time feature groups: the vector's 67 slots partitioned by
 //! what it costs to compute them, so selection can pay only for the
 //! slots its trees read (see `DESIGN.md` §9).
 //!
 //! | group | slots | cost |
 //! |---|---|---|
-//! | [`FeatureGroup::Size`] | sizes, host features | O(1) |
+//! | [`FeatureGroup::Size`] | sizes | O(1) |
 //! | [`FeatureGroup::Means`] | `mean_T` = nnz/K², `mean_RB`, `mean_CB` = nnz/K | O(1) |
 //! | [`FeatureGroup::RStats`] | the 8 R statistics | `row_ptr` differences |
 //! | [`FeatureGroup::CStats`] | the 8 C statistics | column histogram |
@@ -21,8 +21,6 @@ pub(crate) const fn dist_base(d: usize) -> usize {
 }
 /// First of the 24 locality slots.
 pub(crate) const LOC_BASE: usize = dist_base(5);
-/// First of the 3 trailing host slots.
-pub(crate) const HOST_BASE: usize = LOC_BASE + 24;
 
 /// One select-time extraction group; see the module table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -51,7 +49,7 @@ impl FeatureGroup {
     /// The group computing vector slot `i`.
     pub const fn of_slot(i: usize) -> FeatureGroup {
         assert!(i < N_FEATURES, "feature slot out of range");
-        if i < dist_base(0) || i >= HOST_BASE {
+        if i < dist_base(0) {
             FeatureGroup::Size
         } else if i < dist_base(1) {
             FeatureGroup::RStats
@@ -92,7 +90,7 @@ const GROUP_MASKS: [u128; 7] = {
     masks
 };
 
-/// A set of feature-vector slots (a 70-bit mask).
+/// A set of feature-vector slots (a 67-bit mask).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FeatureSet(u128);
 
@@ -153,7 +151,7 @@ mod tests {
             assert_eq!(owners, [FeatureGroup::of_slot(i)], "slot {i}");
         }
         let sizes: Vec<usize> = FeatureGroup::ALL.iter().map(|g| g.slots().len()).collect();
-        assert_eq!(sizes, [6, 3, 8, 8, 21, 12, 12]);
+        assert_eq!(sizes, [3, 3, 8, 8, 21, 12, 12]);
     }
 
     #[test]
@@ -162,7 +160,6 @@ mod tests {
         for (name, g) in [
             ("n_rows", Size),
             ("nnz", Size),
-            ("host_interleave", Size),
             ("mean_T", Means),
             ("mean_RB", Means),
             ("mean_CB", Means),
@@ -186,12 +183,12 @@ mod tests {
 
     #[test]
     fn set_operations() {
-        let s = FeatureSet::from_slots([2, 19, 69]);
+        let s = FeatureSet::from_slots([2, 19, 66]);
         assert_eq!(s.len(), 3);
-        assert!(s.contains(19) && !s.contains(20) && !s.contains(500));
-        assert_eq!(s.slots().collect::<Vec<_>>(), [2, 19, 69]);
+        assert!(s.contains(19) && !s.contains(20) && !s.contains(67) && !s.contains(500));
+        assert_eq!(s.slots().collect::<Vec<_>>(), [2, 19, 66]);
         let groups: Vec<FeatureGroup> = s.groups().collect();
-        assert_eq!(groups, [FeatureGroup::Size, FeatureGroup::Means]);
+        assert_eq!(groups, [FeatureGroup::Size, FeatureGroup::Means, FeatureGroup::ColIncidence]);
         assert_eq!(FeatureSet::ALL.groups().count(), 7);
         assert_eq!(FeatureSet::from_slots([]).groups().count(), 0);
     }

@@ -2,10 +2,9 @@
 //!
 //! One O(nnz) pass over the CSR arrays yields the subset of Table 2
 //! that needs neither the tile grid nor the locality sweeps: the three
-//! size features, the full R and C distribution statistics, and the
-//! three trailing host SIMD/MLP capability features (22 of the 70
-//! features), plus two probe-only scalars for the cost-model veto
-//! (density and a bandwidth proxy).
+//! size features and the full R and C distribution statistics (19 of
+//! the 67 features), plus two probe-only scalars for the cost-model
+//! veto (density and a bandwidth proxy).
 //!
 //! The R and C statistics are **bit-identical** to the full
 //! extractor's: both come from the one counting path in
@@ -16,9 +15,10 @@
 //! calibrated against (see `DESIGN.md` §16).
 
 use crate::engine::{self, FeatureScratch};
+use crate::groups::dist_base;
 use crate::stats::SummaryStats;
-use crate::vector::{host_simd_features, FeatureVector, N_FEATURES};
-use std::sync::OnceLock;
+use crate::vector::{put_sizes, put_stats, FeatureVector, C, N_FEATURES, R};
+use std::ops::Range;
 use wise_matrix::Csr;
 
 /// Stage-1 probe output: the probe-known Table 2 features plus the
@@ -39,10 +39,6 @@ pub struct ProbeFeatures {
     /// for banded/diagonal structure (x-vector reuse is near-perfect),
     /// toward ~0.3 for uniformly scattered columns.
     pub bandwidth_frac: f64,
-    /// The trailing host SIMD/MLP features, computed by the same
-    /// `host_simd_features` call the full extractor uses (so they
-    /// are bit-identical by construction).
-    pub host: [f64; 3],
 }
 
 impl ProbeFeatures {
@@ -79,68 +75,26 @@ impl ProbeFeatures {
             c_stats,
             density,
             bandwidth_frac,
-            host: host_simd_features(ncols),
         }
     }
 
     /// Vector indices (into [`FeatureVector`] order) the probe knows:
-    /// the 3 size features, the 8 R and 8 C statistics, and the 3
-    /// host SIMD/MLP features.
-    pub fn known_indices() -> &'static [usize] {
-        static IDX: OnceLock<Vec<usize>> = OnceLock::new();
-        IDX.get_or_init(|| {
-            let mut names = vec!["n_rows".to_string(), "n_cols".to_string(), "nnz".to_string()];
-            for dist in ["R", "C"] {
-                for stat in ["mean", "std", "var", "gini", "p", "min", "max", "ne"] {
-                    names.push(format!("{stat}_{dist}"));
-                }
-            }
-            for host in ["host_simd_lanes", "host_prefetch", "host_interleave"] {
-                names.push(host.to_string());
-            }
-            names
-                .iter()
-                .map(|n| FeatureVector::name_index(n).expect("probe feature must exist"))
-                .collect()
-        })
+    /// the 3 size features and the 8 R and 8 C statistics, which lead
+    /// the vector.
+    pub fn known_indices() -> Range<usize> {
+        0..dist_base(C + 1)
     }
 
     /// The probe's feature values in full-vector layout: `Some(v)` at
     /// every probe-known index, `None` elsewhere. This is the partial
     /// row the cascade feeds to `DecisionTree::predict_partial_explained`.
+    /// The extractor's own slot writers lay it out.
     pub fn known_values(&self) -> Vec<Option<f64>> {
-        let mut values = vec![None; N_FEATURES];
-        let idx = Self::known_indices();
-        let r = &self.r_stats;
-        let c = &self.c_stats;
-        let ordered = [
-            self.n_rows as f64,
-            self.n_cols as f64,
-            self.nnz as f64,
-            r.mean,
-            r.std,
-            r.var,
-            r.gini,
-            r.p_ratio,
-            r.min,
-            r.max,
-            r.ne,
-            c.mean,
-            c.std,
-            c.var,
-            c.gini,
-            c.p_ratio,
-            c.min,
-            c.max,
-            c.ne,
-            self.host[0],
-            self.host[1],
-            self.host[2],
-        ];
-        for (&i, &v) in idx.iter().zip(ordered.iter()) {
-            values[i] = Some(v);
-        }
-        values
+        let mut values = vec![0.0; N_FEATURES];
+        put_sizes(&mut values, self.n_rows, self.n_cols, self.nnz);
+        put_stats(&mut values, R, self.r_stats);
+        put_stats(&mut values, C, self.c_stats);
+        Self::known(&values)
     }
 
     /// Masks a *full* feature vector down to the probe-known subset —
@@ -148,11 +102,13 @@ impl ProbeFeatures {
     /// because the probe's R/C statistics are bit-identical to the
     /// full extractor's.
     pub fn mask_full(full: &FeatureVector) -> Vec<Option<f64>> {
-        let mut values = vec![None; N_FEATURES];
-        for &i in Self::known_indices() {
-            values[i] = Some(full.values()[i]);
-        }
-        values
+        Self::known(full.values())
+    }
+
+    /// `values` with every slot past the probe-known prefix unknown.
+    fn known(values: &[f64]) -> Vec<Option<f64>> {
+        let known = Self::known_indices();
+        values.iter().enumerate().map(|(i, &v)| known.contains(&i).then_some(v)).collect()
     }
 }
 
@@ -186,18 +142,17 @@ mod tests {
             // the same integer counts through the same statistics code.
             assert_eq!(known, masked, "matrix {}x{}", m.nrows(), m.ncols());
             let n_known = known.iter().filter(|v| v.is_some()).count();
-            assert_eq!(n_known, 22);
+            assert_eq!(n_known, 19);
         }
     }
 
     #[test]
     fn known_indices_cover_size_r_c() {
         let idx = ProbeFeatures::known_indices();
-        assert_eq!(idx.len(), 22);
-        assert_eq!(idx[0], FeatureVector::name_index("n_rows").unwrap());
+        assert_eq!(idx.len(), 19);
+        assert_eq!(idx.start, FeatureVector::name_index("n_rows").unwrap());
         assert!(idx.contains(&FeatureVector::name_index("p_R").unwrap()));
         assert!(idx.contains(&FeatureVector::name_index("ne_C").unwrap()));
-        assert!(idx.contains(&FeatureVector::name_index("host_prefetch").unwrap()));
         assert!(!idx.contains(&FeatureVector::name_index("uniqR").unwrap()));
     }
 

@@ -2,7 +2,7 @@
 //! trees (the full Table 2).
 
 use crate::engine::{self, FeatureScratch};
-use crate::groups::{dist_base, FeatureGroup, FeatureSet, HOST_BASE, LOC_BASE};
+use crate::groups::{dist_base, FeatureGroup, FeatureSet, LOC_BASE};
 use crate::locality::{locality_metrics, side_metrics, LocalityMetrics, SideLocality, GROUP_XS};
 use crate::stats::SummaryStats;
 use crate::tiling::{TileGeometry, TileGrid};
@@ -47,12 +47,10 @@ impl FeatureConfig {
     }
 }
 
-/// A fixed-order vector of the 70 features fed to the trees: the 67
-/// matrix features of Table 2 (3 size, 5 distributions × 8 statistics
-/// and 24 locality metrics) plus 3 trailing host-capability features
-/// (SIMD lanes, auto prefetch distance, auto interleave factor) so
-/// selection can learn vector-width/MLP decisions per matrix rather
-/// than per host.
+/// A fixed-order vector of the 67 matrix features of Table 2 fed to
+/// the trees: 3 size, 5 distributions × 8 statistics and 24 locality
+/// metrics. Host capability is not a feature: a model is trained per
+/// host, and the packed kernel picks its SIMD level itself.
 ///
 /// ```
 /// use wise_features::{FeatureConfig, FeatureVector};
@@ -66,29 +64,14 @@ pub struct FeatureVector {
     values: Vec<f64>,
 }
 
-/// Number of features: Table 2's 67 plus the 3 host SIMD/MLP features.
-pub const N_FEATURES: usize = 3 + 5 * 8 + 24 + 3;
+/// Number of features: Table 2's 67.
+pub const N_FEATURES: usize = 3 + 5 * 8 + 24;
 
 // A vector of another length came from another feature set.
 wise_trace::json_struct!(FeatureVector { values } check |f: &FeatureVector| match f.values.len() {
     N_FEATURES => Ok(()),
     found => Err(JsonError::Length { expected: N_FEATURES, found }),
 });
-
-/// The host SIMD/MLP capability features, in vector order:
-/// `[host_simd_lanes, host_prefetch, host_interleave]`. They depend on
-/// the active ISA (so a test's `simd::set_active` override is visible
-/// to the classifier) and on `ncols`, which drives the auto policies'
-/// x-footprint thresholds. Shared by the full extractor, the reference extractor
-/// and the probe, so all three agree bit-for-bit.
-pub fn host_simd_features(ncols: usize) -> [f64; 3] {
-    let isa = wise_kernels::simd::active();
-    [
-        isa.lanes() as f64,
-        wise_kernels::simd::auto_prefetch_distance(isa, ncols) as f64,
-        wise_kernels::simd::auto_csr_interleave(isa, ncols) as f64,
-    ]
-}
 
 fn build_names() -> Vec<String> {
     let mut names = vec!["n_rows".to_string(), "n_cols".to_string(), "nnz".to_string()];
@@ -113,28 +96,24 @@ fn build_names() -> Vec<String> {
     for x in GROUP_XS {
         names.push(format!("Gr{x}_potReuseC"));
     }
-    names.push("host_simd_lanes".into());
-    names.push("host_prefetch".into());
-    names.push("host_interleave".into());
     debug_assert_eq!(names.len(), N_FEATURES);
     names
 }
 
 /// Distribution order of the 5 × 8 statistic slots.
-const R: usize = 0;
-const C: usize = 1;
+pub(crate) const R: usize = 0;
+pub(crate) const C: usize = 1;
 const T: usize = 2;
 const RB: usize = 3;
 const CB: usize = 4;
 
-/// Writes the three size slots and the three host slots.
-fn put_sizes(values: &mut [f64], nrows: usize, ncols: usize, nnz: usize) {
+/// Writes the three size slots.
+pub(crate) fn put_sizes(values: &mut [f64], nrows: usize, ncols: usize, nnz: usize) {
     values[..3].copy_from_slice(&[nrows as f64, ncols as f64, nnz as f64]);
-    values[HOST_BASE..].copy_from_slice(&host_simd_features(ncols));
 }
 
 /// Writes the 8 statistics of distribution `dist`, in Table 2 order.
-fn put_stats(values: &mut [f64], dist: usize, s: SummaryStats) {
+pub(crate) fn put_stats(values: &mut [f64], dist: usize, s: SummaryStats) {
     let b = dist_base(dist);
     values[b..b + 8]
         .copy_from_slice(&[s.mean, s.std, s.var, s.gini, s.p_ratio, s.min, s.max, s.ne]);
@@ -481,22 +460,6 @@ mod tests {
     }
 
     #[test]
-    fn host_features_trail_the_vector_and_match_the_probe_policy() {
-        let m = RmatParams::LOW_LOC.generate(8, 4, 1);
-        let f = FeatureVector::extract(&m, &FeatureConfig::default());
-        let host = host_simd_features(m.ncols());
-        assert_eq!(&f.values()[N_FEATURES - 3..], &host);
-        assert_eq!(f.get("host_simd_lanes"), Some(host[0]));
-        assert_eq!(f.get("host_prefetch"), Some(host[1]));
-        assert_eq!(f.get("host_interleave"), Some(host[2]));
-        let isa = wise_kernels::simd::active();
-        assert_eq!(host[0], isa.lanes() as f64);
-        // The reference extractor emits the identical trailing triple.
-        let r = FeatureVector::extract_reference(&m, &FeatureConfig::default());
-        assert_eq!(&r.values()[N_FEATURES - 3..], &host);
-    }
-
-    #[test]
     fn from_values_roundtrip() {
         let m = suite::stencil_2d(10, 10);
         let f = FeatureVector::extract(&m, &FeatureConfig::default());
@@ -518,10 +481,13 @@ mod tests {
         let back = FeatureVector::from_json_str(&f.to_json()).unwrap();
         let bits = |v: &FeatureVector| v.values().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&back), bits(&f));
-        let short = format!(r#"{{"values":{}}}"#, f.values()[..67].to_vec().to_json());
+        // Vectors written while three host slots trailed the 67.
+        let mut old = f.values().to_vec();
+        old.extend([8.0, 0.0, 2.0]);
+        let old = format!(r#"{{"values":{}}}"#, old.to_json());
         assert_eq!(
-            FeatureVector::from_json_str(&short),
-            Err(JsonError::Length { expected: N_FEATURES, found: 67 })
+            FeatureVector::from_json_str(&old),
+            Err(JsonError::Length { expected: N_FEATURES, found: 70 })
         );
     }
 

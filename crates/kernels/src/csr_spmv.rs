@@ -161,22 +161,21 @@ mod tests {
 
     #[test]
     fn simd_widths_match_scalar_within_ulp_bound() {
-        // `v` is packed-only: every width a CSR config asks for
-        // prepares the one scalar loop, so results are bit-identical
-        // to forced scalar — well inside the ulp bound.
+        // CSR has one kernel, the scalar loop: every CSR config prepares
+        // it at width 1, so results are bit-identical to the reference
+        // — well inside the ulp bound.
         use crate::method::MethodConfig;
         let m = RmatParams::MED_SKEW.generate(9, 8, 11);
         let x = random_x(m.ncols(), 3);
         let mut ws = crate::srvpack::SpmvWorkspace::default();
-        let cfg = MethodConfig::csr(Schedule::Dyn);
         let mut want = vec![0.0; m.nrows()];
-        cfg.with_simd(1).prepare(&m).spmv(&x, &mut want, 2, &mut ws);
-        for v in [0usize, 2, 4, 8] {
-            let prep = cfg.with_simd(v).prepare(&m);
-            assert_eq!(prep.simd_lanes(), 1, "v={v}");
+        m.spmv_reference(&x, &mut want);
+        for sched in Schedule::ALL {
+            let prep = MethodConfig::csr(sched).prepare(&m);
+            assert_eq!(prep.simd_lanes(), 1, "{sched:?}");
             let mut got = vec![0.0; m.nrows()];
             prep.spmv(&x, &mut got, 2, &mut ws);
-            assert_eq!(got, want, "csr v={v}");
+            assert_eq!(got, want, "csr {sched:?}");
         }
     }
 

@@ -8,8 +8,9 @@
 
 use crate::csr_spmv::CsrSpmv;
 use crate::sched::Schedule;
-use crate::srvpack::{SpmvWorkspace, SrvPack};
+use crate::srvpack::{SpmvWorkspace, SrvPack, MAX_C};
 use wise_matrix::Csr;
+use wise_trace::export::json::JsonError;
 
 /// The six SpMV methods of Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -76,53 +77,55 @@ pub struct MethodConfig {
     pub sigma: usize,
     /// LAV dense fraction; 0.0 unless `method == Lav`.
     pub t: f64,
-    /// Requested SIMD lane width for the packed chunk kernel: 0 = auto
-    /// (the widest level active on the host), 1 = forced scalar
-    /// (bit-exact legacy path), 4/8 = cap at that many f64 lanes.
-    /// Ignored for CSR, which has one (scalar) kernel; `with_simd`
-    /// leaves it 0 there. Defaults to 0, so configs serialized before
-    /// this field existed — and the default catalog — behave as auto
-    /// and keep their pre-SIMD labels.
-    pub v: usize,
 }
 
 wise_trace::json_enum!(Method { Csr, SellPack, SellCSigma, SellCR, Lav1Seg, Lav });
-// Files written while configs still carried `pf`/`il` members decode
-// with both ignored.
-wise_trace::json_struct!(MethodConfig { method, schedule, c, sigma, t, v = 0 });
+// Files written while configs still carried `v`/`pf`/`il` members
+// decode with them ignored.
+wise_trace::json_struct!(MethodConfig { method, schedule, c, sigma, t } check MethodConfig::check);
 
 impl MethodConfig {
     pub fn csr(schedule: Schedule) -> Self {
-        MethodConfig { method: Method::Csr, schedule, c: 0, sigma: 0, t: 0.0, v: 0 }
+        MethodConfig { method: Method::Csr, schedule, c: 0, sigma: 0, t: 0.0 }
     }
 
     pub fn sellpack(c: usize, schedule: Schedule) -> Self {
-        MethodConfig { method: Method::SellPack, schedule, c, sigma: 0, t: 0.0, v: 0 }
+        MethodConfig { method: Method::SellPack, schedule, c, sigma: 0, t: 0.0 }
     }
 
     pub fn sell_c_sigma(c: usize, sigma: usize, schedule: Schedule) -> Self {
-        MethodConfig { method: Method::SellCSigma, schedule, c, sigma, t: 0.0, v: 0 }
+        MethodConfig { method: Method::SellCSigma, schedule, c, sigma, t: 0.0 }
     }
 
     pub fn sell_c_r(c: usize) -> Self {
-        MethodConfig { method: Method::SellCR, schedule: Schedule::Dyn, c, sigma: 0, t: 0.0, v: 0 }
+        MethodConfig { method: Method::SellCR, schedule: Schedule::Dyn, c, sigma: 0, t: 0.0 }
     }
 
     pub fn lav_1seg(c: usize) -> Self {
-        MethodConfig { method: Method::Lav1Seg, schedule: Schedule::Dyn, c, sigma: 0, t: 0.0, v: 0 }
+        MethodConfig { method: Method::Lav1Seg, schedule: Schedule::Dyn, c, sigma: 0, t: 0.0 }
     }
 
     pub fn lav(c: usize, t: f64) -> Self {
-        MethodConfig { method: Method::Lav, schedule: Schedule::Dyn, c, sigma: 0, t, v: 0 }
+        MethodConfig { method: Method::Lav, schedule: Schedule::Dyn, c, sigma: 0, t }
     }
 
-    /// Returns this config with an explicit SIMD width (see the `v`
-    /// field docs for the encoding). A no-op on CSR configs.
-    pub fn with_simd(mut self, v: usize) -> Self {
-        if self.method != Method::Csr {
-            self.v = v;
+    /// Rejects decoded configs that [`MethodConfig::prepare`] would
+    /// panic on: a packed chunk height outside `1..=`[`MAX_C`], or a
+    /// LAV fraction outside [0, 1] (NaN included).
+    fn check(&self) -> Result<(), JsonError> {
+        if self.method != Method::Csr && !(1..=MAX_C).contains(&self.c) {
+            return Err(JsonError::Invalid(format!(
+                "chunk height c = {} is outside 1..={MAX_C}",
+                self.c
+            )));
         }
-        self
+        if self.method == Method::Lav && !(0.0..=1.0).contains(&self.t) {
+            return Err(JsonError::Invalid(format!(
+                "LAV fraction t = {} is outside [0, 1]",
+                self.t
+            )));
+        }
+        Ok(())
     }
 
     /// The paper's 29 configurations, in preprocessing-cost order
@@ -165,39 +168,22 @@ impl MethodConfig {
         v
     }
 
-    /// The catalog with every entry pinned to an explicit SIMD width —
-    /// used by experiments comparing vectorized vs scalar selection.
-    pub fn catalog_with_simd(v: usize) -> Vec<MethodConfig> {
-        Self::catalog().into_iter().map(|c| c.with_simd(v)).collect()
-    }
-
     /// Stable human-readable label, used in reports and model files.
-    ///
-    /// A packed config's SIMD width appears as a `-v{n}` segment only
-    /// when explicit (`v != 0`), directly before the schedule suffix
-    /// for scheduled methods (`SELLPACK-c8-v4-Dyn`) and at the end for
-    /// Dyn-only methods (`Sell-c-R-c8-v4`) — so every pre-SIMD label
-    /// is unchanged and still parses ([`MethodConfig::parse`]). CSR
-    /// labels never carry a width.
     pub fn label(&self) -> String {
-        let vtag = if self.v == 0 { String::new() } else { format!("-v{}", self.v) };
         match self.method {
             Method::Csr => format!("CSR-{}", self.schedule.name()),
-            Method::SellPack => format!("SELLPACK-c{}{}-{}", self.c, vtag, self.schedule.name()),
+            Method::SellPack => format!("SELLPACK-c{}-{}", self.c, self.schedule.name()),
             Method::SellCSigma => {
-                format!("Sell-c-s-c{}-s{}{}-{}", self.c, self.sigma, vtag, self.schedule.name())
+                format!("Sell-c-s-c{}-s{}-{}", self.c, self.sigma, self.schedule.name())
             }
-            Method::SellCR => format!("Sell-c-R-c{}{}", self.c, vtag),
-            Method::Lav1Seg => format!("LAV-1Seg-c{}{}", self.c, vtag),
-            Method::Lav => {
-                format!("LAV-c{}-T{}{}", self.c, (self.t * 100.0).round() as u32, vtag)
-            }
+            Method::SellCR => format!("Sell-c-R-c{}", self.c),
+            Method::Lav1Seg => format!("LAV-1Seg-c{}", self.c),
+            Method::Lav => format!("LAV-c{}-T{}", self.c, (self.t * 100.0).round() as u32),
         }
     }
 
-    /// Inverse of [`MethodConfig::label`]: parses both pre-SIMD labels
-    /// (`v = 0`) and width-suffixed packed ones. Returns `None` for
-    /// anything `label()` cannot produce.
+    /// Inverse of [`MethodConfig::label`]. Returns `None` for anything
+    /// `label()` cannot produce.
     pub fn parse(label: &str) -> Option<MethodConfig> {
         // Leading decimal run -> (number, rest).
         fn num(s: &str) -> Option<(usize, &str)> {
@@ -207,62 +193,39 @@ impl MethodConfig {
             }
             Some((s[..end].parse().ok()?, &s[end..]))
         }
-        // Optional "v{n}-" ahead of a schedule suffix; explicit tags
-        // never encode 0 — zero means "omit the tag".
-        fn v_infix(s: &str) -> Option<(usize, &str)> {
-            match s.strip_prefix('v') {
-                Some(tagged) => {
-                    let (v, tail) = num(tagged)?;
-                    (v != 0).then_some((v, tail.strip_prefix('-')?))
-                }
-                None => Some((0, s)),
-            }
-        }
-        // Optional trailing "-v{n}" on Dyn-only labels.
-        fn v_suffix(s: &str) -> Option<usize> {
-            if s.is_empty() {
-                return Some(0);
-            }
-            let (v, tail) = num(s.strip_prefix("-v")?)?;
-            (v != 0 && tail.is_empty()).then_some(v)
-        }
         if let Some(rest) = label.strip_prefix("CSR-") {
             return Some(MethodConfig::csr(Schedule::parse(rest)?));
         }
         if let Some(rest) = label.strip_prefix("SELLPACK-c") {
             let (c, rest) = num(rest)?;
-            let (v, rest) = v_infix(rest.strip_prefix('-')?)?;
-            return Some(MethodConfig::sellpack(c, Schedule::parse(rest)?).with_simd(v));
+            return Some(MethodConfig::sellpack(c, Schedule::parse(rest.strip_prefix('-')?)?));
         }
         if let Some(rest) = label.strip_prefix("Sell-c-s-c") {
             let (c, rest) = num(rest)?;
             let (sigma, rest) = num(rest.strip_prefix("-s")?)?;
-            let (v, rest) = v_infix(rest.strip_prefix('-')?)?;
-            return Some(MethodConfig::sell_c_sigma(c, sigma, Schedule::parse(rest)?).with_simd(v));
+            let schedule = Schedule::parse(rest.strip_prefix('-')?)?;
+            return Some(MethodConfig::sell_c_sigma(c, sigma, schedule));
         }
+        // The Dyn-only methods end at their last number.
+        let whole = |(n, rest): (usize, &str)| rest.is_empty().then_some(n);
         if let Some(rest) = label.strip_prefix("Sell-c-R-c") {
-            let (c, rest) = num(rest)?;
-            return Some(MethodConfig::sell_c_r(c).with_simd(v_suffix(rest)?));
+            return Some(MethodConfig::sell_c_r(whole(num(rest)?)?));
         }
         if let Some(rest) = label.strip_prefix("LAV-1Seg-c") {
-            let (c, rest) = num(rest)?;
-            return Some(MethodConfig::lav_1seg(c).with_simd(v_suffix(rest)?));
+            return Some(MethodConfig::lav_1seg(whole(num(rest)?)?));
         }
         if let Some(rest) = label.strip_prefix("LAV-c") {
             let (c, rest) = num(rest)?;
-            let (t100, rest) = num(rest.strip_prefix("-T")?)?;
-            return Some(MethodConfig::lav(c, t100 as f64 / 100.0).with_simd(v_suffix(rest)?));
+            let t100 = whole(num(rest.strip_prefix("-T")?)?)?;
+            return Some(MethodConfig::lav(c, t100 as f64 / 100.0));
         }
         None
     }
 
     /// Total order used for preprocessing-cost tie-breaking
-    /// (Section 4.4): method rank first, then smaller parameters. The
-    /// SIMD width sorts last — it changes execution, not
-    /// preprocessing, so it only breaks ties among otherwise-identical
-    /// configs.
-    pub fn preproc_key(&self) -> (u8, usize, usize, u64, usize) {
-        (self.method.preproc_rank(), self.c, self.sigma, (self.t * 1000.0) as u64, self.v)
+    /// (Section 4.4): method rank first, then smaller parameters.
+    pub fn preproc_key(&self) -> (u8, usize, usize, u64) {
+        (self.method.preproc_rank(), self.c, self.sigma, (self.t * 1000.0) as u64)
     }
 
     /// Converts the matrix into this configuration's executable form.
@@ -270,7 +233,7 @@ impl MethodConfig {
     pub fn prepare<'m>(&self, m: &'m Csr) -> Prepared<'m> {
         let _span = wise_trace::span("kernel.convert");
         wise_trace::counter("kernel.convert.nnz", m.nnz() as u64);
-        let pack = |p: SrvPack| Prepared::Pack(Box::new(p.with_simd(self.v)), self.schedule);
+        let pack = |p: SrvPack| Prepared::Pack(Box::new(p), self.schedule);
         let prepared = match self.method {
             Method::Csr => Prepared::Csr(CsrSpmv::new(m, self.schedule)),
             Method::SellPack => pack(SrvPack::sellpack(m, self.c)),
@@ -423,31 +386,9 @@ mod tests {
     }
 
     #[test]
-    fn width_suffixed_labels_are_stable() {
-        // CSR has one kernel: a width request is a no-op.
-        let csr = MethodConfig::csr(Schedule::Dyn).with_simd(8);
-        assert_eq!((csr.v, csr.label()), (0, "CSR-Dyn".to_string()));
-        assert_eq!(
-            MethodConfig::sellpack(8, Schedule::Dyn).with_simd(4).label(),
-            "SELLPACK-c8-v4-Dyn"
-        );
-        assert_eq!(
-            MethodConfig::sell_c_sigma(4, 4096, Schedule::StCont).with_simd(8).label(),
-            "Sell-c-s-c4-s4096-v8-StCont"
-        );
-        assert_eq!(MethodConfig::sell_c_r(8).with_simd(4).label(), "Sell-c-R-c8-v4");
-        assert_eq!(MethodConfig::lav_1seg(4).with_simd(8).label(), "LAV-1Seg-c4-v8");
-        assert_eq!(MethodConfig::lav(8, 0.8).with_simd(2).label(), "LAV-c8-T80-v2");
-    }
-
-    #[test]
     fn parse_round_trips_every_catalog_label() {
         for cfg in MethodConfig::catalog() {
             assert_eq!(MethodConfig::parse(&cfg.label()), Some(cfg), "{}", cfg.label());
-            for v in [1usize, 2, 4, 8] {
-                let wide = cfg.with_simd(v);
-                assert_eq!(MethodConfig::parse(&wide.label()), Some(wide), "{}", wide.label());
-            }
         }
     }
 
@@ -474,43 +415,60 @@ mod tests {
             "Sell-c-R-c8-p0",
             "LAV-c8-T80-i0",
             "LAV-c8-T80-v8-p4-i2x",
-            // Prefetch/interleave tags, and widths on CSR, are gone.
+            // Prefetch/interleave tags and SIMD-width tags are gone.
             "CSR-p4-Dyn",
             "SELLPACK-c8-i2-Dyn",
             "Sell-c-R-c8-p16",
             "CSR-v8-Dyn",
             "CSR-v1-Dyn",
             "Sell-c-s-c8-s512-v8-i2-Dyn",
+            "SELLPACK-c8-v4-Dyn",
+            "Sell-c-s-c4-s4096-v8-StCont",
+            "Sell-c-R-c8-v4",
+            "LAV-1Seg-c4-v8",
+            "LAV-c8-T80-v2",
         ] {
             assert_eq!(MethodConfig::parse(bad), None, "{bad:?} must not parse");
         }
     }
 
     #[test]
-    fn catalog_with_simd_pins_every_entry() {
-        let cat = MethodConfig::catalog_with_simd(1);
-        assert_eq!(cat.len(), 29);
-        // CSR has no width to pin.
-        assert!(cat.iter().all(|c| c.v == usize::from(c.method != Method::Csr)));
-        // The auto catalog stays width-0 with unchanged labels.
-        assert!(MethodConfig::catalog().iter().all(|c| c.v == 0));
+    fn config_json_without_v_field_defaults_to_auto() {
+        // Configs carry no SIMD width: the pack picks its kernel. Files
+        // that still carry the removed `v`, `pf` and `il` members decode
+        // with them ignored — no catalog ever set them.
+        let cfg = MethodConfig::sell_c_sigma(8, 512, Schedule::Dyn);
+        let json = cfg.to_json();
+        assert_eq!(json, r#"{"method":"SellCSigma","schedule":"Dyn","c":8,"sigma":512,"t":0.0}"#);
+        assert_eq!(MethodConfig::from_json_str(&json), Ok(cfg));
+        for old in [r#","v":0}"#, r#","v":4}"#, r#","v":0,"pf":4,"il":2}"#] {
+            let old = json.replace('}', old);
+            assert_eq!(MethodConfig::from_json_str(&old), Ok(cfg), "{old}");
+        }
     }
 
     #[test]
-    fn config_json_without_v_field_defaults_to_auto() {
-        let cfg = MethodConfig::sell_c_sigma(8, 512, Schedule::Dyn);
-        let json = cfg.to_json();
-        assert_eq!(
-            json,
-            r#"{"method":"SellCSigma","schedule":"Dyn","c":8,"sigma":512,"t":0.0,"v":0}"#
-        );
-        let stripped = json.replace(",\"v\":0", "");
-        assert_ne!(stripped, json, "test must actually strip the field");
-        assert_eq!(MethodConfig::from_json_str(&stripped), Ok(cfg));
-        // Files that still carry the removed prefetch/interleave members
-        // decode with both ignored.
-        let old = json.replace("\"v\":0", "\"v\":0,\"pf\":4,\"il\":2");
-        assert_ne!(old, json);
-        assert_eq!(MethodConfig::from_json_str(&old), Ok(cfg));
+    fn config_json_rejects_what_prepare_would_panic_on() {
+        let json = |method: &str, c: &str, t: &str| {
+            format!(r#"{{"method":"{method}","schedule":"Dyn","c":{c},"sigma":0,"t":{t}}}"#)
+        };
+        for (method, c, t) in [
+            ("SellPack", "0", "0.0"),
+            ("SellCR", "9", "0.0"),
+            ("Lav", "4", "1.5"),
+            ("Lav", "4", "-0.1"),
+            ("Lav", "4", "null"), // NaN
+            ("Lav1Seg", "64", "0.0"),
+        ] {
+            let text = json(method, c, t);
+            assert!(
+                matches!(MethodConfig::from_json_str(&text), Err(JsonError::Invalid(_))),
+                "{text}"
+            );
+        }
+        // CSR ignores c and t; LAV's bounds are inclusive.
+        for (method, c, t) in [("Csr", "0", "0.0"), ("Lav", "8", "1.0"), ("Lav", "1", "0.0")] {
+            assert!(MethodConfig::from_json_str(&json(method, c, t)).is_ok(), "{method} {c} {t}");
+        }
     }
 }

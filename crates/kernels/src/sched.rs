@@ -24,7 +24,8 @@
 //! all dispatch through [`parallel_for_chunks`]; a call nested inside a
 //! pool thread runs inline (DESIGN.md §20).
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// A chunk-to-thread scheduling policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -77,24 +78,27 @@ pub fn parse_wise_threads(raw: Option<&str>) -> Result<Option<usize>, String> {
 
 /// Number of worker threads to use: the `WISE_THREADS` environment
 /// variable if set, otherwise `std::thread::available_parallelism()`.
+/// Resolved once per process, on the first call: both lookups cost
+/// tens of microseconds, and pack builds and feature extraction ask on
+/// every call.
 ///
 /// A malformed `WISE_THREADS` (empty, `0`, non-numeric) falls back to
-/// the hardware default *loudly*: one warning on stderr (per process)
-/// plus a `sched.threads_env_invalid` trace counter, so a typo in a
-/// benchmark script cannot silently change what was measured.
+/// the hardware default *loudly*: one warning on stderr plus a
+/// `sched.threads_env_invalid` trace counter, so a typo in a benchmark
+/// script cannot silently change what was measured.
 pub fn default_threads() -> usize {
-    static WARNED: AtomicBool = AtomicBool::new(false);
-    match parse_wise_threads(std::env::var("WISE_THREADS").ok().as_deref()) {
-        Ok(Some(n)) => return n,
-        Ok(None) => {}
-        Err(msg) => {
-            if !WARNED.swap(true, Ordering::Relaxed) {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        match parse_wise_threads(std::env::var("WISE_THREADS").ok().as_deref()) {
+            Ok(Some(n)) => return n,
+            Ok(None) => {}
+            Err(msg) => {
                 eprintln!("[wise] ignoring {msg}; falling back to available_parallelism()");
                 wise_trace::counter("sched.threads_env_invalid", 1);
             }
         }
-    }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -400,8 +404,10 @@ mod tests {
 
     #[test]
     fn default_threads_env_override() {
-        // Can't set env safely in parallel tests; just check it returns >= 1.
+        // Can't set env safely in parallel tests; check it returns >= 1
+        // and the same count on every call.
         assert!(default_threads() >= 1);
+        assert_eq!(default_threads(), default_threads());
     }
 
     #[test]

@@ -10,10 +10,12 @@
 //! Only the SELL/SRVPack chunk is vectorized ([`sell_chunk_pf`],
 //! [`sell_chunk_pair`]): the column-major padded chunk layout maps the
 //! chunk's `c` rows 1:1 onto vector lanes, so each column step is one
-//! gather + one FMA with no horizontal reduction. `c ∈ {4, 8}` run
-//! natively, `c ∈ {2..=7}` through a masked AVX-512 kernel, and
-//! [`sell_chunk_pair`] interleaves two c=8 chunks (two independent
-//! accumulator chains) to hide gather latency. CSR rows stay scalar:
+//! gather + one FMA with no horizontal reduction. The catalog heights
+//! `c ∈ {4, 8}` run vectorized, every other height runs the scalar
+//! loop, and [`sell_chunk_pair`] interleaves two c=8 chunks (two
+//! independent accumulator chains) to hide gather latency. Which level
+//! a packed matrix runs is decided in one place,
+//! `SrvPack::resolved_isa`. CSR rows stay scalar:
 //! the gather row kernels lost to the scalar loop at the row lengths
 //! the catalog sees (DESIGN.md §14).
 //!
@@ -33,9 +35,9 @@
 //! meaningless). Prefetching and chunk pairing are pure *scheduling*
 //! changes: for a fixed level they never alter the sequence of
 //! operations feeding any accumulator, so results are bit-identical
-//! across every setting. Preparing a config with explicit width 1 (or
-//! [`set_active`]`(Scalar)` in tests) restores the scalar path
-//! bit-exactly.
+//! across every setting. A pack forced to width 1
+//! (`SrvPack::with_simd(1)`, or [`set_active`]`(Scalar)` in tests)
+//! restores the scalar path bit-exactly.
 //!
 //! All gathers index with *signed 32-bit* lanes, so [`resolve`] — and,
 //! per kernel call, [`clamp_isa`] — fall back to scalar when the x
@@ -55,7 +57,7 @@ pub enum SimdIsa {
     Scalar,
     /// 4 × f64 lanes, `vgatherdpd` + FMA.
     Avx2,
-    /// 8 × f64 lanes, `vgatherdpd` + FMA, masked lanes.
+    /// 8 × f64 lanes, `vgatherdpd` + FMA.
     Avx512,
 }
 
@@ -177,10 +179,9 @@ pub fn auto_prefetch_distance(isa: SimdIsa, ncols: usize) -> usize {
 
 /// The CSR row-interleave factor the AVX-512 gather row kernel would
 /// use: 2 when x stays cache-resident under the doubled gather
-/// footprint (see [`INTERLEAVE_MAX_X_BYTES`]), else 1. No kernel reads
-/// it — CSR runs the scalar loop — but it still feeds the
-/// `host_interleave` feature slot and the benchmark's host line, so
-/// feature vectors keep their trained values.
+/// footprint (see [`INTERLEAVE_MAX_X_BYTES`]), else 1. No kernel and
+/// no feature reads it — CSR runs the scalar loop. It is kept only
+/// because the request-level benchmark prints it in its host line.
 pub fn auto_csr_interleave(isa: SimdIsa, ncols: usize) -> usize {
     if isa == SimdIsa::Avx512
         && ncols.saturating_mul(std::mem::size_of::<f64>()) <= INTERLEAVE_MAX_X_BYTES
@@ -216,8 +217,9 @@ pub fn clamp_isa(isa: SimdIsa, xlen: usize) -> SimdIsa {
     }
 }
 
-/// Resolves a catalog SIMD width `v` against the active level for a
-/// matrix with `ncols` columns: `0` = auto (widest active), `1` =
+/// Resolves a pack's requested SIMD width `v` (see
+/// `SrvPack::with_simd`) against the active level for a matrix with
+/// `ncols` columns: `0` = auto (widest active), `1` =
 /// forced scalar, otherwise the widest level with at most `v` lanes,
 /// capped by [`active`]. Falls back to scalar when column indices
 /// would not fit the signed 32-bit gather lanes.
@@ -239,19 +241,19 @@ pub fn resolve(v: usize, ncols: usize) -> SimdIsa {
 
 /// One SELL/SRVPack chunk: accumulates `width` column-major steps of
 /// `c` lanes into `acc` (the chunk's per-row partial sums), issuing
-/// software prefetches `pf` steps ahead (0 = none). Vector paths:
-/// `c ∈ {4, 8}` natively; `c ∈ {2..=7}` via the AVX-512 masked-lane
-/// kernel (ulp-close, not bit-exact, to scalar: masked FMA fuses the
-/// multiply-add the scalar oracle rounds twice); anything else runs
-/// the scalar loop. The prefetch distance never changes the result —
-/// only the schedule.
+/// software prefetches `pf` steps ahead (0 = none). `c ∈ {4, 8}` run
+/// vectorized at `isa`, accumulating into `acc` step by step; every
+/// other height, and [`SimdIsa::Scalar`], adds the
+/// [`sell_chunk_scalar`] sums to `acc`. The prefetch distance never
+/// changes the result — only the schedule.
 ///
 /// # Safety
 ///
-/// `vals.len() == cols.len()`, both a multiple of `c`, `acc.len() ==
-/// c`, `pf <= MAX_PREFETCH`, and every `cols[k] as usize < x.len()`
-/// (padding entries store column 0 with value 0.0 — the `SrvPack`
-/// build invariant). The level is clamped per call via [`clamp_isa`].
+/// `1 <= c <= 8`, `vals.len() == cols.len()`, both a multiple of `c`,
+/// `acc.len() == c`, `pf <= MAX_PREFETCH`, and every `cols[k] as usize
+/// < x.len()` (padding entries store column 0 with value 0.0 — the
+/// `SrvPack` build invariant). The level is clamped per call via
+/// [`clamp_isa`].
 pub unsafe fn sell_chunk_pf(
     isa: SimdIsa,
     vals: &[f64],
@@ -262,7 +264,8 @@ pub unsafe fn sell_chunk_pf(
     pf: usize,
 ) {
     debug_assert_eq!(vals.len(), cols.len());
-    debug_assert!(vals.len().is_multiple_of(c.max(1)) && acc.len() == c);
+    debug_assert!((1..=8).contains(&c));
+    debug_assert!(vals.len().is_multiple_of(c) && acc.len() == c);
     debug_assert!(pf <= MAX_PREFETCH);
     #[cfg(target_arch = "x86_64")]
     match (clamp_isa(isa, x.len()), c) {
@@ -270,11 +273,12 @@ pub unsafe fn sell_chunk_pf(
         (SimdIsa::Avx512 | SimdIsa::Avx2, 4 | 8) => {
             return x86::sell_chunk_avx2(vals, cols, c, x, acc)
         }
-        (SimdIsa::Avx512, 2..=7) => return x86::sell_chunk_avx512_masked(vals, cols, c, x, acc),
         _ => {}
     }
     let _ = (isa, pf);
-    sell_chunk_scalar(vals, cols, c, x, acc);
+    for (a, sum) in acc.iter_mut().zip(sell_chunk_scalar(vals, cols, c, x)) {
+        *a += sum;
+    }
 }
 
 /// Two SELL/SRVPack chunks interleaved: the AVX-512 c=8 path runs both
@@ -288,7 +292,10 @@ pub unsafe fn sell_chunk_pf(
 ///
 /// Both chunk triples must satisfy the [`sell_chunk_pf`] invariants
 /// for the same `c`, `x` and `pf`.
+// Inlined so the packed SpMV's pair work item reaches the pair kernel
+// in one call; called out of line it ran ~5% slower.
 #[allow(clippy::too_many_arguments)]
+#[inline]
 pub unsafe fn sell_chunk_pair(
     isa: SimdIsa,
     vals0: &[f64],
@@ -310,14 +317,50 @@ pub unsafe fn sell_chunk_pair(
     sell_chunk_pf(isa, vals1, cols1, c, x, acc1, pf);
 }
 
-/// Scalar SELL chunk oracle: per-lane strict accumulation order,
-/// identical to `SrvPack`'s scalar chunk kernels.
-pub fn sell_chunk_scalar(vals: &[f64], cols: &[u32], c: usize, x: &[f64], acc: &mut [f64]) {
+/// The scalar SELL chunk loop: each lane's sum over the chunk's
+/// steps, added in strict step order from zero (one rounded multiply
+/// and one rounded add per entry); lanes past `c` hold 0. The catalog
+/// heights `c ∈ {4, 8}` get their own fixed-width copies of the loop.
+/// The sums come back by value so a caller that inlines this keeps
+/// them in registers.
+///
+/// # Safety
+///
+/// The [`sell_chunk_pf`] invariants on `vals`, `cols`, `c` and `x`.
+#[inline(always)]
+pub unsafe fn sell_chunk_scalar(vals: &[f64], cols: &[u32], c: usize, x: &[f64]) -> [f64; 8] {
+    match c {
+        4 => lane_sums(vals, cols, 4, x),
+        8 => lane_sums(vals, cols, 8, x),
+        _ => lane_sums(vals, cols, c, x),
+    }
+}
+
+/// [`sell_chunk_scalar`]'s body, inlined so a literal `c` unrolls the
+/// lane loop.
+///
+/// # Safety
+///
+/// As [`sell_chunk_scalar`].
+#[inline(always)]
+unsafe fn lane_sums(vals: &[f64], cols: &[u32], c: usize, x: &[f64]) -> [f64; 8] {
+    let mut sums = [0.0f64; 8];
     for (vrow, crow) in vals.chunks_exact(c).zip(cols.chunks_exact(c)) {
+        // Lane-indexed on purpose: one index drives three unchecked
+        // loads and the accumulator, keeping the loop a pure gather.
+        #[allow(clippy::needless_range_loop)]
         for l in 0..c {
-            acc[l] += vrow[l] * x[crow[l] as usize];
+            // SAFETY: `l < c == vrow.len() == crow.len()` by
+            // `chunks_exact`, and every stored column id is `< x.len()`
+            // by the caller's contract. Eliding the data-dependent
+            // x-bound check is what keeps the lane loop a pure gather +
+            // multiply-add.
+            let col = *crow.get_unchecked(l) as usize;
+            debug_assert!(col < x.len());
+            sums[l] += *vrow.get_unchecked(l) * *x.get_unchecked(col);
         }
     }
+    sums
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -401,53 +444,6 @@ mod x86 {
             a = _mm512_fmadd_pd(vv, xv, a);
         }
         _mm512_storeu_pd(acc.as_mut_ptr(), a);
-    }
-
-    /// AVX-512 SELL chunk for the non-native heights `c ∈ {2..=7}`:
-    /// the chunk's `c` rows occupy the low `c` zmm lanes under a
-    /// constant mask; dead lanes load/gather zeros and accumulate
-    /// 0·0 + 0. One masked gather + one FMA per step — the FMA fuses
-    /// the multiply-add the scalar oracle rounds twice, so this path
-    /// is ulp-close (not bit-exact) to scalar.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn sell_chunk_avx512_masked(
-        vals: &[f64],
-        cols: &[u32],
-        c: usize,
-        x: &[f64],
-        acc: &mut [f64],
-    ) {
-        debug_assert!((2..=7).contains(&c) && acc.len() == c);
-        let steps = vals.len() / c;
-        let m: __mmask8 = ((1u16 << c) - 1) as u8;
-        let mut a = _mm512_maskz_loadu_pd(m, acc.as_ptr());
-        let mut s = 0usize;
-        // Fast loop: a full 256-bit index load reads 8 u32 starting at
-        // the step base, which is only in-bounds while 8 columns
-        // remain (for c < 8 the load spills into the next steps'
-        // columns — harmless, the gather mask ignores those lanes).
-        while s < steps && s * c + 8 <= cols.len() {
-            let base = s * c;
-            let idx = _mm256_loadu_si256(cols.as_ptr().add(base) as *const __m256i);
-            let xv = _mm512_mask_i32gather_pd::<8>(_mm512_setzero_pd(), m, idx, x.as_ptr());
-            let vv = _mm512_maskz_loadu_pd(m, vals.as_ptr().add(base));
-            a = _mm512_fmadd_pd(vv, xv, a);
-            s += 1;
-        }
-        // Trailing steps: stage the c live indices in a stack buffer.
-        while s < steps {
-            let base = s * c;
-            let mut buf = [0u32; 8];
-            buf[..c].copy_from_slice(&cols[base..base + c]);
-            let idx = _mm256_loadu_si256(buf.as_ptr() as *const __m256i);
-            let xv = _mm512_mask_i32gather_pd::<8>(_mm512_setzero_pd(), m, idx, x.as_ptr());
-            let vv = _mm512_maskz_loadu_pd(m, vals.as_ptr().add(base));
-            a = _mm512_fmadd_pd(vv, xv, a);
-            s += 1;
-        }
-        let mut t = [0.0f64; 8];
-        _mm512_storeu_pd(t.as_mut_ptr(), a);
-        acc[..c].copy_from_slice(&t[..c]);
     }
 
     /// Two AVX-512 c=8 SELL chunks in lockstep with two independent
@@ -616,9 +612,9 @@ mod tests {
     const PFS: [usize; 4] = [0, 1, 4, MAX_PREFETCH];
 
     /// Chunk widths (column steps) every chunk check runs: each width
-    /// 0..=17 covers every residue of the 8-step lane groups and of the
-    /// masked kernel's staged-index tail; 66 and 73 exceed the
-    /// `MAX_PREFETCH` lookahead so the prefetching loop body runs.
+    /// 0..=17 covers every residue of the 8-step lane groups; 66 and 73
+    /// exceed the `MAX_PREFETCH` lookahead so the prefetching loop body
+    /// runs.
     fn widths() -> impl Iterator<Item = usize> {
         (0..=17).chain([66, 73])
     }
@@ -632,14 +628,25 @@ mod tests {
         v.iter().map(|f| f.to_bits()).collect()
     }
 
+    /// The scalar chunk loop with every index checked: each lane's sum
+    /// in step order from zero, added to `init`.
+    fn checked_scalar(vals: &[f64], cols: &[u32], c: usize, x: &[f64], init: f64) -> Vec<f64> {
+        let mut sums = vec![0.0; c];
+        for (vrow, crow) in vals.chunks_exact(c).zip(cols.chunks_exact(c)) {
+            for l in 0..c {
+                sums[l] += vrow[l] * x[crow[l] as usize];
+            }
+        }
+        sums.iter().map(|s| init + s).collect()
+    }
+
     /// Runs `sell_chunk_pf` at `isa` for every distance in [`PFS`]:
-    /// each result is ulp-close to `sell_chunk_scalar` and bit-identical
-    /// to the `pf = 0` result. The accumulator starts nonzero because
-    /// the kernel contract accumulates.
+    /// each result is ulp-close to a checked copy of the scalar loop
+    /// and bit-identical to the `pf = 0` result. The accumulator starts
+    /// nonzero because the kernel contract accumulates.
     fn check_chunk(isa: SimdIsa, c: usize, width: usize, seed: u64) {
         let (vals, cols, x) = rand_problem(width * c, 512, seed);
-        let mut want = vec![0.25f64; c];
-        sell_chunk_scalar(&vals, &cols, c, &x, &mut want);
+        let want = checked_scalar(&vals, &cols, c, &x, 0.25);
         let mut base = vec![0.25f64; c];
         unsafe { sell_chunk_pf(isa, &vals, &cols, c, &x, &mut base, 0) };
         let ctx = format!("{isa:?} c={c} width={width}");
@@ -720,20 +727,6 @@ mod tests {
     }
 
     #[test]
-    fn sell_chunk_masked_heights_match_scalar() {
-        // c ∈ {2, 3, 5, 6, 7} run the AVX-512 masked path when the
-        // host has it, including widths whose trailing steps need the
-        // staged-index loop (fewer than 8 columns left).
-        for c in [2usize, 3, 5, 6, 7] {
-            for width in widths() {
-                for isa in runnable() {
-                    check_chunk(isa, c, width, width as u64 * 17 + c as u64);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn sell_chunk_pair_is_bit_identical_to_sequential_chunks() {
         let c = 8usize;
         // Different widths so the joint loop + solo-tail path runs on
@@ -769,20 +762,28 @@ mod tests {
     }
 
     #[test]
-    fn sell_chunk_odd_width_is_scalar_or_masked() {
-        // c = 6: AVX2 has no vector path and must produce the
-        // bit-exact scalar result; AVX-512 runs the masked kernel,
-        // which is ulp-close (FMA fuses what scalar rounds twice).
-        let c = 6usize;
-        let (vals, cols, x) = rand_problem(5 * c, 128, 3);
-        let mut want = vec![0.0f64; c];
-        sell_chunk_scalar(&vals, &cols, c, &x, &mut want);
-        let mut got = vec![0.0f64; c];
-        unsafe { sell_chunk_pf(SimdIsa::Avx2, &vals, &cols, c, &x, &mut got, 0) };
-        assert_eq!(got, want, "Avx2 must fall back to the exact scalar loop");
-        let mut got = vec![0.0f64; c];
-        unsafe { sell_chunk_pf(SimdIsa::Avx512, &vals, &cols, c, &x, &mut got, 0) };
-        assert_ulp_close(&got, &want, SPMV_MAX_ULPS, SPMV_ABS_FLOOR, "Avx512 masked c=6");
+    fn sell_chunk_other_heights_run_the_exact_scalar_loop() {
+        // Only c ∈ {4, 8} have vector paths: every other height runs
+        // the scalar loop bit-exactly at every level, and so does every
+        // height at `Scalar`.
+        for c in 1..=8usize {
+            for width in widths() {
+                let (vals, cols, x) = rand_problem(width * c, 128, width as u64 * 13 + c as u64);
+                let sums = unsafe { sell_chunk_scalar(&vals, &cols, c, &x) };
+                let mut zero_padded = checked_scalar(&vals, &cols, c, &x, 0.0);
+                zero_padded.resize(8, 0.0);
+                assert_eq!(bits(&sums), bits(&zero_padded), "sell_chunk_scalar c={c} w={width}");
+                let want = checked_scalar(&vals, &cols, c, &x, 0.5);
+                for isa in ALL {
+                    if isa > SimdIsa::Scalar && (c == 4 || c == 8) {
+                        continue;
+                    }
+                    let mut got = vec![0.5f64; c];
+                    unsafe { sell_chunk_pf(isa, &vals, &cols, c, &x, &mut got, 0) };
+                    assert_eq!(bits(&got), bits(&want), "{isa:?} c={c} width={width}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -54,10 +54,15 @@ pub enum SegmentSpec {
     DenseFraction(f64),
 }
 
+/// Largest chunk height [`SrvPack::build`] accepts: one `[f64; MAX_C]`
+/// accumulator then serves every chunk kernel.
+pub const MAX_C: usize = 8;
+
 /// Full packing configuration (one per method; see module table).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PackConfig {
-    /// Chunk height = vector width (the paper uses 4 and 8).
+    /// Chunk height = vector width (the paper uses 4 and 8), in
+    /// `1..=`[`MAX_C`].
     pub c: usize,
     pub sigma: SigmaSpec,
     /// Apply Column Frequency Sorting first.
@@ -102,6 +107,13 @@ impl Segment {
         let lo = k * c;
         let hi = ((k + 1) * c).min(self.row_order.len());
         &self.row_order[lo..hi]
+    }
+
+    /// Chunk `k`'s values and column ids, `c` lanes per step.
+    #[inline(always)]
+    fn chunk(&self, k: usize, c: usize) -> (&[f64], &[u32]) {
+        let span = self.offsets[k] * c..self.offsets[k + 1] * c;
+        (&self.vals[span.clone()], &self.col_ids[span])
     }
 
     pub fn row_order(&self) -> &[u32] {
@@ -153,7 +165,7 @@ pub struct SrvPack {
     col_perm: Option<Permutation>,
     segments: Vec<Segment>,
     /// Requested SIMD width (0 = auto, 1 = scalar; see
-    /// [`SrvPack::with_simd`]).
+    /// [`SrvPack::with_simd`]); 0 unless a test or benchmark forces it.
     simd: usize,
 }
 
@@ -233,7 +245,7 @@ impl SrvPack {
     /// [`SrvPack::build`] with an explicit worker count (1 = fill
     /// chunks on the calling thread, no pool dispatch).
     pub fn build_with_threads(m: &Csr, config: PackConfig, nthreads: usize) -> SrvPack {
-        assert!(config.c >= 1, "chunk height c must be >= 1");
+        assert!((1..=MAX_C).contains(&config.c), "chunk height c must be in 1..={MAX_C}");
         if let SegmentSpec::DenseFraction(t) = config.segments {
             assert!((0.0..=1.0).contains(&t), "T must be a fraction, got {t}");
             assert!(config.cfs, "segmentation requires CFS (LAV applies CFS first)");
@@ -328,7 +340,7 @@ impl SrvPack {
                 if nthreads <= 1 {
                     (0..nchunks).for_each(fill);
                 } else {
-                    let grain = (crate::csr_spmv::DEFAULT_ROWS_PER_CHUNK / c.max(1)).max(1);
+                    let grain = (crate::csr_spmv::DEFAULT_ROWS_PER_CHUNK / c).max(1);
                     parallel_for_chunks(nchunks, nthreads, Schedule::Dyn, grain, fill);
                 }
             }
@@ -345,32 +357,23 @@ impl SrvPack {
         SrvPack { nrows, ncols, config, col_perm, segments, simd: 0 }
     }
 
-    /// Requests a SIMD width for the chunk kernel: 0 = auto (widest
-    /// active level), 1 = the original scalar path (bit-exact), else
-    /// capped at the host's [`simd::active`] level. Vector paths exist
-    /// for `c ∈ {4, 8}` (the catalog's widths) on every vector level,
-    /// and for `c ∈ {2..=7}` on AVX-512 via the masked-lane kernel;
-    /// other chunk heights always run scalar.
+    /// Overrides the SIMD width the chunk kernel runs at — the one
+    /// override of the pack's own choice, for tests and for the
+    /// benchmark's scalar rung: 0 = auto (the default), 1 = the scalar
+    /// loop (bit-exact), else capped at the host's [`simd::active`]
+    /// level.
     pub fn with_simd(mut self, v: usize) -> SrvPack {
         self.simd = v;
         self
     }
 
-    /// The requested SIMD width (see [`SrvPack::with_simd`]).
-    pub fn simd(&self) -> usize {
-        self.simd
-    }
-
-    /// The level the chunk kernel will actually execute at.
+    /// The level the chunk kernel will actually execute at, decided
+    /// here and nowhere else: the active ISA (see [`simd::resolve`])
+    /// for the catalog heights `c ∈ {4, 8}`, which have vector paths,
+    /// and scalar for every other height.
     pub fn resolved_isa(&self) -> SimdIsa {
-        let isa = simd::resolve(self.simd, self.ncols);
-        match (isa, self.config.c) {
-            (_, 4 | 8) => isa,
-            // Non-native chunk heights vectorize only through the
-            // AVX-512 masked-lane kernel; everything else would fall
-            // back to the scalar loop inside the dispatcher, so report
-            // it honestly as Scalar here.
-            (SimdIsa::Avx512, 2..=7) => isa,
+        match self.config.c {
+            4 | 8 => simd::resolve(self.simd, self.ncols),
             _ => SimdIsa::Scalar,
         }
     }
@@ -501,118 +504,72 @@ impl SrvPack {
         let isa = self.resolved_isa();
         let pf = self.resolved_prefetch(isa);
         let pair = self.resolved_interleave(isa) >= 2;
+        // Each path gets a closure of its own: one closure holding the
+        // scalar loop beside the vector kernels' accumulators spilled
+        // its sums and ran 3–10% slower per chunk (2-vCPU AVX-512 VM).
         for seg in &self.segments {
             let writer = DisjointWriter::new(&mut *y);
+            let nchunks = seg.nchunks();
             if isa == SimdIsa::Scalar {
-                let body = |chunk: usize| match c {
-                    4 => Self::chunk_kernel::<4>(seg, xeff, &writer, chunk),
-                    8 => Self::chunk_kernel::<8>(seg, xeff, &writer, chunk),
-                    _ => Self::chunk_kernel_dyn(seg, c, xeff, &writer, chunk),
-                };
-                parallel_for_chunks(seg.nchunks(), nthreads, schedule, grain, body);
+                parallel_for_chunks(nchunks, nthreads, schedule, grain, |k| {
+                    let (vals, cols) = seg.chunk(k, c);
+                    // SAFETY: see `solo_item`. The sums come back by
+                    // value and stay in registers.
+                    let sums = unsafe { simd::sell_chunk_scalar(vals, cols, c, xeff) };
+                    Self::scatter(seg, c, &writer, k, &sums);
+                });
             } else if pair {
                 // Chunk-pair interleave: one work item covers chunks
                 // (2p, 2p + 1) so their gathers share the load ports
                 // (two independent accumulator chains — bit-identical
                 // to sequential chunks, see `simd::sell_chunk_pair`).
-                let npairs = seg.nchunks().div_ceil(2);
-                let body = |p: usize| {
-                    let k0 = 2 * p;
-                    if k0 + 1 < seg.nchunks() {
-                        Self::chunk_pair_kernel_simd(seg, c, isa, xeff, &writer, k0, pf);
-                    } else {
-                        Self::chunk_kernel_simd(seg, c, isa, xeff, &writer, k0, pf);
-                    }
-                };
-                parallel_for_chunks(npairs, nthreads, schedule, grain.div_ceil(2), body);
+                parallel_for_chunks(
+                    nchunks.div_ceil(2),
+                    nthreads,
+                    schedule,
+                    grain.div_ceil(2),
+                    |p| {
+                        if 2 * p + 1 < nchunks {
+                            Self::pair_item(seg, c, isa, xeff, &writer, 2 * p, pf);
+                        } else {
+                            Self::solo_item(seg, c, isa, xeff, &writer, 2 * p, pf);
+                        }
+                    },
+                );
             } else {
-                let body =
-                    |chunk: usize| Self::chunk_kernel_simd(seg, c, isa, xeff, &writer, chunk, pf);
-                parallel_for_chunks(seg.nchunks(), nthreads, schedule, grain, body);
+                parallel_for_chunks(nchunks, nthreads, schedule, grain, |k| {
+                    Self::solo_item(seg, c, isa, xeff, &writer, k, pf);
+                });
             }
         }
     }
 
-    /// Fixed-width chunk kernel: the `[f64; C]` accumulator maps to one
-    /// vector register and the inner loop autovectorizes to the padded
-    /// multiply-adds the paper issues with `#pragma omp simd`.
-    #[inline]
-    fn chunk_kernel<const C: usize>(
-        seg: &Segment,
-        x: &[f64],
-        writer: &DisjointWriter<f64>,
-        chunk: usize,
-    ) {
-        let w0 = seg.offsets[chunk];
-        let w1 = seg.offsets[chunk + 1];
-        let vals = &seg.vals[w0 * C..w1 * C];
-        let cols = &seg.col_ids[w0 * C..w1 * C];
-        let mut acc = [0.0f64; C];
-        for (vrow, crow) in vals.chunks_exact(C).zip(cols.chunks_exact(C)) {
-            // Lane-indexed on purpose: one index drives three unchecked
-            // loads and the accumulator, keeping the loop a pure gather.
-            #[allow(clippy::needless_range_loop)]
-            for l in 0..C {
-                // SAFETY: every stored column id is either a real
-                // (post-CFS) column in [0, ncols) or padding column 0,
-                // both < x.len() == ncols (`build` writes nothing
-                // else). Eliding the data-dependent x-bound check here
-                // is what lets the lane loop stay a pure gather +
-                // multiply-add.
-                unsafe {
-                    let c = *crow.get_unchecked(l) as usize;
-                    debug_assert!(c < x.len());
-                    acc[l] += *vrow.get_unchecked(l) * *x.get_unchecked(c);
-                }
-            }
-        }
-        let rows = seg.chunk_rows(chunk, C);
-        for (l, &r) in rows.iter().enumerate() {
-            // SAFETY: rows are unique within a segment and segments are
-            // processed sequentially.
-            unsafe { writer.add(r as usize, acc[l]) };
-        }
-    }
-
-    /// Explicitly vectorized chunk kernel (`c ∈ {2..=8}` — enforced by
-    /// [`SrvPack::resolved_isa`]): the chunk's `c` rows map 1:1 onto
-    /// vector lanes (masked lanes for `c ∉ {4, 8}` on AVX-512), so
-    /// every column step is one gather + one FMA with no horizontal
-    /// reduction. `pf` steps of software prefetch on the gathered
-    /// x-lines.
-    fn chunk_kernel_simd(
+    /// Chunk `k` through the vector kernel at `isa`: its `c` rows map
+    /// 1:1 onto the lanes, so every column step is one gather + one FMA
+    /// with no horizontal reduction; `pf` steps of software prefetch.
+    fn solo_item(
         seg: &Segment,
         c: usize,
         isa: SimdIsa,
         x: &[f64],
         writer: &DisjointWriter<f64>,
-        chunk: usize,
+        k: usize,
         pf: usize,
     ) {
-        debug_assert!((2..=8).contains(&c));
-        let w0 = seg.offsets[chunk];
-        let w1 = seg.offsets[chunk + 1];
-        let vals = &seg.vals[w0 * c..w1 * c];
-        let cols = &seg.col_ids[w0 * c..w1 * c];
-        let mut acc = [0.0f64; 8];
-        // SAFETY: vals/cols are equal-length multiples of c; every
-        // stored column id is a real (post-CFS) column or padding
-        // column 0, both < ncols == x.len() (`build` writes nothing
-        // else); acc[..c] has exactly c lanes.
+        let (vals, cols) = seg.chunk(k, c);
+        let mut acc = [0.0f64; MAX_C];
+        // SAFETY (every kernel call in `spmv`): `build` stores each
+        // chunk as equal-length value and column runs of whole c-lane
+        // steps, with c in 1..=MAX_C, and every stored column id is a
+        // real (post-CFS) column or padding column 0, both < ncols ==
+        // x.len(); each accumulator slice has exactly c lanes.
         unsafe { simd::sell_chunk_pf(isa, vals, cols, c, x, &mut acc[..c], pf) };
-        let rows = seg.chunk_rows(chunk, c);
-        for (l, &r) in rows.iter().enumerate() {
-            // SAFETY: rows are unique within a segment and segments are
-            // processed sequentially.
-            unsafe { writer.add(r as usize, acc[l]) };
-        }
+        Self::scatter(seg, c, writer, k, &acc);
     }
 
-    /// Two adjacent chunks (`k0`, `k0 + 1`) through the interleaved
-    /// pair kernel: both chunks' gathers stay in flight together (two
-    /// independent accumulator chains, bit-identical to sequential
-    /// solo chunks).
-    fn chunk_pair_kernel_simd(
+    /// Chunks `k0` and `k0 + 1` through the interleaved pair kernel:
+    /// both chunks' gathers stay in flight together.
+    fn pair_item(
         seg: &Segment,
         c: usize,
         isa: SimdIsa,
@@ -621,16 +578,9 @@ impl SrvPack {
         k0: usize,
         pf: usize,
     ) {
-        debug_assert!((2..=8).contains(&c) && k0 + 1 < seg.nchunks());
-        let (a0, a1, a2) = (seg.offsets[k0], seg.offsets[k0 + 1], seg.offsets[k0 + 2]);
-        let vals0 = &seg.vals[a0 * c..a1 * c];
-        let cols0 = &seg.col_ids[a0 * c..a1 * c];
-        let vals1 = &seg.vals[a1 * c..a2 * c];
-        let cols1 = &seg.col_ids[a1 * c..a2 * c];
-        let mut acc0 = [0.0f64; 8];
-        let mut acc1 = [0.0f64; 8];
-        // SAFETY: same invariants as `chunk_kernel_simd`, for both
-        // chunks against the same x.
+        let ((vals0, cols0), (vals1, cols1)) = (seg.chunk(k0, c), seg.chunk(k0 + 1, c));
+        let (mut acc0, mut acc1) = ([0.0f64; MAX_C], [0.0f64; MAX_C]);
+        // SAFETY: see `solo_item`, for both chunks against the same x.
         unsafe {
             simd::sell_chunk_pair(
                 isa,
@@ -645,47 +595,18 @@ impl SrvPack {
                 pf,
             )
         };
-        for (k, acc) in [(k0, &acc0), (k0 + 1, &acc1)] {
-            let rows = seg.chunk_rows(k, c);
-            for (l, &r) in rows.iter().enumerate() {
-                // SAFETY: rows are unique within a segment and segments
-                // are processed sequentially; the two chunks of a pair
-                // cover disjoint row sets.
-                unsafe { writer.add(r as usize, acc[l]) };
-            }
-        }
+        Self::scatter(seg, c, writer, k0, &acc0);
+        Self::scatter(seg, c, writer, k0 + 1, &acc1);
     }
 
-    /// Runtime-width fallback for non-{4,8} chunk heights.
-    fn chunk_kernel_dyn(
-        seg: &Segment,
-        c: usize,
-        x: &[f64],
-        writer: &DisjointWriter<f64>,
-        chunk: usize,
-    ) {
-        let w0 = seg.offsets[chunk];
-        let w1 = seg.offsets[chunk + 1];
-        let vals = &seg.vals[w0 * c..w1 * c];
-        let cols = &seg.col_ids[w0 * c..w1 * c];
-        let mut acc = vec![0.0f64; c];
-        for (vrow, crow) in vals.chunks_exact(c).zip(cols.chunks_exact(c)) {
-            #[allow(clippy::needless_range_loop)] // as in `chunk_kernel`
-            for l in 0..c {
-                // SAFETY: l < c == chunk row count of every exact
-                // chunk; column ids < ncols == x.len() as in
-                // `chunk_kernel`.
-                unsafe {
-                    let col = *crow.get_unchecked(l) as usize;
-                    debug_assert!(col < x.len());
-                    acc[l] += *vrow.get_unchecked(l) * *x.get_unchecked(col);
-                }
-            }
-        }
-        let rows = seg.chunk_rows(chunk, c);
-        for (l, &r) in rows.iter().enumerate() {
-            // SAFETY: as in `chunk_kernel`.
-            unsafe { writer.add(r as usize, acc[l]) };
+    /// Adds chunk `k`'s lane sums into its rows of y.
+    #[inline(always)]
+    fn scatter(seg: &Segment, c: usize, writer: &DisjointWriter<f64>, k: usize, sums: &[f64]) {
+        for (l, &r) in seg.chunk_rows(k, c).iter().enumerate() {
+            // SAFETY: rows are unique within a segment, the chunks of
+            // one work item cover disjoint row sets, and segments are
+            // processed sequentially.
+            unsafe { writer.add(r as usize, sums[l]) };
         }
     }
 }
@@ -996,35 +917,9 @@ mod tests {
     }
 
     #[test]
-    fn non_catalog_chunk_heights_resolve_masked_or_scalar() {
-        // c ∈ {2..=7} \ {4} vectorize only through the AVX-512 masked
-        // kernel; on lesser hosts (or under a narrower width request)
-        // they must resolve scalar. c > 8 never vectorizes.
-        let m = RmatParams::MED_SKEW.generate(8, 6, 9);
-        let masked =
-            if simd::active() == SimdIsa::Avx512 { SimdIsa::Avx512 } else { SimdIsa::Scalar };
-        for c in [2usize, 3, 5, 6, 7] {
-            assert_eq!(SrvPack::sellpack(&m, c).resolved_isa(), masked, "c={c}");
-            assert_eq!(
-                SrvPack::sellpack(&m, c).with_simd(4).resolved_isa(),
-                SimdIsa::Scalar,
-                "c={c} under a v=4 cap"
-            );
-        }
-        for c in [1usize, 9, 16] {
-            assert_eq!(SrvPack::sellpack(&m, c).resolved_isa(), SimdIsa::Scalar, "c={c}");
-        }
-    }
-
-    #[test]
-    fn masked_chunk_heights_match_reference() {
-        // End-to-end SpMV through the masked AVX-512 path (scalar
-        // elsewhere): every non-native chunk height must still match
-        // the reference within the ulp contract.
-        let m = RmatParams::MED_SKEW.generate(9, 8, 31);
-        for c in [2usize, 3, 5, 6, 7] {
-            assert_matches_reference(&m, &SrvPack::sell_c_sigma(&m, c, 64), 3, &format!("mc{c}"));
-        }
+    #[should_panic(expected = "chunk height c must be in 1..=8")]
+    fn build_rejects_chunk_heights_above_max_c() {
+        SrvPack::sellpack(&Csr::identity(16), MAX_C + 1);
     }
 
     #[test]
@@ -1064,21 +959,11 @@ mod tests {
             let mut solo = vec![0.0; m.nrows()];
             let seg = &pack.segments()[0];
             for k in 0..seg.nchunks() {
-                let (w0, w1) = (seg.offsets[k] * c, seg.offsets[k + 1] * c);
+                let (vals, cols) = seg.chunk(k, c);
                 let mut acc = vec![0.0; c];
                 // SAFETY: the `SrvPack::build` invariants (see
-                // `chunk_kernel_simd`).
-                unsafe {
-                    simd::sell_chunk_pf(
-                        isa,
-                        &seg.vals[w0..w1],
-                        &seg.col_ids[w0..w1],
-                        c,
-                        &x,
-                        &mut acc,
-                        0,
-                    )
-                };
+                // `SrvPack::solo_item`).
+                unsafe { simd::sell_chunk_pf(isa, vals, cols, c, &x, &mut acc, 0) };
                 for (l, &r) in seg.chunk_rows(k, c).iter().enumerate() {
                     solo[r as usize] += acc[l];
                 }

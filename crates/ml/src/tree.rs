@@ -484,6 +484,19 @@ impl DecisionTree {
         self.n_features
     }
 
+    /// The same tree over rows of only the first `n_features` slots,
+    /// for trees saved with trailing slots no split reads. `None` when
+    /// `n_features` is more than the tree's, or some split reads a slot
+    /// at or past it.
+    pub fn narrowed(mut self, n_features: usize) -> Option<DecisionTree> {
+        let fits = n_features <= self.n_features
+            && self.nodes.iter().all(|n| n.is_leaf() || (n.feature as usize) < n_features);
+        fits.then(|| {
+            self.n_features = n_features;
+            self
+        })
+    }
+
     pub fn n_classes(&self) -> usize {
         self.n_classes
     }
@@ -861,6 +874,25 @@ mod importance_tests {
         let t = DecisionTree::fit(&d, TreeParams::default());
         assert_eq!(t.feature_importances(), vec![0.0]);
         assert!(t.split_features().is_empty());
+    }
+
+    #[test]
+    fn narrowing_keeps_predictions_and_refuses_read_slots() {
+        use wise_trace::export::json::{FromJson, ToJson};
+        let rows: Vec<Vec<f64>> =
+            (0..32).map(|i| vec![(i % 2) as f64, 1.0, ((i / 2) % 2) as f64, 0.0]).collect();
+        let labels: Vec<u32> = (0..32).map(|i| (i % 2) as u32).collect();
+        let d = Dataset::new(rows.clone(), labels, 2);
+        let t = DecisionTree::fit(&d, TreeParams { ccp_alpha: 0.0, ..Default::default() });
+        assert_eq!(t.split_features(), vec![0]);
+        let narrow = t.clone().narrowed(1).expect("only slot 0 is read");
+        assert_eq!(narrow.n_features(), 1);
+        for row in &rows {
+            assert_eq!(narrow.predict(&row[..1]), t.predict(row));
+        }
+        assert_eq!(DecisionTree::from_json_str(&narrow.to_json()), Ok(narrow));
+        assert!(t.clone().narrowed(0).is_none(), "slot 0 is read");
+        assert!(t.narrowed(5).is_none(), "narrowing never widens");
     }
 
     #[test]

@@ -324,18 +324,10 @@ impl LayoutWork {
 
     fn pack(m: &Csr, cfg: &MethodConfig, p: &SrvPack, machine: &MachineModel) -> LayoutWork {
         let c = p.config().c;
-        // The runtime dispatcher only vectorizes catalog chunk heights
-        // (c = 4 or 8); other heights always run scalar, so the model
-        // must not credit them with SIMD throughput.
-        let lanes = if c == 4 || c == 8 { machine.modeled_lanes(cfg.v) } else { 0 };
-        // Cycles per packed column step: legacy calibrated constant for
-        // v = 0, pure scalar for a forced v = 1, and one vector op per
-        // `lanes` rows of the chunk otherwise.
-        let step_cycles = match lanes {
-            0 => machine.vector_cycles_per_step,
-            1 => c as f64 * machine.scalar_cycles_per_nnz,
-            l => (c as f64 / l as f64).ceil() * machine.simd_cycles_per_step,
-        };
+        // One calibrated vector step per packed column step: every
+        // catalog height (c = 4 or 8) runs a vector kernel wherever the
+        // host has one (`SrvPack::resolved_isa`).
+        let step_cycles = machine.vector_cycles_per_step;
         // Deliberately not the kernel's grain: the model keeps the
         // paper's per-chunk dynamic grabs on its modelled machine
         // (labels stay comparable); the kernel hands every policy
@@ -653,24 +645,6 @@ mod tests {
         assert_eq!(auto_sample_shift(1000), 0);
         assert_eq!(auto_sample_shift(200_000), 1);
         assert!(auto_sample_shift(100_000_000) == 6);
-    }
-
-    #[test]
-    fn explicit_widths_move_modeled_packed_compute() {
-        let m = RmatParams::MED_SKEW.generate(11, 16, 19);
-        let mach = machine();
-        let base = MethodConfig::sell_c_sigma(8, 4096, Schedule::StCont);
-        let auto = estimate_spmv_seconds(&m, &base, &mach, 0);
-        let scalar = estimate_spmv_seconds(&m, &base.with_simd(1), &mach, 0);
-        let wide = estimate_spmv_seconds(&m, &base.with_simd(8), &mach, 0);
-        // Forcing the scalar kernel (v = 1) must cost more compute than
-        // both the legacy vector model and an explicit 8-lane width.
-        assert!(scalar.compute_seconds > auto.compute_seconds, "{scalar:?} vs {auto:?}");
-        assert!(wide.compute_seconds <= scalar.compute_seconds);
-        // The width only changes compute; traffic and padding are the
-        // same packed layout regardless of v.
-        assert_eq!(auto.dram_bytes, scalar.dram_bytes);
-        assert_eq!(auto.nnz_padded, wide.nnz_padded);
     }
 
     #[test]

@@ -31,15 +31,15 @@ pub struct MachineModel {
     /// gathers dominate, roughly independent of width on Skylake.
     pub vector_cycles_per_step: f64,
     /// Cycles for one explicit-SIMD gather+FMA step of the runtime-
-    /// dispatched kernels (one vector register of lanes). Only engaged
-    /// when a config requests an explicit width (`v > 1`); the legacy
-    /// constants above stay in force for `v = 0` so pre-SIMD model
-    /// outputs are unchanged. Defaults to `vector_cycles_per_step` for
-    /// files serialized before this field existed.
+    /// dispatched kernels (one vector register of lanes). Read by the
+    /// stage-1 roofline veto (`Estimator::quick_bounds`); packed
+    /// configs are priced with `vector_cycles_per_step`. Defaults to
+    /// `vector_cycles_per_step` for files serialized before this field
+    /// existed.
     pub simd_cycles_per_step: f64,
-    /// f64 lanes of the modeled machine's vector units (AVX-512: 8).
-    /// Caps the lane count an explicit `v` can model. Defaults match
-    /// the Skylake preset for files missing the field.
+    /// f64 lanes of the modeled machine's vector units (AVX-512: 8),
+    /// read by the same veto. Defaults match the Skylake preset for
+    /// files missing the field.
     pub simd_lanes: usize,
     /// Overhead of one dynamic-scheduling work grab, nanoseconds
     /// (shared-counter fetch_add plus its coherence traffic).
@@ -161,17 +161,6 @@ impl MachineModel {
     pub fn bandwidth_floor_seconds(&self, dram_bytes: f64, llc_bytes: f64) -> f64 {
         dram_bytes / (self.dram_bw_gbs * 1e9) + llc_bytes / (self.llc_bw_gbs * 1e9)
     }
-
-    /// Lanes an explicit catalog width `v` models on this machine
-    /// (0 = legacy auto-vectorized model, reported as 0 so callers can
-    /// keep the calibrated pre-SIMD constants; otherwise clamped to the
-    /// machine's vector width).
-    pub fn modeled_lanes(&self, v: usize) -> usize {
-        match v {
-            0 => 0,
-            _ => v.min(self.simd_lanes.max(1)),
-        }
-    }
 }
 
 impl Default for MachineModel {
@@ -227,16 +216,6 @@ mod tests {
         let old = json.replace("\"simd_lanes\":8", "\"simd_lanes\":8,\"simd_gather_mlp\":0.2");
         assert_ne!(old, json);
         assert_eq!(MachineModel::from_json_str(&old), Ok(m));
-    }
-
-    #[test]
-    fn modeled_lanes_clamp_to_machine_width() {
-        let m = MachineModel::skylake_6126();
-        assert_eq!(m.modeled_lanes(0), 0, "0 = legacy model, not widest");
-        assert_eq!(m.modeled_lanes(1), 1);
-        assert_eq!(m.modeled_lanes(4), 4);
-        assert_eq!(m.modeled_lanes(8), 8);
-        assert_eq!(m.modeled_lanes(16), 8, "capped at simd_lanes");
     }
 
     #[test]

@@ -3,13 +3,13 @@
 //! and damaged files fail with an error instead of a panic.
 
 use wise_core::pipeline::{Choice, ChoiceTiming, TrainOptions, Wise};
-use wise_features::FeatureConfig;
+use wise_features::{FeatureConfig, N_FEATURES};
 use wise_gen::{Corpus, CorpusScale, RggParams, RmatParams, SplitMix64};
 use wise_kernels::{Method, MethodConfig, Schedule};
 use wise_matrix::Csr;
 use wise_ml::TreeParams;
 use wise_perf::Estimator;
-use wise_trace::export::json::{FromJson, ToJson};
+use wise_trace::export::json::{FromJson, JsonError, ToJson};
 
 fn trained() -> Wise {
     let opts = TrainOptions {
@@ -145,6 +145,52 @@ fn parent_format_model_loads_with_and_without_cascade_gate() {
         let large = wise.select(&RmatParams::LOW_LOC.generate(9, 8, 1));
         assert_eq!(large.config.method, Method::SellPack);
     }
+}
+
+/// The innermost error under the `Field` wrappers that name its path.
+fn innermost(err: &JsonError) -> &JsonError {
+    match err {
+        JsonError::Field { error, .. } => innermost(error),
+        other => other,
+    }
+}
+
+#[test]
+fn parent_format_trees_load_over_67_features_unless_they_split_on_a_host_slot() {
+    // Parent-format trees carry 70 features: three host slots once
+    // trailed Table 2's 67. They load over the 67 slots when no split
+    // reads a host slot...
+    let wise = Wise::from_json_str(PARENT_FORMAT).expect("parent-format model loads");
+    for i in 0..2 {
+        assert_eq!(wise.registry().tree(i).n_features(), N_FEATURES);
+    }
+    assert_eq!(wise.registry().read_set().slots().collect::<Vec<_>>(), [2]);
+    // ...and fail to decode when one does (68 held the prefetch distance).
+    let split_on_host = PARENT_FORMAT.replacen(r#""feature": 2,"#, r#""feature": 68,"#, 1);
+    assert_ne!(split_on_host, PARENT_FORMAT, "test must actually move the split");
+    let err = Wise::from_json_str(&split_on_host).expect_err("a host-slot split must not load");
+    assert!(matches!(innermost(&err), JsonError::Invalid(_)), "{err:?}");
+}
+
+#[test]
+fn model_configs_prepare_would_panic_on_are_rejected() {
+    let sellpack = r#"{"method": "SellPack", "schedule": "StCont", "c": 8, "sigma": 0, "t": 0.0}"#;
+    assert!(PARENT_FORMAT.contains(sellpack));
+    for bad in [
+        r#"{"method": "SellPack", "schedule": "StCont", "c": 0, "sigma": 0, "t": 0.0}"#,
+        r#"{"method": "SellPack", "schedule": "StCont", "c": 9, "sigma": 0, "t": 0.0}"#,
+        r#"{"method": "Lav", "schedule": "Dyn", "c": 8, "sigma": 0, "t": 1.5}"#,
+        r#"{"method": "Lav", "schedule": "Dyn", "c": 8, "sigma": 0, "t": null}"#,
+    ] {
+        let err = Wise::from_json_str(&PARENT_FORMAT.replacen(sellpack, bad, 1))
+            .expect_err("a config prepare would panic on must not load");
+        assert!(matches!(innermost(&err), JsonError::Invalid(_)), "{bad}: {err:?}");
+    }
+    // The bounds are inclusive: a LAV entry at T = 1 loads and prepares.
+    let lav = r#"{"method": "Lav", "schedule": "Dyn", "c": 8, "sigma": 0, "t": 1.0}"#;
+    let wise = Wise::from_json_str(&PARENT_FORMAT.replacen(sellpack, lav, 1)).expect("loads");
+    let m = RmatParams::LOW_LOC.generate(6, 4, 1);
+    assert!(wise.registry().catalog()[1].prepare(&m).nnz_padded() >= m.nnz());
 }
 
 #[test]

@@ -3,8 +3,9 @@
 //! contract (`wise_kernels::simd::SPMV_MAX_ULPS` /
 //! `SPMV_ABS_FLOOR`), across the full 29-configuration catalog, every
 //! scheduling policy, and several thread counts — and forcing the
-//! scalar path (`simd::set_active(SimdIsa::Scalar)`) must restore
-//! bit-exact agreement with the reference loop.
+//! scalar path (`SrvPack::with_simd(1)`, or
+//! `simd::set_active(SimdIsa::Scalar)`) must restore bit-exact
+//! agreement with the reference loop.
 //!
 //! Tests that touch the process-global active-ISA state serialize on a
 //! shared mutex and restore the previous value on drop, so the suite is
@@ -12,10 +13,10 @@
 
 use std::sync::{Mutex, MutexGuard};
 use wise_gen::{suite, RmatParams, SplitMix64};
-use wise_kernels::method::MethodConfig;
+use wise_kernels::method::{MethodConfig, Prepared, C_VALUES};
 use wise_kernels::simd::{self, SPMV_ABS_FLOOR, SPMV_MAX_ULPS};
 use wise_kernels::srvpack::SpmvWorkspace;
-use wise_kernels::{Schedule, SimdIsa};
+use wise_kernels::{Method, Schedule, SimdIsa, SrvPack};
 use wise_matrix::coo::DupPolicy;
 use wise_matrix::{Coo, Csr};
 
@@ -61,8 +62,13 @@ fn dense_x(ncols: usize, seed: u64) -> Vec<f64> {
     (0..ncols).map(|_| rng.range_f64(-2.0, 2.0)).collect()
 }
 
-fn run(cfg: &MethodConfig, m: &Csr, x: &[f64], nthreads: usize) -> Vec<f64> {
-    let prep = cfg.prepare(m);
+/// `cfg`'s SpMV of `x`, with a packed config's kernel forced to SIMD
+/// width `v` (0 = the pack's own pick; see `SrvPack::with_simd`).
+fn run(cfg: &MethodConfig, v: usize, m: &Csr, x: &[f64], nthreads: usize) -> Vec<f64> {
+    let prep = match cfg.prepare(m) {
+        Prepared::Pack(pack, schedule) => Prepared::Pack(Box::new(pack.with_simd(v)), schedule),
+        csr => csr,
+    };
     let mut ws = SpmvWorkspace::default();
     let mut y = vec![f64::NAN; m.nrows()];
     prep.spmv(x, &mut y, nthreads, &mut ws);
@@ -76,8 +82,8 @@ fn catalog_auto_simd_matches_scalar_oracle_within_ulp_bound() {
         let x = dense_x(m.ncols(), 0xC0FFEE);
         for cfg in MethodConfig::catalog() {
             for nthreads in [1usize, 2, 7] {
-                let want = run(&cfg.with_simd(1), &m, &x, nthreads);
-                let got = run(&cfg, &m, &x, nthreads);
+                let want = run(&cfg, 1, &m, &x, nthreads);
+                let got = run(&cfg, 0, &m, &x, nthreads);
                 let ctx = format!("{tag}: {} at {nthreads} threads", cfg.label());
                 simd::assert_ulp_close(&got, &want, SPMV_MAX_ULPS, SPMV_ABS_FLOOR, &ctx);
             }
@@ -91,9 +97,9 @@ fn explicit_widths_match_scalar_oracle_within_ulp_bound() {
     let m = RmatParams::HIGH_SKEW.generate(9, 8, 1);
     let x = dense_x(m.ncols(), 0xBEEF);
     for cfg in MethodConfig::catalog() {
-        let want = run(&cfg.with_simd(1), &m, &x, 2);
+        let want = run(&cfg, 1, &m, &x, 2);
         for v in [2usize, 4, 8] {
-            let got = run(&cfg.with_simd(v), &m, &x, 2);
+            let got = run(&cfg, v, &m, &x, 2);
             let ctx = format!("{} at v={v}", cfg.label());
             simd::assert_ulp_close(&got, &want, SPMV_MAX_ULPS, SPMV_ABS_FLOOR, &ctx);
         }
@@ -103,15 +109,15 @@ fn explicit_widths_match_scalar_oracle_within_ulp_bound() {
 #[test]
 fn forcing_scalar_isa_restores_bitwise_parity() {
     // The forced-scalar contract: with the active ISA pinned to Scalar,
-    // the default (v = 0) catalog is bit-for-bit the pre-SIMD repo.
+    // every pack's own pick is bit-for-bit the scalar loop.
     let _g = lock_active_isa();
     let _restore = RestoreIsa(simd::active());
     simd::set_active(SimdIsa::Scalar);
     for (tag, m) in zoo() {
         let x = dense_x(m.ncols(), 0xF00D);
         for cfg in MethodConfig::catalog() {
-            let want = run(&cfg.with_simd(1), &m, &x, 2);
-            let got = run(&cfg, &m, &x, 2);
+            let want = run(&cfg, 1, &m, &x, 2);
+            let got = run(&cfg, 0, &m, &x, 2);
             for (i, (g, w)) in got.iter().zip(&want).enumerate() {
                 assert_eq!(g.to_bits(), w.to_bits(), "{tag}: {} row {i}: {g} vs {w}", cfg.label());
             }
@@ -121,8 +127,9 @@ fn forcing_scalar_isa_restores_bitwise_parity() {
 
 #[test]
 fn pre_simd_labels_still_parse_and_new_ones_round_trip() {
-    // Labels written by earlier versions of the repo (no -v suffix)
-    // must keep parsing to v = 0 configs with unchanged labels.
+    // Labels written by earlier versions of the repo keep parsing to
+    // the same configs with unchanged labels; the SIMD-width tags
+    // (`-v{n}`) that no catalog entry ever carried are gone.
     let pre_simd = [
         "CSR-Dyn",
         "SELLPACK-c8-Dyn",
@@ -134,36 +141,42 @@ fn pre_simd_labels_still_parse_and_new_ones_round_trip() {
     for old in pre_simd {
         let cfg = MethodConfig::parse(old)
             .unwrap_or_else(|| panic!("pre-SIMD label {old} no longer parses"));
-        assert_eq!(cfg.v, 0, "{old}");
         assert_eq!(cfg.label(), old);
     }
-    // And every catalog entry round-trips at every explicit width.
-    for v in [0usize, 1, 2, 4, 8] {
-        for cfg in MethodConfig::catalog_with_simd(v) {
-            let label = cfg.label();
-            assert_eq!(MethodConfig::parse(&label), Some(cfg), "{label}");
-        }
+    // And every catalog entry round-trips.
+    for cfg in MethodConfig::catalog() {
+        let label = cfg.label();
+        assert_eq!(MethodConfig::parse(&label), Some(cfg), "{label}");
     }
-    assert_eq!(MethodConfig::parse("SELLPACK-c8-v8-Dyn").map(|c| c.v), Some(8));
-    // CSR has one kernel, so its labels carry no width.
-    assert_eq!(MethodConfig::parse("CSR-v8-Dyn"), None);
+    for tagged in ["SELLPACK-c8-v8-Dyn", "LAV-c8-T80-v4", "CSR-v8-Dyn"] {
+        assert_eq!(MethodConfig::parse(tagged), None, "{tagged}");
+    }
 }
 
 #[test]
-fn masked_chunk_heights_stay_within_ulp_contract() {
-    // Chunk heights outside {4, 8} resolve to the AVX-512 masked-lane
-    // kernel where the host supports it; its FMA rounds once where the
-    // scalar oracle rounds twice, so the contract here is ulp
-    // closeness, not bit equality.
+fn chunk_heights_vectorize_where_the_cost_model_prices_a_vector_kernel() {
+    // The cost model prices every packed config with one vector step
+    // per column step, and the catalog packs only c ∈ C_VALUES = {4, 8}:
+    // exactly the heights the pack runs a vector kernel for. Every
+    // other height runs the scalar loop, and all of them still match
+    // the reference SpMV under the ulp contract.
     let _g = lock_active_isa();
+    assert_eq!(C_VALUES, [4, 8]);
+    for cfg in MethodConfig::catalog().iter().filter(|c| c.method != Method::Csr) {
+        assert!(C_VALUES.contains(&cfg.c), "{}", cfg.label());
+    }
     for (tag, m) in zoo() {
         let x = dense_x(m.ncols(), 0xAB1E);
-        for c in [2usize, 3, 5, 6, 7] {
+        let mut want = vec![0.0; m.nrows()];
+        m.spmv_reference(&x, &mut want);
+        for c in 1..=8usize {
+            let pack = SrvPack::sell_c_sigma(&m, c, 1024);
+            let vector = if C_VALUES.contains(&c) { simd::active() } else { SimdIsa::Scalar };
+            assert_eq!(pack.resolved_isa(), vector, "{tag}: c={c}");
             let cfg = MethodConfig::sell_c_sigma(c, 1024, Schedule::Dyn);
             for nthreads in [1usize, 3] {
-                let want = run(&cfg.with_simd(1), &m, &x, nthreads);
-                let got = run(&cfg, &m, &x, nthreads);
-                let ctx = format!("{tag}: {} at {nthreads} threads (masked height)", cfg.label());
+                let got = run(&cfg, 0, &m, &x, nthreads);
+                let ctx = format!("{tag}: {} at {nthreads} threads", cfg.label());
                 simd::assert_ulp_close(&got, &want, SPMV_MAX_ULPS, SPMV_ABS_FLOOR, &ctx);
             }
         }
