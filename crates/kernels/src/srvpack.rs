@@ -923,6 +923,33 @@ mod tests {
     }
 
     #[test]
+    fn non_catalog_chunk_heights_resolve_masked_or_scalar() {
+        // No masked-lane kernel remains: every height outside {4, 8}
+        // resolves scalar, on every host and under any width request.
+        let m = RmatParams::MED_SKEW.generate(8, 6, 9);
+        for c in [1usize, 2, 3, 5, 6, 7] {
+            assert_eq!(SrvPack::sellpack(&m, c).resolved_isa(), SimdIsa::Scalar, "c={c}");
+            for v in [4usize, 8] {
+                assert_eq!(
+                    SrvPack::sellpack(&m, c).with_simd(v).resolved_isa(),
+                    SimdIsa::Scalar,
+                    "c={c} under a v={v} request"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn masked_chunk_heights_match_reference() {
+        // End-to-end SpMV at the heights the removed masked kernel once
+        // served: the scalar chunk loop must match the reference.
+        let m = RmatParams::MED_SKEW.generate(9, 8, 31);
+        for c in [2usize, 3, 5, 6, 7] {
+            assert_matches_reference(&m, &SrvPack::sell_c_sigma(&m, c, 64), 3, &format!("mc{c}"));
+        }
+    }
+
+    #[test]
     fn prefetch_and_interleave_never_change_results() {
         // An x past PREFETCH_MIN_X_BYTES engages the auto prefetch
         // (D = 8) on every vector level, and c = 8 on AVX-512 also

@@ -184,6 +184,29 @@ fn chunk_heights_vectorize_where_the_cost_model_prices_a_vector_kernel() {
 }
 
 #[test]
+fn masked_chunk_heights_stay_within_ulp_contract() {
+    // Chunk heights outside {4, 8} run the scalar chunk loop at every
+    // level, so the auto-resolved pack and one forced to scalar run the
+    // same code: within the ulp contract, and in fact bit for bit.
+    let _g = lock_active_isa();
+    for (tag, m) in zoo() {
+        let x = dense_x(m.ncols(), 0xAB1E);
+        for c in [2usize, 3, 5, 6, 7] {
+            let cfg = MethodConfig::sell_c_sigma(c, 1024, Schedule::Dyn);
+            for nthreads in [1usize, 3] {
+                let want = run(&cfg, 1, &m, &x, nthreads);
+                let got = run(&cfg, 0, &m, &x, nthreads);
+                let ctx =
+                    format!("{tag}: {} at {nthreads} threads (non-vector height)", cfg.label());
+                simd::assert_ulp_close(&got, &want, SPMV_MAX_ULPS, SPMV_ABS_FLOOR, &ctx);
+                let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{ctx}");
+            }
+        }
+    }
+}
+
+#[test]
 fn ledger_fingerprint_names_the_detected_kernel_level() {
     // `wise-trace` cannot depend on `wise-kernels`, so the ledger keeps
     // its own copy of the capability probe; the two must agree.
