@@ -18,11 +18,7 @@
 //! `--simd-floor <x>` (minimum scalar/vector speedup of the SIMD
 //! throughput stage; default 1.0 — the vector kernel must not lose.
 //! Hosts whose probe resolves to the scalar ISA gate on parity only).
-//! The p50 cascade-vs-full selection speedup on the stage-6 latency
-//! probe must reach `CASCADE_SPEEDUP_FLOOR` (1.0) — the fast path must not
-//! lose — unless the calibrated gate never accepts a probe matrix
-//! (skipped with a notice).
-//! Stage 7 records the cost of one traced span (ring event plus
+//! Stage 6 records the cost of one traced span (ring event plus
 //! streaming sketch) as `bench.trace.span_ns`, for trend tracking.
 //!
 //! Every figure is wall time: the suite reads no hardware counters.
@@ -54,9 +50,6 @@ use wise_trace::{BenchRecord, GatePolicy, HostFingerprint, ModelMetrics, Summary
 /// The suite seed is part of the contract, not a knob: changing it
 /// would silently start a new baseline.
 const SEED: u64 = 42;
-
-/// Minimum p50 cascade-vs-full selection speedup on the stage-6 probe.
-const CASCADE_SPEEDUP_FLOOR: f64 = 1.0;
 
 struct Args {
     quick: bool,
@@ -199,7 +192,7 @@ fn main() {
     outln!("== bench_regress: pinned suite (seed {SEED}, {mode} mode) ==");
 
     // ---- 1. Feature extraction on the fixed probes ------------------
-    report::progress("stage 1/7: feature extraction probes");
+    report::progress("stage 1/6: feature extraction probes");
     let probes = probe_matrices();
     let feature_config = FeatureConfig::default();
     for (name, m) in &probes {
@@ -209,7 +202,7 @@ fn main() {
     }
 
     // ---- 2. Registry fit on the pinned tiny corpus ------------------
-    report::progress("stage 2/7: label corpus + registry fit");
+    report::progress("stage 2/6: label corpus + registry fit");
     let scale = CorpusScale::tiny();
     let corpus = Corpus::full(&scale, SEED);
     let digest = corpus_digest(&probes, &corpus);
@@ -226,7 +219,7 @@ fn main() {
     let wise = Wise::from_labels(&labels, &opts);
 
     // ---- 3. SpMV catalog through the worker pool --------------------
-    report::progress("stage 3/7: SpMV catalog sweep");
+    report::progress("stage 3/6: SpMV catalog sweep");
     let (_, spmv_matrix) = &probes[0];
     let x: Vec<f64> = (0..spmv_matrix.ncols()).map(|i| (i as f64).sin()).collect();
     let mut y = vec![0.0; spmv_matrix.nrows()];
@@ -244,7 +237,7 @@ fn main() {
     // and the pack's own pick — the kernel selection actually executes,
     // with the auto prefetch and chunk-pair policies engaged wherever
     // they apply.
-    report::progress("stage 4/7: SIMD throughput probe (scalar / vector)");
+    report::progress("stage 4/6: SIMD throughput probe (scalar / vector)");
     let isa = wise_kernels::simd::active();
     let (_, simd_matrix) = &probes[3];
     let simd_cfg = MethodConfig::sell_c_sigma(8, 512, Schedule::StCont);
@@ -283,10 +276,18 @@ fn main() {
     ));
 
     // ---- 5. End-to-end selection + model quality --------------------
-    report::progress("stage 5/7: end-to-end select + CV evaluation");
+    report::progress("stage 5/6: end-to-end select + CV evaluation");
     let choice = wise.select(spmv_matrix);
     wise.run_spmv(spmv_matrix, &choice, &x, &mut y, nthreads);
     outln!("\n{}", explain_choice(wise.registry().catalog(), &choice));
+    // Selection latency on every probe matrix: enough `pipeline.select`
+    // samples for the gate's min-of-k.
+    let sel_iters = if args.quick { 3 } else { 10 };
+    for (_, m) in &probes {
+        for _ in 0..sel_iters {
+            black_box(wise.select(m));
+        }
+    }
     let folds = 5.min(labels.len());
     let eval = evaluate_cv(&labels, opts.tree_params, folds, SEED);
     let metrics = model_metrics(&eval);
@@ -299,73 +300,13 @@ fn main() {
         metrics.per_matrix_regret.len()
     );
 
-    // ---- 6. Selection-latency probe: cascade vs full ----------------
-    // The same trained instance selects every probe matrix twice — once
-    // through the calibrated cascade, once with the gate stripped (the
-    // exact pre-cascade pipeline) — under `bench.cascade.fast` /
-    // `bench.cascade.full` latency samples. Stage-1 answers then run a
-    // measured SpMV to feed the drift monitor's regret.
-    report::progress("stage 6/7: selection-latency probe (cascade vs full)");
-    let full_wise = wise.clone().with_cascade_gate(None);
-    let sel_iters = if args.quick { 3 } else { 10 };
-    let mut cascade_selects = 0u64;
-    let mut stage1_answers = 0u64;
-    for (name, m) in &probes {
-        let mut fast_choice = None;
-        for _ in 0..sel_iters {
-            let t0 = std::time::Instant::now();
-            let c = wise.select(m);
-            wise_trace::observe_ns("bench.cascade.fast", t0.elapsed().as_nanos() as u64);
-            cascade_selects += 1;
-            let stage = c.cascade.as_ref().map(|i| i.stage);
-            if stage == Some(wise_core::CascadeStage::Stage1) {
-                stage1_answers += 1;
-                fast_choice = Some(c);
-            }
-            let t1 = std::time::Instant::now();
-            let full = full_wise.select(m);
-            wise_trace::observe_ns("bench.cascade.full", t1.elapsed().as_nanos() as u64);
-            black_box(&full);
-        }
-        // Close the loop: measure the fast-path pick and record its
-        // regret against the stage-1 roofline prediction.
-        if let Some(c) = fast_choice {
-            let prep = wise.prepare(m, &c);
-            let xc: Vec<f64> = (0..m.ncols()).map(|i| (i as f64).sin()).collect();
-            let mut yc = vec![0.0; m.nrows()];
-            prep.spmv(&xc, &mut yc, 1, &mut ws); // warm caches + dispatch
-            let t = std::time::Instant::now();
-            for _ in 0..spmv_iters {
-                prep.spmv(&xc, &mut yc, 1, &mut ws);
-            }
-            let per_iter = t.elapsed().as_secs_f64() / spmv_iters as f64;
-            wise_core::observe_execution(&c, per_iter);
-            black_box(&yc);
-            report::progress(format_args!("cascade stage-1 answered {name}"));
-        }
-    }
-    let fallthrough_rate = 1.0 - stage1_answers as f64 / cascade_selects.max(1) as f64;
-    report::progress(format_args!(
-        "cascade: {stage1_answers}/{cascade_selects} stage-1 answers \
-         (fallthrough rate {fallthrough_rate:.2})"
-    ));
-    let drift = wise_trace::telemetry::drift_gauge();
-    if drift.observed > 0 {
-        outln!(
-            "drift monitor: {} (regret EWMA {:.3}x measured/predicted, {} observed executions)",
-            drift.status.label(),
-            drift.regret_permille as f64 / 1000.0,
-            drift.observed
-        );
-    }
-
-    // ---- 7. Span-cost probe -----------------------------------------
+    // ---- 6. Span-cost probe -----------------------------------------
     // Times a hot span loop: each traced span appends two ring events
     // and feeds its thread's streaming sketch. The per-span cost lands
     // in the ledger as a trend. The suite's events are drained *first*
     // so the probe's ring traffic (discarded below) cannot overflow the
-    // ring and drop stage 1-6 samples out of the summary.
-    report::progress("stage 7/7: span-cost probe (ring + streaming sketch)");
+    // ring and drop stage 1-5 samples out of the summary.
+    report::progress("stage 6/6: span-cost probe (ring + streaming sketch)");
     let events = wise_trace::take_events();
     let span_iters: u32 = if args.quick { 20_000 } else { 50_000 };
     let time_spans = |iters: u32| -> f64 {
@@ -429,25 +370,7 @@ fn main() {
             args.simd_floor
         );
     }
-    // Cascade selection latency: p50-over-p50 fast-vs-full speedup and
-    // the fallthrough rate, recorded for trend tracking (older records
-    // simply lack the fields).
-    let cascade_speedup = match (
-        summary.stages.get("bench.cascade.full").map(|s| s.p50_ns),
-        summary.stages.get("bench.cascade.fast").map(|s| s.p50_ns),
-    ) {
-        (Some(full), Some(fast)) if fast > 0 => Some(full as f64 / fast as f64),
-        _ => None,
-    };
-    record.throughput.insert("select.cascade.fallthrough_rate".to_string(), fallthrough_rate);
     record.throughput.insert("bench.trace.span_ns".to_string(), span_ns);
-    if let Some(sp) = cascade_speedup {
-        record.throughput.insert("bench.cascade.speedup".to_string(), sp);
-        outln!(
-            "cascade: selection p50 speedup {sp:.2}x over the full pipeline, \
-             fallthrough rate {fallthrough_rate:.2} (floor {CASCADE_SPEEDUP_FLOOR:.2}x)"
-        );
-    }
 
     match ledger::write_record(dir, &record) {
         Ok(path) => report::artifact(path.display()),
@@ -487,24 +410,6 @@ fn main() {
         }
     } else {
         outln!("simd: scalar-fallback host; gated on parity only");
-    }
-
-    // ---- Cascade selection-latency floor ----------------------------
-    // Only meaningful when the calibrated gate actually accepted at
-    // least one probe selection: an always-fallthrough cascade pays the
-    // probe on top of full extraction by design, and gating that would
-    // only punish conservative calibrations.
-    if stage1_answers > 0 {
-        let sp = cascade_speedup.unwrap_or(0.0);
-        if sp < CASCADE_SPEEDUP_FLOOR {
-            eprintln!(
-                "bench_regress: cascade floor violated — fast-path selection {sp:.2}x vs \
-                 full (floor {CASCADE_SPEEDUP_FLOOR:.2}x)"
-            );
-            std::process::exit(1);
-        }
-    } else {
-        outln!("cascade: gate accepted no probe selections; floor gate skipped");
     }
 
     outln!("bench_regress: gate passed (BENCH_{seq}.json recorded)");

@@ -4,7 +4,7 @@
 //! ([`wise_trace::telemetry::start_snapshot_thread`], enabled with
 //! `WISE_SNAPSHOT=<path>`) and renders a `top`-style text view: the
 //! hottest stages by total time with their streaming-sketch quantiles,
-//! the prediction-drift status, and the flight-recorder aggregates.
+//! and the flight-recorder aggregates.
 //!
 //! Usage: `wise_top [<snapshot path>] [--watch <secs>]`
 //!
@@ -86,15 +86,6 @@ fn render(snap: &Snapshot) -> String {
     use std::fmt::Write as _;
     let mut out = String::with_capacity(2048);
     let _ = writeln!(out, "wise-top — uptime {:.1}s", snap.ts_ns as f64 / 1e9);
-    let d = &snap.drift;
-    let _ = writeln!(
-        out,
-        "drift   {}  regret {:.2}x  fallthrough {:.1}%  ({} observed)",
-        d.status.label(),
-        d.regret_permille as f64 / 1000.0,
-        d.fallthrough_permille as f64 / 10.0,
-        d.observed,
-    );
     let f = &snap.flight;
     let threshold = f.threshold_ns.map_or("unarmed".to_string(), |t| fmt_ns(t).trim().to_string());
     let _ = writeln!(

@@ -8,50 +8,10 @@
 //! walk with feature names resolved through
 //! [`wise_features::FeatureVector::names`].
 
-use crate::cascade::{CascadeInfo, CascadeStage, FallthroughReason};
 use crate::pipeline::Choice;
 use std::fmt::Write as _;
 use wise_features::FeatureVector;
 use wise_kernels::method::MethodConfig;
-
-/// One line of cascade provenance: which stage answered and why.
-fn render_cascade(out: &mut String, info: &CascadeInfo) {
-    let threshold = match info.threshold {
-        Some(t) => format!("{t:.3}"),
-        None => "none".to_string(),
-    };
-    match info.stage {
-        CascadeStage::Stage1 => {
-            let margin = if info.margin == f64::MAX {
-                "exact (all heads reached leaves)".to_string()
-            } else {
-                format!("{:.3}", info.margin)
-            };
-            let _ = writeln!(
-                out,
-                "cascade: answered by the stage-1 fast path (margin {margin} >= threshold \
-                 {threshold})"
-            );
-            if let Some(p) = info.predicted_seconds {
-                let _ = writeln!(out, "cascade: roofline-predicted runtime ~{p:.3e} s/iteration");
-            }
-        }
-        CascadeStage::Stage2 => {
-            let reason = match info.fallthrough {
-                Some(FallthroughReason::NoThreshold) => "no calibrated threshold",
-                Some(FallthroughReason::LowMargin) => "stage-1 margin below threshold",
-                Some(FallthroughReason::EstimatorVeto) => "roofline estimator veto",
-                None => "unrecorded reason",
-            };
-            let _ = writeln!(
-                out,
-                "cascade: fell through to the full pipeline ({reason}; margin {:.3}, threshold \
-                 {threshold})",
-                info.margin
-            );
-        }
-    }
-}
 
 /// Renders the "why this method won" section for a selection over
 /// `catalog` (the catalog the producing registry was trained on;
@@ -70,9 +30,6 @@ pub fn explain_choice(catalog: &[MethodConfig], choice: &Choice) -> String {
         choice.config.label(),
         winner_class.representative_speedup()
     );
-    if let Some(info) = &choice.cascade {
-        render_cascade(&mut out, info);
-    }
 
     // Who else predicted the same class, and why they lost: the
     // selection heuristic breaks class ties toward cheaper
@@ -133,44 +90,6 @@ mod tests {
         assert!(text.contains("leaf: class"), "{text}");
         // Real feature names appear, not f<i> fallbacks.
         assert!(!text.contains("f0 ="), "{text}");
-    }
-
-    #[test]
-    fn cascade_provenance_is_rendered() {
-        use crate::cascade::{CascadeGate, CascadeStage, FallthroughReason};
-        let scale = CorpusScale::tiny();
-        let corpus = Corpus::random(&scale, 11);
-        let gate = CascadeGate {
-            threshold: Some(0.0),
-            machine: None,
-            calibration_p_ratio: 1.0,
-            full_p_ratio: 1.0,
-            calibration_accept_rate: 1.0,
-        };
-        let wise =
-            Wise::train(&corpus, &TrainOptions::for_scale(&scale)).with_cascade_gate(Some(gate));
-        let m = wise_gen::RmatParams::HIGH_SKEW.generate(9, 16, 77);
-        let choice = wise.select(&m);
-        let info = choice.cascade.as_ref().expect("forced-accept gate answers in stage 1");
-        assert_eq!(info.stage, CascadeStage::Stage1);
-        let text = explain_choice(wise.registry().catalog(), &choice);
-        assert!(text.contains("cascade: answered by the stage-1 fast path"), "{text}");
-
-        // And a fallthrough explains why it declined.
-        let gate = CascadeGate {
-            threshold: None,
-            machine: None,
-            calibration_p_ratio: 1.0,
-            full_p_ratio: 1.0,
-            calibration_accept_rate: 1.0,
-        };
-        let wise = wise.with_cascade_gate(Some(gate));
-        let through = wise.select(&m);
-        let info = through.cascade.as_ref().unwrap();
-        assert_eq!(info.fallthrough, Some(FallthroughReason::NoThreshold));
-        let text = explain_choice(wise.registry().catalog(), &through);
-        assert!(text.contains("cascade: fell through"), "{text}");
-        assert!(text.contains("no calibrated threshold"), "{text}");
     }
 
     #[test]

@@ -16,11 +16,9 @@
 //! 4. converts the matrix to the chosen format and runs SpMV
 //!    ([`pipeline::Wise`]).
 //!
-//! Selection itself is cascaded ([`cascade`]): a single O(nnz) feature
-//! probe plus partial tree walks answer "easy" matrices in microseconds
-//! when a calibrated confidence gate accepts, and fall through to the
-//! full pipeline (steps 1–3 above, bit-identical) otherwise. A
-//! [`Wise`] built `with_cascade_gate(None)` never takes the fast path.
+//! Selection extracts only the feature groups some tree reads
+//! ([`registry::ModelRegistry::read_set`]), so its cost follows the
+//! trained model rather than the full Table 2 sweep.
 //!
 //! # Quick start
 //!
@@ -43,7 +41,6 @@
 
 pub mod cascade;
 pub mod classes;
-pub mod drift;
 pub mod evaluate;
 pub mod explain;
 pub mod labels;
@@ -51,9 +48,7 @@ pub mod pipeline;
 pub mod registry;
 pub mod select;
 
-pub use cascade::{CascadeGate, CascadeInfo, CascadeStage, FallthroughReason};
 pub use classes::SpeedupClass;
-pub use drift::observe_execution;
 pub use evaluate::{evaluate_cv, CvEvaluation, EvalOutcome};
 pub use explain::explain_choice;
 pub use labels::{label_corpus, CorpusLabels, MatrixLabels};

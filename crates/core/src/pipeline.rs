@@ -2,14 +2,14 @@
 //! per-configuration class prediction → method selection → format
 //! conversion → SpMV.
 
-use crate::cascade::{self, CascadeGate, CascadeInfo, CascadeStage, FallthroughReason};
+use crate::cascade::CascadeInfo;
 use crate::classes::SpeedupClass;
 use crate::labels::{label_corpus, CorpusLabels};
 use crate::registry::ModelRegistry;
 use crate::select::{select_index, select_index_amortized};
 use std::path::Path;
 use std::time::Instant;
-use wise_features::{FeatureConfig, FeatureVector, ProbeFeatures};
+use wise_features::{FeatureConfig, FeatureVector};
 use wise_gen::{Corpus, CorpusScale};
 use wise_kernels::method::{MethodConfig, Prepared};
 use wise_kernels::srvpack::SpmvWorkspace;
@@ -79,14 +79,10 @@ pub struct Choice {
     pub index: usize,
     /// Predicted class per catalog configuration.
     pub predictions: Vec<SpeedupClass>,
-    /// Features extracted for the prediction. Only slots that were
-    /// computed carry values; every other slot holds 0.0:
-    /// - full-pipeline choices ([`Wise::select`] without the cascade or
-    ///   on a stage-2 fallthrough) carry all 70 features;
-    /// - cascade stage-1 choices carry the probe-known slots;
-    /// - amortized choices ([`Wise::select_for_iterations`]) carry the
-    ///   slots some tree reads ([`ModelRegistry::read_set`]);
-    /// - `*_from_features` choices carry the caller's vector.
+    /// Features extracted for the prediction. [`Wise::select`] and
+    /// [`Wise::select_for_iterations`] compute the slots some tree
+    /// reads ([`ModelRegistry::read_set`]) and hold 0.0 in every other
+    /// slot; `*_from_features` choices carry the caller's vector.
     pub features: FeatureVector,
     /// Per-stage timing breakdown of this selection.
     pub timing: ChoiceTiming,
@@ -94,9 +90,7 @@ pub struct Choice {
     /// order — `decision_paths[index]` explains the winning prediction
     /// (see [`crate::explain::explain_choice`]).
     pub decision_paths: Vec<wise_ml::DecisionPath>,
-    /// Cascade provenance: which stage answered, the stage-1 margin,
-    /// and (on fallthrough) why. `None` when the cascade was off or
-    /// the model carries no gate.
+    /// Always `None`: selection has no cascade (see [`crate::cascade`]).
     pub cascade: Option<CascadeInfo>,
     /// Flight-recorder request id of the selection that produced this
     /// choice (see [`wise_trace::telemetry`]), for correlating the
@@ -107,9 +101,8 @@ pub struct Choice {
 
 /// One flight-recorder request: allocates the id, scopes it onto the
 /// calling thread (the worker pool forwards it to kernel workers), and
-/// on [`Self::finish`] records the completed request — latency, method,
-/// cascade stage, margin and roofline prediction — into
-/// [`wise_trace::telemetry`].
+/// on [`Self::finish`] records the completed request — latency and
+/// method — into [`wise_trace::telemetry`].
 struct FlightRequest {
     id: u64,
     start_ns: u64,
@@ -136,9 +129,6 @@ impl FlightRequest {
             start_ns: self.start_ns,
             latency_ns: wise_trace::span::now_ns().saturating_sub(self.start_ns),
             method: choice.config.label(),
-            stage: choice.stage_label(),
-            margin: choice.cascade.map(|info| info.margin),
-            predicted_s: choice.cascade.and_then(|info| info.predicted_seconds),
             measured_s: None,
         });
     }
@@ -191,16 +181,6 @@ impl Choice {
     pub fn winning_path(&self) -> Option<&wise_ml::DecisionPath> {
         self.decision_paths.get(self.index)
     }
-
-    /// The flight recorder's stage label: `"stage1"` or `"stage2"` when
-    /// the cascade ran, `"full"` otherwise.
-    pub(crate) fn stage_label(&self) -> &'static str {
-        match self.cascade.map(|info| info.stage) {
-            Some(CascadeStage::Stage1) => "stage1",
-            Some(CascadeStage::Stage2) => "stage2",
-            None => "full",
-        }
-    }
 }
 
 /// A trained WISE instance.
@@ -208,19 +188,11 @@ impl Choice {
 pub struct Wise {
     registry: ModelRegistry,
     feature_config: FeatureConfig,
-    /// The stage-1 confidence gate of the selection cascade,
-    /// calibrated at training time (see [`crate::cascade`]). Absent in
-    /// models saved before the cascade existed — they load fine and
-    /// simply always run the full pipeline.
-    cascade_gate: Option<CascadeGate>,
 }
 
-wise_trace::json_struct!(Wise {
-    registry,
-    feature_config,
-    #[omit_none]
-    cascade_gate
-});
+// Model files saved while selection was cascaded also carry a
+// `cascade_gate` member; decoding ignores it.
+wise_trace::json_struct!(Wise { registry, feature_config });
 
 impl Wise {
     /// Labels `corpus` with `opts.estimator`, then trains the 29
@@ -231,19 +203,15 @@ impl Wise {
         Self::from_labels(&labels, opts)
     }
 
-    /// Trains from pre-computed labels and calibrates the selection
-    /// cascade's confidence gate on the same labels.
+    /// Trains the 29 models from pre-computed labels.
     pub fn from_labels(labels: &CorpusLabels, opts: &TrainOptions) -> Wise {
-        let registry = ModelRegistry::train(labels, opts.tree_params);
-        let gate = cascade::calibrate_gate(&registry, labels, &opts.estimator);
-        Wise { registry, feature_config: opts.feature_config, cascade_gate: Some(gate) }
+        Self::from_registry(ModelRegistry::train(labels, opts.tree_params), opts.feature_config)
     }
 
-    /// Wraps an existing registry. No training labels are available
-    /// here, so the cascade gate is absent and selections always run
-    /// the full pipeline.
+    /// Wraps an existing registry; it selects exactly as a freshly
+    /// trained one does.
     pub fn from_registry(registry: ModelRegistry, feature_config: FeatureConfig) -> Wise {
-        Wise { registry, feature_config, cascade_gate: None }
+        Wise { registry, feature_config }
     }
 
     pub fn registry(&self) -> &ModelRegistry {
@@ -254,77 +222,32 @@ impl Wise {
         &self.feature_config
     }
 
-    /// The calibrated cascade gate, if this instance carries one.
-    pub fn cascade_gate(&self) -> Option<&CascadeGate> {
-        self.cascade_gate.as_ref()
-    }
-
-    /// Replaces the cascade gate (tests, experiments; `None` disables
-    /// the fast path for this instance).
-    pub fn with_cascade_gate(mut self, gate: Option<CascadeGate>) -> Wise {
-        self.cascade_gate = gate;
-        self
-    }
-
     /// Runs steps 1–3 of Figure 8: extract features, predict classes,
     /// select the best configuration.
     ///
-    /// When this instance carries a calibrated cascade gate, selection
-    /// is cascaded: a stage-1 O(nnz) probe + partial tree vote answers
-    /// immediately when its margin clears the gate (microseconds
-    /// instead of the full extraction), falling through to the full
-    /// pipeline otherwise — bit-identical to the non-cascaded result
-    /// modulo the [`Choice::cascade`] provenance field.
+    /// Extraction computes only the feature groups covering
+    /// [`ModelRegistry::read_set`], so the returned [`Choice::features`]
+    /// holds 0.0 in every slot no tree reads. Index, predictions and
+    /// decision paths equal [`Wise::select_from_features`] on the full
+    /// vector.
     pub fn select(&self, m: &Csr) -> Choice {
         let _span = wise_trace::span("pipeline.select");
-        one_request(|| self.select_cascaded(m))
+        one_request(|| {
+            let (features, extract_s) = self.extract_read_set(m);
+            self.predict_and_pick(features, extract_s, select_index)
+        })
     }
 
-    /// [`Wise::select`] inside its request: cascade dispatch, then on a
-    /// fallthrough (or without a gate) the full selection. The full
-    /// selection extracts every feature group. It does not narrow
-    /// extraction to the registry's read set: on registries whose trees
-    /// read only probe features, the lean extraction would cost less
-    /// than the stage-1 probe meant to skip it (see `DESIGN.md` §9).
-    fn select_cascaded(&self, m: &Csr) -> Choice {
-        let mut cascade = None;
-        if let Some(gate) = &self.cascade_gate {
-            match self.select_stage_one(m, gate) {
-                Ok(choice) => {
-                    wise_trace::counter("select.cascade.stage1", 1);
-                    return choice;
-                }
-                Err((margin, reason)) => {
-                    wise_trace::counter("select.cascade.stage2", 1);
-                    wise_trace::counter(
-                        match reason {
-                            FallthroughReason::NoThreshold => {
-                                "select.cascade.fallthrough.no_threshold"
-                            }
-                            FallthroughReason::LowMargin => "select.cascade.fallthrough.low_margin",
-                            FallthroughReason::EstimatorVeto => "select.cascade.fallthrough.veto",
-                        },
-                        1,
-                    );
-                    cascade = Some(CascadeInfo {
-                        stage: CascadeStage::Stage2,
-                        margin,
-                        threshold: gate.threshold,
-                        fallthrough: Some(reason),
-                        predicted_seconds: None,
-                    });
-                }
-            }
-        }
-        let _s2 = cascade.map(|_| wise_trace::span("select.cascade.stage2"));
-        let (features, extract_s) = timed(|| FeatureVector::extract(m, &self.feature_config));
-        Choice { cascade, ..self.predict_and_pick(features, extract_s, select_index) }
+    /// The features some tree reads, and the seconds extracting them.
+    fn extract_read_set(&self, m: &Csr) -> (FeatureVector, f64) {
+        let read_set = self.registry.read_set();
+        timed(|| FeatureVector::extract_subset(m, &self.feature_config, read_set))
     }
 
     /// Predict → pick → [`ChoiceTiming`] → [`Choice`]: the body of every
-    /// selection stage 1 does not answer. `pick` turns the predicted
-    /// classes into a catalog index ([`select_index`] or [`amortized`]);
-    /// it runs inside the `select.pick` span and its time is `select_s`.
+    /// selection. `pick` turns the predicted classes into a catalog
+    /// index ([`select_index`] or [`amortized`]); it runs inside the
+    /// `select.pick` span and its time is `select_s`.
     fn predict_and_pick(
         &self,
         features: FeatureVector,
@@ -352,67 +275,6 @@ impl Wise {
         }
     }
 
-    /// Stage 1 of the cascade: probe, partial vote, gate, roofline
-    /// veto. `Err` carries the margin and the fallthrough reason.
-    fn select_stage_one(
-        &self,
-        m: &Csr,
-        gate: &CascadeGate,
-    ) -> Result<Choice, (f64, FallthroughReason)> {
-        let _s1 = wise_trace::span("select.cascade.stage1");
-        let t0 = Instant::now();
-        let probe = ProbeFeatures::extract(m);
-        let known = probe.known_values();
-        let probe_s = t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        let (vote, paths) = cascade::stage_one_vote(&self.registry, &known);
-        let predict_s = t1.elapsed().as_secs_f64();
-        let Some(threshold) = gate.threshold else {
-            return Err((vote.margin, FallthroughReason::NoThreshold));
-        };
-        if vote.margin < threshold {
-            return Err((vote.margin, FallthroughReason::LowMargin));
-        }
-        let t2 = Instant::now();
-        let winner = vote.predictions[vote.index];
-        let mut predicted_seconds = None;
-        if let Some(machine) = &gate.machine {
-            let est = Estimator::Model { machine: machine.clone(), sample_shift: None };
-            if let Some(bounds) = est.quick_bounds(&probe) {
-                if winner.representative_speedup() > bounds.max_plausible_speedup {
-                    return Err((vote.margin, FallthroughReason::EstimatorVeto));
-                }
-                predicted_seconds =
-                    Some(bounds.csr_seconds * winner.representative_relative_time());
-            }
-        }
-        // A stage-1 Choice carries the probe-known feature slots with
-        // zeros elsewhere — a documented partial vector (NaN would not
-        // survive JSON round-trips).
-        let values: Vec<f64> = known.iter().map(|v| v.unwrap_or(0.0)).collect();
-        let timing = ChoiceTiming {
-            feature_extraction_s: probe_s,
-            predict_s,
-            select_s: t2.elapsed().as_secs_f64(),
-        };
-        Ok(Choice {
-            config: self.registry.catalog()[vote.index],
-            index: vote.index,
-            predictions: vote.predictions,
-            features: FeatureVector::from_values(values),
-            timing,
-            decision_paths: paths,
-            cascade: Some(CascadeInfo {
-                stage: CascadeStage::Stage1,
-                margin: vote.margin,
-                threshold: Some(threshold),
-                fallthrough: None,
-                predicted_seconds,
-            }),
-            request_id: 0,
-        })
-    }
-
     /// Selection from pre-extracted features (used when the caller
     /// already paid for extraction).
     pub fn select_from_features(&self, features: FeatureVector) -> Choice {
@@ -438,9 +300,7 @@ impl Wise {
     ) -> Choice {
         let _span = wise_trace::span("pipeline.select");
         one_request(|| {
-            let read_set = self.registry.read_set();
-            let (features, extract_s) =
-                timed(|| FeatureVector::extract_subset(m, &self.feature_config, read_set));
+            let (features, extract_s) = self.extract_read_set(m);
             self.predict_and_pick(features, extract_s, amortized(m, estimator, n_iterations))
         })
     }
@@ -450,11 +310,9 @@ impl Wise {
     /// matrix) reuse the vector instead of paying extraction twice.
     /// Only the slots in [`ModelRegistry::read_set`] are read; the rest
     /// may hold anything (0.0 by convention, see [`Choice::features`]).
-    /// A full-pipeline or amortized `choice.features` can be moved
-    /// straight in; a cascade *stage-1* choice carries only the probe
-    /// slots, which need not cover the read set — check
-    /// [`Choice::cascade`] first. A matrix without nonzeros has nothing
-    /// to multiply and gets the cheapest config to prepare (CSR).
+    /// Any selected `choice.features` can be moved straight in. A matrix
+    /// without nonzeros has nothing to multiply and gets the cheapest
+    /// config to prepare (CSR).
     pub fn select_for_iterations_from_features(
         &self,
         m: &Csr,
@@ -588,155 +446,6 @@ mod tests {
 }
 
 #[cfg(test)]
-mod cascade_pipeline_tests {
-    use super::*;
-    use crate::cascade::P_RATIO_REL_FLOOR;
-
-    fn trained() -> Wise {
-        let scale = CorpusScale::tiny();
-        let corpus = Corpus::random(&scale, 11);
-        Wise::train(&corpus, &TrainOptions::for_scale(&scale))
-    }
-
-    fn forced_gate(threshold: Option<f64>) -> CascadeGate {
-        CascadeGate {
-            threshold,
-            machine: None,
-            calibration_p_ratio: 1.0,
-            full_p_ratio: 1.0,
-            calibration_accept_rate: 1.0,
-        }
-    }
-
-    #[test]
-    fn trained_instance_carries_a_calibrated_gate() {
-        let wise = trained();
-        let gate = wise.cascade_gate().expect("training calibrates a gate");
-        assert!(gate.full_p_ratio > 0.0 && gate.full_p_ratio <= 1.0 + 1e-9);
-        // The calibration contract: the induced training-set cascade
-        // P-ratio honors the floor (trivially so when threshold=None).
-        assert!(
-            gate.calibration_p_ratio >= P_RATIO_REL_FLOOR * gate.full_p_ratio - 1e-9,
-            "cascade P {} vs full P {}",
-            gate.calibration_p_ratio,
-            gate.full_p_ratio
-        );
-        assert!((0.0..=1.0).contains(&gate.calibration_accept_rate));
-        // Model-backend training embeds the machine for the veto.
-        assert!(gate.machine.is_some());
-    }
-
-    #[test]
-    fn forced_accept_gate_answers_in_stage_one() {
-        let wise = trained().with_cascade_gate(Some(forced_gate(Some(0.0))));
-        let m = wise_gen::RmatParams::HIGH_SKEW.generate(9, 16, 77);
-        let choice = wise.select(&m);
-        let info = choice.cascade.expect("cascade provenance present");
-        assert_eq!(info.stage, CascadeStage::Stage1);
-        assert!(info.margin >= 0.0);
-        assert!(info.fallthrough.is_none());
-        assert_eq!(choice.predictions.len(), 29);
-        // Stage-1 choices stay auditable: per-head partial paths align
-        // with the votes.
-        assert_eq!(choice.decision_paths.len(), 29);
-        for (pred, path) in choice.predictions.iter().zip(&choice.decision_paths) {
-            assert_eq!(pred.index(), path.leaf_class);
-        }
-        assert!(choice.timing.feature_extraction_s > 0.0);
-    }
-
-    #[test]
-    fn no_threshold_gate_falls_through_identically() {
-        let wise = trained().with_cascade_gate(Some(forced_gate(None)));
-        let m = wise_gen::RmatParams::MED_SKEW.generate(9, 8, 13);
-        let through = wise.select(&m);
-        let info = through.cascade.expect("fallthrough still records provenance");
-        assert_eq!(info.stage, CascadeStage::Stage2);
-        assert_eq!(info.fallthrough, Some(FallthroughReason::NoThreshold));
-        // Modulo the cascade field (and timing), the fallthrough Choice
-        // is the full pipeline's.
-        let full = wise.select_from_features(FeatureVector::extract(&m, wise.feature_config()));
-        assert_eq!(through.index, full.index);
-        assert_eq!(through.config.label(), full.config.label());
-        assert_eq!(through.predictions, full.predictions);
-        assert_eq!(through.features, full.features);
-        assert_eq!(through.decision_paths, full.decision_paths);
-    }
-
-    #[test]
-    fn all_leaves_stage_one_matches_full_selection_exactly() {
-        // Whenever every partial walk reaches a leaf (margin == MAX),
-        // the stage-1 answer provably equals the full pipeline's.
-        let wise = trained().with_cascade_gate(Some(forced_gate(Some(0.0))));
-        let mut saw_exact = false;
-        for (params, seed) in [
-            (wise_gen::RmatParams::HIGH_SKEW, 7u64),
-            (wise_gen::RmatParams::LOW_LOC, 5),
-            (wise_gen::RmatParams::MED_SKEW, 3),
-            (wise_gen::RmatParams::LOW_SKEW, 9),
-        ] {
-            let m = params.generate(9, 8, seed);
-            let choice = wise.select(&m);
-            let info = choice.cascade.unwrap();
-            if info.stage == CascadeStage::Stage1 && info.margin == f64::MAX {
-                saw_exact = true;
-                let full =
-                    wise.select_from_features(FeatureVector::extract(&m, wise.feature_config()));
-                assert_eq!(choice.index, full.index);
-                assert_eq!(choice.predictions, full.predictions);
-            }
-        }
-        // Not guaranteed for every corpus, but this seed/zoo combination
-        // exercises at least one exact fast-path answer; if the trees
-        // stop splitting on probe features the assertion below flags it.
-        assert!(saw_exact, "no all-leaves stage-1 answer in the zoo");
-    }
-
-    #[test]
-    fn gateless_choice_carries_no_cascade_info() {
-        let wise = trained().with_cascade_gate(None);
-        let m = wise_gen::RmatParams::LOW_LOC.generate(8, 4, 5);
-        assert!(wise.select(&m).cascade.is_none());
-    }
-
-    #[test]
-    fn pre_cascade_wise_json_loads_without_gate() {
-        let wise = trained();
-        assert!(wise.to_json().contains("\"cascade_gate\""));
-        let json = wise.with_cascade_gate(None).to_json();
-        assert!(!json.contains("cascade_gate"), "a gateless model omits the key");
-        let old = Wise::from_json_str(&json).unwrap();
-        assert!(old.cascade_gate().is_none());
-        // A gateless instance selects through the full pipeline.
-        let m = wise_gen::RmatParams::LOW_LOC.generate(8, 4, 5);
-        let choice = old.select(&m);
-        assert!(choice.cascade.is_none());
-        assert_eq!(choice.predictions.len(), 29);
-    }
-
-    #[test]
-    fn stage_one_records_roofline_prediction_with_machine() {
-        let wise = trained();
-        let machine = wise.cascade_gate().unwrap().machine.clone();
-        assert!(machine.is_some());
-        let gate = CascadeGate { machine, ..forced_gate(Some(0.0)) };
-        let wise = wise.with_cascade_gate(Some(gate));
-        let m = wise_gen::RmatParams::MED_LOC.generate(9, 8, 21);
-        let choice = wise.select(&m);
-        let info = choice.cascade.unwrap();
-        match info.stage {
-            CascadeStage::Stage1 => {
-                let p = info.predicted_seconds.expect("veto machine implies a prediction");
-                assert!(p > 0.0 && p.is_finite());
-            }
-            CascadeStage::Stage2 => {
-                assert_eq!(info.fallthrough, Some(FallthroughReason::EstimatorVeto));
-            }
-        }
-    }
-}
-
-#[cfg(test)]
 mod amortized_pipeline_tests {
     use super::*;
     use wise_perf::Estimator;
@@ -757,9 +466,8 @@ mod amortized_pipeline_tests {
         // One iteration can never justify conversion: CSR family.
         assert_eq!(one.config.method, wise_kernels::Method::Csr, "{}", one.config.label());
         // The asymptotic choice matches the plain (pure-speed) selection
-        // tier. Pin the full pipeline (not the cascade fast path) by
-        // selecting from pre-extracted features — also exercising the
-        // feature-reuse entry point.
+        // tier. Select from pre-extracted features, which also exercises
+        // the feature-reuse entry point.
         let features = FeatureVector::extract(&m, wise.feature_config());
         let plain = wise.select_from_features(features.clone());
         // Reusing features through the amortized path reproduces the

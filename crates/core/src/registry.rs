@@ -132,18 +132,6 @@ impl ModelRegistry {
         (predictions, paths)
     }
 
-    /// Partial prediction of every head over an incompletely-known
-    /// feature row (catalog order), plus each head's partial walk so
-    /// stage-1 selections stay as auditable as full ones. Each tree
-    /// walks until its first split on an unknown (`None`) feature; see
-    /// [`wise_ml::DecisionTree::predict_partial_explained`].
-    pub fn predict_partial_explained(
-        &self,
-        known: &[Option<f64>],
-    ) -> (Vec<wise_ml::PartialPrediction>, Vec<wise_ml::DecisionPath>) {
-        self.trees.iter().map(|t| t.predict_partial_explained(known)).unzip()
-    }
-
     /// Serializes to JSON at `path`.
     pub fn save(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
         std::fs::write(path, self.to_json())
@@ -238,46 +226,6 @@ mod tests {
             for (p, path) in preds.iter().zip(&paths) {
                 assert_eq!(p.index(), path.leaf_class);
                 assert!(path.leaf_samples > 0, "leaf must carry training support");
-            }
-        }
-    }
-
-    #[test]
-    fn predict_partial_with_full_knowledge_matches_predict() {
-        let labels = labeled();
-        let reg = ModelRegistry::train(&labels, TreeParams::default());
-        for m in labels.matrices.iter().take(4) {
-            let known: Vec<Option<f64>> = m.features.values().iter().map(|&v| Some(v)).collect();
-            let (partials, paths) = reg.predict_partial_explained(&known);
-            let plain = reg.predict(&m.features);
-            assert_eq!(partials.len(), 29);
-            for (p, full) in partials.iter().zip(&plain) {
-                assert!(p.reached_leaf);
-                assert_eq!(p.confidence, 1.0);
-                assert_eq!(SpeedupClass::from_index(p.class), *full);
-            }
-            assert_eq!(paths.len(), 29);
-            for (p, path) in partials.iter().zip(&paths) {
-                assert_eq!(p.class, path.leaf_class);
-            }
-        }
-    }
-
-    #[test]
-    fn probe_masked_partial_vote_never_exceeds_full_knowledge() {
-        // Masking features can only stop walks early; where a walk does
-        // reach a leaf, the class must equal the full prediction.
-        let labels = labeled();
-        let reg = ModelRegistry::train(&labels, TreeParams::default());
-        for m in labels.matrices.iter().take(6) {
-            let masked = wise_features::ProbeFeatures::mask_full(&m.features);
-            let (partials, _) = reg.predict_partial_explained(&masked);
-            let full = reg.predict(&m.features);
-            for (p, f) in partials.iter().zip(&full) {
-                if p.reached_leaf {
-                    assert_eq!(SpeedupClass::from_index(p.class), *f);
-                }
-                assert!((0.0..=1.0).contains(&p.confidence));
             }
         }
     }

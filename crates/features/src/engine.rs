@@ -19,9 +19,8 @@
 //! can be switched off when its feature group is not wanted (see
 //! [`crate::groups`]).
 //!
-//! The R and C distributions come from `row_col_stats`, the one
-//! counting path shared with the stage-1 probe: `row_ptr` differences
-//! and an O(nnz) column histogram, no transpose.
+//! The R and C distributions come from `row_col_stats`: `row_ptr`
+//! differences and an O(nnz) column histogram, no transpose.
 //!
 //! # Parallel decomposition — why merged results are exact
 //!
@@ -261,53 +260,31 @@ pub(crate) fn fused_sweep<'w>(
     }
 }
 
-/// R and C statistics from [`row_col_stats`], each `None` unless asked
-/// for, plus the bandwidth-proxy sum when `BAND`.
-pub(crate) struct RowColStats {
-    pub r: Option<SummaryStats>,
-    pub c: Option<SummaryStats>,
-    /// `Σ |c - r * ncols/nrows|` over the nonzeros, in row-major order
-    /// (0 unless `BAND` and the C statistics were asked for).
-    pub band_sum: f64,
-}
-
-/// The one R/C counting path, shared by the grouped extractor and the
-/// stage-1 probe: the R distribution straight from `row_ptr`
-/// differences, the C distribution from an O(nnz) column histogram (no
-/// pattern transpose). Both reach the same [`SummaryStats`] body as the
-/// reference extractor's materialized counts, so these statistics equal
-/// its bit for bit. With `BAND` (the probe) the C histogram loop also
-/// sums each nonzero's distance from the scaled diagonal, in row-major
-/// order.
-pub(crate) fn row_col_stats<const BAND: bool>(
+/// The one R/C counting path: the R distribution straight from
+/// `row_ptr` differences, the C distribution from an O(nnz) column
+/// histogram (no pattern transpose). Both reach the same
+/// [`SummaryStats`] body as the reference extractor's materialized
+/// counts, so these statistics equal its bit for bit. Each is `None`
+/// unless asked for.
+pub(crate) fn row_col_stats(
     m: &Csr,
     scratch: &mut FeatureScratch,
     want_r: bool,
     want_c: bool,
-) -> RowColStats {
-    let (nrows, ncols) = (m.nrows(), m.ncols());
+) -> (Option<SummaryStats>, Option<SummaryStats>) {
     let r = want_r.then(|| {
         let lens = m.row_ptr().windows(2).map(|w| w[1] - w[0]);
-        SummaryStats::from_values(lens, nrows, &mut scratch.stat_buf)
+        SummaryStats::from_values(lens, m.nrows(), &mut scratch.stat_buf)
     });
-    let mut band_sum = 0.0f64;
     let c = want_c.then(|| {
         scratch.col_counts.clear();
-        scratch.col_counts.resize(ncols, 0usize);
-        let scale = if nrows > 0 { ncols as f64 / nrows as f64 } else { 0.0 };
-        for r in 0..nrows {
-            let cols = &m.col_idx()[m.row_ptr()[r]..m.row_ptr()[r + 1]];
-            let diag = r as f64 * scale;
-            for &c in cols {
-                scratch.col_counts[c as usize] += 1;
-                if BAND {
-                    band_sum += (c as f64 - diag).abs();
-                }
-            }
+        scratch.col_counts.resize(m.ncols(), 0usize);
+        for &c in m.col_idx() {
+            scratch.col_counts[c as usize] += 1;
         }
         SummaryStats::from_counts_with(&scratch.col_counts, &mut scratch.stat_buf)
     });
-    RowColStats { r, c, band_sum }
+    (r, c)
 }
 
 /// Reusable workspace for

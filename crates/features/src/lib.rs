@@ -16,8 +16,6 @@
 //!   its reusable [`FeatureScratch`] workspace;
 //! * [`groups`] — the select-time [`FeatureGroup`]s and [`FeatureSet`]
 //!   slot masks, so selection computes only the slots its trees read;
-//! * [`probe`] — the O(nnz) stage-1 subset (sizes + full R/C
-//!   statistics, no tiling or locality) behind the selection cascade;
 //! * [`FeatureVector`] — the assembled, fixed-order feature vector fed
 //!   to the decision trees.
 //!
@@ -31,7 +29,6 @@
 pub mod engine;
 pub mod groups;
 pub mod locality;
-pub mod probe;
 pub mod stats;
 pub mod tiling;
 
@@ -39,7 +36,6 @@ mod vector;
 
 pub use engine::FeatureScratch;
 pub use groups::{FeatureGroup, FeatureSet};
-pub use probe::ProbeFeatures;
 pub use stats::SummaryStats;
 pub use tiling::{TileGeometry, TileGrid};
 pub use vector::{FeatureConfig, FeatureVector, N_FEATURES};

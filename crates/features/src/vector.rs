@@ -101,19 +101,19 @@ fn build_names() -> Vec<String> {
 }
 
 /// Distribution order of the 5 × 8 statistic slots.
-pub(crate) const R: usize = 0;
-pub(crate) const C: usize = 1;
+const R: usize = 0;
+const C: usize = 1;
 const T: usize = 2;
 const RB: usize = 3;
 const CB: usize = 4;
 
 /// Writes the three size slots.
-pub(crate) fn put_sizes(values: &mut [f64], nrows: usize, ncols: usize, nnz: usize) {
+fn put_sizes(values: &mut [f64], nrows: usize, ncols: usize, nnz: usize) {
     values[..3].copy_from_slice(&[nrows as f64, ncols as f64, nnz as f64]);
 }
 
 /// Writes the 8 statistics of distribution `dist`, in Table 2 order.
-pub(crate) fn put_stats(values: &mut [f64], dist: usize, s: SummaryStats) {
+fn put_stats(values: &mut [f64], dist: usize, s: SummaryStats) {
     let b = dist_base(dist);
     values[b..b + 8]
         .copy_from_slice(&[s.mean, s.std, s.var, s.gini, s.p_ratio, s.min, s.max, s.ne]);
@@ -204,11 +204,11 @@ impl FeatureVector {
         }
 
         let (want_r, want_c) = (want(FeatureGroup::RStats), want(FeatureGroup::CStats));
-        let counts = engine::row_col_stats::<false>(m, scratch, want_r, want_c);
-        if let Some(r) = counts.r {
+        let (r_stats, c_stats) = engine::row_col_stats(m, scratch, want_r, want_c);
+        if let Some(r) = r_stats {
             put_stats(&mut values, R, r);
         }
-        if let Some(c) = counts.c {
+        if let Some(c) = c_stats {
             put_stats(&mut values, C, c);
         }
 

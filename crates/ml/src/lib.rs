@@ -39,4 +39,4 @@ pub use explain::{DecisionPath, DecisionStep};
 pub use forest::{ForestParams, RandomForest};
 pub use grid::FoldPlan;
 pub use presort::Presort;
-pub use tree::{DecisionTree, PartialPrediction, TreeParams};
+pub use tree::{DecisionTree, TreeParams};

@@ -63,24 +63,6 @@ impl Node {
     }
 }
 
-/// Outcome of [`DecisionTree::predict_partial_explained`]: the walk over a
-/// partially-known feature row, stopped at the first split on an
-/// unknown feature (or at a true leaf).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PartialPrediction {
-    /// Majority class at the stopping node.
-    pub class: u32,
-    /// Training-frequency confidence in `class`: the stopping node's
-    /// majority fraction, or exactly 1.0 when the walk reached a leaf
-    /// (the partial walk then provably equals the full walk on every
-    /// completion of the row).
-    pub confidence: f64,
-    /// Whether every split en route tested a known feature.
-    pub reached_leaf: bool,
-    /// Internal nodes crossed before stopping.
-    pub depth: u32,
-}
-
 /// A trained classification tree.
 ///
 /// ```
@@ -343,18 +325,13 @@ impl DecisionTree {
         order
     }
 
-    /// The one descent every prediction takes: from the root, while the
-    /// tested feature is known (`value` returns `Some`), report the
-    /// split to `step` and follow its branch. Returns the stopping node:
-    /// a leaf, or the first split on an unknown feature.
-    fn walk(
-        &self,
-        value: impl Fn(usize) -> Option<f64>,
-        mut step: impl FnMut(DecisionStep),
-    ) -> &Node {
+    /// The one descent every prediction takes: from the root, report
+    /// each split to `step` and follow its branch down to a leaf.
+    fn walk(&self, row: &[f64], mut step: impl FnMut(DecisionStep)) -> &Node {
+        assert_eq!(row.len(), self.n_features, "feature count mismatch");
         let mut node = &self.nodes[0];
         while !node.is_leaf() {
-            let Some(value) = value(node.feature as usize) else { break };
+            let value = row[node.feature as usize];
             let went_left = value <= node.threshold;
             step(DecisionStep {
                 feature: node.feature,
@@ -370,8 +347,7 @@ impl DecisionTree {
 
     /// Predicts the class of one feature row.
     pub fn predict(&self, row: &[f64]) -> u32 {
-        assert_eq!(row.len(), self.n_features, "feature count mismatch");
-        self.walk(|f| Some(row[f]), |_| {}).class
+        self.walk(row, |_| {}).class
     }
 
     /// Predicts one row *and* records the root-to-leaf walk that
@@ -379,52 +355,9 @@ impl DecisionTree {
     /// path's `leaf_class` always equals [`DecisionTree::predict`] on
     /// the same row.
     pub fn decision_path(&self, row: &[f64]) -> DecisionPath {
-        assert_eq!(row.len(), self.n_features, "feature count mismatch");
         let mut steps = Vec::new();
-        let leaf = self.walk(|f| Some(row[f]), |s| steps.push(s));
+        let leaf = self.walk(row, |s| steps.push(s));
         DecisionPath { steps, leaf_class: leaf.class, leaf_samples: leaf.n_samples }
-    }
-
-    /// Walks the tree over a partially-known row, stopping at the
-    /// first split whose feature is `None` (see
-    /// `wise_core::cascade`): every comparison it *can* make uses the
-    /// exact full-extraction value, so the walk prefix is identical to
-    /// [`DecisionTree::predict`]'s on any completion of the row.
-    ///
-    /// When the walk reaches a true leaf the prediction therefore
-    /// *provably equals* the full prediction and `confidence` is 1.
-    /// When it stops early, the stopping node's majority class is
-    /// returned with the majority training fraction as confidence —
-    /// the probability (under training-set frequency) that completing
-    /// the walk would land on the same class. The returned path ends at
-    /// the stopping node (a true leaf, or the first unknown-feature
-    /// split with its majority class and support), so partial
-    /// selections stay as auditable as full ones.
-    pub fn predict_partial_explained(
-        &self,
-        values: &[Option<f64>],
-    ) -> (PartialPrediction, DecisionPath) {
-        assert_eq!(values.len(), self.n_features, "feature count mismatch");
-        let mut steps = Vec::new();
-        let stop = self.walk(|f| values[f], |s| steps.push(s));
-        let reached_leaf = stop.is_leaf();
-        // node_risk is weighted by n_samples/n_total; unweight it to
-        // recover the node-local majority fraction.
-        let confidence = if reached_leaf {
-            1.0
-        } else if stop.n_samples == 0 {
-            0.0
-        } else {
-            let n_total = self.nodes[0].n_samples as f64;
-            (1.0 - stop.node_risk * n_total / stop.n_samples as f64).clamp(0.0, 1.0)
-        };
-        let partial = PartialPrediction {
-            class: stop.class,
-            confidence,
-            reached_leaf,
-            depth: steps.len() as u32,
-        };
-        (partial, DecisionPath { steps, leaf_class: stop.class, leaf_samples: stop.n_samples })
     }
 
     /// Per-feature importance: normalized training-error decrease
@@ -737,85 +670,6 @@ mod explain_tests {
             // Root step carries the full training support.
             assert_eq!(path.steps[0].n_samples, d.len() as u32);
         }
-    }
-
-    #[test]
-    fn partial_with_all_known_matches_predict_exactly() {
-        let d = xor_dataset();
-        let t = DecisionTree::fit(
-            &d,
-            TreeParams { max_depth: 4, ccp_alpha: 0.0, ..Default::default() },
-        );
-        for i in 0..d.len() {
-            let row = d.row(i);
-            let known: Vec<Option<f64>> = row.iter().map(|&v| Some(v)).collect();
-            let (p, _) = t.predict_partial_explained(&known);
-            assert!(p.reached_leaf);
-            assert_eq!(p.confidence, 1.0);
-            assert_eq!(p.class, t.predict(row), "row {i}");
-        }
-    }
-
-    #[test]
-    fn partial_with_nothing_known_reports_root_majority() {
-        // 3:1 class imbalance -> root majority 0 with confidence 0.75.
-        let rows: Vec<Vec<f64>> = (0..32).map(|i| vec![i as f64]).collect();
-        let labels: Vec<u32> = (0..32).map(|i| u32::from(i % 4 == 0)).collect();
-        let d = Dataset::new(rows, labels, 2);
-        let t = DecisionTree::fit(
-            &d,
-            TreeParams { max_depth: 6, ccp_alpha: 0.0, ..Default::default() },
-        );
-        let (p, _) = t.predict_partial_explained(&[None]);
-        assert!(!p.reached_leaf);
-        assert_eq!(p.depth, 0);
-        assert_eq!(p.class, 0);
-        assert!((p.confidence - 0.75).abs() < 1e-12, "conf {}", p.confidence);
-    }
-
-    #[test]
-    fn partial_leaf_agrees_with_every_completion() {
-        // Tree that splits only on feature 0: knowing feature 0 alone
-        // must reach a leaf, and the class must match predict() for
-        // any value of the unknown feature 1.
-        let rows: Vec<Vec<f64>> = (0..16).map(|i| vec![i as f64, 0.0]).collect();
-        let labels: Vec<u32> = (0..16).map(|i| u32::from(i >= 8)).collect();
-        let d = Dataset::new(rows, labels, 2);
-        let t = DecisionTree::fit(
-            &d,
-            TreeParams { max_depth: 4, ccp_alpha: 0.0, ..Default::default() },
-        );
-        for probe in [0.0, 5.0, 11.0, 15.0] {
-            let (p, _) = t.predict_partial_explained(&[Some(probe), None]);
-            assert!(p.reached_leaf, "probe {probe}");
-            for unknown in [-1e9, 0.0, 1e9] {
-                assert_eq!(p.class, t.predict(&[probe, unknown]), "probe {probe}");
-            }
-        }
-    }
-
-    #[test]
-    fn partial_explained_agrees_with_partial_and_full_paths() {
-        let d = xor_dataset();
-        let t = DecisionTree::fit(
-            &d,
-            TreeParams { max_depth: 4, ccp_alpha: 0.0, ..Default::default() },
-        );
-        for i in 0..d.len() {
-            let row = d.row(i);
-            let known: Vec<Option<f64>> = row.iter().map(|&v| Some(v)).collect();
-            let (p, path) = t.predict_partial_explained(&known);
-            assert_eq!(p.depth as usize, path.depth());
-            // Fully-known walk: the explained path equals decision_path.
-            assert_eq!(path, t.decision_path(row), "row {i}");
-        }
-        // Early stop: path terminates at the unknown-feature split with
-        // that node's majority and support.
-        let (p, path) = t.predict_partial_explained(&[None, None]);
-        assert!(!p.reached_leaf);
-        assert!(path.steps.is_empty());
-        assert_eq!(path.leaf_class, p.class);
-        assert_eq!(path.leaf_samples, d.len() as u32);
     }
 
     #[test]

@@ -148,116 +148,6 @@ mod tests {
     }
 }
 
-/// One calibration sample for the selection cascade's confidence gate
-/// (see `wise_core::cascade`): the stage-1 vote margin on a labeled
-/// training matrix, the P-ratio (oracle seconds / chosen seconds) the
-/// stage-1 answer would achieve there, and the P-ratio full WISE
-/// achieves.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MarginSample {
-    pub margin: f64,
-    pub p_stage1: f64,
-    pub p_full: f64,
-}
-
-/// Picks the most permissive margin threshold τ such that the overall
-/// cascade P-ratio — stage-1 P for samples with `margin ≥ τ`, full-WISE
-/// P for the rest — stays at or above `rel_floor` × the full-WISE mean
-/// P-ratio on the same samples.
-///
-/// Samples are scanned in descending margin order (groups of equal
-/// margins accepted atomically, so the returned τ is unambiguous at
-/// runtime); the *lowest* group margin whose induced cascade P-ratio
-/// still clears the floor wins, maximizing fast-path acceptance.
-/// Returns `None` — gate never fires — when no prefix clears the
-/// floor, or when there are no finite-margin samples.
-pub fn calibrate_margin_threshold(samples: &[MarginSample], rel_floor: f64) -> Option<f64> {
-    let mut sorted: Vec<&MarginSample> = samples.iter().filter(|s| !s.margin.is_nan()).collect();
-    if sorted.is_empty() {
-        return None;
-    }
-    sorted.sort_by(|a, b| b.margin.total_cmp(&a.margin));
-    let n = samples.len() as f64;
-    let p_full_sum: f64 = samples.iter().map(|s| s.p_full).sum();
-    let floor = rel_floor * p_full_sum / n;
-    let mut delta = 0.0; // Σ (p_stage1 - p_full) over the accepted prefix.
-    let mut best = None;
-    let mut i = 0;
-    while i < sorted.len() {
-        let margin = sorted[i].margin;
-        while i < sorted.len() && sorted[i].margin == margin {
-            delta += sorted[i].p_stage1 - sorted[i].p_full;
-            i += 1;
-        }
-        if (p_full_sum + delta) / n >= floor - 1e-12 {
-            best = Some(margin);
-        }
-    }
-    best
-}
-
-#[cfg(test)]
-mod margin_tests {
-    use super::*;
-
-    fn s(margin: f64, p_stage1: f64, p_full: f64) -> MarginSample {
-        MarginSample { margin, p_stage1, p_full }
-    }
-
-    #[test]
-    fn harmless_stage1_accepts_everything() {
-        // Stage 1 matches full WISE everywhere: τ is the minimum margin.
-        let samples = vec![s(0.9, 0.95, 0.95), s(0.5, 0.9, 0.9), s(0.2, 1.0, 1.0)];
-        assert_eq!(calibrate_margin_threshold(&samples, 0.98), Some(0.2));
-    }
-
-    #[test]
-    fn bad_low_margin_answers_are_excluded() {
-        // The low-margin sample would tank the cascade P-ratio; τ must
-        // sit above it.
-        let samples = vec![s(0.9, 1.0, 1.0), s(0.8, 1.0, 1.0), s(0.1, 0.2, 1.0)];
-        assert_eq!(calibrate_margin_threshold(&samples, 0.98), Some(0.8));
-    }
-
-    #[test]
-    fn impossible_floor_yields_none() {
-        let samples = vec![s(0.9, 0.5, 1.0), s(0.7, 0.4, 1.0)];
-        assert_eq!(calibrate_margin_threshold(&samples, 0.98), None);
-    }
-
-    #[test]
-    fn later_good_group_can_recover_the_floor() {
-        // A damaging middle group followed by a strongly positive one:
-        // the scan keeps going and finds the lower, better prefix.
-        let samples = vec![s(0.9, 1.0, 1.0), s(0.5, 0.90, 1.0), s(0.3, 1.0, 0.9)];
-        // Prefix to 0.5: mean p = (1.0 + 0.90 + 0.9)/3 ≈ 0.933 < 0.98·0.9667.
-        // Prefix to 0.3: mean p = (1.0 + 0.90 + 1.0)/3 ≈ 0.9667 > floor.
-        assert_eq!(calibrate_margin_threshold(&samples, 0.98), Some(0.3));
-    }
-
-    #[test]
-    fn equal_margins_accept_atomically() {
-        // Two samples share a margin; one is bad enough that the pair
-        // must be rejected together.
-        let samples = vec![s(0.9, 1.0, 1.0), s(0.5, 1.0, 1.0), s(0.5, 0.1, 1.0)];
-        assert_eq!(calibrate_margin_threshold(&samples, 0.98), Some(0.9));
-    }
-
-    #[test]
-    fn empty_and_nan_inputs_yield_none() {
-        assert_eq!(calibrate_margin_threshold(&[], 0.98), None);
-        assert_eq!(calibrate_margin_threshold(&[s(f64::NAN, 1.0, 1.0)], 0.5), None);
-    }
-
-    #[test]
-    fn max_margin_exact_matches_always_admitted() {
-        // The all-heads-reached-leaves case: margin f64::MAX with
-        // p_stage1 == p_full survives any floor ≤ 1.
-        let samples = vec![s(f64::MAX, 0.97, 0.97), s(0.1, 0.2, 1.0)];
-        assert_eq!(calibrate_margin_threshold(&samples, 0.98), Some(f64::MAX));
-    }
-}
-
 /// Spearman rank correlation between two equal-length samples —
 /// the model-validation metric: we claim the model orders
 /// configurations like the hardware does, not that it predicts

@@ -12,32 +12,10 @@ use crate::cost::{
     estimate_feature_extraction_seconds, estimate_preprocessing_seconds, estimate_spmv_seconds,
 };
 use crate::machine::MachineModel;
-use wise_features::ProbeFeatures;
 use wise_kernels::method::MethodConfig;
 use wise_kernels::srvpack::SpmvWorkspace;
 use wise_kernels::timing::{measure_median, measure_once};
 use wise_matrix::Csr;
-
-/// Closed-form roofline bounds computed from the stage-1 probe alone —
-/// no format conversion, no LRU reuse simulation; O(1) given the
-/// probe. Used by `wise_core::cascade` as a sanity veto: a stage-1
-/// class whose representative speedup exceeds `max_plausible_speedup`
-/// is physically implausible on the modeled machine, so the cascade
-/// falls through to the full pipeline instead of trusting it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QuickBounds {
-    /// Pessimistic-reuse CSR estimate: issue-bound compute vs DRAM
-    /// traffic with input-vector reuse discounted by the probe's
-    /// bandwidth proxy (scattered columns ⇒ near one load per nnz).
-    pub csr_seconds: f64,
-    /// Compulsory-traffic lower bound for *any* catalog method: vector
-    /// compute vs matrix + output + one-pass input traffic.
-    pub best_seconds: f64,
-    /// Largest speedup over CSR any method could plausibly reach,
-    /// `csr_seconds / best_seconds` with 25% slack, clamped ≥ 1 (CSR
-    /// itself is always available).
-    pub max_plausible_speedup: f64,
-}
 
 /// Execution-time backend.
 #[derive(Debug, Clone)]
@@ -79,39 +57,6 @@ impl Estimator {
             Estimator::Model { machine, .. } => Some(machine),
             Estimator::Measured { .. } => None,
         }
-    }
-
-    /// Roofline bounds from a stage-1 probe — model backend only
-    /// (`None` for the measured backend, which has no machine to
-    /// reason about, and for empty matrices, where any bound is
-    /// vacuous).
-    pub fn quick_bounds(&self, probe: &ProbeFeatures) -> Option<QuickBounds> {
-        let Estimator::Model { machine, .. } = self else { return None };
-        if probe.nnz == 0 {
-            return None;
-        }
-        let (nnz, nrows, ncols) = (probe.nnz as f64, probe.n_rows as f64, probe.n_cols as f64);
-        let cycles_per_sec = machine.threads as f64 * machine.freq_ghz * 1e9;
-        let t_scalar = nnz * machine.scalar_cycles_per_nnz / cycles_per_sec;
-        let lanes = machine.simd_lanes.max(1) as f64;
-        let t_vector = nnz / lanes * machine.simd_cycles_per_step / cycles_per_sec;
-
-        // CSR traffic: 8B value + 4B index per nonzero, row pointers,
-        // output writes, and input-vector loads. Compulsory x traffic
-        // is one pass (ncols · 8B); the pessimistic CSR estimate moves
-        // toward one load per nonzero as the bandwidth proxy says
-        // columns scatter away from the diagonal.
-        let mat_bytes = nnz * 12.0 + (nrows + 1.0) * 8.0;
-        let y_bytes = nrows * 8.0;
-        let x_once = ncols * 8.0;
-        let reuse_penalty = probe.bandwidth_frac.clamp(0.0, 1.0);
-        let x_pessimistic = x_once + (nnz * 8.0 - x_once).max(0.0) * reuse_penalty;
-        let bw = machine.dram_bw_gbs * 1e9;
-
-        let csr_seconds = t_scalar.max((mat_bytes + y_bytes + x_pessimistic) / bw);
-        let best_seconds = t_vector.max((mat_bytes + y_bytes + x_once) / bw).max(1e-15);
-        let max_plausible_speedup = (csr_seconds / best_seconds * 1.25).max(1.0);
-        Some(QuickBounds { csr_seconds, best_seconds, max_plausible_speedup })
     }
 
     /// Seconds for one SpMV of `cfg` on `m`.
@@ -253,43 +198,5 @@ mod tests {
         let m = RmatParams::MED_SKEW.generate(8, 4, 5);
         let e = Estimator::model_for_rows(1 << 8);
         assert_eq!(e.preprocessing_seconds(&m, &MethodConfig::csr(Schedule::Dyn)), 0.0);
-    }
-
-    #[test]
-    fn quick_bounds_sane_and_deterministic() {
-        use wise_features::ProbeFeatures;
-        let m = RmatParams::MED_SKEW.generate(9, 8, 5);
-        let e = Estimator::model_for_rows(1 << 9);
-        let probe = ProbeFeatures::extract(&m);
-        let b = e.quick_bounds(&probe).unwrap();
-        assert!(b.csr_seconds > 0.0 && b.best_seconds > 0.0);
-        assert!(b.csr_seconds >= b.best_seconds * 0.999, "{b:?}");
-        assert!(b.max_plausible_speedup >= 1.0);
-        assert_eq!(e.quick_bounds(&probe), Some(b));
-    }
-
-    #[test]
-    fn quick_bounds_rewards_diagonal_locality() {
-        use wise_features::ProbeFeatures;
-        let e = Estimator::model_for_rows(1 << 10);
-        let banded = ProbeFeatures::extract(&wise_gen::suite::banded(1024, 4, 1.0, 0));
-        let scattered = ProbeFeatures::extract(&RmatParams::LOW_LOC.generate(10, 4, 2));
-        let bb = e.quick_bounds(&banded).unwrap();
-        let bs = e.quick_bounds(&scattered).unwrap();
-        // Scattered columns pay more pessimistic x traffic relative to
-        // their compulsory bound, so more headroom is plausible there.
-        assert!(bs.max_plausible_speedup >= bb.max_plausible_speedup, "{bs:?} vs {bb:?}");
-    }
-
-    #[test]
-    fn quick_bounds_absent_for_measured_and_empty() {
-        use wise_features::ProbeFeatures;
-        let m = RmatParams::LOW_LOC.generate(8, 4, 3);
-        let probe = ProbeFeatures::extract(&m);
-        let measured = Estimator::Measured { nthreads: 1, warmup: 0, iters: 1 };
-        assert_eq!(measured.quick_bounds(&probe), None);
-        let empty = ProbeFeatures::extract(&wise_matrix::Csr::zero(16, 16));
-        let model = Estimator::model_for_rows(1 << 8);
-        assert_eq!(model.quick_bounds(&empty), None);
     }
 }

@@ -21,7 +21,7 @@
 //! * **scheduling** — per-chunk costs are folded over the Dyn/St/StCont
 //!   assignment (list-scheduling simulation for Dyn), reproducing load
 //!   imbalance under skew ([`sched_sim`]);
-//! * **machine** — cache capacities, bandwidths and vector widths are
+//! * **machine** — cache capacities, bandwidths and per-step costs are
 //!   explicit ([`machine::MachineModel`]), with the paper's Skylake as
 //!   a preset and a proportionally scaled variant for quick-scale
 //!   corpora.
@@ -33,9 +33,7 @@ pub mod lru;
 pub mod machine;
 pub mod sched_sim;
 
-pub use calibrate::{
-    calibrate_margin_threshold, calibrate_to_host, CalibrationReport, MarginSample,
-};
+pub use calibrate::{calibrate_to_host, CalibrationReport};
 pub use cost::{estimate_preprocessing_seconds, estimate_spmv_seconds, CostBreakdown};
-pub use estimator::{Estimator, QuickBounds};
+pub use estimator::Estimator;
 pub use machine::MachineModel;

@@ -30,17 +30,6 @@ pub struct MachineModel {
     /// Cycles for one c-wide packed column step (vector FMA + gather);
     /// gathers dominate, roughly independent of width on Skylake.
     pub vector_cycles_per_step: f64,
-    /// Cycles for one explicit-SIMD gather+FMA step of the runtime-
-    /// dispatched kernels (one vector register of lanes). Read by the
-    /// stage-1 roofline veto (`Estimator::quick_bounds`); packed
-    /// configs are priced with `vector_cycles_per_step`. Defaults to
-    /// `vector_cycles_per_step` for files serialized before this field
-    /// existed.
-    pub simd_cycles_per_step: f64,
-    /// f64 lanes of the modeled machine's vector units (AVX-512: 8),
-    /// read by the same veto. Defaults match the Skylake preset for
-    /// files missing the field.
-    pub simd_lanes: usize,
     /// Overhead of one dynamic-scheduling work grab, nanoseconds
     /// (shared-counter fetch_add plus its coherence traffic).
     pub dyn_grab_ns: f64,
@@ -55,20 +44,22 @@ pub struct MachineModel {
 }
 
 wise_trace::json_struct!(MachineModel {
-    name, threads, freq_ghz, l1_bytes, l2_bytes, llc_bytes, dram_bw_gbs, llc_bw_gbs, cache_line,
-    scalar_cycles_per_nnz, vector_cycles_per_step,
-    simd_cycles_per_step = default_simd_cycles_per_step(),
-    simd_lanes = default_simd_lanes(),
-    dyn_grab_ns, single_thread_dram_fraction, single_thread_llc_fraction, scatter_write_factor,
+    name,
+    threads,
+    freq_ghz,
+    l1_bytes,
+    l2_bytes,
+    llc_bytes,
+    dram_bw_gbs,
+    llc_bw_gbs,
+    cache_line,
+    scalar_cycles_per_nnz,
+    vector_cycles_per_step,
+    dyn_grab_ns,
+    single_thread_dram_fraction,
+    single_thread_llc_fraction,
+    scatter_write_factor,
 });
-
-fn default_simd_cycles_per_step() -> f64 {
-    MachineModel::skylake_6126().vector_cycles_per_step
-}
-
-fn default_simd_lanes() -> usize {
-    8
-}
 
 impl MachineModel {
     /// The paper's testbed: 2 × 12-core Xeon Gold 6126 @ 2.6 GHz,
@@ -87,8 +78,6 @@ impl MachineModel {
             cache_line: 64,
             scalar_cycles_per_nnz: 2.0,
             vector_cycles_per_step: 6.0,
-            simd_cycles_per_step: 6.0,
-            simd_lanes: 8,
             dyn_grab_ns: 40.0,
             single_thread_dram_fraction: 0.125,
             single_thread_llc_fraction: 0.1,
@@ -201,20 +190,17 @@ mod tests {
     }
 
     #[test]
-    fn simd_fields_default_for_pre_simd_json() {
-        // Model files serialized before the simd fields existed must
-        // deserialize to the preset values (parsing old JSON is how
-        // saved experiments reload their machine description).
+    fn json_with_removed_simd_fields_still_decodes() {
+        // Model files serialized while the machine carried SIMD width
+        // fields (`simd_cycles_per_step`, `simd_lanes`,
+        // `simd_gather_mlp`) decode with those members ignored.
         let m = MachineModel::skylake_6126();
         let json = m.to_json();
-        let stripped =
-            json.replace(",\"simd_cycles_per_step\":6.0", "").replace(",\"simd_lanes\":8", "");
-        assert_ne!(stripped, json, "test must actually strip the fields");
-        assert_eq!(MachineModel::from_json_str(&stripped), Ok(m.clone()));
-        // Files that still carry the removed `simd_gather_mlp` member
-        // decode with it ignored.
-        let old = json.replace("\"simd_lanes\":8", "\"simd_lanes\":8,\"simd_gather_mlp\":0.2");
-        assert_ne!(old, json);
+        let old = json.replace(
+            "\"dyn_grab_ns\"",
+            "\"simd_cycles_per_step\":6.0,\"simd_lanes\":8,\"simd_gather_mlp\":0.2,\"dyn_grab_ns\"",
+        );
+        assert_ne!(old, json, "test must actually add the members");
         assert_eq!(MachineModel::from_json_str(&old), Ok(m));
     }
 

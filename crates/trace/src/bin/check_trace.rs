@@ -14,8 +14,8 @@
 //! labeling, training, selection, format conversion and SpMV.
 //! `--snapshot` additionally validates a `metrics_snapshot.json` written
 //! by the streaming telemetry exporter: it must decode as a
-//! [`Snapshot`] (schema version, stage records in the same order, a
-//! known drift status, flight-recorder aggregates).
+//! [`Snapshot`] (schema version, stage records in the same order,
+//! flight-recorder aggregates).
 
 use std::collections::BTreeMap;
 use std::io::Write as _;

@@ -175,19 +175,7 @@ pub fn run_report(summary: &Summary) -> String {
             st.sketch.as_ref().map(QuantileSketch::sparkline).unwrap_or_default()
         );
     }
-    // Live telemetry gauges, when the run exercised them: the drift
-    // monitor's verdict and the flight recorder's aggregates.
-    let drift = crate::telemetry::drift_gauge();
-    if drift.observed > 0 {
-        let _ = writeln!(
-            out,
-            "drift: {} (regret {:.2}x, fallthrough {:.1}%, {} observed)",
-            drift.status.label(),
-            drift.regret_permille as f64 / 1000.0,
-            drift.fallthrough_permille as f64 / 10.0,
-            drift.observed
-        );
-    }
+    // The flight recorder's aggregates, when the run recorded requests.
     let flight = crate::telemetry::flight_stats();
     if flight.requests > 0 {
         let _ = writeln!(

@@ -31,7 +31,7 @@
 use crate::export::fmt_ns;
 use crate::export::json::{FromJson, JsonError, ToJson};
 use crate::json_struct;
-use crate::telemetry::{DriftRecord, QuantileSketch};
+use crate::telemetry::QuantileSketch;
 use crate::Summary;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -273,15 +273,11 @@ pub struct BenchRecord {
     pub throughput: BTreeMap<String, f64>,
     /// Model quality, when the run trained and evaluated one.
     pub model: Option<ModelMetrics>,
-    /// Prediction-drift reading at record time; `None` on old records
-    /// and on runs that never fed the monitor.
-    pub drift: Option<DriftRecord>,
 }
 
 impl BenchRecord {
     /// Builds a record from a flushed trace summary: every stage is
-    /// lifted verbatim, the drift gauge is read when the monitor
-    /// observed anything, counters are copied, and throughput rates are
+    /// lifted verbatim, counters are copied, and throughput rates are
     /// derived where both a volume counter and its stage time exist
     /// (`kernel.spmv.nnz` ÷ `kernel.spmv` total, and the analogous
     /// `rows` rate).
@@ -317,7 +313,6 @@ impl BenchRecord {
             counters: summary.counters.clone(),
             throughput,
             model: None,
-            drift: Some(crate::telemetry::drift_gauge()).filter(|d| d.observed > 0),
         }
     }
 }
@@ -332,7 +327,6 @@ json_struct!(BenchRecord {
     counters,
     throughput,
     model,
-    drift,
 });
 
 // ---------------------------------------------------------------------
@@ -871,16 +865,14 @@ mod tests {
 
     #[test]
     fn cascade_fields_round_trip_and_old_records_tolerate_absence() {
-        // Cascade telemetry rides in the schema-free throughput /
+        // Free-form telemetry rides in the schema-free throughput /
         // counters maps: new records round-trip it bit-exactly...
         let mut rec = record(7, &[("pipeline.select", stage(1_000, 1_200))]);
         rec.throughput.insert("bench.cascade.speedup".to_string(), 12.5);
-        rec.throughput.insert("select.cascade.fallthrough_rate".to_string(), 0.25);
-        rec.counters.insert("select.cascade.stage1".to_string(), 9);
-        rec.counters.insert("select.cascade.stage2".to_string(), 3);
+        rec.counters.insert("bench.cascade.fast".to_string(), 9);
         let back = BenchRecord::from_json_str(&rec.to_json()).expect("parses");
         assert_eq!(back, rec);
-        assert_eq!(back.throughput["select.cascade.fallthrough_rate"], 0.25);
+        assert_eq!(back.throughput["bench.cascade.speedup"], 12.5);
         // ...while records written before the cascade existed carry
         // neither field and must keep parsing and gating unchanged
         // (tolerated-when-missing).
@@ -890,7 +882,7 @@ mod tests {
             "counters":{},"throughput":{},"model":null}"#;
         let rec_old = BenchRecord::from_json_str(old).expect("pre-cascade record parses");
         assert!(!rec_old.throughput.contains_key("bench.cascade.speedup"));
-        assert!(!rec_old.counters.contains_key("select.cascade.stage1"));
+        assert!(!rec_old.counters.contains_key("bench.cascade.fast"));
         let rep = gate(&[rec_old], &rec, &policy(&["pipeline.select"]));
         assert!(rep.passed(), "{}", rep.render());
         assert_eq!(rep.baselines_used, 1);
@@ -904,18 +896,18 @@ mod tests {
         }
         let mut spmv = StageRecord::new(sk.clone(), 1_000_970, 1_000_970);
         spmv.parent = Some("pipeline.select".to_string());
-        let mut rec = record(8, &[("kernel.spmv", spmv)]);
-        rec.drift = Some(DriftRecord {
-            status: crate::DriftLevel::Warning,
-            regret_permille: 1_500,
-            fallthrough_permille: 120,
-            observed: 640,
-        });
+        let rec = record(8, &[("kernel.spmv", spmv)]);
         let back = BenchRecord::from_json_str(&rec.to_json()).expect("parses");
         assert_eq!(back, rec);
         let back_sketch = back.stages["kernel.spmv"].sketch.as_ref().unwrap();
         assert_eq!(back_sketch.quantile(0.5), sk.quantile(0.5));
-        // Old records (no sketch, max, self-time or drift members) load,
+        // Records written while the drift monitor existed carry a
+        // `drift` member; it is ignored.
+        let drift = r#""drift":{"status":"warning","regret_permille":1500,"fallthrough_permille":120,"observed":640},"model""#;
+        let with_drift = rec.to_json().replace(r#""model""#, drift);
+        assert_ne!(with_drift, rec.to_json());
+        assert_eq!(BenchRecord::from_json_str(&with_drift), Ok(rec.clone()));
+        // Old records (no sketch, max or self-time members) load,
         // reading max from p95 and self-time from the total.
         let old = r#"{"schema_version":1,"seq":3,"note":"old","corpus_digest":"fnv1a:0000000000000001",
             "host":{"cpu_cores":4,"threads_env":null,"pool_env":null,"rustc":null,"simd":null,"simd_env":null},
@@ -924,7 +916,6 @@ mod tests {
         let rec_old = BenchRecord::from_json_str(old).expect("pre-sketch record parses");
         let st = &rec_old.stages["kernel.spmv"];
         assert_eq!((st.sketch.as_ref(), st.max_ns, st.self_total_ns), (None, 150, 600));
-        assert_eq!(rec_old.drift, None);
         let rep = gate(&[rec_old], &rec, &policy(&["kernel.spmv"]));
         assert!(rep.passed(), "{}", rep.render());
     }

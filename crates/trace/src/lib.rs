@@ -65,7 +65,7 @@ pub use ledger::{BenchRecord, GatePolicy, GateReport, HostFingerprint, ModelMetr
 pub use span::{counter, dropped_events, observe_ns, span, take_events, Event, Phase, Span};
 pub use summary::Summary;
 pub(crate) use summary::{OpenSpans, StageAcc};
-pub use telemetry::{DriftLevel, DriftRecord, QuantileSketch, RequestRecord};
+pub use telemetry::{QuantileSketch, RequestRecord};
 
 use std::sync::atomic::{AtomicU8, Ordering};
 

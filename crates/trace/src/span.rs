@@ -196,9 +196,7 @@ pub fn counter(name: &'static str, value: u64) {
 
 /// Records one standalone sample under `name` — the histogram feed for
 /// repeated measurements like `measure_median` iterations. Durations are
-/// in nanoseconds; a dimensionless stage keeps its own unit (the
-/// `drift.regret` stage records measured/predicted permille). One
-/// relaxed load when tracing is disabled.
+/// in nanoseconds. One relaxed load when tracing is disabled.
 #[inline]
 pub fn observe_ns(name: &'static str, value: u64) {
     if crate::enabled() {

@@ -13,15 +13,13 @@
 //!   stage and thread and merge them on read.
 //! * A **request monitor**, one state behind one lock:
 //!   - the *flight recorder*: selection requests record a bounded ring
-//!     of [`RequestRecord`]s (method, cascade stage, margin, predicted
-//!     vs measured seconds). A request whose latency exceeds the
+//!     of [`RequestRecord`]s (method, latency, measured execution
+//!     seconds). A request whose latency exceeds the
 //!     [`FLIGHT_QUANTILE`] of recent history dumps the surrounding
 //!     window as a loadable Chrome trace into `WISE_FLIGHT_DIR`, when
 //!     set — the "black box" for post-hoc analysis of one slow request;
-//!   - the *drift monitor*: [`record_execution`] feeds each measured
-//!     execution back, filling in the request's ring record and
-//!     folding the sample into the regret and fallthrough EWMAs that
-//!     [`drift_gauge`] reads as a [`DriftRecord`].
+//!   - *execution feedback*: [`record_execution`] back-fills a
+//!     request's ring record with its measured execution seconds.
 //! * A **periodic snapshot exporter**: with `WISE_SNAPSHOT=<path>`, a
 //!   background thread writes the above as a [`Snapshot`] every
 //!   [`SNAPSHOT_INTERVAL`] (atomic tmp+rename), the feed for the
@@ -351,7 +349,7 @@ pub const FLIGHT_QUANTILE: f64 = 0.99;
 #[derive(Debug, Clone, PartialEq)]
 pub struct RequestRecord {
     /// Process-unique id (from [`next_request_id`]), propagated through
-    /// cascade, pool dispatch and kernel spans via [`current_request`].
+    /// selection, pool dispatch and kernel spans via [`current_request`].
     pub id: u64,
     /// Start timestamp, nanoseconds on the trace epoch.
     pub start_ns: u64,
@@ -359,12 +357,6 @@ pub struct RequestRecord {
     pub latency_ns: u64,
     /// Chosen method label.
     pub method: String,
-    /// Which path answered: `"stage1"`, `"stage2"`, or `"full"`.
-    pub stage: &'static str,
-    /// Stage-1 confidence margin, when the cascade ran.
-    pub margin: Option<f64>,
-    /// Stage-1 roofline prediction for the chosen method, seconds.
-    pub predicted_s: Option<f64>,
     /// Measured seconds, filled in later by [`record_execution`].
     pub measured_s: Option<f64>,
 }
@@ -381,8 +373,8 @@ pub struct FlightStats {
 
 crate::json_struct!(FlightStats { requests, anomalies, ring_len, threshold_ns });
 
-/// The request monitor: the flight ring, the latency history the
-/// anomaly threshold reads, and the drift EWMAs, all under one lock.
+/// The request monitor: the flight ring and the latency history the
+/// anomaly threshold reads, under one lock.
 struct FlightState {
     ring: VecDeque<RequestRecord>,
     window: QuantileSketch,
@@ -391,7 +383,6 @@ struct FlightState {
     /// and re-cloned from `prior` when the window rotates. Merging is
     /// exact bucket-wise addition, so this equals a fresh merge.
     history: QuantileSketch,
-    drift: Drift,
     requests: u64,
     anomalies: u64,
     /// Request count at the last dump (rate limit: one dump per
@@ -407,7 +398,6 @@ impl FlightState {
             window: QuantileSketch::default(),
             prior: QuantileSketch::default(),
             history: QuantileSketch::default(),
-            drift: Drift::default(),
             requests: 0,
             anomalies: 0,
             last_dump_at: 0,
@@ -511,22 +501,16 @@ pub fn record_request(rec: RequestRecord) -> bool {
     anomalous
 }
 
-/// Feeds one measured execution back into the monitor, under its one
-/// lock:
-/// - a positive `measured_s` fills in the ring record of request `id`
-///   (a no-op for id 0 or once the request aged out);
-/// - the drift EWMAs fold the sample in (see [`DRIFT_WINDOW`]).
-///
-/// `stage` is the [`RequestRecord::stage`] label; `predicted_s` the
-/// stage-1 roofline prediction, if any.
-pub fn record_execution(id: u64, stage: &str, predicted_s: Option<f64>, measured_s: f64) {
-    let mut st = flight_lock();
+/// Feeds one measured execution back into the monitor: a positive
+/// `measured_s` fills in the ring record of request `id` (a no-op for
+/// id 0 or once the request aged out).
+pub fn record_execution(id: u64, measured_s: f64) {
+    // `> 0.0` is false for NaN, so NaN is rejected too.
     if id != 0 && measured_s > 0.0 {
-        if let Some(rec) = st.ring.iter_mut().rev().find(|r| r.id == id) {
+        if let Some(rec) = flight_lock().ring.iter_mut().rev().find(|r| r.id == id) {
             rec.measured_s = Some(measured_s);
         }
     }
-    st.drift.observe(stage, predicted_s, measured_s);
 }
 
 /// Current flight-recorder aggregates.
@@ -545,8 +529,8 @@ pub fn flight_ring() -> Vec<RequestRecord> {
     flight_lock().ring.iter().cloned().collect()
 }
 
-/// Resets the whole monitor to cold state: ring, latency history and
-/// drift EWMAs (tests, benchmark stages).
+/// Resets the whole monitor to cold state: ring and latency history
+/// (tests, benchmark stages).
 pub fn flight_reset() {
     let mut st = flight_lock();
     *st = FlightState::cold(st.dir.take());
@@ -566,18 +550,8 @@ impl ToJson for FlightArgs<'_> {
             FlightArgs::Request(rec) => {
                 write_member(out, &mut sep, "id", &rec.id);
                 write_member(out, &mut sep, "method", &rec.method);
-                write_member(out, &mut sep, "stage", rec.stage);
-                // Non-finite floats (e.g. the f64::MAX all-leaves margin
-                // after arithmetic) are left out.
-                let floats = [
-                    ("margin", rec.margin),
-                    ("predicted_s", rec.predicted_s),
-                    ("measured_s", rec.measured_s),
-                ];
-                for (name, v) in floats {
-                    if let Some(v) = v.filter(|v| v.is_finite()) {
-                        write_member(out, &mut sep, name, &v);
-                    }
+                if let Some(v) = rec.measured_s.filter(|v| v.is_finite()) {
+                    write_member(out, &mut sep, "measured_s", &v);
                 }
             }
             FlightArgs::Anomaly { latency_ns, threshold_ns } => {
@@ -624,161 +598,6 @@ fn write_flight_dump(dir: &Path, id: u64, dump: &str) {
 }
 
 // ---------------------------------------------------------------------
-// Drift monitor
-// ---------------------------------------------------------------------
-
-/// Drift EWMA window, in observations (α = 2/(window+1)).
-pub const DRIFT_WINDOW: u64 = 64;
-
-/// Observations before the monitor may leave [`DriftLevel::Stable`].
-pub const DRIFT_MIN_OBSERVATIONS: u64 = 16;
-
-/// Regret-EWMA level that raises [`DriftLevel::Warning`]: stage-1
-/// predictions running 1.5× slow on average.
-const REGRET_WARNING: f64 = 1.5;
-
-/// Regret-EWMA level that suggests retraining.
-const REGRET_RETRAIN: f64 = 2.5;
-
-/// Fallthrough-rate EWMA that raises [`DriftLevel::Warning`].
-const FALLTHROUGH_WARNING: f64 = 0.5;
-
-/// Fallthrough-rate EWMA that suggests retraining: the calibrated gate
-/// has effectively stopped firing.
-const FALLTHROUGH_RETRAIN: f64 = 0.8;
-
-/// The drift monitor's verdict on the deployed model. Ordered by
-/// severity. Encoded as its [`DriftLevel::label`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum DriftLevel {
-    /// Predictions and gate behavior match calibration.
-    Stable,
-    /// One signal crossed its warning level; watch the trend.
-    Warning,
-    /// Sustained divergence — retrain (or recalibrate the gate) on the
-    /// current workload.
-    RetrainSuggested,
-}
-
-impl DriftLevel {
-    /// Stable label used in every export.
-    pub fn label(self) -> &'static str {
-        match self {
-            DriftLevel::Stable => "stable",
-            DriftLevel::Warning => "warning",
-            DriftLevel::RetrainSuggested => "retrain-suggested",
-        }
-    }
-
-    /// The level an EWMA reaches against its warning and retrain
-    /// thresholds (`Stable` before its first sample).
-    fn of(ewma: Option<f64>, warning: f64, retrain: f64) -> DriftLevel {
-        match ewma {
-            Some(v) if v >= retrain => DriftLevel::RetrainSuggested,
-            Some(v) if v >= warning => DriftLevel::Warning,
-            _ => DriftLevel::Stable,
-        }
-    }
-}
-
-impl ToJson for DriftLevel {
-    fn write_json(&self, out: &mut String) {
-        self.label().write_json(out)
-    }
-}
-
-impl FromJson for DriftLevel {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        let label = String::from_json(v)?;
-        [DriftLevel::Stable, DriftLevel::Warning, DriftLevel::RetrainSuggested]
-            .into_iter()
-            .find(|l| l.label() == label)
-            .ok_or_else(|| JsonError::Invalid(format!("unknown drift status {label:?}")))
-    }
-}
-
-/// One drift reading, as [`drift_gauge`], the snapshot and the ledger
-/// carry it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DriftRecord {
-    pub status: DriftLevel,
-    /// EWMA of measured/predicted execution time, permille.
-    pub regret_permille: u64,
-    /// EWMA of the cascade fallthrough indicator, permille.
-    pub fallthrough_permille: u64,
-    /// Executions observed by the monitor.
-    pub observed: u64,
-}
-
-crate::json_struct!(DriftRecord { status, regret_permille, fallthrough_permille, observed });
-
-/// Two EWMAs over the executions [`record_execution`] feeds back:
-/// - **regret**, the measured/predicted time ratio of stage-1 answers
-///   (a sustained climb means the machine model no longer describes
-///   the hardware or the workload);
-/// - **fallthrough**, the fraction of cascaded selections that fell
-///   through to stage 2 (a collapse toward 1 means the incoming
-///   matrices look nothing like what the gate was calibrated on).
-///
-/// Both recover once the workload normalizes: this is a drift monitor,
-/// not a lifetime average.
-#[derive(Default)]
-struct Drift {
-    regret: Option<f64>,
-    fallthrough: Option<f64>,
-    observed: u64,
-}
-
-impl Drift {
-    fn observe(&mut self, stage: &str, predicted_s: Option<f64>, measured_s: f64) {
-        fn ewma(prev: Option<f64>, sample: f64) -> f64 {
-            const ALPHA: f64 = 2.0 / (DRIFT_WINDOW as f64 + 1.0);
-            prev.map_or(sample, |p| p + ALPHA * (sample - p))
-        }
-        self.observed += 1;
-        if stage == "full" {
-            return;
-        }
-        let fell_through = stage == "stage2";
-        self.fallthrough = Some(ewma(self.fallthrough, fell_through as u64 as f64));
-        if fell_through {
-            crate::counter("drift.fallthrough", 1);
-        }
-        let predicted = predicted_s.filter(|_| stage == "stage1").unwrap_or(f64::NAN);
-        // Written so NaN fails the test too.
-        if measured_s > 0.0 && predicted > 0.0 {
-            let ratio = measured_s / predicted;
-            self.regret = Some(ewma(self.regret, ratio));
-            crate::observe_ns("drift.regret", permille(ratio));
-        }
-    }
-
-    fn record(&self) -> DriftRecord {
-        let regret = DriftLevel::of(self.regret, REGRET_WARNING, REGRET_RETRAIN);
-        let fallthrough =
-            DriftLevel::of(self.fallthrough, FALLTHROUGH_WARNING, FALLTHROUGH_RETRAIN);
-        let armed = self.observed >= DRIFT_MIN_OBSERVATIONS;
-        DriftRecord {
-            status: if armed { regret.max(fallthrough) } else { DriftLevel::Stable },
-            regret_permille: self.regret.map_or(0, permille),
-            fallthrough_permille: self.fallthrough.map_or(0, |f| permille(f).min(1000)),
-            observed: self.observed,
-        }
-    }
-}
-
-/// `x` in permille, rounded and clamped to `[0, 10^12]` (NaN reads 0).
-fn permille(x: f64) -> u64 {
-    (x * 1000.0).round().clamp(0.0, 1e12) as u64
-}
-
-/// The drift monitor's current reading (all-zero `Stable` before any
-/// execution was fed back).
-pub fn drift_gauge() -> DriftRecord {
-    flight_lock().drift.record()
-}
-
-// ---------------------------------------------------------------------
 // Periodic snapshot exporter
 // ---------------------------------------------------------------------
 
@@ -797,7 +616,6 @@ pub struct Snapshot {
     pub dropped_events: u64,
     /// The streaming stages ([`crate::span::stream_stages`]).
     pub stages: BTreeMap<String, StageRecord>,
-    pub drift: DriftRecord,
     pub flight: FlightStats,
 }
 
@@ -810,13 +628,12 @@ impl Snapshot {
             ts_ns: now_ns(),
             dropped_events: crate::dropped_events(),
             stages: stream_stages(),
-            drift: drift_gauge(),
             flight: flight_stats(),
         }
     }
 }
 
-crate::json_struct!(Snapshot { schema_version, ts_ns, dropped_events, stages, drift, flight }
+crate::json_struct!(Snapshot { schema_version, ts_ns, dropped_events, stages, flight }
 check |s: &Snapshot| match s.schema_version {
     SNAPSHOT_SCHEMA => Ok(()),
     v => Err(JsonError::Invalid(format!("unsupported schema_version {v}"))),
@@ -1105,9 +922,6 @@ mod tests {
             start_ns: id * 10_000,
             latency_ns: latency,
             method: "CSR:Dyn:v8".to_string(),
-            stage: "stage1",
-            margin: Some(1.5),
-            predicted_s: Some(1e-4),
             measured_s: None,
         };
         let mut id = 0;
@@ -1123,7 +937,7 @@ mod tests {
         // the ring around it is a valid trace.
         id += 1;
         assert!(record_request(mk(id, 1_200_000)), "slow request not flagged");
-        record_execution(id, "stage1", Some(1e-4), 0.5);
+        record_execution(id, 0.5);
         let threshold = stats.threshold_ns.unwrap();
         let dump = flight_dump_json(&flight_ring().into(), id, threshold);
         assert_eq!(crate::export::validate_chrome_trace(&dump), Ok(201), "one span per request");
@@ -1146,9 +960,6 @@ mod tests {
                 start_ns: i,
                 latency_ns: 1000,
                 method: "m".to_string(),
-                stage: "full",
-                margin: None,
-                predicted_s: None,
                 measured_s: None,
             });
         }
@@ -1187,9 +998,6 @@ mod tests {
                 start_ns: id * 20_000,
                 latency_ns: latency,
                 method: "m".to_string(),
-                stage: "full",
-                margin: None,
-                predicted_s: None,
                 measured_s: None,
             });
             window.observe(latency);
@@ -1225,20 +1033,19 @@ mod tests {
         // the process-global trace switch other unit tests rely on.
         crate::span::record("unit.snapshot.stage", crate::Phase::Sample, 0, 1234);
         crate::span::record("unit.snapshot.stage", crate::Phase::Sample, 0, 2345);
-        // Stage-1 executions running 1.7x their prediction.
-        for _ in 0..DRIFT_MIN_OBSERVATIONS {
-            record_execution(0, "stage1", Some(1e-3), 1.7e-3);
-        }
         let json = Snapshot::capture().to_json();
         let snap = Snapshot::from_json_str(&json).expect("the snapshot decodes");
         assert_eq!(snap.schema_version, SNAPSHOT_SCHEMA);
         let st = &snap.stages["unit.snapshot.stage"];
         assert_eq!((st.count, st.total_ns, st.self_total_ns), (2, 3579, 3579));
-        assert_eq!(snap.drift, drift_gauge());
-        assert_eq!((snap.drift.status, snap.drift.regret_permille), (DriftLevel::Warning, 1700));
-        assert!(json.contains(r#""status":"warning""#), "{json}");
-        // An unknown drift label or schema version does not decode.
-        assert!(Snapshot::from_json_str(&json.replace(r#""warning""#, r#""melting""#)).is_err());
+        assert_eq!(snap.flight, flight_stats());
+        // Snapshots written while the drift monitor existed carry a
+        // `drift` member; they still decode, with it ignored.
+        let drift = r#""drift":{"status":"warning","regret_permille":1700,"fallthrough_permille":0,"observed":16},"flight""#;
+        let old = json.replace(r#""flight""#, drift);
+        assert_ne!(old, json);
+        assert_eq!(Snapshot::from_json_str(&old), Ok(snap));
+        // An unknown schema version does not decode.
         let v1 = json.replace(r#""schema_version":2"#, r#""schema_version":1"#);
         assert!(Snapshot::from_json_str(&v1).is_err());
         flight_reset();

@@ -116,6 +116,17 @@ fn valid_documents_pass_and_each_malformed_one_fails() {
     assert!(ok, "valid trace + summary rejected: {stderr}");
     let (ok, stderr) = check_trace(&[Path::new("--snapshot"), &snapshot], &[]);
     assert!(ok, "valid snapshot rejected: {stderr}");
+    // Schema-2 snapshots written while the drift monitor existed carry a
+    // `drift` member, which is ignored.
+    let with_drift = edited(&snapshot_text, |d| {
+        let Value::Object(doc) = d else { panic!("snapshot object") };
+        let drift =
+            r#"{"status":"warning","regret_permille":1700,"fallthrough_permille":0,"observed":16}"#;
+        doc.insert("drift".into(), json::parse(drift).unwrap());
+    });
+    std::fs::write(&snapshot, &with_drift).unwrap();
+    let (ok, stderr) = check_trace(&[Path::new("--snapshot"), &snapshot], &[]);
+    assert!(ok, "snapshot with a drift member rejected: {stderr}");
 
     let stage = ["stages", "features.extract"];
     let summaries: Vec<(&str, String)> = vec![
@@ -162,10 +173,8 @@ fn valid_documents_pass_and_each_malformed_one_fails() {
             }),
         ),
         (
-            "unknown drift status",
-            edited(&snapshot_text, |d| {
-                *at(d, &["drift", "status"]) = Value::String("melting".into())
-            }),
+            "unsupported schema_version",
+            edited(&snapshot_text, |d| *at(d, &["schema_version"]) = num(1)),
         ),
     ];
     for (what, text) in snapshots {

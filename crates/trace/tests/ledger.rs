@@ -10,7 +10,7 @@ use wise_trace::ledger::{
 };
 use wise_trace::span::{Event, Phase};
 use wise_trace::telemetry::QuantileSketch;
-use wise_trace::{DriftLevel, DriftRecord, Summary};
+use wise_trace::Summary;
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("wise_ledger_{tag}_{}", std::process::id()));
@@ -62,7 +62,7 @@ fn full_record(seq: u64) -> BenchRecord {
         counters: [("kernel.spmv.nnz".to_string(), 123_456u64)].into_iter().collect(),
         throughput: [
             ("kernel.spmv.nnz_per_s".to_string(), 2.5718e9),
-            ("select.cascade.fallthrough_rate".to_string(), 1.0 / 3.0),
+            ("kernel.convert.nnz_per_s".to_string(), 1.0 / 3.0),
         ]
         .into_iter()
         .collect(),
@@ -77,12 +77,6 @@ fn full_record(seq: u64) -> BenchRecord {
                 .into_iter()
                 .map(|(name, regret)| MatrixRegret { name: name.into(), regret })
                 .collect(),
-        }),
-        drift: Some(DriftRecord {
-            status: DriftLevel::Warning,
-            regret_permille: 1_732,
-            fallthrough_permille: 250,
-            observed: 40,
         }),
     }
 }

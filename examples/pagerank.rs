@@ -58,29 +58,18 @@ fn main() {
     let opts = TrainOptions::for_scale(&scale);
     let wise = Wise::train(&Corpus::full(&scale, 42), &opts);
     let choice = wise.select(&m);
-    if let Some(info) = &choice.cascade {
-        println!("cascade: answered in {:?} (margin {:.3})", info.stage, info.margin);
-    }
     println!("WISE selected {} for the PageRank matrix", choice.config.label());
 
     let iters = 20;
     // An iterative solver knows its iteration count up front: refine the
     // pick with the amortized tier, reusing the features the plain
     // selection already extracted instead of paying extraction twice.
-    // A cascade stage-1 answer carries only the probe slots, which need
-    // not cover the slots the trees read; in that case the amortized
-    // selection extracts just the feature groups those slots need.
-    let amortized = match &choice.cascade {
-        Some(info) if info.stage == wise_core::CascadeStage::Stage1 => {
-            wise.select_for_iterations(&m, &opts.estimator, iters as u64)
-        }
-        _ => wise.select_for_iterations_from_features(
-            &m,
-            choice.features.clone(),
-            &opts.estimator,
-            iters as u64,
-        ),
-    };
+    let amortized = wise.select_for_iterations_from_features(
+        &m,
+        choice.features,
+        &opts.estimator,
+        iters as u64,
+    );
     println!(
         "amortized over {iters} iterations: {} ({:.1}us of feature extraction)",
         amortized.config.label(),

@@ -110,9 +110,6 @@ fn main() {
             start_ns: wise_trace::span::now_ns(),
             latency_ns: threshold.saturating_mul(10),
             method: choice.config.label(),
-            stage: "full",
-            margin: None,
-            predicted_s: None,
             measured_s: None,
         });
         assert!(flagged, "injected slow request must trip the anomaly trigger");

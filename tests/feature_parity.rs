@@ -15,13 +15,14 @@
 //! the same standard: each [`FeatureGroup`] extracted on its own equals
 //! the full sweep bit for bit on its slots, and amortized selection on
 //! a registry that reads a few slots computes exactly their groups and
-//! decides exactly as it would on the full vector.
+//! decides exactly as it would on the full vector. So does
+//! [`Wise::select`], on hand-built and trained registries alike.
 //!
 //! Both extractors share [`SummaryStats`], so the suite also holds that
 //! one body to an independent copy of the sort-based statistics on
 //! every matrix's R, C, T, RB and CB counts.
 
-use wise_core::pipeline::Wise;
+use wise_core::pipeline::{TrainOptions, Wise};
 use wise_core::ModelRegistry;
 use wise_features::{
     FeatureConfig, FeatureGroup, FeatureScratch, FeatureSet, FeatureVector, SummaryStats, TileGrid,
@@ -274,6 +275,39 @@ fn decoded_registry_computes_exactly_the_groups_its_trees_read() {
                     assert_eq!(lean.decision_paths, want.decision_paths, "{tag}");
                     assert_subset_of_full(&lean.features, &full, read, &tag);
                 }
+            }
+        }
+    }
+}
+
+/// `Wise::select` extracts only the read set, yet gives full WISE's
+/// index, predictions and decision paths; its features are the full
+/// vector on read-set slots and 0.0 elsewhere.
+#[test]
+fn select_matches_full_wise_on_families_and_degenerate_shapes() {
+    let zoo: Vec<Csr> = families().into_iter().map(|(_, m)| m).collect();
+    let mut registries: Vec<(String, ModelRegistry)> =
+        [&["gini_T", "Gr4_uniqR", "uniqC"][..], &["nnz", "mean_T", "p_R", "gini_C"][..]]
+            .into_iter()
+            .map(|names| (format!("{names:?}"), registry_splitting_on(names, &zoo)))
+            .collect();
+    let scale = CorpusScale::tiny();
+    let trained = Wise::train(&Corpus::random(&scale, 11), &TrainOptions::for_scale(&scale));
+    registries.push(("trained".to_string(), trained.registry().clone()));
+    for (name, reg) in registries {
+        let read = reg.read_set();
+        for threads in THREADS {
+            let cfg = FeatureConfig { k_max: 2048, threads };
+            let wise = Wise::from_registry(reg.clone(), cfg);
+            for (shape, m) in families().into_iter().chain(degenerate_shapes()) {
+                let got = wise.select(&m);
+                let full = wise.select_from_features(FeatureVector::extract(&m, &cfg));
+                let tag = format!("{name} {shape} threads={threads}");
+                assert_eq!(got.index, full.index, "{tag}");
+                assert_eq!(got.config, full.config, "{tag}");
+                assert_eq!(got.predictions, full.predictions, "{tag}");
+                assert_eq!(got.decision_paths, full.decision_paths, "{tag}");
+                assert_subset_of_full(&got.features, &full.features, read, &tag);
             }
         }
     }

@@ -29,15 +29,12 @@ fn traced_pipeline_covers_mandatory_stages() {
     wise_trace::set_enabled(false);
     let summary = wise_trace::Summary::from_events(&events);
 
-    // The stage set CI requires on the quickstart trace. The trained
-    // instance carries a cascade gate, so the stage-1 probe span is
-    // mandatory whether or not the gate accepted.
+    // The stage set CI requires on the quickstart trace.
     for stage in [
         "features.extract",
         "label.corpus",
         "train.registry",
         "pipeline.select",
-        "select.cascade.stage1",
         "kernel.convert",
         "kernel.spmv",
     ] {
