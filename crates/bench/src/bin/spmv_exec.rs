@@ -12,6 +12,12 @@
 //!    where dispatch overhead actually distorts labels. The 2-thread /
 //!    1-thread time ratio shows whether the second thread pays for
 //!    itself.
+//! 3. **2-thread scaling at `solve` sizes** — one config per packed
+//!    family on 2^12–2^14-row RMAT matrices at 4–16 nnz/row (the sizes
+//!    of perfbench's `solve` workload): 1- and 2-thread medians, their
+//!    ratio, and fixed CSR-StCont at 2 threads beside them. Printed
+//!    only: on a shared 2-vCPU host the ratios move by tens of percent
+//!    between runs, too much to gate on.
 //!
 //! Every multi-thread output is asserted bit-identical to the 1-thread
 //! one before timings are trusted (the exhaustive version lives in the
@@ -25,7 +31,35 @@ use wise_gen::RmatParams;
 use wise_kernels::sched::parallel_for_chunks;
 use wise_kernels::srvpack::SpmvWorkspace;
 use wise_kernels::timing::measure_median;
-use wise_kernels::{MethodConfig, Schedule};
+use wise_kernels::{MethodConfig, Prepared, Schedule};
+
+/// Median µs of `prep.spmv` at `nthreads` over `iters` calls (after
+/// `iters / 10` warm-up calls), and the output of the last call. Adds
+/// the timed wall-clock to `measured`.
+fn time_spmv(
+    prep: &Prepared,
+    label: &str,
+    x: &[f64],
+    nrows: usize,
+    nthreads: usize,
+    iters: usize,
+    measured: &mut Duration,
+) -> (f64, Vec<f64>) {
+    let mut y = vec![0.0; nrows];
+    let mut ws = SpmvWorkspace::default();
+    let s = measure_median(|| prep.spmv(x, &mut y, nthreads, &mut ws), iters / 10, iters);
+    *measured += s.total;
+    report::progress(format_args!(
+        "spmv {label}/t{nthreads} pool: {}",
+        report::samples_summary(&s)
+    ));
+    (s.median.as_secs_f64() * 1e6, y)
+}
+
+/// Asserts that two SpMV outputs agree bit for bit.
+fn assert_bit_identical(a: &[f64], b: &[f64], what: impl std::fmt::Display) {
+    assert!(a.iter().zip(b).all(|(a, b)| a.to_bits() == b.to_bits()), "{what}");
+}
 
 fn main() {
     let _trace = wise_bench::report::init();
@@ -101,28 +135,26 @@ fn main() {
             let mut pool_us_at = Vec::new();
             let mut first: Option<Vec<f64>> = None;
             for &nthreads in spmv_threads {
-                let mut y = vec![0.0; m.nrows()];
-                let mut ws = SpmvWorkspace::default();
-                let s = measure_median(
-                    || prep.spmv(&x, &mut y, nthreads, &mut ws),
-                    spmv_iters / 10,
-                    spmv_iters,
-                );
-                let pool_us = s.median.as_secs_f64() * 1e6;
-                measured[1] += s.total;
-                report::progress(format_args!(
-                    "spmv {}/t{nthreads} pool: {}",
-                    cfg.label(),
-                    report::samples_summary(&s)
-                ));
-                let want = first.get_or_insert_with(|| y.clone());
-                assert!(
-                    want.iter().zip(&y).all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "{} threads disagree with {} on {} ({} rows)",
+                let (pool_us, y) = time_spmv(
+                    &prep,
+                    &cfg.label(),
+                    &x,
+                    m.nrows(),
                     nthreads,
-                    spmv_threads[0],
-                    cfg.label(),
-                    m.nrows()
+                    spmv_iters,
+                    &mut measured[1],
+                );
+                let want = first.get_or_insert_with(|| y.clone());
+                assert_bit_identical(
+                    want,
+                    &y,
+                    format_args!(
+                        "{} threads disagree with {} on {} ({} rows)",
+                        nthreads,
+                        spmv_threads[0],
+                        cfg.label(),
+                        m.nrows()
+                    ),
                 );
                 pool_us_at.push((nthreads, pool_us));
                 outln!("{:>8} {:>26} {:>8} {:>10.2}us", m.nrows(), cfg.label(), nthreads, pool_us);
@@ -139,6 +171,56 @@ fn main() {
             }
         }
     }
+
+    // ---- 3. 2-thread scaling at solve sizes ---------------------------
+    let scaling_shapes: &[(u32, u32)] =
+        if quick { &[(12, 4), (13, 8)] } else { &[(12, 4), (13, 8), (14, 16)] };
+    let packed = [
+        MethodConfig::sellpack(8, Schedule::StCont),
+        MethodConfig::sell_c_sigma(8, 512, Schedule::StCont),
+        MethodConfig::sell_c_r(8),
+        MethodConfig::lav_1seg(8),
+        MethodConfig::lav(8, 0.7),
+    ];
+    let csr = MethodConfig::csr(Schedule::StCont);
+    outln!("\n-- 2-thread scaling at solve sizes, median us/call (RMAT, MED_SKEW) --");
+    outln!(
+        "{:>6} {:>7} {:>24} {:>9} {:>9} {:>6} {:>14} {:>7}",
+        "rows",
+        "nnz/row",
+        "config",
+        "1t",
+        "2t",
+        "2t/1t",
+        "CSR-StCont 2t",
+        "2t/CSR"
+    );
+    for &(scale, deg) in scaling_shapes {
+        let m = RmatParams::MED_SKEW.generate(scale, deg, ctx.seed);
+        let x: Vec<f64> = (0..m.ncols()).map(|i| (i as f64).sin()).collect();
+        let n = m.nrows();
+        let (csr_us, _) =
+            time_spmv(&csr.prepare(&m), &csr.label(), &x, n, 2, spmv_iters, &mut measured[1]);
+        rows.push(format!("scaling,{},2,{n},{csr_us:.3}", csr.label()));
+        for cfg in packed {
+            let (prep, label) = (cfg.prepare(&m), cfg.label());
+            let (one, y1) = time_spmv(&prep, &label, &x, n, 1, spmv_iters, &mut measured[1]);
+            let (two, y2) = time_spmv(&prep, &label, &x, n, 2, spmv_iters, &mut measured[1]);
+            assert_bit_identical(
+                &y1,
+                &y2,
+                format_args!("2 threads disagree with 1 on {label} ({n} rows)"),
+            );
+            outln!(
+                "{n:>6} {deg:>7} {label:>24} {one:>7.2}us {two:>7.2}us {:>5.2}x {csr_us:>12.2}us {:>6.2}x",
+                two / one.max(1e-9),
+                two / csr_us.max(1e-9)
+            );
+            rows.push(format!("scaling,{label},1,{n},{one:.3}"));
+            rows.push(format!("scaling,{label},2,{n},{two:.3}"));
+        }
+    }
+
     outln!("\n(outputs verified bit-identical across thread counts; see tests/pool_parity.rs)");
     outln!(
         "(total measured wall-clock: dispatch {:.1}ms, spmv {:.1}ms)",

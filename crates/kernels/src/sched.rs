@@ -117,10 +117,13 @@ pub fn default_threads() -> usize {
 /// * **No data race:** the contract on [`Self::write`]/[`Self::add`]
 ///   requires that no index is targeted by two threads during the
 ///   writer's lifetime. In the kernels this holds structurally — CSR
-///   chunks own disjoint row ranges (`chunk * rows_per_chunk ..`), and
-///   an SRVPack segment's `row_order` contains each row at most once,
-///   with segments processed sequentially under a full barrier
-///   (`parallel_for_chunks` returns only when every chunk finished).
+///   chunks own disjoint row ranges (`chunk * rows_per_chunk ..`); in
+///   a packed SpMV's first segment each row of `y` is stored by exactly
+///   one chunk or zeroed by exactly one chunk's share of its
+///   zero-row list, and a later segment's `row_order` holds each row at
+///   most once and gets a writer of its own only after the previous
+///   dispatch returned (`parallel_for_chunks` returns only when every
+///   chunk finished).
 /// * **No reference aliasing:** `new` consumes the `&mut [T]` into a
 ///   raw pointer; no Rust reference to any element exists between
 ///   `new` and the writer's drop, so the writes cannot invalidate a
@@ -171,7 +174,9 @@ impl<'a, T> DisjointWriter<'a, T> {
         unsafe { *self.ptr.add(index) = value };
     }
 
-    /// Adds `value` into `index` (same contract as [`Self::write`]).
+    /// Adds `value` into `index` (same contract as [`Self::write`]):
+    /// how a packed SpMV's later segments (LAV's sparse one) accumulate
+    /// into rows the first segment stored.
     ///
     /// # Safety
     /// See [`Self::write`].

@@ -73,9 +73,13 @@ pub struct PackConfig {
 /// One packed column segment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Segment {
-    /// Original row ids in pack order (chunk-major). Rows dropped by
-    /// RFS (zero nonzeros in this segment) are absent.
+    /// Original row ids in pack order (chunk-major): the first `listed`
+    /// are packed. Rows dropped by RFS (zero nonzeros in this segment)
+    /// are absent, except in the first segment, whose buffer keeps them
+    /// after the packed rows, ascending: [`SrvPack::spmv`] zeroes them.
     row_order: Vec<u32>,
+    /// Packed rows at the front of `row_order`.
+    listed: usize,
     /// Per-chunk offsets in *column steps*: chunk `k` spans
     /// `offsets[k]..offsets[k+1]` steps, each step holding `c` lanes.
     offsets: Vec<usize>,
@@ -105,7 +109,7 @@ impl Segment {
     #[inline]
     pub fn chunk_rows(&self, k: usize, c: usize) -> &[u32] {
         let lo = k * c;
-        let hi = ((k + 1) * c).min(self.row_order.len());
+        let hi = ((k + 1) * c).min(self.listed);
         &self.row_order[lo..hi]
     }
 
@@ -117,7 +121,13 @@ impl Segment {
     }
 
     pub fn row_order(&self) -> &[u32] {
-        &self.row_order
+        &self.row_order[..self.listed]
+    }
+
+    /// The rows the segment drops, if it keeps them (the first segment
+    /// does; see `row_order`), else empty.
+    fn unlisted_rows(&self) -> &[u32] {
+        &self.row_order[self.listed..]
     }
 
     pub fn nnz_real(&self) -> usize {
@@ -170,7 +180,9 @@ pub struct SrvPack {
 }
 
 /// Reusable scratch buffers for [`SrvPack::spmv`] so iterative callers
-/// (the dominant SpMV use case) pay no per-call allocation.
+/// (the dominant SpMV use case) pay no per-call allocation. It holds
+/// only the CFS-gathered input vector: `y` needs no preparation, since
+/// every call overwrites all of it.
 #[derive(Debug, Default)]
 pub struct SpmvWorkspace {
     xperm: Vec<f64>,
@@ -289,7 +301,14 @@ impl SrvPack {
                     *len = row_ptr[r + 1] - row_ptr[r] - *len;
                 }
             }
-            let row_order = row_order(config.sigma, &lens, &mut sort_counts);
+            // The first segment keeps its dropped rows (the zero-row
+            // list: the empty rows RFS drops, and LAV's rows with no
+            // dense entry) in its buffer's tail, which the sort has
+            // allocated anyway; later segments need no such list.
+            let (mut row_order, listed) = row_order(config.sigma, &lens, &mut sort_counts);
+            if s > 0 {
+                row_order.truncate(listed);
+            }
 
             // Pack chunk-major. Widths and offsets come first (one max
             // over `lens` per chunk), which lets the fill run one chunk
@@ -300,10 +319,10 @@ impl SrvPack {
             // initialization either way) and the prepared buffers are
             // bit-identical for every thread count.
             let c = config.c;
-            let nchunks = row_order.len().div_ceil(c);
+            let nchunks = listed.div_ceil(c);
             let mut offsets = Vec::with_capacity(nchunks + 1);
             offsets.push(0usize);
-            for chunk_rows in row_order.chunks(c) {
+            for chunk_rows in row_order[..listed].chunks(c) {
                 let width = chunk_rows.iter().map(|&r| lens[r as usize]).max().unwrap_or(0);
                 offsets.push(offsets.last().unwrap() + width);
             }
@@ -319,7 +338,7 @@ impl SrvPack {
                 let from_end = s == 1;
                 let fill = |k: usize| {
                     let base = offsets[k] * c;
-                    let chunk_rows = &row_order[k * c..((k + 1) * c).min(row_order.len())];
+                    let chunk_rows = &row_order[k * c..((k + 1) * c).min(listed)];
                     for (lane, &r) in chunk_rows.iter().enumerate() {
                         let (r, len) = (r as usize, lens[r as usize]);
                         let a = if from_end { row_ptr[r + 1] - len } else { row_ptr[r] };
@@ -346,6 +365,7 @@ impl SrvPack {
             }
             segments.push(Segment {
                 row_order,
+                listed,
                 offsets,
                 col_ids,
                 vals,
@@ -435,25 +455,29 @@ impl SrvPack {
         }
     }
 
-    /// Approximate heap footprint in bytes.
+    /// Approximate heap footprint in bytes: the arrays the kernel
+    /// streams. The zero-row list is left out, so the cost model that
+    /// reads this (`wise_perf::cost`) prices the paper's layout.
     pub fn footprint_bytes(&self) -> usize {
         self.segments
             .iter()
-            .map(|s| {
-                s.vals.len() * 8 + s.col_ids.len() * 4 + s.row_order.len() * 4 + s.offsets.len() * 8
-            })
+            .map(|s| s.vals.len() * 8 + s.col_ids.len() * 4 + s.listed * 4 + s.offsets.len() * 8)
             .sum::<usize>()
             + self.col_perm.as_ref().map_or(0, |p| p.len() * 4)
     }
 
     // ---- Kernel --------------------------------------------------------
 
-    /// `y = A x` with `nthreads` workers under `schedule`.
+    /// `y = A x` with `nthreads` workers under `schedule`. Every row of
+    /// `y` is overwritten, so its prior contents never matter.
     ///
     /// Segments run sequentially (dense first, as in LAV, so its slice
     /// of the input vector is LLC-resident while processed); chunks
-    /// within a segment run in parallel. `ws` carries the CFS-gathered
-    /// input vector between calls.
+    /// within a segment run in parallel. The first segment stores its
+    /// sums and zeroes the rows it does not list (`SegmentOutput`), so
+    /// each row is written only by the thread that computes it and no
+    /// pass over all of `y` precedes the kernel; later segments add.
+    /// `ws` carries the CFS-gathered input vector between calls.
     pub fn spmv(
         &self,
         x: &[f64],
@@ -494,7 +518,6 @@ impl SrvPack {
             }
             None => x,
         };
-        y.fill(0.0);
         let c = self.config.c;
         // Every policy grabs CSR's 256-row unit, Dyn included: a
         // per-chunk grab costs one shared atomic per c rows, and the
@@ -507,16 +530,32 @@ impl SrvPack {
         // Each path gets a closure of its own: one closure holding the
         // scalar loop beside the vector kernels' accumulators spilled
         // its sums and ran 3–10% slower per chunk (2-vCPU AVX-512 VM).
-        for seg in &self.segments {
-            let writer = DisjointWriter::new(&mut *y);
+        for (s, seg) in self.segments.iter().enumerate() {
+            // Only the first segment keeps unlisted rows (see `build`).
+            let zero_rows = seg.unlisted_rows();
             let nchunks = seg.nchunks();
+            if nchunks == 0 {
+                // A segment whose rows RFS all dropped (or a 0-row
+                // matrix): no chunk exists to carry the zeroing.
+                for &r in zero_rows {
+                    y[r as usize] = 0.0;
+                }
+                continue;
+            }
+            let writer = DisjointWriter::new(&mut *y);
+            let out = SegmentOutput {
+                y: &writer,
+                store: s == 0,
+                zero_rows,
+                zeros_per_chunk: zero_rows.len().div_ceil(nchunks),
+            };
             if isa == SimdIsa::Scalar {
                 parallel_for_chunks(nchunks, nthreads, schedule, grain, |k| {
                     let (vals, cols) = seg.chunk(k, c);
                     // SAFETY: see `solo_item`. The sums come back by
                     // value and stay in registers.
                     let sums = unsafe { simd::sell_chunk_scalar(vals, cols, c, xeff) };
-                    Self::scatter(seg, c, &writer, k, &sums);
+                    out.chunk(seg, c, k, &sums);
                 });
             } else if pair {
                 // Chunk-pair interleave: one work item covers chunks
@@ -530,15 +569,15 @@ impl SrvPack {
                     grain.div_ceil(2),
                     |p| {
                         if 2 * p + 1 < nchunks {
-                            Self::pair_item(seg, c, isa, xeff, &writer, 2 * p, pf);
+                            Self::pair_item(seg, c, isa, xeff, &out, 2 * p, pf);
                         } else {
-                            Self::solo_item(seg, c, isa, xeff, &writer, 2 * p, pf);
+                            Self::solo_item(seg, c, isa, xeff, &out, 2 * p, pf);
                         }
                     },
                 );
             } else {
                 parallel_for_chunks(nchunks, nthreads, schedule, grain, |k| {
-                    Self::solo_item(seg, c, isa, xeff, &writer, k, pf);
+                    Self::solo_item(seg, c, isa, xeff, &out, k, pf);
                 });
             }
         }
@@ -552,7 +591,7 @@ impl SrvPack {
         c: usize,
         isa: SimdIsa,
         x: &[f64],
-        writer: &DisjointWriter<f64>,
+        out: &SegmentOutput,
         k: usize,
         pf: usize,
     ) {
@@ -564,7 +603,7 @@ impl SrvPack {
         // real (post-CFS) column or padding column 0, both < ncols ==
         // x.len(); each accumulator slice has exactly c lanes.
         unsafe { simd::sell_chunk_pf(isa, vals, cols, c, x, &mut acc[..c], pf) };
-        Self::scatter(seg, c, writer, k, &acc);
+        out.chunk(seg, c, k, &acc);
     }
 
     /// Chunks `k0` and `k0 + 1` through the interleaved pair kernel:
@@ -574,7 +613,7 @@ impl SrvPack {
         c: usize,
         isa: SimdIsa,
         x: &[f64],
-        writer: &DisjointWriter<f64>,
+        out: &SegmentOutput,
         k0: usize,
         pf: usize,
     ) {
@@ -595,18 +634,56 @@ impl SrvPack {
                 pf,
             )
         };
-        Self::scatter(seg, c, writer, k0, &acc0);
-        Self::scatter(seg, c, writer, k0 + 1, &acc1);
+        out.chunk(seg, c, k0, &acc0);
+        out.chunk(seg, c, k0 + 1, &acc1);
     }
+}
 
-    /// Adds chunk `k`'s lane sums into its rows of y.
+/// Where one segment's chunk sums go in [`SrvPack::spmv`].
+///
+/// The store contract: per call, every row of `y` is written by exactly
+/// one chunk of the first segment, or is on that segment's zero-row list
+/// and zeroed by exactly one chunk's share of it. The first segment
+/// therefore stores (`store`) instead of adding, and no pass zeroes `y`
+/// beforehand. A later segment lists each row at most once and adds
+/// into rows its predecessor's dispatch finished writing.
+struct SegmentOutput<'w, 'y> {
+    y: &'w DisjointWriter<'y, f64>,
+    /// Store the sums (first segment) or add them (later segments).
+    store: bool,
+    /// The zero-row list; empty for every segment but the first.
+    zero_rows: &'w [u32],
+    /// Chunk `k` zeroes `zero_rows[k · zeros_per_chunk ..][..zeros_per_chunk]`.
+    zeros_per_chunk: usize,
+}
+
+impl SegmentOutput<'_, '_> {
+    /// Writes chunk `k`'s lane sums into its rows of y, then zeroes the
+    /// chunk's share of the zero-row list.
     #[inline(always)]
-    fn scatter(seg: &Segment, c: usize, writer: &DisjointWriter<f64>, k: usize, sums: &[f64]) {
+    fn chunk(&self, seg: &Segment, c: usize, k: usize, sums: &[f64]) {
         for (l, &r) in seg.chunk_rows(k, c).iter().enumerate() {
-            // SAFETY: rows are unique within a segment, the chunks of
-            // one work item cover disjoint row sets, and segments are
-            // processed sequentially.
-            unsafe { writer.add(r as usize, sums[l]) };
+            // SAFETY: the store contract (see the type): rows are
+            // unique within a segment and chunk `k` runs once per
+            // dispatch, so no other thread touches row r during this
+            // segment; r < nrows == y.len() by construction. The store
+            // writes `0.0 + s`, the value the fill-then-add order gave:
+            // an FMA-rounded −0.0 sum still lands as +0.0.
+            unsafe {
+                if self.store {
+                    self.y.write(r as usize, 0.0 + sums[l]);
+                } else {
+                    self.y.add(r as usize, sums[l]);
+                }
+            }
+        }
+        let lo = (k * self.zeros_per_chunk).min(self.zero_rows.len());
+        let hi = (lo + self.zeros_per_chunk).min(self.zero_rows.len());
+        for &r in &self.zero_rows[lo..hi] {
+            // SAFETY: the store contract: a zero-list row is on no chunk
+            // of the first segment, the list holds it once, and chunk
+            // shares are disjoint; r < nrows == y.len().
+            unsafe { self.y.write(r as usize, 0.0) };
         }
     }
 }
@@ -668,10 +745,12 @@ fn remap(
 }
 
 /// Pack order of the rows under `sigma`, by stable counting sort on the
-/// segment lengths `lens` (descending, ties in row order). `counts` is
-/// the sort's scratch, shared across windows and segments. `Full` drops
-/// the trailing zero-length rows: they produce no output in the segment.
-fn row_order(sigma: SigmaSpec, lens: &[usize], counts: &mut Vec<usize>) -> Vec<u32> {
+/// segment lengths `lens` (descending, ties in row order), and how many
+/// of them to pack. `counts` is the sort's scratch, shared across
+/// windows and segments. `Full` drops the trailing zero-length rows,
+/// which produce no output in the segment; they stay at the end of the
+/// order, ascending.
+fn row_order(sigma: SigmaSpec, lens: &[usize], counts: &mut Vec<usize>) -> (Vec<u32>, usize) {
     let mut order: Vec<u32> = (0..lens.len() as u32).collect();
     match sigma {
         SigmaSpec::None => {}
@@ -684,10 +763,11 @@ fn row_order(sigma: SigmaSpec, lens: &[usize], counts: &mut Vec<usize>) -> Vec<u
         SigmaSpec::Full => {
             counting_sort_desc(lens, 0, counts, &mut order);
             let kept = order.partition_point(|&r| lens[r as usize] > 0);
-            order.truncate(kept);
+            return (order, kept);
         }
     }
-    order
+    let n = order.len();
+    (order, n)
 }
 
 #[cfg(test)]
@@ -865,6 +945,26 @@ mod tests {
         p.spmv(&x, &mut y, 2, Schedule::Dyn, &mut SpmvWorkspace::default());
         assert_eq!(y, vec![0.0; 6]);
         assert_eq!(p.padding_ratio(), 1.0);
+    }
+
+    #[test]
+    fn stored_sums_keep_the_zero_then_add_sign() {
+        // Each row's one product underflows: the vector kernels' FMA
+        // rounds it to −0.0, the scalar loop's `0.0 + (−0.0)` to +0.0.
+        // The first segment's store must give +0.0 on every path, the
+        // value the reference (and the old zero-then-add order) gives.
+        let m =
+            Csr::try_new(16, 16, (0..=16).collect(), (0..16).collect(), vec![-1e-200; 16]).unwrap();
+        let x = vec![1e-200; 16];
+        let mut ws = SpmvWorkspace::default();
+        for pack in [SrvPack::sellpack(&m, 8), SrvPack::sellpack(&m, 4), SrvPack::lav(&m, 8, 0.5)] {
+            for v in [0usize, 1] {
+                let p = pack.clone().with_simd(v);
+                let mut y = vec![f64::NAN; 16];
+                p.spmv(&x, &mut y, 2, Schedule::StCont, &mut ws);
+                assert!(y.iter().all(|r| r.to_bits() == 0), "c={} v={v}: {y:?}", p.config().c);
+            }
+        }
     }
 
     #[test]

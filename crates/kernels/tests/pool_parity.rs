@@ -6,18 +6,20 @@
 //! `wise-perf` models with), Dyn covers every chunk exactly once, and
 //! every catalog config's SpMV output is bit-identical at every thread
 //! count to the 1-thread inline result, across ragged thread/chunk
-//! shapes. Plus lifecycle: a panic inside a job body must not wedge the
-//! pool, and a call nested inside a pool worker runs inline on that
+//! shapes. Every packed SpMV writes every row of `y`, whatever `y`
+//! held before, and the three CSR schedules agree bit-for-bit at 1 and
+//! 2 threads. Plus lifecycle: a panic inside a job body must not wedge
+//! the pool, and a call nested inside a pool worker runs inline on that
 //! worker.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use wise_gen::{suite, RmatParams, SplitMix64};
+use wise_gen::{suite, Recipe, RmatParams, SplitMix64};
 use wise_kernels::pool::{self, WorkerPool};
 use wise_kernels::sched::{parallel_for_chunks, static_assignment, Schedule};
 use wise_kernels::srvpack::SpmvWorkspace;
-use wise_kernels::{MethodConfig, SrvPack};
+use wise_kernels::{MethodConfig, Prepared, SrvPack};
 use wise_matrix::Csr;
 
 /// The thread counts the issue pins (1 = inline fallback, 16 >
@@ -122,6 +124,158 @@ fn spmv_results_bit_identical_across_thread_counts() {
                         "{name} {} t={nthreads} row {r}: inline={a} pool={b}",
                         cfg.label()
                     );
+                }
+            }
+        }
+    }
+}
+
+/// A random `nrows × ncols` matrix in which row `r` is empty when
+/// `empty(r)`, else holds 1–12 distinct columns.
+fn sparse_rows(nrows: usize, ncols: usize, seed: u64, empty: impl Fn(usize) -> bool) -> Csr {
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    let (mut row_ptr, mut col_idx, mut vals) = (vec![0usize], Vec::new(), Vec::new());
+    for r in 0..nrows {
+        if !empty(r) {
+            let mut cols: Vec<u32> =
+                (0..1 + rng.below(12)).map(|_| rng.below(ncols) as u32).collect();
+            cols.sort_unstable();
+            cols.dedup();
+            vals.extend(cols.iter().map(|_| rng.range_f64(-1.0, 1.0)));
+            col_idx.extend(cols);
+        }
+        row_ptr.push(col_idx.len());
+    }
+    Csr::try_new(nrows, ncols, row_ptr, col_idx, vals).unwrap()
+}
+
+/// The packed SpMV the kernel replaces, replayed from the pack's public
+/// layout: zero y, then add every chunk's scalar lane sums (each lane
+/// summed over the chunk's column steps in order, as the scalar chunk
+/// loop does) into its rows, segment by segment.
+fn zero_then_add_replay(pack: &SrvPack, x: &[f64]) -> Vec<f64> {
+    let c = pack.config().c;
+    let xeff: Vec<f64> = match pack.col_perm() {
+        Some(perm) => (0..pack.ncols()).map(|i| x[perm.apply(i)]).collect(),
+        None => x.to_vec(),
+    };
+    let mut y = vec![0.0; pack.nrows()];
+    for seg in pack.segments() {
+        let (vals, cols) = (seg.vals(), seg.col_ids());
+        let mut step = 0;
+        for k in 0..seg.nchunks() {
+            let mut sums = vec![0.0f64; c];
+            for j in step..step + seg.chunk_width(k) {
+                for (l, sum) in sums.iter_mut().enumerate() {
+                    *sum += vals[j * c + l] * xeff[cols[j * c + l] as usize];
+                }
+            }
+            step += seg.chunk_width(k);
+            for (&r, &s) in seg.chunk_rows(k, c).iter().zip(&sums) {
+                y[r as usize] += s;
+            }
+        }
+    }
+    y
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|f| f.to_bits()).collect()
+}
+
+/// Packed SpMV overwrites every row of `y`: the first segment stores
+/// its sums and zeroes the rows it does not list, so no stale value may
+/// survive a call, whatever `y` held. Shapes that leave rows off the
+/// first segment (empty rows, an all-empty matrix, one dense row) or
+/// leave a ragged last chunk (`nrows % c != 0`), square and not, every
+/// catalog config, threads {1, 2, 3, 7}, `y` pre-filled with NaN and
+/// with 1e300: all outputs are bit-identical, and a forced-scalar pack
+/// equals the zero-then-add replay of its layout.
+#[test]
+fn every_row_of_y_is_written() {
+    let mut one_dense = vec![0usize; 58];
+    one_dense.extend(std::iter::repeat_n(90, 100 - 57));
+    let matrices: Vec<(&str, Csr)> = vec![
+        ("every-third-row-empty", sparse_rows(203, 203, 5, |r| r % 3 == 1)),
+        ("all-empty", Csr::zero(37, 41)),
+        (
+            "one-dense-row",
+            Csr::try_new(
+                100,
+                90,
+                one_dense,
+                (0..90).collect(),
+                (0..90).map(|j| 1.0 + j as f64 / 8.0).collect(),
+            )
+            .unwrap(),
+        ),
+        ("ragged-wide", sparse_rows(301, 517, 6, |r| r % 17 == 0)),
+        ("ragged-tall", sparse_rows(261, 70, 7, |r| r >= 250)),
+        ("banded-ragged", suite::banded(517, 9, 0.5, 3)),
+    ];
+    for (name, m) in &matrices {
+        let x = random_x(m.ncols(), 11);
+        for cfg in MethodConfig::catalog() {
+            let prep = cfg.prepare(m);
+            let mut scalar = None;
+            if let Prepared::Pack(pack, sched) = &prep {
+                let pack = (**pack).clone().with_simd(1);
+                let want = bits(&zero_then_add_replay(&pack, &x));
+                for nthreads in [1, 2, 3, 7] {
+                    let mut y = vec![f64::NAN; m.nrows()];
+                    pack.spmv(&x, &mut y, nthreads, *sched, &mut SpmvWorkspace::default());
+                    assert_eq!(bits(&y), want, "{name} {} scalar t={nthreads}", cfg.label());
+                }
+                scalar = Some(pack);
+            }
+            let mut first: Option<Vec<u64>> = None;
+            for junk in [f64::NAN, 1e300] {
+                for nthreads in [1, 2, 3, 7] {
+                    let mut y = vec![junk; m.nrows()];
+                    prep.spmv(&x, &mut y, nthreads, &mut SpmvWorkspace::default());
+                    let got = bits(&y);
+                    let want = first.get_or_insert_with(|| got.clone());
+                    assert_eq!(&got, want, "{name} {} y={junk} t={nthreads}", cfg.label());
+                }
+            }
+            if scalar.is_none() {
+                let mut want = vec![0.0; m.nrows()];
+                m.spmv_reference(&x, &mut want);
+                assert_eq!(first.unwrap(), bits(&want), "{name} {}", cfg.label());
+            }
+        }
+    }
+}
+
+/// CSR-Dyn, CSR-St and CSR-StCont produce bit-identical `y` at 1 and 2
+/// threads on six families shaped like the request benchmark's (skewed,
+/// uniform and diagonal RMAT, banded, 3D stencil, random geometric
+/// graph) at 2^12–2^14 rows, so a prepared CSR matrix may switch
+/// schedule or thread count between calls without changing a result.
+#[test]
+fn csr_schedules_and_thread_counts_agree_bitwise() {
+    type Generate = fn(u32, u32) -> Csr;
+    let families: [(&str, Generate); 6] = [
+        ("rmat-skew", |s, d| Recipe::HighSkew.generate(s, d, 41)),
+        ("rmat-uniform", |s, d| Recipe::LowLoc.generate(s, d, 42)),
+        ("rmat-diag", |s, d| Recipe::HighLoc.generate(s, d, 43)),
+        ("banded", |s, d| suite::banded(1 << s, d as usize / 2, 0.8, 44)),
+        ("stencil3d", |s, _| suite::stencil_3d(16, 16, 1 << (s - 8))),
+        ("rgg", |s, d| Recipe::Rgg.generate(s, d, 45)),
+    ];
+    for (name, generate) in families {
+        for (scale, deg) in [(12, 4), (13, 16), (14, 8)] {
+            let m = generate(scale, deg);
+            let x = random_x(m.ncols(), 13);
+            let mut want: Option<Vec<u64>> = None;
+            for sched in Schedule::ALL {
+                let prep = MethodConfig::csr(sched).prepare(&m);
+                for nthreads in [1, 2] {
+                    let mut y = vec![f64::NAN; m.nrows()];
+                    prep.spmv(&x, &mut y, nthreads, &mut SpmvWorkspace::default());
+                    let got = bits(&y);
+                    let want = want.get_or_insert_with(|| got.clone());
+                    assert_eq!(&got, want, "{name} 2^{scale} CSR-{} t={nthreads}", sched.name());
                 }
             }
         }
